@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=geometry.MODEL_IDS)
     p.add_argument("--pmax", type=int, default=10_000)
     p.add_argument("--small-depth", type=int, default=None,
-                   help="brute depth at p = 2, 3 (default: per-model policy)")
+                   help="accepted for compatibility; p = 2, 3 are exact")
     p.add_argument("--out", metavar="PATH",
                    help="write the constant block as bare JSON")
     _add_json_flag(p)

@@ -30,9 +30,12 @@ Euler product multiplies the exact factors for p <= P_max by the
 zeta-completion of the peeled shapes over p > P_max and bounds the omitted
 prod (1 + h_p) by exp(sum |h_p|) - 1 <= exp(C_h P_max^{-5} / 5 * margin) - 1.
 
-The primes 2 and 3 enter through brute-force p-adic integrals with explicit
-truncation bounds (module fourier); the closed form appears to hold there
-too for the catalog, but that is never assumed.
+The primes 2 and 3 enter through exact_local_density, which sums the whole
+untruncated p-adic integral in closed form over valuation cones read off the
+generator sections alone (never the stratum polynomials), so those two
+factors are exact Fractions and the product carries no small-prime error.
+The truncated cube refinement fourier.brute_padic_fourier stays as the
+independent oracle the tests hold it against.
 
 Per-prime factors are independent pure computations; this module evaluates
 them serially in ascending order so reported floats are bit-reproducible.
@@ -49,14 +52,10 @@ from typing import Optional, Sequence, Union
 import mpmath
 
 from . import geometry
-from ._util import primes_upto
+from ._util import CapabilityError, is_prime, primes_upto
 from .geometry import VarietyModel
 
 PEEL_ORDER = 5
-# Depth cap for the brute small-prime integrals on the projective spaces; the
-# blown-up models pick a shallower per-prime depth (see fourier.suggested_depth)
-# because their undetermined-cube count grows geometrically with the depth.
-SMALL_PRIME_DEPTH = 30
 # Flat allowance (relative to the archimedean density) for assembling the
 # product in floats; the true roundoff is ~1e-13 relative for any P_max.
 FLOAT_ASSEMBLY_EPS = 1e-12
@@ -93,7 +92,7 @@ class EulerProductResult:
     peeled: tuple  # ((k, e_k), ...): zeta(k)^{e_k} factors peeled off
     tamagawa: float  # arch_density * partial_product * zeta_completion
     tail_bound: float  # |error| from truncating p > p_max (plus float slack)
-    small_prime_error: float  # |error| from the brute factors at p = 2, 3
+    small_prime_error: float  # always 0.0: the factors at p = 2, 3 are exact
 
 
 def archimedean_density(model: VarietyModel) -> float:
@@ -168,24 +167,115 @@ def denef_local_factor(model: VarietyModel, p: int, s) -> Union[Fraction, float]
     return total / float(p) ** n
 
 
-def local_density(
-    model: VarietyModel, p: int, small_depth: Optional[int] = None
-) -> Union[Fraction, float]:
-    """Expected local density at p: #X(F_p)/p^n at good p, brute at 2 and 3.
+def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of a list of integer vectors, by Gaussian elimination."""
+    rows = [[c % p for c in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
-    small_depth overrides the truncation depth of the brute integral at the
-    small primes; None picks the per-model default.
+
+def exact_local_density(model: VarietyModel, p: int, s) -> Fraction:
+    """The untruncated integral int_{Q_p^n} H_p(x; s)^{-1} dx, exactly.
+
+    Derived from model.generators and generator_exponents alone, at any
+    prime p, so it checks the stratum sum of denef_local_factor rather than
+    restating it.  Write m_G for the exponent of system G and L_l for the
+    linear part of a section l.  Every system holds a section with p-unit
+    constant term and no linear part (value of absolute value 1), and the
+    other constant terms are integers, so by the ultrametric inequality the
+    system's maximum is max(1, max_l |L_l(x)|_p): constant terms drop out.
+
+    Z_p^n contributes 1.  Every other x is p^{-k} t with k >= 1 and t
+    primitive (measure p^{kn} dt).  With v_G(t) = min_l v_p(L_l(t)), G
+    contributes p^{-m_G max(0, k - v_G(t))}.  v_G(t) > 0 exactly when t mod
+    p lies in V_G, the common zero space of G's linear forms mod p.  If those
+    forms have full rank n, V_G holds no primitive residue.  Otherwise the
+    method needs
+      (a) G's forms independent mod p, of rank r_G, so that
+          (L_l(t)/p)_l is Haar-uniform on Z_p^{r_G} over each residue of
+          V_G, and v_G = j >= 1 has conditional mass q^{-(j-1)} (1 - 1/q)
+          with q = p^{r_G};
+      (b) V_G and V_G' meeting only in 0 for G != G', so that at most one
+          system vanishes at a primitive residue (the unimodular centers
+          give this on the catalog);
+    and raises CapabilityError when either fails.  With M = sum_G m_G over
+    systems with linear forms, a = M - n, A_G = p^{n - M + m_G} and N_0 the
+    primitive residues in no V_G, the shell sums are geometric:
+
+        outside every V_G:  N_0 p^{-n} sum_{k>=1} p^{-ak},
+        inside V_G:         (p^{n - r_G} - 1) p^{-n} sum_{k>=1} A_G^k
+                            [(1 - 1/q) sum_{j=1}^{k} q^{1-j} p^{-m_G(k-j)}
+                             + q^{-k}],
+
+    and the second double series is (1 - 1/q) A_G / ((1 - A_G/q)(1 - p^{-a}))
+    + (A_G/q) / (1 - A_G/q).  On the catalog p^{-a} and A_G/q are
+    p^{-(1 + s_alpha - rho_alpha)} for D1 and the E_i, so both converge on
+    the domain denef_local_factor accepts.
+
+    Args:
+        model: a VarietyModel (catalog or not).
+        p: any prime, 2 and 3 included.
+        s: Picard vector whose exponents 1 + s_alpha - rho_alpha are
+            positive integers.
     """
-    if p in model.small_primes:
-        from . import fourier
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    svec = geometry.coerce_picard(model, s)
+    exps = [1 + sv - Fraction(r) for sv, r in zip(svec, model.rho)]
+    if any(e <= 0 or e.denominator != 1 for e in exps):
+        raise ValueError(f"need positive integer exponents 1 + s - rho, got {exps}")
+    n = model.dim
+    P = Fraction(p)
+    total_m = 0
+    cones = []  # (name, linear forms, m_G, r_G) for systems with V_G != 0
+    for gen, m in zip(model.generators, geometry.generator_exponents(model, svec)):
+        if not any(sec[0] % p and not any(sec[1:]) for sec in gen.sections):
+            raise CapabilityError(f"{gen.name} has no p-unit constant section at {p}")
+        forms = [sec[1:] for sec in gen.sections if any(sec[1:])]
+        if not forms:
+            continue  # the maximum is identically 1
+        total_m += int(m)
+        r = _rank_mod_p(forms, p)
+        if r == n:
+            continue
+        if r < len(forms):
+            raise CapabilityError(f"{gen.name}: sections dependent mod {p}")
+        cones.append((gen.name, forms, int(m), r))
+    for i, (name, forms, _, _) in enumerate(cones):
+        for other, forms2, _, _ in cones[i + 1:]:
+            if _rank_mod_p(forms + forms2, p) < n:
+                raise CapabilityError(
+                    f"{name} and {other} vanish together at a residue mod {p}"
+                )
+    decay = P ** (n - total_m)  # p^{-a}
+    if decay >= 1:
+        raise ValueError("the local integral diverges at this s")
+    outside = p**n - 1 - sum(p ** (n - r) - 1 for _, _, _, r in cones)
+    total = 1 + outside * decay / (P**n * (1 - decay))
+    for _, _, m, r in cones:
+        q = P**r
+        A = P ** (n - total_m + m)
+        ratio = A / q
+        if ratio >= 1:
+            raise ValueError("the local integral diverges at this s")
+        inner = (1 - 1 / q) * A / ((1 - ratio) * (1 - decay)) + ratio / (1 - ratio)
+        total += (p ** (n - r) - 1) * inner / P**n
+    return total
 
-        if small_depth is None:
-            small_depth = fourier.suggested_depth(model, p)
-        zero = (0,) * model.dim
-        return fourier.brute_padic_fourier(
-            model, p, zero, geometry.rho_vector(model), depth=small_depth
-        ).value.real
-    return denef_local_factor(model, p, geometry.rho_vector(model))
+
+def local_density(model: VarietyModel, p: int) -> Fraction:
+    """Local density at s = rho, any prime; #X(F_p)/p^n on the catalog."""
+    return exact_local_density(model, p, geometry.rho_vector(model))
 
 
 def good_prime_factor(model: VarietyModel, p: int) -> Fraction:
@@ -214,22 +304,23 @@ def regularization_residual(model: VarietyModel, p: int, s) -> Union[Fraction, f
     return abs(value - 1.0)
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
+    """Product of integer polynomials; fast when b is sparse."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a):
                 out[i + j] += x * y
     return out
 
 
-def _series_log(a: Sequence[Fraction], order: int) -> list:
+def _series_log(a: Sequence[int], order: int) -> list:
     """Coefficients 1..order of log of a power series with a[0] = 1."""
     out = [Fraction(0)] * (order + 1)
     for m in range(1, order + 1):
-        am = a[m] if m < len(a) else Fraction(0)
+        am = a[m] if m < len(a) else 0
         s = sum(
-            (j * out[j] * (a[m - j] if m - j < len(a) else Fraction(0))
+            (j * out[j] * (a[m - j] if m - j < len(a) else 0)
              for j in range(1, m)),
             Fraction(0),
         )
@@ -238,15 +329,15 @@ def _series_log(a: Sequence[Fraction], order: int) -> list:
 
 
 def regularized_factor_poly(model: VarietyModel) -> list:
-    """g(u) with g(1/p) = local_density(p) * (1 - 1/p)^rank, exact."""
+    """Integer g(u) with g(1/p) = local_density(p) * (1 - 1/p)^rank at good p."""
     n = model.dim
-    total = [Fraction(0)] * (n + 1)
+    total = [0] * (n + 1)
     for poly in model.stratum_polys.values():
         for k, c in enumerate(poly):
             total[k] += c
     g = list(reversed(total))  # * u^n turns p^k into u^{n-k}
     for _ in range(model.rank):
-        g = _poly_mul(g, [Fraction(1), Fraction(-1)])
+        g = _poly_mul(g, [1, -1])
     return g
 
 
@@ -256,13 +347,19 @@ def _peel_data(model_id: str):
 
     Returns (peeled, C_h) with peeled = ((k, e_k), ...) such that
     g(u) = prod (1 - u^k)^{e_k} (1 + h(u)), h(u) = O(u^{PEEL_ORDER+1}), and
-    |h(u)| <= C_h * u^{PEEL_ORDER+1} for 0 < u <= 1/5.
+    |h(u)| <= C_h * u^{PEEL_ORDER+1} for 0 < u <= 1/5.  Only the log series
+    and C_h are rational; the polynomials stay in integers.
+
+    Raises:
+        CapabilityError: g is not 1 + O(u^2), a peel exponent is not an
+            integer, or the peel leaves terms of order <= PEEL_ORDER.
     """
     model = geometry.load_model(model_id)
     g = regularized_factor_poly(model)
     K = PEEL_ORDER
     c = _series_log(g, K)
-    assert c[1] == 0, "regularized factor must be 1 + O(u^2)"
+    if c[1] != 0:
+        raise CapabilityError(f"{model_id}: regularized factor is not 1 + O(u^2)")
     e: dict = {}
     for k in range(2, K + 1):
         tot = c[k]
@@ -270,32 +367,35 @@ def _peel_data(model_id: str):
             if k % d == 0 and d in e:
                 tot += e[d] * Fraction(d, k)
         ek = -tot
-        assert ek.denominator == 1, f"non-integer peel exponent at k={k}"
+        if ek.denominator != 1:
+            raise CapabilityError(f"{model_id}: non-integer peel exponent at k={k}")
         if ek != 0:
             e[k] = int(ek)
     num = list(g)
-    den = [Fraction(1)]
+    den = [1]
     for k, ek in e.items():
-        base = [Fraction(1)] + [Fraction(0)] * (k - 1) + [Fraction(-1)]
+        base = [1] + [0] * (k - 1) + [-1]
         for _ in range(abs(ek)):
             if ek > 0:
                 den = _poly_mul(den, base)
             else:
                 num = _poly_mul(num, base)
     length = max(len(num), len(den))
-    num += [Fraction(0)] * (length - len(num))
-    den += [Fraction(0)] * (length - len(den))
+    num += [0] * (length - len(num))
+    den += [0] * (length - len(den))
     resid = [a - b for a, b in zip(num, den)]  # h = resid / den
-    assert all(v == 0 for v in resid[: K + 1]), "peel left low-order terms"
-    u5 = Fraction(1, 5)
-    c_num = sum(
-        (abs(v) * u5 ** (m - (K + 1)) for m, v in enumerate(resid) if m > K),
-        Fraction(0),
+    if any(resid[: K + 1]):
+        raise CapabilityError(f"{model_id}: peel left terms of order <= {K}")
+    # sum_{m > K} |resid_m| 5^{-(m - K - 1)} over one common denominator.
+    top = length - 1
+    c_num = Fraction(
+        sum(abs(v) * 5 ** (top - m) for m, v in enumerate(resid) if m > K),
+        5 ** max(top - K - 1, 0),
     )
     den_at_u5 = Fraction(1)
     for k, ek in e.items():
         if ek > 0:
-            den_at_u5 *= (1 - u5**k) ** ek
+            den_at_u5 *= (1 - Fraction(1, 5**k)) ** ek
     return tuple(sorted(e.items())), c_num / den_at_u5
 
 
@@ -307,7 +407,8 @@ def _euler_tail_bound(model: VarietyModel, p_max: int) -> float:
     K = PEEL_ORDER
     h_sum = float(c_h) * p_max ** (-K) / K
     h_max = float(c_h) * float(p_max + 1) ** (-(K + 1))
-    assert h_max < 0.5
+    if not h_max < 0.5:
+        raise ValueError(f"p_max = {p_max} is too small for the Euler tail bound")
     return math.expm1(h_sum / (1.0 - h_max))
 
 
@@ -322,30 +423,21 @@ def tamagawa_number(
         model: catalog entry.
         p_max: truncation point, at least 100; factors above it enter only
             through the peeled zeta completion.
-        small_depth: truncation depth of the brute integrals at p = 2, 3;
-            None picks the per-model default (deep for projective spaces,
-            shallower for the blow-ups whose cube refinement branches).
+        small_depth: accepted for compatibility and ignored; the factors at
+            p = 2, 3 are exact (exact_local_density).
 
     Returns:
         EulerProductResult; the tamagawa field approximates tau with
-        |error| <= tail_bound + small_prime_error.
+        |error| <= tail_bound (small_prime_error is always 0.0).
     """
     if p_max < 100:
         raise ValueError("p_max must be at least 100")
-    from . import fourier
-
     arch = archimedean_density(model)
     rho = geometry.rho_vector(model)
-    zero = (0,) * model.dim
-    small_factors = []
-    for p in sorted(model.small_primes):
-        depth = small_depth if small_depth is not None else fourier.suggested_depth(model, p)
-        brute = fourier.brute_padic_fourier(model, p, zero, rho, depth=depth)
-        reg = (1.0 - 1.0 / p) ** model.rank
-        small_factors.append((float(brute.value.real), brute.error_bound, reg))
     partial = 1.0
-    for value, _, reg in small_factors:
-        partial *= value * reg
+    for p in sorted(model.small_primes):
+        reg = (1 - Fraction(1, p)) ** model.rank
+        partial *= float(exact_local_density(model, p, rho) * reg)
     g = [float(c) for c in regularized_factor_poly(model)]
     primes = [p for p in primes_upto(p_max) if p >= 5]
     for p in primes:
@@ -364,10 +456,6 @@ def tamagawa_number(
             completion *= body ** (-ek)
     tam = arch * partial * completion
     tail = abs(tam) * _euler_tail_bound(model, p_max) + FLOAT_ASSEMBLY_EPS * arch
-    rel_small = 0.0
-    for value, err, _ in small_factors:
-        rel_small += err / (value - err)
-    small_err = abs(tam) * rel_small * (1.0 + rel_small)
     return EulerProductResult(
         model_id=model.id,
         p_max=p_max,
@@ -378,7 +466,7 @@ def tamagawa_number(
         peeled=peeled,
         tamagawa=tam,
         tail_bound=tail,
-        small_prime_error=small_err,
+        small_prime_error=0.0,
     )
 
 
@@ -388,9 +476,12 @@ def predicted_constant(
     small_depth: Optional[int] = None,
     result: Optional[EulerProductResult] = None,
 ) -> float:
-    """Leading constant c * tau / (rank - 1)! with c = prod_alpha 1/rho_alpha."""
+    """Leading constant c * tau / (rank - 1)! with c = prod_alpha 1/rho_alpha.
+
+    small_depth is accepted for compatibility and ignored; p = 2, 3 are exact.
+    """
     if result is None:
-        result = tamagawa_number(model, p_max=p_max, small_depth=small_depth)
+        result = tamagawa_number(model, p_max=p_max)
     c = Fraction(1)
     for r in model.rho:
         c /= r

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -10,7 +11,8 @@ import mpmath
 import pytest
 from scipy import integrate
 
-from gacount import geometry, tamagawa
+from gacount import fourier, geometry, tamagawa
+from gacount._util import CapabilityError
 
 
 def test_denef_local_factor_pins():
@@ -44,18 +46,106 @@ def test_denef_local_factor_domain_errors(model):
             tamagawa.denef_local_factor(model, p, model.rho)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 29])
 def test_local_density_counts_points(model, p):
-    # At a good prime the density times p^n is the F_p point count of the
-    # compactification, which the strata partition recomputes.
+    # The density times p^n is the F_p point count of the compactification,
+    # which the strata partition recomputes at good primes.
     dens = tamagawa.local_density(model, p)
     n = model.dim
     assert dens * p**n == geometry.total_point_count(model, p)
+    if p in model.small_primes:
+        return
     brute_total = sum(
         geometry.brute_stratum_count(model, subset, p)
         for subset in model.stratum_polys
     )
     assert dens * p**n == brute_total
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_exact_local_density_matches_denef(model, p):
+    for shift in (0, 1, 2):
+        s = tuple(r + shift for r in model.rho)
+        assert tamagawa.exact_local_density(model, p, s) == (
+            tamagawa.denef_local_factor(model, p, s)
+        )
+
+
+# #X(F_p) / p^n at p = 2, 3, written out by hand: (p^(n+1) - 1)/(p - 1)
+# points on P^n and p^2 + (r + 1) p + 1 on BlP2-r.
+SMALL_PRIME_DENSITIES = {
+    "P1": (Fraction(3, 2), Fraction(4, 3)),
+    "P2": (Fraction(7, 4), Fraction(13, 9)),
+    "P3": (Fraction(15, 8), Fraction(40, 27)),
+    "BlP2-1": (Fraction(9, 4), Fraction(16, 9)),
+    "BlP2-2": (Fraction(11, 4), Fraction(19, 9)),
+    "BlP2-3": (Fraction(13, 4), Fraction(22, 9)),
+}
+
+
+def test_exact_local_density_small_primes(model):
+    got = tuple(tamagawa.exact_local_density(model, p, model.rho) for p in (2, 3))
+    assert got == SMALL_PRIME_DENSITIES[model.id]
+
+
+@pytest.mark.parametrize("p,depth", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_exact_local_density_within_brute_bound(model, p, depth):
+    # The truncated cube refinement misses only |x|_p > p^depth, which its
+    # error bound covers; the projective spaces refine cheaply, so go deeper.
+    if not model.centers:
+        depth = 20
+    for shift in (0, 1):
+        s = tuple(r + shift for r in model.rho)
+        brute = fourier.brute_padic_fourier(model, p, (0,) * model.dim, s, depth=depth)
+        exact = tamagawa.exact_local_density(model, p, s)
+        assert abs(brute.value - float(exact)) <= brute.error_bound
+
+
+def _blp22_with(pencil_f2, centers=((1, 0), (0, 1))):
+    b2 = geometry.load_model("BlP2-2")
+    f2 = geometry.GeneratorSystem("F2", pencil_f2)
+    return dataclasses.replace(
+        b2, id="BlP2-2-variant", generators=b2.generators[:2] + (f2,), centers=centers
+    )
+
+
+@pytest.mark.parametrize("pencil_f2,centers", [
+    # Centers (1, 0) and (1, 2) meet mod 2: the forms Y and 2X - Y agree there.
+    (((0, 2, -1), (1, 0, 0)), ((1, 0), (1, 2))),
+    # The form 2X vanishes identically mod 2.
+    (((0, 2, 0), (1, 0, 0)), ((1, 0), (0, 1))),
+    # No section with a 2-unit constant term.
+    (((0, 1, 0), (2, 0, 0)), ((1, 0), (0, 1))),
+])
+def test_exact_local_density_refuses_bad_reduction(pencil_f2, centers):
+    bad = _blp22_with(pencil_f2, centers)
+    with pytest.raises(CapabilityError):
+        tamagawa.exact_local_density(bad, 2, bad.rho)
+    # Mod 5 the same sections reduce well: 5^2 + 3*5 + 1 points.
+    assert tamagawa.exact_local_density(bad, 5, bad.rho) == Fraction(41, 25)
+
+
+def test_exact_local_density_domain_errors():
+    b1 = geometry.load_model("BlP2-1")
+    for p, s in ((4, b1.rho), (2, (2, 2)), (2, (Fraction(7, 2), 2))):
+        with pytest.raises(ValueError):
+            tamagawa.exact_local_density(b1, p, s)
+
+
+# (peeled zeta exponents, float(C_h)), captured from the Fraction peel.
+PEEL_PINS = {
+    "P1": (((2, 1),), 0.0),
+    "P2": (((3, 1),), 0.0),
+    "P3": (((4, 1),), 0.0),
+    "BlP2-1": (((2, 2),), 0.0),
+    "BlP2-2": (((2, 5), (3, -5), (4, 10), (5, -24)), 99.76736992318708),
+    "BlP2-3": (((2, 9), (3, -16), (4, 45), (5, -144)), 1270.53530317739),
+}
+
+
+def test_peel_data_pins(model):
+    peeled, c_h = tamagawa._peel_data(model.id)
+    assert (peeled, float(c_h)) == PEEL_PINS[model.id]
 
 
 def test_regularization_residual_pins():
@@ -205,6 +295,18 @@ def test_predicted_constant_reuses_result():
     c1 = tamagawa.predicted_constant(model, result=res)
     expected = res.tamagawa / 3.0  # rho = (3,), rank 1, so c = 1/3 and 0! = 1
     assert abs(c1 - expected) <= 1e-15
+
+
+def test_tamagawa_number_exact_small_primes(model, monkeypatch):
+    # p = 2, 3 never reach the cube refinement, and at the default p_max
+    # the whole error budget is the Euler tail.
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute_padic_fourier called")
+
+    monkeypatch.setattr(fourier, "brute_padic_fourier", refuse)
+    res = tamagawa.tamagawa_number(model, p_max=10_000)
+    assert res.small_prime_error == 0.0
+    assert (res.tail_bound + res.small_prime_error) / res.tamagawa <= 1e-10
 
 
 def test_tamagawa_pmax_guard():
