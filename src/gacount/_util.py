@@ -50,6 +50,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing a nonzero integer, ascending, by trial
+    division."""
+    if n == 0:
+        raise ValueError("zero has no finite factorization")
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:

@@ -26,7 +26,7 @@ import mpmath
 import numpy as np
 
 from . import enumeration, fourier, geometry, heights, tamagawa
-from ._util import primes_upto
+from ._util import prime_factors, primes_upto
 
 
 @dataclass(frozen=True)
@@ -298,21 +298,6 @@ def _random_interior(rng: np.random.Generator, rank: int) -> tuple:
     return tuple(int(v) for v in rng.integers(1, 5, size=rank))
 
 
-def _prime_factors(n: int) -> set:
-    out = set()
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def a9() -> AcceptanceResult:
     """Structural invariants: height multiplicativity, integer-translation
     invariance, local-global consistency, stratum-count oracle equality,
@@ -354,7 +339,7 @@ def a9() -> AcceptanceResult:
             pt = _random_point(rng, model.dim)
             lam = _random_interior(rng, model.rank)
             fin = heights.finite_height_part(model, pt, lam)
-            support = _prime_factors(fin.numerator * fin.denominator)
+            support = set(prime_factors(fin.numerator * fin.denominator))
             prod = Fraction(1)
             for p in sorted(support | {2, 101}):
                 prod *= heights.local_height(model, pt, p, lam)

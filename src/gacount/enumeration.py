@@ -315,7 +315,8 @@ def count_ladder(model: VarietyModel, lam, B_list, workers: int = 1) -> CountLad
         elapsed.append(1000.0 * (time.perf_counter() - t0))
         rows.append((b, n))
     for (_, n1), (_, n2) in zip(rows, rows[1:]):
-        assert n2 >= n1, "counts must be nondecreasing in B"
+        if n2 < n1:
+            raise CapabilityError("counts must be nondecreasing in B")
     return CountLadder(model.id, tuple(vals), tuple(rows), tuple(elapsed))
 
 

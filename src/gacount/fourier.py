@@ -36,13 +36,20 @@ This module provides several independent routes to these quantities:
   of the zero locus of the linear form <a, x>.  The discarded terms (deeper
   strata and the excluded points) are returned as an explicit error bound.
 
-* arch_fourier: archimedean factors; closed forms where available (P1 at the
-  trivial character, and the cell decompositions of the 2-dimensional models
-  at the trivial character), adaptive quadrature otherwise.
+* tamagawa.exact_local_density (with a character index): the exact local
+  factor at every prime on P^n, a finite sum of Tate's shell integrals.
 
-* global_fourier: assembles the adelic product with Riemann zeta acceleration
-  of the polar local factors, brute-force values at small and ramified
-  primes, and closed forms at the remaining good primes up to a cutoff.
+* arch_fourier: archimedean factors.  On P^n a layer-cake argument over the
+  max-norm reduces the transform to at most 2^(n-1) one-dimensional
+  oscillatory integrals (a closed form at the trivial character); BlP2-1
+  has a closed form at the trivial character and 2-D quadrature otherwise.
+
+* global_fourier: assembles the adelic product.  P^n is exact at every
+  finite place: zeta(sigma)^(-1) times exact factors at the primes dividing
+  the character index.  The blow-ups use Riemann zeta acceleration of the
+  polar local factors, brute-force values at small and support primes, and
+  closed forms at the remaining good primes up to a cutoff; brute primes
+  enter only there (and at the trivial character on P2/P3).
 
 * zeta_truncated / poisson_check: the two sides of the spectral identity,
   sum over points of bounded height versus sum over characters, each carrying
@@ -72,6 +79,7 @@ from ._util import (
     floor_frac_root,
     is_prime,
     phi_sieve,
+    prime_factors,
     primes_upto,
     vp,
     vp_fraction,
@@ -163,27 +171,17 @@ class CharacterArgument:
         return min(vals) if vals else None
 
     def support_primes(self) -> tuple:
-        """Primes p >= 5 where some coordinate is non-unit (v_p != 0 for the
-        gcd structure): these require brute-force local factors."""
-        bad = set()
+        """Primes p with min_valuation(p) != 0, where psi_a is not trivial on
+        exactly Z_p^n: those dividing the gcd of the numerators or some
+        denominator.  Empty for the zero vector."""
+        if self.is_zero:
+            return ()
+        num = 0
+        den = 1
         for x in self.a:
-            if x == 0:
-                continue
-            for part in (x.numerator, x.denominator):
-                part = abs(part)
-                d = 2
-                while d * d <= part:
-                    if part % d == 0:
-                        if d >= 5:
-                            bad.add(d)
-                        while part % d == 0:
-                            part //= d
-                    d += 1
-                if part >= 5:
-                    bad.add(part)
-        # Only keep primes dividing every nonzero coordinate consistently:
-        # a prime needs brute force when min_valuation != 0.
-        return tuple(sorted(p for p in bad if self.min_valuation(p) != 0))
+            num = math.gcd(num, x.numerator)
+            den = math.lcm(den, x.denominator)
+        return prime_factors(num * den)
 
 
 def _coerce_character(a) -> CharacterArgument:
@@ -594,26 +592,61 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
 # ---------------------------------------------------------------------------
 
 
-def _arch_closed_trivial(model: VarietyModel, s) -> float:
-    """Exact cell-decomposition value of the archimedean integral at the
-    trivial character, for the models where the cells are boxes.
+def _arch_projective(n: int, sigma: Fraction, a: tuple) -> LocalFourierValue:
+    """The archimedean transform on P^n, where H_oo(x; s) = max(1, |x|)^sigma
+    in the max-norm |x|.
 
-    P1: 2 + 2/(sigma - 1).  P2: 4 + 8/(sigma - 2).  BlP2-1 with exponents
-    (m_H, m_F) for the hyperplane and pencil systems: on the quadrant the
-    four cells (unit square, x-dominant, y-dominant, intermediate) sum to
-    (1 + 1/(m_H - 1)) (1 + 1/(m_H + m_F - 2)), times 4.
+    Layer cake: for u >= 1, max(1, |x|) <= u exactly when |x| <= u, so
+    max(1, |x|)^(-sigma) = sigma int_1^oo u^(-sigma-1) [|x| <= u] du and
+
+        Hhat_oo(psi_a) = sigma int_1^oo u^(-sigma-1) prod_j Phi_j(u) du,
+
+    with Phi_j(u) = int_{-u}^{u} e^(2 pi i a_j x) dx = sin(2 pi a_j u)/(pi a_j),
+    or 2u when a_j = 0.  At a = 0 this is sigma 2^n/(sigma - n).  Otherwise,
+    with z zero coordinates and m = n - z nonzero ones, the product of the m
+    sines is (-1)^(m // 2) 2^(1-m) sum over signs e (e_1 = +1) of
+    (prod e) sin or cos (for m odd or even) of 2 pi u sum_j e_j |a_j|, so the
+    transform is a sum of at most 2^(n-1) one-dimensional integrals
+    int_1^oo u^(z-sigma-1) cos/sin(w u) du, each by QUADPACK's Fourier
+    integrator; w = 0 gives 1/(sigma - z) exactly.  The bound is four times
+    QUADPACK's error estimates plus a float allowance.
     """
-    exps = [float(e) for e in geometry.generator_exponents(model, s)]
-    if model.id == "P1":
-        sigma = exps[0]
-        return 2.0 + 2.0 / (sigma - 1.0)
-    if model.id == "P2":
-        sigma = exps[0]
-        return 4.0 + 8.0 / (sigma - 2.0)
-    if model.id == "BlP2-1":
-        mh, mf = exps
-        return 4.0 * (1.0 + 1.0 / (mh - 1.0)) * (1.0 + 1.0 / (mh + mf - 2.0))
-    raise CapabilityError(f"no archimedean closed form for {model.id}")
+    if not any(a):
+        return LocalFourierValue(complex(sigma * 2**n / (sigma - n)), 0.0,
+                                 "closed-form")
+    freqs = [abs(x) for x in a if x]
+    m = len(freqs)
+    z = n - m
+    trig = "cos" if m % 2 == 0 else "sin"
+    # Merge the sign patterns by |frequency| (exact, a is rational).
+    terms: dict = {}
+    for signs in _iter_product((1, -1), repeat=m - 1):
+        f = freqs[0] + sum(e * x for e, x in zip(signs, freqs[1:]))
+        c = math.prod(signs)
+        if f < 0:
+            f = -f
+            if trig == "sin":
+                c = -c
+        terms[f] = terms.get(f, 0) + c
+    gamma = float(sigma) + 1.0 - z
+    scale = (float(sigma) * 2.0**z * (-1) ** (m // 2) * 2.0 ** (1 - m)
+             / math.prod(math.pi * float(x) for x in freqs))
+    total = 0.0
+    err = 0.0
+    for f, c in terms.items():
+        if c == 0:
+            continue
+        if f == 0:
+            if trig == "cos":
+                total += c / (gamma - 1.0)
+            continue
+        val, e = _integrate.quad(lambda u: u ** (-gamma), 1.0, np.inf,
+                                 weight=trig, wvar=TWO_PI * float(f))
+        total += c * val
+        err += abs(c) * e
+    value = scale * total
+    bound = 4.0 * abs(scale) * err + 1e-14 * max(1.0, abs(value))
+    return LocalFourierValue(complex(value), bound, "quadrature")
 
 
 def _arch_integrand_2d(model: VarietyModel, s):
@@ -633,60 +666,18 @@ def _arch_integrand_2d(model: VarietyModel, s):
     return f
 
 
-def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
-    """Archimedean Fourier transform of the height at psi_a.
+def _arch_quad_2d(model: VarietyModel, arg: CharacterArgument,
+                  s) -> LocalFourierValue:
+    """Nested 2-D quadrature of the archimedean transform at a nonzero a,
+    for P2 and BlP2-1.
 
-    P1 is fully supported: the trivial character in closed form, nonzero
-    characters by an exact unit-interval term plus oscillatory-weighted
-    quadrature of the tail.  P2 and BlP2-1 are supported best-effort (closed
-    form at the trivial character, adaptive 2-D quadrature otherwise).  The
-    remaining models raise CapabilityError.
-
-    Args:
-        model: catalog model (P1 required; P2, BlP2-1 best effort).
-        a: character index (scalar or vector of length model.dim).
-        s: Picard vector, real, inside the convergence domain.
+    Both coordinates enter through absolute values, so the transform is real
+    with cosine weights in each variable.  On the plateau |x| <= x0 =
+    max(1, |y|) the integrand is constant in x (every section maximum is
+    realized by Z or Y there), so the inner integral is exact plus an
+    oscillatory-weighted power tail; inner(y) is likewise constant for
+    |y| <= 1.  The bound is four times QUADPACK's error estimates.
     """
-    s = geometry.coerce_picard(model, s)
-    rho = geometry.rho_vector(model)
-    if any(1 + sa - ra <= 0 for sa, ra in zip(s, rho)):
-        raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    arg = _coerce_character(a)
-    if len(arg.a) != model.dim:
-        raise ValueError("character index has wrong length")
-
-    if model.id == "P1":
-        sigma = float(geometry.generator_exponents(model, s)[0])
-        if arg.is_zero:
-            return LocalFourierValue(
-                complex(_arch_closed_trivial(model, s)), 0.0, "closed-form"
-            )
-        alpha = abs(float(arg.a[0]))
-        w = TWO_PI * alpha
-        head = 2.0 * math.sin(w) / w
-        tail_val, tail_err = _integrate.quad(
-            lambda x: x ** (-sigma), 1.0, np.inf, weight="cos", wvar=w
-        )
-        value = head + 2.0 * tail_val
-        bound = 4.0 * tail_err + 1e-14
-        return LocalFourierValue(complex(value), bound, "quadrature")
-
-    if model.id not in ("P2", "BlP2-1"):
-        raise CapabilityError(
-            f"archimedean transform not implemented for {model.id}"
-        )
-
-    if arg.is_zero:
-        return LocalFourierValue(
-            complex(_arch_closed_trivial(model, s)), 0.0, "closed-form"
-        )
-
-    # Best-effort 2-D quadrature.  Both coordinates enter through absolute
-    # values, so the transform is real with cosine weights in each variable.
-    # On the plateau |x| <= x0 = max(1, |y|) the integrand is constant in x
-    # (every section maximum is realized by Z or Y there), so the inner
-    # integral is exact plus an oscillatory-weighted power tail; inner(y) is
-    # likewise constant for |y| <= 1.
     f = _arch_integrand_2d(model, s)
     exps = [float(e) for e in geometry.generator_exponents(model, s)]
     x_exp = exps[0]
@@ -723,6 +714,49 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
     return LocalFourierValue(complex(value), bound, "quadrature")
 
 
+def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
+    """Archimedean Fourier transform of the height at psi_a.
+
+    P^n (no blow-up centers) is supported at every a: a closed form at the
+    trivial character and a sum of at most 2^(n-1) one-dimensional
+    oscillatory integrals otherwise (_arch_projective).  Of the blow-ups
+    only BlP2-1 is supported: a four-cell closed form at the trivial
+    character and nested 2-D quadrature otherwise (_arch_quad_2d).  BlP2-2
+    and BlP2-3 raise CapabilityError.
+
+    Args:
+        model: catalog model (P^n or BlP2-1).
+        a: character index (scalar or vector of length model.dim).
+        s: Picard vector, real, inside the convergence domain.
+    """
+    s = geometry.coerce_picard(model, s)
+    rho = geometry.rho_vector(model)
+    if any(1 + sa - ra <= 0 for sa, ra in zip(s, rho)):
+        raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
+    arg = _coerce_character(a)
+    if len(arg.a) != model.dim:
+        raise ValueError("character index has wrong length")
+    exps = geometry.generator_exponents(model, s)
+
+    if not model.centers:
+        return _arch_projective(model.dim, exps[0], arg.a)
+
+    # The four-cell decomposition and the plateau of _arch_quad_2d need the
+    # single center (1 : 0 : 0), whose pencil {Y, Z} does not involve x.
+    if model.centers != ((1, 0),):
+        raise CapabilityError(
+            f"archimedean transform not implemented for {model.id}"
+        )
+    if arg.is_zero:
+        # On the quadrant the four cells (unit square, x-dominant,
+        # y-dominant, intermediate) sum to
+        # (1 + 1/(m_H - 1)) (1 + 1/(m_H + m_F - 2)), times 4.
+        mh, mf = (float(e) for e in exps)
+        value = 4.0 * (1.0 + 1.0 / (mh - 1.0)) * (1.0 + 1.0 / (mh + mf - 2.0))
+        return LocalFourierValue(complex(value), 0.0, "closed-form")
+    return _arch_quad_2d(model, arg, s)
+
+
 # ---------------------------------------------------------------------------
 # Global assembly with zeta acceleration.
 # ---------------------------------------------------------------------------
@@ -750,24 +784,6 @@ def _zeta(x: float) -> float:
 
 _ZETA_CACHE: dict = {}
 
-# Brute local factors keyed by (model, p, v_p(a), s, depth); valid only in
-# dimension 1 where a unit rescaling of the coordinate shows the transform
-# depends on a through v_p(a) alone.
-_BRUTE_DIM1_CACHE: dict = {}
-
-
-def _brute_factor(model: VarietyModel, p: int, arg: CharacterArgument, s,
-                  depth: int) -> LocalFourierValue:
-    if model.dim != 1:
-        return brute_padic_fourier(model, p, arg, s, depth=depth)
-    v = arg.min_valuation(p)
-    key = (model.id, p, v, tuple(s), depth)
-    out = _BRUTE_DIM1_CACHE.get(key)
-    if out is None:
-        out = brute_padic_fourier(model, p, arg, s, depth=depth)
-        _BRUTE_DIM1_CACHE[key] = out
-    return out
-
 
 def _global_tail_exponent(beta_all, beta_a0) -> float:
     """Decay exponent of the regularized local factor minus one.
@@ -786,27 +802,38 @@ def global_fourier(model: VarietyModel, a, s, p_max: int = 2000,
                    depth: Optional[int] = None) -> GlobalFourierValue:
     """Adelic Fourier transform Hhat(psi_a; s) = prod_v Hhat_v(psi_a; s).
 
-    Local factors: brute force at 2, 3 and at primes where the character
-    index is not a unit vector; closed forms at the remaining good primes up
-    to p_max.  The polar parts (1 - p^(-beta_alpha))^(-1) for alpha with
-    d_alpha(a) = 0 are peeled from every computed factor and resummed exactly
-    through the Riemann zeta function, which removes the slow part of the
-    tail; the remaining tail of regularized factors is bounded by an
-    empirically validated constant times p_max^(1-e)/(e-1).
+    P^n is exact at every finite place, and p_max and depth play no role.
+    With sigma = s_D1, the local factor at a prime p not dividing a is
+    Tate's 1 - p^(-sigma) (tamagawa.exact_local_density), so the product
+    over all primes is
 
-    For P1 the assembly is exact: the good-prime factors are exactly
-    1 - p^(-sigma), so the product over all primes telescopes to 1/zeta(sigma)
-    and p_max plays no role.
+        arch * zeta(sigma)^(-1) * prod_{p in support(a)} Hhat_p / (1 - p^(-sigma))
+
+    with the support factors exact; the bound is the archimedean one plus
+    float slack.  At a = 0 every factor is (1 - p^(-sigma))/(1 - p^(-beta))
+    and the product is zeta(beta)/zeta(sigma).  P1 uses this at every a;
+    P2 and P3 at a != 0.  The trivial character on P2 and P3 still takes the
+    generic assembly below, whose completion removes each A0 pole twice
+    (ROADMAP, "Benchmark follow-ups").
+
+    Generic assembly (the blow-ups): brute force at 2, 3 and at the support
+    primes of a, closed forms at the remaining good primes up to p_max.  The
+    polar parts (1 - p^(-beta_alpha))^(-1) for alpha with d_alpha(a) = 0 are
+    peeled from every computed factor and resummed through the Riemann zeta
+    function, which removes the slow part of the tail; the remaining tail of
+    regularized factors is bounded by an empirically validated constant
+    times p_max^(1-e)/(e-1).
 
     Args:
         model: catalog model (limited by arch_fourier support).
-        a: character index.
+        a: character index; integral on the blow-ups.
         s: real Picard vector in the convergence domain of the global product
             (all 1 + s_alpha - rho_alpha > 0; s_alpha > rho_alpha for the
             trivial character, which has a pole at the boundary).
-        p_max: cutoff for closed-form good-prime factors (non-P1 models).
+        p_max: cutoff for closed-form good-prime factors (generic assembly).
         depth: brute-force truncation depth override for the finitely many
-            brute primes; None picks a depth from the convergence margin.
+            brute primes of the generic assembly; None picks a depth from
+            the convergence margin.
 
     Returns:
         GlobalFourierValue with the value, a combined error bound, and the
@@ -823,8 +850,32 @@ def global_fourier(model: VarietyModel, a, s, p_max: int = 2000,
     if arg.is_zero and any(sa <= ra for sa, ra in zip(s, rho)):
         raise ValueError("the trivial character requires s_alpha > rho_alpha")
 
+    if arg.is_zero:
+        a0_names = list(model.components)
+    else:
+        a0_names = list(geometry.divisor_multiplicities(model, arg.a).a0)
+    beta_by_name = dict(zip(model.components, beta))
+    a0_beta = [beta_by_name[name] for name in a0_names]
+    zeta_factors = tuple((name, beta_by_name[name]) for name in a0_names)
+
     arch = arch_fourier(model, arg, s)
 
+    # P^n, exact at every finite place (the trivial character on P2 and P3
+    # excepted, see above).
+    if not model.centers and (model.dim == 1 or not arg.is_zero):
+        sigma = float(s[0])
+        finite = 1.0 / _zeta(sigma)
+        for b in a0_beta:
+            finite *= _zeta(float(b))
+        for p in arg.support_primes():
+            local = tamagawa.exact_local_density(model, p, s, arg.a)
+            finite *= float(local) / (1.0 - float(p) ** (-sigma))
+        value = arch.value * finite
+        bound = arch.error_bound * abs(finite) + 1e-14 * max(1.0, abs(value))
+        return GlobalFourierValue(value, bound, zeta_factors)
+
+    if not arg.is_integral:
+        raise ValueError("global assembly requires an integral index")
     eps_star = min(float(b) for b in beta)
     small = sorted(set(model.small_primes) | set(arg.support_primes()))
 
@@ -836,42 +887,8 @@ def global_fourier(model: VarietyModel, a, s, p_max: int = 2000,
         cap = suggested_depth(model, p)
         return max(3, min(want, max(cap, 3)))
 
-    brute = {p: _brute_factor(model, p, arg, s, brute_depth(p))
+    brute = {p: brute_padic_fourier(model, p, arg, s, depth=brute_depth(p))
              for p in small}
-
-    if arg.is_zero:
-        a0_names = list(model.components)
-    else:
-        avec = tuple(int(x) for x in arg.a) if arg.is_integral else None
-        if avec is None:
-            raise ValueError("global assembly requires an integral index")
-        dm = geometry.divisor_multiplicities(model, avec)
-        a0_names = list(dm.a0)
-    beta_by_name = dict(zip(model.components, beta))
-    a0_beta = [beta_by_name[name] for name in a0_names]
-    zeta_factors = tuple((name, beta_by_name[name]) for name in a0_names)
-
-    if model.id == "P1":
-        sigma = float(s[0])
-        if arg.is_zero:
-            b1 = float(beta[0])
-            correction = 1.0
-            for p in small:
-                correction *= (1.0 - p ** (-b1)) / (1.0 - p ** (-sigma))
-            euler = _zeta(b1) / _zeta(sigma) * correction
-        else:
-            euler = 1.0 / _zeta(sigma)
-            for p in small:
-                euler /= (1.0 - p ** (-sigma))
-        finite = euler
-        for p in small:
-            finite *= brute[p].value
-        value = arch.value * finite
-        rel = sum(b.error_bound / max(abs(b.value) - b.error_bound, 1e-30)
-                  for b in brute.values())
-        bound = abs(value) * rel + arch.error_bound * abs(finite) + \
-            1e-14 * max(1.0, abs(value))
-        return GlobalFourierValue(value, bound, zeta_factors)
 
     # Generic path: peel the A0 poles from every computed factor, then
     # restore exactly through zeta.  With phi_p = Hhat_p prod_{A0}(1-p^(-b))
@@ -1009,15 +1026,8 @@ def _coprime_range_count(m: int, g: int, mu_div) -> int:
 def _squarefree_divisors(g: int) -> list:
     """(divisor, mu) pairs over the squarefree divisors of g."""
     out = [(1, 1)]
-    d = 2
-    while d * d <= g:
-        if g % d == 0:
-            out = out + [(e * d, -mu) for e, mu in out]
-            while g % d == 0:
-                g //= d
-        d += 1
-    if g > 1:
-        out = out + [(e * g, -mu) for e, mu in out]
+    for q in prime_factors(g):
+        out = out + [(e * q, -mu) for e, mu in out]
     return out
 
 
@@ -1071,8 +1081,8 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
     transform (each |Hhat_p(psi_a)| <= Hhat_p(psi_0)), and the per-term
     error bounds of the assembled transforms.
 
-    Only P1 is supported; the spectral side of the other models needs
-    archimedean transforms beyond the supported quadrature.
+    Only P1 is supported: the character sum over a_1 = 1..a_cut and its
+    tail bound are written for one-dimensional characters.
 
     Args:
         model: catalog model (P1 only).

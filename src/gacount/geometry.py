@@ -173,17 +173,23 @@ def _int_det(m: Sequence[Sequence[int]]) -> int:
 
 
 def _validate(model: VarietyModel) -> VarietyModel:
-    assert all(r >= 2 for r in model.rho), model.id
+    """Check the invariants the rest of the package relies on; raise
+    ValueError on a malformed model."""
+    if not all(r >= 2 for r in model.rho):
+        raise ValueError(f"{model.id}: some rho_alpha < 2")
     rows = [list(r) for r in model.pic_to_gen]
-    assert abs(_int_det(rows)) == 1, f"{model.id}: pic_to_gen not unimodular"
+    if abs(_int_det(rows)) != 1:
+        raise ValueError(f"{model.id}: pic_to_gen not unimodular")
     # Centers pairwise distinct mod every prime: projective determinant +-1.
     for i, (u1, v1) in enumerate(model.centers):
         for u2, v2 in model.centers[i + 1 :]:
-            assert abs(u1 * v2 - u2 * v1) == 1, model.id
+            if abs(u1 * v2 - u2 * v1) != 1:
+                raise ValueError(f"{model.id}: centers meet mod some prime")
     # Every system must contain the constant section Z (value 1 on (1, x)).
     for g in model.generators:
         consts = [s for s in g.sections if not any(s[1:])]
-        assert consts and all(abs(s[0]) == 1 for s in consts), (model.id, g.name)
+        if not consts or not all(abs(s[0]) == 1 for s in consts):
+            raise ValueError(f"{model.id}: {g.name} lacks a unit constant section")
     return model
 
 

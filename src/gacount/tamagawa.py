@@ -52,7 +52,7 @@ from typing import Optional, Sequence, Union
 import mpmath
 
 from . import geometry
-from ._util import CapabilityError, is_prime, primes_upto
+from ._util import CapabilityError, as_fraction, is_prime, primes_upto, vp_fraction
 from .geometry import VarietyModel
 
 PEEL_ORDER = 5
@@ -184,8 +184,10 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
-def exact_local_density(model: VarietyModel, p: int, s) -> Fraction:
-    """The untruncated integral int_{Q_p^n} H_p(x; s)^{-1} dx, exactly.
+def exact_local_density(model: VarietyModel, p: int, s,
+                        a: Optional[Sequence] = None) -> Union[Fraction, float]:
+    """The untruncated integral int_{Q_p^n} H_p(x; s)^{-1} psi_p(<a, x>) dx,
+    exactly; a = None or the zero vector gives the local density.
 
     Derived from model.generators and generator_exponents alone, at any
     prime p, so it checks the stratum sum of denef_local_factor rather than
@@ -222,21 +224,37 @@ def exact_local_density(model: VarietyModel, p: int, s) -> Fraction:
     p^{-(1 + s_alpha - rho_alpha)} for D1 and the E_i, so both converge on
     the domain denef_local_factor accepts.
 
+    Twisted characters (a != 0, k = min_i v_p(a_i)) need a model without
+    cones, such as P^n: then H_p^{-1} is p^{-iM} on the whole shell
+    |x|_p = p^i.  A character integrates over the ball |x|_p <= p^i to
+    p^{in} when it is trivial there (i <= k) and to 0 otherwise, so the
+    shell integral is Tate's p^{in} [i <= k] - p^{(i-1)n} [i - 1 <= k],
+    every shell past k + 1 vanishes, and
+        [k >= 0] (1 + sum_{i=1}^{k} (p^{in} - p^{(i-1)n}) p^{-iM}
+                  - p^{kn} p^{-(k+1)M}).
+    The sum is finite, so it is a Fraction for integer M and a float sum
+    otherwise.  On a model with cones the integrand is not constant on the
+    shells and a twisted a raises CapabilityError.
+
     Args:
         model: a VarietyModel (catalog or not).
         p: any prime, 2 and 3 included.
         s: Picard vector whose exponents 1 + s_alpha - rho_alpha are
-            positive integers.
+            positive, and integers unless a is twisted.
+        a: character index, a rational vector of length model.dim.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     svec = geometry.coerce_picard(model, s)
     exps = [1 + sv - Fraction(r) for sv, r in zip(svec, model.rho)]
-    if any(e <= 0 or e.denominator != 1 for e in exps):
-        raise ValueError(f"need positive integer exponents 1 + s - rho, got {exps}")
     n = model.dim
-    P = Fraction(p)
-    total_m = 0
+    avals = [] if a is None else [as_fraction(x) for x in a]
+    if avals and len(avals) != n:
+        raise ValueError("character index has wrong length")
+    twisted = any(avals)
+    if any(e <= 0 or (e.denominator != 1 and not twisted) for e in exps):
+        raise ValueError(f"need positive integer exponents 1 + s - rho, got {exps}")
+    total_m = Fraction(0)
     cones = []  # (name, linear forms, m_G, r_G) for systems with V_G != 0
     for gen, m in zip(model.generators, geometry.generator_exponents(model, svec)):
         if not any(sec[0] % p and not any(sec[1:]) for sec in gen.sections):
@@ -244,7 +262,7 @@ def exact_local_density(model: VarietyModel, p: int, s) -> Fraction:
         forms = [sec[1:] for sec in gen.sections if any(sec[1:])]
         if not forms:
             continue  # the maximum is identically 1
-        total_m += int(m)
+        total_m += m
         r = _rank_mod_p(forms, p)
         if r == n:
             continue
@@ -257,6 +275,24 @@ def exact_local_density(model: VarietyModel, p: int, s) -> Fraction:
                 raise CapabilityError(
                     f"{name} and {other} vanish together at a residue mod {p}"
                 )
+    if twisted:
+        if cones:
+            raise CapabilityError(
+                f"{model.id}: twisted transforms need a model without"
+                f" valuation cones at {p}"
+            )
+        k = min(vp_fraction(x, p) for x in avals if x)
+        exact = total_m.denominator == 1
+        P = Fraction(p) if exact else float(p)
+        M = int(total_m) if exact else float(total_m)
+        if k < 0:
+            return Fraction(0) if exact else 0.0
+        total = 1 - P ** (k * n - (k + 1) * M)
+        for i in range(1, k + 1):
+            total += (P ** (i * n) - P ** ((i - 1) * n)) * P ** (-i * M)
+        return total
+    total_m = int(total_m)
+    P = Fraction(p)
     decay = P ** (n - total_m)  # p^{-a}
     if decay >= 1:
         raise ValueError("the local integral diverges at this s")

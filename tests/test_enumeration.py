@@ -92,6 +92,16 @@ def test_count_ladder_basics():
         enumeration.count_ladder(m, m.rho, [100, 10])
 
 
+def test_count_ladder_rejects_decreasing_counts(monkeypatch):
+    # A counting defect that loses points at a larger bound must raise, also
+    # under python -O.
+    m = geometry.load_model("P1")
+    monkeypatch.setattr(enumeration, "count_points",
+                        lambda model, lam, B, workers=1: 1000 - int(B))
+    with pytest.raises(CapabilityError):
+        enumeration.count_ladder(m, m.rho, [10, 100])
+
+
 def test_fit_leading_synthetic_power_law():
     rows = tuple((B, B * B) for B in (10, 30, 100, 300, 1000))
     lad = enumeration.CountLadder("P1", (Fraction(2),), rows)

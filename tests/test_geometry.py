@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gacount import geometry
-from gacount._util import primes_upto
+from gacount._util import prime_factors, primes_upto
 
 GOOD_PRIMES_31 = [p for p in primes_upto(31) if p >= 5]
 
@@ -157,3 +158,35 @@ def test_blowup_centers_distinct_modulo_every_prime():
     for p in primes_upto(31):
         seen = {(u % p, v % p) for u, v in m.centers}
         assert len(seen) == 3
+
+
+_H2 = geometry.GeneratorSystem("H", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize("mid,field,value", [
+    ("P2", "rho", (1,)),
+    ("BlP2-1", "pic_to_gen", ((2, 0), (0, 1))),
+    ("BlP2-2", "centers", ((1, 0), (1, 2))),
+    ("BlP2-1", "generators",
+     (_H2, geometry.GeneratorSystem("F1", ((0, 0, 1), (2, 0, 0))))),
+    ("BlP2-1", "generators", (_H2, geometry.GeneratorSystem("F1", ((0, 0, 1),)))),
+])
+def test_validate_rejects_malformed_model(mid, field, value):
+    # The catalog invariants raise ValueError, also under python -O.
+    good = geometry.load_model(mid)
+    assert geometry._validate(good) is good
+    bad = dataclasses.replace(good, id="bad", **{field: value})
+    with pytest.raises(ValueError):
+        geometry._validate(bad)
+
+
+def test_prime_factors():
+    assert prime_factors(1) == ()
+    assert prime_factors(-12) == (2, 3)
+    assert prime_factors(2 * 3**4 * 101**2) == (2, 3, 101)
+    assert prime_factors(9973) == (9973,)
+    with pytest.raises(ValueError):
+        prime_factors(0)
+    for n in range(1, 300):
+        want = tuple(p for p in primes_upto(n) if n % p == 0)
+        assert prime_factors(n) == want, n

@@ -8,22 +8,8 @@ from fractions import Fraction
 import pytest
 
 from gacount import geometry, heights
+from gacount._util import prime_factors
 from conftest import random_interior, random_point
-
-
-def _prime_factors(n: int) -> set:
-    out = set()
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def test_rational_point_validation():
@@ -129,7 +115,7 @@ def test_local_global_product(model, rng):
         pt = random_point(rng, model.dim)
         lam = random_interior(rng, model.rank)
         fin = heights.finite_height_part(model, pt, lam)
-        support = _prime_factors(fin.numerator * fin.denominator)
+        support = set(prime_factors(fin.numerator * fin.denominator))
         prod = Fraction(1)
         for p in sorted(support | {2, 101}):
             prod *= heights.local_height(model, pt, p, lam)

@@ -132,6 +132,84 @@ def test_exact_local_density_domain_errors():
             tamagawa.exact_local_density(b1, p, s)
 
 
+def _twisted_indices(p: int, n: int) -> list:
+    """Character indices with min_i v_p(a_i) = -1, 0, 1, 2, including mixed
+    valuations such as (p, p^2) and zero coordinates such as (0, p)."""
+    pad = (0,) * (n - 1)
+    out = [
+        (Fraction(1, p),) + (1,) * (n - 1),
+        (1,) + pad,
+        (p + 1,) * n,
+        (p,) + pad,
+        (p * p,) + pad,
+        (p * p * (p + 1),) * n,
+    ]
+    if n >= 2:
+        out += [(p, p * p) + (0,) * (n - 2), pad + (p,), (1, p) + (0,) * (n - 2)]
+    return out
+
+
+@pytest.mark.parametrize("mid", ["P1", "P2", "P3"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exact_twisted_factor_within_brute_bound(mid, p):
+    # Tate's shell sum against the cube refinement, which is exact up to its
+    # truncation bound; the projective spaces refine cheaply, so go deep.
+    model = geometry.load_model(mid)
+    n = model.dim
+    for shift in (1, 2):
+        s = tuple(r + shift for r in model.rho)
+        for a in _twisted_indices(p, n):
+            exact = tamagawa.exact_local_density(model, p, s, a)
+            assert isinstance(exact, Fraction)
+            brute = fourier.brute_padic_fourier(model, p, a, s, depth=16)
+            assert abs(brute.value - float(exact)) <= brute.error_bound, (a, s)
+            k = min(fourier.CharacterArgument(a).min_valuation(p), 16)
+            assert (exact == 0) == (k < 0)
+        zero = (0,) * n
+        assert tamagawa.exact_local_density(model, p, s, zero) == (
+            tamagawa.exact_local_density(model, p, s))
+
+
+def test_exact_twisted_factor_pins():
+    # v_p(a) = 0 gives Tate's unramified factor 1 - p^(-sigma); P2 at
+    # sigma = 4, v_5(a) = 1: 1 + (25 - 1)/5^4 - 25/5^8.
+    p2 = geometry.load_model("P2")
+    assert tamagawa.exact_local_density(p2, 5, (4,), (1, 3)) == 1 - Fraction(1, 625)
+    assert tamagawa.exact_local_density(p2, 5, (4,), (0, 5)) == (
+        1 + Fraction(24, 625) - Fraction(25, 5**8))
+    p1 = geometry.load_model("P1")
+    assert tamagawa.exact_local_density(p1, 3, (3,), (Fraction(2, 3),)) == 0
+
+
+def test_exact_twisted_factor_float_branch():
+    # A non-integer sigma gives a float finite sum, still inside the brute
+    # bound; the trivial character keeps its integer-exponent requirement.
+    p1 = geometry.load_model("P1")
+    s = (Fraction(7, 2),)
+    for a in ((1,), (5,), (50,)):
+        val = tamagawa.exact_local_density(p1, 5, s, a)
+        assert isinstance(val, float)
+        brute = fourier.brute_padic_fourier(p1, 5, a, s, depth=16)
+        assert abs(brute.value - val) <= brute.error_bound
+    with pytest.raises(ValueError):
+        tamagawa.exact_local_density(p1, 5, s, (0,))
+
+
+def test_exact_twisted_factor_refuses_cones(model):
+    # The blow-ups have valuation cones (the pencils), where the integrand
+    # is not constant on the shells.
+    s = tuple(r + 1 for r in model.rho)
+    a = (1,) + (0,) * (model.dim - 1)
+    if not model.centers:
+        assert tamagawa.exact_local_density(model, 5, s, a) == (
+            1 - Fraction(1, 5) ** int(s[0]))
+        return
+    with pytest.raises(CapabilityError):
+        tamagawa.exact_local_density(model, 5, s, a)
+    with pytest.raises(ValueError):
+        tamagawa.exact_local_density(model, 5, s, a + (1,))
+
+
 # (peeled zeta exponents, float(C_h)), captured from the Fraction peel.
 PEEL_PINS = {
     "P1": (((2, 1),), 0.0),
