@@ -4,7 +4,8 @@ Nothing in here knows about the variety catalog.  These are the helpers that
 silently corrupt counts when done in floating point, so they are kept in one
 place and unit-tested: rational coercion, p-adic valuations, integer roots of
 rational bounds, exact comparison of monomials in integer heights against a
-rational bound, and Moebius/Euler-phi/prime sieves.
+rational bound, the one primality test and the one factorizer of the
+package, and Moebius/Euler-phi/prime sieves.
 """
 
 from __future__ import annotations
@@ -34,39 +35,35 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def is_prime(n: int) -> bool:
-    """Primality by trial division, adequate for the prime sizes used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct primes dividing a nonzero integer, ascending, by trial
-    division."""
+def factorize(n: int) -> dict[int, int]:
+    """{p: v_p(n)} over the primes dividing a nonzero integer, ascending, by
+    trial division."""
     if n == 0:
         raise ValueError("zero has no finite factorization")
     n = abs(n)
-    out = []
+    out = {}
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            k = 0
             while n % d == 0:
                 n //= d
+                k += 1
+            out[d] = k
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
-    return tuple(out)
+        out[n] = 1
+    return out
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing a nonzero integer, ascending."""
+    return tuple(factorize(n))
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division, adequate for the prime sizes used here."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def vp(n: int, p: int) -> int:

@@ -5,8 +5,8 @@ AcceptanceResult.  They combine exact oracle equalities (enumeration,
 stratum counts, Picard arithmetic) with desk-scale numeric convergence at
 pinned tolerances (counting constants, local Fourier transforms, the
 Poisson identity).  Every check is self-contained so the command line can
-run any subset; none mutates package state beyond the module-level caches
-in fourier.
+run any subset; none mutates package state beyond the memoized values of
+fourier._zeta and tamagawa._peel_data.
 
 The pass conditions are deliberately strict.  Where a check carries a
 stated wall-clock budget the elapsed time is part of the verdict, and
@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath
 import numpy as np

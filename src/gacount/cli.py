@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 verification or acceptance failure, 2 usage error,
 
 Every run prints a human-readable report; ``--json PATH`` additionally writes
 a machine-readable report with stable key order that contains the full
-parameter block needed to reproduce the run.  No configuration files, no
+parameter block needed to reproduce the run.  Each subcommand returns an
+_Outcome and main writes that report from it.  No configuration files, no
 environment variables, no network.
 """
 
@@ -28,7 +29,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__, acceptance, enumeration, fourier, geometry, tamagawa
 from ._util import CapabilityError, as_fraction, is_prime, primes_upto
@@ -122,17 +123,20 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _report(command: str, model_id: Optional[str], parameters: dict,
-            results: dict, verdicts: list, elapsed_ms: float) -> dict:
-    return {
-        "artifact_version": __version__,
-        "command": command,
-        "model": model_id,
-        "parameters": parameters,
-        "results": results,
-        "verdicts": verdicts,
-        "elapsed_ms": elapsed_ms,
-    }
+class _Outcome(NamedTuple):
+    """A subcommand's exit code and the body of its --json report."""
+
+    code: int
+    model: Optional[str]
+    parameters: dict
+    results: dict
+    verdicts: Sequence[dict] = ()
+
+
+def _bound_str(B) -> str:
+    """A height bound as printed: integers exactly, others as floats."""
+    B = as_fraction(B)
+    return str(int(B)) if B.denominator == 1 else str(float(B))
 
 
 def emit_plot_data(ladder: enumeration.CountLadder,
@@ -168,8 +172,7 @@ def _write_csv(path: str, ladder: enumeration.CountLadder) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("B,N,elapsed_ms\n")
         for (B, n), ms in zip(ladder.rows, ladder.elapsed_ms):
-            b_txt = str(int(B)) if as_fraction(B).denominator == 1 else str(float(B))
-            fh.write(f"{b_txt},{n},{ms:.3f}\n")
+            fh.write(f"{_bound_str(B)},{n},{ms:.3f}\n")
 
 
 def _ladder_rows_json(ladder: enumeration.CountLadder) -> list:
@@ -183,8 +186,7 @@ def _ladder_rows_json(ladder: enumeration.CountLadder) -> list:
 # subcommands
 
 
-def _cmd_list_models(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_list_models(args) -> _Outcome:
     models = []
     for mid in geometry.MODEL_IDS:
         m = geometry.load_model(mid)
@@ -194,20 +196,14 @@ def _cmd_list_models(args) -> int:
             "rank": m.rank,
             "components": list(m.components),
             "rho": [_frac_str(r) for r in m.rho],
-            "small_primes": sorted(m.small_primes),
+            "small_primes": sorted(geometry.SMALL_PRIMES),
             "generator_systems": len(m.generators),
         })
-    text = json.dumps(models, sort_keys=True, indent=2)
-    print(text)
-    if args.json:
-        report = _report("list-models", None, {}, {"models": models}, [],
-                         1000.0 * (time.perf_counter() - t0))
-        _write_json(args.json, report)
-    return EXIT_OK
+    print(json.dumps(models, sort_keys=True, indent=2))
+    return _Outcome(EXIT_OK, None, {}, {"models": models})
 
 
-def _cmd_count(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_count(args) -> _Outcome:
     model = geometry.load_model(args.model)
     lam = _parse_lambda(args.lam) if args.lam else model.rho
     bound = _parse_bound(args.bound)
@@ -228,28 +224,22 @@ def _cmd_count(args) -> int:
           f" a = {_frac_str(a)}, b = {b}")
     print("B,N,elapsed_ms")
     for (B, n), ms in zip(ladder.rows, ladder.elapsed_ms):
-        b_txt = str(int(B)) if as_fraction(B).denominator == 1 else str(float(B))
-        print(f"{b_txt},{n},{ms:.3f}")
+        print(f"{_bound_str(B)},{n},{ms:.3f}")
     if fitted is not None:
         print(f"fitted leading constant: {fitted:.6f}")
     if args.out:
         _write_csv(args.out, ladder)
         print(f"wrote {args.out}")
-    if args.json:
-        report = _report(
-            "count", model.id,
-            {"lambda": [_frac_str(v) for v in lam], "bound": float(bound),
-             "bmin": float(bmin), "ladder": args.ladder, "threads": args.threads},
-            {"rows": _ladder_rows_json(ladder), "a_exponent": _frac_str(a),
-             "b_power": b, "fitted_constant": fitted},
-            [], 1000.0 * (time.perf_counter() - t0),
-        )
-        _write_json(args.json, report)
-    return EXIT_OK
+    return _Outcome(
+        EXIT_OK, model.id,
+        {"lambda": [_frac_str(v) for v in lam], "bound": float(bound),
+         "bmin": float(bmin), "ladder": args.ladder, "threads": args.threads},
+        {"rows": _ladder_rows_json(ladder), "a_exponent": _frac_str(a),
+         "b_power": b, "fitted_constant": fitted},
+    )
 
 
-def _cmd_fit(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_fit(args) -> _Outcome:
     model = geometry.load_model(args.model)
     lam = _parse_lambda(args.lam) if args.lam else model.rho
     bmin = _parse_bound(args.bmin)
@@ -286,23 +276,18 @@ def _cmd_fit(args) -> int:
     if args.out:
         _write_csv(args.out, ladder)
         print(f"wrote {args.out}")
-    if args.json:
-        report = _report(
-            "fit", model.id,
-            {"lambda": [_frac_str(v) for v in lam], "bmin": float(bmin),
-             "bmax": float(bmax), "ladder": args.ladder, "threads": args.threads,
-             "pmax": args.pmax, "no_predict": bool(args.no_predict)},
-            {"rows": _ladder_rows_json(ladder), "a_exponent": _frac_str(a),
-             "b_power": b, "fitted_constant": fitted, "fit_residual": resid,
-             "a_hat": a_hat, "b_hat": b_hat, "predicted_constant": prediction},
-            [], 1000.0 * (time.perf_counter() - t0),
-        )
-        _write_json(args.json, report)
-    return EXIT_OK
+    return _Outcome(
+        EXIT_OK, model.id,
+        {"lambda": [_frac_str(v) for v in lam], "bmin": float(bmin),
+         "bmax": float(bmax), "ladder": args.ladder, "threads": args.threads,
+         "pmax": args.pmax, "no_predict": bool(args.no_predict)},
+        {"rows": _ladder_rows_json(ladder), "a_exponent": _frac_str(a),
+         "b_power": b, "fitted_constant": fitted, "fit_residual": resid,
+         "a_hat": a_hat, "b_hat": b_hat, "predicted_constant": prediction},
+    )
 
 
-def _cmd_constant(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_constant(args) -> _Outcome:
     model = geometry.load_model(args.model)
     res = tamagawa.tamagawa_number(model, p_max=args.pmax,
                                    small_depth=args.small_depth)
@@ -326,18 +311,11 @@ def _cmd_constant(args) -> int:
     if args.out:
         _write_json(args.out, payload)
         print(f"wrote {args.out}")
-    if args.json:
-        report = _report(
-            "constant", model.id,
-            {"pmax": args.pmax, "small_depth": args.small_depth},
-            payload, [], 1000.0 * (time.perf_counter() - t0),
-        )
-        _write_json(args.json, report)
-    return EXIT_OK
+    return _Outcome(EXIT_OK, model.id,
+                    {"pmax": args.pmax, "small_depth": args.small_depth}, payload)
 
 
-def _cmd_verify_denef(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify_denef(args) -> _Outcome:
     mids = list(geometry.MODEL_IDS) if args.model == "all" else [args.model]
     primes = _parse_primes(args.p)
     rows = []
@@ -361,20 +339,14 @@ def _cmd_verify_denef(args) -> int:
                       f" bound = {brute.error_bound:.3e}"
                       f" {'PASS' if ok else 'FAIL'}")
     print(f"verify-denef: {sum(r['pass'] for r in rows)}/{len(rows)} pass")
-    if args.json:
-        report = _report(
-            "verify-denef", args.model,
-            {"p": primes, "depth": args.depth},
-            {"cases": rows}, [{"check": "brute vs stratum-count local factor",
-                               "pass": all_ok}],
-            1000.0 * (time.perf_counter() - t0),
-        )
-        _write_json(args.json, report)
-    return EXIT_OK if all_ok else EXIT_FAILURE
+    return _Outcome(
+        EXIT_OK if all_ok else EXIT_FAILURE, args.model,
+        {"p": primes, "depth": args.depth}, {"cases": rows},
+        [{"check": "brute vs stratum-count local factor", "pass": all_ok}],
+    )
 
 
-def _cmd_verify_charsum(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify_charsum(args) -> _Outcome:
     primes = _parse_primes(args.p)
     n_cases = 0
     worst = 0.0
@@ -397,21 +369,16 @@ def _cmd_verify_charsum(args) -> int:
           f" n <= {args.nmax}, d <= {args.dmax}")
     print(f"worst |evaluator - closed form| = {worst:.3e}"
           f" (tol {args.tol:.0e}) {'PASS' if ok else 'FAIL'}")
-    if args.json:
-        report = _report(
-            "verify-charsum", None,
-            {"p": primes, "nmax": args.nmax, "dmax": args.dmax,
-             "tol": args.tol, "force_direct": bool(args.force_direct)},
-            {"cases": n_cases, "worst_diff": worst},
-            [{"check": "character-sum trichotomy", "pass": ok}],
-            1000.0 * (time.perf_counter() - t0),
-        )
-        _write_json(args.json, report)
-    return EXIT_OK if ok else EXIT_FAILURE
+    return _Outcome(
+        EXIT_OK if ok else EXIT_FAILURE, None,
+        {"p": primes, "nmax": args.nmax, "dmax": args.dmax,
+         "tol": args.tol, "force_direct": bool(args.force_direct)},
+        {"cases": n_cases, "worst_diff": worst},
+        [{"check": "character-sum trichotomy", "pass": ok}],
+    )
 
 
-def _cmd_zeta_check(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_zeta_check(args) -> _Outcome:
     model = geometry.load_model(args.model)
     lam = _parse_lambda(args.lam) if args.lam else model.rho
     r = fourier.poisson_check(model, lam, args.s, _parse_bound(args.bcut),
@@ -423,44 +390,35 @@ def _cmd_zeta_check(args) -> int:
     print(f"|difference| = {r['abs_diff']:.3e} combined bound = "
           f"{r['combined_bound']:.3e} relative = {r['rel_diff']:.3e}")
     print("PASS" if r["pass"] else "FAIL")
-    if args.json:
-        report = _report(
-            "zeta-check", model.id,
-            {"lambda": [_frac_str(v) for v in lam], "s": args.s,
-             "bcut": float(_parse_bound(args.bcut)), "acut": args.acut,
-             "pmax": args.pmax},
-            {k: r[k] for k in ("lhs", "rhs", "abs_diff", "combined_bound",
-                               "rel_diff")},
-            [{"check": "truncated height zeta vs character sum",
-              "pass": bool(r["pass"])}],
-            1000.0 * (time.perf_counter() - t0),
-        )
-        _write_json(args.json, report)
-    return EXIT_OK if r["pass"] else EXIT_FAILURE
+    return _Outcome(
+        EXIT_OK if r["pass"] else EXIT_FAILURE, model.id,
+        {"lambda": [_frac_str(v) for v in lam], "s": args.s,
+         "bcut": float(_parse_bound(args.bcut)), "acut": args.acut,
+         "pmax": args.pmax},
+        {k: r[k] for k in ("lhs", "rhs", "abs_diff", "combined_bound",
+                           "rel_diff")},
+        [{"check": "truncated height zeta vs character sum",
+          "pass": bool(r["pass"])}],
+    )
 
 
-def _cmd_all_acceptance(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_all_acceptance(args) -> _Outcome:
     only = [s.strip() for s in args.only.split(",")] if args.only else None
     results = acceptance.run_all(only)
     for r in results:
         print(r.line())
     n_pass = sum(r.passed for r in results)
     print(f"acceptance: {n_pass}/{len(results)} criteria pass")
-    if args.json:
-        report = _report(
-            "all-acceptance", None,
-            {"only": only},
-            {"criteria": [
-                {"criterion": r.criterion, "pass": r.passed,
-                 "detail": r.detail, "elapsed_s": r.elapsed_s}
-                for r in results
-            ]},
-            [{"check": r.criterion, "pass": r.passed} for r in results],
-            1000.0 * (time.perf_counter() - t0),
-        )
-        _write_json(args.json, report)
-    return EXIT_OK if n_pass == len(results) else EXIT_FAILURE
+    return _Outcome(
+        EXIT_OK if n_pass == len(results) else EXIT_FAILURE, None,
+        {"only": only},
+        {"criteria": [
+            {"criterion": r.criterion, "pass": r.passed,
+             "detail": r.detail, "elapsed_s": r.elapsed_s}
+            for r in results
+        ]},
+        [{"check": r.criterion, "pass": r.passed} for r in results],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +530,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        out = args.func(args)
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        _write_json(args.json, {
+            "artifact_version": __version__,
+            "command": args.command,
+            "model": out.model,
+            "parameters": out.parameters,
+            "results": out.results,
+            "verdicts": list(out.verdicts),
+            "elapsed_ms": 1000.0 * (time.perf_counter() - t0),
+        })
+    return out.code
 
 
 if __name__ == "__main__":

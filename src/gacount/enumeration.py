@@ -2,7 +2,10 @@
 
 count_points(model, lambda, B) returns the exact number of affine rational
 points with H(x; lambda) <= B.  Three strategies cover the catalog, each
-provably complete on its models:
+provably complete on its models.  The strategy is read off the catalog data,
+never off the model's name: a model without blow-up centers takes the
+Moebius strategy, the single center (1, 0) the fiber strategy, and any other
+set of centers the box scan (_outer_range).
 
 P^n (Moebius strategy).  H(x) = h^{lambda_1} with h = max(Z, |X_i|) on the
 primitive vector, so N(B) = #{primitive (Z, X), Z >= 1, h <= T} with
@@ -34,8 +37,14 @@ g_2 = gcd(X, Z) are coprime, so g_1 g_2 | Z, which gives H_D1 = h_F1 h_F2 /
 h_H >= 1), hence h_std <= B^{1/lambda_min}.  On BlP2-3 the components D1 and
 E3 can dip as low as 1/2 (tight at (Z, X, Y) = (1, 2, 1)) but their product
 H_D1 * H_E3 = h_F1 h_F2 / h_H is still >= 1, which yields the slack bound
-h_std^{lambda_min} <= B * 2^{|lambda_D - lambda_E3|}.  The scan is guarded
-by a candidate budget since its cost is ~ R^3.
+h_std^{lambda_min} <= B * 2^{|lambda_D - lambda_E3|}.  The catalog records
+that pair of components as VarietyModel.box_slack.  The scan is guarded by a
+candidate budget since its cost is ~ R^3.
+
+There is one box scan (_box_scan), for any dimension: the box strategy of
+count_points counts it, and enumerate_points, the oracle the tests hold the
+other two strategies against, yields its points.  On P^n and BlP2-1 every
+H_alpha >= 1 as well, so the same box with radius B^{1/lambda_min} is sound.
 
 Counts are exact integers, deterministic, and independent of the worker
 partitioning: a parallel run splits the outer loop into index ranges and
@@ -48,8 +57,9 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,20 +85,36 @@ def _ceil_fraction(x: Fraction) -> int:
 
 def _box_radius(model: VarietyModel, lam: Sequence[Fraction], B: Fraction) -> int:
     """Sound standard-box radius for the model (see module docstring)."""
-    lam_min = min(lam)
     slack = Fraction(0)
-    if model.id == "BlP2-3":
-        slack = abs(lam[0] - lam[3])
-    return height_radius(B * Fraction(2) ** _ceil_fraction(slack), lam_min)
+    if model.box_slack:
+        i, j = model.box_slack
+        slack = abs(lam[i] - lam[j])
+    return height_radius(B * Fraction(2) ** _ceil_fraction(slack), min(lam))
 
 
-def _generator_heights_raw(model: VarietyModel, coords: Sequence[int]) -> tuple:
-    """h_G for a primitive coordinate tuple without building a RationalPoint."""
-    out = []
-    for gen in model.generators:
-        vals = [heights.section_value(s, coords) for s in gen.sections]
-        out.append(max(abs(v) for v in vals) // math.gcd(*vals))
-    return tuple(out)
+def _check_box_budget(model: VarietyModel, B: Fraction, R: int, budget: int) -> None:
+    n_candidates = R * (2 * R + 1) ** model.dim
+    if n_candidates > budget:
+        raise CapabilityError(
+            f"box scan for {model.id} at B={B} needs {n_candidates} candidates"
+            f" (budget {budget}); raise the budget or lower B"
+        )
+
+
+def _box_scan(
+    model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int, lo: int, hi: int
+) -> Iterator[tuple]:
+    """Primitive (Z, X1, ..., Xn) with H <= B, |X_i| <= R and lo <= Z < hi,
+    Z ascending, then the X_i lexicographically."""
+    m = geometry.generator_exponents(model, lam)
+    side = range(-R, R + 1)
+    for z in range(lo, hi):
+        for xs in product(side, repeat=model.dim):
+            coords = (z,) + xs
+            if math.gcd(*coords) == 1 and height_leq(
+                heights.generator_heights(model, coords), m, B
+            ):
+                yield coords
 
 
 def _pn_partial(n: int, T: int, lo: int, hi: int) -> int:
@@ -146,44 +172,23 @@ def _blp21_partial(lam: Sequence[Fraction], B: Fraction, lo: int, hi: int) -> in
     return total
 
 
-def _box_partial(
-    model_id: str, lam: Sequence[Fraction], B: Fraction, lo: int, hi: int
-) -> int:
-    """Box-scan partial count over Z in [lo, hi)."""
-    model = geometry.load_model(model_id)
-    m = geometry.generator_exponents(model, lam)
-    R = _box_radius(model, lam, B)
-    hi = min(hi, R + 1)
-    total = 0
-    for z in range(lo, hi):
-        for x in range(-R, R + 1):
-            gzx = math.gcd(z, x)
-            for y in range(-R, R + 1):
-                if math.gcd(gzx, y) != 1:
-                    continue
-                hs = _generator_heights_raw(model, (z, x, y))
-                if height_leq(hs, m, B):
-                    total += 1
-    return total
-
-
-def _partial_count(args) -> int:
+def _partial_count(task) -> int:
     """Top-level dispatch for worker processes (must stay picklable)."""
-    strategy, model_id, lam, B, lo, hi = args
+    strategy, model, lam, B, end, lo, hi = task
     if strategy == "pn":
-        model = geometry.load_model(model_id)
-        T = height_radius(B, lam[0])
-        return _pn_partial(model.dim, T, lo, hi)
+        return _pn_partial(model.dim, end, lo, hi)
     if strategy == "fiber":
         return _blp21_partial(lam, B, lo, hi)
-    return _box_partial(model_id, lam, B, lo, hi)
+    return sum(1 for _ in _box_scan(model, lam, B, end, lo, hi))
 
 
 def _outer_range(model: VarietyModel, lam, B: Fraction) -> tuple:
-    """(strategy, outer loop end) for the model's counting strategy."""
+    """(strategy, outer loop end) for the model's counting strategy, read off
+    its blow-up centers: none is P^n, the single center (1, 0) is the fiber
+    strategy, anything else the box scan."""
     if not model.centers:
         return "pn", height_radius(B, lam[0])
-    if model.id == "BlP2-1":
+    if model.centers == ((1, 0),):
         return "fiber", height_radius(B, lam[0])
     return "box", _box_radius(model, lam, B)
 
@@ -216,12 +221,7 @@ def count_points(
         return 0
     strategy, end = _outer_range(model, vals, B)
     if strategy == "box":
-        n_candidates = end * (2 * end + 1) ** model.dim
-        if n_candidates > candidate_budget:
-            raise CapabilityError(
-                f"box scan for {model.id} at B={B} needs {n_candidates} candidates"
-                f" (budget {candidate_budget}); raise the budget or lower B"
-            )
+        _check_box_budget(model, B, end, candidate_budget)
     if end < 1:
         return 0
     if workers < 1:
@@ -229,7 +229,7 @@ def count_points(
     n_chunks = min(end, max(1, 4 * workers)) if workers > 1 else 1
     step = -(-end // n_chunks)
     tasks = [
-        (strategy, model.id, tuple(vals), B, lo, min(lo + step, end + 1))
+        (strategy, model, tuple(vals), B, end, lo, min(lo + step, end + 1))
         for lo in range(1, end + 1, step)
     ]
     if workers == 1 or len(tasks) == 1:
@@ -244,7 +244,8 @@ def enumerate_points(
     B,
     candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> Iterator[RationalPoint]:
-    """Yield every point with H <= B by scanning the sound standard box.
+    """Yield every point with H <= B by scanning the sound standard box, in
+    lexicographic (Z, X1, ..., Xn) order.
 
     Intended for small bounds (tests, plots, oracles); the scan cost grows
     like the cube of the box radius regardless of model.
@@ -253,30 +254,10 @@ def enumerate_points(
     B = as_fraction(B)
     if B < 1:
         return
-    m = geometry.generator_exponents(model, vals)
-    lam_min = min(vals)
-    slack = abs(vals[0] - vals[3]) if model.id == "BlP2-3" else Fraction(0)
-    R = height_radius(B * Fraction(2) ** _ceil_fraction(slack), lam_min)
-    n = model.dim
-    n_candidates = R * (2 * R + 1) ** n
-    if n_candidates > candidate_budget:
-        raise CapabilityError(
-            f"enumeration box for {model.id} at B={B} needs {n_candidates}"
-            f" candidates (budget {candidate_budget})"
-        )
-
-    def rec(prefix):
-        if len(prefix) == n + 1:
-            if math.gcd(*prefix) == 1:
-                hs = _generator_heights_raw(model, prefix)
-                if height_leq(hs, m, B):
-                    yield RationalPoint(tuple(prefix))
-            return
-        for v in range(-R, R + 1):
-            yield from rec(prefix + [v])
-
-    for z in range(1, R + 1):
-        yield from rec([z])
+    R = _box_radius(model, vals, B)
+    _check_box_budget(model, B, R, candidate_budget)
+    for coords in _box_scan(model, vals, B, R, 1, R + 1):
+        yield RationalPoint(coords)
 
 
 @dataclass(frozen=True)
@@ -287,7 +268,6 @@ class CountLadder:
     lam: tuple
     rows: tuple  # of (B, N) with B ascending
     elapsed_ms: tuple = ()
-    fits: Optional[dict] = None
 
     def bounds(self) -> tuple:
         return tuple(b for b, _ in self.rows)

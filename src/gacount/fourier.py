@@ -13,7 +13,7 @@ integral model) and each local transform is an oscillatory integral
 
 This module provides several independent routes to these quantities:
 
-* character_value / character_sum: normalized complete character sums
+* character_sum: normalized complete character sums
       (1/p^(nd)) sum_{t in (Z/p^(nd))^*} e^(2 pi i u t^d / p^(nd))
   evaluated exactly, with a direct-summation mode kept available so that the
   structural evaluation (coset collapse) can be cross-checked against raw
@@ -66,8 +66,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _iter_product
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -76,7 +77,6 @@ from scipy import integrate as _integrate
 from ._util import (
     CapabilityError,
     as_fraction,
-    floor_frac_root,
     is_prime,
     phi_sieve,
     prime_factors,
@@ -85,7 +85,7 @@ from ._util import (
     vp_fraction,
 )
 from . import enumeration, geometry, heights, tamagawa
-from .geometry import VarietyModel, load_model
+from .geometry import VarietyModel
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,27 +186,6 @@ class CharacterArgument:
 
 def _coerce_character(a) -> CharacterArgument:
     return a if isinstance(a, CharacterArgument) else CharacterArgument(a)
-
-
-def character_value(p: int, x) -> complex:
-    """psi_p(x) = e^(2 pi i {x}_p) where {x}_p is the p-fractional part.
-
-    For rational x = u / p^k with u a p-unit numerator over a p-free
-    denominator b, the fractional part is (num * b^(-1) mod p^k) / p^k.
-    p-integral x gives 1.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x = as_fraction(x)
-    if x == 0:
-        return 1.0 + 0.0j
-    k = vp(x.denominator, p)
-    if k == 0:
-        return 1.0 + 0.0j
-    pk = p ** k
-    b = x.denominator // pk
-    r = (x.numerator * pow(b, -1, pk)) % pk
-    return cmath.exp(2j * math.pi * r / pk)
 
 
 def _character_sum_direct(p: int, u: int, n: int, d: int) -> complex:
@@ -772,17 +751,10 @@ class GlobalFourierValue:
     zeta_factors: tuple
 
 
+@lru_cache(maxsize=256)
 def _zeta(x: float) -> float:
-    key = float(x)
-    val = _ZETA_CACHE.get(key)
-    if val is None:
-        with mpmath.workdps(30):
-            val = float(mpmath.zeta(key))
-        _ZETA_CACHE[key] = val
-    return val
-
-
-_ZETA_CACHE: dict = {}
+    with mpmath.workdps(30):
+        return float(mpmath.zeta(float(x)))
 
 
 def _global_tail_exponent(beta_all, beta_a0) -> float:
@@ -877,7 +849,7 @@ def global_fourier(model: VarietyModel, a, s, p_max: int = 2000,
     if not arg.is_integral:
         raise ValueError("global assembly requires an integral index")
     eps_star = min(float(b) for b in beta)
-    small = sorted(set(model.small_primes) | set(arg.support_primes()))
+    small = sorted(geometry.SMALL_PRIMES | set(arg.support_primes()))
 
     def brute_depth(p: int) -> int:
         if depth is not None:
@@ -946,12 +918,15 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     """Partial sum of the height zeta function over points of height <= b_cut
     together with a tail estimate for the discarded points.
 
-    For P1 the partial sum is exact in the fiber parametrization (3 points of
-    generator height 1, then 4 phi(F) points of generator height F) and the
-    tail bound 4 F_max^(2 - lambda s) / (lambda s - 2) is rigorous since
-    phi(F) <= F.  For the other models the points are enumerated directly and
-    the tail is estimated from a fitted leading term of the counting
-    function, tail ~ s c integral_B^oo t^(a - s - 1) (log t)^(b-1) dt.
+    The sum follows enumeration's counting strategy.  On P1 (the Moebius
+    strategy in dimension 1) the partial sum is exact in the fiber
+    parametrization (3 points of generator height 1, then 4 phi(F) points of
+    generator height F) and the tail bound 4 F_max^(2 - lambda s) /
+    (lambda s - 2) is rigorous since phi(F) <= F.  The fiber strategy
+    (BlP2-1) sums fiber by fiber (_blp21_zeta_partial); every other model
+    sums over enumerate_points.  Off P1 the tail is estimated from a fitted
+    leading term of the counting function,
+    tail ~ s c integral_B^oo t^(a - s - 1) (log t)^(b-1) dt.
 
     Args:
         model: catalog model.
@@ -974,7 +949,8 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     if b_cut < 1:
         return 0.0, 0.0
 
-    if model.id == "P1":
+    strategy, _ = enumeration._outer_range(model, lam, b_cut)
+    if strategy == "pn" and model.dim == 1:
         lam1 = lam[0]
         c = float(lam1) * s
         f_max = max(enumeration.height_radius(b_cut, lam1), 1)
@@ -985,7 +961,7 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         tail = 4.0 * float(f_max) ** (2.0 - c) / (c - 2.0)
         return partial, tail
 
-    if model.id == "BlP2-1":
+    if strategy == "fiber":
         partial = _blp21_zeta_partial(model, lam, s, b_cut)
     else:
         partial = 0.0
@@ -1095,7 +1071,7 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
     Returns:
         dict with keys lhs, rhs, abs_diff, combined_bound, rel_diff, pass.
     """
-    if model.id != "P1":
+    if model.centers or model.dim != 1:
         raise CapabilityError("poisson check is implemented for P1 only")
     lam = geometry.coerce_picard(model, lam)
     geometry.require_interior(model, lam)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from ._util import as_fraction
+from ._util import as_fraction, is_prime
 
 SMALL_PRIMES = frozenset({2, 3})
 
@@ -77,15 +77,15 @@ class VarietyModel:
     pic_to_gen: tuple[tuple[int, ...], ...]
     centers: tuple[tuple[int, int], ...]
     stratum_polys: dict
+    # Indices (i, j) of two boundary components whose heights can each dip
+    # below 1 while H_i * H_j >= 1; the sound box of the box scan then widens
+    # by 2^|lambda_i - lambda_j|.  Empty when every H_alpha >= 1.
+    box_slack: tuple[int, ...] = ()
 
     @property
     def rank(self) -> int:
         """Picard rank = number of boundary components."""
         return len(self.components)
-
-    @property
-    def small_primes(self) -> frozenset:
-        return SMALL_PRIMES
 
 
 class DivisorData(NamedTuple):
@@ -157,6 +157,9 @@ def _blowup(r: int) -> VarietyModel:
         pic_to_gen=(d1_row,) + e_rows,
         centers=centers,
         stratum_polys=strata,
+        # On BlP2-3, H_D1 and H_E3 reach 1/2 at (Z, X, Y) = (1, 2, 1) but
+        # H_D1 * H_E3 = h_F1 h_F2 / h_H >= 1 (enumeration module docstring).
+        box_slack=(0, 3) if r == 3 else (),
     )
 
 
@@ -185,6 +188,9 @@ def _validate(model: VarietyModel) -> VarietyModel:
         for u2, v2 in model.centers[i + 1 :]:
             if abs(u1 * v2 - u2 * v1) != 1:
                 raise ValueError(f"{model.id}: centers meet mod some prime")
+    slack = model.box_slack
+    if slack and (len(slack) != 2 or not all(0 <= i < model.rank for i in slack)):
+        raise ValueError(f"{model.id}: box_slack must name two components")
     # Every system must contain the constant section Z (value 1 on (1, x)).
     for g in model.generators:
         consts = [s for s in g.sections if not any(s[1:])]
@@ -319,7 +325,7 @@ def divisor_multiplicities(model: VarietyModel, a: Sequence[int]) -> DivisorData
 def _check_good_prime(model: VarietyModel, p: int) -> None:
     if p in SMALL_PRIMES:
         raise ValueError(f"p = {p} is a designated small prime; use brute force")
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
 
@@ -370,10 +376,3 @@ def brute_stratum_count(model: VarietyModel, subset: Iterable[str], p: int) -> i
         counts[frozenset({"D1"})] = d1_only
     return counts.get(names, 0)
 
-
-def total_point_count(model: VarietyModel, p: int) -> int:
-    """Closed-form #X(F_p): (p^(n+1)-1)/(p-1) for P^n, p^2+(r+1)p+1 for BlP2-r."""
-    if not model.centers:
-        return (p ** (model.dim + 1) - 1) // (p - 1)
-    r = len(model.centers)
-    return p * p + (r + 1) * p + 1

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import geometry
-from ._util import as_fraction, vp
+from ._util import as_fraction, factorize, is_prime, vp
 from .geometry import VarietyModel
 
 
@@ -89,20 +89,22 @@ def section_value(section: Sequence[int], coords: Sequence[int]) -> int:
     return sum(c * x for c, x in zip(section, coords))
 
 
-def _section_stats(model: VarietyModel, point: RationalPoint):
+def _section_stats(model: VarietyModel, coords: Sequence[int]):
     """Per generator system: (max |l(x)|, gcd of the l(x))."""
-    if point.dim != model.dim:
-        raise ValueError(f"point has dim {point.dim}, model {model.id} has {model.dim}")
+    if len(coords) - 1 != model.dim:
+        raise ValueError(
+            f"point has dim {len(coords) - 1}, model {model.id} has {model.dim}")
     stats = []
     for gen in model.generators:
-        vals = [section_value(s, point.coords) for s in gen.sections]
-        stats.append((max(abs(v) for v in vals), math.gcd(*vals)))
+        vals = [section_value(s, coords) for s in gen.sections]
+        stats.append((max(map(abs, vals)), math.gcd(*vals)))
     return stats
 
 
-def generator_heights(model: VarietyModel, point: RationalPoint) -> tuple:
-    """The positive integers h_G = max|l(x)| / gcd(l(x)), one per system."""
-    return tuple(m // g for m, g in _section_stats(model, point))
+def generator_heights(model: VarietyModel, coords: Sequence[int]) -> tuple:
+    """The positive integers h_G = max|l(x)| / gcd(l(x)), one per system, of
+    the primitive vector coords = (Z, X1, ..., Xn)."""
+    return tuple([m // g for m, g in _section_stats(model, coords)])
 
 
 class HeightValue(NamedTuple):
@@ -119,18 +121,8 @@ def _prime_factor_exponents(bases_and_exps) -> dict:
     for base, exp in bases_and_exps:
         if exp == 0 or base == 1:
             continue
-        b = base
-        d = 2
-        while d * d <= b:
-            if b % d == 0:
-                k = 0
-                while b % d == 0:
-                    b //= d
-                    k += 1
-                out[d] = out.get(d, Fraction(0)) + exp * k
-            d += 1
-        if b > 1:
-            out[b] = out.get(b, Fraction(0)) + exp
+        for p, k in factorize(base).items():
+            out[p] = out.get(p, Fraction(0)) + exp * k
     return {p: e for p, e in out.items() if e != 0}
 
 
@@ -153,7 +145,7 @@ def finite_height_part(model: VarietyModel, point: RationalPoint, lam) -> Fracti
     because the value is then irrational (see module docstring).
     """
     m = geometry.generator_exponents(model, lam)
-    stats = _section_stats(model, point)
+    stats = _section_stats(model, point.coords)
     return _exact_prime_product(
         _prime_factor_exponents((g, -e) for (_, g), e in zip(stats, m))
     )
@@ -164,7 +156,7 @@ def archimedean_height(
 ) -> Union[Fraction, float]:
     """prod_G (max_l |l(x)|)^{m_G}; exact Fraction for integer exponents."""
     m = geometry.generator_exponents(model, lam)
-    stats = _section_stats(model, point)
+    stats = _section_stats(model, point.coords)
     if all(e.denominator == 1 for e in m):
         out = Fraction(1)
         for (mx, _), e in zip(stats, m):
@@ -188,10 +180,10 @@ def local_height(model: VarietyModel, point: RationalPoint, p: int, lam) -> Frac
     Defined at every prime including the small ones; only closed-form
     density formulas elsewhere refuse p in {2, 3}.
     """
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     m = geometry.generator_exponents(model, lam)
-    stats = _section_stats(model, point)
+    stats = _section_stats(model, point.coords)
     e = sum(em * vp(g, p) for (_, g), em in zip(stats, m))
     if e.denominator != 1:
         raise ValueError(f"local height {p}^{-e} is irrational")

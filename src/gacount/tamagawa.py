@@ -62,24 +62,6 @@ FLOAT_ASSEMBLY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class LocalFactor:
-    """One local factor of a height transform or Euler product."""
-
-    place: Union[int, str]  # a prime, or "infinity"
-    value: Union[float, complex, Fraction]
-    provenance: str  # "closed-form" | "brute-force" | "quadrature"
-    error_bound: float
-
-    def __post_init__(self):
-        if self.provenance not in ("closed-form", "brute-force", "quadrature"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == "closed-form" and self.error_bound != 0:
-            raise ValueError("closed-form factors must carry error_bound 0")
-        if self.provenance != "closed-form" and not self.error_bound > 0:
-            raise ValueError("non-closed-form factors need a positive error_bound")
-
-
-@dataclass(frozen=True)
 class EulerProductResult:
     """A regularized Euler product truncated at p_max with rigorous bounds."""
 
@@ -309,37 +291,6 @@ def exact_local_density(model: VarietyModel, p: int, s,
     return total
 
 
-def local_density(model: VarietyModel, p: int) -> Fraction:
-    """Local density at s = rho, any prime; #X(F_p)/p^n on the catalog."""
-    return exact_local_density(model, p, geometry.rho_vector(model))
-
-
-def good_prime_factor(model: VarietyModel, p: int) -> Fraction:
-    """Regularized factor local_density(p) * (1 - 1/p)^rank at a good prime."""
-    dens = denef_local_factor(model, p, geometry.rho_vector(model))
-    return dens * (1 - Fraction(1, p)) ** model.rank
-
-
-def regularization_residual(model: VarietyModel, p: int, s) -> Union[Fraction, float]:
-    """|Hhat_p(s) * prod_alpha (1 - p^{-(1+s_alpha-rho_alpha)}) - 1|.
-
-    A diagnostic for the convergence rate of the regularized product; decays
-    like p^{-2} on the catalog (exactly p^{-3} for P2 at s = rho).
-    """
-    svec = geometry.coerce_picard(model, s)
-    exps = [1 + sv - Fraction(r) for sv, r in zip(svec, model.rho)]
-    if any(e <= Fraction(1, 2) for e in exps):
-        raise ValueError("need s_alpha > rho_alpha - 1/2 for the residual bound")
-    value = denef_local_factor(model, p, s)
-    if isinstance(value, Fraction):
-        for e in exps:
-            value *= 1 - Fraction(1, p ** int(e))
-        return abs(value - 1)
-    for e in exps:
-        value *= 1.0 - float(p) ** (-float(e))
-    return abs(value - 1.0)
-
-
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
     """Product of integer polynomials; fast when b is sparse."""
     out = [0] * (len(a) + len(b) - 1)
@@ -365,7 +316,7 @@ def _series_log(a: Sequence[int], order: int) -> list:
 
 
 def regularized_factor_poly(model: VarietyModel) -> list:
-    """Integer g(u) with g(1/p) = local_density(p) * (1 - 1/p)^rank at good p."""
+    """Integer g(u) with g(1/p) = (#X(F_p)/p^n) * (1 - 1/p)^rank at good p."""
     n = model.dim
     total = [0] * (n + 1)
     for poly in model.stratum_polys.values():
@@ -471,7 +422,7 @@ def tamagawa_number(
     arch = archimedean_density(model)
     rho = geometry.rho_vector(model)
     partial = 1.0
-    for p in sorted(model.small_primes):
+    for p in sorted(geometry.SMALL_PRIMES):
         reg = (1 - Fraction(1, p)) ** model.rank
         partial *= float(exact_local_density(model, p, rho) * reg)
     g = [float(c) for c in regularized_factor_poly(model)]
@@ -518,7 +469,5 @@ def predicted_constant(
     """
     if result is None:
         result = tamagawa_number(model, p_max=p_max)
-    c = Fraction(1)
-    for r in model.rho:
-        c /= r
+    c = geometry.c_coeff(model, model.rho)
     return result.tamagawa * float(c) / math.factorial(model.rank - 1)

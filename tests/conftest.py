@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from gacount import geometry, heights
+from gacount import geometry
+from gacount.acceptance import _random_interior as random_interior  # noqa: F401
+from gacount.acceptance import _random_point as random_point  # noqa: F401
 
 ALL_MODEL_IDS = list(geometry.MODEL_IDS)
 
@@ -22,17 +22,8 @@ def rng():
     return np.random.default_rng(91604)
 
 
-def random_point(rng: np.random.Generator, dim: int) -> heights.RationalPoint:
-    """A random nonzero affine rational point with small entries."""
-    while True:
-        nums = rng.integers(-9, 10, size=dim)
-        dens = rng.integers(1, 10, size=dim)
-        if any(nums):
-            return heights.RationalPoint.from_affine(
-                [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
-            )
-
-
-def random_interior(rng: np.random.Generator, rank: int) -> tuple:
-    """A random integer Picard vector in the interior of the effective cone."""
-    return tuple(int(v) for v in rng.integers(1, 5, size=rank))
+def closed_form_point_count(model, p: int) -> int:
+    """#X(F_p): (p^(n+1) - 1)/(p - 1) on P^n, p^2 + (r+1) p + 1 on BlP2-r."""
+    if not model.centers:
+        return (p ** (model.dim + 1) - 1) // (p - 1)
+    return p * p + (len(model.centers) + 1) * p + 1

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from gacount import enumeration, geometry, heights
+from gacount import enumeration, fourier, geometry, heights
 from gacount._util import CapabilityError
 from conftest import random_point
 
@@ -186,3 +186,31 @@ def test_enumerate_points_heights_filter(model):
     B = 25
     for pt in enumeration.enumerate_points(model, model.rho, B):
         assert heights.global_height(model, pt, model.rho).total <= B
+
+
+def test_renamed_model_same_results(model):
+    # Every point-side decision comes from catalog data, so a model renamed
+    # with dataclasses.replace keeps its strategy, box slack and workers.
+    renamed = dataclasses.replace(model, id="renamed")
+    B = 30
+    want = enumeration.count_points(model, model.rho, B)
+    for w in (1, 2):
+        assert enumeration.count_points(renamed, renamed.rho, B, workers=w) == want
+    assert list(enumeration.enumerate_points(renamed, renamed.rho, B)) == \
+        list(enumeration.enumerate_points(model, model.rho, B))
+    assert fourier.zeta_truncated(renamed, renamed.rho, 4.0, B) == \
+        fourier.zeta_truncated(model, model.rho, 4.0, B)
+
+
+def test_renamed_blp23_keeps_box_slack():
+    m = geometry.load_model("BlP2-3")
+    renamed = dataclasses.replace(m, id="renamed")
+    assert sum(1 for _ in enumeration.enumerate_points(renamed, m.rho, 7)) == 55
+    assert enumeration.count_points(renamed, m.rho, 200) == 4297
+
+
+def test_enumerate_points_lexicographic(model):
+    # Z ascending, then X, Y, ... lexicographically, each point once.
+    coords = [pt.coords for pt in enumeration.enumerate_points(model, model.rho, 40)]
+    assert coords
+    assert all(a < b for a, b in zip(coords, coords[1:]))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
 
 import mpmath
@@ -11,22 +9,6 @@ import pytest
 
 from gacount import enumeration, fourier, geometry, heights, tamagawa
 from gacount._util import CapabilityError, primes_upto
-
-
-def test_character_value_pins():
-    assert fourier.character_value(5, Fraction(1, 5)) == pytest.approx(
-        cmath.exp(2j * math.pi / 5)
-    )
-    assert fourier.character_value(5, 2) == 1.0 + 0.0j
-    assert fourier.character_value(5, Fraction(7, 25)) == pytest.approx(
-        cmath.exp(2j * math.pi * 7 / 25)
-    )
-    # Only the p-part of the denominator matters.
-    assert fourier.character_value(5, Fraction(1, 15)) == pytest.approx(
-        fourier.character_value(5, Fraction(2, 5))
-    )
-    with pytest.raises(ValueError):
-        fourier.character_value(6, Fraction(1, 6))
 
 
 def test_character_argument_properties():

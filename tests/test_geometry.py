@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from gacount import geometry
-from gacount._util import prime_factors, primes_upto
+from gacount._util import factorize, is_prime, prime_factors, primes_upto
+from conftest import closed_form_point_count
 
 GOOD_PRIMES_31 = [p for p in primes_upto(31) if p >= 5]
 
@@ -30,7 +32,7 @@ def test_catalog_shape():
         assert (m.dim, m.rank) == (dim, rank)
         assert m.components == comps
         assert tuple(m.rho) == tuple(Fraction(r) for r in rho)
-        assert m.small_primes == geometry.SMALL_PRIMES == frozenset({2, 3})
+    assert geometry.SMALL_PRIMES == frozenset({2, 3})
 
 
 def test_load_model_unknown():
@@ -95,7 +97,7 @@ def test_strata_partition_total(model, p):
     names = model.components
     subsets = chain.from_iterable(combinations(names, k) for k in range(len(names) + 1))
     total = sum(geometry.stratum_count(model, s, p) for s in subsets)
-    assert total == geometry.total_point_count(model, p)
+    assert total == closed_form_point_count(model, p)
 
 
 def test_stratum_count_rejects_small_primes():
@@ -170,6 +172,8 @@ _H2 = geometry.GeneratorSystem("H", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     ("BlP2-1", "generators",
      (_H2, geometry.GeneratorSystem("F1", ((0, 0, 1), (2, 0, 0))))),
     ("BlP2-1", "generators", (_H2, geometry.GeneratorSystem("F1", ((0, 0, 1),)))),
+    ("BlP2-3", "box_slack", (0, 4)),
+    ("BlP2-3", "box_slack", (0,)),
 ])
 def test_validate_rejects_malformed_model(mid, field, value):
     # The catalog invariants raise ValueError, also under python -O.
@@ -190,3 +194,24 @@ def test_prime_factors():
     for n in range(1, 300):
         want = tuple(p for p in primes_upto(n) if n % p == 0)
         assert prime_factors(n) == want, n
+
+
+def test_factorize_against_brute_product():
+    # One trial-division loop serves the package; its exponents multiply
+    # back to n over ascending primes for every n <= 10^4.
+    for n in range(1, 10**4 + 1):
+        f = factorize(n)
+        assert list(f) == sorted(f), n
+        assert all(is_prime(p) and e >= 1 for p, e in f.items()), n
+        assert math.prod(p**e for p, e in f.items()) == n, n
+        assert factorize(-n) == f
+        assert prime_factors(n) == tuple(f)
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_box_slack_catalog():
+    # Only BlP2-3 widens its sound box: D1 and E3 can each dip to 1/2.
+    slack = {mid: geometry.load_model(mid).box_slack for mid in geometry.MODEL_IDS}
+    assert slack == {"P1": (), "P2": (), "P3": (), "BlP2-1": (), "BlP2-2": (),
+                     "BlP2-3": (0, 3)}

@@ -147,3 +147,12 @@ def test_fractional_exponent_exactness_boundary():
     pt3 = heights.RationalPoint((3, 2, 6))  # pencil gcd 3
     with pytest.raises(ValueError):
         heights.finite_height_part(m1, pt3, (1, Fraction(1, 2)))
+
+
+def test_generator_heights_on_coordinates():
+    m = geometry.load_model("BlP2-1")
+    # h_H = max(3, 2, 6) / 1 and h_F1 = max(6, 3) / gcd(6, 3).
+    assert heights.generator_heights(m, (3, 2, 6)) == (6, 2)
+    assert heights.generator_heights(m, (1, 0, 0)) == (1, 1)
+    with pytest.raises(ValueError):
+        heights.generator_heights(m, (1, 0))

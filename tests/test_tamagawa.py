@@ -13,6 +13,7 @@ from scipy import integrate
 
 from gacount import fourier, geometry, tamagawa
 from gacount._util import CapabilityError
+from conftest import closed_form_point_count
 
 
 def test_denef_local_factor_pins():
@@ -50,10 +51,10 @@ def test_denef_local_factor_domain_errors(model):
 def test_local_density_counts_points(model, p):
     # The density times p^n is the F_p point count of the compactification,
     # which the strata partition recomputes at good primes.
-    dens = tamagawa.local_density(model, p)
+    dens = tamagawa.exact_local_density(model, p, model.rho)
     n = model.dim
-    assert dens * p**n == geometry.total_point_count(model, p)
-    if p in model.small_primes:
+    assert dens * p**n == closed_form_point_count(model, p)
+    if p in geometry.SMALL_PRIMES:
         return
     brute_total = sum(
         geometry.brute_stratum_count(model, subset, p)
@@ -226,30 +227,34 @@ def test_peel_data_pins(model):
     assert (peeled, float(c_h)) == PEEL_PINS[model.id]
 
 
+def _regularized_factor(model, p):
+    """Hhat_p(rho) * (1 - 1/p)^rank, the regularized good-prime factor."""
+    dens = tamagawa.denef_local_factor(model, p, model.rho)
+    return dens * (1 - Fraction(1, p)) ** model.rank
+
+
 def test_regularization_residual_pins():
     p2 = geometry.load_model("P2")
-    assert tamagawa.regularization_residual(p2, 5, p2.rho) == Fraction(1, 125)
-    assert tamagawa.regularization_residual(p2, 11, p2.rho) == Fraction(1, 1331)
+    assert abs(_regularized_factor(p2, 5) - 1) == Fraction(1, 125)
+    assert abs(_regularized_factor(p2, 11) - 1) == Fraction(1, 1331)
     b1 = geometry.load_model("BlP2-1")
-    assert tamagawa.regularization_residual(b1, 5, b1.rho) == Fraction(49, 625)
+    assert abs(_regularized_factor(b1, 5) - 1) == Fraction(49, 625)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_regularization_residual_decay(model, p):
     # Quadratic decay with a uniform constant across the catalog (the
     # worst case is BlP2-3, whose constant stays below 9).
-    res = tamagawa.regularization_residual(model, p, model.rho)
-    assert 0 <= res <= Fraction(9, p * p)
+    res = abs(_regularized_factor(model, p) - 1)
+    assert res <= Fraction(9, p * p)
 
 
 def test_local_factor_validation():
     with pytest.raises(ValueError):
-        tamagawa.LocalFactor(7, 1.0, "guesswork", 0.0)
+        fourier.LocalFourierValue(1.0, 0.0, "guesswork")
     with pytest.raises(ValueError):
-        tamagawa.LocalFactor(7, 1.0, "closed-form", 1e-3)
-    with pytest.raises(ValueError):
-        tamagawa.LocalFactor(7, 1.0, "brute-force", 0.0)
-    ok = tamagawa.LocalFactor("infinity", 4.0, "closed-form", 0.0)
+        fourier.LocalFourierValue(1.0, -1e-3, "brute-force")
+    ok = fourier.LocalFourierValue(4.0, 0.0, "closed-form")
     assert ok.value == 4.0
 
 
@@ -393,7 +398,10 @@ def test_tamagawa_pmax_guard():
 
 
 def test_good_prime_factor_shape(model):
-    f = tamagawa.good_prime_factor(model, 101)
-    assert isinstance(f, Fraction)
+    # The integer polynomial the Euler product evaluates is the regularized
+    # closed-form factor.
+    f = _regularized_factor(model, 101)
+    g = tamagawa.regularized_factor_poly(model)
+    assert sum(c * Fraction(1, 101) ** k for k, c in enumerate(g)) == f
     # Regularized factors approach 1 like 1/p^2.
     assert abs(f - 1) <= Fraction(2, 101 * 101) * (1 + model.rank)
