@@ -269,12 +269,6 @@ class CountLadder:
     rows: tuple  # of (B, N) with B ascending
     elapsed_ms: tuple = ()
 
-    def bounds(self) -> tuple:
-        return tuple(b for b, _ in self.rows)
-
-    def counts(self) -> tuple:
-        return tuple(n for _, n in self.rows)
-
 
 def count_ladder(model: VarietyModel, lam, B_list, workers: int = 1) -> CountLadder:
     """Run count_points over an ascending ladder of bounds.

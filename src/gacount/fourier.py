@@ -52,9 +52,9 @@ This module provides several independent routes to these quantities:
   enter only there (and at the trivial character on P2/P3).
 
 * zeta_truncated / poisson_check: the two sides of the spectral identity,
-  sum over points of bounded height versus sum over characters, each carrying
-  explicit tail bounds; used as an end-to-end consistency check of every
-  formula above.
+  sum over points of bounded height versus sum over characters, each with a
+  tail term (off P1 the point side's is an estimate read off the count of
+  the points summed); used as an end-to-end check of every formula above.
 
 All error bounds travel with the values so that consumers can assert
 |difference| <= bound instead of fixed tolerances.
@@ -68,7 +68,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iter_product
-from typing import Optional
 
 import mpmath
 import numpy as np
@@ -93,19 +92,12 @@ TWO_PI = 2.0 * math.pi
 CHARACTER_SUM_DIRECT_LIMIT = 8_000_000
 
 # Multiplicative safety constants for the truncation tail of the brute-force
-# local integral, one per model.  The tail over |x|_p = p^i decomposes into
-# at most (i + 1) valuation profiles per blown-up direction, each carrying
-# mass at most p^(-eps i) with eps = min_alpha (1 + s_alpha - rho_alpha), so
-# tail <= C * sum_{i > m} (i + 1) p^(-eps i).  C counts the independent
+# local integral, indexed by the number of blown-up centers.  The tail over
+# |x|_p = p^i splits into at most (i + 1) valuation profiles per blown-up
+# direction, each of mass at most p^(-eps i), eps = min_alpha (1 + s_alpha -
+# rho_alpha), so tail <= C * sum_{i > m} (i + 1) p^(-eps i).  C counts the independent
 # degenerating directions (the pencils meeting the boundary).
-_BRUTE_TAIL_CONSTANT = {
-    "P1": 1.0,
-    "P2": 1.0,
-    "P3": 1.0,
-    "BlP2-1": 2.0,
-    "BlP2-2": 2.0,
-    "BlP2-3": 3.0,
-}
+_BRUTE_TAIL_CONSTANT = (1.0, 2.0, 2.0, 3.0)
 
 # Relative float-roundoff allowance per accumulated cube.
 _ROUNDOFF_PER_BOX = 2.0e-16
@@ -165,13 +157,8 @@ class CharacterArgument:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.a)
 
-    def min_valuation(self, p: int) -> Optional[int]:
-        """min_i v_p(a_i), or None (plus infinity) for the zero vector."""
-        vals = [vp_fraction(x, p) for x in self.a if x != 0]
-        return min(vals) if vals else None
-
     def support_primes(self) -> tuple:
-        """Primes p with min_valuation(p) != 0, where psi_a is not trivial on
+        """Primes p with min_i v_p(a_i) != 0, where psi_a is not trivial on
         exactly Z_p^n: those dividing the gcd of the numerators or some
         denominator.  Empty for the zero vector."""
         if self.is_zero:
@@ -305,7 +292,7 @@ def _brute_tail_bound(model: VarietyModel, p: int, depth: int,
         raise ValueError("s outside the convergence domain")
     m = depth
     tail = r ** (m + 1) * ((m + 2) - (m + 1) * r) / (1.0 - r) ** 2
-    return _BRUTE_TAIL_CONSTANT[model.id] * tail
+    return _BRUTE_TAIL_CONSTANT[len(model.centers)] * tail
 
 
 def brute_padic_fourier(model: VarietyModel, p: int, a, s,
@@ -770,11 +757,11 @@ def _global_tail_exponent(beta_all, beta_a0) -> float:
     return e
 
 
-def global_fourier(model: VarietyModel, a, s, p_max: int = 2000,
-                   depth: Optional[int] = None) -> GlobalFourierValue:
+def global_fourier(model: VarietyModel, a, s,
+                   p_max: int = 2000) -> GlobalFourierValue:
     """Adelic Fourier transform Hhat(psi_a; s) = prod_v Hhat_v(psi_a; s).
 
-    P^n is exact at every finite place, and p_max and depth play no role.
+    P^n is exact at every finite place, and p_max plays no role.
     With sigma = s_D1, the local factor at a prime p not dividing a is
     Tate's 1 - p^(-sigma) (tamagawa.exact_local_density), so the product
     over all primes is
@@ -803,9 +790,6 @@ def global_fourier(model: VarietyModel, a, s, p_max: int = 2000,
             (all 1 + s_alpha - rho_alpha > 0; s_alpha > rho_alpha for the
             trivial character, which has a pole at the boundary).
         p_max: cutoff for closed-form good-prime factors (generic assembly).
-        depth: brute-force truncation depth override for the finitely many
-            brute primes of the generic assembly; None picks a depth from
-            the convergence margin.
 
     Returns:
         GlobalFourierValue with the value, a combined error bound, and the
@@ -852,8 +836,6 @@ def global_fourier(model: VarietyModel, a, s, p_max: int = 2000,
     small = sorted(geometry.SMALL_PRIMES | set(arg.support_primes()))
 
     def brute_depth(p: int) -> int:
-        if depth is not None:
-            return depth
         want = int(math.ceil(30.0 * math.log(2.0)
                              / (eps_star * math.log(p)))) + 1
         cap = suggested_depth(model, p)
@@ -923,10 +905,12 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     parametrization (3 points of generator height 1, then 4 phi(F) points of
     generator height F) and the tail bound 4 F_max^(2 - lambda s) /
     (lambda s - 2) is rigorous since phi(F) <= F.  The fiber strategy
-    (BlP2-1) sums fiber by fiber (_blp21_zeta_partial); every other model
-    sums over enumerate_points.  Off P1 the tail is estimated from a fitted
-    leading term of the counting function,
-    tail ~ s c integral_B^oo t^(a - s - 1) (log t)^(b-1) dt.
+    (BlP2-1) sums fiber by fiber (_blp21_zeta_partial) and counts the points
+    with count_points; every other model sums prod_G h_G^(m_G) over
+    enumerate_points and counts the points it sums.  Off P1 the tail is an
+    estimate from the leading term of the counting function,
+    tail ~ s c integral_B^oo t^(a - s - 1) (log t)^(b-1) dt with
+    c = N(B) / (B^a (log B)^(b-1)) and N(B) that count.
 
     Args:
         model: catalog model.
@@ -963,25 +947,29 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
 
     if strategy == "fiber":
         partial = _blp21_zeta_partial(model, lam, s, b_cut)
+        n_cut = enumeration.count_points(model, lam, b_cut)
     else:
+        # H = prod_G h_G^(m_G): an exact Fraction when every m_G is an
+        # integer, so that float(H) is correctly rounded; a float otherwise.
+        m = geometry.generator_exponents(model, lam)
         partial = 0.0
+        n_cut = 0
         for pt in enumeration.enumerate_points(model, lam, b_cut):
-            h = heights.global_height(model, pt, lam).total
+            hs = heights.generator_heights(model, pt.coords)
+            h = math.prod(Fraction(g) ** e for g, e in zip(hs, m))
             partial += float(h) ** (-s)
+            n_cut += 1
 
-    # Tail from a fitted leading term of the counting function.
+    # Tail from the leading term of the counting function, its constant read
+    # off the count of the points just summed.
     b_top = float(b_cut)
     if b_top <= 8.0:
         return partial, float("inf")
-    ladder = enumeration.count_ladder(
-        model, lam, [b_top / 8.0, b_top / 4.0, b_top / 2.0, b_top]
-    )
+    if n_cut == 0:
+        return partial, 0.0
     a_hat = float(a_lam)
     b_hat = len(geometry.b_set(model, lam))
-    counts = ladder.counts()
-    if counts[-1] == 0:
-        return partial, 0.0
-    c_hat = counts[-1] / (b_top ** a_hat * math.log(b_top) ** (b_hat - 1))
+    c_hat = n_cut / (b_top ** a_hat * math.log(b_top) ** (b_hat - 1))
     # integral_B^oo t^(a-s-1) (log t)^(b-1) dt = Gamma(b, (s-a) log B)/(s-a)^b
     # (substitute u = (s-a) log t); exact, no quadrature needed.
     c = s - a_hat

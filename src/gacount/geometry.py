@@ -43,7 +43,7 @@ the exceptional lines by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,7 +67,8 @@ class GeneratorSystem(NamedTuple):
 
 @dataclass(frozen=True)
 class VarietyModel:
-    """One catalog entry; immutable."""
+    """One catalog entry; immutable and hashable (the stratum table, a dict,
+    is left out of the hash)."""
 
     id: str
     dim: int
@@ -76,7 +77,7 @@ class VarietyModel:
     generators: tuple[GeneratorSystem, ...]
     pic_to_gen: tuple[tuple[int, ...], ...]
     centers: tuple[tuple[int, int], ...]
-    stratum_polys: dict
+    stratum_polys: dict = field(hash=False)
     # Indices (i, j) of two boundary components whose heights can each dip
     # below 1 while H_i * H_j >= 1; the sound box of the box scan then widens
     # by 2^|lambda_i - lambda_j|.  Empty when every H_alpha >= 1.
@@ -93,7 +94,6 @@ class DivisorData(NamedTuple):
 
     d: tuple[int, ...]
     a0: tuple[str, ...]  # components with d_alpha = 0
-    a1: tuple[str, ...]  # components with d_alpha = 1
 
 
 def _poly(*coeffs: int) -> tuple[int, ...]:
@@ -301,7 +301,7 @@ def divisor_multiplicities(model: VarietyModel, a: Sequence[int]) -> DivisorData
         a: nonzero integer (or rational) vector of length dim.
 
     Returns:
-        DivisorData(d, a0, a1) with a0/a1 the component names with d = 0 / 1.
+        DivisorData(d, a0) with a0 the component names with d = 0.
     """
     avec = tuple(as_fraction(x) for x in a)
     if len(avec) != model.dim:
@@ -318,7 +318,6 @@ def divisor_multiplicities(model: VarietyModel, a: Sequence[int]) -> DivisorData
     return DivisorData(
         d=dd,
         a0=tuple(n for n, k in zip(names, dd) if k == 0),
-        a1=tuple(n for n, k in zip(names, dd) if k == 1),
     )
 
 

@@ -329,7 +329,7 @@ def regularized_factor_poly(model: VarietyModel) -> list:
 
 
 @lru_cache(maxsize=None)
-def _peel_data(model_id: str):
+def _peel_data(model: VarietyModel):
     """Zeta-peel exponents and the rigorous residual constant for a model.
 
     Returns (peeled, C_h) with peeled = ((k, e_k), ...) such that
@@ -341,12 +341,11 @@ def _peel_data(model_id: str):
         CapabilityError: g is not 1 + O(u^2), a peel exponent is not an
             integer, or the peel leaves terms of order <= PEEL_ORDER.
     """
-    model = geometry.load_model(model_id)
     g = regularized_factor_poly(model)
     K = PEEL_ORDER
     c = _series_log(g, K)
     if c[1] != 0:
-        raise CapabilityError(f"{model_id}: regularized factor is not 1 + O(u^2)")
+        raise CapabilityError(f"{model.id}: regularized factor is not 1 + O(u^2)")
     e: dict = {}
     for k in range(2, K + 1):
         tot = c[k]
@@ -355,7 +354,7 @@ def _peel_data(model_id: str):
                 tot += e[d] * Fraction(d, k)
         ek = -tot
         if ek.denominator != 1:
-            raise CapabilityError(f"{model_id}: non-integer peel exponent at k={k}")
+            raise CapabilityError(f"{model.id}: non-integer peel exponent at k={k}")
         if ek != 0:
             e[k] = int(ek)
     num = list(g)
@@ -372,7 +371,7 @@ def _peel_data(model_id: str):
     den += [0] * (length - len(den))
     resid = [a - b for a, b in zip(num, den)]  # h = resid / den
     if any(resid[: K + 1]):
-        raise CapabilityError(f"{model_id}: peel left terms of order <= {K}")
+        raise CapabilityError(f"{model.id}: peel left terms of order <= {K}")
     # sum_{m > K} |resid_m| 5^{-(m - K - 1)} over one common denominator.
     top = length - 1
     c_num = Fraction(
@@ -388,7 +387,7 @@ def _peel_data(model_id: str):
 
 def _euler_tail_bound(model: VarietyModel, p_max: int) -> float:
     """Bound |prod_{p > p_max} (1 + h_p) - 1| via sum |h_p| <= C_h/(5 P^5)."""
-    _, c_h = _peel_data(model.id)
+    _, c_h = _peel_data(model)
     if c_h == 0:
         return 0.0
     K = PEEL_ORDER
@@ -433,7 +432,7 @@ def tamagawa_number(
         for c in reversed(g):
             acc = acc * u + c
         partial *= acc
-    peeled, _ = _peel_data(model.id)
+    peeled, _ = _peel_data(model)
     completion = 1.0
     with mpmath.workdps(30):
         for k, ek in peeled:
@@ -460,13 +459,9 @@ def tamagawa_number(
 def predicted_constant(
     model: VarietyModel,
     p_max: int = 10_000,
-    small_depth: Optional[int] = None,
     result: Optional[EulerProductResult] = None,
 ) -> float:
-    """Leading constant c * tau / (rank - 1)! with c = prod_alpha 1/rho_alpha.
-
-    small_depth is accepted for compatibility and ignored; p = 2, 3 are exact.
-    """
+    """Leading constant c * tau / (rank - 1)! with c = prod_alpha 1/rho_alpha."""
     if result is None:
         result = tamagawa_number(model, p_max=p_max)
     c = geometry.c_coeff(model, model.rho)

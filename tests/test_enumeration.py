@@ -79,8 +79,8 @@ def test_candidate_budget_guard():
 def test_count_ladder_basics():
     m = geometry.load_model("P1")
     lad = enumeration.count_ladder(m, m.rho, [10, 100, 1000])
-    assert lad.bounds() == (10, 100, 1000)
-    assert lad.counts() == tuple(
+    assert tuple(b for b, _ in lad.rows) == (10, 100, 1000)
+    assert tuple(n for _, n in lad.rows) == tuple(
         enumeration.count_points(m, m.rho, b) for b in (10, 100, 1000)
     )
     assert len(lad.elapsed_ms) == 3

@@ -8,20 +8,20 @@ import mpmath
 import pytest
 
 from gacount import enumeration, fourier, geometry, heights, tamagawa
-from gacount._util import CapabilityError, primes_upto
+from gacount._util import CapabilityError, primes_upto, vp_fraction
 
 
 def test_character_argument_properties():
     arg = fourier.CharacterArgument((Fraction(25), Fraction(5)))
     assert arg.is_integral and not arg.is_zero
-    assert arg.min_valuation(5) == 1
+    assert min(vp_fraction(x, 5) for x in arg.a) == 1
     assert arg.support_primes() == (5,)
     assert fourier.CharacterArgument((25, 1)).support_primes() == ()
     assert fourier.CharacterArgument((6, 0, 12)).support_primes() == (2, 3)
-    assert fourier.CharacterArgument((0, 0)).min_valuation(7) is None
+    assert fourier.CharacterArgument((0, 0)).support_primes() == ()
     frac = fourier.CharacterArgument((Fraction(1, 25),))
     assert not frac.is_integral
-    assert frac.min_valuation(5) == -2
+    assert vp_fraction(frac.a[0], 5) == -2
     assert frac.support_primes() == (5,)
 
 
@@ -405,8 +405,8 @@ def test_global_fourier_pn_twisted_is_exact(monkeypatch, mid, a):
         return
     assert abs(out.value.real - prod) <= 1e-6 * abs(prod) + out.error_bound
     assert out.error_bound <= 1e-5 * abs(out.value)
-    # p_max and depth play no role on P^n.
-    again = fourier.global_fourier(model, a, s, p_max=5000, depth=3)
+    # p_max plays no role on P^n.
+    again = fourier.global_fourier(model, a, s, p_max=5000)
     assert again == out
 
 
@@ -470,6 +470,62 @@ def test_zeta_truncated_generic_bracket():
     assert t40 > t80 > 0
     # The added mass between the cutoffs is inside the earlier tail estimate.
     assert p80 - p40 <= t40
+
+
+@pytest.mark.parametrize("mid, s, B", [("P2", 2.0, 40), ("P3", 3.0, 15),
+                                       ("BlP2-2", 4.0, 60), ("BlP2-3", 4.0, 40)])
+def test_zeta_truncated_box_path_matches_global_height(mid, s, B):
+    # The box path takes each height from the generator heights of the
+    # enumerated points; global_height is the oracle.
+    model = geometry.load_model(mid)
+    part, _ = fourier.zeta_truncated(model, model.rho, s, B)
+    direct = sum(
+        float(heights.global_height(model, pt, model.rho).total) ** -s
+        for pt in enumeration.enumerate_points(model, model.rho, B)
+    )
+    assert abs(part - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("mid", ["BlP2-2", "BlP2-3"])
+def test_zeta_truncated_fractional_class(mid):
+    # At lam = (7/2, 2, ...) some prime factor of a height is irrational, so
+    # global_height refuses lam; H(x; lam) = H(x; 2 lam)^(1/2) is the oracle.
+    model = geometry.load_model(mid)
+    lam = (Fraction(7, 2),) + (Fraction(2),) * (model.rank - 1)
+    s, B = 4.0, 60
+    part, tail = fourier.zeta_truncated(model, lam, s, B)
+    double = tuple(2 * x for x in lam)
+    direct = sum(
+        float(heights.global_height(model, pt, double).total) ** (-s / 2)
+        for pt in enumeration.enumerate_points(model, lam, B)
+    )
+    assert abs(part - direct) <= 1e-12 * direct
+    assert 0 < tail < 1
+
+
+@pytest.mark.parametrize("mid, s, B, want", [
+    ("BlP2-2", 4, 100, (9.104472772424202, 2.0224458582674098e-05)),
+    ("BlP2-3", 4, 58, (7.472911214645311, 0.0001351230639407696)),
+    ("BlP2-1", 2, 300, (10.833599206589927, 0.06375470271349144)),
+    ("P2", 2, 80, (9.653916430898455, 0.08281250000000004)),
+])
+def test_zeta_truncated_pins(mid, s, B, want):
+    # Exact float equality: at integer classes every height is an exact
+    # Fraction before it is rounded.
+    model = geometry.load_model(mid)
+    assert fourier.zeta_truncated(model, model.rho, s, B) == want
+
+
+def test_zeta_truncated_needs_no_ladder_or_global_height(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by zeta_truncated")
+
+    monkeypatch.setattr(enumeration, "count_ladder", refuse)
+    monkeypatch.setattr(heights, "global_height", refuse)
+    for mid in ("P2", "BlP2-1", "BlP2-2"):
+        model = geometry.load_model(mid)
+        part, tail = fourier.zeta_truncated(model, model.rho, 4.0, 30)
+        assert part > 0 and 0 <= tail < 1
 
 
 def test_zeta_truncated_limits_and_errors():

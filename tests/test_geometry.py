@@ -117,10 +117,10 @@ def test_divisor_multiplicities_examples():
     # divisor misses the exceptional curve over that center.
     dm = geometry.divisor_multiplicities(m, (0, 1))
     assert dm.a0 == ("E1",)
-    assert dm.a1 == ("D1",)
+    assert dm.d == (1, 0)
     dm = geometry.divisor_multiplicities(m, (1, 0))
     assert dm.a0 == ()
-    assert set(dm.a1) == {"D1", "E1"}
+    assert dm.d == (1, 1)
     m3 = geometry.load_model("BlP2-3")
     dm = geometry.divisor_multiplicities(m3, (1, -1))
     assert dm.a0 == ("E3",)  # center (1, 1) pairs to zero with (1, -1)
