@@ -114,11 +114,12 @@ def height_leq(heights, exponents, bound: Fraction) -> bool:
     """Exact test prod_j heights[j]**exponents[j] <= bound.
 
     heights are positive integers, exponents arbitrary rationals (negative
-    allowed), bound a positive rational.  Denominators are cleared so the
-    comparison is a big-integer inequality.
+    allowed), bound a positive rational.  Both sides are raised to the lcm of
+    the exponent denominators, so the comparison is a big-integer inequality
+    whose size does not depend on the denominator of the bound.
     """
     exps = [as_fraction(e) for e in exponents]
-    scale = lcm(*(e.denominator for e in exps), bound.denominator, 1)
+    scale = lcm(*(e.denominator for e in exps), 1)
     lhs = 1
     rhs = bound.numerator ** scale
     lhs_den = bound.denominator ** scale

@@ -149,9 +149,8 @@ def emit_plot_data(ladder: enumeration.CountLadder,
     normalizer vanishes (log B = 0 with b > 1) are skipped.  An empty ladder
     produces an empty file.
     """
-    model = geometry.load_model(ladder.model_id)
-    a = geometry.a_exponent(model, ladder.lam)
-    b = len(geometry.b_set(model, ladder.lam))
+    a = geometry.a_exponent(ladder.model, ladder.lam)
+    b = len(geometry.b_set(ladder.model, ladder.lam))
     lines = []
     for B, n in ladder.rows:
         fb = float(B)

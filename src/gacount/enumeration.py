@@ -41,10 +41,33 @@ h_std^{lambda_min} <= B * 2^{|lambda_D - lambda_E3|}.  The catalog records
 that pair of components as VarietyModel.box_slack.  The scan is guarded by a
 candidate budget since its cost is ~ R^3.
 
-There is one box scan (_box_scan), for any dimension: the box strategy of
-count_points counts it, and enumerate_points, the oracle the tests hold the
-other two strategies against, yields its points.  On P^n and BlP2-1 every
-H_alpha >= 1 as well, so the same box with radius B^{1/lambda_min} is sound.
+The box kernel.  _box_kernel decides a whole Z-slice of the box at once in
+NumPy int64: the primitivity mask gcd(Z, X) = 1 (the gcd of the X grid is
+taken once), every section value l as an integer linear form (its X-part is
+taken once per grid), and h_G = max|l| // gcd(l).  A float filter then
+compares L = sum_G m_G log h_G with log B.  Let u = 2^-53 and assume np.log
+and math.log are within 4 ulp (ulp(y) <= 2u|y|).  Rounding h_G to float
+moves log h_G by at most 1.01u; the log adds 8u log h_G, rounding m_G and the
+product 2u |m_G log h_G| and the sum over k <= 4 systems k u sum|m_G log h_G|.
+With h_G <= Hmax_G = max_l sum|coefficients of l| * max(R, Z), at most
+15u sum_G |m_G| (1 + log Hmax_G).  log B = log(num) - log(den) is off by at
+most 20u (1 + log num + log den).  The kernel takes the margin
+
+    delta = 2^-40 (1 + log num + log den + sum_G |m_G| (1 + log Hmax_G)),
+
+more than 200 times the sum of the two errors: a candidate with
+L < log B - delta has H < B, one with L > log B + delta has H > B, and every
+candidate in between, every tie H = B among them, is decided exactly by
+_util.height_leq.  The kernel raises CapabilityError if some Hmax_G, which
+bounds every section value, leaves int64.  count_points' box strategy counts
+the kernel's points, and zeta_truncated sums over them with the heights the
+kernel already has.
+
+enumerate_points is the oracle: it yields the points of the loop _box_scan,
+which decides each primitive candidate by height_leq alone and shares no code
+with the kernel but the generator heights.  On P^n and BlP2-1 every
+H_alpha >= 1 as well, so the same box with radius B^{1/lambda_min} is sound
+there, and the tests hold the Moebius and fiber strategies against it.
 
 Counts are exact integers, deterministic, and independent of the worker
 partitioning: a parallel run splits the outer loop into index ranges and
@@ -105,7 +128,8 @@ def _box_scan(
     model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int, lo: int, hi: int
 ) -> Iterator[tuple]:
     """Primitive (Z, X1, ..., Xn) with H <= B, |X_i| <= R and lo <= Z < hi,
-    Z ascending, then the X_i lexicographically."""
+    Z ascending, then the X_i lexicographically: one exact height_leq per
+    primitive candidate.  The oracle of _box_kernel."""
     m = geometry.generator_exponents(model, lam)
     side = range(-R, R + 1)
     for z in range(lo, hi):
@@ -115,6 +139,66 @@ def _box_scan(
                 heights.generator_heights(model, coords), m, B
             ):
                 yield coords
+
+
+# Scale of the band around log B inside which _box_kernel decides candidates
+# exactly (module docstring, "The box kernel").
+_LOG_MARGIN = 2.0**-40
+
+
+def _box_kernel(
+    model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int, lo: int, hi: int
+) -> Iterator[tuple]:
+    """The points of _box_scan, one Z-slice at a time.
+
+    Yields (z, xs, hs) for z = lo, ..., hi - 1: xs is the int64 array (k, n)
+    of the X_i of the slice's k points with H <= B, in lexicographic order,
+    and hs the int64 array (k, number of generator systems) of their
+    generator heights h_G.  The (2R+1)^n grid of the X_i, its gcd and the
+    X-part of every section are built once; each slice then holds a fixed
+    number of arrays of (2R+1)^n int64 or float64 values (8 (2R+1)^n bytes
+    each), never the whole box.
+
+    Raises:
+        CapabilityError: if a section value could leave int64 (Hmax_G in the
+            module docstring).
+    """
+    m = geometry.generator_exponents(model, lam)
+    m_float = np.array([float(e) for e in m])
+    # Hmax_G bounds every section value of system G on the slices scanned.
+    h_max = [max(sum(map(abs, sec)) for sec in gen.sections) * max(R, hi - 1)
+             for gen in model.generators]
+    if max(h_max) > np.iinfo(np.int64).max:
+        raise CapabilityError(
+            f"box kernel for {model.id}: section values up to {max(h_max)} leave int64"
+        )
+    log_num, log_den = math.log(B.numerator), math.log(B.denominator)
+    log_b = log_num - log_den
+    margin = _LOG_MARGIN * (
+        1.0 + log_num + log_den
+        + sum(abs(e) * (1.0 + math.log(h)) for e, h in zip(m_float, h_max))
+    )
+    side = 2 * R + 1
+    grid = np.indices((side,) * model.dim, dtype=np.int64).reshape(model.dim, -1).T - R
+    grid_gcd = np.gcd.reduce(grid, axis=1)
+    # Per system: the Z coefficients of its sections as a column and their
+    # X-parts over the grid as rows.
+    linear = [
+        (np.array([[sec[0]] for sec in gen.sections], dtype=np.int64),
+         np.array([sec[1:] for sec in gen.sections], dtype=np.int64) @ grid.T)
+        for gen in model.generators
+    ]
+    for z in range(lo, hi):
+        hs = np.empty((len(grid), len(linear)), dtype=np.int64)
+        for j, (coef_z, parts) in enumerate(linear):
+            vals = np.abs(parts + coef_z * z)
+            hs[:, j] = vals.max(axis=0) // np.gcd.reduce(vals, axis=0)
+        log_h = np.log(hs) @ m_float
+        primitive = np.gcd(grid_gcd, z) == 1
+        keep = primitive & (log_h < log_b - margin)
+        for i in np.flatnonzero(primitive & (np.abs(log_h - log_b) <= margin)):
+            keep[i] = height_leq(hs[i].tolist(), m, B)
+        yield z, grid[keep], hs[keep]
 
 
 def _pn_partial(n: int, T: int, lo: int, hi: int) -> int:
@@ -179,7 +263,7 @@ def _partial_count(task) -> int:
         return _pn_partial(model.dim, end, lo, hi)
     if strategy == "fiber":
         return _blp21_partial(lam, B, lo, hi)
-    return sum(1 for _ in _box_scan(model, lam, B, end, lo, hi))
+    return sum(len(xs) for _, xs, _ in _box_kernel(model, lam, B, end, lo, hi))
 
 
 def _outer_range(model: VarietyModel, lam, B: Fraction) -> tuple:
@@ -264,7 +348,7 @@ def enumerate_points(
 class CountLadder:
     """Counts along an ascending ladder of height bounds."""
 
-    model_id: str
+    model: VarietyModel
     lam: tuple
     rows: tuple  # of (B, N) with B ascending
     elapsed_ms: tuple = ()
@@ -291,7 +375,7 @@ def count_ladder(model: VarietyModel, lam, B_list, workers: int = 1) -> CountLad
     for (_, n1), (_, n2) in zip(rows, rows[1:]):
         if n2 < n1:
             raise CapabilityError("counts must be nondecreasing in B")
-    return CountLadder(model.id, tuple(vals), tuple(rows), tuple(elapsed))
+    return CountLadder(model, tuple(vals), tuple(rows), tuple(elapsed))
 
 
 def fit_leading(ladder: CountLadder, a, b: int):

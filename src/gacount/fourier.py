@@ -83,7 +83,7 @@ from ._util import (
     vp,
     vp_fraction,
 )
-from . import enumeration, geometry, heights, tamagawa
+from . import enumeration, geometry, tamagawa
 from .geometry import VarietyModel
 
 TWO_PI = 2.0 * math.pi
@@ -906,8 +906,10 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     generator height F) and the tail bound 4 F_max^(2 - lambda s) /
     (lambda s - 2) is rigorous since phi(F) <= F.  The fiber strategy
     (BlP2-1) sums fiber by fiber (_blp21_zeta_partial) and counts the points
-    with count_points; every other model sums prod_G h_G^(m_G) over
-    enumerate_points and counts the points it sums.  Off P1 the tail is an
+    with count_points; every other model (P2, P3, BlP2-2, BlP2-3) sums
+    prod_G h_G^(m_G) over the points of enumeration's box kernel, with the
+    generator heights the kernel has already computed, in the order of
+    enumerate_points, and counts the points it sums.  Off P1 the tail is an
     estimate from the leading term of the counting function,
     tail ~ s c integral_B^oo t^(a - s - 1) (log t)^(b-1) dt with
     c = N(B) / (B^a (log B)^(b-1)) and N(B) that count.
@@ -952,13 +954,16 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         # H = prod_G h_G^(m_G): an exact Fraction when every m_G is an
         # integer, so that float(H) is correctly rounded; a float otherwise.
         m = geometry.generator_exponents(model, lam)
+        radius = enumeration._box_radius(model, lam, b_cut)
+        enumeration._check_box_budget(
+            model, b_cut, radius, enumeration.DEFAULT_CANDIDATE_BUDGET)
         partial = 0.0
         n_cut = 0
-        for pt in enumeration.enumerate_points(model, lam, b_cut):
-            hs = heights.generator_heights(model, pt.coords)
-            h = math.prod(Fraction(g) ** e for g, e in zip(hs, m))
-            partial += float(h) ** (-s)
-            n_cut += 1
+        for _, _, hs in enumeration._box_kernel(model, lam, b_cut, radius, 1, radius + 1):
+            for row in hs.tolist():
+                h = math.prod(Fraction(g) ** e for g, e in zip(row, m))
+                partial += float(h) ** (-s)
+            n_cut += len(hs)
 
     # Tail from the leading term of the counting function, its constant read
     # off the count of the points just summed.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import pytest
 
 from gacount import cli, enumeration, geometry
 from gacount import __version__
+
+P1 = geometry.load_model("P1")
 
 
 def run(capsys, *argv):
@@ -109,9 +112,21 @@ def test_fit_with_prediction_json(capsys, tmp_path):
 
 def test_emit_plot_data_empty_ladder(tmp_path):
     path = tmp_path / "empty.dat"
-    ladder = enumeration.CountLadder("P1", (Fraction(2),), ())
+    ladder = enumeration.CountLadder(P1, (Fraction(2),), ())
     cli.emit_plot_data(ladder, None, str(path))
     assert path.read_text() == ""
+
+
+def test_emit_plot_data_renamed_model(tmp_path):
+    # The ladder carries its model, so plot data needs no catalog lookup.
+    renamed = dataclasses.replace(P1, id="renamed")
+    paths = []
+    for m in (P1, renamed):
+        paths.append(tmp_path / f"{m.id}.dat")
+        ladder = enumeration.count_ladder(m, m.rho, [10, 100, 1000])
+        cli.emit_plot_data(ladder, 1.2, str(paths[-1]))
+    assert paths[0].read_text() == paths[1].read_text()
+    assert len(paths[1].read_text().splitlines()) == 4
 
 
 def test_constant_out_payload(capsys, tmp_path):

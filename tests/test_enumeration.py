@@ -11,6 +11,8 @@ from gacount import enumeration, fourier, geometry, heights
 from gacount._util import CapabilityError
 from conftest import random_point
 
+P1 = geometry.load_model("P1")
+
 
 def test_height_radius_exact_roots():
     # Largest integer r with r^lam <= B, computed without float roots.
@@ -41,6 +43,16 @@ def test_blp21_pins():
 def test_box_oracle_agreement(model, B):
     box = sum(1 for _ in enumeration.enumerate_points(model, model.rho, B))
     assert box == enumeration.count_points(model, model.rho, B)
+
+
+def test_count_at_float_bound():
+    # A float bound is its exact binary value, here with denominator 2^46;
+    # the exact comparisons must not grow with that denominator.
+    m = geometry.load_model("BlP2-2")
+    assert enumeration.count_points(m, m.rho, 100.3) == \
+        enumeration.count_points(m, m.rho, 100)
+    assert sum(1 for _ in enumeration.enumerate_points(m, m.rho, 60.3)) == \
+        enumeration.count_points(m, m.rho, 60)
 
 
 def test_box_oracle_nonanticanonical():
@@ -104,7 +116,7 @@ def test_count_ladder_rejects_decreasing_counts(monkeypatch):
 
 def test_fit_leading_synthetic_power_law():
     rows = tuple((B, B * B) for B in (10, 30, 100, 300, 1000))
-    lad = enumeration.CountLadder("P1", (Fraction(2),), rows)
+    lad = enumeration.CountLadder(P1, (Fraction(2),), rows)
     coeffs, resid = enumeration.fit_leading(lad, 2, 1)
     assert abs(coeffs[-1] - 1.0) <= 1e-12
     assert resid <= 1e-9
@@ -112,7 +124,7 @@ def test_fit_leading_synthetic_power_law():
 
 def test_fit_leading_constant_ladder_zero_slope():
     rows = tuple((B, 5) for B in (10, 30, 100, 300, 1000))
-    lad = enumeration.CountLadder("P1", (Fraction(2),), rows)
+    lad = enumeration.CountLadder(P1, (Fraction(2),), rows)
     coeffs, _ = enumeration.fit_leading(lad, 0, 2)
     assert abs(coeffs[-1]) <= 1e-12  # leading log coefficient vanishes
     assert abs(coeffs[0] - 5.0) <= 1e-9
@@ -120,7 +132,7 @@ def test_fit_leading_constant_ladder_zero_slope():
 
 def test_fit_leading_underdetermined():
     rows = ((10, 100), (100, 10000))
-    lad = enumeration.CountLadder("P1", (Fraction(2),), rows)
+    lad = enumeration.CountLadder(P1, (Fraction(2),), rows)
     with pytest.raises(ValueError):
         enumeration.fit_leading(lad, 2, 1)
     with pytest.raises(ValueError):
@@ -129,7 +141,7 @@ def test_fit_leading_underdetermined():
 
 def test_estimate_exponents_synthetic():
     rows = tuple((B, B * B) for B in (10, 100, 1000, 10000, 100000))
-    lad = enumeration.CountLadder("P1", (Fraction(2),), rows)
+    lad = enumeration.CountLadder(P1, (Fraction(2),), rows)
     a_hat, b_hat = enumeration.estimate_exponents(lad)
     assert abs(a_hat - 2.0) <= 1e-9
     assert abs(b_hat - 1.0) <= 1e-6
@@ -137,11 +149,11 @@ def test_estimate_exponents_synthetic():
 
 def test_estimate_exponents_span_guard():
     lad = enumeration.CountLadder(
-        "P1", (Fraction(2),), ((10, 100), (50, 2500), (100, 10000))
+        P1, (Fraction(2),), ((10, 100), (50, 2500), (100, 10000))
     )
     with pytest.raises(ValueError):
         enumeration.estimate_exponents(lad)
-    short = enumeration.CountLadder("P1", (Fraction(2),), ((10, 100), (100, 10000)))
+    short = enumeration.CountLadder(P1, (Fraction(2),), ((10, 100), (100, 10000)))
     with pytest.raises(ValueError):
         enumeration.estimate_exponents(short)
 
@@ -214,3 +226,133 @@ def test_enumerate_points_lexicographic(model):
     coords = [pt.coords for pt in enumeration.enumerate_points(model, model.rho, 40)]
     assert coords
     assert all(a < b for a, b in zip(coords, coords[1:]))
+
+
+def _kernel_points(model, lam, B, R, lo, hi):
+    """(points, generator heights) of _box_kernel as tuples, in its order."""
+    points, hts = [], []
+    for z, xs, hs in enumeration._box_kernel(model, lam, B, R, lo, hi):
+        points += [(z, *x) for x in xs.tolist()]
+        hts += [tuple(h) for h in hs.tolist()]
+    return points, hts
+
+
+def _assert_kernel_is_scan(model, lam, B, ranges=None):
+    # The loop _box_scan decides each primitive candidate by height_leq; the
+    # kernel must return its points, in its order, with their heights.
+    lam = geometry.require_interior(model, lam)
+    B = Fraction(B)
+    R = enumeration._box_radius(model, lam, B)
+    for lo, hi in ranges or [(1, R + 1)]:
+        want = list(enumeration._box_scan(model, lam, B, R, lo, hi))
+        points, hts = _kernel_points(model, lam, B, R, lo, hi)
+        assert points == want, (model.id, lam, B, lo, hi)
+        assert hts == [heights.generator_heights(model, c) for c in want]
+
+
+@pytest.mark.parametrize("B", [1, 7, 30, 60, 200])
+def test_box_kernel_matches_scan(model, B):
+    _assert_kernel_is_scan(model, model.rho, B)
+
+
+def test_box_kernel_matches_scan_nonanticanonical():
+    m1 = geometry.load_model("BlP2-1")
+    for lam, B in [((1, 1), 12), ((2, 3), 30), ((4, 2), 30)]:
+        _assert_kernel_is_scan(m1, lam, B)
+    m3 = geometry.load_model("BlP2-3")
+    for lam, B in [((3, 2, 2, 2), 20), ((2, 1, 1, 1), 8), ((3, 1, 2, 1), 8)]:
+        _assert_kernel_is_scan(m3, lam, B)
+    for mid in ("BlP2-2", "BlP2-3"):
+        m = geometry.load_model(mid)
+        lam = (Fraction(7, 2),) + (Fraction(2),) * (m.rank - 1)
+        _assert_kernel_is_scan(m, lam, 60)
+
+
+def test_box_kernel_split_ranges():
+    # Worker chunks [lo, hi), including one past the box radius, give the
+    # scan's points of the same range, so their concatenation is the box.
+    m = geometry.load_model("BlP2-2")
+    ranges = [(1, 4), (4, 5), (5, 11), (11, 15), (15, 18)]
+    _assert_kernel_is_scan(m, m.rho, 200, ranges)
+    m3 = geometry.load_model("BlP2-3")
+    _assert_kernel_is_scan(m3, m3.rho, 60, [(1, 2), (2, 7), (7, 12)])
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """A one-cell list counting the kernel's exact height_leq fallbacks."""
+    calls = [0]
+    exact = enumeration.height_leq
+
+    def counted(*args):
+        calls[0] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(enumeration, "height_leq", counted)
+    return calls
+
+
+def test_box_kernel_margin_adversarial(exact_calls):
+    # Bounds 1e-15 relative above and below heights that occur, and bounds
+    # equal to the most frequent height (dense ties H = B): the float filter
+    # cannot tell these apart, so the exact fallback must decide them.
+    eps = Fraction(1, 10**15)
+    for mid, lam in [("BlP2-2", None), ("BlP2-3", None), ("P2", None),
+                     ("BlP2-2", (Fraction(7, 2), 2, 2))]:
+        m = geometry.load_model(mid)
+        lam = geometry.require_interior(m, lam or m.rho)
+        exps = geometry.generator_exponents(m, lam)
+        R = enumeration._box_radius(m, lam, Fraction(60))
+        found = {}
+        for coords in enumeration._box_scan(m, lam, Fraction(60), R, 1, R + 1):
+            hs = heights.generator_heights(m, coords)
+            value = 1.0
+            for h, e in zip(hs, exps):
+                value *= h ** float(e)
+            found[value] = found.get(value, 0) + 1
+        common = max(found, key=found.get)
+        assert found[common] >= 4
+        picks = sorted(found)[:: max(1, len(found) // 6)] + [common]
+        for h in picks:
+            h = Fraction(h)
+            for B in (h, h * (1 - eps), h * (1 + eps)):
+                if B >= 1:
+                    _assert_kernel_is_scan(m, lam, B)
+    assert exact_calls[0] > 0
+
+
+def test_box_kernel_exact_checks_are_few(exact_calls):
+    # Only the candidates inside the float margin reach height_leq.
+    m = geometry.load_model("BlP2-2")
+    assert enumeration.count_points(m, m.rho, 400) == 6681
+    assert 0 < exact_calls[0] < 1000
+
+
+def test_box_kernel_int64_guard():
+    # Section values past int64 are refused by an exception, not an assert,
+    # before any array is built.
+    m = geometry.load_model("BlP2-3")
+    lam = geometry.require_interior(m, m.rho)
+    with pytest.raises(CapabilityError):
+        next(enumeration._box_kernel(m, lam, Fraction(10), 2**62, 1, 2))
+    with pytest.raises(CapabilityError):
+        next(enumeration._box_kernel(m, lam, Fraction(10), 1, 1, 2**63))
+
+
+def test_box_counts_without_loop_scan(monkeypatch):
+    # count_points and zeta_truncated run the kernel; the loop scan is only
+    # the oracle behind enumerate_points.
+    def refuse(*args, **kwargs):
+        raise AssertionError("loop scan called")
+
+    want = {}
+    for mid, B in (("BlP2-2", 100), ("BlP2-3", 58)):
+        m = geometry.load_model(mid)
+        want[mid] = (enumeration.count_points(m, m.rho, B),
+                     fourier.zeta_truncated(m, m.rho, 4, B))
+    monkeypatch.setattr(enumeration, "_box_scan", refuse)
+    for mid, B in (("BlP2-2", 100), ("BlP2-3", 58)):
+        m = geometry.load_model(mid)
+        for w in (1, 2):
+            assert enumeration.count_points(m, m.rho, B, workers=w) == want[mid][0]
+        assert fourier.zeta_truncated(m, m.rho, 4, B) == want[mid][1]

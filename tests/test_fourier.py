@@ -564,3 +564,19 @@ def test_poisson_check_capability_and_domain():
     p1 = geometry.load_model("P1")
     with pytest.raises(ValueError):
         fourier.poisson_check(p1, p1.rho, 3.0, 100, -1)
+
+
+def test_zeta_truncated_heights_from_kernel(monkeypatch):
+    # The box branch takes the generator heights from the box kernel and
+    # computes none a second time per point.
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by zeta_truncated")
+
+    monkeypatch.setattr(heights, "generator_heights", refuse)
+    model = geometry.load_model("BlP2-2")
+    assert fourier.zeta_truncated(model, model.rho, 4, 100) == \
+        (9.104472772424202, 2.0224458582674098e-05)
+    for mid in ("P2", "P3", "BlP2-3"):
+        model = geometry.load_model(mid)
+        part, tail = fourier.zeta_truncated(model, model.rho, 4.0, 30)
+        assert part > 0 and 0 <= tail < 1

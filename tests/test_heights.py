@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gacount import geometry, heights
-from gacount._util import prime_factors
+from gacount._util import height_leq, prime_factors
 from conftest import random_interior, random_point
 
 
@@ -156,3 +156,17 @@ def test_generator_heights_on_coordinates():
     assert heights.generator_heights(m, (1, 0, 0)) == (1, 1)
     with pytest.raises(ValueError):
         heights.generator_heights(m, (1, 0))
+
+
+def test_height_leq_exact_at_any_bound_denominator():
+    # 3 * 2^(1/2) = 4.2426...; bounds 1e-15 relative off a height, and float
+    # bounds, have huge denominators and must still compare at once.
+    half = [Fraction(1, 2), 1]
+    assert height_leq([2, 3], half, Fraction(4243, 1000))
+    assert not height_leq([2, 3], half, Fraction(4242, 1000))
+    eps = Fraction(1, 10**15)
+    assert height_leq([20, 20], [1, 1], Fraction(400) * (1 + eps))
+    assert height_leq([20, 20], [1, 1], Fraction(400))
+    assert not height_leq([20, 20], [1, 1], Fraction(400) * (1 - eps))
+    assert height_leq([10], [2], Fraction(100.3))
+    assert not height_leq([10], [2], Fraction(99.7))
