@@ -41,8 +41,12 @@ This module provides several independent routes to these quantities:
 
 * arch_fourier: archimedean factors.  On P^n a layer-cake argument over the
   max-norm reduces the transform to at most 2^(n-1) one-dimensional
-  oscillatory integrals (a closed form at the trivial character); BlP2-1
-  has a closed form at the trivial character and 2-D quadrature otherwise.
+  integrals int_1^oo u^(-gamma) e^(iwu) du (a closed form at the trivial
+  character), each with a proved bound: integration by parts past
+  T = max(1, 2 (gamma + K)/w) and composite Gauss-Legendre with a
+  Bernstein-ellipse bound before it.  BlP2-1 has a closed form at the
+  trivial character and nested 2-D QUADPACK quadrature otherwise, the one
+  caller of SciPy, whose bound is an estimate.
 
 * global_fourier: assembles the adelic product.  P^n is exact at every
   finite place: zeta(sigma)^(-1) times exact factors at the primes dividing
@@ -71,7 +75,6 @@ from itertools import product as _iter_product
 
 import mpmath
 import numpy as np
-from scipy import integrate as _integrate
 
 from ._util import (
     CapabilityError,
@@ -558,6 +561,148 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
 # ---------------------------------------------------------------------------
 
 
+# The oscillatory power integral (_osc_power_integral).
+_IBP_TERMS = 30  # K: the most integration-by-parts terms in the tail
+_GL_NODES = 24  # Gauss-Legendre nodes per head panel
+_ELLIPSE_RHO = 3.0  # Bernstein ellipse of the head's error bound
+_PANEL_PHASE = 4.0 * math.pi  # the most phase w (b - a) a head panel spans
+_ROUND = 2.0 ** -53  # unit roundoff of a float
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even.
+
+    numpy's leggauss places the nodes within an ulp but its weights are off
+    by up to hundreds of ulps.  One Newton step at 32 digits from its nodes,
+    and the weight 2 / ((1 - x^2) P_n'(x)^2) at the refined node, give both
+    to about 30 digits, so each float is within 2^-53 (1 + 10^-12) of its
+    exact value, relative.
+    """
+    def legendre(x):
+        """P_n(x) and P_n'(x), by the three-term recurrence."""
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    xs, ws = [], []
+    with mpmath.workdps(32):
+        for start in np.polynomial.legendre.leggauss(n)[0][n // 2:]:
+            x = mpmath.mpf(float(start))
+            p, dp = legendre(x)
+            x -= p / dp
+            dp = legendre(x)[1]
+            xs.append(float(x))
+            ws.append(float(2 / ((1 - x * x) * dp * dp)))
+    return (np.array([-x for x in reversed(xs)] + xs),
+            np.array(ws[::-1] + ws))
+
+
+def _osc_power_integral(gamma: float, w: float) -> tuple:
+    """I(gamma, w) = int_1^oo u^(-gamma) e^(i w u) du for real gamma > 1 and
+    w > 0, with a proved bound on the absolute error: (value, bound).
+
+    I is the generalized exponential integral E_gamma(-i w).  Split at
+    T = max(1, 2 (gamma + K) / w), K = _IBP_TERMS.
+
+    Tail.  With (gamma)_k the rising factorial and
+    m_k = (gamma)_k T^(-gamma-k) / w^(k+1), integrating by parts k times
+    gives
+
+        int_T^oo u^(-gamma) e^(iwu) du = -e^(iwT) sum_{j<k} m_j (-i)^(j+1) + R_k,
+
+    |R_k| <= w^(-k) int_T^oo (gamma)_k u^(-gamma-k) du
+           = (gamma)_k T^(1-gamma-k) / (w^k (gamma + k - 1)) = m_(k-1):
+    the remainder is at most the last term taken.  Terms are taken until
+    one is at most 2^-53 m_0, or K of them; since
+    m_(j+1)/m_j = (gamma + j)/(wT) <= 1/2 for j < K, the bound is at most
+    2^(1-K) m_0 = 2^(1-K) T^(-gamma)/w.
+
+    Head.  When T > 1 (w < 2 (gamma + K)), int_1^T is cut into panels
+    [a, b] with b - a <= min(a/2, _PANEL_PHASE/w), geometric ones first and
+    then equal ones, each summed by the n-point Gauss-Legendre rule,
+    n = _GL_NODES.  A panel with midpoint c and half-width h <= c/5 is
+    h int_{-1}^{1} f(t) dt with f(t) = (c + ht)^(-gamma) e^(iw(c + ht)).
+    In the Bernstein ellipse E_rho (rho = _ELLIPSE_RHO, semi-axes
+    A = (rho + 1/rho)/2 = 5/3 and B = (rho - 1/rho)/2) Re(c + ht) >=
+    c - Ah >= 2c/3 > 0, so f is analytic there (principal power) and
+    |f| <= M = (c - Ah)^(-gamma) e^(wBh).  Gauss quadrature then errs by at
+    most h 64 M / (15 (rho^2 - 1) rho^(2n)) on the panel (Trefethen, "Is
+    Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50 (2008),
+    Thm 4.5); the panel width keeps wBh <= 2 pi B.
+
+    Rounding.  With r = 2^-53, each float operation is correctly rounded
+    (within r), each libm pow, exp, cos and sin is within one ulp (2r
+    relative; r absolute for cos and sin), and the rule's nodes and
+    weights are within r (_gauss_legendre).  In the
+    head, h = (b - a)/2 is exact (Sterbenz, b <= 2a) and a computed node is
+    within 3ru of its u, so its amplitude h W u^(-gamma) is within
+    (3 gamma + 5) r and its phase wu within 4rwu; each cos or sin term is
+    within r |amp| (3 gamma + 7 + 4wu), the per-panel sums of n terms add
+    (n - 1) r sum |amp| and math.fsum r sum |amp|.  With S0 = sum |amp| and
+    S1 = sum |amp| u each component errs by r ((3 gamma + n + 7) S0 + 4 w S1).
+    In the tail the computed m_k is within (3 + 4k) r m_k, each part's fsum
+    within r sum m, e^(iwT) within sqrt(2) r (wT + 1), and the complex
+    product within sqrt(5) r |e||s|.  Adding head and tail and taking the
+    modulus, the error is at most
+
+        1.5 r [(3 gamma + n + 8) S0 + 4 w S1 + sum (4k + 3) m_k + (wT + 5) sum m_k],
+
+    where 1.5 > sqrt(2) also covers the second-order terms.  The two
+    truncation bounds are themselves floats within (5 gamma + 4K + P + 40) r
+    of their values (P panels) and are raised by that much.
+    """
+    K = _IBP_TERMS
+    T = max(1.0, 2.0 * (gamma + K) / w)
+    wT = w * T
+    m = T ** -gamma / w
+    stop = _ROUND * m
+    parts = ([], [])  # the imaginary (j even) and real (j odd) terms
+    mag_sum = 0.0
+    weighted = 0.0
+    for j in range(K):
+        parts[j % 2].append(m if j % 4 >= 2 else -m)
+        mag_sum += m
+        weighted += (4 * j + 3) * m
+        if m <= stop or j == K - 1:
+            break
+        m *= (gamma + j) / wT
+    tail_err = m
+    s = complex(math.fsum(parts[1]), math.fsum(parts[0]))
+    value = -complex(math.cos(wT), math.sin(wT)) * s
+    rounding = weighted + (wT + 5.0) * mag_sum
+    quad_err = 0.0
+    panels = 0
+    if T > 1.0:
+        step = _PANEL_PHASE / w
+        # Widths a/2 up to a = 2 step, then step: b - a <= min(a/2, step).
+        n_geo = max(0, math.ceil(math.log(min(T, 2.0 * step)) / math.log(1.5)))
+        edges = 1.5 ** np.arange(n_geo + 1.0)
+        if edges[-1] < T:
+            edges = np.concatenate(
+                (edges, np.arange(edges[-1] + step, T, step)))
+        edges = np.append(edges[edges < T], T)
+        h = 0.5 * (edges[1:] - edges[:-1])
+        c = 0.5 * (edges[1:] + edges[:-1])
+        panels = len(c)
+        x, wts = _gauss_legendre(_GL_NODES)
+        u = c[:, None] + h[:, None] * x
+        amp = u ** -gamma * (h[:, None] * wts)
+        phase = w * u
+        value += complex(math.fsum((amp * np.cos(phase)).sum(axis=1)),
+                         math.fsum((amp * np.sin(phase)).sum(axis=1)))
+        rounding += ((3.0 * gamma + _GL_NODES + 8.0) * float(amp.sum())
+                     + 4.0 * w * float((amp * u).sum()))
+        rho = _ELLIPSE_RHO
+        big, small = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
+        M = (c - big * h) ** -gamma * np.exp(small * w * h)
+        quad_err = (64.0 / (15.0 * (rho * rho - 1.0) * rho ** (2 * _GL_NODES))
+                    * float((h * M).sum()))
+    slack = 1.0 + (5.0 * gamma + 4 * K + panels + 40.0) * _ROUND
+    return value, slack * (tail_err + quad_err) + 1.5 * _ROUND * rounding
+
+
 def _arch_projective(n: int, sigma: Fraction, a: tuple) -> LocalFourierValue:
     """The archimedean transform on P^n, where H_oo(x; s) = max(1, |x|)^sigma
     in the max-norm |x|.
@@ -572,10 +717,20 @@ def _arch_projective(n: int, sigma: Fraction, a: tuple) -> LocalFourierValue:
     with z zero coordinates and m = n - z nonzero ones, the product of the m
     sines is (-1)^(m // 2) 2^(1-m) sum over signs e (e_1 = +1) of
     (prod e) sin or cos (for m odd or even) of 2 pi u sum_j e_j |a_j|, so the
-    transform is a sum of at most 2^(n-1) one-dimensional integrals
-    int_1^oo u^(z-sigma-1) cos/sin(w u) du, each by QUADPACK's Fourier
-    integrator; w = 0 gives 1/(sigma - z) exactly.  The bound is four times
-    QUADPACK's error estimates plus a float allowance.
+    transform is scale * sum_f c_f X_f over at most 2^(n-1) frequencies f,
+    X_f = int_1^oo u^(-gamma) cos/sin(w u) du = Re/Im I(gamma, w) with
+    gamma = sigma + 1 - z > 2 and w = 2 pi f (_osc_power_integral); w = 0
+    gives 1/(gamma - 1) exactly.
+
+    Bound: |scale| sum |c_f| (kernel bound of X_f) plus the rounding of
+    what the kernel is handed and of the assembly.  With r = 2^-53: the
+    float w is within 3rw of 2 pi f and |dI/dw| = |I(gamma - 1, w)| <= 2/w
+    (one integration by parts), which costs 6r; the float gamma is within
+    r (3 gamma + 2z) and |dI/dgamma| <= int_1^oo log u u^(-gamma) du =
+    1/(gamma - 1)^2; c_f X_f and the sum of N terms add (N + 2) r |X_f|
+    with |X_f| <= 1/(gamma - 1); the scale is within (4m + 1) r and its
+    product r.  The allowance is twice that first-order sum, which also
+    covers the second-order terms.
     """
     if not any(a):
         return LocalFourierValue(complex(sigma * 2**n / (sigma - n)), 0.0,
@@ -583,7 +738,6 @@ def _arch_projective(n: int, sigma: Fraction, a: tuple) -> LocalFourierValue:
     freqs = [abs(x) for x in a if x]
     m = len(freqs)
     z = n - m
-    trig = "cos" if m % 2 == 0 else "sin"
     # Merge the sign patterns by |frequency| (exact, a is rational).
     terms: dict = {}
     for signs in _iter_product((1, -1), repeat=m - 1):
@@ -591,28 +745,31 @@ def _arch_projective(n: int, sigma: Fraction, a: tuple) -> LocalFourierValue:
         c = math.prod(signs)
         if f < 0:
             f = -f
-            if trig == "sin":
+            if m % 2:
                 c = -c
         terms[f] = terms.get(f, 0) + c
+    terms = {f: c for f, c in terms.items() if c}
     gamma = float(sigma) + 1.0 - z
     scale = (float(sigma) * 2.0**z * (-1) ** (m // 2) * 2.0 ** (1 - m)
              / math.prod(math.pi * float(x) for x in freqs))
     total = 0.0
     err = 0.0
     for f, c in terms.items():
-        if c == 0:
-            continue
         if f == 0:
-            if trig == "cos":
+            if m % 2 == 0:
                 total += c / (gamma - 1.0)
             continue
-        val, e = _integrate.quad(lambda u: u ** (-gamma), 1.0, np.inf,
-                                 weight=trig, wvar=TWO_PI * float(f))
-        total += c * val
+        val, e = _osc_power_integral(gamma, TWO_PI * float(f))
+        total += c * (val.real if m % 2 == 0 else val.imag)
         err += abs(c) * e
     value = scale * total
-    bound = 4.0 * abs(scale) * err + 1e-14 * max(1.0, abs(value))
-    return LocalFourierValue(complex(value), bound, "quadrature")
+    per_term = (6.0 + (3.0 * gamma + 2 * z) / (gamma - 1.0) ** 2
+                + (len(terms) + 2) / (gamma - 1.0))
+    rounding = 2.0 * _ROUND * (
+        abs(scale) * sum(abs(c) for c in terms.values()) * per_term
+        + (4 * m + 2) * abs(value))
+    return LocalFourierValue(complex(value), abs(scale) * err + rounding,
+                             "quadrature")
 
 
 def _arch_integrand_2d(model: VarietyModel, s):
@@ -644,6 +801,9 @@ def _arch_quad_2d(model: VarietyModel, arg: CharacterArgument,
     oscillatory-weighted power tail; inner(y) is likewise constant for
     |y| <= 1.  The bound is four times QUADPACK's error estimates.
     """
+    # Imported here, so that no other path pays for importing SciPy.
+    from scipy import integrate as _integrate
+
     f = _arch_integrand_2d(model, s)
     exps = [float(e) for e in geometry.generator_exponents(model, s)]
     x_exp = exps[0]
@@ -684,10 +844,19 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
     """Archimedean Fourier transform of the height at psi_a.
 
     P^n (no blow-up centers) is supported at every a: a closed form at the
-    trivial character and a sum of at most 2^(n-1) one-dimensional
-    oscillatory integrals otherwise (_arch_projective).  Of the blow-ups
-    only BlP2-1 is supported: a four-cell closed form at the trivial
-    character and nested 2-D quadrature otherwise (_arch_quad_2d).  BlP2-2
+    trivial character and otherwise a sum of at most 2^(n-1) integrals
+    I(gamma, w) = int_1^oo u^(-gamma) e^(iwu) du (_arch_projective), each
+    with a proved bound (_osc_power_integral).  Past
+    T = max(1, 2 (gamma + K)/w), k integrations by parts give
+    -e^(iwT) sum_{j<k} (gamma)_j T^(-gamma-j) (iw)^(-j-1) with a remainder
+    at most the last term taken.  Before T, panels of width at most
+    min(u/2, 4 pi/w) keep every panel's Bernstein ellipse in Re u > 0 with
+    |e^(iwu)| bounded, and Trefethen's ellipse bound for Gauss quadrature
+    bounds each panel.  A float allowance derived from the operations
+    used is added.  Of the blow-ups only BlP2-1 is supported: a four-cell
+    closed form at the trivial character and nested 2-D QUADPACK
+    quadrature otherwise (_arch_quad_2d), whose bound is four times
+    QUADPACK's error estimate, an estimate and not a proved bound.  BlP2-2
     and BlP2-3 raise CapabilityError.
 
     Args:
@@ -951,9 +1120,20 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         partial = _blp21_zeta_partial(model, lam, s, b_cut)
         n_cut = enumeration.count_points(model, lam, b_cut)
     else:
-        # H = prod_G h_G^(m_G): an exact Fraction when every m_G is an
-        # integer, so that float(H) is correctly rounded; a float otherwise.
+        # H = prod_G h_G^(m_G).  When every m_G is an integer it is the
+        # quotient of two exact integers, and int / int is correctly
+        # rounded (as float(Fraction) is); otherwise it is a float product.
         m = geometry.generator_exponents(model, lam)
+        if all(e.denominator == 1 for e in m):
+            up = [max(int(e), 0) for e in m]
+            down = [max(-int(e), 0) for e in m]
+
+            def height(row: list) -> float:
+                return math.prod(map(pow, row, up)) / math.prod(map(pow, row, down))
+        else:
+            def height(row: list) -> float:
+                return float(math.prod(Fraction(g) ** e for g, e in zip(row, m)))
+
         radius = enumeration._box_radius(model, lam, b_cut)
         enumeration._check_box_budget(
             model, b_cut, radius, enumeration.DEFAULT_CANDIDATE_BUDGET)
@@ -961,8 +1141,7 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         n_cut = 0
         for _, _, hs in enumeration._box_kernel(model, lam, b_cut, radius, 1, radius + 1):
             for row in hs.tolist():
-                h = math.prod(Fraction(g) ** e for g, e in zip(row, m))
-                partial += float(h) ** (-s)
+                partial += height(row) ** (-s)
             n_cut += len(hs)
 
     # Tail from the leading term of the counting function, its constant read

@@ -166,6 +166,42 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
+@lru_cache(maxsize=1024)
+def _system_data(model: VarietyModel, p: int) -> tuple:
+    """The checks of exact_local_density that depend on (model, p) alone.
+
+    Returns (linear, cone_ranks): the indices of the generator systems with
+    linear forms, and (index, r_G) for those among them whose forms have
+    rank r_G < n mod p (V_G != 0).  Raises CapabilityError when a system
+    has no p-unit constant section, when a cone's forms are dependent mod
+    p, or when two cones vanish together at a residue; lru_cache keeps no
+    exception, so every call raises again.
+    """
+    n = model.dim
+    linear = []
+    cones = []  # (index, name, linear forms, r_G) for systems with V_G != 0
+    for i, gen in enumerate(model.generators):
+        if not any(sec[0] % p and not any(sec[1:]) for sec in gen.sections):
+            raise CapabilityError(f"{gen.name} has no p-unit constant section at {p}")
+        forms = [sec[1:] for sec in gen.sections if any(sec[1:])]
+        if not forms:
+            continue  # the maximum is identically 1
+        linear.append(i)
+        r = _rank_mod_p(forms, p)
+        if r == n:
+            continue
+        if r < len(forms):
+            raise CapabilityError(f"{gen.name}: sections dependent mod {p}")
+        cones.append((i, gen.name, forms, r))
+    for j, (_, name, forms, _) in enumerate(cones):
+        for _, other, forms2, _ in cones[j + 1:]:
+            if _rank_mod_p(forms + forms2, p) < n:
+                raise CapabilityError(
+                    f"{name} and {other} vanish together at a residue mod {p}"
+                )
+    return tuple(linear), tuple((i, r) for i, _, _, r in cones)
+
+
 def exact_local_density(model: VarietyModel, p: int, s,
                         a: Optional[Sequence] = None) -> Union[Fraction, float]:
     """The untruncated integral int_{Q_p^n} H_p(x; s)^{-1} psi_p(<a, x>) dx,
@@ -236,29 +272,11 @@ def exact_local_density(model: VarietyModel, p: int, s,
     twisted = any(avals)
     if any(e <= 0 or (e.denominator != 1 and not twisted) for e in exps):
         raise ValueError(f"need positive integer exponents 1 + s - rho, got {exps}")
-    total_m = Fraction(0)
-    cones = []  # (name, linear forms, m_G, r_G) for systems with V_G != 0
-    for gen, m in zip(model.generators, geometry.generator_exponents(model, svec)):
-        if not any(sec[0] % p and not any(sec[1:]) for sec in gen.sections):
-            raise CapabilityError(f"{gen.name} has no p-unit constant section at {p}")
-        forms = [sec[1:] for sec in gen.sections if any(sec[1:])]
-        if not forms:
-            continue  # the maximum is identically 1
-        total_m += m
-        r = _rank_mod_p(forms, p)
-        if r == n:
-            continue
-        if r < len(forms):
-            raise CapabilityError(f"{gen.name}: sections dependent mod {p}")
-        cones.append((gen.name, forms, int(m), r))
-    for i, (name, forms, _, _) in enumerate(cones):
-        for other, forms2, _, _ in cones[i + 1:]:
-            if _rank_mod_p(forms + forms2, p) < n:
-                raise CapabilityError(
-                    f"{name} and {other} vanish together at a residue mod {p}"
-                )
+    exps_g = geometry.generator_exponents(model, svec)
+    linear, cone_ranks = _system_data(model, p)
+    total_m = sum((exps_g[i] for i in linear), Fraction(0))
     if twisted:
-        if cones:
+        if cone_ranks:
             raise CapabilityError(
                 f"{model.id}: twisted transforms need a model without"
                 f" valuation cones at {p}"
@@ -278,9 +296,10 @@ def exact_local_density(model: VarietyModel, p: int, s,
     decay = P ** (n - total_m)  # p^{-a}
     if decay >= 1:
         raise ValueError("the local integral diverges at this s")
-    outside = p**n - 1 - sum(p ** (n - r) - 1 for _, _, _, r in cones)
+    outside = p**n - 1 - sum(p ** (n - r) - 1 for _, r in cone_ranks)
     total = 1 + outside * decay / (P**n * (1 - decay))
-    for _, _, m, r in cones:
+    for i, r in cone_ranks:
+        m = int(exps_g[i])
         q = P**r
         A = P ** (n - total_m + m)
         ratio = A / q

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from gacount import enumeration, fourier, geometry, heights, tamagawa
@@ -341,6 +343,57 @@ def test_arch_fourier_p3_vs_mpmath(a):
     assert abs(out.value.real - float(ref)) <= out.error_bound
 
 
+KERNEL_GAMMAS = [1.5, 2, 2.25, 3, 5.5, 6, 11, 12]
+
+
+def _kernel_freqs(gamma):
+    # The tail alone serves w >= 2 (gamma + K); straddle that switch.
+    switch = (gamma + fourier._IBP_TERMS) / math.pi
+    return [1e-3, 1 / 3, 1, 2, 7, 333, 1e4,
+            switch * (1 - 1e-9), switch * (1 + 1e-9)]
+
+
+@pytest.mark.parametrize("gamma", KERNEL_GAMMAS)
+def test_osc_power_integral_vs_expint(gamma):
+    # I(gamma, w) = E_gamma(-i w), evaluated by mpmath at the same float w.
+    for f in _kernel_freqs(gamma):
+        w = 2 * math.pi * f
+        value, bound = fourier._osc_power_integral(float(gamma), w)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.expint(mpmath.mpf(gamma),
+                                        mpmath.mpc(0, -mpmath.mpf(w))))
+        assert abs(value - ref) <= bound, (gamma, f)
+        assert bound <= 1e-13 / (gamma - 1), (gamma, f)
+
+
+@pytest.mark.parametrize("gamma", [2.25, 5.5, 11])
+def test_osc_power_integral_vs_quadpack(gamma):
+    from scipy import integrate
+
+    for f in (1 / 3, 1, 7, 333):
+        w = 2 * math.pi * f
+        value, bound = fourier._osc_power_integral(gamma, w)
+        for part, trig in ((value.real, "cos"), (value.imag, "sin")):
+            ref, est = integrate.quad(lambda u: u ** -gamma, 1.0, np.inf,
+                                      weight=trig, wvar=w)
+            assert abs(part - ref) <= bound + est, (gamma, f, trig)
+
+
+def test_gauss_legendre_rule_correctly_rounded():
+    # Against mpmath's own Gauss-Legendre rule (degree 4: 24 nodes) at 120
+    # bits, independent of the Newton step in _gauss_legendre.
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    n = fourier._GL_NODES
+    assert n == 24
+    exact = sorted(GaussLegendre(mpmath.mp).calc_nodes(4, 120))
+    x, w = fourier._gauss_legendre(n)
+    ulp = 2.0 ** -53 * (1 + 1e-12)
+    for xi, wi, (xe, we) in zip(x, w, exact):
+        assert abs(mpmath.mpf(float(xi)) - xe) <= ulp * abs(xe)
+        assert abs(mpmath.mpf(float(wi)) - we) <= ulp * we
+
+
 def test_global_fourier_p1_trivial_pin():
     p1 = geometry.load_model("P1")
     out = fourier.global_fourier(p1, (0,), (4,))
@@ -580,3 +633,20 @@ def test_zeta_truncated_heights_from_kernel(monkeypatch):
         model = geometry.load_model(mid)
         part, tail = fourier.zeta_truncated(model, model.rho, 4.0, 30)
         assert part > 0 and 0 <= tail < 1
+
+
+@pytest.mark.parametrize("mid, lam", [("BlP2-2", (3, 2, 2)), ("BlP2-2", (3, 1, 1)),
+                                      ("BlP2-3", (3, 2, 2, 2)), ("P3", (4,))])
+def test_zeta_truncated_integer_heights_exact(mid, lam):
+    # At integer generator exponents (m_H = -1 on BlP2-2 at (3, 1, 1)) each
+    # height is a quotient of two integers, rounded once: the sum equals the
+    # one over the exact Fraction heights, in enumerate_points' order.
+    model = geometry.load_model(mid)
+    s, B = 4.5, 20
+    part, _ = fourier.zeta_truncated(model, lam, s, B)
+    direct = 0.0
+    points = list(enumeration.enumerate_points(model, lam, B))
+    for pt in points:
+        direct += float(heights.global_height(model, pt, lam).total) ** -s
+    assert part == direct
+    assert len(points) > 50

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -14,6 +19,8 @@ SRC = pathlib.Path(gacount.__file__).parent
 # take a VarietyModel and must read everything they need from its data.
 COMPUTATIONAL = ("_util", "enumeration", "fourier", "heights", "tamagawa")
 NAME_LOOKUP = re.compile(r"load_model\(|\[model\.id\]|model\.id\s*[!=]=")
+# A module-level SciPy import: every gacount process would pay for it.
+SCIPY_IMPORT = re.compile(r"^(import scipy|from scipy)\b")
 
 
 @pytest.mark.parametrize("module", COMPUTATIONAL)
@@ -23,3 +30,53 @@ def test_no_model_resolved_by_name(module):
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if NAME_LOOKUP.search(line)]
     assert hits == []
+
+
+def test_no_module_level_scipy_import():
+    hits = [f"{path.name}:{i}: {line}"
+            for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if SCIPY_IMPORT.match(line)]
+    assert hits == []
+
+
+COLD_START = textwrap.dedent("""
+    import json
+    import sys
+
+    import gacount.cli
+    from gacount import enumeration, fourier, geometry, tamagawa
+
+    def scipy_modules():
+        return sorted(k for k in sys.modules if k.startswith("scipy"))
+
+    models = {mid: geometry.load_model(mid) for mid in geometry.MODEL_IDS}
+    tamagawa.tamagawa_number(models["BlP2-3"], p_max=10**4)
+    b2 = models["BlP2-2"]
+    enumeration.count_points(b2, b2.rho, 200)
+    for mid, a in (("P1", (3,)), ("P2", (1, 2)), ("P3", (1, 2, 4))):
+        model = models[mid]
+        fourier.arch_fourier(model, a, tuple(r + 1 for r in model.rho))
+    p1 = models["P1"]
+    check = fourier.poisson_check(p1, p1.rho, 3.0, 1000, 10)
+    before = scipy_modules()
+    b1 = models["BlP2-1"]
+    out = fourier.arch_fourier(b1, (1, 2), tuple(r + 1 for r in b1.rho))
+    print(json.dumps({"before": before, "after": scipy_modules(),
+                      "pass": check["pass"], "blp21": out.value.real}))
+""")
+
+
+def test_cold_start_loads_no_scipy():
+    # A fresh interpreter runs what the count, constant and spectral
+    # commands run on P^n and the blow-ups' point side: no SciPy module is
+    # loaded until BlP2-1's twisted archimedean transform needs QUADPACK.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    out = json.loads(proc.stdout)
+    assert out["before"] == []
+    assert out["pass"]
+    assert "scipy.integrate" in out["after"]
+    assert 0 < abs(out["blp21"]) < 16

@@ -126,6 +126,25 @@ def test_exact_local_density_refuses_bad_reduction(pencil_f2, centers):
     assert tamagawa.exact_local_density(bad, 5, bad.rho) == Fraction(41, 25)
 
 
+def test_exact_local_density_system_checks_cached_and_raised_every_call():
+    # The (model, p) checks are cached; a refusal is raised on every call,
+    # and cached values give the same densities at every s.
+    bad = _blp22_with(((0, 2, -1), (1, 0, 0)), ((1, 0), (1, 2)))
+    b1 = geometry.load_model("BlP2-1")
+    s1 = tuple(r + 1 for r in b1.rho)
+    for _ in range(3):
+        with pytest.raises(CapabilityError):
+            tamagawa.exact_local_density(bad, 2, bad.rho)
+        with pytest.raises(CapabilityError):
+            tamagawa.exact_local_density(b1, 5, s1, (1, 0))
+    p2 = geometry.load_model("P2")
+    first = [tamagawa.exact_local_density(p2, 5, (k,), (5, 0)) for k in (4, 5)]
+    again = [tamagawa.exact_local_density(p2, 5, (k,), (5, 0)) for k in (4, 5)]
+    assert first == again
+    assert first[0] == 1 + Fraction(24, 625) - Fraction(25, 5**8)
+    assert first[1] == 1 + Fraction(24, 5**5) - Fraction(25, 5**10)
+
+
 def test_exact_local_density_domain_errors():
     b1 = geometry.load_model("BlP2-1")
     for p, s in ((4, b1.rho), (2, (2, 2)), (2, (Fraction(7, 2), 2))):
