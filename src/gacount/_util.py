@@ -5,13 +5,14 @@ silently corrupt counts when done in floating point, so they are kept in one
 place and unit-tested: rational coercion, p-adic valuations, integer roots of
 rational bounds, exact comparison of monomials in integer heights against a
 rational bound, the one primality test and the one factorizer of the
-package, and Moebius/Euler-phi/prime sieves.
+package, Moebius/Euler-phi/prime sieves and the Mertens table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import isqrt, lcm
 
 
 class CapabilityError(RuntimeError):
@@ -99,6 +100,8 @@ def floor_frac_root(bound: Fraction, exponent: int) -> int:
     if bound < 1:
         return 0
     num, den = bound.numerator, bound.denominator
+    if exponent == 1:
+        return num // den
     hi = 1 << (num.bit_length() // exponent + 2)
     lo = 1
     while lo + 1 < hi:
@@ -156,6 +159,38 @@ def mu_sieve(n: int) -> list[int]:
         for k in range(sq, n + 1, sq):
             mu[k] = 0
     return mu
+
+
+def mertens_quotients(T: int) -> dict[int, int]:
+    """{v: M(v)} for every v in {T//k : k >= 1} and v = 0, where
+    M(v) = sum_{d <= v} mu(d) is the Mertens function.
+
+    The v <= L = max(isqrt(T), T^{2/3}) are running sums of mu_sieve(L).  The
+    larger v = T//k, k <= K = T//(L+1), follow in ascending order from
+    sum_{j <= v} M(v//j) = 1 (each m <= v is counted by sum_{e | m} mu(e)):
+    with r = isqrt(v), M(v) = 1 - sum_{2 <= j <= v//(r+1)} M(v//j)
+    - sum_{q <= r} (v//q - v//(q+1)) M(q).  Every v//j = T//(kj) there
+    is a quotient of T, read from the table (kj <= K) or the sieve, and each
+    q <= r <= L from the sieve.  Cost: under 2 sqrt(v) terms per v, so
+    sum_{k <= K} 2 sqrt(T/k) <= 4 sqrt(T K) <= 4 T/sqrt(L) over the large v,
+    plus O(L) for the sieve; L = T^{2/3} makes both O(T^{2/3}), in O(L) memory
+    (Deleglise & Rivat, "Computing the summation of the Moebius function").
+    """
+    L = max(isqrt(T), round(T ** (2 / 3)))
+    small = list(accumulate(mu_sieve(L)))
+    K = T // (L + 1)
+    big = [0] * (K + 1)  # big[k] = M(T//k)
+    for k in range(K, 0, -1):
+        v = T // k
+        r = isqrt(v)
+        total = 1 - sum((v // q - v // (q + 1)) * small[q] for q in range(1, r + 1))
+        for j in range(2, v // (r + 1) + 1):
+            total -= big[k * j] if k * j <= K else small[v // j]
+        big[k] = total
+    # Every v <= isqrt(T) is a quotient, and T//k > isqrt(T) needs k <= isqrt(T).
+    s = isqrt(T)
+    return {v: big[T // v] if v > L else small[v]
+            for v in [*range(s + 1), *(T // k for k in range(1, s + 1))]}
 
 
 def phi_sieve(n: int) -> list[int]:

@@ -13,6 +13,14 @@ T = floor(B^{1/lambda_1}).  Counting by the common divisor d gives
 
     N = sum_{d <= T} mu(d) * (T//d) * (2*(T//d) + 1)^n.
 
+The d with T//d = q form the block T//(q+1) < d <= T//q, whose mu-sum is
+M(T//q) - M(T//(q+1)) for the Mertens function M, so with q over the at most
+2 sqrt(T) distinct values of T//d
+
+    N = sum_q q * (2q + 1)^n * (M(T//q) - M(T//(q+1))),
+
+and _util.mertens_quotients gives every M(T//k) in O(T^{2/3}) time.
+
 BlP2-1 (fiber strategy).  Group points by the reduced fiber coordinate
 y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are 3
 fibers with F = 1 and 4*phi(F) with F >= 2.  On a fixed fiber the primitive
@@ -70,8 +78,9 @@ H_alpha >= 1 as well, so the same box with radius B^{1/lambda_min} is sound
 there, and the tests hold the Moebius and fiber strategies against it.
 
 Counts are exact integers, deterministic, and independent of the worker
-partitioning: a parallel run splits the outer loop into index ranges and
-adds the integer partial sums.
+partitioning: a parallel run splits the outer loop of the fiber and box
+strategies into index ranges and adds the integer partial sums; the Moebius
+strategy takes milliseconds and always runs as one task.
 """
 
 from __future__ import annotations
@@ -87,7 +96,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, heights
-from ._util import CapabilityError, as_fraction, floor_frac_root, height_leq, mu_sieve, phi_sieve
+from ._util import (CapabilityError, as_fraction, floor_frac_root, height_leq, mertens_quotients,
+                    mu_sieve, phi_sieve)
 from .geometry import VarietyModel
 from .heights import RationalPoint
 
@@ -201,32 +211,26 @@ def _box_kernel(
         yield z, grid[keep], hs[keep]
 
 
-def _pn_partial(n: int, T: int, lo: int, hi: int) -> int:
-    """Moebius partial sum over d in [lo, hi)."""
-    hi = min(hi, T + 1)
-    if lo >= hi:
-        return 0
-    mu = mu_sieve(hi - 1)
-    total = 0
-    for d in range(lo, hi):
-        if mu[d]:
-            t = T // d
-            total += mu[d] * t * (2 * t + 1) ** n
-    return total
+def _pn_count(n: int, T: int) -> int:
+    """The Moebius sum on P^n over the quotient blocks (module docstring)."""
+    M = mertens_quotients(T)
+    return sum(q * (2 * q + 1) ** n * (M[T // q] - M[T // (q + 1)]) for q in M if q)
 
 
 def _blp21_fiber_bound(lam: Sequence[Fraction], B: Fraction, F: int) -> int:
     """T_F = largest M with M^{m_H} F^{m_F} <= B for BlP2-1."""
     m_h = lam[1]
     m_f = lam[0] - lam[1]
-    rhs = B * Fraction(F) ** (-m_f) if m_f.denominator == 1 else None
-    if rhs is None:
-        # Clear the fractional exponent: M^{m_h*d} <= B^d * F^{-m_f*d}.
-        d = m_f.denominator
-        return height_radius(B**d * Fraction(F) ** (-(m_f * d)), m_h * d)
-    if rhs < 1:
-        return 0
-    return height_radius(rhs, m_h)
+    if m_h.denominator == m_f.denominator == 1:
+        # Integer exponents: M^{m_H} <= floor(B F^{-m_F}), all in integers.
+        e, k = int(m_h), int(m_f)
+        top = B.numerator * F ** max(-k, 0) // (B.denominator * F ** max(k, 0))
+        return math.isqrt(top) if e == 2 else floor_frac_root(top, e)
+    if m_f.denominator == 1:
+        return height_radius(B * Fraction(F) ** (-m_f), m_h)
+    # Clear the fractional exponent: M^{m_h*d} <= B^d * F^{-m_f*d}.
+    d = m_f.denominator
+    return height_radius(B**d * Fraction(F) ** (-(m_f * d)), m_h * d)
 
 
 def _blp21_partial(lam: Sequence[Fraction], B: Fraction, lo: int, hi: int) -> int:
@@ -259,8 +263,6 @@ def _blp21_partial(lam: Sequence[Fraction], B: Fraction, lo: int, hi: int) -> in
 def _partial_count(task) -> int:
     """Top-level dispatch for worker processes (must stay picklable)."""
     strategy, model, lam, B, end, lo, hi = task
-    if strategy == "pn":
-        return _pn_partial(model.dim, end, lo, hi)
     if strategy == "fiber":
         return _blp21_partial(lam, B, lo, hi)
     return sum(len(xs) for _, xs, _ in _box_kernel(model, lam, B, end, lo, hi))
@@ -291,6 +293,7 @@ def count_points(
         lam: interior Picard vector (all coordinates positive rationals).
         B: height bound; values below 1 return 0 by convention.
         workers: number of processes; the result is identical for any value.
+            The Moebius strategy (P^n) ignores it and never starts a pool.
         candidate_budget: cap on box-scan candidates (BlP2-2/3 only).
 
     Returns:
@@ -310,6 +313,8 @@ def count_points(
         return 0
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if strategy == "pn":
+        return _pn_count(model.dim, end)
     n_chunks = min(end, max(1, 4 * workers)) if workers > 1 else 1
     step = -(-end // n_chunks)
     tasks = [
@@ -355,12 +360,8 @@ class CountLadder:
 
 
 def count_ladder(model: VarietyModel, lam, B_list, workers: int = 1) -> CountLadder:
-    """Run count_points over an ascending ladder of bounds.
-
-    The Moebius and fiber strategies rebuild their small sieves per rung (the
-    sieve range is the nesting work that can be shared; rebuilding keeps the
-    partials picklable and costs a negligible fraction of the scan).
-    """
+    """Run count_points over an ascending ladder of bounds, each rung on its
+    own (its cost is dominated by the top rung)."""
     vals = geometry.require_interior(model, lam)
     Bs = [as_fraction(b) for b in B_list]
     if any(b2 <= b1 for b1, b2 in zip(Bs, Bs[1:])):

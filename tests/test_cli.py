@@ -75,6 +75,17 @@ def test_count_threads_match(capsys):
     assert rows1 == rows2
 
 
+def test_count_p1_at_1e16(capsys, tmp_path):
+    # T = 10^8 on P1: the Moebius strategy never sieves up to T.
+    report_path = tmp_path / "count.json"
+    code, _, _ = run(capsys, "count", "--model", "P1", "--bound", "1e16",
+                     "--json", str(report_path))
+    assert code == 0
+    last = json.loads(report_path.read_text())["results"]["rows"][-1]
+    assert last["B"] == 1e16
+    assert last["N"] == enumeration.count_points(P1, P1.rho, 10**16)
+
+
 def test_fit_no_predict_with_plot_data(capsys, tmp_path):
     plot = tmp_path / "plot.dat"
     code, out, _ = run(

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from gacount import enumeration, fourier, geometry, heights
-from gacount._util import CapabilityError
+from gacount import _util, enumeration, fourier, geometry, heights
+from gacount._util import CapabilityError, as_fraction, mertens_quotients, mu_sieve
 from conftest import random_point
 
 P1 = geometry.load_model("P1")
@@ -356,3 +357,129 @@ def test_box_counts_without_loop_scan(monkeypatch):
         for w in (1, 2):
             assert enumeration.count_points(m, m.rho, B, workers=w) == want[mid][0]
         assert fourier.zeta_truncated(m, m.rho, 4, B) == want[mid][1]
+
+
+# ---------------------------------------------------------------------------
+# The Moebius strategy on P^n: the block sum over a Mertens table.
+
+
+def quotients(T):
+    """{T//k : 1 <= k <= T} and 0, walked block by block."""
+    out, k = {0}, 1
+    while k <= T:
+        out.add(T // k)
+        k = T // (T // k) + 1
+    return out
+
+
+@pytest.fixture(scope="module")
+def mertens_1e8():
+    return mertens_quotients(10**8)
+
+
+def test_mertens_quotients_match_sieve():
+    prefix = list(accumulate(mu_sieve(5000)))
+    for T in range(5001):
+        M = mertens_quotients(T)
+        assert set(M) == quotients(T), T
+        assert all(m == prefix[v] for v, m in M.items()), T
+
+
+def test_mertens_quotients_oeis_a084237(mertens_1e8):
+    want = (-1, 1, 2, -23, -48, 212, 1037)
+    assert tuple(mertens_quotients(10**k)[10**k] for k in range(1, 8)) == want
+    assert mertens_1e8[10**8] == 1928
+
+
+def test_mertens_quotients_identity_over_blocks(mertens_1e8):
+    # sum_{d <= T} M(T//d) = 1, the d with T//d = q counted per block.
+    T, M = 10**8, mertens_1e8
+    assert sum(m * (T // q - T // (q + 1)) for q, m in M.items() if q) == 1
+
+
+def pn_direct(n, T, mu):
+    """The Moebius sum by a loop over every d <= T (mu a sieve reaching T):
+    the oracle of the block sum."""
+    total = 0
+    for d in range(1, T + 1):
+        if mu[d]:
+            t = T // d
+            total += mu[d] * t * (2 * t + 1) ** n
+    return total
+
+
+# The bench's P^n counts at rho: T = floor(B^{1/lambda_1}) is 707106, 669432
+# and 562341, and N their pinned counts.
+BENCH_PN = (
+    ("P1", 5 * 10**11, 607925946031),
+    ("P2", 3 * 10**17, 998285787890104825),
+    ("P3", 10**23, 739151149959605396437183),
+)
+
+
+@pytest.mark.parametrize("mid", ["P1", "P2", "P3"])
+def test_pn_count_matches_direct_loop(mid):
+    m = geometry.load_model(mid)
+    mu = mu_sieve(2999)
+    for T in range(1, 3000):
+        assert enumeration.count_points(m, m.rho, T ** m.rho[0]) == \
+            pn_direct(m.dim, T, mu), T
+
+
+def test_pn_count_matches_direct_loop_at_bench_bounds():
+    mu = mu_sieve(707106)
+    for mid, B, want in BENCH_PN:
+        m = geometry.load_model(mid)
+        T = enumeration.height_radius(Fraction(B), Fraction(m.rho[0]))
+        assert pn_direct(m.dim, T, mu) == want
+        assert enumeration.count_points(m, m.rho, B) == want
+
+
+def test_pn_count_is_sublinear(monkeypatch):
+    # No sieve reaching T: the Mertens table sieves to about T^{2/3}.
+    def guarded(n, sieve=mu_sieve):
+        if n > 10**5:
+            raise AssertionError(f"mu_sieve({n}) on the P^n path")
+        return sieve(n)
+
+    for module in (_util, enumeration):
+        monkeypatch.setattr(module, "mu_sieve", guarded)
+    for mid, B, want in BENCH_PN[::2]:
+        m = geometry.load_model(mid)
+        assert enumeration.count_points(m, m.rho, B) == want
+
+
+def test_pn_count_starts_no_pool(monkeypatch):
+    P2 = geometry.load_model("P2")
+    want = enumeration.count_points(P2, P2.rho, 10**6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", refuse)
+    assert enumeration.count_points(P2, P2.rho, 10**6, workers=2) == want
+
+
+def blp21_fiber_bound_fractions(lam, B, F):
+    """T_F by Fraction powers at every exponent: the oracle of the integer
+    path of enumeration._blp21_fiber_bound."""
+    m_h = lam[1]
+    m_f = lam[0] - lam[1]
+    rhs = B * Fraction(F) ** (-m_f) if m_f.denominator == 1 else None
+    if rhs is None:
+        d = m_f.denominator
+        return enumeration.height_radius(B**d * Fraction(F) ** (-(m_f * d)), m_h * d)
+    if rhs < 1:
+        return 0
+    return enumeration.height_radius(rhs, m_h)
+
+
+def test_blp21_fiber_bound_integer_path():
+    m = geometry.load_model("BlP2-1")
+    for lam in (m.rho, (1, 1), (2, 3), (Fraction(7, 2), 2), (Fraction(5, 2), Fraction(3, 2))):
+        vals = geometry.require_interior(m, lam)
+        for B in (10**4, 10**11, 100.3, Fraction(10**9 + 7, 3)):
+            B = as_fraction(B)
+            for F in range(1, 2001):
+                assert enumeration._blp21_fiber_bound(vals, B, F) == \
+                    blp21_fiber_bound_fractions(vals, B, F), (lam, B, F)
