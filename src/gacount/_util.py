@@ -6,6 +6,12 @@ place and unit-tested: rational coercion, p-adic valuations, integer roots of
 rational bounds, exact comparison of monomials in integer heights against a
 rational bound, the one primality test and the one factorizer of the
 package, Moebius/Euler-phi/prime sieves and the Mertens table.
+
+Moebius and Euler phi values come from NumPy segment sieves,
+mu_segment(a, b) and phi_segment(a, b) for a <= k < b: slices over the
+primes up to sqrt(b - 1), and the one prime factor above sqrt(b - 1) that k
+can have, read off a quotient array (mu: int8 values and an int32 quotient,
+5 bytes per k).  mu_sieve and phi_sieve are their list forms from 0.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt, lcm
+
+import numpy as np
 
 
 class CapabilityError(RuntimeError):
@@ -147,18 +155,30 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
+def mu_segment(a: int, b: int) -> np.ndarray:
+    """Moebius values mu(a..b-1) as an int8 array (1 <= a <= b).
+
+    Every prime p <= sqrt(b - 1) flips the sign of its multiples, zeroes the
+    multiples of p^2 and is divided out once from the quotient array q(k) = k.
+    A squarefree k < b has at most one prime factor above sqrt(b - 1), and
+    then q(k) is that prime, so q(k) > 1 flips the sign once more; a
+    non-squarefree k is already 0.
+    """
+    if not 1 <= a <= b:
+        raise ValueError("need 1 <= a <= b")
+    mu = np.ones(b - a, dtype=np.int8)
+    quotient = np.arange(a, b, dtype=np.int32 if b <= 2**31 else np.int64)
+    for p in primes_upto(isqrt(b - 1)):
+        mu[-a % p :: p] *= -1
+        quotient[-a % p :: p] //= p
+        mu[-a % (p * p) :: p * p] = 0
+    np.negative(mu, out=mu, where=quotient > 1)
+    return mu
+
+
 def mu_sieve(n: int) -> list[int]:
     """Moebius function values mu(0..n) (mu(0) set to 0)."""
-    mu = [1] * (n + 1)
-    mu[0] = 0
-    primes = primes_upto(n)
-    for p in primes:
-        for k in range(p, n + 1, p):
-            mu[k] = -mu[k]
-        sq = p * p
-        for k in range(sq, n + 1, sq):
-            mu[k] = 0
-    return mu
+    return [0, *mu_segment(1, n + 1).tolist()]
 
 
 def mertens_quotients(T: int) -> dict[int, int]:
@@ -193,11 +213,28 @@ def mertens_quotients(T: int) -> dict[int, int]:
             for v in [*range(s + 1), *(T // k for k in range(1, s + 1))]}
 
 
+def phi_segment(a: int, b: int) -> np.ndarray:
+    """Euler phi values phi(a..b-1) as an int64 array (1 <= a <= b).
+
+    Every prime p <= sqrt(b - 1) takes phi(k) to phi(k) (1 - 1/p) on its
+    multiples and is divided out of the quotient array q(k) = k with all its
+    powers, which leaves q(k) = 1 or the one prime factor of k above
+    sqrt(b - 1), which takes phi(k) to phi(k) (1 - 1/q(k)).
+    """
+    if not 1 <= a <= b:
+        raise ValueError("need 1 <= a <= b")
+    phi = np.arange(a, b, dtype=np.int64)
+    quotient = phi.copy()
+    for p in primes_upto(isqrt(b - 1)):
+        phi[-a % p :: p] -= phi[-a % p :: p] // p
+        q = p
+        while q < b:
+            quotient[-a % q :: q] //= p
+            q *= p
+    phi -= np.where(quotient > 1, phi // quotient, 0)
+    return phi
+
+
 def phi_sieve(n: int) -> list[int]:
     """Euler phi values phi(0..n) (phi(0) set to 0)."""
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, n + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
+    return [0, *phi_segment(1, n + 1).tolist()]

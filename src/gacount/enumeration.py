@@ -22,18 +22,47 @@ M(T//q) - M(T//(q+1)) for the Mertens function M, so with q over the at most
 and _util.mertens_quotients gives every M(T//k) in O(T^{2/3}) time.
 
 BlP2-1 (fiber strategy).  Group points by the reduced fiber coordinate
-y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are 3
-fibers with F = 1 and 4*phi(F) with F >= 2.  On a fixed fiber the primitive
-vector is (g*f, X, g*q) with g >= 1, gcd(g, X) = 1; the generator heights
-are h_F = F and h_H = max(g*F, |X|), so with m_H = lambda_E and
-m_F = lambda_D - lambda_E the height bound becomes max(g*F, |X|) <= T_F
+y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are
+w_F = 3 fibers with F = 1 and w_F = 4*phi(F) with F >= 2.  On a fixed fiber
+the primitive vector is (g*f, X, g*q) with g >= 1, gcd(g, X) = 1; the
+generator heights are h_F = F and h_H = max(g*F, |X|), so with m_H = lambda_E
+and m_F = lambda_D - lambda_E the height bound becomes max(g*F, |X|) <= T_F
 where T_F is the largest integer M with M^{m_H} * F^{m_F} <= B (an exact
-big-integer comparison).  Writing G_F = T_F // F, the fiber contributes
+integer root, _blp21_fiber_bounds).  Writing G_F = T_F // F, the fiber
+contributes
 
-    sum_{e <= G_F} mu(e) * (G_F//e) * (2*(T_F//e) + 1),
+    w_F * sum_{e <= G_F} mu(e) * (G_F//e) * (2*(T_F//e) + 1)
+        = w_F * (1 + 2 * sum_{e <= G_F} mu(e) * (G_F//e) * (T_F//e)),
 
-and fibers are exhausted once F^{lambda_D} > B since the minimal height on
-the fiber is F^{lambda_D}.
+since sum_{e <= G} mu(e) (G//e) = 1 for G >= 1 (each g <= G is counted by
+sum_{e | g} mu(e)).  Since gF <= T_F iff (gF)^{m_H} F^{m_F} <= B iff
+g^{m_H} F^{lambda_D} <= B, G_F >= 1 iff F^{lambda_D} <= B iff
+F <= f_max = floor(B^{1/lambda_D}), where the fibers end (every fiber
+counted has G_F >= 1), and G_F is nonincreasing in F (m_H, lambda_D > 0):
+for each e the fibers with G_F >= e form a prefix of [lo, hi).  T_F is
+monotone in F, nonincreasing when m_F >= 0 and nondecreasing otherwise.
+
+The pairs (F, e) with e <= G_F are split at E0, the smallest e with
+#{F : G_F > e} <= e.  For e <= E0 one NumPy pass per e runs over the prefix
+of fibers with G_F >= e; for e > E0 one pass per fiber with G_F > E0 (at
+most E0 of them) runs over E0 < e <= G_F, in chunks of 2^15.  Each pair is
+summed once, in at most 2 E0 + (number of pairs) / 2^15 passes; E0 is about
+B^{1/5} at lambda = rho (G_F ~ sqrt(B / F^3)) and sqrt(B) at (1, 1).  mu
+comes from _util: mu_sieve(E0) for the per-e passes and one int8
+mu_segment over E0 < e <= G_lo for the others.
+
+The sums are exact in int64.  w_F <= 4F and G_F <= T_F / F, so
+|w_F mu(e) (G_F//e) (T_F//e)| <= 4 T_F^2, and by the monotonicity of T_F the
+one check max(T_lo, T_{hi-1}) < 2^30, made before any table is built, puts
+every term and partial product below 2^62 (CapabilityError past it).  Every
+pass has fewer than 2^31 terms (at most 2^15, or hi - lo <= T_{hi-1}, since
+G_{hi-1} >= 1), and _exact_sum adds their high and low 32-bit halves apart:
+under 2^31 * 2^30 and 2^31 * 2^32, both inside int64.  The weights sum to
+less than 2 hi^2 < 2^62.  Memory: the fiber table (T_F, G_F, w_F)
+takes 24 bytes per fiber, the mu segment 5 bytes per e in (E0, G_lo] while
+it is sieved and 1 byte after, and each pass a few int64 arrays of at most
+max(hi - lo, 2^15) entries; no array runs over the pairs or over e <= G_lo
+in int64.
 
 BlP2-2 / BlP2-3 (box strategy).  All primitive vectors with
 h_std = max(Z, |X|, |Y|) <= R are scanned and filtered by an exact height
@@ -97,7 +126,7 @@ import numpy as np
 
 from . import geometry, heights
 from ._util import (CapabilityError, as_fraction, floor_frac_root, height_leq, mertens_quotients,
-                    mu_sieve, phi_sieve)
+                    mu_segment, mu_sieve, phi_segment)
 from .geometry import VarietyModel
 from .heights import RationalPoint
 
@@ -217,47 +246,79 @@ def _pn_count(n: int, T: int) -> int:
     return sum(q * (2 * q + 1) ** n * (M[T // q] - M[T // (q + 1)]) for q in M if q)
 
 
-def _blp21_fiber_bound(lam: Sequence[Fraction], B: Fraction, F: int) -> int:
-    """T_F = largest M with M^{m_H} F^{m_F} <= B for BlP2-1."""
-    m_h = lam[1]
-    m_f = lam[0] - lam[1]
-    if m_h.denominator == m_f.denominator == 1:
-        # Integer exponents: M^{m_H} <= floor(B F^{-m_F}), all in integers.
-        e, k = int(m_h), int(m_f)
-        top = B.numerator * F ** max(-k, 0) // (B.denominator * F ** max(k, 0))
-        return math.isqrt(top) if e == 2 else floor_frac_root(top, e)
-    if m_f.denominator == 1:
-        return height_radius(B * Fraction(F) ** (-m_f), m_h)
-    # Clear the fractional exponent: M^{m_h*d} <= B^d * F^{-m_f*d}.
-    d = m_f.denominator
-    return height_radius(B**d * Fraction(F) ** (-(m_f * d)), m_h * d)
+def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers) -> list[int]:
+    """T_F, the largest M with M^{m_H} F^{m_F} <= B, for each F in fibers.
+
+    With d the lcm of the denominators of m_H and m_F, p = m_H d and
+    k = m_F d are integers and the bound is M^p <= B^d F^{-k}; as M^p is an
+    integer, that is M^p <= floor(num^d F^{max(-k, 0)} / (den^d F^{max(k, 0)}))
+    for B = num/den, an integer p-th root.
+    """
+    m_h, m_f = lam[1], lam[0] - lam[1]
+    d = math.lcm(m_h.denominator, m_f.denominator)
+    p, k = int(m_h * d), int(m_f * d)
+    num, den = B.numerator**d, B.denominator**d
+    root = math.isqrt if p == 2 else (lambda top: floor_frac_root(top, p))
+    if k == 0:
+        return [root(num // den)] * len(fibers)
+    up, down = max(-k, 0), max(k, 0)
+    return [root(num * F**up // (den * F**down)) for F in fibers]
+
+
+# Fiber bounds stay below _T_LIMIT, so every term of the fiber sum fits int64;
+# the per-fiber pass takes e in chunks of _E_CHUNK (module docstring).
+_T_LIMIT = 2**30
+_E_CHUNK = 2**15
+
+
+def _exact_sum(terms: np.ndarray) -> int:
+    """Exact sum of fewer than 2^31 int64 values, each below 2^62 in absolute
+    value: the high and low 32-bit halves are summed apart, each within int64."""
+    return (int((terms >> 32).sum()) << 32) + int((terms & 0xFFFFFFFF).sum())
 
 
 def _blp21_partial(lam: Sequence[Fraction], B: Fraction, lo: int, hi: int) -> int:
-    """Fiber partial sum over F in [lo, hi)."""
-    f_max = height_radius(B, lam[0])
-    hi = min(hi, f_max + 1)
+    """Fiber partial sum over F in [lo, hi), split at E0 (module docstring).
+
+    Raises:
+        CapabilityError: if a fiber bound T_F reaches 2^30.
+    """
+    hi = min(hi, height_radius(B, lam[0]) + 1)
     if lo >= hi:
         return 0
-    phi = phi_sieve(hi - 1)
-    rows = []
-    g_max = 0
-    for F in range(lo, hi):
-        t = _blp21_fiber_bound(lam, B, F)
-        g = t // F
-        rows.append((F, t, g))
-        g_max = max(g_max, g)
-    mu = mu_sieve(g_max)
-    total = 0
-    for F, t, g in rows:
-        if g == 0:
-            continue
+    t_max = max(_blp21_fiber_bounds(lam, B, (lo, hi - 1)))
+    if t_max >= _T_LIMIT:
+        raise CapabilityError(
+            f"fiber sum for BlP2-1 at B={B}: fiber bound {t_max} leaves the int64"
+            f" range of the terms (needs T_F < 2^30)"
+        )
+    T = np.array(_blp21_fiber_bounds(lam, B, range(lo, hi)), dtype=np.int64)
+    G = T // np.arange(lo, hi, dtype=np.int64)
+    w = 4 * phi_segment(lo, hi)
+    if lo == 1:
+        w[0] = 3
+    # G is nonincreasing, so #{F : G_F > e} <= e first holds at the first
+    # index e with G[e] <= e; e0 <= G_lo.
+    n = len(G)
+    drops = np.flatnonzero(G <= np.arange(n))
+    e0 = int(drops[0]) if len(drops) else n
+    # prefix[e - 1] = #{F : G_F >= e} for e = 1, ..., e0 + 1.
+    prefix = (n - np.searchsorted(G[::-1], np.arange(1, e0 + 2))).tolist()
+    s = 0
+    for e, mu_e in enumerate(mu_sieve(e0)[1:], start=1):
+        if mu_e:
+            k = prefix[e - 1]
+            s += mu_e * _exact_sum(w[:k] * (G[:k] // e) * (T[:k] // e))
+    k = prefix[e0]
+    mu = mu_segment(e0 + 1, int(G[0]) + 1)
+    for g, t, w_f in zip(G[:k].tolist(), T[:k].tolist(), w[:k].tolist()):
         inner = 0
-        for e in range(1, g + 1):
-            if mu[e]:
-                inner += mu[e] * (g // e) * (2 * (t // e) + 1)
-        total += (3 if F == 1 else 4 * phi[F]) * inner
-    return total
+        for a in range(e0 + 1, g + 1, _E_CHUNK):
+            b = min(a + _E_CHUNK, g + 1)
+            e = np.arange(a, b, dtype=np.int64)
+            inner += _exact_sum(mu[a - e0 - 1 : b - e0 - 1] * (g // e) * (t // e))
+        s += w_f * inner
+    return int(w.sum()) + 2 * s
 
 
 def _partial_count(task) -> int:
@@ -300,7 +361,9 @@ def count_points(
         The exact count as a Python int.
 
     Raises:
-        CapabilityError: if a box scan would exceed candidate_budget.
+        CapabilityError: if a box scan would exceed candidate_budget, or a
+            BlP2-1 fiber bound T_F reaches 2^30 (the int64 bound of the fiber
+            sum, module docstring).
     """
     vals = geometry.require_interior(model, lam)
     B = as_fraction(B)

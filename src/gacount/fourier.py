@@ -1197,10 +1197,8 @@ def _blp21_zeta_partial(model: VarietyModel, lam, s: float, b_cut) -> float:
         return 0.0
     phi = phi_sieve(f_max)
     total = 0.0
-    for F in range(1, f_max + 1):
-        t_cap = enumeration._blp21_fiber_bound(lam, b_cut, F)
-        if t_cap < F:
-            continue
+    t_caps = enumeration._blp21_fiber_bounds(lam, b_cut, range(1, f_max + 1))
+    for F, t_cap in enumerate(t_caps, start=1):
         weight = 3.0 if F == 1 else 4.0 * phi[F]
         inner = 0.0
         for g in range(1, t_cap // F + 1):

@@ -86,6 +86,17 @@ def test_count_p1_at_1e16(capsys, tmp_path):
     assert last["N"] == enumeration.count_points(P1, P1.rho, 10**16)
 
 
+def test_count_blp21_at_1e13(capsys, tmp_path):
+    # G_1 = T_1 = 3162277 on BlP2-1 at rho: the fiber sum split at E0.
+    report_path = tmp_path / "count.json"
+    code, _, _ = run(capsys, "count", "--model", "BlP2-1", "--bound", "1e13",
+                     "--json", str(report_path))
+    assert code == 0
+    last = json.loads(report_path.read_text())["results"]["rows"][-1]
+    assert last["B"] == 1e13
+    assert last["N"] == 319663790798793
+
+
 def test_fit_no_predict_with_plot_data(capsys, tmp_path):
     plot = tmp_path / "plot.dat"
     code, out, _ = run(

@@ -6,6 +6,7 @@ import dataclasses
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from gacount import _util, enumeration, fourier, geometry, heights
@@ -372,6 +373,53 @@ def quotients(T):
     return out
 
 
+def mu_loop(n):
+    """mu(0..n) by a loop over the multiples of every prime: the oracle of
+    the NumPy sieve."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    for p in _util.primes_upto(n):
+        for k in range(p, n + 1, p):
+            mu[k] = -mu[k]
+        for k in range(p * p, n + 1, p * p):
+            mu[k] = 0
+    return mu
+
+
+def phi_loop(n):
+    """phi(0..n) by a loop over the multiples of every prime."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for k in range(p, n + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+def test_mu_sieve_matches_loop():
+    want = mu_loop(3000)
+    for n in range(3001):
+        assert mu_sieve(n) == want[: n + 1], n
+    big = mu_sieve(10**6)
+    assert big == mu_loop(10**6)
+    assert sum(big) == 212  # M(10^6), OEIS A084237
+
+
+def test_phi_sieve_matches_loop():
+    want = phi_loop(3000)
+    for n in range(3001):
+        assert _util.phi_sieve(n) == want[: n + 1], n
+    assert _util.phi_sieve(10**6) == phi_loop(10**6)
+
+
+def test_sieve_segments_match_loop():
+    mu, phi = mu_loop(1000), phi_loop(1000)
+    for a in range(1, 300, 7):
+        for b in range(a, 1001, 13):
+            assert _util.mu_segment(a, b).tolist() == mu[a:b], (a, b)
+            assert _util.phi_segment(a, b).tolist() == phi[a:b], (a, b)
+
+
 @pytest.fixture(scope="module")
 def mertens_1e8():
     return mertens_quotients(10**8)
@@ -480,6 +528,106 @@ def test_blp21_fiber_bound_integer_path():
         vals = geometry.require_interior(m, lam)
         for B in (10**4, 10**11, 100.3, Fraction(10**9 + 7, 3)):
             B = as_fraction(B)
-            for F in range(1, 2001):
-                assert enumeration._blp21_fiber_bound(vals, B, F) == \
-                    blp21_fiber_bound_fractions(vals, B, F), (lam, B, F)
+            assert enumeration._blp21_fiber_bounds(vals, B, range(1, 2001)) == \
+                [blp21_fiber_bound_fractions(vals, B, F) for F in range(1, 2001)], (lam, B)
+
+
+# ---------------------------------------------------------------------------
+# The fiber strategy on BlP2-1: the (F, e) sum split at E0.
+
+BLP21 = geometry.load_model("BlP2-1")
+BLP21_LAMBDAS = (BLP21.rho, (1, 1), (2, 3), (Fraction(7, 2), 2),
+                 (Fraction(5, 2), Fraction(3, 2)), (4, 2))
+BLP21_BOUNDS = (*range(1, 400, 7), 10**5, 10**6 + 3, Fraction(10**7 + 7, 3), 100.3)
+# The two (1, 1) cases whose direct loop runs over 10^7 to 5 * 10^7 pairs
+# (about a minute): their counts as that loop gave them.
+BLP21_DIRECT_PINS = {
+    10**6 + 3: 3327664153401844713,
+    Fraction(10**7 + 7, 3): 123245774306775439569,
+}
+# The bench's BlP2-1 counts: (lambda, B, N).
+BENCH_BLP21 = ((BLP21.rho, 10**11, 2742692922465), ((1, 1), 10**4, 3327909391497))
+
+
+def blp21_direct(lam, B):
+    """The fiber sum by a loop over every e <= G_F in every fiber, with T_F
+    from Fraction powers: the oracle of the split sum."""
+    f_max = enumeration.height_radius(B, lam[0])
+    if f_max < 1:
+        return 0
+    phi = _util.phi_sieve(f_max)
+    rows = []
+    for F in range(1, f_max + 1):
+        t = blp21_fiber_bound_fractions(lam, B, F)
+        rows.append((F, t, t // F))
+    mu = mu_sieve(max(g for _, _, g in rows))
+    total = 0
+    for F, t, g in rows:
+        inner = 0
+        for e in range(1, g + 1):
+            if mu[e]:
+                inner += mu[e] * (g // e) * (2 * (t // e) + 1)
+        total += (3 if F == 1 else 4 * phi[F]) * inner
+    return total
+
+
+@pytest.mark.parametrize("lam", BLP21_LAMBDAS, ids=lambda lam: ",".join(map(str, lam)))
+def test_blp21_count_matches_direct_loop(lam):
+    vals = geometry.require_interior(BLP21, lam)
+    for B in BLP21_BOUNDS:
+        exact = as_fraction(B)
+        if vals == (1, 1) and exact in BLP21_DIRECT_PINS:
+            want = BLP21_DIRECT_PINS[exact]
+        else:
+            want = blp21_direct(vals, exact)
+        for workers in (1, 2):
+            assert enumeration.count_points(BLP21, lam, B, workers=workers) == want, \
+                (lam, B, workers)
+
+
+def test_blp21_count_bench_pins():
+    for lam, B, want in BENCH_BLP21:
+        vals = geometry.require_interior(BLP21, lam)
+        assert blp21_direct(vals, Fraction(B)) == want
+        assert enumeration.count_points(BLP21, lam, B) == want
+
+
+def test_blp21_count_lists_mu_only_to_e0(monkeypatch):
+    # The list sieve covers e <= E0 (158 here), not G_1 = 316227.
+    def guarded(n, sieve=mu_sieve):
+        if n > 10**5:
+            raise AssertionError(f"mu_sieve({n}) on the fiber path")
+        return sieve(n)
+
+    for module in (_util, enumeration):
+        monkeypatch.setattr(module, "mu_sieve", guarded)
+    lam, B, want = BENCH_BLP21[0]
+    assert enumeration.count_points(BLP21, lam, B) == want
+
+
+def test_blp21_int64_guard_before_tables(monkeypatch):
+    # T_F = 2^32 for every fiber at lambda = (1, 1): refused before any
+    # sieve or fiber table over the 2^32 fibers.
+    def refuse(*args):
+        raise AssertionError("fiber table built")
+
+    def ends_only(lam, B, fibers, bounds=enumeration._blp21_fiber_bounds):
+        if len(fibers) > 2:
+            refuse()
+        return bounds(lam, B, fibers)
+
+    for name in ("mu_segment", "phi_segment", "mu_sieve"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    monkeypatch.setattr(enumeration, "_blp21_fiber_bounds", ends_only)
+    with pytest.raises(CapabilityError, match="2\\^30"):
+        enumeration.count_points(BLP21, (1, 1), 2**32)
+
+
+def test_exact_sum_of_int64_halves():
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 7, 2**15):
+        terms = rng.integers(-(2**62) + 1, 2**62, size=size, dtype=np.int64)
+        assert enumeration._exact_sum(terms) == sum(terms.tolist())
+    for extreme in (2**62 - 1, -(2**62) + 1):
+        terms = np.full(2**15, extreme, dtype=np.int64)
+        assert enumeration._exact_sum(terms) == 2**15 * extreme
