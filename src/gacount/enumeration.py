@@ -107,9 +107,10 @@ H_alpha >= 1 as well, so the same box with radius B^{1/lambda_min} is sound
 there, and the tests hold the Moebius and fiber strategies against it.
 
 Counts are exact integers, deterministic, and independent of the worker
-partitioning: a parallel run splits the outer loop of the fiber and box
-strategies into index ranges and adds the integer partial sums; the Moebius
-strategy takes milliseconds and always runs as one task.
+partitioning: a parallel run splits the box strategy's outer loop into Z
+ranges and adds the integer partial sums.  The Moebius and fiber strategies
+run as one task (the fiber pairs (F, e) pile up at small F, which no split
+into equal F ranges balances).
 """
 
 from __future__ import annotations
@@ -322,10 +323,8 @@ def _blp21_partial(lam: Sequence[Fraction], B: Fraction, lo: int, hi: int) -> in
 
 
 def _partial_count(task) -> int:
-    """Top-level dispatch for worker processes (must stay picklable)."""
-    strategy, model, lam, B, end, lo, hi = task
-    if strategy == "fiber":
-        return _blp21_partial(lam, B, lo, hi)
+    """Box-scan count over Z in [lo, hi), top level for worker processes."""
+    model, lam, B, end, lo, hi = task
     return sum(len(xs) for _, xs, _ in _box_kernel(model, lam, B, end, lo, hi))
 
 
@@ -353,8 +352,9 @@ def count_points(
         model: catalog entry.
         lam: interior Picard vector (all coordinates positive rationals).
         B: height bound; values below 1 return 0 by convention.
-        workers: number of processes; the result is identical for any value.
-            The Moebius strategy (P^n) ignores it and never starts a pool.
+        workers: number of processes for the box scan (BlP2-2/3); the
+            result is identical for any value.  The Moebius (P^n) and fiber
+            (BlP2-1) strategies ignore it and never start a pool.
         candidate_budget: cap on box-scan candidates (BlP2-2/3 only).
 
     Returns:
@@ -378,10 +378,12 @@ def count_points(
         raise ValueError("workers must be >= 1")
     if strategy == "pn":
         return _pn_count(model.dim, end)
+    if strategy == "fiber":
+        return _blp21_partial(vals, B, 1, end + 1)
     n_chunks = min(end, max(1, 4 * workers)) if workers > 1 else 1
     step = -(-end // n_chunks)
     tasks = [
-        (strategy, model, tuple(vals), B, end, lo, min(lo + step, end + 1))
+        (model, tuple(vals), B, end, lo, min(lo + step, end + 1))
         for lo in range(1, end + 1, step)
     ]
     if workers == 1 or len(tasks) == 1:

@@ -174,10 +174,6 @@ class CharacterArgument:
         return prime_factors(num * den)
 
 
-def _coerce_character(a) -> CharacterArgument:
-    return a if isinstance(a, CharacterArgument) else CharacterArgument(a)
-
-
 def _character_sum_direct(p: int, u: int, n: int, d: int) -> complex:
     """Raw evaluation of (1/p^(nd)) sum_{t unit mod p^(nd)} e(u t^d / p^(nd)).
 
@@ -337,7 +333,7 @@ def brute_padic_fourier(model: VarietyModel, p: int, a, s,
     eps_star = min(float(1 + sa - ra) for sa, ra in zip(s, rho))
     if eps_star <= 0:
         raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    arg = _coerce_character(a)
+    arg = CharacterArgument(a)
     if len(arg.a) != model.dim:
         raise ValueError("character index has wrong length")
 
@@ -497,7 +493,7 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
             for comp, sa, ra in zip(model.components, s, rho)}
     if any(b <= 0 for b in beta.values()):
         raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    arg = _coerce_character(a)
+    arg = CharacterArgument(a)
     if len(arg.a) != model.dim:
         raise ValueError("character index has wrong length")
     if arg.is_zero:
@@ -868,7 +864,7 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
     rho = geometry.rho_vector(model)
     if any(1 + sa - ra <= 0 for sa, ra in zip(s, rho)):
         raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    arg = _coerce_character(a)
+    arg = CharacterArgument(a)
     if len(arg.a) != model.dim:
         raise ValueError("character index has wrong length")
     exps = geometry.generator_exponents(model, s)
@@ -926,23 +922,56 @@ def _global_tail_exponent(beta_all, beta_a0) -> float:
     return e
 
 
+def _checked_s(model: VarietyModel, s, arg: CharacterArgument) -> tuple:
+    """(s, beta = 1 + s - rho) after global_fourier's checks of s and a."""
+    s = geometry.coerce_picard(model, s)
+    rho = geometry.rho_vector(model)
+    beta = [1 + sa - ra for sa, ra in zip(s, rho)]
+    if any(b <= 0 for b in beta):
+        raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
+    if len(arg.a) != model.dim:
+        raise ValueError("character index has wrong length")
+    if arg.is_zero and any(sa <= ra for sa, ra in zip(s, rho)):
+        raise ValueError("the trivial character requires s_alpha > rho_alpha")
+    return s, beta
+
+
+def _pn_character(model: VarietyModel, sigma: Fraction,
+                  arg: CharacterArgument) -> tuple:
+    """(value, error_bound, arch) of global_fourier on P^n at a sigma = s_D1
+    that _checked_s has passed; each support prime still passes
+    tamagawa._system_data."""
+    n = model.dim
+    arch = _arch_projective(n, sigma, arg.a)
+    sig = float(sigma)
+    finite = 1.0 / _zeta(sig)
+    if arg.is_zero:
+        finite *= _zeta(float(1 + sigma - model.rho[0]))
+    for p in arg.support_primes():
+        if tamagawa._system_data(model, p)[1]:
+            raise CapabilityError(f"{model.id}: valuation cones at {p}")
+        k = min(vp_fraction(x, p) for x in arg.a if x)
+        num, den = tamagawa._tate_shell_sum(p, k, n, sigma)
+        finite *= num / den / (1.0 - float(p) ** (-sig))
+    value = arch.value * finite
+    bound = arch.error_bound * abs(finite) + 1e-14 * max(1.0, abs(value))
+    return value, bound, arch
+
+
 def global_fourier(model: VarietyModel, a, s,
                    p_max: int = 2000) -> GlobalFourierValue:
     """Adelic Fourier transform Hhat(psi_a; s) = prod_v Hhat_v(psi_a; s).
 
-    P^n is exact at every finite place, and p_max plays no role.
-    With sigma = s_D1, the local factor at a prime p not dividing a is
-    Tate's 1 - p^(-sigma) (tamagawa.exact_local_density), so the product
-    over all primes is
-
-        arch * zeta(sigma)^(-1) * prod_{p in support(a)} Hhat_p / (1 - p^(-sigma))
-
-    with the support factors exact; the bound is the archimedean one plus
-    float slack.  At a = 0 every factor is (1 - p^(-sigma))/(1 - p^(-beta))
-    and the product is zeta(beta)/zeta(sigma).  P1 uses this at every a;
-    P2 and P3 at a != 0.  The trivial character on P2 and P3 still takes the
-    generic assembly below, whose completion removes each A0 pole twice
-    (ROADMAP, "Benchmark follow-ups").
+    P^n is exact at every finite place, and p_max plays no role.  With
+    sigma = s_D1, Tate's local factor is 1 - p^(-sigma) at p not dividing a,
+    so after one check of s and a the kernel _pn_character returns
+    _arch_projective(n, sigma, a) * zeta(sigma)^(-1) * prod_{p | a} Tate_p /
+    (1 - p^(-sigma)), Tate_p the exact shell sum tamagawa._tate_shell_sum
+    (an int quotient at integer sigma), with the archimedean bound times the
+    finite part plus 1e-14 max(1, |value|).  At a = 0 the product is
+    zeta(beta)/zeta(sigma).  P1 takes the kernel at every a, P2 and P3 at
+    a != 0; their trivial character still takes the generic assembly below,
+    whose completion removes each A0 pole twice (ROADMAP).
 
     Generic assembly (the blow-ups): brute force at 2, 3 and at the support
     primes of a, closed forms at the remaining good primes up to p_max.  The
@@ -964,16 +993,12 @@ def global_fourier(model: VarietyModel, a, s,
         GlobalFourierValue with the value, a combined error bound, and the
         (component, beta) pairs whose zeta factors were used.
     """
-    s = geometry.coerce_picard(model, s)
-    rho = geometry.rho_vector(model)
-    beta = [1 + sa - ra for sa, ra in zip(s, rho)]
-    if any(b <= 0 for b in beta):
-        raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    arg = _coerce_character(a)
-    if len(arg.a) != model.dim:
-        raise ValueError("character index has wrong length")
-    if arg.is_zero and any(sa <= ra for sa, ra in zip(s, rho)):
-        raise ValueError("the trivial character requires s_alpha > rho_alpha")
+    arg = CharacterArgument(a)
+    s, beta = _checked_s(model, s, arg)
+    if not model.centers and (model.dim == 1 or not arg.is_zero):
+        value, bound, _ = _pn_character(model, s[0], arg)
+        zeta_factors = tuple(zip(model.components, beta)) if arg.is_zero else ()
+        return GlobalFourierValue(value, bound, zeta_factors)
 
     if arg.is_zero:
         a0_names = list(model.components)
@@ -984,21 +1009,6 @@ def global_fourier(model: VarietyModel, a, s,
     zeta_factors = tuple((name, beta_by_name[name]) for name in a0_names)
 
     arch = arch_fourier(model, arg, s)
-
-    # P^n, exact at every finite place (the trivial character on P2 and P3
-    # excepted, see above).
-    if not model.centers and (model.dim == 1 or not arg.is_zero):
-        sigma = float(s[0])
-        finite = 1.0 / _zeta(sigma)
-        for b in a0_beta:
-            finite *= _zeta(float(b))
-        for p in arg.support_primes():
-            local = tamagawa.exact_local_density(model, p, s, arg.a)
-            finite *= float(local) / (1.0 - float(p) ** (-sigma))
-        value = arch.value * finite
-        bound = arch.error_bound * abs(finite) + 1e-14 * max(1.0, abs(value))
-        return GlobalFourierValue(value, bound, zeta_factors)
-
     if not arg.is_integral:
         raise ValueError("global assembly requires an integral index")
     eps_star = min(float(b) for b in beta)
@@ -1228,7 +1238,9 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
     error bounds of the assembled transforms.
 
     Only P1 is supported: the character sum over a_1 = 1..a_cut and its
-    tail bound are written for one-dimensional characters.
+    tail bound are written for one-dimensional characters.  s is checked
+    once, then _pn_character runs at every a; P^n is exact at every finite
+    place, so p_max is ignored.
 
     Args:
         model: catalog model (P1 only).
@@ -1236,7 +1248,7 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
         s: real exponent with s > a(lambda).
         b_cut: height cutoff for the point side.
         a_cut: number of nontrivial character pairs on the spectral side.
-        p_max: Euler product cutoff passed to global_fourier.
+        p_max: ignored (P^n needs no Euler product cutoff).
 
     Returns:
         dict with keys lhs, rhs, abs_diff, combined_bound, rel_diff, pass.
@@ -1251,19 +1263,17 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
 
     lhs, lhs_tail = zeta_truncated(model, lam, s, b_cut)
 
-    s_pic = tuple(as_fraction(s) * l for l in lam)
-    sigma = float(geometry.generator_exponents(model, s_pic)[0])
-
-    g0 = global_fourier(model, (0,), s_pic, p_max=p_max)
-    rhs = g0.value.real
-    err = g0.error_bound
+    trivial = CharacterArgument((0,))
+    s_pic, _ = _checked_s(model, [as_fraction(s) * l for l in lam], trivial)
+    sigma = float(s_pic[0])
+    g0, err, arch0 = _pn_character(model, s_pic[0], trivial)
+    rhs = g0.real
     for a1 in range(1, a_cut + 1):
-        ga = global_fourier(model, (a1,), s_pic, p_max=p_max)
-        rhs += 2.0 * ga.value.real
-        err += 2.0 * ga.error_bound
+        value, bound, _ = _pn_character(model, s_pic[0], CharacterArgument((a1,)))
+        rhs += 2.0 * value.real
+        err += 2.0 * bound
 
-    arch0 = arch_fourier(model, (0,), s_pic)
-    finite_k = abs(g0.value) / max(arch0.value.real, 1e-30)
+    finite_k = abs(g0) / max(arch0.value.real, 1e-30)
     if a_cut > 0:
         a_tail = 2.0 * finite_k * sigma / (math.pi ** 2 * a_cut)
     else:

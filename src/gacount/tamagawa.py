@@ -202,6 +202,21 @@ def _system_data(model: VarietyModel, p: int) -> tuple:
     return tuple(linear), tuple((i, r) for i, _, _, r in cones)
 
 
+def _tate_shell_sum(p: int, k: int, n: int, M: Fraction) -> tuple:
+    """Tate's shell sum of exact_local_density (k = min_i v_p(a_i), M the
+    total exponent) as (num, den): at integer M integers, den = p^{(k+1)
+    max(M, 0)}, so num / den is the float of the Fraction; else (sum, 1)."""
+    exact = M.denominator == 1
+    P, M = (p, int(M)) if exact else (float(p), float(M))
+    if k < 0:
+        return (0 if exact else 0.0), 1
+    e = (k + 1) * max(M, 0) if exact else 0
+    total = P**e - P ** (k * n - (k + 1) * M + e)
+    for i in range(1, k + 1):
+        total += (P ** (i * n) - P ** ((i - 1) * n)) * P ** (e - i * M)
+    return total, p**e
+
+
 def exact_local_density(model: VarietyModel, p: int, s,
                         a: Optional[Sequence] = None) -> Union[Fraction, float]:
     """The untruncated integral int_{Q_p^n} H_p(x; s)^{-1} psi_p(<a, x>) dx,
@@ -250,9 +265,9 @@ def exact_local_density(model: VarietyModel, p: int, s,
     every shell past k + 1 vanishes, and
         [k >= 0] (1 + sum_{i=1}^{k} (p^{in} - p^{(i-1)n}) p^{-iM}
                   - p^{kn} p^{-(k+1)M}).
-    The sum is finite, so it is a Fraction for integer M and a float sum
-    otherwise.  On a model with cones the integrand is not constant on the
-    shells and a twisted a raises CapabilityError.
+    The sum is finite (_tate_shell_sum), so it is a Fraction for integer M
+    and a float sum otherwise.  On a model with cones the integrand is not
+    constant on the shells and a twisted a raises CapabilityError.
 
     Args:
         model: a VarietyModel (catalog or not).
@@ -282,15 +297,8 @@ def exact_local_density(model: VarietyModel, p: int, s,
                 f" valuation cones at {p}"
             )
         k = min(vp_fraction(x, p) for x in avals if x)
-        exact = total_m.denominator == 1
-        P = Fraction(p) if exact else float(p)
-        M = int(total_m) if exact else float(total_m)
-        if k < 0:
-            return Fraction(0) if exact else 0.0
-        total = 1 - P ** (k * n - (k + 1) * M)
-        for i in range(1, k + 1):
-            total += (P ** (i * n) - P ** ((i - 1) * n)) * P ** (-i * M)
-        return total
+        num, den = _tate_shell_sum(p, k, n, total_m)
+        return Fraction(num, den) if total_m.denominator == 1 else num
     total_m = int(total_m)
     P = Fraction(p)
     decay = P ** (n - total_m)  # p^{-a}

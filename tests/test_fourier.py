@@ -474,6 +474,82 @@ def test_global_fourier_p1_is_exact(monkeypatch):
     assert fourier.global_fourier(p1, (12,), (5,)).error_bound < 1e-9
 
 
+def pn_slow_path(model, a, s):
+    """global_fourier on P^n composed from the public per-call pieces, with
+    the float operations of the assembly the kernel replaced: arch_fourier
+    times zeta(sigma)^(-1) (times zeta(beta) at a = 0) times
+    float(exact_local_density) / (1 - p^(-sigma)) at each support prime."""
+    s = geometry.coerce_picard(model, s)
+    arch = fourier.arch_fourier(model, a, s)
+    sigma = float(s[0])
+    finite = 1.0 / fourier._zeta(sigma)
+    if not any(a):
+        finite *= fourier._zeta(float(s[0] - model.dim))
+    for p in fourier.CharacterArgument(a).support_primes():
+        local = tamagawa.exact_local_density(model, p, s, a)
+        finite *= float(local) / (1.0 - float(p) ** (-sigma))
+    value = arch.value * finite
+    bound = arch.error_bound * abs(finite) + 1e-14 * max(1.0, abs(value))
+    return value, bound
+
+
+def _pn_oracle_cases():
+    p1, p2, p3 = (geometry.load_model(m) for m in ("P1", "P2", "P3"))
+    for a in list(range(1, 301)) + [2**20, 3**12 * 5]:
+        yield p1, (a,), (10,)
+    for x in range(-6, 7):
+        for y in range(-6, 7):
+            if x or y:
+                yield p2, (x, y), tuple(r + 1 for r in p2.rho)
+    for a in ((1, 0, 0), (2, 2, 4), (0, 0, 15), (-3, 5, 7), (8, 0, -8)):
+        yield p3, a, tuple(r + 1 for r in p3.rho)
+    # A fractional sigma (float shell sums) and rational indices.
+    for a in ((1,), (6,), (Fraction(1, 2),), (0,)):
+        yield p1, a, (Fraction(7, 2),)
+    yield p2, (Fraction(3, 4), Fraction(1, 6)), (4,)
+    yield p2, (Fraction(3, 4), Fraction(1, 6)), (Fraction(9, 2),)
+    yield p1, (Fraction(1, 2),), (10,)
+    yield p1, (0,), (10,)
+
+
+def test_pn_kernel_matches_slow_path():
+    # The per-character kernel behind global_fourier is bit-identical to
+    # the per-call composition of the public pieces it replaced.
+    for model, a, s in _pn_oracle_cases():
+        out = fourier.global_fourier(model, a, s)
+        value, bound = pn_slow_path(model, a, s)
+        assert out.value == value, (model.id, a, s)
+        assert out.error_bound == bound, (model.id, a, s)
+
+
+def test_poisson_check_checks_s_outside_character_loop(monkeypatch):
+    # coerce_picard runs as often at a_cut = 200 as at a_cut = 10, and the
+    # per-call pieces never run: s is checked once per spectral sum.
+    calls = {"coerce_picard": 0, "arch_fourier": 0, "exact_local_density": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(geometry, "coerce_picard")
+    counted(fourier, "arch_fourier")
+    counted(tamagawa, "exact_local_density")
+    p1 = geometry.load_model("P1")
+    seen = []
+    for a_cut in (10, 200):
+        for key in calls:
+            calls[key] = 0
+        assert fourier.poisson_check(p1, p1.rho, 5, 10**3, a_cut)["pass"]
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[1]["arch_fourier"] == seen[1]["exact_local_density"] == 0
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "generic global_fourier completion removes each A0 pole twice: it "
     "multiplies zeta(b) by prod_{p computed} (1 - p^-b) after peel(p) already "

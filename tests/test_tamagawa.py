@@ -215,6 +215,43 @@ def test_exact_twisted_factor_float_branch():
         tamagawa.exact_local_density(p1, 5, s, (0,))
 
 
+def tate_shell_fraction(p, k, n, M):
+    """Tate's shell sum in Fraction powers, the expression the integer pair
+    of tamagawa._tate_shell_sum replaces."""
+    if k < 0:
+        return Fraction(0)
+    P = Fraction(p)
+    total = 1 - P ** (k * n - (k + 1) * M)
+    for i in range(1, k + 1):
+        total += (P ** (i * n) - P ** ((i - 1) * n)) * P ** (-i * M)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tate_shell_sum_integer_pair(p, n):
+    for k in range(-1, 9):
+        for M in (n + 1, n + 2, n + 7):
+            num, den = tamagawa._tate_shell_sum(p, k, n, Fraction(M))
+            assert type(num) is int and type(den) is int
+            want = tate_shell_fraction(p, k, n, M)
+            assert Fraction(num, den) == want, (k, M)
+            assert num / den == float(want), (k, M)
+
+
+def test_tate_shell_sum_float_branch():
+    # A non-integer M keeps the float sum, with denominator 1.
+    for p, k, n in ((2, 3, 1), (5, 1, 2), (3, -1, 1), (7, 0, 3)):
+        M = Fraction(7, 2) + n
+        num, den = tamagawa._tate_shell_sum(p, k, n, M)
+        assert isinstance(num, float) and den == 1
+        P, Mf = float(p), float(M)
+        want = 0.0 if k < 0 else 1 - P ** (k * n - (k + 1) * Mf)
+        for i in range(1, k + 1):
+            want += (P ** (i * n) - P ** ((i - 1) * n)) * P ** (-i * Mf)
+        assert num == want
+
+
 def test_exact_twisted_factor_refuses_cones(model):
     # The blow-ups have valuation cones (the pencils), where the integrand
     # is not constant on the shells.
