@@ -258,7 +258,10 @@ def _cmd_fit(args) -> _Outcome:
 
     prediction = None
     if not args.no_predict:
-        prediction = tamagawa.predicted_constant(model, p_max=args.pmax)
+        try:
+            prediction = tamagawa.predicted_constant(model, p_max=args.pmax, lam=lam)
+        except CapabilityError as exc:
+            print(f"prediction skipped: {exc}")
 
     print(f"model {model.id}, lambda = ({', '.join(_frac_str(v) for v in lam)})")
     print(f"exact picard arithmetic: a = {_frac_str(a)}, b = {b}")

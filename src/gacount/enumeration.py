@@ -131,7 +131,10 @@ from ._util import (CapabilityError, as_fraction, floor_frac_root, height_leq, m
 from .geometry import VarietyModel
 from .heights import RationalPoint
 
+# Box candidate budgets: the loop oracle enumerate_points, and the NumPy kernel
+# of count_points and zeta_truncated (3.2e7 candidates take 3.3 s, 2-core VM).
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
+KERNEL_CANDIDATE_BUDGET = 50_000_000
 
 
 def height_radius(B: Fraction, exponent: Fraction) -> int:
@@ -344,7 +347,7 @@ def count_points(
     lam,
     B,
     workers: int = 1,
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
+    candidate_budget: int = KERNEL_CANDIDATE_BUDGET,
 ) -> int:
     """Exact number of affine rational points with H(x; lambda) <= B.
 

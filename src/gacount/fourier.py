@@ -50,10 +50,11 @@ This module provides several independent routes to these quantities:
 
 * global_fourier: assembles the adelic product.  P^n is exact at every
   finite place: zeta(sigma)^(-1) times exact factors at the primes dividing
-  the character index.  The blow-ups use Riemann zeta acceleration of the
-  polar local factors, brute-force values at small and support primes, and
-  closed forms at the remaining good primes up to a cutoff; brute primes
-  enter only there (and at the trivial character on P2/P3).
+  the character index, for a whole array of characters at once in the NumPy
+  batch kernel _pn_characters.  The blow-ups use Riemann zeta acceleration
+  of the polar local factors, brute-force values at small and support
+  primes, and closed forms at the remaining good primes up to a cutoff;
+  brute primes enter only there (and at the trivial character on P2/P3).
 
 * zeta_truncated / poisson_check: the two sides of the spectral identity,
   sum over points of bounded height versus sum over characters, each with a
@@ -563,41 +564,45 @@ _GL_NODES = 24  # Gauss-Legendre nodes per head panel
 _ELLIPSE_RHO = 3.0  # Bernstein ellipse of the head's error bound
 _PANEL_PHASE = 4.0 * math.pi  # the most phase w (b - a) a head panel spans
 _ROUND = 2.0 ** -53  # unit roundoff of a float
+# Per tail term m_j: its sign in the imaginary (even j) and in the real (odd
+# j) part of sum_j m_j (-i)^(j+1), then the rounding weights 1 and 4j + 3.
+_TAIL_WEIGHTS = np.array(
+    [[(j % 2 == part) * (1.0 if j % 4 >= 2 else -1.0) for j in range(_IBP_TERMS)]
+     for part in (0, 1)] + [[1.0] * _IBP_TERMS, [4.0 * j + 3.0 for j in range(_IBP_TERMS)]])
+# The positive nodes and weights of the 24-point Gauss-Legendre rule on
+# [-1, 1], from one 32-digit Newton step on numpy's leggauss nodes: each is
+# within 2^-53 (1 + 10^-12) of its exact value, relative, which the tests
+# check against mpmath's 120-bit rule.
+_GL_HALF = (
+    ("0x1.0660853eda2e8p-4", "0x1.060475e763736p-3"),
+    ("0x1.8769542b94f8dp-3", "0x1.01b7117cf8bd8p-3"),
+    ("0x1.429a8c588e910p-2", "0x1.f25cbce1d1ff6p-4"),
+    ("0x1.bc345d81e24b5p-2", "0x1.d91c78acb1b2dp-4"),
+    ("0x1.17417bac4d72bp-1", "0x1.b8177ba4a68dcp-4"),
+    ("0x1.4bd2ee5fa1086p-1", "0x1.8fd8936444b16p-4"),
+    ("0x1.7af18edb9ddd6p-1", "0x1.6108ef504463ap-4"),
+    ("0x1.a3d74ce0d3700p-1", "0x1.2c6d5c2eff064p-4"),
+    ("0x1.c5d841864d0f5p-1", "0x1.e5c6255d25edap-5"),
+    ("0x1.e06585a70aa4dp-1", "0x1.6ab884f57c979p-5"),
+    ("0x1.f30f9f0cbf876p-1", "0x1.d375514486f1dp-6"),
+    ("0x1.fd892de691982p-1", "0x1.9465bd3112202p-7"),
+)
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even.
-
-    numpy's leggauss places the nodes within an ulp but its weights are off
-    by up to hundreds of ulps.  One Newton step at 32 digits from its nodes,
-    and the weight 2 / ((1 - x^2) P_n'(x)^2) at the refined node, give both
-    to about 30 digits, so each float is within 2^-53 (1 + 10^-12) of its
-    exact value, relative.
-    """
-    def legendre(x):
-        """P_n(x) and P_n'(x), by the three-term recurrence."""
-        p0, p1 = mpmath.mpf(1), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, n * (p0 - x * p1) / (1 - x * x)
-
-    xs, ws = [], []
-    with mpmath.workdps(32):
-        for start in np.polynomial.legendre.leggauss(n)[0][n // 2:]:
-            x = mpmath.mpf(float(start))
-            p, dp = legendre(x)
-            x -= p / dp
-            dp = legendre(x)[1]
-            xs.append(float(x))
-            ws.append(float(2 / ((1 - x * x) * dp * dp)))
-    return (np.array([-x for x in reversed(xs)] + xs),
-            np.array(ws[::-1] + ws))
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] for
+    n = _GL_NODES, the one rule tabulated (_GL_HALF)."""
+    if n != _GL_NODES:
+        raise ValueError(f"only the {_GL_NODES}-point rule is tabulated")
+    x, w = (np.array([float.fromhex(pair[i]) for pair in _GL_HALF]) for i in (0, 1))
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
-def _osc_power_integral(gamma: float, w: float) -> tuple:
-    """I(gamma, w) = int_1^oo u^(-gamma) e^(i w u) du for real gamma > 1 and
-    w > 0, with a proved bound on the absolute error: (value, bound).
+def _osc_power_integral(gamma: float, w) -> tuple:
+    """I(gamma, w) = int_1^oo u^(-gamma) e^(i w u) du for real gamma > 1 at
+    every w > 0 of an array, with a proved bound on each absolute error:
+    (values, bounds), arrays of the shape of w.
 
     I is the generalized exponential integral E_gamma(-i w).  Split at
     T = max(1, 2 (gamma + K) / w), K = _IBP_TERMS.
@@ -613,7 +618,8 @@ def _osc_power_integral(gamma: float, w: float) -> tuple:
     the remainder is at most the last term taken.  Terms are taken until
     one is at most 2^-53 m_0, or K of them; since
     m_(j+1)/m_j = (gamma + j)/(wT) <= 1/2 for j < K, the bound is at most
-    2^(1-K) m_0 = 2^(1-K) T^(-gamma)/w.
+    2^(1-K) m_0 = 2^(1-K) T^(-gamma)/w.  Each w is a row of its K products
+    m_(j+1) = m_j (gamma + j)/(wT), masked past its last term.
 
     Head.  When T > 1 (w < 2 (gamma + K)), int_1^T is cut into panels
     [a, b] with b - a <= min(a/2, _PANEL_PHASE/w), geometric ones first and
@@ -626,82 +632,100 @@ def _osc_power_integral(gamma: float, w: float) -> tuple:
     |f| <= M = (c - Ah)^(-gamma) e^(wBh).  Gauss quadrature then errs by at
     most h 64 M / (15 (rho^2 - 1) rho^(2n)) on the panel (Trefethen, "Is
     Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50 (2008),
-    Thm 4.5); the panel width keeps wBh <= 2 pi B.
+    Thm 4.5); the panel width keeps wBh <= 2 pi B.  The panels of all
+    distinct w are one flat array; np.add.reduceat sums each w's P panels.
 
     Rounding.  With r = 2^-53, each float operation is correctly rounded
     (within r), each libm pow, exp, cos and sin is within one ulp (2r
-    relative; r absolute for cos and sin), and the rule's nodes and
-    weights are within r (_gauss_legendre).  In the
-    head, h = (b - a)/2 is exact (Sterbenz, b <= 2a) and a computed node is
-    within 3ru of its u, so its amplitude h W u^(-gamma) is within
-    (3 gamma + 5) r and its phase wu within 4rwu; each cos or sin term is
-    within r |amp| (3 gamma + 7 + 4wu), the per-panel sums of n terms add
-    (n - 1) r sum |amp| and math.fsum r sum |amp|.  With S0 = sum |amp| and
-    S1 = sum |amp| u each component errs by r ((3 gamma + n + 7) S0 + 4 w S1).
-    In the tail the computed m_k is within (3 + 4k) r m_k, each part's fsum
-    within r sum m, e^(iwT) within sqrt(2) r (wT + 1), and the complex
-    product within sqrt(5) r |e||s|.  Adding head and tail and taking the
-    modulus, the error is at most
+    relative; r absolute for cos and sin), the rule's nodes and weights are
+    within r, and a plain sum of t nonzero terms, in any order, is within
+    (t - 1) r sum |term|.  In the head, h = (b - a)/2 is exact (Sterbenz,
+    b <= 2a) and a computed node is within 3ru of its u, so its amplitude
+    h W u^(-gamma) is within (3 gamma + 5) r and its phase wu within 4rwu;
+    each cos or sin term is within r |amp| (3 gamma + 7 + 4wu), and the
+    sums over the n nodes of a panel and then over the P panels add
+    (n + P - 2) r sum |amp|.  With S0 = sum |amp| and S1 = sum |amp| u each
+    component errs by r ((3 gamma + n + P + 5) S0 + 4 w S1).  In the tail
+    the computed m_k is within (3 + 4k) r m_k, each part's sum of at most
+    K/2 = 15 terms within 14 r sum m, e^(iwT) within sqrt(2) r (wT + 1),
+    and the complex product within sqrt(5) r |e||s|; adding head and tail
+    rounds once more.  Taking the modulus, the error is at most
 
-        1.5 r [(3 gamma + n + 8) S0 + 4 w S1 + sum (4k + 3) m_k + (wT + 5) sum m_k],
+        1.5 r [(3 gamma + n + P + 6) S0 + 4 w S1 + sum (4k + 3) m_k
+               + (wT + 13) sum m_k],
 
     where 1.5 > sqrt(2) also covers the second-order terms.  The two
     truncation bounds are themselves floats within (5 gamma + 4K + P + 40) r
-    of their values (P panels) and are raised by that much.
+    of their values and are raised by that much.
     """
+    shape = np.shape(w)
+    w = np.asarray(w, dtype=float).ravel()
     K = _IBP_TERMS
-    T = max(1.0, 2.0 * (gamma + K) / w)
+    T = np.maximum(1.0, 2.0 * (gamma + K) / w)
     wT = w * T
-    m = T ** -gamma / w
-    stop = _ROUND * m
-    parts = ([], [])  # the imaginary (j even) and real (j odd) terms
-    mag_sum = 0.0
-    weighted = 0.0
-    for j in range(K):
-        parts[j % 2].append(m if j % 4 >= 2 else -m)
-        mag_sum += m
-        weighted += (4 * j + 3) * m
-        if m <= stop or j == K - 1:
-            break
-        m *= (gamma + j) / wT
-    tail_err = m
-    s = complex(math.fsum(parts[1]), math.fsum(parts[0]))
-    value = -complex(math.cos(wT), math.sin(wT)) * s
-    rounding = weighted + (wT + 5.0) * mag_sum
-    quad_err = 0.0
-    panels = 0
-    if T > 1.0:
-        step = _PANEL_PHASE / w
-        # Widths a/2 up to a = 2 step, then step: b - a <= min(a/2, step).
-        n_geo = max(0, math.ceil(math.log(min(T, 2.0 * step)) / math.log(1.5)))
-        edges = 1.5 ** np.arange(n_geo + 1.0)
-        if edges[-1] < T:
-            edges = np.concatenate(
-                (edges, np.arange(edges[-1] + step, T, step)))
-        edges = np.append(edges[edges < T], T)
-        h = 0.5 * (edges[1:] - edges[:-1])
-        c = 0.5 * (edges[1:] + edges[:-1])
-        panels = len(c)
+    m = np.empty((len(w), K))
+    m[:, 0] = T ** -gamma / w
+    np.divide(gamma + np.arange(K - 1.0), wT[:, None], out=m[:, 1:])
+    np.multiply.accumulate(m, axis=1, out=m)
+    done = m <= _ROUND * m[:, :1]
+    done[:, -1] = True
+    last = done.argmax(axis=1)
+    tail_err = m[np.arange(len(w)), last]
+    m[np.arange(K) > last[:, None]] = 0.0
+    s_im, s_re, sum_m, sum_jm = (m[:, None, :] * _TAIL_WEIGHTS).sum(axis=2).T
+    cos, sin = np.cos(wT), np.sin(wT)
+    re = sin * s_im - cos * s_re
+    im = -(cos * s_im + sin * s_re)
+    rounding = sum_jm + (wT + 13.0) * sum_m
+    quad_err = np.zeros(len(w))
+    panels = np.zeros(len(w), dtype=np.int64)
+    head = (T > 1.0).nonzero()[0]
+    if head.size:
+        # The panels of each distinct w (T is a function of w): widths a/2
+        # up to a = 2 step, then step, so b - a <= min(a/2, step).
+        edges = {}
+        for wh, Th in zip(w[head].tolist(), T[head].tolist()):
+            if wh not in edges:
+                step, e = _PANEL_PHASE / wh, [1.0]
+                while e[-1] < Th:
+                    e.append(min(Th, 1.5 * e[-1] if e[-1] < 2.0 * step else e[-1] + step))
+                edges[wh] = e
+        order = {wh: i for i, wh in enumerate(edges)}
+        pos = [order[wh] for wh in w[head].tolist()]
+        counts = np.array([len(e) - 1 for e in edges.values()])
+        starts = np.cumsum(counts) - counts
+        lo = np.array([a for e in edges.values() for a in e[:-1]])
+        hi = np.array([b for e in edges.values() for b in e[1:]])
+        h, c = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        wp = np.repeat(list(edges), counts)
         x, wts = _gauss_legendre(_GL_NODES)
         u = c[:, None] + h[:, None] * x
         amp = u ** -gamma * (h[:, None] * wts)
-        phase = w * u
-        value += complex(math.fsum((amp * np.cos(phase)).sum(axis=1)),
-                         math.fsum((amp * np.sin(phase)).sum(axis=1)))
-        rounding += ((3.0 * gamma + _GL_NODES + 8.0) * float(amp.sum())
-                     + 4.0 * w * float((amp * u).sum()))
+        phase = wp[:, None] * u
+        # Per node: the real and imaginary parts and the rounding weight
+        # 3 gamma + n + P + 6 + 4wu, times the amplitude.
+        bias = 3.0 * gamma + _GL_NODES + 6.0 + np.repeat(counts, counts)[:, None]
+        per_node = amp * np.stack((np.cos(phase), np.sin(phase), 4.0 * phase + bias))
+        head_re, head_im, head_round = np.add.reduceat(
+            per_node.sum(axis=2), starts, axis=1)[:, pos]
+        re[head] += head_re
+        im[head] += head_im
+        rounding[head] += head_round
+        panels[head] = counts[pos]
         rho = _ELLIPSE_RHO
         big, small = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
-        M = (c - big * h) ** -gamma * np.exp(small * w * h)
-        quad_err = (64.0 / (15.0 * (rho * rho - 1.0) * rho ** (2 * _GL_NODES))
-                    * float((h * M).sum()))
+        M = (c - big * h) ** -gamma * np.exp(small * wp * h)
+        quad_err[head] = (64.0 / (15.0 * (rho * rho - 1.0) * rho ** (2 * _GL_NODES))
+                          * np.add.reduceat(h * M, starts)[pos])
     slack = 1.0 + (5.0 * gamma + 4 * K + panels + 40.0) * _ROUND
-    return value, slack * (tail_err + quad_err) + 1.5 * _ROUND * rounding
+    bound = slack * (tail_err + quad_err) + 1.5 * _ROUND * rounding
+    return (re + 1j * im).reshape(shape), bound.reshape(shape)
 
 
-def _arch_projective(n: int, sigma: Fraction, a: tuple) -> LocalFourierValue:
-    """The archimedean transform on P^n, where H_oo(x; s) = max(1, |x|)^sigma
-    in the max-norm |x|.
+def _arch_projective(n: int, sigma: Fraction, rows, den: int = 1) -> tuple:
+    """The archimedean transform on P^n at every a = row / den of an (N, n)
+    int64 array, where H_oo(x; s) = max(1, |x|)^sigma in the max-norm |x|:
+    (values, bounds), float arrays (the transform is real).
 
     Layer cake: for u >= 1, max(1, |x|) <= u exactly when |x| <= u, so
     max(1, |x|)^(-sigma) = sigma int_1^oo u^(-sigma-1) [|x| <= u] du and
@@ -716,7 +740,9 @@ def _arch_projective(n: int, sigma: Fraction, a: tuple) -> LocalFourierValue:
     transform is scale * sum_f c_f X_f over at most 2^(n-1) frequencies f,
     X_f = int_1^oo u^(-gamma) cos/sin(w u) du = Re/Im I(gamma, w) with
     gamma = sigma + 1 - z > 2 and w = 2 pi f (_osc_power_integral); w = 0
-    gives 1/(gamma - 1) exactly.
+    gives 1/(gamma - 1).  Sign patterns with equal |f| merge, exactly in
+    integers, into the first of them; a sine at f = 0 vanishes.  Rows with
+    the same z share gamma and one _osc_power_integral call.
 
     Bound: |scale| sum |c_f| (kernel bound of X_f) plus the rounding of
     what the kernel is handed and of the assembly.  With r = 2^-53: the
@@ -724,48 +750,47 @@ def _arch_projective(n: int, sigma: Fraction, a: tuple) -> LocalFourierValue:
     (one integration by parts), which costs 6r; the float gamma is within
     r (3 gamma + 2z) and |dI/dgamma| <= int_1^oo log u u^(-gamma) du =
     1/(gamma - 1)^2; c_f X_f and the sum of N terms add (N + 2) r |X_f|
-    with |X_f| <= 1/(gamma - 1); the scale is within (4m + 1) r and its
-    product r.  The allowance is twice that first-order sum, which also
-    covers the second-order terms.
+    with |X_f| <= 1/(gamma - 1) (this covers the rounding of 1/(gamma - 1)
+    at w = 0 too); the scale is within (4m + 1) r and its product r.  The
+    allowance is twice that first-order sum, which also covers the
+    second-order terms.
     """
-    if not any(a):
-        return LocalFourierValue(complex(sigma * 2**n / (sigma - n)), 0.0,
-                                 "closed-form")
-    freqs = [abs(x) for x in a if x]
-    m = len(freqs)
-    z = n - m
-    # Merge the sign patterns by |frequency| (exact, a is rational).
-    terms: dict = {}
-    for signs in _iter_product((1, -1), repeat=m - 1):
-        f = freqs[0] + sum(e * x for e, x in zip(signs, freqs[1:]))
-        c = math.prod(signs)
-        if f < 0:
-            f = -f
-            if m % 2:
-                c = -c
-        terms[f] = terms.get(f, 0) + c
-    terms = {f: c for f, c in terms.items() if c}
-    gamma = float(sigma) + 1.0 - z
-    scale = (float(sigma) * 2.0**z * (-1) ** (m // 2) * 2.0 ** (1 - m)
-             / math.prod(math.pi * float(x) for x in freqs))
-    total = 0.0
-    err = 0.0
-    for f, c in terms.items():
-        if f == 0:
-            if m % 2 == 0:
-                total += c / (gamma - 1.0)
-            continue
-        val, e = _osc_power_integral(gamma, TWO_PI * float(f))
-        total += c * (val.real if m % 2 == 0 else val.imag)
-        err += abs(c) * e
-    value = scale * total
-    per_term = (6.0 + (3.0 * gamma + 2 * z) / (gamma - 1.0) ** 2
-                + (len(terms) + 2) / (gamma - 1.0))
-    rounding = 2.0 * _ROUND * (
-        abs(scale) * sum(abs(c) for c in terms.values()) * per_term
-        + (4 * m + 2) * abs(value))
-    return LocalFourierValue(complex(value), abs(scale) * err + rounding,
-                             "quadrature")
+    rows = np.asarray(rows, dtype=np.int64)
+    nonzero = (rows != 0).sum(axis=1)
+    groups = np.bincount(nonzero, minlength=n + 1).tolist()
+    value, bound = np.zeros(len(rows)), np.zeros(len(rows))
+    if groups[0]:
+        value[nonzero == 0] = float(sigma * 2**n / (sigma - n))
+    sig = float(sigma)
+    for m in (m for m in range(1, n + 1) if groups[m]):
+        idx = (nonzero == m).nonzero()[0]
+        z = n - m
+        freqs = np.abs(rows[idx])
+        freqs = freqs[freqs != 0].reshape(-1, m)  # row order is kept
+        signs = np.array(list(_iter_product((1, -1), repeat=m - 1)),
+                         dtype=np.int64).reshape(2 ** (m - 1), m - 1)
+        f = freqs[:, :1] + freqs[:, 1:] @ signs.T
+        c = signs.prod(axis=1) * (np.sign(f) if m % 2 else np.ones_like(f))
+        f = np.abs(f)
+        # Merge each pattern into the first one with the same |f|.
+        first = (f[:, :, None] == f[:, None, :]).argmax(axis=2)
+        c = (c[:, None, :] * (first[:, None, :] == np.arange(len(signs))[:, None])).sum(axis=2)
+        gamma = sig + 1.0 - z
+        scale = (sig * 2.0**z * (-1) ** (m // 2) * 2.0 ** (1 - m)
+                 / (math.pi * (freqs / den)).prod(axis=1))
+        x, err = np.zeros(f.shape), np.zeros(f.shape)
+        x[f == 0] = (m % 2 == 0) / (gamma - 1.0)  # the cosine's X_0; a sine's is 0
+        live = (c != 0) & (f != 0)
+        val, err[live] = _osc_power_integral(gamma, TWO_PI * (f[live] / den))
+        x[live] = val.real if m % 2 == 0 else val.imag
+        abs_c, abs_scale = np.abs(c), np.abs(scale)
+        value[idx] = scale * (c * x).sum(axis=1)
+        per_term = (6.0 + (3.0 * gamma + 2 * z) / (gamma - 1.0) ** 2
+                    + ((c != 0).sum(axis=1) + 2) / (gamma - 1.0))
+        rounding = 2.0 * _ROUND * (abs_scale * abs_c.sum(axis=1) * per_term
+                                   + (4 * m + 2) * np.abs(value[idx]))
+        bound[idx] = abs_scale * (abs_c * err).sum(axis=1) + rounding
+    return value, bound
 
 
 def _arch_integrand_2d(model: VarietyModel, s):
@@ -870,7 +895,11 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
     exps = geometry.generator_exponents(model, s)
 
     if not model.centers:
-        return _arch_projective(model.dim, exps[0], arg.a)
+        den = math.lcm(*(x.denominator for x in arg.a))
+        value, bound = _arch_projective(
+            model.dim, exps[0], [[int(x * den) for x in arg.a]], den)
+        return LocalFourierValue(complex(value[0]), float(bound[0]),
+                                 "closed-form" if arg.is_zero else "quadrature")
 
     # The four-cell decomposition and the plateau of _arch_quad_2d need the
     # single center (1 : 0 : 0), whose pencil {Y, Z} does not involve x.
@@ -936,25 +965,44 @@ def _checked_s(model: VarietyModel, s, arg: CharacterArgument) -> tuple:
     return s, beta
 
 
-def _pn_character(model: VarietyModel, sigma: Fraction,
-                  arg: CharacterArgument) -> tuple:
-    """(value, error_bound, arch) of global_fourier on P^n at a sigma = s_D1
-    that _checked_s has passed; each support prime still passes
-    tamagawa._system_data."""
+def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
+    """(values, error_bounds, arch values) of global_fourier on P^n, float
+    arrays, at the integral characters a in the rows of an (N, n) int64
+    array and a sigma = s_D1 that _checked_s has passed (the formula is in
+    global_fourier).  Tate_p enters at k = v_p(gcd a), p ascending: as in
+    _util.mu_segment the primes p <= sqrt(max gcd) are divided out of the
+    gcds in turn, and what is left is 1 or one larger prime (k = 1).  Each
+    prime passes tamagawa._system_data.
+    """
     n = model.dim
-    arch = _arch_projective(n, sigma, arg.a)
+    rows = np.asarray(rows, dtype=np.int64)
+    arch, arch_err = _arch_projective(n, sigma, rows)
     sig = float(sigma)
-    finite = 1.0 / _zeta(sig)
-    if arg.is_zero:
-        finite *= _zeta(float(1 + sigma - model.rho[0]))
-    for p in arg.support_primes():
+    finite = np.full(len(rows), 1.0 / _zeta(sig))
+    g = np.gcd.reduce(np.abs(rows), axis=1)
+    if not g.all():
+        finite[g == 0] *= _zeta(float(1 + sigma - model.rho[0]))
+
+    def tate(p: int, k: int) -> float:
         if tamagawa._system_data(model, p)[1]:
             raise CapabilityError(f"{model.id}: valuation cones at {p}")
-        k = min(vp_fraction(x, p) for x in arg.a if x)
         num, den = tamagawa._tate_shell_sum(p, k, n, sigma)
-        finite *= num / den / (1.0 - float(p) ** (-sig))
-    value = arch.value * finite
-    bound = arch.error_bound * abs(finite) + 1e-14 * max(1.0, abs(value))
+        return num / den / (1.0 - float(p) ** (-sig))
+
+    rest = np.maximum(g, 1)
+    for p in primes_upto(math.isqrt(int(rest.max(initial=1)))):
+        hit = (rest % p == 0).nonzero()[0]
+        k = np.zeros(hit.size, dtype=np.int64)
+        while (divides := rest[hit] % p == 0).any():
+            k += divides
+            rest[hit] //= np.where(divides, p, 1)
+        finite[hit] *= np.array([tate(p, kk) for kk in range(1, k.max(initial=0) + 1)])[k - 1]
+    big = (rest > 1).nonzero()[0]
+    if big.size:
+        primes = sorted(set(rest[big].tolist()))
+        finite[big] *= np.array([tate(q, 1) for q in primes])[np.searchsorted(primes, rest[big])]
+    value = arch * finite
+    bound = arch_err * np.abs(finite) + 1e-14 * np.maximum(1.0, np.abs(value))
     return value, bound, arch
 
 
@@ -964,14 +1012,17 @@ def global_fourier(model: VarietyModel, a, s,
 
     P^n is exact at every finite place, and p_max plays no role.  With
     sigma = s_D1, Tate's local factor is 1 - p^(-sigma) at p not dividing a,
-    so after one check of s and a the kernel _pn_character returns
-    _arch_projective(n, sigma, a) * zeta(sigma)^(-1) * prod_{p | a} Tate_p /
-    (1 - p^(-sigma)), Tate_p the exact shell sum tamagawa._tate_shell_sum
-    (an int quotient at integer sigma), with the archimedean bound times the
-    finite part plus 1e-14 max(1, |value|).  At a = 0 the product is
-    zeta(beta)/zeta(sigma).  P1 takes the kernel at every a, P2 and P3 at
-    a != 0; their trivial character still takes the generic assembly below,
-    whose completion removes each A0 pole twice (ROADMAP).
+    so after one check of s and a an integral a is one row of the batch
+    kernel _pn_characters, which returns _arch_projective(n, sigma, a) *
+    zeta(sigma)^(-1) * prod_{p | a} Tate_p / (1 - p^(-sigma)), Tate_p the
+    exact shell sum tamagawa._tate_shell_sum (an int quotient at integer
+    sigma), with the archimedean bound times the finite part plus
+    1e-14 max(1, |value|); poisson_check hands the same kernel all its
+    characters at once.  At a = 0 the product is zeta(beta)/zeta(sigma).  A
+    non-integral a has Tate factor 0 at a prime dividing a denominator, so
+    the value is 0 with bound 1e-14.  P1 takes the kernel at every a, P2 and
+    P3 at a != 0; their trivial character still takes the generic assembly
+    below, whose completion removes each A0 pole twice (ROADMAP).
 
     Generic assembly (the blow-ups): brute force at 2, 3 and at the support
     primes of a, closed forms at the remaining good primes up to p_max.  The
@@ -996,9 +1047,12 @@ def global_fourier(model: VarietyModel, a, s,
     arg = CharacterArgument(a)
     s, beta = _checked_s(model, s, arg)
     if not model.centers and (model.dim == 1 or not arg.is_zero):
-        value, bound, _ = _pn_character(model, s[0], arg)
+        if not arg.is_integral:
+            # Tate's factor is 0 at a prime dividing a denominator.
+            return GlobalFourierValue(0j, 1e-14, ())
+        value, bound, _ = _pn_characters(model, s[0], [[int(x) for x in arg.a]])
         zeta_factors = tuple(zip(model.components, beta)) if arg.is_zero else ()
-        return GlobalFourierValue(value, bound, zeta_factors)
+        return GlobalFourierValue(complex(value[0]), float(bound[0]), zeta_factors)
 
     if arg.is_zero:
         a0_names = list(model.components)
@@ -1146,7 +1200,7 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
 
         radius = enumeration._box_radius(model, lam, b_cut)
         enumeration._check_box_budget(
-            model, b_cut, radius, enumeration.DEFAULT_CANDIDATE_BUDGET)
+            model, b_cut, radius, enumeration.KERNEL_CANDIDATE_BUDGET)
         partial = 0.0
         n_cut = 0
         for _, _, hs in enumeration._box_kernel(model, lam, b_cut, radius, 1, radius + 1):
@@ -1239,8 +1293,10 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
 
     Only P1 is supported: the character sum over a_1 = 1..a_cut and its
     tail bound are written for one-dimensional characters.  s is checked
-    once, then _pn_character runs at every a; P^n is exact at every finite
-    place, so p_max is ignored.
+    once, and the batch kernel _pn_characters evaluates a = 0..a_cut in one
+    call, row by row the floats of global_fourier at each a; the two sums
+    are then taken left to right.  P^n is exact at every finite place, so
+    p_max is ignored.
 
     Args:
         model: catalog model (P1 only).
@@ -1266,14 +1322,14 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
     trivial = CharacterArgument((0,))
     s_pic, _ = _checked_s(model, [as_fraction(s) * l for l in lam], trivial)
     sigma = float(s_pic[0])
-    g0, err, arch0 = _pn_character(model, s_pic[0], trivial)
-    rhs = g0.real
-    for a1 in range(1, a_cut + 1):
-        value, bound, _ = _pn_character(model, s_pic[0], CharacterArgument((a1,)))
-        rhs += 2.0 * value.real
+    values, bounds, arch = (x.tolist() for x in _pn_characters(
+        model, s_pic[0], np.arange(a_cut + 1, dtype=np.int64)[:, None]))
+    rhs, err = values[0], bounds[0]
+    for value, bound in zip(values[1:], bounds[1:]):
+        rhs += 2.0 * value
         err += 2.0 * bound
 
-    finite_k = abs(g0) / max(arch0.value.real, 1e-30)
+    finite_k = abs(values[0]) / max(arch[0], 1e-30)
     if a_cut > 0:
         a_tail = 2.0 * finite_k * sigma / (math.pi ** 2 * a_cut)
     else:

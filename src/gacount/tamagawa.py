@@ -487,9 +487,22 @@ def predicted_constant(
     model: VarietyModel,
     p_max: int = 10_000,
     result: Optional[EulerProductResult] = None,
+    *,
+    lam=None,
 ) -> float:
-    """Leading constant c * tau / (rank - 1)! with c = prod_alpha 1/rho_alpha."""
+    """Leading constant c_lambda of N_lambda(B) ~ c_lambda B^a (log B)^(b-1).
+
+    c_rho = c tau / (rank - 1)! with c = prod_alpha 1/rho_alpha.  At
+    lambda = t rho, H_lambda = H_rho^t, so N_lambda(B) = N_rho(B^(1/t))
+    ~ c_rho B^(1/t) (log B^(1/t))^(b-1) with b = rank, and c_lambda =
+    c_rho t^(-(b-1)).  Any other lambda raises CapabilityError.
+    """
+    vals = geometry.require_interior(model, model.rho if lam is None else lam)
+    t = vals[0] / model.rho[0]
+    if vals != tuple(t * r for r in model.rho):
+        raise CapabilityError(f"{model.id}: predicted constant only at multiples of rho")
     if result is None:
         result = tamagawa_number(model, p_max=p_max)
     c = geometry.c_coeff(model, model.rho)
-    return result.tamagawa * float(c) / math.factorial(model.rank - 1)
+    return (result.tamagawa * float(c) / math.factorial(model.rank - 1)
+            * float(t ** (1 - model.rank)))

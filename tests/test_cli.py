@@ -132,6 +132,29 @@ def test_fit_with_prediction_json(capsys, tmp_path):
     assert res["a_hat"] is not None
 
 
+def test_fit_prediction_follows_lambda(capsys, tmp_path):
+    # At lambda = 1 = rho/2 on P1 the constant is c_rho (b = 1); BlP2-1 at
+    # (1, 1) is no multiple of rho, so no constant and no gap is reported.
+    report_path = tmp_path / "fit.json"
+    code, out, _ = run(
+        capsys, "fit", "--model", "P1", "--lambda", "1", "--bmin", "100",
+        "--bmax", "100000", "--ladder", "6", "--pmax", "2000",
+        "--json", str(report_path),
+    )
+    assert code == 0
+    res = json.loads(report_path.read_text())["results"]
+    assert abs(res["fitted_constant"] / res["predicted_constant"] - 1.0) < 0.05
+    code, out, _ = run(
+        capsys, "fit", "--model", "BlP2-1", "--lambda", "1,1", "--bmin", "100",
+        "--bmax", "10000", "--ladder", "4", "--json", str(report_path),
+    )
+    assert code == 0
+    assert "relative gap" not in out
+    res = json.loads(report_path.read_text())["results"]
+    assert res["predicted_constant"] is None
+    assert res["fitted_constant"] > 0
+
+
 def test_emit_plot_data_empty_ladder(tmp_path):
     path = tmp_path / "empty.dat"
     ladder = enumeration.CountLadder(P1, (Fraction(2),), ())

@@ -90,6 +90,15 @@ def test_candidate_budget_guard():
         list(enumeration.enumerate_points(m, m.rho, 10**9, candidate_budget=10**6))
 
 
+def test_kernel_budget_counts_past_the_loop_budget():
+    # B = 11664 needs 5085612 candidates: over the loop scan's budget, which
+    # enumerate_points keeps, and under the box kernel's.
+    m = geometry.load_model("BlP2-2")
+    with pytest.raises(CapabilityError):
+        next(enumeration.enumerate_points(m, m.rho, 11664))
+    assert enumeration.count_points(m, m.rho, 11664) >= 308697
+
+
 def test_count_ladder_basics():
     m = geometry.load_model("P1")
     lad = enumeration.count_ladder(m, m.rho, [10, 100, 1000])

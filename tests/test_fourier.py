@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -324,11 +325,12 @@ def test_arch_fourier_p1_vs_mpmath(sigma, a):
     assert out.error_bound <= 1e-5 * abs(out.value)
 
 
-@pytest.mark.parametrize("a", [(1, 2, 4), (1, 1, 0)])
+@pytest.mark.parametrize("a", [(1, 2, 4), (1, 1, 0), (1, 1, 2), (3, 1, 2)])
 def test_arch_fourier_p3_vs_mpmath(a):
     # The layer-cake integral sigma int_1^oo u^(-sigma-1) prod_j Phi_j(u) du
     # by mpmath, without the product-to-sum expansion; (1, 2, 4) has the
-    # negative sine frequency 1 + 2 - 4.
+    # negative sine frequency 1 + 2 - 4, and (1, 1, 2) and (3, 1, 2) have two
+    # sign patterns of equal |f| and a sine at f = 0.
     p3 = geometry.load_model("P3")
     out = fourier.arch_fourier(p3, a, (5,))
     with mpmath.workdps(15):
@@ -377,6 +379,22 @@ def test_osc_power_integral_vs_quadpack(gamma):
             ref, est = integrate.quad(lambda u: u ** -gamma, 1.0, np.inf,
                                       weight=trig, wvar=w)
             assert abs(part - ref) <= bound + est, (gamma, f, trig)
+
+
+@pytest.mark.parametrize("gamma", KERNEL_GAMMAS)
+def test_osc_power_integral_batch_matches_single(gamma):
+    # One call on the whole grid gives, element by element, the one-element
+    # call, and each value passes the expint bound.
+    ws = np.array([2 * math.pi * f for f in _kernel_freqs(gamma)])
+    values, bounds = fourier._osc_power_integral(float(gamma), ws)
+    assert values.shape == bounds.shape == ws.shape
+    for w, value, bound in zip(ws, values, bounds):
+        one, one_bound = fourier._osc_power_integral(float(gamma), np.array([w]))
+        assert value == one[0] and bound == one_bound[0], (gamma, w)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.expint(mpmath.mpf(gamma),
+                                        mpmath.mpc(0, -mpmath.mpf(float(w)))))
+        assert abs(value - ref) <= bound, (gamma, w)
 
 
 def test_gauss_legendre_rule_correctly_rounded():
@@ -522,6 +540,20 @@ def test_pn_kernel_matches_slow_path():
         assert out.error_bound == bound, (model.id, a, s)
 
 
+@pytest.mark.parametrize("mid,radius", [("P2", 4), ("P3", 2)])
+def test_pn_kernel_batch_matches_one_row(mid, radius):
+    # A batch mixing zero counts z (so several gammas), merged sign patterns
+    # and shared frequencies gives, row by row, the one-row global_fourier.
+    model = geometry.load_model(mid)
+    rows = [a for a in itertools.product(range(-radius, radius + 1), repeat=model.dim)
+            if any(a)]
+    s = (model.rho[0] + 1,)
+    values, bounds, _ = fourier._pn_characters(model, Fraction(s[0]), np.array(rows))
+    for a, value, bound in zip(rows, values, bounds):
+        one = fourier.global_fourier(model, a, s)
+        assert (one.value, one.error_bound) == (value, bound), a
+
+
 def test_poisson_check_checks_s_outside_character_loop(monkeypatch):
     # coerce_picard runs as often at a_cut = 200 as at a_cut = 10, and the
     # per-call pieces never run: s is checked once per spectral sum.
@@ -548,6 +580,28 @@ def test_poisson_check_checks_s_outside_character_loop(monkeypatch):
         seen.append(dict(calls))
     assert seen[0] == seen[1]
     assert seen[1]["arch_fourier"] == seen[1]["exact_local_density"] == 0
+
+
+@pytest.mark.parametrize("s", [5, Fraction(7, 2), Fraction(7, 4)])
+def test_poisson_check_batch_matches_one_by_one(s):
+    # The batch kernel's spectral side equals the left-to-right sum of
+    # one-row global_fourier calls, bit for bit.  On P1 at rho sigma = 2s,
+    # so s = 7/4 takes the float shell sums.
+    p1 = geometry.load_model("P1")
+    a_cut = 200
+    out = fourier.poisson_check(p1, p1.rho, s, 10**3, a_cut)
+    s_pic = (Fraction(s) * p1.rho[0],)
+    g0 = fourier.global_fourier(p1, (0,), s_pic)
+    rhs, err = g0.value.real, g0.error_bound
+    for a in range(1, a_cut + 1):
+        g = fourier.global_fourier(p1, (a,), s_pic)
+        rhs += 2.0 * g.value.real
+        err += 2.0 * g.error_bound
+    finite_k = abs(g0.value) / fourier.arch_fourier(p1, (0,), s_pic).value.real
+    a_tail = 2.0 * finite_k * float(s_pic[0]) / (math.pi ** 2 * a_cut)
+    _, lhs_tail = fourier.zeta_truncated(p1, p1.rho, float(s), 10**3)
+    assert out["rhs"] == rhs
+    assert out["combined_bound"] == lhs_tail + err + a_tail
 
 
 @pytest.mark.xfail(strict=True, reason=(

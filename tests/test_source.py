@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
@@ -37,6 +38,16 @@ def test_no_module_level_scipy_import():
             for path in sorted(SRC.glob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if SCIPY_IMPORT.match(line)]
+    assert hits == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so an invariant of the package
+    # raises an exception instead.
+    hits = [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)]
     assert hits == []
 
 

@@ -436,6 +436,22 @@ def test_predicted_constant_reuses_result():
     assert abs(c1 - expected) <= 1e-15
 
 
+def test_predicted_constant_at_multiples_of_rho():
+    # lambda = t rho gives c_rho t^-(b-1); any other lambda raises.
+    b1 = geometry.load_model("BlP2-1")
+    res = tamagawa.tamagawa_number(b1, p_max=500)
+    at_rho = tamagawa.predicted_constant(b1, result=res)
+    assert tamagawa.predicted_constant(b1, result=res, lam=b1.rho) == at_rho
+    assert tamagawa.predicted_constant(b1, result=res, lam=(6, 4)) == at_rho / 2
+    assert tamagawa.predicted_constant(b1, result=res, lam=(1, Fraction(2, 3))) == 3 * at_rho
+    with pytest.raises(CapabilityError):
+        tamagawa.predicted_constant(b1, result=res, lam=(1, 1))
+    p1 = geometry.load_model("P1")
+    res = tamagawa.tamagawa_number(p1, p_max=500)
+    assert tamagawa.predicted_constant(p1, result=res, lam=(1,)) == \
+        tamagawa.predicted_constant(p1, result=res)
+
+
 def test_tamagawa_number_exact_small_primes(model, monkeypatch):
     # p = 2, 3 never reach the cube refinement, and at the default p_max
     # the whole error budget is the Euler tail.
