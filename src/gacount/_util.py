@@ -5,7 +5,8 @@ silently corrupt counts when done in floating point, so they are kept in one
 place and unit-tested: rational coercion, p-adic valuations, integer roots of
 rational bounds, exact comparison of monomials in integer heights against a
 rational bound, the one primality test and the one factorizer of the
-package, Moebius/Euler-phi/prime sieves and the Mertens table.
+package, Moebius/Euler-phi/prime sieves, the Mertens table, and the Riemann
+zeta function on the reals above 1, correctly rounded.
 
 Moebius and Euler phi values come from NumPy segment sieves,
 mu_segment(a, b) and phi_segment(a, b) for a <= k < b: slices over the
@@ -16,7 +17,11 @@ can have, read off a quotient array (mu: int8 values and an int32 quotient,
 
 from __future__ import annotations
 
+import math
+import numbers
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import isqrt, lcm
 
@@ -238,3 +243,113 @@ def phi_segment(a: int, b: int) -> np.ndarray:
 def phi_sieve(n: int) -> list[int]:
     """Euler phi values phi(0..n) (phi(0) set to 0)."""
     return [0, *phi_segment(1, n + 1).tolist()]
+
+
+# B_2, B_4, ..., B_26 as (numerator, denominator): the Euler-Maclaurin
+# corrections of zeta take B_2..B_24, and B_26 bounds the remainder.
+_BERNOULLI_EVEN = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+    (-236364091, 2730), (8553103, 6),
+)
+# B_2j/(2j)! as (numerator, denominator), j = 1..M+1.
+_ZETA_COEFFS = tuple((num, den * math.factorial(2 * j))
+                     for j, (num, den) in enumerate(_BERNOULLI_EVEN, 1))
+_ZETA_M = len(_ZETA_COEFFS) - 1
+_ZETA_N = 24
+_ZETA_BITS = 128
+
+
+# typed: 2 + 0j and Decimal(2) equal 2 and hash alike, and must not hit its entry.
+@lru_cache(maxsize=256, typed=True)
+def zeta(x) -> float:
+    """Riemann zeta(x) for real x > 1, correctly rounded to the nearest float.
+
+    An int or Fraction argument is first converted to float.  For x >= 54,
+    0 < zeta(x) - 1 <= 2^-x + int_2^oo t^-x dt = 2^-x (1 + 2/(x-1)) < 2^-53,
+    half the spacing of the floats above 1, so zeta(x) rounds to 1.0.
+    Otherwise _zeta_enclosure gives integers lo <= 2^W zeta(x) <= hi with N
+    direct terms, and lo/2^W, hi/2^W as correctly rounded floats (Python's
+    int / int); when they are equal, every number between them, zeta(x)
+    too, rounds to that float (rounding to nearest is monotone).  If not, W
+    and N are doubled.  At W = 128 and N = 24, hi - lo is at most about
+    1e-31 zeta(x) (the remainder bound, largest near x = 2.25), so a second
+    pass is all but never needed.
+
+    Raises:
+        ValueError: x is not a real number, or not finite and > 1.
+        ArithmeticError: three doublings left zeta(x) astride a rounding
+            boundary, so within about 1e-140 of a midpoint of two floats.
+    """
+    if not isinstance(x, numbers.Real):
+        raise ValueError(f"zeta needs a real argument, got {x!r}")
+    x = float(x)
+    if not 1.0 < x < math.inf:
+        raise ValueError(f"zeta needs a finite x > 1, got {x!r}")
+    if x >= 54.0:
+        return 1.0
+    bits, n_cut = _ZETA_BITS, _ZETA_N
+    for _ in range(4):
+        lo, hi = _zeta_enclosure(x, bits, n_cut)
+        if lo == hi:
+            return lo
+        bits, n_cut = 2 * bits, 2 * n_cut
+    raise ArithmeticError(f"zeta({x!r}) not resolved to one float")
+
+
+def _zeta_enclosure(x: float, bits: int, n_cut: int) -> tuple:
+    """(lo / S, hi / S) as floats for integers lo <= S zeta(x) <= hi,
+    S = 2^bits, 1 < x < 54, by Euler-Maclaurin at N = n_cut <= 192.
+
+    With s = x and M = _ZETA_M,
+        zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
+                  + sum_{j=1..M} T_j + R,
+        T_j = B_2j/(2j)! s(s+1)...(s+2j-2) N^(1-s-2j),
+    and for real s > 0, |R| <= |T_{M+1}| (Edwards, "Riemann's Zeta Function",
+    section 6.4: |R| <= |s+2M+1|/(Re s+2M+1) |T_{M+1}|).
+
+    Every term is summed in fixed point, as an integer near S times it.
+    Write s = a/d exactly (d a power of 2), k = floor(s), f = s - k, so
+    n^-s = n^-k g_n with g_n = n^-f in (0, 1], and each term is an exact
+    rational times g_n.  G_n is an integer within e_n of S g_n: S itself
+    (e_n = 0) when f = 0.  Otherwise, at a prime n, G_n = floor(S E) for
+    E = exp(-(f ln n)) by correctly rounded decimal ln, product and exp at
+    P digits, 10^(P-3) >= S: the two roundings of 10^(1-P)/2 inside the
+    exponent move it by at most f ln n 10^(1-P) <= 5.3 10^(1-P), so E is
+    within relative 6 10^(1-P) of g_n, and S g_n 6 10^(1-P) <= 0.06 gives
+    e_n = 2.  At n = p m, G_n = G_p G_m // S with e_n = e_p + e_m + 2.  A
+    term c g_n with c an exact rational is taken as floor(c G_n), within
+    1 + |c| e_n of S c g_n.  The sum of these bounds, plus the bound
+    |c| (G_N + e_N) on S |T_{M+1}|, is the half-width (hi - lo)/2.
+    """
+    a, d = x.as_integer_ratio()
+    k, scale = a // d, 1 << bits
+    g = [scale] * (n_cut + 1)  # g[n]: S n^-f, within err[n]
+    err = [0] * (n_cut + 1)
+    if a % d:
+        f = Decimal(x - k)  # exact: x - floor(x) is a float subtraction without rounding
+        with localcontext(Context(prec=math.ceil(bits * math.log10(2)) + 3)):
+            for n in range(2, n_cut + 1):
+                p = next(p for p in range(2, n + 1) if n % p == 0)
+                if p == n:
+                    num, den = (-(f * Decimal(n).ln())).exp().as_integer_ratio()
+                    g[n], err[n] = num * scale // den, 2
+                else:
+                    g[n], err[n] = g[p] * g[n // p] // scale, err[p] + err[n // p] + 2
+    n_k, g_n, e_n = n_cut**k, g[n_cut], err[n_cut]
+    # The positive terms: 1, 2^-s, ..., (N-1)^-s, N^(1-s)/(s-1), N^-s/2.
+    total = scale + sum([g[n] // n**k for n in range(2, n_cut)])
+    total += n_cut * d * g_n // ((a - d) * n_k) + g_n // (2 * n_k)
+    # 1 + e_n for each n^-s and for N^-s/2, 1 + |c| e_N for N^(1-s)/(s-1).
+    slack = sum(err[:n_cut]) + n_cut + 2 + e_n - (-e_n * n_cut * d // ((a - d) * n_k))
+    num_a, den_a = a, d * n_cut * n_k  # s(s+1)...(s+2j-2) N^(1-s-2j) at j = 1
+    for j, (num, den) in enumerate(_ZETA_COEFFS, 1):
+        c_num, c_den = num * num_a, den * den_a  # T_j = (c_num / c_den) g_N
+        if j > _ZETA_M:  # |T_{M+1}| bounds the remainder R
+            slack += -(-abs(c_num) * (g_n + e_n) // c_den)
+            break
+        total += c_num * g_n // c_den
+        slack += 1 - (-abs(c_num) * e_n // c_den)
+        num_a *= (a + (2 * j - 1) * d) * (a + 2 * j * d)
+        den_a *= (d * n_cut) ** 2
+    return (total - slack) / scale, (total + slack) / scale

@@ -6,7 +6,7 @@ stratum counts, Picard arithmetic) with desk-scale numeric convergence at
 pinned tolerances (counting constants, local Fourier transforms, the
 Poisson identity).  Every check is self-contained so the command line can
 run any subset; none mutates package state beyond the memoized values of
-fourier._zeta and tamagawa._peel_data.
+_util.zeta and tamagawa._peel_data.
 
 The pass conditions are deliberately strict.  Where a check carries a
 stated wall-clock budget the elapsed time is part of the verdict, and
@@ -22,11 +22,10 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from . import enumeration, fourier, geometry, heights, tamagawa
-from ._util import prime_factors, primes_upto
+from ._util import prime_factors, primes_upto, zeta
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,7 @@ def a2() -> AcceptanceResult:
     B = 10**7
     n = enumeration.count_points(model, model.rho, B)
     ratio = n / B
-    with mpmath.workdps(40):
-        target = float(4 / mpmath.zeta(3))
+    target = 4 / zeta(3)
     rel = abs(ratio / target - 1.0)
     predicted = tamagawa.predicted_constant(model)
     diff = abs(predicted - target)

@@ -31,7 +31,7 @@ import time
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from . import __version__, acceptance, enumeration, fourier, geometry, tamagawa
+from . import __version__, enumeration, fourier, geometry, tamagawa
 from ._util import CapabilityError, as_fraction, is_prime, primes_upto
 
 EXIT_OK = 0
@@ -405,6 +405,8 @@ def _cmd_zeta_check(args) -> _Outcome:
 
 
 def _cmd_all_acceptance(args) -> _Outcome:
+    from . import acceptance  # imported here: no other command needs it
+
     only = [s.strip() for s in args.only.split(",")] if args.only else None
     results = acceptance.run_all(only)
     for r in results:

@@ -117,7 +117,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from fractions import Fraction
@@ -391,6 +390,10 @@ def count_points(
     ]
     if workers == 1 or len(tasks) == 1:
         return sum(_partial_count(t) for t in tasks)
+    # Imported here: concurrent.futures.process loads multiprocessing, which
+    # no other path of a gacount process needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_partial_count, tasks))
 

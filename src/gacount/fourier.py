@@ -70,11 +70,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iter_product
 
-import mpmath
 import numpy as np
 
 from ._util import (
@@ -86,6 +86,7 @@ from ._util import (
     primes_upto,
     vp,
     vp_fraction,
+    zeta,
 )
 from . import enumeration, geometry, tamagawa
 from .geometry import VarietyModel
@@ -572,7 +573,7 @@ _TAIL_WEIGHTS = np.array(
 # The positive nodes and weights of the 24-point Gauss-Legendre rule on
 # [-1, 1], from one 32-digit Newton step on numpy's leggauss nodes: each is
 # within 2^-53 (1 + 10^-12) of its exact value, relative, which the tests
-# check against mpmath's 120-bit rule.
+# check against a 120-bit reference rule.
 _GL_HALF = (
     ("0x1.0660853eda2e8p-4", "0x1.060475e763736p-3"),
     ("0x1.8769542b94f8dp-3", "0x1.01b7117cf8bd8p-3"),
@@ -932,12 +933,6 @@ class GlobalFourierValue:
     zeta_factors: tuple
 
 
-@lru_cache(maxsize=256)
-def _zeta(x: float) -> float:
-    with mpmath.workdps(30):
-        return float(mpmath.zeta(float(x)))
-
-
 def _global_tail_exponent(beta_all, beta_a0) -> float:
     """Decay exponent of the regularized local factor minus one.
 
@@ -978,10 +973,10 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
     rows = np.asarray(rows, dtype=np.int64)
     arch, arch_err = _arch_projective(n, sigma, rows)
     sig = float(sigma)
-    finite = np.full(len(rows), 1.0 / _zeta(sig))
+    finite = np.full(len(rows), 1.0 / zeta(sig))
     g = np.gcd.reduce(np.abs(rows), axis=1)
     if not g.all():
-        finite[g == 0] *= _zeta(float(1 + sigma - model.rho[0]))
+        finite[g == 0] *= zeta(float(1 + sigma - model.rho[0]))
 
     def tate(p: int, k: int) -> float:
         if tamagawa._system_data(model, p)[1]:
@@ -1108,7 +1103,7 @@ def global_fourier(model: VarietyModel, a, s,
         finite *= main * peel(p)
         rel_err += et / max(abs(main) - et, 1e-30)
     for _name, b in zeta_factors:
-        part = _zeta(float(b))
+        part = zeta(float(b))
         for p in computed:
             part *= 1.0 - float(p) ** (-float(b))
         finite *= part
@@ -1219,12 +1214,24 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     b_hat = len(geometry.b_set(model, lam))
     c_hat = n_cut / (b_top ** a_hat * math.log(b_top) ** (b_hat - 1))
     # integral_B^oo t^(a-s-1) (log t)^(b-1) dt = Gamma(b, (s-a) log B)/(s-a)^b
-    # (substitute u = (s-a) log t); exact, no quadrature needed.
+    # (substitute u = (s-a) log t), and b = |b_set| is an integer, so the
+    # upper incomplete Gamma has the closed form of _upper_gamma.
     c = s - a_hat
-    with mpmath.workdps(30):
-        tail_int = float(mpmath.gammainc(b_hat, c * math.log(b_top))) / c ** b_hat
+    tail_int = _upper_gamma(b_hat, c * math.log(b_top)) / c ** b_hat
     tail = s * c_hat * tail_int
     return partial, tail
+
+
+def _upper_gamma(b: int, x: float) -> float:
+    """Gamma(b, x) = (b-1)! e^-x sum_{k<b} x^k/k! for an integer b >= 1,
+    evaluated in 30 decimal digits and rounded to float."""
+    with localcontext(Context(prec=30)):
+        x = Decimal(x)
+        term = total = Decimal(1)
+        for k in range(1, b):
+            term = term * x / k
+            total += term
+        return float(math.factorial(b - 1) * (-x).exp() * total)
 
 
 def _coprime_range_count(m: int, g: int, mu_div) -> int:

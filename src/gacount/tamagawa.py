@@ -49,10 +49,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-import mpmath
-
 from . import geometry
-from ._util import CapabilityError, as_fraction, is_prime, primes_upto, vp_fraction
+from ._util import CapabilityError, as_fraction, is_prime, primes_upto, vp_fraction, zeta
 from .geometry import VarietyModel
 
 PEEL_ORDER = 5
@@ -432,6 +430,11 @@ def tamagawa_number(
 ) -> EulerProductResult:
     """Regularized Euler product for tau = arch * prod_p density_p (1-1/p)^rank.
 
+    The zeta completion prod_k (zeta(k) prod_{p <= p_max} (1 - p^-k))^(-e_k)
+    takes each zeta(k) as the correctly rounded float that _util.zeta
+    proves, so its error is float assembly like the rest of the product,
+    which FLOAT_ASSEMBLY_EPS covers.
+
     Args:
         model: catalog entry.
         p_max: truncation point, at least 100; factors above it enter only
@@ -461,12 +464,11 @@ def tamagawa_number(
         partial *= acc
     peeled, _ = _peel_data(model)
     completion = 1.0
-    with mpmath.workdps(30):
-        for k, ek in peeled:
-            body = float(mpmath.zeta(k))
-            for p in (2, 3, *primes):
-                body *= 1.0 - float(p) ** (-k)
-            completion *= body ** (-ek)
+    for k, ek in peeled:
+        body = zeta(k)
+        for p in (2, 3, *primes):
+            body *= 1.0 - float(p) ** (-k)
+        completion *= body ** (-ek)
     tam = arch * partial * completion
     tail = abs(tam) * _euler_tail_bound(model, p_max) + FLOAT_ASSEMBLY_EPS * arch
     return EulerProductResult(

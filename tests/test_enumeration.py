@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 from fractions import Fraction
 from itertools import accumulate
@@ -507,14 +508,21 @@ def test_pn_count_is_sublinear(monkeypatch):
 
 
 def test_pn_count_starts_no_pool(monkeypatch):
-    P2 = geometry.load_model("P2")
-    want = enumeration.count_points(P2, P2.rho, 10**6)
+    # count_points imports ProcessPoolExecutor from concurrent.futures when
+    # it starts a pool, so the patch is read at call time.  The Moebius
+    # (P2) and fiber (BlP2-1) strategies each run as one task.
+    cases = [(geometry.load_model(mid), B) for mid, B in (("P2", 10**6), ("BlP2-1", 10**8))]
+    want = [enumeration.count_points(m, m.rho, B) for m, B in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("process pool started")
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", refuse)
-    assert enumeration.count_points(P2, P2.rho, 10**6, workers=2) == want
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert [enumeration.count_points(m, m.rho, B, workers=2) for m, B in cases] == want
+    # The box scan does start one, through the patched name.
+    b2 = geometry.load_model("BlP2-2")
+    with pytest.raises(AssertionError, match="process pool started"):
+        enumeration.count_points(b2, b2.rho, 400, workers=2)
 
 
 def blp21_fiber_bound_fractions(lam, B, F):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gacount import enumeration, fourier, geometry, heights, tamagawa
-from gacount._util import CapabilityError, primes_upto, vp_fraction
+from gacount._util import CapabilityError, primes_upto, vp_fraction, zeta
 
 
 def test_character_argument_properties():
@@ -500,9 +500,9 @@ def pn_slow_path(model, a, s):
     s = geometry.coerce_picard(model, s)
     arch = fourier.arch_fourier(model, a, s)
     sigma = float(s[0])
-    finite = 1.0 / fourier._zeta(sigma)
+    finite = 1.0 / zeta(sigma)
     if not any(a):
-        finite *= fourier._zeta(float(s[0] - model.dim))
+        finite *= zeta(float(s[0] - model.dim))
     for p in fourier.CharacterArgument(a).support_primes():
         local = tamagawa.exact_local_density(model, p, s, a)
         finite *= float(local) / (1.0 - float(p) ** (-sigma))
@@ -780,3 +780,12 @@ def test_zeta_truncated_integer_heights_exact(mid, lam):
         direct += float(heights.global_height(model, pt, lam).total) ** -s
     assert part == direct
     assert len(points) > 50
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("x", [0.5, 12.18, 13.82])
+def test_upper_gamma_closed_form(b, x):
+    # zeta_truncated's tail: Gamma(b, x) at integer b = |b_set|.
+    with mpmath.workdps(50):
+        want = float(mpmath.gammainc(b, x))
+    assert fourier._upper_gamma(b, x) == want

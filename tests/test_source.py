@@ -22,6 +22,8 @@ COMPUTATIONAL = ("_util", "enumeration", "fourier", "heights", "tamagawa")
 NAME_LOOKUP = re.compile(r"load_model\(|\[model\.id\]|model\.id\s*[!=]=")
 # A module-level SciPy import: every gacount process would pay for it.
 SCIPY_IMPORT = re.compile(r"^(import scipy|from scipy)\b")
+# mpmath at any level: the package evaluates zeta itself (_util.zeta).
+MPMATH_IMPORT = re.compile(r"^\s*(import mpmath|from mpmath)\b")
 
 
 @pytest.mark.parametrize("module", COMPUTATIONAL)
@@ -38,6 +40,14 @@ def test_no_module_level_scipy_import():
             for path in sorted(SRC.glob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if SCIPY_IMPORT.match(line)]
+    assert hits == []
+
+
+def test_no_mpmath_import():
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if MPMATH_IMPORT.match(line)]
     assert hits == []
 
 
@@ -61,6 +71,11 @@ COLD_START = textwrap.dedent("""
     def scipy_modules():
         return sorted(k for k in sys.modules if k.startswith("scipy"))
 
+    def deferred_modules():
+        return sorted(k for k in sys.modules
+                      if k.split(".")[0] in ("mpmath", "multiprocessing")
+                      or k in ("concurrent.futures.process", "gacount.acceptance"))
+
     models = {mid: geometry.load_model(mid) for mid in geometry.MODEL_IDS}
     tamagawa.tamagawa_number(models["BlP2-3"], p_max=10**4)
     b2 = models["BlP2-2"]
@@ -70,10 +85,13 @@ COLD_START = textwrap.dedent("""
         fourier.arch_fourier(model, a, tuple(r + 1 for r in model.rho))
     p1 = models["P1"]
     check = fourier.poisson_check(p1, p1.rho, 3.0, 1000, 10)
+    fourier.zeta_truncated(models["P2"], models["P2"].rho, 3.0, 100)
     before = scipy_modules()
+    deferred = deferred_modules()
     b1 = models["BlP2-1"]
     out = fourier.arch_fourier(b1, (1, 2), tuple(r + 1 for r in b1.rho))
-    print(json.dumps({"before": before, "after": scipy_modules(),
+    print(json.dumps({"before": before, "deferred": deferred,
+                      "after": scipy_modules(),
                       "pass": check["pass"], "blp21": out.value.real}))
 """)
 
@@ -82,12 +100,15 @@ def test_cold_start_loads_no_scipy():
     # A fresh interpreter runs what the count, constant and spectral
     # commands run on P^n and the blow-ups' point side: no SciPy module is
     # loaded until BlP2-1's twisted archimedean transform needs QUADPACK.
+    # Nor is mpmath (zeta is _util.zeta), the process pool behind
+    # count_points(workers > 1), or the acceptance suite.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
     out = json.loads(proc.stdout)
     assert out["before"] == []
+    assert out["deferred"] == []
     assert out["pass"]
     assert "scipy.integrate" in out["after"]
     assert 0 < abs(out["blp21"]) < 16

@@ -1,0 +1,46 @@
+"""The in-package Riemann zeta function against mpmath."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from gacount import _util
+
+ZETA_ARGS = ([*range(2, 41)] + [float(k) for k in range(2, 11)]
+             + [1.5, 1.75, 3.5, 6.5, 60.5, 1 + 2**-10])
+
+
+def mp_zeta(x) -> float:
+    with mpmath.workdps(50):
+        return float(mpmath.zeta(x))
+
+
+@pytest.mark.parametrize("x", ZETA_ARGS)
+def test_zeta_is_correctly_rounded(x):
+    assert _util.zeta(x) == mp_zeta(x)
+
+
+def test_zeta_accepts_fractions_as_floats():
+    assert _util.zeta(Fraction(7, 2)) == _util.zeta(3.5)
+    assert _util.zeta(Fraction(1, 3) + 1) == mp_zeta(float(Fraction(4, 3)))
+
+
+@pytest.mark.parametrize("x", [1, 1.0, 0.5, -3, math.nan, math.inf, -math.inf, 2 + 0j, "3"])
+def test_zeta_rejects_outside_real_half_line(x):
+    with pytest.raises(ValueError):
+        _util.zeta(x)
+
+
+@pytest.mark.parametrize("x", [1 + 2**-40, 1.25, 2.0, 2.75, 7.3, 19.0, 40.5, 53.9])
+@pytest.mark.parametrize("bits, n_cut", [(40, 24), (128, 3), (128, 24)])
+def test_zeta_enclosure_contains_zeta(x, bits, n_cut):
+    # Few bits make the rounding part of the bound dominate, a small N the
+    # Euler-Maclaurin remainder: either way the enclosure holds zeta(x).
+    lo, hi = _util._zeta_enclosure(x, bits, n_cut)
+    assert lo <= mp_zeta(x) <= hi
+    if n_cut == 24:
+        assert hi - lo <= 2.0 ** (24 - bits) * hi
