@@ -12,7 +12,7 @@ Moebius and Euler phi values come from NumPy segment sieves,
 mu_segment(a, b) and phi_segment(a, b) for a <= k < b: slices over the
 primes up to sqrt(b - 1), and the one prime factor above sqrt(b - 1) that k
 can have, read off a quotient array (mu: int8 values and an int32 quotient,
-5 bytes per k).  mu_sieve and phi_sieve are their list forms from 0.
+5 bytes per k).  mu_sieve is the list form of mu_segment from 0.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numbers
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import isqrt, lcm
 
 import numpy as np
@@ -154,10 +154,10 @@ def primes_upto(n: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(n**0.5) + 1):
+    for i in range(2, isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes((n - i * i) // i + 1)
+    return list(compress(range(n + 1), sieve))
 
 
 def mu_segment(a: int, b: int) -> np.ndarray:
@@ -238,11 +238,6 @@ def phi_segment(a: int, b: int) -> np.ndarray:
             q *= p
     phi -= np.where(quotient > 1, phi // quotient, 0)
     return phi
-
-
-def phi_sieve(n: int) -> list[int]:
-    """Euler phi values phi(0..n) (phi(0) set to 0)."""
-    return [0, *phi_segment(1, n + 1).tolist()]
 
 
 # B_2, B_4, ..., B_26 as (numerator, denominator): the Euler-Maclaurin

@@ -6,7 +6,7 @@ stratum counts, Picard arithmetic) with desk-scale numeric convergence at
 pinned tolerances (counting constants, local Fourier transforms, the
 Poisson identity).  Every check is self-contained so the command line can
 run any subset; none mutates package state beyond the memoized values of
-_util.zeta and tamagawa._peel_data.
+_util.zeta, fourier._gauss_legendre and tamagawa._system_data.
 
 The pass conditions are deliberately strict.  Where a check carries a
 stated wall-clock budget the elapsed time is part of the verdict, and

@@ -81,7 +81,7 @@ from ._util import (
     CapabilityError,
     as_fraction,
     is_prime,
-    phi_sieve,
+    phi_segment,
     prime_factors,
     primes_upto,
     vp,
@@ -1094,9 +1094,10 @@ def global_fourier(model: VarietyModel, a, s,
         finite *= brute[p].value * peel(p)
         rel_err += brute[p].error_bound / max(
             abs(brute[p].value) - brute[p].error_bound, 1e-30)
+    strata = tamagawa._denef_strata(model, s) if arg.is_zero else None
     for p in goods:
         if arg.is_zero:
-            main = complex(float(tamagawa.denef_local_factor(model, p, s)))
+            main = complex(float(tamagawa._denef_sum(model, p, strata)))
             et = 0.0
         else:
             main, et = closed_form_good_prime(model, p, arg, s)
@@ -1168,10 +1169,9 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         lam1 = lam[0]
         c = float(lam1) * s
         f_max = max(enumeration.height_radius(b_cut, lam1), 1)
-        phi = phi_sieve(f_max)
         partial = 3.0
-        for f in range(2, f_max + 1):
-            partial += 4.0 * phi[f] * float(f) ** (-c)
+        for f, phi in enumerate(phi_segment(2, f_max + 1).tolist(), start=2):
+            partial += 4.0 * phi * float(f) ** (-c)
         tail = 4.0 * float(f_max) ** (2.0 - c) / (c - 2.0)
         return partial, tail
 
@@ -1266,11 +1266,11 @@ def _blp21_zeta_partial(model: VarietyModel, lam, s: float, b_cut) -> float:
     f_max = enumeration.height_radius(b_cut, lam[0])
     if f_max < 1:
         return 0.0
-    phi = phi_sieve(f_max)
+    phi = phi_segment(2, f_max + 1).tolist()  # phi(F) = phi[F - 2]
     total = 0.0
     t_caps = enumeration._blp21_fiber_bounds(lam, b_cut, range(1, f_max + 1))
     for F, t_cap in enumerate(t_caps, start=1):
-        weight = 3.0 if F == 1 else 4.0 * phi[F]
+        weight = 3.0 if F == 1 else 4.0 * phi[F - 2]
         inner = 0.0
         for g in range(1, t_cap // F + 1):
             base = g * F

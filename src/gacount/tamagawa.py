@@ -49,6 +49,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from . import geometry
 from ._util import CapabilityError, as_fraction, is_prime, primes_upto, vp_fraction, zeta
 from .geometry import VarietyModel
@@ -114,6 +116,10 @@ def archimedean_density(model: VarietyModel) -> float:
 def denef_local_factor(model: VarietyModel, p: int, s) -> Union[Fraction, float]:
     """Closed-form local factor of the height transform at a good prime.
 
+    The composition of _denef_strata (the checks and exponents that depend
+    on s alone) and _denef_sum (the stratum sum at one p); a loop over
+    primes at one s calls the first once and the second per prime.
+
     Args:
         model: catalog entry.
         p: prime outside {2, 3}.
@@ -123,6 +129,14 @@ def denef_local_factor(model: VarietyModel, p: int, s) -> Union[Fraction, float]
         The stratum sum as an exact Fraction when every exponent
         1 + s_alpha - rho_alpha is an integer, else a float.
     """
+    return _denef_sum(model, p, _denef_strata(model, s))
+
+
+def _denef_strata(model: VarietyModel, s) -> tuple:
+    """The s-only step of denef_local_factor: (exact, strata), where strata
+    pairs each stratum subset with the exponents 1 + s_alpha - rho_alpha of
+    its components in component order, as ints when every exponent is an
+    integer (exact) and as floats otherwise."""
     svec = geometry.coerce_picard(model, s)
     exps = [1 + sv - Fraction(r) for sv, r in zip(svec, model.rho)]
     if any(e <= 0 for e in exps):
@@ -130,17 +144,28 @@ def denef_local_factor(model: VarietyModel, p: int, s) -> Union[Fraction, float]
             f"s = {svec} outside the convergence domain: need s_a > rho_a - 1"
         )
     exact = all(e.denominator == 1 for e in exps)
+    cast = int if exact else float
+    strata = tuple(
+        (subset, tuple(cast(e) for name, e in zip(model.components, exps)
+                       if name in subset))
+        for subset in model.stratum_polys
+    )
+    return exact, strata
+
+
+def _denef_sum(model: VarietyModel, p: int, denef_strata: tuple) -> Union[Fraction, float]:
+    """The per-p step of denef_local_factor, on the output of _denef_strata."""
+    exact, strata = denef_strata
     n = model.dim
     total = Fraction(0) if exact else 0.0
-    for subset in model.stratum_polys:
+    for subset, exps in strata:
         count = geometry.stratum_count(model, subset, p)  # validates p
         term = Fraction(count) if exact else float(count)
-        for name, e in zip(model.components, exps):
-            if name in subset:
-                if exact:
-                    term *= Fraction(p - 1, p ** int(e) - 1)
-                else:
-                    term *= (p - 1) / (float(p) ** float(e) - 1.0)
+        for e in exps:
+            if exact:
+                term *= Fraction(p - 1, p**e - 1)
+            else:
+                term *= (p - 1) / (float(p) ** e - 1.0)
         total += term
     if exact:
         return total / Fraction(p) ** n
@@ -172,7 +197,7 @@ def _system_data(model: VarietyModel, p: int) -> tuple:
     linear forms, and (index, r_G) for those among them whose forms have
     rank r_G < n mod p (V_G != 0).  Raises CapabilityError when a system
     has no p-unit constant section, when a cone's forms are dependent mod
-    p, or when two cones vanish together at a residue; lru_cache keeps no
+    p, or when two cones vanish together at a residue; the cache keeps no
     exception, so every call raises again.
     """
     n = model.dim
@@ -316,13 +341,19 @@ def exact_local_density(model: VarietyModel, p: int, s,
     return total
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
-    """Product of integer polynomials; fast when b is sparse."""
-    out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
-        if y:
-            for i, x in enumerate(a):
-                out[i + j] += x * y
+def _mul_binomial(a: Sequence[int], k: int, m: int) -> list:
+    """a(u) * (1 - u^k)^m for an integer polynomial a and m >= 0, in one pass
+    over the m + 1 binomial terms c_j u^{jk}: c_0 = 1 and c_{j+1} =
+    -c_j (m - j)/(j + 1) = (-1)^{j+1} C(m, j+1), an exact integer division.
+    The loop over the sparse factor's terms is the outer one, so each term
+    adds c_j a into one slice of the output."""
+    width = len(a)
+    out = [0] * (width + k * m)
+    c = 1
+    for j in range(m + 1):
+        lo = j * k
+        out[lo:lo + width] = [y + c * x for y, x in zip(out[lo:lo + width], a)]
+        c = -c * (m - j) // (j + 1)
     return out
 
 
@@ -348,12 +379,9 @@ def regularized_factor_poly(model: VarietyModel) -> list:
         for k, c in enumerate(poly):
             total[k] += c
     g = list(reversed(total))  # * u^n turns p^k into u^{n-k}
-    for _ in range(model.rank):
-        g = _poly_mul(g, [1, -1])
-    return g
+    return _mul_binomial(g, 1, model.rank)
 
 
-@lru_cache(maxsize=None)
 def _peel_data(model: VarietyModel):
     """Zeta-peel exponents and the rigorous residual constant for a model.
 
@@ -361,6 +389,21 @@ def _peel_data(model: VarietyModel):
     g(u) = prod (1 - u^k)^{e_k} (1 + h(u)), h(u) = O(u^{PEEL_ORDER+1}), and
     |h(u)| <= C_h * u^{PEEL_ORDER+1} for 0 < u <= 1/5.  Only the log series
     and C_h are rational; the polynomials stay in integers.
+
+    h = resid / den with num = g prod_{e_k < 0} (1 - u^k)^{-e_k}, den =
+    prod_{e_k > 0} (1 - u^k)^{e_k} and resid = num - den.  Each power
+    (1 - u^k)^{|e_k|} enters num or den as one binomial pass
+    (_mul_binomial; BlP2-3's four powers hold 214 factors 1 - u^k).
+    Integer products are exact in any order, so the polynomials, and with
+    them C_h, do not depend on how they are formed.
+    With top = deg resid, |resid(u)| <= u^{K+1} sum_{m>K} |resid_m|
+    5^{-(m-K-1)} for u <= 1/5, and the sum is the integer
+    sum_{m>K} |resid_m| 5^{top-m} (one Horner pass in 5) over 5^{top-K-1};
+    1/den(u) <= 1/den(1/5) there, since every factor 1 - u^k of den
+    decreases in u.
+
+    Nothing is cached: tamagawa_number computes the peel once per call and
+    passes C_h on to _euler_tail_bound.
 
     Raises:
         CapabilityError: g is not 1 + O(u^2), a peel exponent is not an
@@ -385,24 +428,21 @@ def _peel_data(model: VarietyModel):
     num = list(g)
     den = [1]
     for k, ek in e.items():
-        base = [1] + [0] * (k - 1) + [-1]
-        for _ in range(abs(ek)):
-            if ek > 0:
-                den = _poly_mul(den, base)
-            else:
-                num = _poly_mul(num, base)
+        if ek > 0:
+            den = _mul_binomial(den, k, ek)
+        else:
+            num = _mul_binomial(num, k, -ek)
     length = max(len(num), len(den))
     num += [0] * (length - len(num))
     den += [0] * (length - len(den))
     resid = [a - b for a, b in zip(num, den)]  # h = resid / den
     if any(resid[: K + 1]):
         raise CapabilityError(f"{model.id}: peel left terms of order <= {K}")
-    # sum_{m > K} |resid_m| 5^{-(m - K - 1)} over one common denominator.
     top = length - 1
-    c_num = Fraction(
-        sum(abs(v) * 5 ** (top - m) for m, v in enumerate(resid) if m > K),
-        5 ** max(top - K - 1, 0),
-    )
+    horner = 0
+    for v in resid[K + 1:]:
+        horner = horner * 5 + abs(v)
+    c_num = Fraction(horner, 5 ** max(top - K - 1, 0))
     den_at_u5 = Fraction(1)
     for k, ek in e.items():
         if ek > 0:
@@ -410,9 +450,9 @@ def _peel_data(model: VarietyModel):
     return tuple(sorted(e.items())), c_num / den_at_u5
 
 
-def _euler_tail_bound(model: VarietyModel, p_max: int) -> float:
-    """Bound |prod_{p > p_max} (1 + h_p) - 1| via sum |h_p| <= C_h/(5 P^5)."""
-    _, c_h = _peel_data(model)
+def _euler_tail_bound(c_h: Fraction, p_max: int) -> float:
+    """Bound |prod_{p > p_max} (1 + h_p) - 1| via sum |h_p| <= C_h/(5 P^5),
+    for C_h the residual constant of _peel_data."""
     if c_h == 0:
         return 0.0
     K = PEEL_ORDER
@@ -435,6 +475,16 @@ def tamagawa_number(
     proves, so its error is float assembly like the rest of the product,
     which FLOAT_ASSEMBLY_EPS covers.
 
+    The good-prime factors g(1/p), 5 <= p <= p_max, come from one NumPy
+    float64 Horner pass over all primes: u = 1.0 / p, then a multiply and
+    an add ufunc per coefficient, the same IEEE operations (no fused
+    multiply-add) as a scalar loop per prime.  math.prod multiplies them
+    into the product left to right, in ascending p, as that loop would.
+    Each completion body is a math.prod over Python's float pow, which
+    NumPy's power need not match to the last bit.  So every field is the
+    float the per-prime loops give.  The peel (_peel_data) is computed once
+    per call and not cached; its C_h feeds the tail bound.
+
     Args:
         model: catalog entry.
         p_max: truncation point, at least 100; factors above it enter only
@@ -456,21 +506,19 @@ def tamagawa_number(
         partial *= float(exact_local_density(model, p, rho) * reg)
     g = [float(c) for c in regularized_factor_poly(model)]
     primes = [p for p in primes_upto(p_max) if p >= 5]
-    for p in primes:
-        u = 1.0 / p
-        acc = 0.0
-        for c in reversed(g):
-            acc = acc * u + c
-        partial *= acc
-    peeled, _ = _peel_data(model)
+    u = 1.0 / np.array(primes, dtype=np.float64)
+    acc = np.zeros_like(u)
+    for c in reversed(g):
+        acc = acc * u + c
+    partial = math.prod(acc.tolist(), start=partial)
+    peeled, c_h = _peel_data(model)
     completion = 1.0
     for k, ek in peeled:
-        body = zeta(k)
-        for p in (2, 3, *primes):
-            body *= 1.0 - float(p) ** (-k)
+        body = math.prod([1.0 - float(p) ** (-k) for p in (2, 3, *primes)],
+                         start=zeta(k))
         completion *= body ** (-ek)
     tam = arch * partial * completion
-    tail = abs(tam) * _euler_tail_bound(model, p_max) + FLOAT_ASSEMBLY_EPS * arch
+    tail = abs(tam) * _euler_tail_bound(c_h, p_max) + FLOAT_ASSEMBLY_EPS * arch
     return EulerProductResult(
         model_id=model.id,
         p_max=p_max,

@@ -415,11 +415,11 @@ def test_mu_sieve_matches_loop():
     assert sum(big) == 212  # M(10^6), OEIS A084237
 
 
-def test_phi_sieve_matches_loop():
+def test_phi_segment_matches_loop():
     want = phi_loop(3000)
     for n in range(3001):
-        assert _util.phi_sieve(n) == want[: n + 1], n
-    assert _util.phi_sieve(10**6) == phi_loop(10**6)
+        assert _util.phi_segment(1, n + 1).tolist() == want[1 : n + 1], n
+    assert _util.phi_segment(1, 10**6 + 1).tolist() == phi_loop(10**6)[1:]
 
 
 def test_sieve_segments_match_loop():
@@ -572,7 +572,7 @@ def blp21_direct(lam, B):
     f_max = enumeration.height_radius(B, lam[0])
     if f_max < 1:
         return 0
-    phi = _util.phi_sieve(f_max)
+    phi = [0, *_util.phi_segment(1, f_max + 1).tolist()]
     rows = []
     for F in range(1, f_max + 1):
         t = blp21_fiber_bound_fractions(lam, B, F)

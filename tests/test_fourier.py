@@ -168,6 +168,18 @@ def test_closed_form_trivial_character_dispatch(model):
     assert main == complex(float(tamagawa.denef_local_factor(model, 11, s)))
 
 
+def test_global_fourier_trivial_character_checks_s_once(monkeypatch):
+    # At a = 0 the good-prime loop runs the s-only step of the stratum sum
+    # once, then the per-p step at each of its primes.
+    calls = []
+    real = tamagawa._denef_strata
+    monkeypatch.setattr(tamagawa, "_denef_strata",
+                        lambda *args: calls.append(args) or real(*args))
+    p2 = geometry.load_model("P2")
+    fourier.global_fourier(p2, (0, 0), (4,), p_max=200)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("a", [(1, 0, 0), (1, 1, 1)])
 def test_closed_form_p3_vs_brute(a):
     model = geometry.load_model("P3")

@@ -61,6 +61,29 @@ def test_no_assert_statements():
     assert hits == []
 
 
+# The memoized functions of the package (ROADMAP aim 2: no module-level
+# mutable caches): zeta values, the Gauss-Legendre tables and the (model, p)
+# checks of exact_local_density.  Another cache is a reviewed decision.
+ALLOWED_CACHES = {"_util.zeta", "fourier._gauss_legendre", "tamagawa._system_data"}
+
+
+def _is_cache_decorator(node) -> bool:
+    """lru_cache or cache, bare or called, by name or as functools.<name>."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_cached_functions_are_the_allowed_ones():
+    cached = {f"{path.stem}.{node.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(_is_cache_decorator(d) for d in node.decorator_list)}
+    assert cached == ALLOWED_CACHES
+
+
 COLD_START = textwrap.dedent("""
     import json
     import sys

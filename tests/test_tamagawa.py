@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate
 
 from gacount import fourier, geometry, tamagawa
-from gacount._util import CapabilityError, vp_fraction
+from gacount._util import CapabilityError, primes_upto, vp_fraction, zeta
 from conftest import closed_form_point_count
 
 
@@ -45,6 +45,62 @@ def test_denef_local_factor_domain_errors(model):
     for p in (2, 3, 6, 9):
         with pytest.raises(ValueError):
             tamagawa.denef_local_factor(model, p, model.rho)
+
+
+def denef_oracle(model, p, s):
+    """The stratum sum of denef_local_factor in one pass, s checked at each p:
+    the oracle of its split into _denef_strata and _denef_sum."""
+    svec = geometry.coerce_picard(model, s)
+    exps = [1 + sv - Fraction(r) for sv, r in zip(svec, model.rho)]
+    if any(e <= 0 for e in exps):
+        raise ValueError("outside the convergence domain")
+    exact = all(e.denominator == 1 for e in exps)
+    total = Fraction(0) if exact else 0.0
+    for subset in model.stratum_polys:
+        count = geometry.stratum_count(model, subset, p)
+        term = Fraction(count) if exact else float(count)
+        for name, e in zip(model.components, exps):
+            if name in subset:
+                if exact:
+                    term *= Fraction(p - 1, p ** int(e) - 1)
+                else:
+                    term *= (p - 1) / (float(p) ** float(e) - 1.0)
+        total += term
+    if exact:
+        return total / Fraction(p) ** model.dim
+    return total / float(p) ** model.dim
+
+
+GOOD_PRIMES_199 = primes_upto(199)[2:]
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_denef_split_matches_oracle(model, shift):
+    s = tuple(r + shift for r in model.rho)
+    strata = tamagawa._denef_strata(model, s)
+    for p in GOOD_PRIMES_199:
+        want = denef_oracle(model, p, s)
+        got = tamagawa._denef_sum(model, p, strata)
+        assert type(got) is Fraction and got == want, p
+        assert tamagawa.denef_local_factor(model, p, s) == want, p
+
+
+def test_denef_split_float_branch_matches_oracle(model):
+    # Half-integral exponents: the same floats, to the last bit.
+    s = tuple(Fraction(2 * r + 1, 2) for r in model.rho)
+    strata = tamagawa._denef_strata(model, s)
+    for p in GOOD_PRIMES_199:
+        want = denef_oracle(model, p, s)
+        assert type(want) is float
+        assert tamagawa._denef_sum(model, p, strata).hex() == want.hex(), p
+        assert tamagawa.denef_local_factor(model, p, s).hex() == want.hex(), p
+
+
+def test_denef_sum_validates_each_prime(model):
+    strata = tamagawa._denef_strata(model, model.rho)
+    for p in (2, 3, 9, 25):
+        with pytest.raises(ValueError):
+            tamagawa._denef_sum(model, p, strata)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 29])
@@ -267,20 +323,97 @@ def test_exact_twisted_factor_refuses_cones(model):
         tamagawa.exact_local_density(model, 5, s, a + (1,))
 
 
-# (peeled zeta exponents, float(C_h)), captured from the Fraction peel.
+# C_h of BlP2-2 and BlP2-3, exactly: the numerators in digits, the
+# denominators (products of 5 and of the 5^k - 1) in prime powers.
+C_H_BLP22 = Fraction(int(
+    "3063301524302370723075845885958199431995770331603841440349589569074948579866"
+    "7914877889860664073"
+), 2**53 * 3**14 * 5**84 * 13**10)
+C_H_BLP23 = Fraction(int(
+    "2636737670268778752881873654109902962601068471286856412176169343127398569919"
+    "8661883292600263104682210255948338617392015470851441846028621051669364164483"
+    "6660667414163122792533093486113085110770199631911563819985467826614250803867"
+    "5470303550002257725795055130258624182011207324046664207013685953527319218317"
+    "6364893711716026441754434609487601932286898062389666183130791904749751114497"
+    "7656304794208373095794520554704550481331916823430152095371269020779713254683"
+    "4354079989415751511509407332542422871920206178836056276782789103512254140747"
+    "21370113"
+), 2**206 * 3**54 * 5**570 * 13**45)
+# (peeled zeta exponents, float(C_h), C_h), captured from the Fraction peel.
 PEEL_PINS = {
-    "P1": (((2, 1),), 0.0),
-    "P2": (((3, 1),), 0.0),
-    "P3": (((4, 1),), 0.0),
-    "BlP2-1": (((2, 2),), 0.0),
-    "BlP2-2": (((2, 5), (3, -5), (4, 10), (5, -24)), 99.76736992318708),
-    "BlP2-3": (((2, 9), (3, -16), (4, 45), (5, -144)), 1270.53530317739),
+    "P1": (((2, 1),), 0.0, 0),
+    "P2": (((3, 1),), 0.0, 0),
+    "P3": (((4, 1),), 0.0, 0),
+    "BlP2-1": (((2, 2),), 0.0, 0),
+    "BlP2-2": (((2, 5), (3, -5), (4, 10), (5, -24)), 99.76736992318708, C_H_BLP22),
+    "BlP2-3": (((2, 9), (3, -16), (4, 45), (5, -144)), 1270.53530317739, C_H_BLP23),
 }
 
 
 def test_peel_data_pins(model):
     peeled, c_h = tamagawa._peel_data(model)
-    assert (peeled, float(c_h)) == PEEL_PINS[model.id]
+    assert (peeled, float(c_h), c_h) == PEEL_PINS[model.id]
+
+
+def _poly_mul(a, b):
+    """Product of integer polynomials, one pair of coefficients at a time."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a):
+                out[i + j] += x * y
+    return out
+
+
+def peel_oracle(model, peeled):
+    """(g, C_h) for the peel exponents peeled, with g, num and den built one
+    factor 1 - u^k at a time and C_h's numerator summed term by term: the
+    oracle of the binomial passes and the Horner sum of _peel_data."""
+    total = [0] * (model.dim + 1)
+    for poly in model.stratum_polys.values():
+        for k, c in enumerate(poly):
+            total[k] += c
+    g = list(reversed(total))
+    for _ in range(model.rank):
+        g = _poly_mul(g, [1, -1])
+    num, den = list(g), [1]
+    for k, ek in peeled:
+        base = [1] + [0] * (k - 1) + [-1]
+        for _ in range(abs(ek)):
+            if ek > 0:
+                den = _poly_mul(den, base)
+            else:
+                num = _poly_mul(num, base)
+    length = max(len(num), len(den))
+    num += [0] * (length - len(num))
+    den += [0] * (length - len(den))
+    resid = [a - b for a, b in zip(num, den)]
+    K = tamagawa.PEEL_ORDER
+    assert not any(resid[: K + 1])
+    top = length - 1
+    c_num = Fraction(
+        sum(abs(v) * 5 ** (top - m) for m, v in enumerate(resid) if m > K),
+        5 ** max(top - K - 1, 0),
+    )
+    den_at_u5 = math.prod((1 - Fraction(1, 5**k)) ** ek for k, ek in peeled if ek > 0)
+    return g, c_num / den_at_u5
+
+
+def test_peel_data_matches_factor_by_factor_oracle(model):
+    peeled, _, c_h = PEEL_PINS[model.id]
+    g, want = peel_oracle(model, peeled)
+    assert tamagawa.regularized_factor_poly(model) == g
+    assert tamagawa._peel_data(model) == (peeled, want)
+    assert want == c_h
+
+
+@pytest.mark.parametrize("k, m", [(1, 0), (1, 1), (1, 4), (2, 7), (5, 144)])
+def test_mul_binomial_matches_repeated_products(k, m):
+    a = [3, -1, 0, 7, 2]
+    want = a
+    for _ in range(m):
+        want = _poly_mul(want, [1] + [0] * (k - 1) + [-1])
+    assert tamagawa._mul_binomial(a, k, m) == want
 
 
 def _regularized_factor(model, p):
@@ -450,6 +583,47 @@ def test_predicted_constant_at_multiples_of_rho():
     res = tamagawa.tamagawa_number(p1, p_max=500)
     assert tamagawa.predicted_constant(p1, result=res, lam=(1,)) == \
         tamagawa.predicted_constant(p1, result=res)
+
+
+def tamagawa_oracle(model, p_max):
+    """tamagawa_number from scalar loops, one prime at a time: the oracle of
+    its NumPy Horner pass and its math.prod products."""
+    arch = tamagawa.archimedean_density(model)
+    rho = geometry.rho_vector(model)
+    partial = 1.0
+    for p in (2, 3):
+        reg = (1 - Fraction(1, p)) ** model.rank
+        partial *= float(tamagawa.exact_local_density(model, p, rho) * reg)
+    g = [float(c) for c in tamagawa.regularized_factor_poly(model)]
+    primes = [p for p in primes_upto(p_max) if p >= 5]
+    for p in primes:
+        u = 1.0 / p
+        acc = 0.0
+        for c in reversed(g):
+            acc = acc * u + c
+        partial *= acc
+    peeled, c_h = tamagawa._peel_data(model)
+    completion = 1.0
+    for k, ek in peeled:
+        body = zeta(k)
+        for p in (2, 3, *primes):
+            body *= 1.0 - float(p) ** (-k)
+        completion *= body ** (-ek)
+    tam = arch * partial * completion
+    tail = (abs(tam) * tamagawa._euler_tail_bound(c_h, p_max)
+            + tamagawa.FLOAT_ASSEMBLY_EPS * arch)
+    return tamagawa.EulerProductResult(
+        model_id=model.id, p_max=p_max, rank=model.rank, arch_density=arch,
+        partial_product=partial, zeta_completion=completion, peeled=peeled,
+        tamagawa=tam, tail_bound=tail, small_prime_error=0.0)
+
+
+@pytest.mark.parametrize("p_max", [100, 1009, 10**4])
+def test_tamagawa_number_matches_scalar_oracle(model, p_max):
+    got = dataclasses.astuple(tamagawa.tamagawa_number(model, p_max=p_max))
+    want = dataclasses.astuple(tamagawa_oracle(model, p_max))
+    hexed = [[v.hex() if isinstance(v, float) else v for v in row] for row in (got, want)]
+    assert hexed[0] == hexed[1]
 
 
 def test_tamagawa_number_exact_small_primes(model, monkeypatch):

@@ -1,4 +1,5 @@
-"""The in-package Riemann zeta function against mpmath."""
+"""The in-package Riemann zeta function against mpmath, and the prime sieve
+against trial division."""
 
 from __future__ import annotations
 
@@ -44,3 +45,19 @@ def test_zeta_enclosure_contains_zeta(x, bits, n_cut):
     assert lo <= mp_zeta(x) <= hi
     if n_cut == 24:
         assert hi - lo <= 2.0 ** (24 - bits) * hi
+
+
+def test_primes_upto_matches_trial_division():
+    want = [n for n in range(2, 3001)
+            if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for n in range(3001):
+        assert _util.primes_upto(n) == [p for p in want if p <= n], n
+
+
+@pytest.mark.parametrize("k, count", [(0, 0), (1, 4), (2, 25), (3, 168), (4, 1229),
+                                      (5, 9592), (6, 78498)])
+def test_primes_upto_prime_counts(k, count):
+    # pi(10^k), OEIS A006880.
+    primes = _util.primes_upto(10**k)
+    assert len(primes) == count
+    assert primes == sorted(set(primes))
