@@ -153,34 +153,58 @@ def a4() -> AcceptanceResult:
     )
 
 
+def denef_cases(model_ids: Sequence[str], primes: Sequence[int], depth: int) -> list:
+    """Brute p-adic integration against the stratum-count local factor at
+    the trivial character, s = rho + 1 and rho + 2: one row per case with
+    keys model, p, shift, diff, bound and pass (|diff| <= bound)."""
+    rows = []
+    for mid in model_ids:
+        model = geometry.load_model(mid)
+        for p in primes:
+            for shift in (1, 2):
+                s = tuple(r + shift for r in model.rho)
+                exact = complex(float(tamagawa.denef_local_factor(model, p, s)))
+                brute = fourier.brute_padic_fourier(model, p, (0,) * model.dim, s, depth=depth)
+                diff, bound = abs(brute.value - exact), brute.error_bound
+                rows.append({"model": mid, "p": p, "shift": shift, "diff": diff,
+                             "bound": bound, "pass": diff <= bound})
+    return rows
+
+
+def charsum_cases(primes: Sequence[int], nmax: int, dmax: int,
+                  force_direct: bool = False) -> tuple:
+    """(cases, worst |character_sum - charsum_trichotomy|) over p in primes,
+    1 <= n <= nmax, 0 <= d <= min(dmax, p - 1) and every unit u mod p^n."""
+    n_cases = 0
+    worst = 0.0
+    for p in primes:
+        for n in range(1, nmax + 1):
+            units = [u for u in range(1, p**n) if u % p]
+            for d in range(min(dmax, p - 1) + 1):
+                for u in units:
+                    got = fourier.character_sum(p, u, n, d, force_direct=force_direct)
+                    want = complex(fourier.charsum_trichotomy(p, u, n, d))
+                    worst = max(worst, abs(got - want))
+                    n_cases += 1
+    return n_cases, worst
+
+
 def a5() -> AcceptanceResult:
     """Trivial-character oracle: brute p-adic integration agrees with the
     stratum-count local factor for every model, p in {5,7,11},
-    s in {rho+1, rho+2}, within the stated truncation bound (<= 1e-3)."""
+    s in {rho+1, rho+2}, within the stated truncation bound (<= 1e-3):
+    denef_cases at the defaults of gacount verify-denef."""
     t0 = time.perf_counter()
-    worst_ratio = 0.0
-    worst_bound = 0.0
-    n_cases = 0
-    fails = []
-    for mid in geometry.MODEL_IDS:
-        model = geometry.load_model(mid)
-        zero = (0,) * model.dim
-        for p in (5, 7, 11):
-            for shift in (1, 2):
-                s = tuple(r + shift for r in model.rho)
-                brute = fourier.brute_padic_fourier(model, p, zero, s, depth=3)
-                exact = tamagawa.denef_local_factor(model, p, s)
-                diff = abs(brute.value - complex(float(exact)))
-                n_cases += 1
-                worst_bound = max(worst_bound, brute.error_bound)
-                worst_ratio = max(worst_ratio, diff / brute.error_bound)
-                if diff > brute.error_bound or brute.error_bound > 1e-3:
-                    fails.append(f"{mid} p={p} shift={shift} diff={diff:.2e}"
-                                 f" bound={brute.error_bound:.2e}")
+    rows = denef_cases(geometry.MODEL_IDS, (5, 7, 11), 3)
+    fails = [f"{r['model']} p={r['p']} shift={r['shift']} diff={r['diff']:.2e}"
+             f" bound={r['bound']:.2e}"
+             for r in rows if not r["pass"] or r["bound"] > 1e-3]
+    worst_ratio = max([0.0] + [r["diff"] / r["bound"] for r in rows])
+    worst_bound = max([0.0] + [r["bound"] for r in rows])
     elapsed = time.perf_counter() - t0
     ok = not fails and elapsed < 120.0
     head = "; ".join(fails[:3]) if fails else (
-        f"{n_cases} cases, worst |diff|/bound = {worst_ratio:.3f},"
+        f"{len(rows)} cases, worst |diff|/bound = {worst_ratio:.3f},"
         f" max bound = {worst_bound:.2e} (<= 1e-3; budget 2 min)"
     )
     return AcceptanceResult("A5", ok, head, elapsed)
@@ -188,20 +212,10 @@ def a5() -> AcceptanceResult:
 
 def a6() -> AcceptanceResult:
     """Character-sum trichotomy: evaluator vs closed form to 1e-9 on the
-    full grid p in {5,7,11,13}, n <= 3, d <= 3, all units u."""
+    full grid p in {5,7,11,13}, n <= 3, d <= 3, all units u: charsum_cases
+    at the defaults of gacount verify-charsum."""
     t0 = time.perf_counter()
-    worst = 0.0
-    n_cases = 0
-    for p in (5, 7, 11, 13):
-        for n in (1, 2, 3):
-            q = p**n
-            units = [u for u in range(1, q) if u % p]
-            for d in (0, 1, 2, 3):
-                for u in units:
-                    got = fourier.character_sum(p, u, n, d)
-                    want = complex(fourier.charsum_trichotomy(p, u, n, d))
-                    worst = max(worst, abs(got - want))
-                    n_cases += 1
+    n_cases, worst = charsum_cases((5, 7, 11, 13), 3, 3)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 30.0
     return AcceptanceResult(

@@ -167,11 +167,16 @@ def emit_plot_data(ladder: enumeration.CountLadder,
             fh.write(f"# prediction {prediction:.10g}\n")
 
 
+def _csv_lines(ladder: enumeration.CountLadder) -> list:
+    """The ladder as CSV lines, header first: the rows count prints and
+    --out writes."""
+    return ["B,N,elapsed_ms"] + [f"{_bound_str(B)},{n},{ms:.3f}"
+                                 for (B, n), ms in zip(ladder.rows, ladder.elapsed_ms)]
+
+
 def _write_csv(path: str, ladder: enumeration.CountLadder) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("B,N,elapsed_ms\n")
-        for (B, n), ms in zip(ladder.rows, ladder.elapsed_ms):
-            fh.write(f"{_bound_str(B)},{n},{ms:.3f}\n")
+        fh.writelines(line + "\n" for line in _csv_lines(ladder))
 
 
 def _ladder_rows_json(ladder: enumeration.CountLadder) -> list:
@@ -202,18 +207,26 @@ def _cmd_list_models(args) -> _Outcome:
     return _Outcome(EXIT_OK, None, {}, {"models": models})
 
 
-def _cmd_count(args) -> _Outcome:
+def _count_ladder(args, bmin: Optional[str], bmax: str) -> tuple:
+    """(model, lam, bmin, bmax, a, b, ladder) of count and fit: the model,
+    --lambda (default rho), the ladder's bounds (bmin defaults to
+    min(bmax, max(10, ceil(bmax^(1/3))))), a(lambda), b(lambda) and the
+    counts along --ladder rungs."""
     model = geometry.load_model(args.model)
     lam = _parse_lambda(args.lam) if args.lam else model.rho
-    bound = _parse_bound(args.bound)
-    bmin = _parse_bound(args.bmin) if args.bmin else min(
-        bound, Fraction(max(10, math.ceil(float(bound) ** (1.0 / 3.0))))
+    bmax = _parse_bound(bmax)
+    bmin = _parse_bound(bmin) if bmin else min(
+        bmax, Fraction(max(10, math.ceil(float(bmax) ** (1.0 / 3.0))))
     )
-    bounds = _ladder_bounds(bmin, bound, args.ladder)
+    bounds = _ladder_bounds(bmin, bmax, args.ladder)
     ladder = enumeration.count_ladder(model, lam, bounds, workers=args.threads)
-
     a = geometry.a_exponent(model, lam)
     b = len(geometry.b_set(model, lam))
+    return model, lam, bmin, bmax, a, b, ladder
+
+
+def _cmd_count(args) -> _Outcome:
+    model, lam, bmin, bound, a, b, ladder = _count_ladder(args, args.bmin, args.bound)
     fitted = None
     if len(ladder.rows) >= b + 2:
         coeffs, _ = enumeration.fit_leading(ladder, a, b)
@@ -221,9 +234,7 @@ def _cmd_count(args) -> _Outcome:
 
     print(f"model {model.id}, lambda = ({', '.join(_frac_str(v) for v in lam)}),"
           f" a = {_frac_str(a)}, b = {b}")
-    print("B,N,elapsed_ms")
-    for (B, n), ms in zip(ladder.rows, ladder.elapsed_ms):
-        print(f"{_bound_str(B)},{n},{ms:.3f}")
+    print("\n".join(_csv_lines(ladder)))
     if fitted is not None:
         print(f"fitted leading constant: {fitted:.6f}")
     if args.out:
@@ -239,15 +250,7 @@ def _cmd_count(args) -> _Outcome:
 
 
 def _cmd_fit(args) -> _Outcome:
-    model = geometry.load_model(args.model)
-    lam = _parse_lambda(args.lam) if args.lam else model.rho
-    bmin = _parse_bound(args.bmin)
-    bmax = _parse_bound(args.bmax)
-    bounds = _ladder_bounds(bmin, bmax, args.ladder)
-    ladder = enumeration.count_ladder(model, lam, bounds, workers=args.threads)
-
-    a = geometry.a_exponent(model, lam)
-    b = len(geometry.b_set(model, lam))
+    model, lam, bmin, bmax, a, b, ladder = _count_ladder(args, args.bmin, args.bmax)
     coeffs, resid = enumeration.fit_leading(ladder, a, b)
     fitted = coeffs[-1]
     try:
@@ -318,28 +321,16 @@ def _cmd_constant(args) -> _Outcome:
 
 
 def _cmd_verify_denef(args) -> _Outcome:
+    from . import acceptance  # imported here, as in all-acceptance
+
     mids = list(geometry.MODEL_IDS) if args.model == "all" else [args.model]
     primes = _parse_primes(args.p)
-    rows = []
-    all_ok = True
-    for mid in mids:
-        model = geometry.load_model(mid)
-        zero = (0,) * model.dim
-        for p in primes:
-            for shift in (1, 2):
-                s = tuple(r + shift for r in model.rho)
-                brute = fourier.brute_padic_fourier(model, p, zero, s,
-                                                    depth=args.depth)
-                exact = tamagawa.denef_local_factor(model, p, s)
-                diff = abs(brute.value - complex(float(exact)))
-                ok = diff <= brute.error_bound
-                all_ok = all_ok and ok
-                rows.append({"model": mid, "p": p, "shift": shift,
-                             "diff": diff, "bound": brute.error_bound,
-                             "pass": ok})
-                print(f"{mid:<7} p={p:<3} s=rho+{shift}: |diff| = {diff:.3e}"
-                      f" bound = {brute.error_bound:.3e}"
-                      f" {'PASS' if ok else 'FAIL'}")
+    rows = acceptance.denef_cases(mids, primes, args.depth)
+    for r in rows:
+        print(f"{r['model']:<7} p={r['p']:<3} s=rho+{r['shift']}: |diff| ="
+              f" {r['diff']:.3e} bound = {r['bound']:.3e}"
+              f" {'PASS' if r['pass'] else 'FAIL'}")
+    all_ok = all(r["pass"] for r in rows)
     print(f"verify-denef: {sum(r['pass'] for r in rows)}/{len(rows)} pass")
     return _Outcome(
         EXIT_OK if all_ok else EXIT_FAILURE, args.model,
@@ -349,23 +340,11 @@ def _cmd_verify_denef(args) -> _Outcome:
 
 
 def _cmd_verify_charsum(args) -> _Outcome:
+    from . import acceptance  # imported here, as in all-acceptance
+
     primes = _parse_primes(args.p)
-    n_cases = 0
-    worst = 0.0
-    for p in primes:
-        for n in range(1, args.nmax + 1):
-            q = p**n
-            for d in range(0, args.dmax + 1):
-                if d >= p:
-                    continue
-                for u in range(1, q):
-                    if u % p == 0:
-                        continue
-                    got = fourier.character_sum(p, u, n, d,
-                                                force_direct=args.force_direct)
-                    want = complex(fourier.charsum_trichotomy(p, u, n, d))
-                    worst = max(worst, abs(got - want))
-                    n_cases += 1
+    n_cases, worst = acceptance.charsum_cases(primes, args.nmax, args.dmax,
+                                              args.force_direct)
     ok = worst <= args.tol
     print(f"verify-charsum: {n_cases} cases over p in {primes},"
           f" n <= {args.nmax}, d <= {args.dmax}")

@@ -97,8 +97,13 @@ L < log B - delta has H < B, one with L > log B + delta has H > B, and every
 candidate in between, every tie H = B among them, is decided exactly by
 _util.height_leq.  The kernel raises CapabilityError if some Hmax_G, which
 bounds every section value, leaves int64.  count_points' box strategy counts
-the kernel's points, and zeta_truncated sums over them with the heights the
-kernel already has.
+the kernel's points.
+
+The point side of the height zeta function lives here too: zeta_partial
+sums H(x)^(-s) over the points with H <= B along the same strategies (the
+Moebius fibers on P1, the fibers on BlP2-1, the box kernel's points with
+the heights it already has otherwise) and returns the number of points
+summed; fourier.zeta_truncated adds the tail estimate.
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
 which decides each primitive candidate by height_leq alone and shares no code
@@ -126,12 +131,12 @@ import numpy as np
 
 from . import geometry, heights
 from ._util import (CapabilityError, as_fraction, floor_frac_root, height_leq, mertens_quotients,
-                    mu_segment, mu_sieve, phi_segment)
+                    mu_segment, mu_sieve, phi_segment, prime_factors)
 from .geometry import VarietyModel
 from .heights import RationalPoint
 
 # Box candidate budgets: the loop oracle enumerate_points, and the NumPy kernel
-# of count_points and zeta_truncated (3.2e7 candidates take 3.3 s, 2-core VM).
+# of count_points and zeta_partial (3.2e7 candidates take 3.3 s, 2-core VM).
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
 KERNEL_CANDIDATE_BUDGET = 50_000_000
 
@@ -162,7 +167,7 @@ def _check_box_budget(model: VarietyModel, B: Fraction, R: int, budget: int) -> 
     if n_candidates > budget:
         raise CapabilityError(
             f"box scan for {model.id} at B={B} needs {n_candidates} candidates"
-            f" (budget {budget}); raise the budget or lower B"
+            f" (budget {budget}); lower B"
         )
 
 
@@ -341,13 +346,7 @@ def _outer_range(model: VarietyModel, lam, B: Fraction) -> tuple:
     return "box", _box_radius(model, lam, B)
 
 
-def count_points(
-    model: VarietyModel,
-    lam,
-    B,
-    workers: int = 1,
-    candidate_budget: int = KERNEL_CANDIDATE_BUDGET,
-) -> int:
+def count_points(model: VarietyModel, lam, B, workers: int = 1) -> int:
     """Exact number of affine rational points with H(x; lambda) <= B.
 
     Args:
@@ -357,27 +356,26 @@ def count_points(
         workers: number of processes for the box scan (BlP2-2/3); the
             result is identical for any value.  The Moebius (P^n) and fiber
             (BlP2-1) strategies ignore it and never start a pool.
-        candidate_budget: cap on box-scan candidates (BlP2-2/3 only).
 
     Returns:
         The exact count as a Python int.
 
     Raises:
-        CapabilityError: if a box scan would exceed candidate_budget, or a
-            BlP2-1 fiber bound T_F reaches 2^30 (the int64 bound of the fiber
-            sum, module docstring).
+        CapabilityError: if a box scan would exceed KERNEL_CANDIDATE_BUDGET,
+            or a BlP2-1 fiber bound T_F reaches 2^30 (the int64 bound of the
+            fiber sum, module docstring).
     """
     vals = geometry.require_interior(model, lam)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     B = as_fraction(B)
     if B < 1:
         return 0
     strategy, end = _outer_range(model, vals, B)
     if strategy == "box":
-        _check_box_budget(model, B, end, candidate_budget)
+        _check_box_budget(model, B, end, KERNEL_CANDIDATE_BUDGET)
     if end < 1:
         return 0
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if strategy == "pn":
         return _pn_count(model.dim, end)
     if strategy == "fiber":
@@ -398,12 +396,7 @@ def count_points(
         return sum(pool.map(_partial_count, tasks))
 
 
-def enumerate_points(
-    model: VarietyModel,
-    lam,
-    B,
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> Iterator[RationalPoint]:
+def enumerate_points(model: VarietyModel, lam, B) -> Iterator[RationalPoint]:
     """Yield every point with H <= B by scanning the sound standard box, in
     lexicographic (Z, X1, ..., Xn) order.
 
@@ -415,9 +408,91 @@ def enumerate_points(
     if B < 1:
         return
     R = _box_radius(model, vals, B)
-    _check_box_budget(model, B, R, candidate_budget)
+    _check_box_budget(model, B, R, DEFAULT_CANDIDATE_BUDGET)
     for coords in _box_scan(model, vals, B, R, 1, R + 1):
         yield RationalPoint(coords)
+
+
+def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
+    """(sum of H(x; lambda)^(-s) over the points with H <= B, their number):
+    the point side of fourier.zeta_truncated along the counting strategy.
+    P1 sums its Moebius fibers (3 points of generator height 1, 4 phi(F) of
+    height F), BlP2-1 its fibers (_blp21_zeta_partial, counted by
+    count_points), the rest the points of _box_kernel with the generator
+    heights it has computed, in the order of enumerate_points."""
+    vals = geometry.require_interior(model, lam)
+    B = as_fraction(B)
+    if B < 1:
+        return 0.0, 0
+    strategy, end = _outer_range(model, vals, B)
+    if strategy == "pn" and model.dim == 1:
+        c = float(vals[0]) * s
+        phi = phi_segment(2, end + 1).tolist()
+        partial = 3.0
+        for f, ph in enumerate(phi, start=2):
+            partial += 4.0 * ph * float(f) ** (-c)
+        return partial, 3 + 4 * sum(phi)
+    if strategy == "fiber":
+        return _blp21_zeta_partial(model, vals, s, B, end), count_points(model, vals, B)
+    # H = prod_G h_G^(m_G).  When every m_G is an integer it is the quotient
+    # of two exact integers, and int / int is correctly rounded (as
+    # float(Fraction) is); otherwise it is a float product.  On P^n the
+    # box radius is height_radius(B, lambda_1), the end _outer_range gives.
+    m = geometry.generator_exponents(model, vals)
+    if all(e.denominator == 1 for e in m):
+        up = [max(int(e), 0) for e in m]
+        down = [max(-int(e), 0) for e in m]
+
+        def height(row: list) -> float:
+            return math.prod(map(pow, row, up)) / math.prod(map(pow, row, down))
+    else:
+        def height(row: list) -> float:
+            return float(math.prod(Fraction(g) ** e for g, e in zip(row, m)))
+
+    _check_box_budget(model, B, end, KERNEL_CANDIDATE_BUDGET)
+    partial = 0.0
+    n = 0
+    for _, _, hs in _box_kernel(model, vals, B, end, 1, end + 1):
+        for row in hs.tolist():
+            partial += height(row) ** (-s)
+        n += len(hs)
+    return partial, n
+
+
+def _blp21_zeta_partial(model: VarietyModel, lam, s: float, B: Fraction, f_max: int) -> float:
+    """The point sum of zeta_partial on BlP2-1, fiber by fiber.
+
+    Points are grouped by the reduced fiber coordinate y = q/f with
+    F = max(|q|, f) <= f_max (3 fibers at F = 1, 4 phi(F) otherwise) and
+    within a fiber by (g, X) with g >= 1, gcd(g, X) = 1; the generator
+    heights are h_F = F and h_H = max(g F, |X|), so each point contributes
+    max(g F, |X|)^(-m_H s) F^(-m_F s).
+    """
+    m_h, m_f = geometry.generator_exponents(model, lam)
+    c_h = float(m_h) * s
+    c_f = float(m_f) * s
+    phi = phi_segment(2, f_max + 1).tolist()  # phi(F) = phi[F - 2]
+    total = 0.0
+    t_caps = _blp21_fiber_bounds(lam, B, range(1, f_max + 1))
+    for F, t_cap in enumerate(t_caps, start=1):
+        weight = 3.0 if F == 1 else 4.0 * phi[F - 2]
+        inner = 0.0
+        for g in range(1, t_cap // F + 1):
+            base = g * F
+            # (e, mu(e)) over the squarefree divisors e of g.
+            divs = [(1, 1)]
+            for q in prime_factors(g):
+                divs += [(e * q, -mu) for e, mu in divs]
+            # The plateau |X| <= g F, where h_H = g F: its #{X : gcd(X, g)
+            # = 1} is sum_{e | g} mu(e) (2 (gF // e) + 1).
+            inner += sum(mu * (2 * (base // e) + 1) for e, mu in divs) * \
+                float(base) ** (-c_h)
+            # The wings g F < |X| <= T_F, where h_H = |X|.
+            for x in range(base + 1, t_cap + 1):
+                if math.gcd(x, g) == 1:
+                    inner += 2.0 * float(x) ** (-c_h)
+        total += weight * inner * float(F) ** (-c_f)
+    return total
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,8 @@ This module provides several independent routes to these quantities:
   sum over points of bounded height versus sum over characters, each with a
   tail term (off P1 the point side's is an estimate read off the count of
   the points summed); used as an end-to-end check of every formula above.
+  The point-side sum itself is enumeration.zeta_partial, which follows the
+  counting strategies; this module adds only the tail.
 
 All error bounds travel with the values so that consumers can assert
 |difference| <= bound instead of fixed tolerances.
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -81,7 +84,6 @@ from ._util import (
     CapabilityError,
     as_fraction,
     is_prime,
-    phi_segment,
     prime_factors,
     primes_upto,
     vp,
@@ -174,6 +176,19 @@ class CharacterArgument:
             num = math.gcd(num, x.numerator)
             den = math.lcm(den, x.denominator)
         return prime_factors(num * den)
+
+
+def _checked(model: VarietyModel, a, s, integral: bool = False) -> tuple:
+    """(CharacterArgument(a), s, beta) after the checks every transform at
+    psi_a makes: s in the convergence domain (geometry.convergence_beta,
+    beta = 1 + s - rho), a of length model.dim, and a integral if asked."""
+    s, beta = geometry.convergence_beta(model, s)
+    arg = CharacterArgument(a)
+    if len(arg.a) != model.dim:
+        raise ValueError("character index has wrong length")
+    if integral and not arg.is_integral:
+        raise ValueError(f"{model.id}: this transform needs an integral character index")
+    return arg, s, beta
 
 
 def _character_sum_direct(p: int, u: int, n: int, d: int) -> complex:
@@ -290,7 +305,7 @@ def _brute_tail_bound(model: VarietyModel, p: int, depth: int,
     """C * sum_{i > depth} (i + 1) r^i with r = p^(-eps_star)."""
     r = float(p) ** (-eps_star)
     if r >= 1.0:
-        raise ValueError("s outside the convergence domain")
+        raise ValueError("min beta_alpha too small for a float tail bound")
     m = depth
     tail = r ** (m + 1) * ((m + 2) - (m + 1) * r) / (1.0 - r) ** 2
     return _BRUTE_TAIL_CONSTANT[len(model.centers)] * tail
@@ -330,14 +345,8 @@ def brute_padic_fourier(model: VarietyModel, p: int, a, s,
         raise ValueError(f"{p} is not prime")
     if depth < 1:
         raise ValueError("depth must be a positive integer")
-    s = geometry.coerce_picard(model, s)
-    rho = geometry.rho_vector(model)
-    eps_star = min(float(1 + sa - ra) for sa, ra in zip(s, rho))
-    if eps_star <= 0:
-        raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    arg = CharacterArgument(a)
-    if len(arg.a) != model.dim:
-        raise ValueError("character index has wrong length")
+    arg, s, beta = _checked(model, a, s)
+    eps_star = min(float(b) for b in beta)
 
     n = model.dim
     m = depth
@@ -437,15 +446,6 @@ def brute_padic_fourier(model: VarietyModel, p: int, a, s,
 # ---------------------------------------------------------------------------
 
 
-def _pole_term(q: int, beta: Fraction):
-    """(q - 1) / (q^beta - 1), exact when beta is a positive integer."""
-    if beta <= 0:
-        raise ValueError("pole factor requires beta > 0")
-    if beta.denominator == 1:
-        return Fraction(q - 1, q ** int(beta) - 1)
-    return (q - 1) / (float(q) ** float(beta) - 1.0)
-
-
 def _intersection_counts(model: VarietyModel, p: int, a: tuple) -> dict:
     """Mod-p point counts of the closure of {<a, x> = 0} on each boundary
     stratum.
@@ -489,19 +489,12 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
         points excluded by the hyperplane reduction.
     """
     geometry._check_good_prime(model, p)
-    s = geometry.coerce_picard(model, s)
-    rho = geometry.rho_vector(model)
-    beta = {comp: 1 + sa - ra
-            for comp, sa, ra in zip(model.components, s, rho)}
-    if any(b <= 0 for b in beta.values()):
-        raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    arg = CharacterArgument(a)
-    if len(arg.a) != model.dim:
-        raise ValueError("character index has wrong length")
+    arg, s, beta = _checked(model, a, s, integral=True)
     if arg.is_zero:
         return complex(float(tamagawa.denef_local_factor(model, p, s))), 0.0
-    if not arg.is_integral:
-        raise ValueError("closed form requires an integral character index")
+    # Each beta as an int where it is one (exact pole factors), else a float.
+    beta = {comp: int(b) if b.denominator == 1 else float(b)
+            for comp, b in zip(model.components, beta)}
     avec = tuple(int(x) for x in arg.a)
     if all(x % p == 0 for x in avec):
         raise ValueError(
@@ -519,11 +512,11 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
         count = geometry.stratum_count(model, (comp,), p) - iota[comp]
         b = beta[comp]
         if d_alpha == 0:
-            main = main + count * _pole_term(q, b) * qn
-        elif b.denominator == 1:
-            main = main - Fraction(count, q ** (n + int(b)))
+            main = main + count * tamagawa._pole_factor(q, b) * qn
+        elif isinstance(b, int):
+            main = main - Fraction(count, q ** (n + b))
         else:
-            main = main - count / float(q) ** (n + float(b))
+            main = main - count / float(q) ** (n + b)
 
     et = 0.0
     for subset in _iter_product(*[[(), (comp,)] for comp in model.components]):
@@ -535,12 +528,12 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
             continue
         prod = 1.0
         for comp in names:
-            prod *= float(_pole_term(q, beta[comp]))
+            prod *= float(tamagawa._pole_factor(q, beta[comp]))
         et += count * prod
     for comp, d_alpha in zip(model.components, dm.d):
         if not iota[comp]:
             continue
-        point_term = float(_pole_term(q, beta[comp]))
+        point_term = float(tamagawa._pole_factor(q, beta[comp]))
         if comp != "D1" and d_alpha == 1:
             # p divides the pairing <a, center_i> while the characteristic
             # zero multiplicity is 1: the polar coefficient of f_a along E_i
@@ -886,13 +879,7 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
         a: character index (scalar or vector of length model.dim).
         s: Picard vector, real, inside the convergence domain.
     """
-    s = geometry.coerce_picard(model, s)
-    rho = geometry.rho_vector(model)
-    if any(1 + sa - ra <= 0 for sa, ra in zip(s, rho)):
-        raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    arg = CharacterArgument(a)
-    if len(arg.a) != model.dim:
-        raise ValueError("character index has wrong length")
+    arg, s, _ = _checked(model, a, s)
     exps = geometry.generator_exponents(model, s)
 
     if not model.centers:
@@ -946,18 +933,14 @@ def _global_tail_exponent(beta_all, beta_a0) -> float:
     return e
 
 
-def _checked_s(model: VarietyModel, s, arg: CharacterArgument) -> tuple:
-    """(s, beta = 1 + s - rho) after global_fourier's checks of s and a."""
-    s = geometry.coerce_picard(model, s)
-    rho = geometry.rho_vector(model)
-    beta = [1 + sa - ra for sa, ra in zip(s, rho)]
-    if any(b <= 0 for b in beta):
-        raise ValueError("s must satisfy s_alpha > rho_alpha - 1 everywhere")
-    if len(arg.a) != model.dim:
-        raise ValueError("character index has wrong length")
-    if arg.is_zero and any(sa <= ra for sa, ra in zip(s, rho)):
+def _checked_s(model: VarietyModel, a, s) -> tuple:
+    """(arg, s, beta) after global_fourier's checks, before any transform
+    runs: those of _checked, an integral a on the blow-ups, and
+    s_alpha > rho_alpha (beta_alpha > 1) at the trivial character."""
+    arg, s, beta = _checked(model, a, s, integral=bool(model.centers))
+    if arg.is_zero and any(b <= 1 for b in beta):
         raise ValueError("the trivial character requires s_alpha > rho_alpha")
-    return s, beta
+    return arg, s, beta
 
 
 def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
@@ -1039,8 +1022,7 @@ def global_fourier(model: VarietyModel, a, s,
         GlobalFourierValue with the value, a combined error bound, and the
         (component, beta) pairs whose zeta factors were used.
     """
-    arg = CharacterArgument(a)
-    s, beta = _checked_s(model, s, arg)
+    arg, s, beta = _checked_s(model, a, s)
     if not model.centers and (model.dim == 1 or not arg.is_zero):
         if not arg.is_integral:
             # Tate's factor is 0 at a prime dividing a denominator.
@@ -1058,8 +1040,6 @@ def global_fourier(model: VarietyModel, a, s,
     zeta_factors = tuple((name, beta_by_name[name]) for name in a0_names)
 
     arch = arch_fourier(model, arg, s)
-    if not arg.is_integral:
-        raise ValueError("global assembly requires an integral index")
     eps_star = min(float(b) for b in beta)
     small = sorted(geometry.SMALL_PRIMES | set(arg.support_primes()))
 
@@ -1129,16 +1109,12 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     """Partial sum of the height zeta function over points of height <= b_cut
     together with a tail estimate for the discarded points.
 
-    The sum follows enumeration's counting strategy.  On P1 (the Moebius
-    strategy in dimension 1) the partial sum is exact in the fiber
+    The partial sum and the number of points summed are
+    enumeration.zeta_partial, which follows the counting strategy.  On P1
+    (the Moebius strategy in dimension 1) the sum is exact in the fiber
     parametrization (3 points of generator height 1, then 4 phi(F) points of
     generator height F) and the tail bound 4 F_max^(2 - lambda s) /
-    (lambda s - 2) is rigorous since phi(F) <= F.  The fiber strategy
-    (BlP2-1) sums fiber by fiber (_blp21_zeta_partial) and counts the points
-    with count_points; every other model (P2, P3, BlP2-2, BlP2-3) sums
-    prod_G h_G^(m_G) over the points of enumeration's box kernel, with the
-    generator heights the kernel has already computed, in the order of
-    enumerate_points, and counts the points it sums.  Off P1 the tail is an
+    (lambda s - 2) is rigorous since phi(F) <= F.  Off P1 the tail is an
     estimate from the leading term of the counting function,
     tail ~ s c integral_B^oo t^(a - s - 1) (log t)^(b-1) dt with
     c = N(B) / (B^a (log B)^(b-1)) and N(B) that count.
@@ -1152,8 +1128,7 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     Returns:
         (partial_sum, tail_estimate).
     """
-    lam = geometry.coerce_picard(model, lam)
-    geometry.require_interior(model, lam)
+    lam = geometry.require_interior(model, lam)
     a_lam = geometry.a_exponent(model, lam)
     s = float(s)
     if s <= float(a_lam):
@@ -1164,44 +1139,11 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     if b_cut < 1:
         return 0.0, 0.0
 
-    strategy, _ = enumeration._outer_range(model, lam, b_cut)
-    if strategy == "pn" and model.dim == 1:
-        lam1 = lam[0]
-        c = float(lam1) * s
-        f_max = max(enumeration.height_radius(b_cut, lam1), 1)
-        partial = 3.0
-        for f, phi in enumerate(phi_segment(2, f_max + 1).tolist(), start=2):
-            partial += 4.0 * phi * float(f) ** (-c)
-        tail = 4.0 * float(f_max) ** (2.0 - c) / (c - 2.0)
-        return partial, tail
-
-    if strategy == "fiber":
-        partial = _blp21_zeta_partial(model, lam, s, b_cut)
-        n_cut = enumeration.count_points(model, lam, b_cut)
-    else:
-        # H = prod_G h_G^(m_G).  When every m_G is an integer it is the
-        # quotient of two exact integers, and int / int is correctly
-        # rounded (as float(Fraction) is); otherwise it is a float product.
-        m = geometry.generator_exponents(model, lam)
-        if all(e.denominator == 1 for e in m):
-            up = [max(int(e), 0) for e in m]
-            down = [max(-int(e), 0) for e in m]
-
-            def height(row: list) -> float:
-                return math.prod(map(pow, row, up)) / math.prod(map(pow, row, down))
-        else:
-            def height(row: list) -> float:
-                return float(math.prod(Fraction(g) ** e for g, e in zip(row, m)))
-
-        radius = enumeration._box_radius(model, lam, b_cut)
-        enumeration._check_box_budget(
-            model, b_cut, radius, enumeration.KERNEL_CANDIDATE_BUDGET)
-        partial = 0.0
-        n_cut = 0
-        for _, _, hs in enumeration._box_kernel(model, lam, b_cut, radius, 1, radius + 1):
-            for row in hs.tolist():
-                partial += height(row) ** (-s)
-            n_cut += len(hs)
+    partial, n_cut = enumeration.zeta_partial(model, lam, s, b_cut)
+    if not model.centers and model.dim == 1:
+        c = float(lam[0]) * s
+        f_max = enumeration.height_radius(b_cut, lam[0])
+        return partial, 4.0 * float(f_max) ** (2.0 - c) / (c - 2.0)
 
     # Tail from the leading term of the counting function, its constant read
     # off the count of the points just summed.
@@ -1232,58 +1174,6 @@ def _upper_gamma(b: int, x: float) -> float:
             term = term * x / k
             total += term
         return float(math.factorial(b - 1) * (-x).exp() * total)
-
-
-def _coprime_range_count(m: int, g: int, mu_div) -> int:
-    """#{X : |X| <= m, gcd(X, g) = 1} via the squarefree divisors of g."""
-    total = 0
-    for e, mu in mu_div:
-        total += mu * (2 * (m // e) + 1)
-    return total
-
-
-def _squarefree_divisors(g: int) -> list:
-    """(divisor, mu) pairs over the squarefree divisors of g."""
-    out = [(1, 1)]
-    for q in prime_factors(g):
-        out = out + [(e * q, -mu) for e, mu in out]
-    return out
-
-
-def _blp21_zeta_partial(model: VarietyModel, lam, s: float, b_cut) -> float:
-    """Exact partial zeta sum for the one-point blow-up in the fiber
-    parametrization.
-
-    Points are grouped by the reduced fiber coordinate y = q/f with
-    F = max(|q|, f) (3 fibers at F = 1, 4 phi(F) otherwise) and within a
-    fiber by (g, X) with g >= 1, gcd(g, X) = 1; the generator heights are
-    h_F = F and h_H = max(g F, |X|), so each point contributes
-    max(g F, |X|)^(-m_H s) F^(-m_F s).
-    """
-    m_h, m_f = geometry.generator_exponents(model, lam)
-    c_h = float(m_h) * s
-    c_f = float(m_f) * s
-    f_max = enumeration.height_radius(b_cut, lam[0])
-    if f_max < 1:
-        return 0.0
-    phi = phi_segment(2, f_max + 1).tolist()  # phi(F) = phi[F - 2]
-    total = 0.0
-    t_caps = enumeration._blp21_fiber_bounds(lam, b_cut, range(1, f_max + 1))
-    for F, t_cap in enumerate(t_caps, start=1):
-        weight = 3.0 if F == 1 else 4.0 * phi[F - 2]
-        inner = 0.0
-        for g in range(1, t_cap // F + 1):
-            base = g * F
-            divs = _squarefree_divisors(g)
-            # The plateau |X| <= g F, where h_H = g F.
-            inner += _coprime_range_count(base, g, divs) * \
-                float(base) ** (-c_h)
-            # The wings g F < |X| <= T_F, where h_H = |X|.
-            for x in range(base + 1, t_cap + 1):
-                if math.gcd(x, g) == 1:
-                    inner += 2.0 * float(x) ** (-c_h)
-        total += weight * inner * float(F) ** (-c_f)
-    return total
 
 
 def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
@@ -1318,16 +1208,14 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
     """
     if model.centers or model.dim != 1:
         raise CapabilityError("poisson check is implemented for P1 only")
-    lam = geometry.coerce_picard(model, lam)
-    geometry.require_interior(model, lam)
-    if a_cut < 0:
-        raise ValueError("a_cut must be nonnegative")
+    lam = geometry.require_interior(model, lam)
+    if not (isinstance(a_cut, numbers.Integral) and a_cut >= 0):
+        raise ValueError(f"a_cut must be a nonnegative integer, got {a_cut!r}")
     s = float(s)
 
     lhs, lhs_tail = zeta_truncated(model, lam, s, b_cut)
 
-    trivial = CharacterArgument((0,))
-    s_pic, _ = _checked_s(model, [as_fraction(s) * l for l in lam], trivial)
+    _, s_pic, _ = _checked_s(model, (0,), [as_fraction(s) * l for l in lam])
     sigma = float(s_pic[0])
     values, bounds, arch = (x.tolist() for x in _pn_characters(
         model, s_pic[0], np.arange(a_cut + 1, dtype=np.int64)[:, None]))

@@ -245,6 +245,18 @@ def rho_vector(model: VarietyModel) -> tuple[Fraction, ...]:
     return tuple(Fraction(r) for r in model.rho)
 
 
+def convergence_beta(model: VarietyModel, s) -> tuple:
+    """(s, beta): s coerced and beta_alpha = 1 + s_alpha - rho_alpha, the
+    exponents of the local height transforms, which converge exactly when
+    every beta_alpha > 0 (ValueError otherwise)."""
+    s = coerce_picard(model, s)
+    beta = tuple(1 + sa - r for sa, r in zip(s, model.rho))
+    if any(b <= 0 for b in beta):
+        raise ValueError("s outside the convergence domain:"
+                         " need s_alpha > rho_alpha - 1 everywhere")
+    return s, beta
+
+
 def generator_exponents(model: VarietyModel, lam) -> tuple[Fraction, ...]:
     """Exponents of lam on the generator systems via the unimodular basis change."""
     vals = coerce_picard(model, lam)

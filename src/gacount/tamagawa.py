@@ -137,12 +137,7 @@ def _denef_strata(model: VarietyModel, s) -> tuple:
     pairs each stratum subset with the exponents 1 + s_alpha - rho_alpha of
     its components in component order, as ints when every exponent is an
     integer (exact) and as floats otherwise."""
-    svec = geometry.coerce_picard(model, s)
-    exps = [1 + sv - Fraction(r) for sv, r in zip(svec, model.rho)]
-    if any(e <= 0 for e in exps):
-        raise ValueError(
-            f"s = {svec} outside the convergence domain: need s_a > rho_a - 1"
-        )
+    _, exps = geometry.convergence_beta(model, s)
     exact = all(e.denominator == 1 for e in exps)
     cast = int if exact else float
     strata = tuple(
@@ -162,14 +157,19 @@ def _denef_sum(model: VarietyModel, p: int, denef_strata: tuple) -> Union[Fracti
         count = geometry.stratum_count(model, subset, p)  # validates p
         term = Fraction(count) if exact else float(count)
         for e in exps:
-            if exact:
-                term *= Fraction(p - 1, p**e - 1)
-            else:
-                term *= (p - 1) / (float(p) ** e - 1.0)
+            term *= _pole_factor(p, e)
         total += term
     if exact:
         return total / Fraction(p) ** n
     return total / float(p) ** n
+
+
+def _pole_factor(p: int, e: Union[int, float]) -> Union[Fraction, float]:
+    """(p - 1) / (p^e - 1), the stratum factor of a component with exponent
+    e = 1 + s_alpha - rho_alpha > 0: a Fraction for an int e, else a float."""
+    if isinstance(e, int):
+        return Fraction(p - 1, p**e - 1)
+    return (p - 1) / (float(p) ** e - 1.0)
 
 
 def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -301,15 +301,14 @@ def exact_local_density(model: VarietyModel, p: int, s,
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    svec = geometry.coerce_picard(model, s)
-    exps = [1 + sv - Fraction(r) for sv, r in zip(svec, model.rho)]
+    svec, exps = geometry.convergence_beta(model, s)
     n = model.dim
     avals = [] if a is None else [as_fraction(x) for x in a]
     if avals and len(avals) != n:
         raise ValueError("character index has wrong length")
     twisted = any(avals)
-    if any(e <= 0 or (e.denominator != 1 and not twisted) for e in exps):
-        raise ValueError(f"need positive integer exponents 1 + s - rho, got {exps}")
+    if not twisted and any(e.denominator != 1 for e in exps):
+        raise ValueError(f"need integer exponents 1 + s - rho, got {exps}")
     exps_g = geometry.generator_exponents(model, svec)
     linear, cone_ranks = _system_data(model, p)
     total_m = sum((exps_g[i] for i in linear), Fraction(0))

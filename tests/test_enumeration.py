@@ -84,11 +84,28 @@ def test_worker_determinism(model):
 
 
 def test_candidate_budget_guard():
+    # B = 10^9 needs R (2R + 1)^2 ~ 1.3e14 candidates (R = 31622), over
+    # both module budgets; the guard raises before any slice is scanned.
     m = geometry.load_model("BlP2-2")
     with pytest.raises(CapabilityError):
-        enumeration.count_points(m, m.rho, 10**9, candidate_budget=10**6)
+        enumeration.count_points(m, m.rho, 10**9)
     with pytest.raises(CapabilityError):
-        list(enumeration.enumerate_points(m, m.rho, 10**9, candidate_budget=10**6))
+        list(enumeration.enumerate_points(m, m.rho, 10**9))
+
+
+@pytest.mark.parametrize("B", [Fraction(1, 2), 1, 100])
+def test_workers_checked_before_early_returns(model, B):
+    with pytest.raises(ValueError):
+        enumeration.count_points(model, model.rho, B, workers=0)
+
+
+@pytest.mark.parametrize("B", [Fraction(1, 2), 1, 7, 60])
+def test_zeta_partial_counts_the_points_it_sums(model, B):
+    # The point count zeta_partial returns is count_points, and at s = 0
+    # every summed term is 1.
+    part, n = enumeration.zeta_partial(model, model.rho, 0.0, B)
+    assert n == enumeration.count_points(model, model.rho, B)
+    assert part == float(n)
 
 
 def test_kernel_budget_counts_past_the_loop_budget():

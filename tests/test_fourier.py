@@ -150,6 +150,54 @@ def test_brute_domain_errors(model):
         )
     with pytest.raises(ValueError):
         fourier.brute_padic_fourier(model, 5, (0,) * (model.dim + 1), model.rho)
+    # Inside the domain, but p^(-beta) rounds to 1.0: the tail bound refuses.
+    tiny = tuple(r - 1 + Fraction(1, 10**18) for r in model.rho)
+    with pytest.raises(ValueError, match="too small for a float tail bound"):
+        fourier.brute_padic_fourier(model, 5, zero, tiny, depth=3)
+
+
+# The six transforms whose s passes geometry.convergence_beta, at p = 5;
+# denef_local_factor takes no character index.
+TRANSFORMS = {
+    "brute_padic_fourier": lambda m, a, s: fourier.brute_padic_fourier(m, 5, a, s, depth=2),
+    "closed_form_good_prime": lambda m, a, s: fourier.closed_form_good_prime(m, 5, a, s),
+    "arch_fourier": lambda m, a, s: fourier.arch_fourier(m, a, s),
+    "global_fourier": lambda m, a, s: fourier.global_fourier(m, a, s, p_max=100),
+    "exact_local_density": lambda m, a, s: tamagawa.exact_local_density(m, 5, s, a),
+    "denef_local_factor": lambda m, a, s: tamagawa.denef_local_factor(m, 5, s),
+}
+
+
+@pytest.mark.parametrize("name", TRANSFORMS)
+def test_transforms_share_the_domain_and_index_errors(model, name):
+    # beta_alpha = 0 on one component raises the one convergence-domain
+    # error, before any model capability is consulted; so does an index of
+    # the wrong length raise the one index error.
+    transform = TRANSFORMS[name]
+    a = (1,) * model.dim
+    for i in range(model.rank):
+        s = tuple(r - 1 if j == i else r + 1 for j, r in enumerate(model.rho))
+        with pytest.raises(ValueError) as want:
+            geometry.convergence_beta(model, s)
+        with pytest.raises(ValueError) as got:
+            transform(model, a, s)
+        assert str(got.value) == str(want.value), i
+    if name != "denef_local_factor":
+        with pytest.raises(ValueError, match="^character index has wrong length$"):
+            transform(model, (1,) * (model.dim + 1), tuple(r + 1 for r in model.rho))
+
+
+@pytest.mark.parametrize("mid", ["BlP2-1", "BlP2-2"])
+def test_global_fourier_checks_integrality_first(monkeypatch, mid):
+    # A non-integral index on a blow-up is refused before any transform runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform ran before the index check")
+
+    for name in ("arch_fourier", "brute_padic_fourier", "closed_form_good_prime"):
+        monkeypatch.setattr(fourier, name, refuse)
+    model = geometry.load_model(mid)
+    with pytest.raises(ValueError):
+        fourier.global_fourier(model, (Fraction(1, 2), 1), tuple(r + 1 for r in model.rho))
 
 
 def test_closed_form_p1_pin():
@@ -759,6 +807,17 @@ def test_poisson_check_capability_and_domain():
     p1 = geometry.load_model("P1")
     with pytest.raises(ValueError):
         fourier.poisson_check(p1, p1.rho, 3.0, 100, -1)
+
+
+@pytest.mark.parametrize("a_cut", [2.5, 3.0, "3", None])
+def test_poisson_check_needs_an_integer_a_cut(a_cut):
+    # A fractional a_cut would sum a = 0..3 at 2.5 but size the character
+    # tail at 2.5.
+    p1 = geometry.load_model("P1")
+    with pytest.raises(ValueError):
+        fourier.poisson_check(p1, p1.rho, 3.0, 100, a_cut)
+    assert fourier.poisson_check(p1, p1.rho, 3.0, 100, np.int64(3)) == \
+        fourier.poisson_check(p1, p1.rho, 3.0, 100, 3)
 
 
 def test_zeta_truncated_heights_from_kernel(monkeypatch):

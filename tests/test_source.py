@@ -135,3 +135,38 @@ def test_cold_start_loads_no_scipy():
     assert out["pass"]
     assert "scipy.integrate" in out["after"]
     assert 0 < abs(out["blp21"]) < 16
+
+
+def test_fourier_uses_no_private_enumeration_name():
+    # The point-side sums are enumeration.zeta_partial; fourier keeps the
+    # tail alone and reaches into none of enumeration's internals.
+    text = (SRC / "fourier.py").read_text()
+    hits = [f"fourier.py:{i}: {line.strip()}"
+            for i, line in enumerate(text.splitlines(), 1)
+            if re.search(r"\benumeration\._", line)]
+    assert hits == []
+
+
+# Wordings of the convergence-domain error, past and present.
+DOMAIN_MESSAGE = re.compile(r"convergence domain|rho_alpha - 1|rho_a - 1")
+
+
+def _raises_domain_error(node) -> bool:
+    """A raise of ValueError whose message text names the domain rule."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "ValueError"):
+        return False
+    text = " ".join(n.value for n in ast.walk(node.exc)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return bool(DOMAIN_MESSAGE.search(text))
+
+
+def test_one_function_owns_the_convergence_domain_error():
+    # Every transform checks 1 + s_alpha - rho_alpha > 0 through
+    # geometry.convergence_beta; a second raiser is a restated copy.
+    raisers = sorted(f"{path.stem}.{fn.name}"
+                     for path in sorted(SRC.glob("*.py"))
+                     for fn in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and any(_raises_domain_error(n) for n in ast.walk(fn)))
+    assert raisers == ["geometry.convergence_beta"]
