@@ -11,8 +11,9 @@ zeta function on the reals above 1, correctly rounded.
 Moebius and Euler phi values come from NumPy segment sieves,
 mu_segment(a, b) and phi_segment(a, b) for a <= k < b: slices over the
 primes up to sqrt(b - 1), and the one prime factor above sqrt(b - 1) that k
-can have, read off a quotient array (mu: int8 values and an int32 quotient,
-5 bytes per k).  mu_sieve is the list form of mu_segment from 0.
+can have, read off a product array of the small primes (mu: int8 values and
+an int32 product, 5 bytes per k) or a quotient array (phi).  mu_sieve is the
+list form of mu_segment from 0.
 """
 
 from __future__ import annotations
@@ -126,26 +127,38 @@ def floor_frac_root(bound: Fraction, exponent: int) -> int:
     return lo
 
 
-def height_leq(heights, exponents, bound: Fraction) -> bool:
-    """Exact test prod_j heights[j]**exponents[j] <= bound.
+def height_test(exponents, bound: Fraction):
+    """The exact test prod_j heights[j]**exponents[j] <= bound, prepared
+    once per (exponents, bound) and returned as a function of the heights.
 
     heights are positive integers, exponents arbitrary rationals (negative
-    allowed), bound a positive rational.  Both sides are raised to the lcm of
-    the exponent denominators, so the comparison is a big-integer inequality
-    whose size does not depend on the denominator of the bound.
+    allowed), bound a positive rational.  Both sides are raised to the lcm
+    `scale` of the exponent denominators, which makes every exponent an
+    integer k_j = exponents[j] * scale: the test is
+
+        den^scale * prod_{k_j > 0} h_j^{k_j} <= num^scale * prod_{k_j < 0} h_j^{-k_j}
+
+    for bound = num/den, a big-integer inequality whose size does not depend
+    on the denominator of the bound.  scale, the k_j and both powers of the
+    bound are computed here, so each call costs the integer powers alone.
     """
     exps = [as_fraction(e) for e in exponents]
     scale = lcm(*(e.denominator for e in exps), 1)
-    lhs = 1
-    rhs = bound.numerator ** scale
-    lhs_den = bound.denominator ** scale
-    for h, e in zip(heights, exps):
-        k = int(e * scale)
-        if k >= 0:
-            lhs *= h**k
-        else:
-            rhs *= h ** (-k)
-    return lhs * lhs_den <= rhs
+    ks = [int(e * scale) for e in exps]
+    up = [max(k, 0) for k in ks]
+    down = [max(-k, 0) for k in ks]
+    lhs, rhs = bound.denominator**scale, bound.numerator**scale
+
+    def leq(heights) -> bool:
+        return lhs * math.prod(map(pow, heights, up)) <= rhs * math.prod(map(pow, heights, down))
+
+    return leq
+
+
+def height_leq(heights, exponents, bound: Fraction) -> bool:
+    """Exact test prod_j heights[j]**exponents[j] <= bound: height_test
+    applied once."""
+    return height_test(exponents, bound)(heights)
 
 
 def primes_upto(n: int) -> list[int]:
@@ -160,24 +173,34 @@ def primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
+# mu_segment compares prod(k) with k in chunks of _MU_CHUNK values.
+_MU_CHUNK = 2**14
+
+
 def mu_segment(a: int, b: int) -> np.ndarray:
     """Moebius values mu(a..b-1) as an int8 array (1 <= a <= b).
 
     Every prime p <= sqrt(b - 1) flips the sign of its multiples, zeroes the
-    multiples of p^2 and is divided out once from the quotient array q(k) = k.
+    multiples of p^2 and multiplies the product array prod(k) (from 1) by p.
     A squarefree k < b has at most one prime factor above sqrt(b - 1), and
-    then q(k) is that prime, so q(k) > 1 flips the sign once more; a
-    non-squarefree k is already 0.
+    it has one exactly when prod(k) != k, which flips the sign once more; a
+    non-squarefree k is already 0.  prod(k) divides k, so int32 holds it for
+    b <= 2^31.
     """
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
     mu = np.ones(b - a, dtype=np.int8)
-    quotient = np.arange(a, b, dtype=np.int32 if b <= 2**31 else np.int64)
+    prod = np.ones(b - a, dtype=np.int32 if b <= 2**31 else np.int64)
     for p in primes_upto(isqrt(b - 1)):
         mu[-a % p :: p] *= -1
-        quotient[-a % p :: p] //= p
+        prod[-a % p :: p] *= p
         mu[-a % (p * p) :: p * p] = 0
-    np.negative(mu, out=mu, where=quotient > 1)
+    # Compared with k in chunks, so no second array of b - a values; the
+    # sign flips by a product with 1 - 2 (prod(k) != k).
+    for i in range(0, b - a, _MU_CHUNK):
+        part = mu[i : i + _MU_CHUNK]
+        k = np.arange(a + i, a + i + len(part), dtype=prod.dtype)
+        part *= 1 - 2 * (prod[i : i + _MU_CHUNK] != k).view(np.int8)
     return mu
 
 

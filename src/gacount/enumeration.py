@@ -39,30 +39,52 @@ sum_{e | g} mu(e)).  Since gF <= T_F iff (gF)^{m_H} F^{m_F} <= B iff
 g^{m_H} F^{lambda_D} <= B, G_F >= 1 iff F^{lambda_D} <= B iff
 F <= f_max = floor(B^{1/lambda_D}), where the fibers end (every fiber
 counted has G_F >= 1), and G_F is nonincreasing in F (m_H, lambda_D > 0):
-for each e the fibers with G_F >= e form a prefix of [lo, hi).  T_F is
+for each e the fibers with G_F >= e form a prefix of 1, ..., f_max.  T_F is
 monotone in F, nonincreasing when m_F >= 0 and nondecreasing otherwise.
 
 The pairs (F, e) with e <= G_F are split at E0, the smallest e with
-#{F : G_F > e} <= e.  For e <= E0 one NumPy pass per e runs over the prefix
-of fibers with G_F >= e; for e > E0 one pass per fiber with G_F > E0 (at
-most E0 of them) runs over E0 < e <= G_F, in chunks of 2^15.  Each pair is
-summed once, in at most 2 E0 + (number of pairs) / 2^15 passes; E0 is about
-B^{1/5} at lambda = rho (G_F ~ sqrt(B / F^3)) and sqrt(B) at (1, 1).  mu
-comes from _util: mu_sieve(E0) for the per-e passes and one int8
-mu_segment over E0 < e <= G_lo for the others.
+#{F : G_F > e} <= e; E0 is about B^{1/5} at lambda = rho (G_F ~
+sqrt(B / F^3)) and sqrt(B) at (1, 1).  For e <= E0 one NumPy pass per e
+runs over the prefix of fibers with G_F >= e, with mu from
+_util.mu_sieve(E0).  The e > E0 lie in the at most E0 fibers with
+G_F > E0, and there the sum runs over the quotient blocks of T_F
+(_blp21_blocks).  G_F//e = (T_F//e)//F, as both are floor(T_F / (F e)), so
+on the block T_F//(q+1) < e <= T_F//q, where T_F//e = q, the terms add up to
 
-The sums are exact in int64.  w_F <= 4F and G_F <= T_F / F, so
-|w_F mu(e) (G_F//e) (T_F//e)| <= 4 T_F^2, and by the monotonicity of T_F the
-one check max(T_lo, T_{hi-1}) < 2^30, made before any table is built, puts
-every term and partial product below 2^62 (CapabilityError past it).  Every
-pass has fewer than 2^31 terms (at most 2^15, or hi - lo <= T_{hi-1}, since
-G_{hi-1} >= 1), and _exact_sum adds their high and low 32-bit halves apart:
-under 2^31 * 2^30 and 2^31 * 2^32, both inside int64.  The weights sum to
-less than 2 hi^2 < 2^62.  Memory: the fiber table (T_F, G_F, w_F)
-takes 24 bytes per fiber, the mu segment 5 bytes per e in (E0, G_lo] while
-it is sieved and 1 byte after, and each pass a few int64 arrays of at most
-max(hi - lo, 2^15) entries; no array runs over the pairs or over e <= G_lo
-in int64.
+    w_F * q * (q//F) * (M(T_F//q) - M(T_F//(q+1)))
+
+with M the Mertens function.  q runs from T_F//(E0+1), whose block is cut
+to start after E0, down to T_F//G_F, whose block ends at G_F: G_F = T_F//F
+is itself a quotient of T_F, so T_F//(T_F//G_F) = G_F.  That is about
+T_F / E0 rows per fiber: 50k rows in all for the 800k pairs at
+lambda = rho, B = 1e11.  The rows are built in
+chunks of 2^14 (a row finds its fiber by a searchsorted in the cumulative
+row counts, so a chunk may end inside a fiber).  M comes from one int8
+mu_segment over E0 <= e <= G_1, each cell of 127 values overwritten by its
+running sums, which int8 holds, with an int64 sum before each cell
+(_mertens_lookup).
+
+The sums are exact in int64.  By the monotonicity of T_F the one check
+max(T_1, T_{f_max}) < 2^30, made before any table is built, bounds every
+T_F (CapabilityError past it), and w_F <= 4F.  A term of the per-e passes
+is |w_F mu(e) (G_F//e) (T_F//e)| <= 4F (T_F / F) T_F = 4 T_F^2 < 2^62.  A
+block of q holds at most T_F//q - T_F//(q+1) <= T_F / (q (q+1)) + 1 values
+of e, which bounds its mu-sum, so its term is below
+4F q (q/F) (T_F / q^2 + 1) = 4 (T_F + q^2): at most 8 T_F when
+q^2 <= T_F, and in any case below 4 T_F + T_F^2 < 2^62, since
+q <= T_F / (E0 + 1) <= T_F / 2 (E0 >= 1).  Each partial product is at most
+its term.  Every pass has fewer than 2^31 terms (at most 2^14 rows, or
+f_max <= T_{f_max} fibers, since G_{f_max} >= 1), and _exact_sum adds their
+high and low 32-bit halves apart: under 2^31 * 2^30 and 2^31 * 2^32, both
+inside int64.  The weights sum to less than 2 f_max^2 < 2^62.
+
+Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, the mu
+segment 5 bytes per e in [E0, G_1] while it is sieved (an int32 product of
+its small primes, _util) and 1 + 8/127 after, and each chunk of rows a few
+int64 arrays of 2^14 entries.  No array runs over the pairs or the rows, or
+over the e <= G_1 in int64, so the sieve sets the peak (1.87 MB traced at
+lambda = rho, B = 1e11 with Python 3.11 and NumPy 2.4, against 2.05 MB for
+the per-fiber loop over e that the blocks replace).
 
 BlP2-2 / BlP2-3 (box strategy).  All primitive vectors with
 h_std = max(Z, |X|, |Y|) <= R are scanned and filtered by an exact height
@@ -95,9 +117,10 @@ most 20u (1 + log num + log den).  The kernel takes the margin
 more than 200 times the sum of the two errors: a candidate with
 L < log B - delta has H < B, one with L > log B + delta has H > B, and every
 candidate in between, every tie H = B among them, is decided exactly by
-_util.height_leq.  The kernel raises CapabilityError if some Hmax_G, which
-bounds every section value, leaves int64.  count_points' box strategy counts
-the kernel's points.
+_util.height_test, prepared once per call: its scale, integer exponents and
+powers of B are computed once, so a tie costs integer powers alone.  The
+kernel raises CapabilityError if some Hmax_G, which bounds every section
+value, leaves int64.  count_points' box strategy counts the kernel's points.
 
 The point side of the height zeta function lives here too: zeta_partial
 sums H(x)^(-s) over the points with H <= B along the same strategies (the
@@ -106,15 +129,15 @@ the heights it already has otherwise) and returns the number of points
 summed; fourier.zeta_truncated adds the tail estimate.
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
-which decides each primitive candidate by height_leq alone and shares no code
-with the kernel but the generator heights.  On P^n and BlP2-1 every
+which decides each primitive candidate by the exact test alone and shares no
+code with the kernel but the generator heights and that test.  On P^n and BlP2-1 every
 H_alpha >= 1 as well, so the same box with radius B^{1/lambda_min} is sound
 there, and the tests hold the Moebius and fiber strategies against it.
 
 Counts are exact integers, deterministic, and independent of the worker
 partitioning: a parallel run splits the box strategy's outer loop into Z
 ranges and adds the integer partial sums.  The Moebius and fiber strategies
-run as one task (the fiber pairs (F, e) pile up at small F, which no split
+run as one task (the fiber rows pile up at small F, which no split
 into equal F ranges balances).
 """
 
@@ -130,7 +153,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, heights
-from ._util import (CapabilityError, as_fraction, floor_frac_root, height_leq, mertens_quotients,
+from ._util import (CapabilityError, as_fraction, floor_frac_root, height_test, mertens_quotients,
                     mu_segment, mu_sieve, phi_segment, prime_factors)
 from .geometry import VarietyModel
 from .heights import RationalPoint
@@ -175,16 +198,15 @@ def _box_scan(
     model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int, lo: int, hi: int
 ) -> Iterator[tuple]:
     """Primitive (Z, X1, ..., Xn) with H <= B, |X_i| <= R and lo <= Z < hi,
-    Z ascending, then the X_i lexicographically: one exact height_leq per
-    primitive candidate.  The oracle of _box_kernel."""
-    m = geometry.generator_exponents(model, lam)
+    Z ascending, then the X_i lexicographically: one exact height test
+    (_util.height_test, prepared once per call) per primitive candidate.
+    The oracle of _box_kernel."""
+    leq = height_test(geometry.generator_exponents(model, lam), B)
     side = range(-R, R + 1)
     for z in range(lo, hi):
         for xs in product(side, repeat=model.dim):
             coords = (z,) + xs
-            if math.gcd(*coords) == 1 and height_leq(
-                heights.generator_heights(model, coords), m, B
-            ):
+            if math.gcd(*coords) == 1 and leq(heights.generator_heights(model, coords)):
                 yield coords
 
 
@@ -211,6 +233,7 @@ def _box_kernel(
             module docstring).
     """
     m = geometry.generator_exponents(model, lam)
+    leq = height_test(m, B)
     m_float = np.array([float(e) for e in m])
     # Hmax_G bounds every section value of system G on the slices scanned.
     h_max = [max(sum(map(abs, sec)) for sec in gen.sections) * max(R, hi - 1)
@@ -243,8 +266,9 @@ def _box_kernel(
         log_h = np.log(hs) @ m_float
         primitive = np.gcd(grid_gcd, z) == 1
         keep = primitive & (log_h < log_b - margin)
-        for i in np.flatnonzero(primitive & (np.abs(log_h - log_b) <= margin)):
-            keep[i] = height_leq(hs[i].tolist(), m, B)
+        ties = np.flatnonzero(primitive & (np.abs(log_h - log_b) <= margin))
+        if ties.size:
+            keep[ties] = [leq(row) for row in hs[ties].tolist()]
         yield z, grid[keep], hs[keep]
 
 
@@ -274,9 +298,9 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers) -> list[in
 
 
 # Fiber bounds stay below _T_LIMIT, so every term of the fiber sum fits int64;
-# the per-fiber pass takes e in chunks of _E_CHUNK (module docstring).
+# the block pass takes its rows in chunks of _ROW_CHUNK (module docstring).
 _T_LIMIT = 2**30
-_E_CHUNK = 2**15
+_ROW_CHUNK = 2**14
 
 
 def _exact_sum(terms: np.ndarray) -> int:
@@ -285,48 +309,92 @@ def _exact_sum(terms: np.ndarray) -> int:
     return (int((terms >> 32).sum()) << 32) + int((terms & 0xFFFFFFFF).sum())
 
 
-def _blp21_partial(lam: Sequence[Fraction], B: Fraction, lo: int, hi: int) -> int:
-    """Fiber partial sum over F in [lo, hi), split at E0 (module docstring).
+def _blp21_count(lam: Sequence[Fraction], B: Fraction, f_max: int) -> int:
+    """The fiber sum over the fibers F <= f_max, split at E0 (module docstring).
 
     Raises:
         CapabilityError: if a fiber bound T_F reaches 2^30.
     """
-    hi = min(hi, height_radius(B, lam[0]) + 1)
-    if lo >= hi:
-        return 0
-    t_max = max(_blp21_fiber_bounds(lam, B, (lo, hi - 1)))
+    t_max = max(_blp21_fiber_bounds(lam, B, (1, f_max)))
     if t_max >= _T_LIMIT:
         raise CapabilityError(
             f"fiber sum for BlP2-1 at B={B}: fiber bound {t_max} leaves the int64"
             f" range of the terms (needs T_F < 2^30)"
         )
-    T = np.array(_blp21_fiber_bounds(lam, B, range(lo, hi)), dtype=np.int64)
-    G = T // np.arange(lo, hi, dtype=np.int64)
-    w = 4 * phi_segment(lo, hi)
-    if lo == 1:
-        w[0] = 3
+    T = np.array(_blp21_fiber_bounds(lam, B, range(1, f_max + 1)), dtype=np.int64)
+    G = T // np.arange(1, f_max + 1, dtype=np.int64)
+    w = 4 * phi_segment(1, f_max + 1)
+    w[0] = 3
     # G is nonincreasing, so #{F : G_F > e} <= e first holds at the first
-    # index e with G[e] <= e; e0 <= G_lo.
-    n = len(G)
-    drops = np.flatnonzero(G <= np.arange(n))
-    e0 = int(drops[0]) if len(drops) else n
+    # index e with G[e] <= e; 1 <= e0 <= G_1.
+    drops = np.flatnonzero(G <= np.arange(f_max))
+    e0 = int(drops[0]) if len(drops) else f_max
     # prefix[e - 1] = #{F : G_F >= e} for e = 1, ..., e0 + 1.
-    prefix = (n - np.searchsorted(G[::-1], np.arange(1, e0 + 2))).tolist()
+    prefix = (f_max - np.searchsorted(G[::-1], np.arange(1, e0 + 2))).tolist()
     s = 0
     for e, mu_e in enumerate(mu_sieve(e0)[1:], start=1):
         if mu_e:
             k = prefix[e - 1]
             s += mu_e * _exact_sum(w[:k] * (G[:k] // e) * (T[:k] // e))
     k = prefix[e0]
-    mu = mu_segment(e0 + 1, int(G[0]) + 1)
-    for g, t, w_f in zip(G[:k].tolist(), T[:k].tolist(), w[:k].tolist()):
-        inner = 0
-        for a in range(e0 + 1, g + 1, _E_CHUNK):
-            b = min(a + _E_CHUNK, g + 1)
-            e = np.arange(a, b, dtype=np.int64)
-            inner += _exact_sum(mu[a - e0 - 1 : b - e0 - 1] * (g // e) * (t // e))
-        s += w_f * inner
-    return int(w.sum()) + 2 * s
+    return int(w.sum()) + 2 * (s + _blp21_blocks(T[:k], G[:k], w[:k], e0))
+
+
+# _mertens_lookup keeps running sums of mu within cells of _MERTENS_CELL
+# values: at most 127 in absolute value, so int8 holds them.
+_MERTENS_CELL = 127
+
+
+def _mertens_lookup(a: int, b: int):
+    """The function k -> M(k) - M(a - 1) = sum_{a <= j <= k} mu(j), applied
+    to a NumPy array of integers a <= k < b, M the Mertens function.
+
+    The int8 mu_segment from a is cut into cells of 127 values and each cell
+    is overwritten by its own running sums; an int64 array holds the sum
+    before each cell.  That is 1 + 8/127 bytes per k, and a lookup is one
+    add per k.
+    """
+    cells = mu_segment(a, a + -(-(b - a) // _MERTENS_CELL) * _MERTENS_CELL)
+    cells = cells.reshape(-1, _MERTENS_CELL)
+    np.cumsum(cells, axis=1, dtype=np.int8, out=cells)
+    before = np.zeros(len(cells), dtype=np.int64)
+    np.cumsum(cells[:-1, -1], out=before[1:])
+    sums = cells.ravel()
+
+    def mertens(k: np.ndarray) -> np.ndarray:
+        return before[(k - a) // _MERTENS_CELL] + sums[k - a]
+
+    return mertens
+
+
+def _blp21_blocks(T: np.ndarray, G: np.ndarray, w: np.ndarray, e0: int) -> int:
+    """sum over the fibers F = 1, ..., len(T), each with G_F > E0 = e0, of
+    w_F sum_{E0 < e <= G_F} mu(e) (G_F//e) (T_F//e), one row per quotient
+    block of T_F (module docstring).
+
+    The rows of fiber F run over q = T_F//(E0+1) down to T_F//G_F; row r of
+    all fibers finds its fiber by a searchsorted of r in the cumulative row
+    counts, so a chunk of rows may end inside a fiber.
+    """
+    if not len(T):
+        return 0
+    q_top = T // (e0 + 1)
+    counts = q_top - T // G + 1
+    ends = np.cumsum(counts)
+    # Row r of fiber f has q = q_top[f] - (r - its first row) = q_first[f] - r.
+    q_first = q_top + ends - counts
+    mertens = _mertens_lookup(e0, int(G[0]) + 1)
+    total = int(ends[-1])
+    s = 0
+    for r0 in range(0, total, _ROW_CHUNK):
+        r = np.arange(r0, min(r0 + _ROW_CHUNK, total), dtype=np.int64)
+        f = np.searchsorted(ends, r, side="right")
+        q = q_first[f] - r
+        t = T[f]
+        # The block T_F//(q+1) < e <= T_F//q, the first one cut at E0.
+        lo = np.maximum(t // (q + 1), e0)
+        s += _exact_sum(w[f] * q * (q // (f + 1)) * (mertens(t // q) - mertens(lo)))
+    return s
 
 
 def _partial_count(task) -> int:
@@ -379,7 +447,7 @@ def count_points(model: VarietyModel, lam, B, workers: int = 1) -> int:
     if strategy == "pn":
         return _pn_count(model.dim, end)
     if strategy == "fiber":
-        return _blp21_partial(vals, B, 1, end + 1)
+        return _blp21_count(vals, B, end)
     n_chunks = min(end, max(1, 4 * workers)) if workers > 1 else 1
     step = -(-end // n_chunks)
     tasks = [

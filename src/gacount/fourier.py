@@ -948,7 +948,7 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
     arrays, at the integral characters a in the rows of an (N, n) int64
     array and a sigma = s_D1 that _checked_s has passed (the formula is in
     global_fourier).  Tate_p enters at k = v_p(gcd a), p ascending: as in
-    _util.mu_segment the primes p <= sqrt(max gcd) are divided out of the
+    _util.phi_segment the primes p <= sqrt(max gcd) are divided out of the
     gcds in turn, and what is left is 1 or one larger prime (k = 1).  Each
     prime passes tamagawa._system_data.
     """

@@ -30,7 +30,8 @@ for every integer Picard vector, so for all catalog anticanonical work) the
 finite part is an exact Fraction.  For fractional exponents a prime-power
 factor p^{e} with non-integer e is irrational, so finite_height_part raises
 ValueError; the archimedean part falls back to a float in that case and
-exact bounded-height comparisons go through _util.height_leq instead.
+exact bounded-height comparisons go through _util.height_test (height_leq
+for a single one) instead.
 
 Worked anticanonical examples used by the tests: on P1 the point with
 (Z, X) = (2, 3) has H = 3^2 = 9; on BlP2-1 the point (2, 1, 3) has H = 27

@@ -207,6 +207,19 @@ def test_verify_denef_prime_range(capsys):
         assert f" {p} " in out or f"p={p}" in out or str(p) in out
 
 
+def test_verify_denef_small_primes(capsys):
+    # p = 2 and 3 are checked against exact_local_density, which the
+    # stratum-count local factor cannot serve there.
+    code, out, _ = run(capsys, "verify-denef", "--p", "2..7")
+    assert code == 0
+    rows = {line.split(":")[0]: line for line in out.splitlines() if "s=rho+" in line}
+    for mid in geometry.MODEL_IDS:
+        for p in (2, 3):
+            for shift in (1, 2):
+                assert rows[f"{mid:<7} p={p:<3} s=rho+{shift}"].endswith("PASS")
+    assert "verify-denef: 48/48 pass" in out
+
+
 def test_verify_charsum_pass_and_fail(capsys):
     code, out, _ = run(capsys, "verify-charsum", "--p", "5,7", "--nmax", "2",
                        "--dmax", "2")

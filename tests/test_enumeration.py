@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -309,15 +310,22 @@ def test_box_kernel_split_ranges():
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """A one-cell list counting the kernel's exact height_leq fallbacks."""
+    """A one-cell list counting the exact height tests that enumeration
+    prepares with height_test: the kernel's fallbacks and the loop scan's
+    tests."""
     calls = [0]
-    exact = enumeration.height_leq
+    prepare = enumeration.height_test
 
-    def counted(*args):
-        calls[0] += 1
-        return exact(*args)
+    def counted_test(*args):
+        leq = prepare(*args)
 
-    monkeypatch.setattr(enumeration, "height_leq", counted)
+        def counted(hts):
+            calls[0] += 1
+            return leq(hts)
+
+        return counted
+
+    monkeypatch.setattr(enumeration, "height_test", counted_test)
     return calls
 
 
@@ -351,7 +359,7 @@ def test_box_kernel_margin_adversarial(exact_calls):
 
 
 def test_box_kernel_exact_checks_are_few(exact_calls):
-    # Only the candidates inside the float margin reach height_leq.
+    # Only the candidates inside the float margin reach the exact test.
     m = geometry.load_model("BlP2-2")
     assert enumeration.count_points(m, m.rho, 400) == 6681
     assert 0 < exact_calls[0] < 1000
@@ -428,8 +436,13 @@ def test_mu_sieve_matches_loop():
     for n in range(3001):
         assert mu_sieve(n) == want[: n + 1], n
     big = mu_sieve(10**6)
-    assert big == mu_loop(10**6)
+    loop = mu_loop(10**6)
+    assert big == loop
     assert sum(big) == 212  # M(10^6), OEIS A084237
+    # The sign pass runs in chunks of 2^14: segments that start off 1 and
+    # span many chunks, one ending just past a chunk edge.
+    for a, b in ((159, 316228), (5000, 10**6), (7, 2**14 + 8)):
+        assert _util.mu_segment(a, b).tolist() == loop[a:b], (a, b)
 
 
 def test_phi_segment_matches_loop():
@@ -445,6 +458,16 @@ def test_sieve_segments_match_loop():
         for b in range(a, 1001, 13):
             assert _util.mu_segment(a, b).tolist() == mu[a:b], (a, b)
             assert _util.phi_segment(a, b).tolist() == phi[a:b], (a, b)
+
+
+def test_mertens_lookup_matches_running_sums():
+    # M(k) - M(a - 1) from the int8 cell sums, at every k, for segments of
+    # length 1, one cell, one cell and one, and many cells with a tail.
+    mu = mu_loop(20000)
+    for a, b in ((1, 2), (5, 132), (5, 133), (158, 20001), (1, 20001)):
+        want = list(accumulate(mu[a:b]))
+        k = np.arange(a, b, dtype=np.int64)
+        assert enumeration._mertens_lookup(a, b)(k).tolist() == want, (a, b)
 
 
 @pytest.fixture(scope="module")
@@ -624,6 +647,55 @@ def test_blp21_count_bench_pins():
         vals = geometry.require_interior(BLP21, lam)
         assert blp21_direct(vals, Fraction(B)) == want
         assert enumeration.count_points(BLP21, lam, B) == want
+
+
+def blp21_edge_on_e0(lam, B):
+    """Whether some fiber past E0, with more than one quotient block of T_F,
+    has its first block start right after E0 with no cut; E0 found by its
+    definition (the smallest e with #{F : G_F > e} <= e)."""
+    f_max = enumeration.height_radius(B, lam[0])
+    T = [blp21_fiber_bound_fractions(lam, B, F) for F in range(1, f_max + 1)]
+    G = [t // F for F, t in enumerate(T, start=1)]
+    e0 = next(e for e in range(1, G[0] + 1) if sum(g > e for g in G) <= e)
+    return any(t // (t // (e0 + 1) + 1) == e0
+               for t, g in zip(T, G) if g > e0 and t // (e0 + 1) > t // g)
+
+
+@pytest.mark.parametrize("lam", BLP21_LAMBDAS, ids=lambda lam: ",".join(map(str, lam)))
+def test_blp21_blocks_at_their_edges(lam):
+    # A bound where a quotient block ends exactly on E0 (the first in
+    # B = 101..4999), and B = 1, 2, 100.  The last block of every fiber ends
+    # exactly on G_F = T_F//F, a quotient of T_F, at every bound.
+    vals = geometry.require_interior(BLP21, lam)
+    edge = next(B for B in range(101, 5000) if blp21_edge_on_e0(vals, Fraction(B)))
+    for B in (1, 2, 100, edge):
+        assert enumeration.count_points(BLP21, lam, B) == blp21_direct(vals, Fraction(B)), \
+            (lam, B)
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 100, 1000, 12345, 10**6])
+def test_blp21_at_hyperplane_class_counts_p2(B):
+    # At lambda = (1, 1) the height of BlP2-1 is the pull-back of P2's, and
+    # the affine points are the same: the fiber sum and the Moebius block
+    # sum must agree.
+    p2 = geometry.load_model("P2")
+    assert enumeration.count_points(BLP21, (1, 1), B) == enumeration.count_points(p2, (1,), B)
+
+
+def test_blp21_count_memory_peak():
+    # The fiber path holds the mu segment and chunks of block rows, never an
+    # array over all the rows: its traced peak stays under 2.0 MB (1.87 MB
+    # now; 2.05 MB for the per-fiber loop it replaced, Python 3.11, NumPy
+    # 2.4).  NumPy reports its buffers to tracemalloc, so the peak is
+    # deterministic.
+    lam, B, want = BENCH_BLP21[0]
+    tracemalloc.start()
+    try:
+        assert enumeration.count_points(BLP21, lam, B) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak
 
 
 def test_blp21_count_lists_mu_only_to_e0(monkeypatch):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gacount import geometry, heights
-from gacount._util import height_leq, prime_factors
+from gacount._util import height_leq, height_test, prime_factors
 from conftest import random_interior, random_point
 
 
@@ -170,3 +171,34 @@ def test_height_leq_exact_at_any_bound_denominator():
     assert not height_leq([20, 20], [1, 1], Fraction(400) * (1 - eps))
     assert height_leq([10], [2], Fraction(100.3))
     assert not height_leq([10], [2], Fraction(99.7))
+
+
+def height_leq_fractions(hts, exponents, bound):
+    """prod h^e <= bound with both sides raised to the lcm of the exponent
+    denominators and every power a Fraction: the oracle of height_test."""
+    exps = [Fraction(e) for e in exponents]
+    scale = math.lcm(*(e.denominator for e in exps))
+    lhs = math.prod(Fraction(h) ** int(e * scale) for h, e in zip(hts, exps))
+    return lhs <= Fraction(bound) ** scale
+
+
+def test_height_test_matches_fraction_oracle():
+    # Random rows against one prepared test per (exponents, bound):
+    # negative and fractional exponents, bounds with large denominators,
+    # and bounds equal to the height of the first row (a tie) or a hair off.
+    rng = np.random.default_rng(15)
+    eps = Fraction(1, 10**15)
+    for _ in range(60):
+        k = int(rng.integers(1, 5))
+        exps = [Fraction(int(rng.integers(-7, 8)), int(rng.integers(1, 7))) for _ in range(k)]
+        rows = [[int(h) for h in rng.integers(1, 10**4, size=k)] for _ in range(30)]
+        integral = [Fraction(e.numerator) for e in exps]
+        tie = math.prod(Fraction(h) ** e for h, e in zip(rows[0], integral))
+        for ex, bound in ((exps, Fraction(int(rng.integers(1, 10**12)), 10**9 + 7)),
+                          (exps, Fraction(float(rng.uniform(0.01, 1e6)))),
+                          (integral, tie), (integral, tie * (1 + eps)),
+                          (integral, tie * (1 - eps))):
+            leq = height_test(ex, bound)
+            for row in rows:
+                want = height_leq_fractions(row, ex, bound)
+                assert leq(row) == want == height_leq(row, ex, bound), (row, ex, bound)
