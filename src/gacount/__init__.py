@@ -8,7 +8,7 @@ rational points on the line at infinity (BlP2-1, BlP2-2, BlP2-3).
 
 Modules:
     geometry     variety catalog, Picard arithmetic, boundary strata
-    heights      exact global/local max-metric heights of rational points
+    heights      exact generator, finite and local heights of rational points
     enumeration  provably complete bounded-height counts and asymptotic fits
     tamagawa     local densities, Euler products, predicted leading constants
     fourier      p-adic and archimedean height transforms, Poisson cross-check

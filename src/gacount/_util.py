@@ -155,12 +155,6 @@ def height_test(exponents, bound: Fraction):
     return leq
 
 
-def height_leq(heights, exponents, bound: Fraction) -> bool:
-    """Exact test prod_j heights[j]**exponents[j] <= bound: height_test
-    applied once."""
-    return height_test(exponents, bound)(heights)
-
-
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by an Eratosthenes byte sieve."""
     if n < 2:

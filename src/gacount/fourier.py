@@ -75,7 +75,6 @@ import numbers
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as _iter_product
 
 import numpy as np
@@ -479,8 +478,8 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
     Args:
         model: catalog model.
         p: good prime (>= 5, not dividing a entirely).
-        a: integral character index; the zero vector dispatches to the exact
-            untwisted local density.
+        a: nonzero integral character index; at a = 0 the exact local factor
+            is tamagawa.denef_local_factor.
         s: Picard vector with 1 + s_alpha - rho_alpha > 0.
 
     Returns:
@@ -491,7 +490,8 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
     geometry._check_good_prime(model, p)
     arg, s, beta = _checked(model, a, s, integral=True)
     if arg.is_zero:
-        return complex(float(tamagawa.denef_local_factor(model, p, s))), 0.0
+        raise ValueError("the closed form needs a != 0; the trivial character's"
+                         " local factor is tamagawa.denef_local_factor")
     # Each beta as an int where it is one (exact pole factors), else a float.
     beta = {comp: int(b) if b.denominator == 1 else float(b)
             for comp, b in zip(model.components, beta)}
@@ -581,16 +581,10 @@ _GL_HALF = (
     ("0x1.f30f9f0cbf876p-1", "0x1.d375514486f1dp-6"),
     ("0x1.fd892de691982p-1", "0x1.9465bd3112202p-7"),
 )
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] for
-    n = _GL_NODES, the one rule tabulated (_GL_HALF)."""
-    if n != _GL_NODES:
-        raise ValueError(f"only the {_GL_NODES}-point rule is tabulated")
-    x, w = (np.array([float.fromhex(pair[i]) for pair in _GL_HALF]) for i in (0, 1))
-    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+# The whole rule, nodes ascending: the half mirrored, then the half.
+_GL_X = np.array([-float.fromhex(x) for x, _ in _GL_HALF[::-1]]
+                 + [float.fromhex(x) for x, _ in _GL_HALF])
+_GL_W = np.array([float.fromhex(w) for _, w in _GL_HALF[::-1] + _GL_HALF])
 
 
 def _osc_power_integral(gamma: float, w) -> tuple:
@@ -692,9 +686,8 @@ def _osc_power_integral(gamma: float, w) -> tuple:
         hi = np.array([b for e in edges.values() for b in e[1:]])
         h, c = 0.5 * (hi - lo), 0.5 * (hi + lo)
         wp = np.repeat(list(edges), counts)
-        x, wts = _gauss_legendre(_GL_NODES)
-        u = c[:, None] + h[:, None] * x
-        amp = u ** -gamma * (h[:, None] * wts)
+        u = c[:, None] + h[:, None] * _GL_X
+        amp = u ** -gamma * (h[:, None] * _GL_W)
         phase = wp[:, None] * u
         # Per node: the real and imaginary parts and the rounding weight
         # 3 gamma + n + P + 6 + 4wu, times the amplitude.
@@ -1122,7 +1115,8 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     Args:
         model: catalog model.
         lam: interior Picard class.
-        s: real exponent with s > a(lambda) (abscissa of convergence).
+        s: finite real exponent with s > a(lambda) (abscissa of
+            convergence); ValueError otherwise.
         b_cut: height cutoff.
 
     Returns:
@@ -1131,6 +1125,8 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     lam = geometry.require_interior(model, lam)
     a_lam = geometry.a_exponent(model, lam)
     s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if s <= float(a_lam):
         raise ValueError(
             f"zeta function diverges: s = {s} <= a(lambda) = {float(a_lam)}"

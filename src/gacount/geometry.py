@@ -225,13 +225,8 @@ def load_model(model_id: str) -> VarietyModel:
 
 
 def coerce_picard(model: VarietyModel, lam) -> tuple[Fraction, ...]:
-    """Coerce lam to a tuple of Fractions in boundary-component order."""
-    if isinstance(lam, dict):
-        missing = set(model.components) - set(lam)
-        extra = set(lam) - set(model.components)
-        if missing or extra:
-            raise ValueError(f"bad component names: missing {missing}, extra {extra}")
-        lam = [lam[c] for c in model.components]
+    """Coerce the sequence lam to a tuple of Fractions, one per boundary
+    component in model.components order."""
     vals = tuple(as_fraction(v) for v in lam)
     if len(vals) != model.rank:
         raise ValueError(

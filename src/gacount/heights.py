@@ -29,9 +29,10 @@ Exactness: whenever every net prime exponent is an integer (in particular
 for every integer Picard vector, so for all catalog anticanonical work) the
 finite part is an exact Fraction.  For fractional exponents a prime-power
 factor p^{e} with non-integer e is irrational, so finite_height_part raises
-ValueError; the archimedean part falls back to a float in that case and
-exact bounded-height comparisons go through _util.height_test (height_leq
-for a single one) instead.
+ValueError.  Bounded-height comparisons never form H: they apply
+_util.height_test to the generator heights, exact at every rational
+exponent.  H(x; lambda) itself, split into its archimedean and finite
+parts, is an oracle of the tests and lives in tests/conftest.py.
 
 Worked anticanonical examples used by the tests: on P1 the point with
 (Z, X) = (2, 3) has H = 3^2 = 9; on BlP2-1 the point (2, 1, 3) has H = 27
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence
 
 from . import geometry
 from ._util import as_fraction, factorize, is_prime, vp
@@ -76,10 +77,6 @@ class RationalPoint:
         g = math.gcd(*raw)
         return cls(tuple(v // g for v in raw))
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
     def affine(self) -> tuple:
         """Affine coordinates x_i = X_i / Z as exact Fractions."""
         z = self.coords[0]
@@ -106,14 +103,6 @@ def generator_heights(model: VarietyModel, coords: Sequence[int]) -> tuple:
     """The positive integers h_G = max|l(x)| / gcd(l(x)), one per system, of
     the primitive vector coords = (Z, X1, ..., Xn)."""
     return tuple([m // g for m, g in _section_stats(model, coords)])
-
-
-class HeightValue(NamedTuple):
-    """A global height split into its archimedean and finite parts."""
-
-    arch_part: Union[Fraction, float]
-    finite_part: Fraction
-    total: Union[Fraction, float]
 
 
 def _prime_factor_exponents(bases_and_exps) -> dict:
@@ -150,29 +139,6 @@ def finite_height_part(model: VarietyModel, point: RationalPoint, lam) -> Fracti
     return _exact_prime_product(
         _prime_factor_exponents((g, -e) for (_, g), e in zip(stats, m))
     )
-
-
-def archimedean_height(
-    model: VarietyModel, point: RationalPoint, lam
-) -> Union[Fraction, float]:
-    """prod_G (max_l |l(x)|)^{m_G}; exact Fraction for integer exponents."""
-    m = geometry.generator_exponents(model, lam)
-    stats = _section_stats(model, point.coords)
-    if all(e.denominator == 1 for e in m):
-        out = Fraction(1)
-        for (mx, _), e in zip(stats, m):
-            out *= Fraction(mx) ** int(e)
-        return out
-    return math.prod(mx ** float(e) for (mx, _), e in zip(stats, m))
-
-
-def global_height(model: VarietyModel, point: RationalPoint, lam) -> HeightValue:
-    """H(x; lambda) = prod_G h_G^{m_G} with its place decomposition."""
-    arch = archimedean_height(model, point, lam)
-    fin = finite_height_part(model, point, lam)
-    if isinstance(arch, Fraction):
-        return HeightValue(arch, fin, arch * fin)
-    return HeightValue(arch, fin, arch * float(fin))
 
 
 def local_height(model: VarietyModel, point: RationalPoint, p: int, lam) -> Fraction:

@@ -1,11 +1,16 @@
-"""Shared fixtures: catalog models and seeded random point generators."""
+"""Shared fixtures: catalog models and seeded random point generators, and
+the oracles the tests compare the package with."""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import NamedTuple, Union
 
 import numpy as np
 import pytest
 
-from gacount import geometry
+from gacount import geometry, heights
 from gacount.acceptance import _random_interior as random_interior  # noqa: F401
 from gacount.acceptance import _random_point as random_point  # noqa: F401
 
@@ -27,3 +32,33 @@ def closed_form_point_count(model, p: int) -> int:
     if not model.centers:
         return (p ** (model.dim + 1) - 1) // (p - 1)
     return p * p + (len(model.centers) + 1) * p + 1
+
+
+class HeightValue(NamedTuple):
+    """A global height split into its archimedean and finite parts."""
+
+    arch_part: Union[Fraction, float]
+    finite_part: Fraction
+    total: Union[Fraction, float]
+
+
+def archimedean_height(model, point, lam) -> Union[Fraction, float]:
+    """prod_G (max_l |l(x)|)^{m_G}; exact Fraction for integer exponents."""
+    m = geometry.generator_exponents(model, lam)
+    stats = heights._section_stats(model, point.coords)
+    if all(e.denominator == 1 for e in m):
+        out = Fraction(1)
+        for (mx, _), e in zip(stats, m):
+            out *= Fraction(mx) ** int(e)
+        return out
+    return math.prod(mx ** float(e) for (mx, _), e in zip(stats, m))
+
+
+def global_height(model, point, lam) -> HeightValue:
+    """H(x; lambda) = prod_G h_G^{m_G} with its place decomposition (see the
+    heights module docstring)."""
+    arch = archimedean_height(model, point, lam)
+    fin = heights.finite_height_part(model, point, lam)
+    if isinstance(arch, Fraction):
+        return HeightValue(arch, fin, arch * fin)
+    return HeightValue(arch, fin, arch * float(fin))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -90,3 +91,12 @@ def test_run_all_subset_case_insensitive():
 def test_run_all_unknown_criterion():
     with pytest.raises(ValueError):
         acceptance.run_all(["A99"])
+
+
+def test_result_applies_the_budget():
+    t0 = time.perf_counter()
+    assert acceptance._result("A0", t0, True, "d", budget_s=60.0).passed
+    assert not acceptance._result("A0", t0 - 61.0, True, "d", budget_s=60.0).passed
+    assert not acceptance._result("A0", t0, False, "d", budget_s=60.0).passed
+    late = acceptance._result("A0", t0 - 61.0, True, "d")
+    assert late.passed and late.detail == "d" and late.elapsed_s >= 61.0

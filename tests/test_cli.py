@@ -231,6 +231,15 @@ def test_verify_charsum_pass_and_fail(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--nmax", "0"), ("--dmax", "-1")])
+def test_verify_charsum_empty_grid_is_usage_error(capsys, flag, value):
+    # No case to check is no verification: exit 2, not a PASS.
+    code, out, err = run(capsys, "verify-charsum", flag, value)
+    assert code == 2
+    assert "PASS" not in out
+    assert "usage error" in err
+
+
 def test_zeta_check_exit_codes(capsys):
     code, out, _ = run(capsys, "zeta-check", "--model", "P1", "--s", "3.0",
                        "--bcut", "2000", "--acut", "10", "--pmax", "200")
@@ -245,6 +254,13 @@ def test_zeta_check_exit_codes(capsys):
 def test_zeta_check_bad_lambda_usage(capsys):
     code, _, err = run(capsys, "zeta-check", "--model", "P1",
                        "--lambda", "2,2", "--s", "3.0", "--bcut", "100")
+    assert code == 2
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("s", ["inf", "nan"])
+def test_zeta_check_non_finite_s_usage(capsys, s):
+    code, _, err = run(capsys, "zeta-check", "--s", s, "--bcut", "100")
     assert code == 2
     assert "usage error" in err
 

@@ -13,7 +13,7 @@ import pytest
 
 from gacount import _util, enumeration, fourier, geometry, heights
 from gacount._util import CapabilityError, as_fraction, mertens_quotients, mu_sieve
-from conftest import random_point
+from conftest import global_height, random_point
 
 P1 = geometry.load_model("P1")
 
@@ -195,7 +195,7 @@ def test_blp23_box_soundness_inequality(rng):
     m = geometry.load_model("BlP2-3")
     for _ in range(200):
         pt = random_point(rng, 2)
-        h = heights.global_height(m, pt, m.rho).total
+        h = global_height(m, pt, m.rho).total
         h_std = max(abs(pt.coords[1]), abs(pt.coords[2]), pt.coords[0])
         assert 4 * h >= h_std * h_std
 
@@ -224,10 +224,10 @@ def test_no_accumulating_line_blp21():
 
 def test_enumerate_points_heights_filter(model):
     # Every enumerated point really lies inside the bound, with the height
-    # recomputed independently by the heights module.
+    # recomputed independently by the global_height oracle.
     B = 25
     for pt in enumeration.enumerate_points(model, model.rho, B):
-        assert heights.global_height(model, pt, model.rho).total <= B
+        assert global_height(model, pt, model.rho).total <= B
 
 
 def test_renamed_model_same_results(model):
@@ -268,7 +268,7 @@ def _kernel_points(model, lam, B, R, lo, hi):
 
 
 def _assert_kernel_is_scan(model, lam, B, ranges=None):
-    # The loop _box_scan decides each primitive candidate by height_leq; the
+    # The loop _box_scan decides each primitive candidate by height_test; the
     # kernel must return its points, in its order, with their heights.
     lam = geometry.require_interior(model, lam)
     B = Fraction(B)

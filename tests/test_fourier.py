@@ -12,6 +12,7 @@ import pytest
 
 from gacount import enumeration, fourier, geometry, heights, tamagawa
 from gacount._util import CapabilityError, primes_upto, vp_fraction, zeta
+from conftest import global_height
 
 
 def test_character_argument_properties():
@@ -210,10 +211,11 @@ def test_closed_form_p1_pin():
 
 
 def test_closed_form_trivial_character_dispatch(model):
+    # The closed form is for a != 0; at a = 0 it refuses and names the exact
+    # local factor to use instead.
     s = tuple(r + 1 for r in model.rho)
-    main, et = fourier.closed_form_good_prime(model, 11, (0,) * model.dim, s)
-    assert et == 0.0
-    assert main == complex(float(tamagawa.denef_local_factor(model, 11, s)))
+    with pytest.raises(ValueError, match="denef_local_factor"):
+        fourier.closed_form_good_prime(model, 11, (0,) * model.dim, s)
 
 
 def test_global_fourier_trivial_character_checks_s_once(monkeypatch):
@@ -459,13 +461,12 @@ def test_osc_power_integral_batch_matches_single(gamma):
 
 def test_gauss_legendre_rule_correctly_rounded():
     # Against mpmath's own Gauss-Legendre rule (degree 4: 24 nodes) at 120
-    # bits, independent of the Newton step in _gauss_legendre.
+    # bits, independent of the Newton step behind _GL_HALF.
     from mpmath.calculus.quadrature import GaussLegendre
 
-    n = fourier._GL_NODES
-    assert n == 24
+    x, w = fourier._GL_X, fourier._GL_W
+    assert len(x) == len(w) == fourier._GL_NODES == 24
     exact = sorted(GaussLegendre(mpmath.mp).calc_nodes(4, 120))
-    x, w = fourier._gauss_legendre(n)
     ulp = 2.0 ** -53 * (1 + 1e-12)
     for xi, wi, (xe, we) in zip(x, w, exact):
         assert abs(mpmath.mpf(float(xi)) - xe) <= ulp * abs(xe)
@@ -688,7 +689,7 @@ def test_zeta_truncated_p1_exact():
     p1 = geometry.load_model("P1")
     part, tail = fourier.zeta_truncated(p1, p1.rho, 3.0, 200)
     direct = sum(
-        float(heights.global_height(p1, pt, p1.rho).total) ** -3.0
+        float(global_height(p1, pt, p1.rho).total) ** -3.0
         for pt in enumeration.enumerate_points(p1, p1.rho, 200)
     )
     assert abs(part - direct) <= 1e-12
@@ -699,7 +700,7 @@ def test_zeta_truncated_blp21_fiber_path():
     b1 = geometry.load_model("BlP2-1")
     part, _ = fourier.zeta_truncated(b1, b1.rho, 2.0, 300)
     direct = sum(
-        float(heights.global_height(b1, pt, b1.rho).total) ** -2.0
+        float(global_height(b1, pt, b1.rho).total) ** -2.0
         for pt in enumeration.enumerate_points(b1, b1.rho, 300)
     )
     assert abs(part - direct) <= 1e-9
@@ -723,7 +724,7 @@ def test_zeta_truncated_box_path_matches_global_height(mid, s, B):
     model = geometry.load_model(mid)
     part, _ = fourier.zeta_truncated(model, model.rho, s, B)
     direct = sum(
-        float(heights.global_height(model, pt, model.rho).total) ** -s
+        float(global_height(model, pt, model.rho).total) ** -s
         for pt in enumeration.enumerate_points(model, model.rho, B)
     )
     assert abs(part - direct) <= 1e-12 * direct
@@ -739,7 +740,7 @@ def test_zeta_truncated_fractional_class(mid):
     part, tail = fourier.zeta_truncated(model, lam, s, B)
     double = tuple(2 * x for x in lam)
     direct = sum(
-        float(heights.global_height(model, pt, double).total) ** (-s / 2)
+        float(global_height(model, pt, double).total) ** (-s / 2)
         for pt in enumeration.enumerate_points(model, lam, B)
     )
     assert abs(part - direct) <= 1e-12 * direct
@@ -759,12 +760,11 @@ def test_zeta_truncated_pins(mid, s, B, want):
     assert fourier.zeta_truncated(model, model.rho, s, B) == want
 
 
-def test_zeta_truncated_needs_no_ladder_or_global_height(monkeypatch):
+def test_zeta_truncated_needs_no_ladder(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called by zeta_truncated")
 
     monkeypatch.setattr(enumeration, "count_ladder", refuse)
-    monkeypatch.setattr(heights, "global_height", refuse)
     for mid in ("P2", "BlP2-1", "BlP2-2"):
         model = geometry.load_model(mid)
         part, tail = fourier.zeta_truncated(model, model.rho, 4.0, 30)
@@ -780,6 +780,17 @@ def test_zeta_truncated_limits_and_errors():
     part, tail = fourier.zeta_truncated(p1, p1.rho, 50.0, 1000)
     assert part == 3.0
     assert tail < 1e-100
+
+
+@pytest.mark.parametrize("mid", ["P1", "BlP2-2"])
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_zeta_truncated_rejects_non_finite_s(mid, s):
+    model = geometry.load_model(mid)
+    with pytest.raises(ValueError):
+        fourier.zeta_truncated(model, model.rho, s, 100)
+    if mid == "P1":
+        with pytest.raises(ValueError):
+            fourier.poisson_check(model, model.rho, s, 100, 10)
 
 
 def test_poisson_check_p1():
@@ -848,7 +859,7 @@ def test_zeta_truncated_integer_heights_exact(mid, lam):
     direct = 0.0
     points = list(enumeration.enumerate_points(model, lam, B))
     for pt in points:
-        direct += float(heights.global_height(model, pt, lam).total) ** -s
+        direct += float(global_height(model, pt, lam).total) ** -s
     assert part == direct
     assert len(points) > 50
 

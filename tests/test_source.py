@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -62,9 +63,9 @@ def test_no_assert_statements():
 
 
 # The memoized functions of the package (ROADMAP aim 2: no module-level
-# mutable caches): zeta values, the Gauss-Legendre tables and the (model, p)
-# checks of exact_local_density.  Another cache is a reviewed decision.
-ALLOWED_CACHES = {"_util.zeta", "fourier._gauss_legendre", "tamagawa._system_data"}
+# mutable caches): zeta values and the (model, p) checks of
+# exact_local_density.  Another cache is a reviewed decision.
+ALLOWED_CACHES = {"_util.zeta", "tamagawa._system_data"}
 
 
 def _is_cache_decorator(node) -> bool:
@@ -82,6 +83,44 @@ def test_cached_functions_are_the_allowed_ones():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and any(_is_cache_decorator(d) for d in node.decorator_list)}
     assert cached == ALLOWED_CACHES
+
+
+# Public module-level names that nothing in the package refers to.
+# fourier.global_fourier: the spectral benchmark workload and the tests
+# call it.
+UNREFERENCED_OK = {"fourier.global_fourier"}
+
+
+def _used_names(node) -> list:
+    """The names a node refers to: a loaded or stored name, an attribute,
+    or the names of a from-import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_every_public_name_is_used_in_the_package():
+    # ROADMAP aim 2: no public API that only the tests use.  A module-level
+    # public function or class must be referred to somewhere in the package
+    # outside its own definition (a command, an acceptance check or another
+    # function reaches it); test oracles live in tests/conftest.py.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for node in ast.walk(tree)
+                   for name in _used_names(node))
+    unused = set()
+    for stem, tree in trees.items():
+        for defn in tree.body:
+            if (isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not defn.name.startswith("_")):
+                own = sum(name == defn.name for node in ast.walk(defn)
+                          for name in _used_names(node))
+                if uses[defn.name] == own:
+                    unused.add(f"{stem}.{defn.name}")
+    assert unused == UNREFERENCED_OK
 
 
 COLD_START = textwrap.dedent("""
