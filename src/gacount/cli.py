@@ -215,6 +215,8 @@ def _count_ladder(args, bmin: Optional[str], bmax: str) -> tuple:
     model = geometry.load_model(args.model)
     lam = _parse_lambda(args.lam) if args.lam else model.rho
     bmax = _parse_bound(bmax)
+    if bmax < 1:
+        raise ValueError("ladder bounds must be >= 1")
     bmin = _parse_bound(bmin) if bmin else min(
         bmax, Fraction(max(10, math.ceil(float(bmax) ** (1.0 / 3.0))))
     )

@@ -2,10 +2,10 @@
 
 count_points(model, lambda, B) returns the exact number of affine rational
 points with H(x; lambda) <= B.  Three strategies cover the catalog, each
-provably complete on its models.  The strategy is read off the catalog data,
-never off the model's name: a model without blow-up centers takes the
-Moebius strategy, the single center (1, 0) the fiber strategy, and any other
-set of centers the box scan (_outer_range).
+provably complete on its models.  The strategy is the model's kind, which
+the catalog derives from each entry's data and never from its name (geometry
+module docstring): "pn" takes the Moebius strategy, "fiber" the fiber
+strategy and "box" the box scan (_outer_range).
 
 P^n (Moebius strategy).  H(x) = h^{lambda_1} with h = max(Z, |X_i|) on the
 primitive vector, so N(B) = #{primitive (Z, X), Z >= 1, h <= T} with
@@ -19,7 +19,9 @@ M(T//q) - M(T//(q+1)) for the Mertens function M, so with q over the at most
 
     N = sum_q q * (2q + 1)^n * (M(T//q) - M(T//(q+1))),
 
-and _util.mertens_quotients gives every M(T//k) in O(T^{2/3}) time.
+and _util.mertens_quotients gives every M(T//k) in O(T^{2/3}) time, with a
+mu sieve of T^{2/3} Python ints at about 38 bytes each (380 MB at T = 3.2e10):
+count_points refuses T > 2^36 (a sieve past 2^24 values) before sieving.
 
 BlP2-1 (fiber strategy).  Group points by the reduced fiber coordinate
 y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are
@@ -84,7 +86,10 @@ its small primes, _util) and 1 + 8/127 after, and each chunk of rows a few
 int64 arrays of 2^14 entries.  No array runs over the pairs or the rows, or
 over the e <= G_1 in int64, so the sieve sets the peak (1.87 MB traced at
 lambda = rho, B = 1e11 with Python 3.11 and NumPy 2.4, against 2.05 MB for
-the per-fiber loop over e that the blocks replace).
+the per-fiber loop over e that the blocks replace).  At large f_max or G_1
+the per-e passes over the fibers (48 bytes a fiber: 474 MB at (1, 1), B = 1e7)
+or the segment (488 MB at rho, B = 1e16) set it, so before any table is built
+the fiber sum refuses f_max > 2^24 and G_1 = T_1 > 2^27, about 0.7 GB each.
 
 BlP2-2 / BlP2-3 (box strategy).  All primitive vectors with
 h_std = max(Z, |X|, |Y|) <= R are scanned and filtered by an exact height
@@ -274,6 +279,9 @@ def _box_kernel(
 
 def _pn_count(n: int, T: int) -> int:
     """The Moebius sum on P^n over the quotient blocks (module docstring)."""
+    if T > _PN_T_LIMIT:
+        raise CapabilityError(f"Moebius sum on P{n}: T = {T} needs a mu sieve of"
+                              f" T^(2/3) values (limit T <= 2^36)")
     M = mertens_quotients(T)
     return sum(q * (2 * q + 1) ** n * (M[T // q] - M[T // (q + 1)]) for q in M if q)
 
@@ -298,9 +306,13 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers) -> list[in
 
 
 # Fiber bounds stay below _T_LIMIT, so every term of the fiber sum fits int64;
-# the block pass takes its rows in chunks of _ROW_CHUNK (module docstring).
+# the block pass takes its rows in chunks of _ROW_CHUNK.  The memory limits on
+# the Moebius sum's T and the fiber sum's f_max and G_1 follow (module docstring).
 _T_LIMIT = 2**30
 _ROW_CHUNK = 2**14
+_PN_T_LIMIT = 2**36
+_FIBER_LIMIT = 2**24
+_SEGMENT_LIMIT = 2**27
 
 
 def _exact_sum(terms: np.ndarray) -> int:
@@ -313,13 +325,14 @@ def _blp21_count(lam: Sequence[Fraction], B: Fraction, f_max: int) -> int:
     """The fiber sum over the fibers F <= f_max, split at E0 (module docstring).
 
     Raises:
-        CapabilityError: if a fiber bound T_F reaches 2^30.
+        CapabilityError: if a fiber bound T_F reaches 2^30 (int64), f_max
+            passes 2^24 or G_1 = T_1 passes 2^27 (memory).
     """
-    t_max = max(_blp21_fiber_bounds(lam, B, (1, f_max)))
-    if t_max >= _T_LIMIT:
+    t_1, t_end = _blp21_fiber_bounds(lam, B, (1, f_max))
+    if max(t_1, t_end) >= _T_LIMIT or f_max > _FIBER_LIMIT or t_1 > _SEGMENT_LIMIT:
         raise CapabilityError(
-            f"fiber sum for BlP2-1 at B={B}: fiber bound {t_max} leaves the int64"
-            f" range of the terms (needs T_F < 2^30)"
+            f"fiber sum for BlP2-1 at B={B}: fiber bounds {t_1}..{t_end} over {f_max}"
+            f" fibers pass the limits (T_F < 2^30, f_max <= 2^24, G_1 <= 2^27)"
         )
     T = np.array(_blp21_fiber_bounds(lam, B, range(1, f_max + 1)), dtype=np.int64)
     G = T // np.arange(1, f_max + 1, dtype=np.int64)
@@ -404,14 +417,11 @@ def _partial_count(task) -> int:
 
 
 def _outer_range(model: VarietyModel, lam, B: Fraction) -> tuple:
-    """(strategy, outer loop end) for the model's counting strategy, read off
-    its blow-up centers: none is P^n, the single center (1, 0) is the fiber
-    strategy, anything else the box scan."""
-    if not model.centers:
-        return "pn", height_radius(B, lam[0])
-    if model.centers == ((1, 0),):
-        return "fiber", height_radius(B, lam[0])
-    return "box", _box_radius(model, lam, B)
+    """(strategy, outer loop end) for the model's counting strategy, which is
+    its kind: "pn" (Moebius), "fiber" or "box"."""
+    if model.kind == "box":
+        return "box", _box_radius(model, lam, B)
+    return model.kind, height_radius(B, lam[0])
 
 
 def count_points(model: VarietyModel, lam, B, workers: int = 1) -> int:
@@ -430,8 +440,8 @@ def count_points(model: VarietyModel, lam, B, workers: int = 1) -> int:
 
     Raises:
         CapabilityError: if a box scan would exceed KERNEL_CANDIDATE_BUDGET,
-            or a BlP2-1 fiber bound T_F reaches 2^30 (the int64 bound of the
-            fiber sum, module docstring).
+            or the Moebius or fiber sum would pass its int64 or memory limits
+            (T <= 2^36 on P^n; T_F < 2^30, f_max <= 2^24, G_1 <= 2^27 on BlP2-1).
     """
     vals = geometry.require_interior(model, lam)
     if workers < 1:

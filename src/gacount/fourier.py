@@ -98,7 +98,7 @@ TWO_PI = 2.0 * math.pi
 CHARACTER_SUM_DIRECT_LIMIT = 8_000_000
 
 # Multiplicative safety constants for the truncation tail of the brute-force
-# local integral, indexed by the number of blown-up centers.  The tail over
+# local integral: 1 on P^n, then by the number of blown-up centers.  The tail over
 # |x|_p = p^i splits into at most (i + 1) valuation profiles per blown-up
 # direction, each of mass at most p^(-eps i), eps = min_alpha (1 + s_alpha -
 # rho_alpha), so tail <= C * sum_{i > m} (i + 1) p^(-eps i).  C counts the independent
@@ -294,7 +294,7 @@ def suggested_depth(model: VarietyModel, p: int) -> int:
     cubes, so the total work grows like p^depth and the depth must shrink as
     p grows.
     """
-    if not model.centers:
+    if model.kind == "pn":
         return 30
     return {2: 17, 3: 11}.get(p, 3)
 
@@ -307,7 +307,8 @@ def _brute_tail_bound(model: VarietyModel, p: int, depth: int,
         raise ValueError("min beta_alpha too small for a float tail bound")
     m = depth
     tail = r ** (m + 1) * ((m + 2) - (m + 1) * r) / (1.0 - r) ** 2
-    return _BRUTE_TAIL_CONSTANT[len(model.centers)] * tail
+    n_centers = 0 if model.kind == "pn" else len(model.centers)
+    return _BRUTE_TAIL_CONSTANT[n_centers] * tail
 
 
 def brute_padic_fourier(model: VarietyModel, p: int, a, s,
@@ -457,7 +458,7 @@ def _intersection_counts(model: VarietyModel, p: int, a: tuple) -> dict:
     instead.
     """
     iota = {comp: 0 for comp in model.components}
-    if not model.centers:
+    if model.kind == "pn":
         if model.dim >= 2:
             iota["D1"] = sum(p ** k for k in range(model.dim - 1))
         return iota
@@ -851,7 +852,7 @@ def _arch_quad_2d(model: VarietyModel, arg: CharacterArgument,
 def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
     """Archimedean Fourier transform of the height at psi_a.
 
-    P^n (no blow-up centers) is supported at every a: a closed form at the
+    P^n (kind "pn") is supported at every a: a closed form at the
     trivial character and otherwise a sum of at most 2^(n-1) integrals
     I(gamma, w) = int_1^oo u^(-gamma) e^(iwu) du (_arch_projective), each
     with a proved bound (_osc_power_integral).  Past
@@ -875,7 +876,7 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
     arg, s, _ = _checked(model, a, s)
     exps = geometry.generator_exponents(model, s)
 
-    if not model.centers:
+    if model.kind == "pn":
         den = math.lcm(*(x.denominator for x in arg.a))
         value, bound = _arch_projective(
             model.dim, exps[0], [[int(x * den) for x in arg.a]], den)
@@ -884,7 +885,7 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
 
     # The four-cell decomposition and the plateau of _arch_quad_2d need the
     # single center (1 : 0 : 0), whose pencil {Y, Z} does not involve x.
-    if model.centers != ((1, 0),):
+    if model.kind != "fiber":
         raise CapabilityError(
             f"archimedean transform not implemented for {model.id}"
         )
@@ -930,7 +931,7 @@ def _checked_s(model: VarietyModel, a, s) -> tuple:
     """(arg, s, beta) after global_fourier's checks, before any transform
     runs: those of _checked, an integral a on the blow-ups, and
     s_alpha > rho_alpha (beta_alpha > 1) at the trivial character."""
-    arg, s, beta = _checked(model, a, s, integral=bool(model.centers))
+    arg, s, beta = _checked(model, a, s, integral=model.kind != "pn")
     if arg.is_zero and any(b <= 1 for b in beta):
         raise ValueError("the trivial character requires s_alpha > rho_alpha")
     return arg, s, beta
@@ -1016,7 +1017,7 @@ def global_fourier(model: VarietyModel, a, s,
         (component, beta) pairs whose zeta factors were used.
     """
     arg, s, beta = _checked_s(model, a, s)
-    if not model.centers and (model.dim == 1 or not arg.is_zero):
+    if model.kind == "pn" and (model.dim == 1 or not arg.is_zero):
         if not arg.is_integral:
             # Tate's factor is 0 at a prime dividing a denominator.
             return GlobalFourierValue(0j, 1e-14, ())
@@ -1136,7 +1137,7 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         return 0.0, 0.0
 
     partial, n_cut = enumeration.zeta_partial(model, lam, s, b_cut)
-    if not model.centers and model.dim == 1:
+    if model.kind == "pn" and model.dim == 1:
         c = float(lam[0]) * s
         f_max = enumeration.height_radius(b_cut, lam[0])
         return partial, 4.0 * float(f_max) ** (2.0 - c) / (c - 2.0)
@@ -1195,16 +1196,19 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
         model: catalog model (P1 only).
         lam: interior Picard class.
         s: real exponent with s > a(lambda).
-        b_cut: height cutoff for the point side.
+        b_cut: height cutoff for the point side, at least 1 (ValueError
+            otherwise: no point lies below it).
         a_cut: number of nontrivial character pairs on the spectral side.
         p_max: ignored (P^n needs no Euler product cutoff).
 
     Returns:
         dict with keys lhs, rhs, abs_diff, combined_bound, rel_diff, pass.
     """
-    if model.centers or model.dim != 1:
+    if model.kind != "pn" or model.dim != 1:
         raise CapabilityError("poisson check is implemented for P1 only")
     lam = geometry.require_interior(model, lam)
+    if as_fraction(b_cut) < 1:
+        raise ValueError(f"b_cut must be >= 1, got {b_cut}")
     if not (isinstance(a_cut, numbers.Integral) and a_cut >= 0):
         raise ValueError(f"a_cut must be a nonnegative integer, got {a_cut!r}")
     s = float(s)

@@ -7,6 +7,17 @@ G_a^n over Q:
     BlP2-1/2/3       the plane blown up in 1, 2 or 3 rational points on the
                      line at infinity.
 
+Every module that branches on the family reads VarietyModel.kind: "pn" for
+projective n-space, "fiber" for the plane blown up at (1 : 0 : 0) alone and
+"box" for the plane blown up at two or three of the centers below.  The kind
+is derived once per entry from its data, never from its name: it is the
+family whose constructor (_projective_space(n), or _blowup for the entry's
+centers) builds exactly the entry's dim, components, rho, generator systems,
+pic_to_gen, stratum polynomials and box slack.  An entry that no family
+builds has no kind: _validate rejects it at load with a ValueError, and a
+hand-built one raises that ValueError at the first function that asks for
+its kind.
+
 Homogeneous coordinates are ordered (Z, X), (Z, X, Y), (Z, X, Y, W); the open
 orbit is the chart Z != 0 with affine coordinates x_i = X_i / Z.  Blow-up
 centers are recorded as (u, v) for the point (u : v : 0) at infinity in the
@@ -18,7 +29,7 @@ are globally designated small and all closed-form local formulas refuse them.
 Boundary components are D1, the strict transform of the hyperplane at
 infinity, and E1..Er, the exceptional curves.  The anticanonical class is
 (n+1) D1 on P^n and 3 D1 + 2(E1 + ... + Er) on the blow-ups; every
-multiplicity rho_alpha is >= 2 (validated at load).
+multiplicity rho_alpha is >= 2.
 
 Each boundary class is written in a basis of globally generated classes
 ("generator systems") that carry max-of-sections metrics:
@@ -44,6 +55,7 @@ the exceptional lines by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -87,6 +99,20 @@ class VarietyModel:
     def rank(self) -> int:
         """Picard rank = number of boundary components."""
         return len(self.components)
+
+    @cached_property
+    def kind(self) -> str:
+        """The catalog family of the entry (module docstring): "pn", "fiber"
+        or "box", derived once from its data; ValueError if it has none."""
+        r = len(self.centers)
+        family = None
+        if r == 0:
+            kind, family = "pn", _projective_space(self.dim)
+        elif len(set(self.centers) & set(_PENCILS)) == r and (r > 1 or (1, 0) in self.centers):
+            kind, family = "box" if r > 1 else "fiber", _blowup(self.centers)
+        if family is None or any(getattr(self, f) != getattr(family, f) for f in _FAMILY_DATA):
+            raise ValueError(f"{self.id}: its data are those of no catalog family")
+        return kind
 
 
 class DivisorData(NamedTuple):
@@ -133,10 +159,13 @@ _PENCILS = {
     (0, 1): GeneratorSystem("F2", ((0, 1, 0), (1, 0, 0))),
     (1, 1): GeneratorSystem("F3", ((0, 1, -1), (1, 0, 0))),
 }
+# The data a family's constructor fixes, which VarietyModel.kind compares.
+_FAMILY_DATA = ("dim", "components", "rho", "generators", "pic_to_gen", "stratum_polys",
+                "box_slack")
 
 
-def _blowup(r: int) -> VarietyModel:
-    centers = ((1, 0), (0, 1), (1, 1))[:r]
+def _blowup(centers: tuple) -> VarietyModel:
+    r = len(centers)
     h = GeneratorSystem("H", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     gens = (h,) + tuple(_PENCILS[c] for c in centers)
     # D1 = H - sum Ei = (1-r) H + sum Fi, Ei = H - Fi in the (H, F*) basis.
@@ -163,39 +192,13 @@ def _blowup(r: int) -> VarietyModel:
     )
 
 
-def _int_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a small integer matrix by Laplace expansion."""
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    det = 0
-    for j in range(k):
-        minor = [row[:j] + row[j + 1 :] for row in list(m)[1:]]
-        det += (-1) ** j * m[0][j] * _int_det(minor)
-    return det
-
-
 def _validate(model: VarietyModel) -> VarietyModel:
-    """Check the invariants the rest of the package relies on; raise
-    ValueError on a malformed model."""
-    if not all(r >= 2 for r in model.rho):
-        raise ValueError(f"{model.id}: some rho_alpha < 2")
-    rows = [list(r) for r in model.pic_to_gen]
-    if abs(_int_det(rows)) != 1:
-        raise ValueError(f"{model.id}: pic_to_gen not unimodular")
-    # Centers pairwise distinct mod every prime: projective determinant +-1.
-    for i, (u1, v1) in enumerate(model.centers):
-        for u2, v2 in model.centers[i + 1 :]:
-            if abs(u1 * v2 - u2 * v1) != 1:
-                raise ValueError(f"{model.id}: centers meet mod some prime")
-    slack = model.box_slack
-    if slack and (len(slack) != 2 or not all(0 <= i < model.rank for i in slack)):
-        raise ValueError(f"{model.id}: box_slack must name two components")
-    # Every system must contain the constant section Z (value 1 on (1, x)).
-    for g in model.generators:
-        consts = [s for s in g.sections if not any(s[1:])]
-        if not consts or not all(abs(s[0]) == 1 for s in consts):
-            raise ValueError(f"{model.id}: {g.name} lacks a unit constant section")
+    """Raise the ValueError of VarietyModel.kind on an entry that no family
+    builds.  Every family member keeps the invariants the package relies on:
+    rho_alpha >= 2, a unimodular pic_to_gen, centers distinct modulo every
+    prime, a unit constant section in every system and a box_slack naming two
+    components (tests/test_geometry.py checks each constructor for them)."""
+    model.kind
     return model
 
 
@@ -205,9 +208,9 @@ _CATALOG = {
         _projective_space(1),
         _projective_space(2),
         _projective_space(3),
-        _blowup(1),
-        _blowup(2),
-        _blowup(3),
+        _blowup(((1, 0),)),
+        _blowup(((1, 0), (0, 1))),
+        _blowup(((1, 0), (0, 1), (1, 1))),
     )
 }
 
@@ -316,7 +319,7 @@ def divisor_multiplicities(model: VarietyModel, a: Sequence[int]) -> DivisorData
     if all(x == 0 for x in avec):
         raise ValueError("a must be nonzero")
     d = [1]
-    if model.centers:
+    if model.kind != "pn":
         a1, a2 = avec
         for u, v in model.centers:
             d.append(0 if a1 * u + a2 * v == 0 else 1)
@@ -360,7 +363,7 @@ def brute_stratum_count(model: VarietyModel, subset: Iterable[str], p: int) -> i
     if unknown:
         raise ValueError(f"unknown components {unknown}")
     counts: dict = {}
-    if not model.centers:
+    if model.kind == "pn":
         n = model.dim
         affine = p**n
         at_infinity = sum(p**k for k in range(n))  # number of (0 : x) points

@@ -102,7 +102,7 @@ def archimedean_density(model: VarietyModel) -> float:
           using int_1^2 ln(t)/(t(t-1))-type pieces that reduce to
           Li_2(1/2) = pi^2/12 - ln^2(2)/2.  Total 12 J = pi^2 + 24 ln 2 - 3.
     """
-    if not model.centers:
+    if model.kind == "pn":
         n = model.dim
         return float(2**n * (n + 1))
     r = len(model.centers)

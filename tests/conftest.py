@@ -29,7 +29,7 @@ def rng():
 
 def closed_form_point_count(model, p: int) -> int:
     """#X(F_p): (p^(n+1) - 1)/(p - 1) on P^n, p^2 + (r+1) p + 1 on BlP2-r."""
-    if not model.centers:
+    if model.kind == "pn":
         return (p ** (model.dim + 1) - 1) // (p - 1)
     return p * p + (len(model.centers) + 1) * p + 1
 

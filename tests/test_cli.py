@@ -97,6 +97,29 @@ def test_count_blp21_at_1e13(capsys, tmp_path):
     assert last["N"] == 319663790798793
 
 
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_count_bound_below_one_is_usage_error(capsys, bound):
+    code, _, err = run(capsys, "count", "--model", "P1", "--bound", bound)
+    assert code == 2
+    assert "ladder bounds must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "P1", "--bound", "1e25"),
+    ("--model", "BlP2-1", "--lambda", "1,1", "--bound", "1e8"),
+])
+def test_count_past_memory_limit_is_capability_error(capsys, monkeypatch, argv):
+    # Refused before the mu sieve or the fiber table is allocated.
+    def refuse(*args):
+        raise AssertionError("table allocated")
+
+    for name in ("mertens_quotients", "mu_segment", "phi_segment", "mu_sieve"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    code, _, err = run(capsys, "count", *argv, "--ladder", "1")
+    assert code == 3
+    assert "capability error" in err
+
+
 def test_fit_no_predict_with_plot_data(capsys, tmp_path):
     plot = tmp_path / "plot.dat"
     code, out, _ = run(
@@ -249,6 +272,15 @@ def test_zeta_check_exit_codes(capsys):
                        "--bcut", "100")
     assert code == 3
     assert "capability" in err.lower()
+
+
+def test_zeta_check_bcut_below_one_usage(capsys):
+    # No point lies below b_cut < 1: exit 2, not a FAIL.
+    code, out, err = run(capsys, "zeta-check", "--model", "P1", "--s", "3",
+                         "--bcut", "0.5")
+    assert code == 2
+    assert "FAIL" not in out
+    assert "usage error" in err
 
 
 def test_zeta_check_bad_lambda_usage(capsys):

@@ -729,6 +729,45 @@ def test_blp21_int64_guard_before_tables(monkeypatch):
         enumeration.count_points(BLP21, (1, 1), 2**32)
 
 
+class _Reached(Exception):
+    """Raised by a patched allocating helper: the guards let the call through."""
+
+
+def _reached(*args):
+    raise _Reached()
+
+
+def test_pn_memory_guard_before_sieve(monkeypatch):
+    # T = 2^36 is the last Moebius sum allowed (a mu sieve of 2^24 values);
+    # one past it is refused before mertens_quotients sieves anything.
+    monkeypatch.setattr(enumeration, "mertens_quotients", _reached)
+    p3 = geometry.load_model("P3")
+    for model, k in ((P1, 2), (p3, 4)):
+        with pytest.raises(_Reached):
+            enumeration.count_points(model, model.rho, (2**36) ** k)
+        with pytest.raises(CapabilityError, match="2\\^36"):
+            enumeration.count_points(model, model.rho, (2**36 + 1) ** k)
+
+
+def test_blp21_memory_guard_before_tables(monkeypatch):
+    # f_max = B at lambda = (1, 1), and G_1 = T_1 = isqrt(B) at rho: the last
+    # allowed f_max = 2^24 and G_1 = 2^27 reach the tables, one past them is
+    # refused before any table is built.
+    def ends_only(lam, B, fibers, bounds=enumeration._blp21_fiber_bounds):
+        if len(fibers) > 2:
+            _reached()
+        return bounds(lam, B, fibers)
+
+    for name in ("mu_segment", "phi_segment", "mu_sieve"):
+        monkeypatch.setattr(enumeration, name, _reached)
+    monkeypatch.setattr(enumeration, "_blp21_fiber_bounds", ends_only)
+    for lam, B, past in (((1, 1), 2**24, 2**24 + 1), (BLP21.rho, 2**54, (2**27 + 1) ** 2)):
+        with pytest.raises(_Reached):
+            enumeration.count_points(BLP21, lam, B)
+        with pytest.raises(CapabilityError, match="f_max <= 2\\^24"):
+            enumeration.count_points(BLP21, lam, past)
+
+
 def test_exact_sum_of_int64_halves():
     rng = np.random.default_rng(5)
     for size in (0, 1, 7, 2**15):

@@ -811,6 +811,17 @@ def test_poisson_check_truncated_spectrum_undershoots():
     assert out["rhs"] < out["lhs"]
 
 
+@pytest.mark.parametrize("b_cut", [0.5, 0, -3, Fraction(99, 100)])
+def test_poisson_check_needs_b_cut_at_least_one(b_cut):
+    # No point has height below 1, so the point side would be 0 with a tail
+    # of 0: a refusal, not a failed check.  zeta_truncated keeps its (0, 0).
+    p1 = geometry.load_model("P1")
+    with pytest.raises(ValueError, match="b_cut"):
+        fourier.poisson_check(p1, p1.rho, 3.0, b_cut, 5)
+    assert fourier.zeta_truncated(p1, p1.rho, 3.0, b_cut) == (0.0, 0.0)
+    assert fourier.poisson_check(p1, p1.rho, 3.0, 1, 5)["lhs"] == 3.0
+
+
 def test_poisson_check_capability_and_domain():
     p2 = geometry.load_model("P2")
     with pytest.raises(CapabilityError):

@@ -5,12 +5,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 import pytest
 
-from gacount import geometry
+from gacount import enumeration, fourier, geometry, tamagawa
 from gacount._util import factorize, is_prime, prime_factors, primes_upto
 from conftest import closed_form_point_count
 
@@ -184,6 +184,36 @@ def test_validate_rejects_malformed_model(mid, field, value):
         geometry._validate(bad)
 
 
+def _int_det(m):
+    """Exact determinant of a small integer matrix by Laplace expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_family_constructors_keep_the_catalog_invariants():
+    # _validate accepts exactly the members of the families, so the
+    # invariants the package relies on are checked here, on every
+    # constructor output: P^1..P^3 and the plane blown up at every ordered
+    # choice of the catalog centers.
+    members = [geometry._projective_space(n) for n in (1, 2, 3)] + [
+        geometry._blowup(c) for r in (1, 2, 3)
+        for c in permutations(geometry._PENCILS, r)]
+    for m in members:
+        assert all(r >= 2 for r in m.rho), m.id
+        assert abs(_int_det([list(r) for r in m.pic_to_gen])) == 1, m.id
+        # Centers pairwise distinct mod every prime: projective determinant +-1.
+        for (u1, v1), (u2, v2) in combinations(m.centers, 2):
+            assert abs(u1 * v2 - u2 * v1) == 1, m.id
+        # Every system contains the constant section Z (value 1 on (1, x)).
+        for g in m.generators:
+            consts = [sec for sec in g.sections if not any(sec[1:])]
+            assert consts and all(abs(sec[0]) == 1 for sec in consts), (m.id, g.name)
+        slack = m.box_slack
+        assert not slack or (len(slack) == 2 and all(0 <= i < m.rank for i in slack))
+
+
 def test_prime_factors():
     assert prime_factors(1) == ()
     assert prime_factors(-12) == (2, 3)
@@ -215,3 +245,73 @@ def test_box_slack_catalog():
     slack = {mid: geometry.load_model(mid).box_slack for mid in geometry.MODEL_IDS}
     assert slack == {"P1": (), "P2": (), "P3": (), "BlP2-1": (), "BlP2-2": (),
                      "BlP2-3": (0, 3)}
+
+
+# ---------------------------------------------------------------------------
+# The kind of a catalog entry.
+
+def test_catalog_kinds():
+    kinds = {mid: geometry.load_model(mid).kind for mid in geometry.MODEL_IDS}
+    assert kinds == {"P1": "pn", "P2": "pn", "P3": "pn", "BlP2-1": "fiber",
+                     "BlP2-2": "box", "BlP2-3": "box"}
+
+
+def test_kind_is_derived_once_and_survives_renaming(monkeypatch):
+    # The catalog derived each kind at load; asking again builds no family,
+    # and a renamed copy derives the same kind from the same data.
+    def refuse(*args):
+        raise AssertionError("family rebuilt")
+
+    models = [geometry.load_model(mid) for mid in geometry.MODEL_IDS]
+    monkeypatch.setattr(geometry, "_projective_space", refuse)
+    monkeypatch.setattr(geometry, "_blowup", refuse)
+    kinds = [m.kind for m in models]
+    monkeypatch.undo()
+    assert [dataclasses.replace(m, id="renamed").kind for m in models] == kinds
+
+
+def test_box_kind_at_any_two_catalog_centers():
+    # Two or three of the catalog centers make a box, in any choice; one
+    # center other than (1, 0) matches no family.
+    for centers in (((0, 1), (1, 1)), ((1, 1), (1, 0)), ((1, 1), (0, 1), (1, 0))):
+        assert geometry._validate(geometry._blowup(centers)).kind == "box"
+    with pytest.raises(ValueError, match="no catalog family"):
+        geometry._validate(geometry._blowup(((0, 1),)))
+
+
+def _p1xp1():
+    # P1 x P1 as a G_a^2 compactification: systems {X, Z} and {Y, Z}, each
+    # boundary component D_i their own class.  Not a catalog family.
+    return geometry.VarietyModel(
+        id="P1xP1", dim=2, components=("D1", "D2"), rho=(2, 2),
+        generators=(geometry.GeneratorSystem("H1", ((0, 1, 0), (1, 0, 0))),
+                    geometry.GeneratorSystem("H2", ((0, 0, 1), (1, 0, 0)))),
+        pic_to_gen=((1, 0), (0, 1)), centers=(),
+        stratum_polys={frozenset(): (0, 0, 1), frozenset({"D1"}): (0, 1),
+                       frozenset({"D2"}): (0, 1), frozenset({"D1", "D2"}): (1,)},
+    )
+
+
+def test_entry_of_no_family_rejected_at_load():
+    with pytest.raises(ValueError, match="no catalog family"):
+        geometry._validate(_p1xp1())
+    # BlP2-1 with its center moved to (0, 1) but the pencil of (1, 0) kept.
+    b1 = geometry.load_model("BlP2-1")
+    with pytest.raises(ValueError, match="no catalog family"):
+        geometry._validate(dataclasses.replace(b1, centers=((0, 1),)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: enumeration.count_points(m, m.rho, 100),
+    lambda m: tamagawa.tamagawa_number(m, p_max=100),
+    lambda m: fourier.global_fourier(m, (1, 2), (3, 3)),
+    lambda m: geometry.divisor_multiplicities(m, (1, 2)),
+    lambda m: geometry.brute_stratum_count(m, ("D1",), 5),
+], ids=["count_points", "tamagawa_number", "global_fourier",
+        "divisor_multiplicities", "brute_stratum_count"])
+def test_entry_of_no_family_raises_when_asked_for_its_kind(call):
+    # Read as P^n, P1 x P1 would count 129 points at B = 10 (the true
+    # count is 81), get tau = 4.43 (16 / zeta(2)^2 = 5.91), a global
+    # transform off the P^2 kernel and d = (1,) for a rank-2 model.
+    with pytest.raises(ValueError, match="no catalog family"):
+        call(_p1xp1())

@@ -36,6 +36,39 @@ def test_no_model_resolved_by_name(module):
     assert hits == []
 
 
+def _centers_read_as_kind(tree) -> list:
+    """Lines where some .centers is a truth value (not, bool(...), an if,
+    while, and/or operand) or an operand of == or !=."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp)):
+            tested = [node.test]
+        elif isinstance(node, ast.comprehension):
+            tested = node.ifs
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested = [node.operand]
+        elif isinstance(node, ast.BoolOp):
+            tested = node.values
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bool":
+            tested = node.args
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            tested = [node.left, *node.comparators]
+        else:
+            continue
+        hits += [n.lineno for n in tested
+                 if isinstance(n, ast.Attribute) and n.attr == "centers"]
+    return hits
+
+
+def test_no_kind_read_off_the_centers():
+    # The model's family is VarietyModel.kind; its centers are read for
+    # their coordinates or their number, never to guess the family.
+    hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _centers_read_as_kind(ast.parse(path.read_text()))]
+    assert hits == []
+
+
 def test_no_module_level_scipy_import():
     hits = [f"{path.name}:{i}: {line}"
             for path in sorted(SRC.glob("*.py"))

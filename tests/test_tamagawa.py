@@ -149,7 +149,7 @@ def test_exact_local_density_small_primes(model):
 def test_exact_local_density_within_brute_bound(model, p, depth):
     # The truncated cube refinement misses only |x|_p > p^depth, which its
     # error bound covers; the projective spaces refine cheaply, so go deeper.
-    if not model.centers:
+    if model.kind == "pn":
         depth = 20
     for shift in (0, 1):
         s = tuple(r + shift for r in model.rho)
@@ -313,7 +313,7 @@ def test_exact_twisted_factor_refuses_cones(model):
     # is not constant on the shells.
     s = tuple(r + 1 for r in model.rho)
     a = (1,) + (0,) * (model.dim - 1)
-    if not model.centers:
+    if model.kind == "pn":
         assert tamagawa.exact_local_density(model, 5, s, a) == (
             1 - Fraction(1, 5) ** int(s[0]))
         return
