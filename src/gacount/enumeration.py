@@ -25,8 +25,9 @@ count_points refuses T > 2^36 (a sieve past 2^24 values) before sieving.
 
 BlP2-1 (fiber strategy).  Group points by the reduced fiber coordinate
 y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are
-w_F = 3 fibers with F = 1 and w_F = 4*phi(F) with F >= 2.  On a fixed fiber
-the primitive vector is (g*f, X, g*q) with g >= 1, gcd(g, X) = 1; the
+w_F = 3 fibers with F = 1 and w_F = 4*phi(F) with F >= 2 (_fiber_weights,
+which P1's zeta sum reads too).  On a fixed fiber the primitive vector is
+(g*f, X, g*q) with g >= 1, gcd(g, X) = 1; the
 generator heights are h_F = F and h_H = max(g*F, |X|), so with m_H = lambda_E
 and m_F = lambda_D - lambda_E the height bound becomes max(g*F, |X|) <= T_F
 where T_F is the largest integer M with M^{m_H} * F^{m_F} <= B (an exact
@@ -129,9 +130,10 @@ value, leaves int64.  count_points' box strategy counts the kernel's points.
 
 The point side of the height zeta function lives here too: zeta_partial
 sums H(x)^(-s) over the points with H <= B along the same strategies (the
-Moebius fibers on P1, the fibers on BlP2-1, the box kernel's points with
-the heights it already has otherwise) and returns the number of points
-summed; fourier.zeta_truncated adds the tail estimate.
+Moebius fibers on P1, 2^16 at a time so that its memory does not grow with
+B, the fibers on BlP2-1, the box kernel's points with the heights it already
+has otherwise) and returns the number of points summed;
+fourier.zeta_truncated adds the tail estimate.
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
 which decides each primitive candidate by the exact test alone and shares no
@@ -306,13 +308,25 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers) -> list[in
 
 
 # Fiber bounds stay below _T_LIMIT, so every term of the fiber sum fits int64;
-# the block pass takes its rows in chunks of _ROW_CHUNK.  The memory limits on
-# the Moebius sum's T and the fiber sum's f_max and G_1 follow (module docstring).
+# the block pass takes its rows in chunks of _ROW_CHUNK, and P1's zeta sum its
+# fibers in chunks of _WEIGHT_CHUNK.  The memory limits on the Moebius sum's T
+# and the fiber sum's f_max and G_1 follow (module docstring).
 _T_LIMIT = 2**30
 _ROW_CHUNK = 2**14
+_WEIGHT_CHUNK = 2**16
 _PN_T_LIMIT = 2**36
 _FIBER_LIMIT = 2**24
 _SEGMENT_LIMIT = 2**27
+
+
+def _fiber_weights(lo: int, hi: int) -> np.ndarray:
+    """The int64 fiber weights w_F for 1 <= lo <= F < hi: w_1 = 3 and
+    w_F = 4 phi(F) for F >= 2, the number of reduced fibers q/f with
+    max(|q|, f) = F (module docstring)."""
+    w = 4 * phi_segment(lo, hi)
+    if lo == 1 < hi:
+        w[0] = 3
+    return w
 
 
 def _exact_sum(terms: np.ndarray) -> int:
@@ -336,8 +350,7 @@ def _blp21_count(lam: Sequence[Fraction], B: Fraction, f_max: int) -> int:
         )
     T = np.array(_blp21_fiber_bounds(lam, B, range(1, f_max + 1)), dtype=np.int64)
     G = T // np.arange(1, f_max + 1, dtype=np.int64)
-    w = 4 * phi_segment(1, f_max + 1)
-    w[0] = 3
+    w = _fiber_weights(1, f_max + 1)
     # G is nonincreasing, so #{F : G_F > e} <= e first holds at the first
     # index e with G[e] <= e; 1 <= e0 <= G_1.
     drops = np.flatnonzero(G <= np.arange(f_max))
@@ -494,8 +507,9 @@ def enumerate_points(model: VarietyModel, lam, B) -> Iterator[RationalPoint]:
 def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     """(sum of H(x; lambda)^(-s) over the points with H <= B, their number):
     the point side of fourier.zeta_truncated along the counting strategy.
-    P1 sums its Moebius fibers (3 points of generator height 1, 4 phi(F) of
-    height F), BlP2-1 its fibers (_blp21_zeta_partial, counted by
+    P1 sums its Moebius fibers (w_F points of generator height F,
+    _fiber_weights, _WEIGHT_CHUNK fibers at a time, so the memory does not
+    grow with B), BlP2-1 its fibers (_blp21_zeta_partial, counted by
     count_points), the rest the points of _box_kernel with the generator
     heights it has computed, in the order of enumerate_points."""
     vals = geometry.require_interior(model, lam)
@@ -505,11 +519,13 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     strategy, end = _outer_range(model, vals, B)
     if strategy == "pn" and model.dim == 1:
         c = float(vals[0]) * s
-        phi = phi_segment(2, end + 1).tolist()
-        partial = 3.0
-        for f, ph in enumerate(phi, start=2):
-            partial += 4.0 * ph * float(f) ** (-c)
-        return partial, 3 + 4 * sum(phi)
+        partial, count = 0.0, 0
+        for lo in range(1, end + 1, _WEIGHT_CHUNK):
+            w = _fiber_weights(lo, min(lo + _WEIGHT_CHUNK, end + 1))
+            count += int(w.sum())
+            for f, w_f in enumerate(w.tolist(), start=lo):
+                partial += w_f * float(f) ** (-c)
+        return partial, count
     if strategy == "fiber":
         return _blp21_zeta_partial(model, vals, s, B, end), count_points(model, vals, B)
     # H = prod_G h_G^(m_G).  When every m_G is an integer it is the quotient
@@ -541,7 +557,7 @@ def _blp21_zeta_partial(model: VarietyModel, lam, s: float, B: Fraction, f_max: 
     """The point sum of zeta_partial on BlP2-1, fiber by fiber.
 
     Points are grouped by the reduced fiber coordinate y = q/f with
-    F = max(|q|, f) <= f_max (3 fibers at F = 1, 4 phi(F) otherwise) and
+    F = max(|q|, f) <= f_max (w_F of them, _fiber_weights) and
     within a fiber by (g, X) with g >= 1, gcd(g, X) = 1; the generator
     heights are h_F = F and h_H = max(g F, |X|), so each point contributes
     max(g F, |X|)^(-m_H s) F^(-m_F s).
@@ -549,11 +565,10 @@ def _blp21_zeta_partial(model: VarietyModel, lam, s: float, B: Fraction, f_max: 
     m_h, m_f = geometry.generator_exponents(model, lam)
     c_h = float(m_h) * s
     c_f = float(m_f) * s
-    phi = phi_segment(2, f_max + 1).tolist()  # phi(F) = phi[F - 2]
+    weights = _fiber_weights(1, f_max + 1).tolist()
     total = 0.0
     t_caps = _blp21_fiber_bounds(lam, B, range(1, f_max + 1))
-    for F, t_cap in enumerate(t_caps, start=1):
-        weight = 3.0 if F == 1 else 4.0 * phi[F - 2]
+    for F, (t_cap, weight) in enumerate(zip(t_caps, weights), start=1):
         inner = 0.0
         for g in range(1, t_cap // F + 1):
             base = g * F

@@ -63,7 +63,8 @@ This module provides several independent routes to these quantities:
   The point-side sum itself is enumeration.zeta_partial, which follows the
   counting strategies; this module adds only the tail.
 
-All error bounds travel with the values so that consumers can assert
+Every transform reads the character index a as the tuple of Fractions that
+geometry.character_index makes of it.  All error bounds travel with the values so that consumers can assert
 |difference| <= bound instead of fixed tolerances.
 """
 
@@ -136,58 +137,23 @@ class LocalFourierValue:
             raise ValueError("error bound must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CharacterArgument:
-    """An additive character psi_a(x) = e^(2 pi i <a, x>) indexed by a in Q^n.
-
-    The character is trivial on the standard compact Z_p^n at every p exactly
-    when every coordinate of a is p-integral; integral vectors a are trivial
-    on the product of all standard compacts.
-    """
-
-    a: tuple
-
-    def __init__(self, a):
-        if isinstance(a, CharacterArgument):
-            object.__setattr__(self, "a", a.a)
-            return
-        if isinstance(a, (int, Fraction, float, str)):
-            a = (a,)
-        object.__setattr__(self, "a", tuple(as_fraction(x) for x in a))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.a)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.a)
-
-    def support_primes(self) -> tuple:
-        """Primes p with min_i v_p(a_i) != 0, where psi_a is not trivial on
-        exactly Z_p^n: those dividing the gcd of the numerators or some
-        denominator.  Empty for the zero vector."""
-        if self.is_zero:
-            return ()
-        num = 0
-        den = 1
-        for x in self.a:
-            num = math.gcd(num, x.numerator)
-            den = math.lcm(den, x.denominator)
-        return prime_factors(num * den)
-
-
 def _checked(model: VarietyModel, a, s, integral: bool = False) -> tuple:
-    """(CharacterArgument(a), s, beta) after the checks every transform at
-    psi_a makes: s in the convergence domain (geometry.convergence_beta,
-    beta = 1 + s - rho), a of length model.dim, and a integral if asked."""
+    """(a, s, beta) after the checks every transform at psi_a makes: s in
+    the convergence domain (geometry.convergence_beta, beta = 1 + s - rho),
+    a coerced by geometry.character_index, and a integral if asked."""
     s, beta = geometry.convergence_beta(model, s)
-    arg = CharacterArgument(a)
-    if len(arg.a) != model.dim:
-        raise ValueError("character index has wrong length")
-    if integral and not arg.is_integral:
+    a = geometry.character_index(model, a)
+    if integral and any(x.denominator != 1 for x in a):
         raise ValueError(f"{model.id}: this transform needs an integral character index")
-    return arg, s, beta
+    return a, s, beta
+
+
+def _support_primes(a: tuple) -> tuple:
+    """Primes p with min_i v_p(a_i) != 0, where psi_a is not trivial on
+    exactly Z_p^n: those dividing the gcd of the numerators or some
+    denominator.  Empty for the zero index."""
+    num = math.gcd(*(x.numerator for x in a))
+    return prime_factors(num * math.lcm(*(x.denominator for x in a))) if num else ()
 
 
 def _character_sum_direct(p: int, u: int, n: int, d: int) -> complex:
@@ -339,13 +305,19 @@ def brute_padic_fourier(model: VarietyModel, p: int, a, s,
         p: any prime (small primes included; that is the point of this oracle).
         a: character index, rational vector of length model.dim.
         s: Picard vector with 1 + s_alpha - rho_alpha > 0 (convergence).
-        depth: truncation exponent m >= 1.
+        depth: truncation exponent m >= 1 with p^(m n) < 2^1024, so that
+            the scale p^(m n) is a float; CapabilityError past it, before
+            anything is allocated.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if depth < 1:
         raise ValueError("depth must be a positive integer")
-    arg, s, beta = _checked(model, a, s)
+    # p^(depth n) >= 2^depth n, so the first test spares the power.
+    if depth * model.dim >= 1024 or p ** (depth * model.dim) >= 2**1024:
+        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the scale"
+                              f" {p}^{depth * model.dim} is not below 2^1024, a float")
+    a, s, beta = _checked(model, a, s)
     eps_star = min(float(b) for b in beta)
 
     n = model.dim
@@ -356,17 +328,12 @@ def brute_padic_fourier(model: VarietyModel, p: int, a, s,
     # Ramified characters: if some coordinate of a has negative valuation the
     # character factor prod_i [v_p(a_i) >= m - j] vanishes on every cube with
     # j <= m, so the truncated integral is exactly zero.
-    avals = [None if x == 0 else vp_fraction(x, p) for x in arg.a]
+    avals = [None if x == 0 else vp_fraction(x, p) for x in a]
     if any(v is not None and v < 0 for v in avals):
         return LocalFourierValue(0.0 + 0.0j, tail, "brute-force")
 
     # p-integral coordinates reduce to residues modulo p^m.
-    ahat = []
-    for x in arg.a:
-        if x == 0:
-            ahat.append(0)
-        else:
-            ahat.append((x.numerator * pow(x.denominator, -1, M)) % M)
+    ahat = [x.numerator * pow(x.denominator, -1, M) % M for x in a]
     ok_level = [all(v is None or v >= m - j for v in avals)
                 for j in range(m + 1)]
 
@@ -489,14 +456,14 @@ def closed_form_good_prime(model: VarietyModel, p: int, a, s):
         points excluded by the hyperplane reduction.
     """
     geometry._check_good_prime(model, p)
-    arg, s, beta = _checked(model, a, s, integral=True)
-    if arg.is_zero:
+    a, s, beta = _checked(model, a, s, integral=True)
+    if not any(a):
         raise ValueError("the closed form needs a != 0; the trivial character's"
                          " local factor is tamagawa.denef_local_factor")
     # Each beta as an int where it is one (exact pole factors), else a float.
     beta = {comp: int(b) if b.denominator == 1 else float(b)
             for comp, b in zip(model.components, beta)}
-    avec = tuple(int(x) for x in arg.a)
+    avec = tuple(int(x) for x in a)
     if all(x % p == 0 for x in avec):
         raise ValueError(
             f"p = {p} divides the character index entirely; use brute force"
@@ -798,10 +765,9 @@ def _arch_integrand_2d(model: VarietyModel, s):
     return f
 
 
-def _arch_quad_2d(model: VarietyModel, arg: CharacterArgument,
-                  s) -> LocalFourierValue:
-    """Nested 2-D quadrature of the archimedean transform at a nonzero a,
-    for P2 and BlP2-1.
+def _arch_quad_2d(model: VarietyModel, a: tuple, s) -> LocalFourierValue:
+    """Nested 2-D quadrature of the archimedean transform at a nonzero index
+    a (a pair of Fractions), for P2 and BlP2-1.
 
     Both coordinates enter through absolute values, so the transform is real
     with cosine weights in each variable.  On the plateau |x| <= x0 =
@@ -816,8 +782,8 @@ def _arch_quad_2d(model: VarietyModel, arg: CharacterArgument,
     f = _arch_integrand_2d(model, s)
     exps = [float(e) for e in geometry.generator_exponents(model, s)]
     x_exp = exps[0]
-    a1 = abs(float(arg.a[0]))
-    a2 = abs(float(arg.a[1]))
+    a1 = abs(float(a[0]))
+    a2 = abs(float(a[1]))
     w1 = TWO_PI * a1
     err_acc = [0.0]
 
@@ -873,15 +839,15 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
         a: character index (scalar or vector of length model.dim).
         s: Picard vector, real, inside the convergence domain.
     """
-    arg, s, _ = _checked(model, a, s)
+    a, s, _ = _checked(model, a, s)
     exps = geometry.generator_exponents(model, s)
 
     if model.kind == "pn":
-        den = math.lcm(*(x.denominator for x in arg.a))
+        den = math.lcm(*(x.denominator for x in a))
         value, bound = _arch_projective(
-            model.dim, exps[0], [[int(x * den) for x in arg.a]], den)
+            model.dim, exps[0], [[int(x * den) for x in a]], den)
         return LocalFourierValue(complex(value[0]), float(bound[0]),
-                                 "closed-form" if arg.is_zero else "quadrature")
+                                 "quadrature" if any(a) else "closed-form")
 
     # The four-cell decomposition and the plateau of _arch_quad_2d need the
     # single center (1 : 0 : 0), whose pencil {Y, Z} does not involve x.
@@ -889,14 +855,14 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
         raise CapabilityError(
             f"archimedean transform not implemented for {model.id}"
         )
-    if arg.is_zero:
+    if not any(a):
         # On the quadrant the four cells (unit square, x-dominant,
         # y-dominant, intermediate) sum to
         # (1 + 1/(m_H - 1)) (1 + 1/(m_H + m_F - 2)), times 4.
         mh, mf = (float(e) for e in exps)
         value = 4.0 * (1.0 + 1.0 / (mh - 1.0)) * (1.0 + 1.0 / (mh + mf - 2.0))
         return LocalFourierValue(complex(value), 0.0, "closed-form")
-    return _arch_quad_2d(model, arg, s)
+    return _arch_quad_2d(model, a, s)
 
 
 # ---------------------------------------------------------------------------
@@ -928,23 +894,23 @@ def _global_tail_exponent(beta_all, beta_a0) -> float:
 
 
 def _checked_s(model: VarietyModel, a, s) -> tuple:
-    """(arg, s, beta) after global_fourier's checks, before any transform
+    """(a, s, beta) after global_fourier's checks, before any transform
     runs: those of _checked, an integral a on the blow-ups, and
     s_alpha > rho_alpha (beta_alpha > 1) at the trivial character."""
-    arg, s, beta = _checked(model, a, s, integral=model.kind != "pn")
-    if arg.is_zero and any(b <= 1 for b in beta):
+    a, s, beta = _checked(model, a, s, integral=model.kind != "pn")
+    if not any(a) and any(b <= 1 for b in beta):
         raise ValueError("the trivial character requires s_alpha > rho_alpha")
-    return arg, s, beta
+    return a, s, beta
 
 
 def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
     """(values, error_bounds, arch values) of global_fourier on P^n, float
     arrays, at the integral characters a in the rows of an (N, n) int64
     array and a sigma = s_D1 that _checked_s has passed (the formula is in
-    global_fourier).  Tate_p enters at k = v_p(gcd a), p ascending: as in
-    _util.phi_segment the primes p <= sqrt(max gcd) are divided out of the
-    gcds in turn, and what is left is 1 or one larger prime (k = 1).  Each
-    prime passes tamagawa._system_data.
+    global_fourier).  Tate_p (tamagawa._tate_factor) enters at
+    k = v_p(gcd a), p ascending: as in _util.phi_segment the primes
+    p <= sqrt(max gcd) are divided out of the gcds in turn, and what is left
+    is 1 or one larger prime (k = 1).
     """
     n = model.dim
     rows = np.asarray(rows, dtype=np.int64)
@@ -956,9 +922,7 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
         finite[g == 0] *= zeta(float(1 + sigma - model.rho[0]))
 
     def tate(p: int, k: int) -> float:
-        if tamagawa._system_data(model, p)[1]:
-            raise CapabilityError(f"{model.id}: valuation cones at {p}")
-        num, den = tamagawa._tate_shell_sum(p, k, n, sigma)
+        num, den = tamagawa._tate_factor(model, p, k, sigma)
         return num / den / (1.0 - float(p) ** (-sig))
 
     rest = np.maximum(g, 1)
@@ -1016,26 +980,27 @@ def global_fourier(model: VarietyModel, a, s,
         GlobalFourierValue with the value, a combined error bound, and the
         (component, beta) pairs whose zeta factors were used.
     """
-    arg, s, beta = _checked_s(model, a, s)
-    if model.kind == "pn" and (model.dim == 1 or not arg.is_zero):
-        if not arg.is_integral:
+    a, s, beta = _checked_s(model, a, s)
+    trivial = not any(a)
+    if model.kind == "pn" and (model.dim == 1 or not trivial):
+        if any(x.denominator != 1 for x in a):
             # Tate's factor is 0 at a prime dividing a denominator.
             return GlobalFourierValue(0j, 1e-14, ())
-        value, bound, _ = _pn_characters(model, s[0], [[int(x) for x in arg.a]])
-        zeta_factors = tuple(zip(model.components, beta)) if arg.is_zero else ()
+        value, bound, _ = _pn_characters(model, s[0], [[int(x) for x in a]])
+        zeta_factors = tuple(zip(model.components, beta)) if trivial else ()
         return GlobalFourierValue(complex(value[0]), float(bound[0]), zeta_factors)
 
-    if arg.is_zero:
+    if trivial:
         a0_names = list(model.components)
     else:
-        a0_names = list(geometry.divisor_multiplicities(model, arg.a).a0)
+        a0_names = list(geometry.divisor_multiplicities(model, a).a0)
     beta_by_name = dict(zip(model.components, beta))
     a0_beta = [beta_by_name[name] for name in a0_names]
     zeta_factors = tuple((name, beta_by_name[name]) for name in a0_names)
 
-    arch = arch_fourier(model, arg, s)
+    arch = arch_fourier(model, a, s)
     eps_star = min(float(b) for b in beta)
-    small = sorted(geometry.SMALL_PRIMES | set(arg.support_primes()))
+    small = sorted(geometry.SMALL_PRIMES | set(_support_primes(a)))
 
     def brute_depth(p: int) -> int:
         want = int(math.ceil(30.0 * math.log(2.0)
@@ -1043,7 +1008,7 @@ def global_fourier(model: VarietyModel, a, s,
         cap = suggested_depth(model, p)
         return max(3, min(want, max(cap, 3)))
 
-    brute = {p: brute_padic_fourier(model, p, arg, s, depth=brute_depth(p))
+    brute = {p: brute_padic_fourier(model, p, a, s, depth=brute_depth(p))
              for p in small}
 
     # Generic path: peel the A0 poles from every computed factor, then
@@ -1068,13 +1033,13 @@ def global_fourier(model: VarietyModel, a, s,
         finite *= brute[p].value * peel(p)
         rel_err += brute[p].error_bound / max(
             abs(brute[p].value) - brute[p].error_bound, 1e-30)
-    strata = tamagawa._denef_strata(model, s) if arg.is_zero else None
+    strata = tamagawa._denef_strata(model, s) if trivial else None
     for p in goods:
-        if arg.is_zero:
+        if trivial:
             main = complex(float(tamagawa._denef_sum(model, p, strata)))
             et = 0.0
         else:
-            main, et = closed_form_good_prime(model, p, arg, s)
+            main, et = closed_form_good_prime(model, p, a, s)
         finite *= main * peel(p)
         rel_err += et / max(abs(main) - et, 1e-30)
     for _name, b in zeta_factors:
@@ -1173,6 +1138,10 @@ def _upper_gamma(b: int, x: float) -> float:
         return float(math.factorial(b - 1) * (-x).exp() * total)
 
 
+# poisson_check hands _pn_characters at most this many characters per call.
+_CHARACTER_CHUNK = 2**14
+
+
 def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
                   p_max: int = 2000) -> dict:
     """Compare the truncated height zeta function against its spectral
@@ -1187,10 +1156,11 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
 
     Only P1 is supported: the character sum over a_1 = 1..a_cut and its
     tail bound are written for one-dimensional characters.  s is checked
-    once, and the batch kernel _pn_characters evaluates a = 0..a_cut in one
-    call, row by row the floats of global_fourier at each a; the two sums
-    are then taken left to right.  P^n is exact at every finite place, so
-    p_max is ignored.
+    once, and the batch kernel _pn_characters evaluates a = 0..a_cut
+    _CHARACTER_CHUNK at a time (about 1.3 KB a character while a chunk is
+    evaluated), row by row the floats of global_fourier at each a; the two
+    sums are taken left to right across the chunks.  P^n is exact at every
+    finite place, so p_max is ignored.
 
     Args:
         model: catalog model (P1 only).
@@ -1217,14 +1187,16 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
 
     _, s_pic, _ = _checked_s(model, (0,), [as_fraction(s) * l for l in lam])
     sigma = float(s_pic[0])
-    values, bounds, arch = (x.tolist() for x in _pn_characters(
-        model, s_pic[0], np.arange(a_cut + 1, dtype=np.int64)[:, None]))
-    rhs, err = values[0], bounds[0]
-    for value, bound in zip(values[1:], bounds[1:]):
-        rhs += 2.0 * value
-        err += 2.0 * bound
+    for lo in range(0, a_cut + 1, _CHARACTER_CHUNK):
+        values, bounds, arch = (x.tolist() for x in _pn_characters(model, s_pic[0], np.arange(
+            lo, min(lo + _CHARACTER_CHUNK, a_cut + 1), dtype=np.int64)[:, None]))
+        if lo == 0:
+            rhs, err = values.pop(0), bounds.pop(0)
+            finite_k = abs(rhs) / max(arch[0], 1e-30)
+        for value, bound in zip(values, bounds):
+            rhs += 2.0 * value
+            err += 2.0 * bound
 
-    finite_k = abs(values[0]) / max(arch[0], 1e-30)
     if a_cut > 0:
         a_tail = 2.0 * finite_k * sigma / (math.pi ** 2 * a_cut)
     else:

@@ -49,7 +49,9 @@ stratum of points lying on exactly the components in A.  stratum_polys stores
 the F_p point count of each nonempty stratum as a polynomial in p; A = ()
 denotes the open orbit itself (count p^n).  brute_stratum_count recomputes
 the same counts from first principles by enumerating P^n(F_p) and gluing in
-the exceptional lines by hand.
+the exceptional lines by hand; both take A through one check.  The index a
+of a character psi_a(x) = e^(2 pi i <a, x>) is checked and coerced to
+model.dim Fractions in one place, character_index.
 """
 
 from __future__ import annotations
@@ -238,11 +240,6 @@ def coerce_picard(model: VarietyModel, lam) -> tuple[Fraction, ...]:
     return vals
 
 
-def rho_vector(model: VarietyModel) -> tuple[Fraction, ...]:
-    """Anticanonical class in the boundary-component basis."""
-    return tuple(Fraction(r) for r in model.rho)
-
-
 def convergence_beta(model: VarietyModel, s) -> tuple:
     """(s, beta): s coerced and beta_alpha = 1 + s_alpha - rho_alpha, the
     exponents of the local height transforms, which converge exactly when
@@ -253,6 +250,18 @@ def convergence_beta(model: VarietyModel, s) -> tuple:
         raise ValueError("s outside the convergence domain:"
                          " need s_alpha > rho_alpha - 1 everywhere")
     return s, beta
+
+
+def character_index(model: VarietyModel, a) -> tuple[Fraction, ...]:
+    """The index a of the character psi_a(x) = e^(2 pi i <a, x>) as a tuple
+    of model.dim Fractions; a scalar is a one-entry index.  The one check of
+    its length for every transform and local factor at psi_a."""
+    if isinstance(a, (int, Fraction, float, str)):
+        a = (a,)
+    vals = tuple(as_fraction(x) for x in a)
+    if len(vals) != model.dim:
+        raise ValueError("character index has wrong length")
+    return vals
 
 
 def generator_exponents(model: VarietyModel, lam) -> tuple[Fraction, ...]:
@@ -313,22 +322,13 @@ def divisor_multiplicities(model: VarietyModel, a: Sequence[int]) -> DivisorData
     Returns:
         DivisorData(d, a0) with a0 the component names with d = 0.
     """
-    avec = tuple(as_fraction(x) for x in a)
-    if len(avec) != model.dim:
-        raise ValueError(f"{model.id} expects a of length {model.dim}")
-    if all(x == 0 for x in avec):
+    a = character_index(model, a)
+    if not any(a):
         raise ValueError("a must be nonzero")
-    d = [1]
+    d = (1,)
     if model.kind != "pn":
-        a1, a2 = avec
-        for u, v in model.centers:
-            d.append(0 if a1 * u + a2 * v == 0 else 1)
-    names = model.components
-    dd = tuple(d)
-    return DivisorData(
-        d=dd,
-        a0=tuple(n for n, k in zip(names, dd) if k == 0),
-    )
+        d += tuple(int(a[0] * u + a[1] * v != 0) for u, v in model.centers)
+    return DivisorData(d, tuple(c for c, k in zip(model.components, d) if k == 0))
 
 
 def _check_good_prime(model: VarietyModel, p: int) -> None:
@@ -338,13 +338,19 @@ def _check_good_prime(model: VarietyModel, p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-def stratum_count(model: VarietyModel, subset: Iterable[str], p: int) -> int:
-    """#D_A^o(F_p) from the catalog polynomials; A = () is the open orbit."""
+def _stratum_subset(model: VarietyModel, subset: Iterable[str], p: int) -> frozenset:
+    """A as a frozenset, after the checks of stratum_count and
+    brute_stratum_count: p a good prime and A a set of the model's components."""
     _check_good_prime(model, p)
     names = frozenset(subset)
-    unknown = names - set(model.components)
-    if unknown:
-        raise ValueError(f"unknown components {unknown}")
+    if not names <= set(model.components):
+        raise ValueError(f"unknown components {names - set(model.components)}")
+    return names
+
+
+def stratum_count(model: VarietyModel, subset: Iterable[str], p: int) -> int:
+    """#D_A^o(F_p) from the catalog polynomials; A = () is the open orbit."""
+    names = _stratum_subset(model, subset, p)
     poly = model.stratum_polys.get(names)
     return _eval_poly(poly, p) if poly is not None else 0
 
@@ -357,11 +363,7 @@ def brute_stratum_count(model: VarietyModel, subset: Iterable[str], p: int) -> i
     the p+1 points of its exceptional line: one lies on the strict transform
     of the line at infinity (stratum {D1, Ei}), the other p lie on Ei alone.
     """
-    _check_good_prime(model, p)
-    names = frozenset(subset)
-    unknown = names - set(model.components)
-    if unknown:
-        raise ValueError(f"unknown components {unknown}")
+    names = _stratum_subset(model, subset, p)
     counts: dict = {}
     if model.kind == "pn":
         n = model.dim

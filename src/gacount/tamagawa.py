@@ -35,7 +35,8 @@ untruncated p-adic integral in closed form over valuation cones read off the
 generator sections alone (never the stratum polynomials), so those two
 factors are exact Fractions and the product carries no small-prime error.
 The truncated cube refinement fourier.brute_padic_fourier stays as the
-independent oracle the tests hold it against.
+independent oracle the tests hold it against.  At a twisted character on
+P^n it is Tate's finite shell sum, _tate_factor, which fourier reads too.
 
 Per-prime factors are independent pure computations; this module evaluates
 them serially in ascending order so reported floats are bit-reproducible.
@@ -52,7 +53,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import geometry
-from ._util import CapabilityError, as_fraction, is_prime, primes_upto, vp_fraction, zeta
+from ._util import CapabilityError, is_prime, primes_upto, vp_fraction, zeta
 from .geometry import VarietyModel
 
 PEEL_ORDER = 5
@@ -240,6 +241,15 @@ def _tate_shell_sum(p: int, k: int, n: int, M: Fraction) -> tuple:
     return total, p**e
 
 
+def _tate_factor(model: VarietyModel, p: int, k: int, M: Fraction) -> tuple:
+    """_tate_shell_sum(p, k, model.dim, M) after the check it needs: a model
+    without valuation cones at p (exact_local_density), else CapabilityError."""
+    if _system_data(model, p)[1]:
+        raise CapabilityError(f"{model.id}: twisted transforms need a model without"
+                              f" valuation cones at {p}")
+    return _tate_shell_sum(p, k, model.dim, M)
+
+
 def exact_local_density(model: VarietyModel, p: int, s,
                         a: Optional[Sequence] = None) -> Union[Fraction, float]:
     """The untruncated integral int_{Q_p^n} H_p(x; s)^{-1} psi_p(<a, x>) dx,
@@ -290,36 +300,30 @@ def exact_local_density(model: VarietyModel, p: int, s,
                   - p^{kn} p^{-(k+1)M}).
     The sum is finite (_tate_shell_sum), so it is a Fraction for integer M
     and a float sum otherwise.  On a model with cones the integrand is not
-    constant on the shells and a twisted a raises CapabilityError.
+    constant on the shells and a twisted a raises CapabilityError
+    (_tate_factor, which fourier's P^n kernel reads too).
 
     Args:
         model: a VarietyModel (catalog or not).
         p: any prime, 2 and 3 included.
         s: Picard vector whose exponents 1 + s_alpha - rho_alpha are
             positive, and integers unless a is twisted.
-        a: character index, a rational vector of length model.dim.
+        a: character index (geometry.character_index).
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     svec, exps = geometry.convergence_beta(model, s)
     n = model.dim
-    avals = [] if a is None else [as_fraction(x) for x in a]
-    if avals and len(avals) != n:
-        raise ValueError("character index has wrong length")
-    twisted = any(avals)
+    a = () if a is None else geometry.character_index(model, a)
+    twisted = any(a)
     if not twisted and any(e.denominator != 1 for e in exps):
         raise ValueError(f"need integer exponents 1 + s - rho, got {exps}")
     exps_g = geometry.generator_exponents(model, svec)
     linear, cone_ranks = _system_data(model, p)
     total_m = sum((exps_g[i] for i in linear), Fraction(0))
     if twisted:
-        if cone_ranks:
-            raise CapabilityError(
-                f"{model.id}: twisted transforms need a model without"
-                f" valuation cones at {p}"
-            )
-        k = min(vp_fraction(x, p) for x in avals if x)
-        num, den = _tate_shell_sum(p, k, n, total_m)
+        k = min(vp_fraction(x, p) for x in a if x)
+        num, den = _tate_factor(model, p, k, total_m)
         return Fraction(num, den) if total_m.denominator == 1 else num
     total_m = int(total_m)
     P = Fraction(p)
@@ -498,11 +502,10 @@ def tamagawa_number(
     if p_max < 100:
         raise ValueError("p_max must be at least 100")
     arch = archimedean_density(model)
-    rho = geometry.rho_vector(model)
     partial = 1.0
     for p in sorted(geometry.SMALL_PRIMES):
         reg = (1 - Fraction(1, p)) ** model.rank
-        partial *= float(exact_local_density(model, p, rho) * reg)
+        partial *= float(exact_local_density(model, p, model.rho) * reg)
     g = [float(c) for c in regularized_factor_poly(model)]
     primes = [p for p in primes_upto(p_max) if p >= 5]
     u = 1.0 / np.array(primes, dtype=np.float64)

@@ -243,6 +243,16 @@ def test_verify_denef_small_primes(capsys):
     assert "verify-denef: 48/48 pass" in out
 
 
+@pytest.mark.parametrize("depth", ["442", "500"])
+def test_verify_denef_depth_past_float_range_is_capability_error(capsys, depth):
+    # 5^442 >= 2^1024: brute_padic_fourier refuses before it allocates, so
+    # the command exits 3 (500 was an OverflowError traceback).
+    code, out, err = run(capsys, "verify-denef", "--model", "P1", "--p", "5",
+                         "--depth", depth)
+    assert code == 3
+    assert "capability error" in err and "not below 2^1024" in err
+
+
 def test_verify_charsum_pass_and_fail(capsys):
     code, out, _ = run(capsys, "verify-charsum", "--p", "5,7", "--nmax", "2",
                        "--dmax", "2")

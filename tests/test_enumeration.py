@@ -698,6 +698,37 @@ def test_blp21_count_memory_peak():
     assert peak <= 2_000_000, peak
 
 
+def test_fiber_weights_match_phi():
+    # w_1 = 3 and w_F = 4 phi(F), on any segment [lo, hi).
+    n = 3000
+    want = [3] + [4 * f for f in _util.phi_segment(2, n + 1).tolist()]
+    assert enumeration._fiber_weights(1, n + 1).tolist() == want
+    for lo, hi in ((1, 1), (1, 2), (2, 2), (2, 50), (7, 1000), (1000, n + 1)):
+        w = enumeration._fiber_weights(lo, hi)
+        assert w.dtype == np.int64 and w.tolist() == want[lo - 1 : hi - 1], (lo, hi)
+
+
+def test_p1_zeta_partial_in_chunks_of_fibers():
+    # P1's point sum walks the fibers _WEIGHT_CHUNK at a time: T = 196625
+    # spans four chunks, and the sum equals, bit for bit, the one-pass loop
+    # over all phi(F) it replaced.  Its traced peak is that of one chunk
+    # (3.1 MB now, 9.4 MB for the one pass; Python 3.11, NumPy 2.4).
+    T = 3 * 2**16 + 17
+    c = 2.5
+    phi = _util.phi_segment(2, T + 1).tolist()
+    want = 3.0
+    for f, ph in enumerate(phi, start=2):
+        want += 4.0 * ph * float(f) ** (-c)
+    tracemalloc.start()
+    try:
+        got = enumeration.zeta_partial(P1, (1,), c, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (want, 3 + 4 * sum(phi))
+    assert peak <= 5_000_000, peak
+
+
 def test_blp21_count_lists_mu_only_to_e0(monkeypatch):
     # The list sieve covers e <= E0 (158 here), not G_1 = 316227.
     def guarded(n, sieve=mu_sieve):

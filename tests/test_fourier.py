@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,18 +16,28 @@ from gacount._util import CapabilityError, primes_upto, vp_fraction, zeta
 from conftest import global_height
 
 
-def test_character_argument_properties():
-    arg = fourier.CharacterArgument((Fraction(25), Fraction(5)))
-    assert arg.is_integral and not arg.is_zero
-    assert min(vp_fraction(x, 5) for x in arg.a) == 1
-    assert arg.support_primes() == (5,)
-    assert fourier.CharacterArgument((25, 1)).support_primes() == ()
-    assert fourier.CharacterArgument((6, 0, 12)).support_primes() == (2, 3)
-    assert fourier.CharacterArgument((0, 0)).support_primes() == ()
-    frac = fourier.CharacterArgument((Fraction(1, 25),))
-    assert not frac.is_integral
-    assert vp_fraction(frac.a[0], 5) == -2
-    assert frac.support_primes() == (5,)
+def test_character_index_and_support_primes():
+    p1, p2, p3 = (geometry.load_model(mid) for mid in ("P1", "P2", "P3"))
+    a = geometry.character_index(p2, (Fraction(25), Fraction(5)))
+    assert a == (25, 5) and all(type(x) is Fraction for x in a)
+    assert min(vp_fraction(x, 5) for x in a) == 1
+    assert fourier._support_primes(a) == (5,)
+    assert fourier._support_primes(geometry.character_index(p2, (25, 1))) == ()
+    assert fourier._support_primes(geometry.character_index(p3, (6, 0, 12))) == (2, 3)
+    assert fourier._support_primes(geometry.character_index(p2, (0, 0))) == ()
+    frac = geometry.character_index(p1, (Fraction(1, 25),))
+    assert frac[0].denominator != 1
+    assert vp_fraction(frac[0], 5) == -2
+    assert fourier._support_primes(frac) == (5,)
+    # A scalar is a one-entry index; strings and floats coerce exactly.
+    assert geometry.character_index(p1, 3) == (3,)
+    assert geometry.character_index(p1, "1/4") == (Fraction(1, 4),)
+    assert geometry.character_index(p2, (0.5, 2)) == (Fraction(1, 2), 2)
+    for model, a in ((p1, (1, 2)), (p2, 3), (p2, ()), (p3, (1, 2))):
+        with pytest.raises(ValueError, match="^character index has wrong length$"):
+            geometry.character_index(model, a)
+        with pytest.raises(ValueError, match="^character index has wrong length$"):
+            geometry.divisor_multiplicities(model, a)
 
 
 def test_character_sum_pins():
@@ -126,6 +137,37 @@ def test_brute_depth_cauchy(mid):
             assert abs(cur.value - prev.value) <= prev.error_bound
         prev = cur
     assert bounds[0] > bounds[1] > bounds[2] > bounds[3] > 0
+
+
+@pytest.mark.parametrize("mid,p", [("P1", 5), ("P1", 2), ("P2", 5), ("P3", 3)])
+def test_brute_at_the_largest_float_depth(mid, p):
+    # The scale p^(depth n) must be a float: the largest depth with
+    # p^(depth n) < 2^1024 (441 for P1 at 5, 1023 at 2) still meets the
+    # exact factor within its bound, and one more is refused.
+    model = geometry.load_model(mid)
+    n = model.dim
+    depth = max(d for d in range(1, 1025) if p ** (d * n) < 2**1024)
+    s = tuple(r + 1 for r in model.rho)
+    zero = (0,) * n
+    out = fourier.brute_padic_fourier(model, p, zero, s, depth=depth)
+    exact = float(tamagawa.exact_local_density(model, p, s))
+    assert abs(out.value - exact) <= out.error_bound
+    with pytest.raises(CapabilityError, match="not below 2\\^1024"):
+        fourier.brute_padic_fourier(model, p, zero, s, depth=depth + 1)
+
+
+def test_brute_refuses_a_deep_scale_before_any_work(monkeypatch):
+    # The refusal comes before the index and s are checked, so before any
+    # table is built: at depth 10^12 the tables would not fit in memory,
+    # and p^(depth n) itself is never formed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the depth check")
+
+    monkeypatch.setattr(fourier, "_checked", refuse)
+    p1 = geometry.load_model("P1")
+    for p, depth in ((5, 442), (5, 10**12), (2, 1024), (10**9 + 7, 35)):
+        with pytest.raises(CapabilityError, match="not below 2\\^1024"):
+            fourier.brute_padic_fourier(p1, p, (0,), (3,), depth=depth)
 
 
 def test_brute_ramified_character_vanishes():
@@ -360,7 +402,7 @@ def test_arch_fourier_p2_vs_nested_quadrature(shift):
     s = tuple(r + shift for r in p2.rho)
     for a in P2_ARCH_GRID:
         new = fourier.arch_fourier(p2, a, s)
-        old = fourier._arch_quad_2d(p2, fourier.CharacterArgument(a), s)
+        old = fourier._arch_quad_2d(p2, geometry.character_index(p2, a), s)
         assert new.method == "quadrature"
         assert abs(new.value - old.value) <= new.error_bound + old.error_bound, a
         assert new.error_bound <= 1e-5 * abs(new.value), a
@@ -564,7 +606,7 @@ def pn_slow_path(model, a, s):
     finite = 1.0 / zeta(sigma)
     if not any(a):
         finite *= zeta(float(s[0] - model.dim))
-    for p in fourier.CharacterArgument(a).support_primes():
+    for p in fourier._support_primes(geometry.character_index(model, a)):
         local = tamagawa.exact_local_density(model, p, s, a)
         finite *= float(local) / (1.0 - float(p) ** (-sigma))
     value = arch.value * finite
@@ -663,6 +705,24 @@ def test_poisson_check_batch_matches_one_by_one(s):
     _, lhs_tail = fourier.zeta_truncated(p1, p1.rho, float(s), 10**3)
     assert out["rhs"] == rhs
     assert out["combined_bound"] == lhs_tail + err + a_tail
+
+
+def test_poisson_check_in_chunks_of_characters(monkeypatch):
+    # a_cut = 3 * 2^14 + 5 spans four chunks of _CHARACTER_CHUNK; the result
+    # equals the one-call result bit for bit, and the traced peak is that of
+    # one chunk (25 MB now, 69 MB in one call; Python 3.11, NumPy 2.4).
+    p1 = geometry.load_model("P1")
+    a_cut = 3 * 2**14 + 5
+    tracemalloc.start()
+    try:
+        chunked = fourier.poisson_check(p1, (1,), 2.5, 100, a_cut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 35_000_000, peak
+    monkeypatch.setattr(fourier, "_CHARACTER_CHUNK", a_cut + 1)
+    assert fourier.poisson_check(p1, (1,), 2.5, 100, a_cut) == chunked
+    assert chunked["pass"]
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -221,24 +221,54 @@ def test_fourier_uses_no_private_enumeration_name():
 
 # Wordings of the convergence-domain error, past and present.
 DOMAIN_MESSAGE = re.compile(r"convergence domain|rho_alpha - 1|rho_a - 1")
+# Wordings of the character-index length error, past and present.
+INDEX_MESSAGE = re.compile(r"character index has wrong length|expects a of length")
+# Wordings of the refusal of Tate's factor on a model with valuation cones.
+CONE_MESSAGE = re.compile(r"valuation cones")
 
 
-def _raises_domain_error(node) -> bool:
-    """A raise of ValueError whose message text names the domain rule."""
-    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-            and getattr(node.exc.func, "id", None) == "ValueError"):
-        return False
-    text = " ".join(n.value for n in ast.walk(node.exc)
-                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
-    return bool(DOMAIN_MESSAGE.search(text))
+def _raisers(exc_name: str, message) -> list:
+    """The functions of the package that raise exc_name(...) with message
+    text (its string constants, f-string parts included) matching message."""
+    def raises(node) -> bool:
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == exc_name):
+            return False
+        text = " ".join(n.value for n in ast.walk(node.exc)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str))
+        return bool(message.search(text))
+
+    return sorted(f"{path.stem}.{fn.name}"
+                  for path in sorted(SRC.glob("*.py"))
+                  for fn in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(raises(n) for n in ast.walk(fn)))
 
 
 def test_one_function_owns_the_convergence_domain_error():
     # Every transform checks 1 + s_alpha - rho_alpha > 0 through
     # geometry.convergence_beta; a second raiser is a restated copy.
-    raisers = sorted(f"{path.stem}.{fn.name}"
-                     for path in sorted(SRC.glob("*.py"))
-                     for fn in ast.walk(ast.parse(path.read_text()))
+    assert _raisers("ValueError", DOMAIN_MESSAGE) == ["geometry.convergence_beta"]
+
+
+def test_one_function_owns_the_character_index_error():
+    # Every transform, local factor and divisor computation at psi_a
+    # coerces and length-checks a through geometry.character_index.
+    assert _raisers("ValueError", INDEX_MESSAGE) == ["geometry.character_index"]
+
+
+def test_one_function_owns_the_tate_cone_check():
+    # exact_local_density and the P^n batch kernel of fourier take Tate's
+    # shell sum through tamagawa._tate_factor, which checks the cones.
+    assert _raisers("CapabilityError", CONE_MESSAGE) == ["tamagawa._tate_factor"]
+
+
+def test_one_function_owns_the_fiber_weights():
+    # w_1 = 3, w_F = 4 phi(F): the fiber count, BlP2-1's zeta sum and P1's
+    # zeta sum read them from enumeration._fiber_weights.
+    tree = ast.parse((SRC / "enumeration.py").read_text())
+    readers = sorted(fn.name for fn in ast.walk(tree)
                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     and any(_raises_domain_error(n) for n in ast.walk(fn)))
-    assert raisers == ["geometry.convergence_beta"]
+                     and "phi_segment" in (name for node in ast.walk(fn)
+                                           for name in _used_names(node)))
+    assert readers == ["_fiber_weights"]

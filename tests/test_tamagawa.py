@@ -589,11 +589,10 @@ def tamagawa_oracle(model, p_max):
     """tamagawa_number from scalar loops, one prime at a time: the oracle of
     its NumPy Horner pass and its math.prod products."""
     arch = tamagawa.archimedean_density(model)
-    rho = geometry.rho_vector(model)
     partial = 1.0
     for p in (2, 3):
         reg = (1 - Fraction(1, p)) ** model.rank
-        partial *= float(tamagawa.exact_local_density(model, p, rho) * reg)
+        partial *= float(tamagawa.exact_local_density(model, p, model.rho) * reg)
     g = [float(c) for c in tamagawa.regularized_factor_poly(model)]
     primes = [p for p in primes_upto(p_max) if p >= 5]
     for p in primes:
