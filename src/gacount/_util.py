@@ -23,7 +23,7 @@ import numbers
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import compress
 from math import isqrt, lcm
 
 import numpy as np
@@ -167,8 +167,9 @@ def primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
-# mu_segment compares prod(k) with k in chunks of _MU_CHUNK values.
-_MU_CHUNK = 2**14
+# mu_segment compares prod(k) with k, and _ragged_sums adds its terms, in
+# chunks of _CHUNK values.
+_CHUNK = 2**14
 
 
 def mu_segment(a: int, b: int) -> np.ndarray:
@@ -191,10 +192,10 @@ def mu_segment(a: int, b: int) -> np.ndarray:
         mu[-a % (p * p) :: p * p] = 0
     # Compared with k in chunks, so no second array of b - a values; the
     # sign flips by a product with 1 - 2 (prod(k) != k).
-    for i in range(0, b - a, _MU_CHUNK):
-        part = mu[i : i + _MU_CHUNK]
+    for i in range(0, b - a, _CHUNK):
+        part = mu[i : i + _CHUNK]
         k = np.arange(a + i, a + i + len(part), dtype=prod.dtype)
-        part *= 1 - 2 * (prod[i : i + _MU_CHUNK] != k).view(np.int8)
+        part *= 1 - 2 * (prod[i : i + _CHUNK] != k).view(np.int8)
     return mu
 
 
@@ -203,36 +204,115 @@ def mu_sieve(n: int) -> list[int]:
     return [0, *mu_segment(1, n + 1).tolist()]
 
 
+def _ragged_sums(first: np.ndarray | int, stop: np.ndarray, term) -> np.ndarray:
+    """The int64 row sums sum_{first[r] <= x < stop[r]} term(r, x), every r.
+
+    The pairs (r, x) are laid out row after row and handed to term as two
+    int64 arrays, _CHUNK pairs at a time, so a chunk may end inside a row;
+    a row's part of a chunk is the difference of the chunk's running sum
+    at its two ends.
+    """
+    counts = np.maximum(stop - first, 0)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    shift = starts - first
+    sums = np.zeros(len(counts), dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    for a in range(0, total, _CHUNK):
+        b = min(a + _CHUNK, total)
+        r0, r1 = ends.searchsorted((a, b - 1), side="right")
+        r1 += 1
+        cut = np.minimum(ends[r0:r1], b)
+        row = np.repeat(np.arange(r0, r1), cut - np.maximum(starts[r0:r1], a))
+        run = np.cumsum(term(row, np.arange(a, b, dtype=np.int64) - shift[row]))
+        part = run[cut - (a + 1)]
+        sums[r0:r1] += part
+        sums[r0 + 1 : r1] -= part[:-1]
+    return sums
+
+
 def mertens_quotients(T: int) -> dict[int, int]:
     """{v: M(v)} for every v in {T//k : k >= 1} and v = 0, where
     M(v) = sum_{d <= v} mu(d) is the Mertens function.
 
-    The v <= L = max(isqrt(T), T^{2/3}) are running sums of mu_sieve(L).  The
-    larger v = T//k, k <= K = T//(L+1), follow in ascending order from
-    sum_{j <= v} M(v//j) = 1 (each m <= v is counted by sum_{e | m} mu(e)):
-    with r = isqrt(v), M(v) = 1 - sum_{2 <= j <= v//(r+1)} M(v//j)
-    - sum_{q <= r} (v//q - v//(q+1)) M(q).  Every v//j = T//(kj) there
-    is a quotient of T, read from the table (kj <= K) or the sieve, and each
-    q <= r <= L from the sieve.  Cost: under 2 sqrt(v) terms per v, so
-    sum_{k <= K} 2 sqrt(T/k) <= 4 sqrt(T K) <= 4 T/sqrt(L) over the large v,
-    plus O(L) for the sieve; L = T^{2/3} makes both O(T^{2/3}), in O(L) memory
-    (Deleglise & Rivat, "Computing the summation of the Moebius function").
+    The v <= L = max(isqrt(T), T^{2/3}) are the running sums of
+    mu_segment(1, L + 1), an int64 table.  The larger v = T//k,
+    k <= K = T//(L+1), follow from sum_{j <= v} M(v//j) = 1 (each m <= v is
+    counted by sum_{e | m} mu(e)): with r = isqrt(v),
+
+        M(v) = 1 - sum_{2 <= j <= v//(r+1)} M(v//j)
+                 - sum_{q <= r} (v//q - v//(q+1)) M(q).
+
+    Every v//j = T//(kj) is a quotient of T, M(T//(kj)) = big[kj] when
+    kj <= K and a table entry when kj > K (T//(K+1) <= L), and every
+    q <= r <= L is in the table.  The q-sum and the j with kj > K read the
+    table alone, so each is one ragged pass over its (k, q) or (k, j) pairs
+    for all k at once (_ragged_sums, _CHUNK pairs at a time).  The j <= K//k
+    read big[kj] with kj >= 2k, so big is filled one dyadic level of k at a
+    time, k in (K//2^(i+1), K//2^i] for i = 0, 1, ...: 2k > K//2^i puts
+    every kj of a level in a level already done, and the top level (k >
+    K//2) has no such j.  A level is one np.add.reduceat over its rows of
+    the multiples kj, fewer than K H(K) in all (30612 at T = 2^36, K = 4095;
+    H the harmonic numbers), which are laid out once.  Only the
+    at most 2 isqrt(T) quotients go into the dict.
+
+    Cost: under 2 sqrt(v) terms per v, so sum_{k <= K} 2 sqrt(T/k) <=
+    4 sqrt(T K) <= 4 T/sqrt(L) over the large v, plus O(L) for the sieve;
+    L = T^{2/3} makes both O(T^{2/3}), in O(L) memory (Deleglise & Rivat,
+    "Computing the summation of the Moebius function", 1996).
+
+    The int64 sums are exact up to T = 2^36, the largest T count_points
+    passes.  |M(q)| <= q and d_q = v//q is nonincreasing, so the q-sum is
+    at most sum_{q <= r} (d_q - d_{q+1}) q = sum_{q <= r} d_q - r d_{r+1}
+    <= v H(r) <= v H(sqrt(v)) in size, and the j-sum at most
+    sum_j |M(v//j)| <= sum_j v/j <= v H(v).  As v <= T <= 2^36 and
+    H(2^36) < 26, every partial sum of a row, and so every sum kept per k,
+    is below 2^41.  Each single term is at most v in size ((d_q - d_{q+1})
+    |M(q)| <= d_q q <= v), so a chunk's running sum over at most 2^14 terms
+    stays below 2^50, and a level row adds fewer than K <= 2^12 values
+    |big[kj]| <= T.  The float sqrt floors to isqrt(v) = n for v < 2^52:
+    it is monotone and exact at n^2, and for v < (n+1)^2 <= 2^52 the gap
+    n + 1 - sqrt(v) > 1/(2n + 2) >= (n + 1) 2^-53 is more than half the
+    float spacing below n + 1.
     """
     L = max(isqrt(T), round(T ** (2 / 3)))
-    small = list(accumulate(mu_sieve(L)))
+    small = np.concatenate(([0], mu_segment(1, L + 1)), dtype=np.int64)
+    np.cumsum(small, out=small)  # small[v] = M(v), summed in place
     K = T // (L + 1)
-    big = [0] * (K + 1)  # big[k] = M(T//k)
-    for k in range(K, 0, -1):
-        v = T // k
-        r = isqrt(v)
-        total = 1 - sum((v // q - v // (q + 1)) * small[q] for q in range(1, r + 1))
-        for j in range(2, v // (r + 1) + 1):
-            total -= big[k * j] if k * j <= K else small[v // j]
-        big[k] = total
+    k = np.arange(1, K + 1, dtype=np.int64)
+    v = T // k
+    r = np.sqrt(v).astype(np.int64)  # isqrt(v), as v < 2^52
+
+    def q_term(i, q):
+        vi = v[i]
+        return (vi // q - vi // (q + 1)) * small[q]
+
+    def j_term(i, j):
+        return small[v[i] // j]
+
+    j0 = np.maximum(K // k, 1) + 1  # the j >= j0 have kj > K
+    big = np.zeros(K + 1, dtype=np.int64)  # big[k] = M(T//k)
+    big[1:] = 1 - _ragged_sums(1, r + 1, q_term) - _ragged_sums(j0, v // (r + 1) + 1, j_term)
+    # The multiples kj <= K, j >= 2, of each k <= K//2, row after row.
+    half = k[: K // 2]
+    counts = K // half - 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    m = np.repeat(half, counts) * (np.arange(counts.sum()) - np.repeat(starts - 2, counts))
+    hi = K // 2
+    while hi:
+        lo = hi // 2
+        first = starts[lo:hi]
+        big[lo + 1 : hi + 1] -= np.add.reduceat(big[m[first[0] : ends[hi - 1]]], first - first[0])
+        hi = lo
     # Every v <= isqrt(T) is a quotient, and T//k > isqrt(T) needs k <= isqrt(T).
     s = isqrt(T)
-    return {v: big[T // v] if v > L else small[v]
-            for v in [*range(s + 1), *(T // k for k in range(1, s + 1))]}
+    quot = T // np.arange(1, s + 1, dtype=np.int64)
+    vals = small[np.minimum(quot, L)]
+    vals[:K] = big[1:]
+    M = dict(zip(range(s + 1), small[: s + 1].tolist()))
+    M.update(zip(quot.tolist(), vals.tolist()))
+    return M
 
 
 def phi_segment(a: int, b: int) -> np.ndarray:

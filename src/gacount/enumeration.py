@@ -19,9 +19,10 @@ M(T//q) - M(T//(q+1)) for the Mertens function M, so with q over the at most
 
     N = sum_q q * (2q + 1)^n * (M(T//q) - M(T//(q+1))),
 
-and _util.mertens_quotients gives every M(T//k) in O(T^{2/3}) time, with a
-mu sieve of T^{2/3} Python ints at about 38 bytes each (380 MB at T = 3.2e10):
-count_points refuses T > 2^36 (a sieve past 2^24 values) before sieving.
+and _util.mertens_quotients gives every M(T//k) in O(T^{2/3}) time, from an
+int64 table of M(v) for v <= T^{2/3} (a traced peak of 200 MB at T = 2^36,
+with the int8 mu segment it sums and the dict of quotients): count_points
+refuses T > 2^36 (a table past 2^24 values) before sieving.
 
 BlP2-1 (fiber strategy).  Group points by the reduced fiber coordinate
 y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are

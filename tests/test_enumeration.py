@@ -7,6 +7,7 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -470,9 +471,103 @@ def test_mertens_lookup_matches_running_sums():
         assert enumeration._mertens_lookup(a, b)(k).tolist() == want, (a, b)
 
 
+def mertens_recursion(T):
+    """{v: M(v)} for v = 0 and every quotient v = T//k, by the Deleglise-Rivat
+    recursion in Python integers, one k at a time from K = T//(L+1) down to
+    1: the oracle of the NumPy table _util.mertens_quotients."""
+    L = max(isqrt(T), round(T ** (2 / 3)))
+    small = list(accumulate(mu_loop(L)))
+    K = T // (L + 1)
+    big = [0] * (K + 1)  # big[k] = M(T//k)
+    for k in range(K, 0, -1):
+        v = T // k
+        r = isqrt(v)
+        total = 1 - sum((v // q - v // (q + 1)) * small[q] for q in range(1, r + 1))
+        for j in range(2, v // (r + 1) + 1):
+            total -= big[k * j] if k * j <= K else small[v // j]
+        big[k] = total
+    s = isqrt(T)
+    return {v: big[T // v] if v > L else small[v]
+            for v in [*range(s + 1), *(T // k for k in range(1, s + 1))]}
+
+
+def mertens_pass_sizes(T):
+    """The number of (k, q) pairs and of (k, j) pairs, kj > K, that
+    mertens_quotients(T) sums in its two chunked passes."""
+    L = max(isqrt(T), round(T ** (2 / 3)))
+    K = T // (L + 1)
+    roots = [(T // k, isqrt(T // k)) for k in range(1, K + 1)]
+    return (sum(r for _, r in roots),
+            sum(max(v // (r + 1) - max(K // k, 1), 0) for k, (v, r) in enumerate(roots, 1)))
+
+
+def first_past(size, n):
+    """The T found by bisection on [1, 10^8] with size(T - 1) <= n < size(T)."""
+    lo, hi = 1, 10**8
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if size(mid) <= n else (lo, mid)
+    return hi
+
+
+def mertens_grid():
+    """T for every K = T//(L+1) from 0 to 41 (the least and the largest T
+    below 70000 with that K: 1 to 6 dyadic levels of k), around the squares
+    and cubes near 10^4 and 10^6, and where each chunked pass crosses one
+    and two chunks."""
+    first, last = {}, {}
+    for T in range(70000):
+        K = T // (max(isqrt(T), round(T ** (2 / 3))) + 1)
+        first.setdefault(K, T)
+        last[K] = T
+    assert sorted(first) == list(range(42))
+    grid = {*first.values(), *last.values()}
+    grid |= {n**2 + d for n in (99, 100, 101, 999, 1000, 1001) for d in (-1, 0, 1)}
+    grid |= {n**3 + d for n in (21, 22, 99, 100, 101) for d in (-1, 0, 1)}
+    for which in (0, 1):
+        for n in (_util._CHUNK, 2 * _util._CHUNK):
+            T = first_past(lambda T: mertens_pass_sizes(T)[which], n)
+            grid |= {T - 1, T}
+    return sorted(grid)
+
+
+def test_mertens_quotients_match_recursion():
+    for T in mertens_grid():
+        assert mertens_quotients(T) == mertens_recursion(T), T
+
+
+def test_mertens_quotients_match_recursion_in_small_chunks(monkeypatch):
+    # Chunks of 1, 3 and 100 pairs end inside rows, at row ends and past
+    # empty rows of the (k, j) pass.
+    Ts = [*range(0, 300, 7), 4096, 20000, 64000, 69003]
+    want = {T: mertens_recursion(T) for T in Ts}
+    for chunk in (1, 3, 100):
+        monkeypatch.setattr(_util, "_CHUNK", chunk)
+        for T in Ts:
+            assert mertens_quotients(T) == want[T], (chunk, T)
+
+
 @pytest.fixture(scope="module")
 def mertens_1e8():
     return mertens_quotients(10**8)
+
+
+def test_mertens_quotients_match_recursion_at_1e8(mertens_1e8):
+    assert mertens_1e8 == mertens_recursion(10**8)
+
+
+def test_mertens_quotients_memory_peak():
+    # The table is int64, the ragged passes go _CHUNK pairs at a time and the
+    # dict holds the quotients only: the traced peak at T = 10^8 is 3.9 MB
+    # (6.5 MB for the Python-int recursion it replaced; Python 3.11, NumPy
+    # 2.4).  NumPy reports its buffers to tracemalloc.
+    tracemalloc.start()
+    try:
+        mertens_quotients(10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_500_000, peak
 
 
 def test_mertens_quotients_match_sieve():
@@ -540,8 +635,14 @@ def test_pn_count_is_sublinear(monkeypatch):
             raise AssertionError(f"mu_sieve({n}) on the P^n path")
         return sieve(n)
 
+    def guarded_segment(a, b, segment=_util.mu_segment):
+        if b - a > 10**5:
+            raise AssertionError(f"mu_segment({a}, {b}) on the P^n path")
+        return segment(a, b)
+
     for module in (_util, enumeration):
         monkeypatch.setattr(module, "mu_sieve", guarded)
+        monkeypatch.setattr(module, "mu_segment", guarded_segment)
     for mid, B, want in BENCH_PN[::2]:
         m = geometry.load_model(mid)
         assert enumeration.count_points(m, m.rho, B) == want
