@@ -63,10 +63,13 @@ is itself a quotient of T_F, so T_F//(T_F//G_F) = G_F.  That is about
 T_F / E0 rows per fiber: 50k rows in all for the 800k pairs at
 lambda = rho, B = 1e11.  The rows are built in
 chunks of 2^14 (a row finds its fiber by a searchsorted in the cumulative
-row counts, so a chunk may end inside a fiber).  M comes from one int8
-mu_segment over E0 <= e <= G_1, each cell of 127 values overwritten by its
-running sums, which int8 holds, with an int64 sum before each cell
-(_mertens_lookup).
+row counts, so a chunk may end inside a fiber).  Every block end of F = 1
+is a quotient of T_1 = G_1, so its rows below the first read M from
+_util.mertens_quotients(T_1), O(T_1^{2/3}); every other fiber stops at
+G_F <= G_2 (about G_1 / 2.8 at lambda = rho).  The rest of M comes from one
+int8 mu_segment over E0 <= e <= max(G_2, T_1//(T_1//(E0+1))), the end of the
+first row of F = 1, each cell of 127 values overwritten by its running sums,
+which int8 holds, with an int64 sum before each cell (_mertens_lookup).
 
 The sums are exact in int64.  By the monotonicity of T_F the one check
 max(T_1, T_{f_max}) < 2^30, made before any table is built, bounds every
@@ -77,21 +80,26 @@ of e, which bounds its mu-sum, so its term is below
 4F q (q/F) (T_F / q^2 + 1) = 4 (T_F + q^2): at most 8 T_F when
 q^2 <= T_F, and in any case below 4 T_F + T_F^2 < 2^62, since
 q <= T_F / (E0 + 1) <= T_F / 2 (E0 >= 1).  Each partial product is at most
-its term.  Every pass has fewer than 2^31 terms (at most 2^14 rows, or
-f_max <= T_{f_max} fibers, since G_{f_max} >= 1), and _exact_sum adds their
-high and low 32-bit halves apart: under 2^31 * 2^30 and 2^31 * 2^32, both
-inside int64.  The weights sum to less than 2 f_max^2 < 2^62.
+its term.  The rows of F = 1 read from the Mertens table are these terms
+without the factor w_1 = 3, which multiplies their exact sum as a Python
+int.  Every pass has fewer than 2^31 terms (at most 2^14 rows, f_max <=
+T_{f_max} fibers, since G_{f_max} >= 1, or T_1 rows of F = 1), and
+_exact_sum adds their high and low 32-bit halves apart: under 2^31 * 2^30
+and 2^31 * 2^32, both inside int64.  The weights sum to less than
+2 f_max^2 < 2^62.
 
 Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, the mu
-segment 5 bytes per e in [E0, G_1] while it is sieved (an int32 product of
-its small primes, _util) and 1 + 8/127 after, and each chunk of rows a few
+segment 5 bytes per e in its range, at most [E0, G_1], while it is sieved (an
+int32 product of its small primes, _util) and 1 + 8/127 after, the Mertens
+table of T_1 an int64 M(v) per v <= T_1^{2/3}, and each chunk of rows a few
 int64 arrays of 2^14 entries.  No array runs over the pairs or the rows, or
-over the e <= G_1 in int64, so the sieve sets the peak (1.87 MB traced at
-lambda = rho, B = 1e11 with Python 3.11 and NumPy 2.4, against 2.05 MB for
-the per-fiber loop over e that the blocks replace).  At large f_max or G_1
-the per-e passes over the fibers (48 bytes a fiber: 474 MB at (1, 1), B = 1e7)
-or the segment (488 MB at rho, B = 1e16) set it, so before any table is built
-the fiber sum refuses f_max > 2^24 and G_1 = T_1 > 2^27, about 0.7 GB each.
+over the e <= G_1 in int64, so the sieve sets the peak (1.65 MB traced at
+lambda = rho, B = 1e11 with Python 3.11 and NumPy 2.4; 1.87 MB with the
+segment up to G_1, 2.05 MB for the per-fiber loop over e that the blocks
+replace).  At large f_max or G_1 the per-e passes over the fibers (48 bytes a
+fiber: 474 MB at (1, 1), B = 1e7) or the segment (at most 5 G_1 bytes: 488 MB
+at G_1 = 10^8) set it, so before any table is built the fiber sum refuses
+f_max > 2^24 and G_1 = T_1 > 2^27, about 0.7 GB each.
 
 BlP2-2 / BlP2-3 (box strategy).  All primitive vectors with
 h_std = max(Z, |X|, |Y|) <= R are scanned and filtered by an exact height
@@ -108,9 +116,17 @@ that pair of components as VarietyModel.box_slack.  The scan is guarded by a
 candidate budget since its cost is ~ R^3.
 
 The box kernel.  _box_kernel decides a whole Z-slice of the box at once in
-NumPy int64: the primitivity mask gcd(Z, X) = 1 (the gcd of the X grid is
-taken once), every section value l as an integer linear form (its X-part is
-taken once per grid), and h_G = max|l| // gcd(l).  A float filter then
+NumPy int64.  Every generator system G of the catalog is the section
+Z = (1, 0, ..., 0) and linear forms l in the X_i alone (the kernel raises
+CapabilityError on any other system), so the gcd of G's section values at
+(z, X) is gcd(z, g_G(X)), with g_G the gcd of the |l(X)|: |l_i(X)| itself
+on a pencil {l_i, Z}, the gcd of the X_i on H.  g_G and the largest |l(X)|
+of each system are taken once over the (2R+1)^n grid of the X_i, with the
+gcd of the grid (8 (2R+1)^n bytes each, two per system and one for the
+grid).  Each slice computes one table t = gcd(0..max g, z), at most 2R + 1
+entries on the catalog (|X - Y| <= 2R), and reads
+h_G = max(z, max|l(X)|) // t[g_G] and the primitivity mask t[gcd(X)] == 1
+by gathers: no gcd per candidate.  A float filter then
 compares L = sum_G m_G log h_G with log B.  Let u = 2^-53 and assume np.log
 and math.log are within 4 ulp (ulp(y) <= 2u|y|).  Rounding h_G to float
 moves log h_G by at most 1.01u; the log adds 8u log h_G, rounding m_G and the
@@ -132,9 +148,11 @@ value, leaves int64.  count_points' box strategy counts the kernel's points.
 The point side of the height zeta function lives here too: zeta_partial
 sums H(x)^(-s) over the points with H <= B along the same strategies (the
 Moebius fibers on P1, 2^16 at a time so that its memory does not grow with
-B, the fibers on BlP2-1, the box kernel's points with the heights it already
-has otherwise) and returns the number of points summed;
-fourier.zeta_truncated adds the tail estimate.
+B, until no later term can change the float sum; the fibers on BlP2-1; the
+box kernel's points otherwise, each slice's heights H = num/den from its
+generator heights as int64 products when they provably stay below 2^53)
+and returns the number of points summed; fourier.zeta_truncated adds the
+tail estimate.
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
 which decides each primitive candidate by the exact test alone and shares no
@@ -223,6 +241,13 @@ def _box_scan(
 _LOG_MARGIN = 2.0**-40
 
 
+def _section_bounds(model: VarietyModel, R: int, hi: int) -> list[int]:
+    """Hmax_G = max_l sum|coefficients of l| * max(R, hi - 1) per system G,
+    which bounds every section value |l(Z, X)| with |X_i| <= R, 1 <= Z < hi."""
+    return [max(sum(map(abs, sec)) for sec in gen.sections) * max(R, hi - 1)
+            for gen in model.generators]
+
+
 def _box_kernel(
     model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int, lo: int, hi: int
 ) -> Iterator[tuple]:
@@ -231,21 +256,27 @@ def _box_kernel(
     Yields (z, xs, hs) for z = lo, ..., hi - 1: xs is the int64 array (k, n)
     of the X_i of the slice's k points with H <= B, in lexicographic order,
     and hs the int64 array (k, number of generator systems) of their
-    generator heights h_G.  The (2R+1)^n grid of the X_i, its gcd and the
-    X-part of every section are built once; each slice then holds a fixed
-    number of arrays of (2R+1)^n int64 or float64 values (8 (2R+1)^n bytes
-    each), never the whole box.
+    generator heights h_G.  The (2R+1)^n grid of the X_i, its gcd and, per
+    system, the gcd g_G and the largest |value| of its sections other than Z
+    are built once; each slice then reads its gcds from one table
+    t = gcd(0..max g, z) and holds a fixed number of arrays of (2R+1)^n
+    int64 or float64 values (8 (2R+1)^n bytes each), never the whole box.
 
     Raises:
-        CapabilityError: if a section value could leave int64 (Hmax_G in the
-            module docstring).
+        CapabilityError: if a system is not the section Z = (1, 0, ..., 0)
+            and forms in the X_i alone, or a section value could leave int64
+            (Hmax_G in the module docstring); both before any array is built.
     """
+    unit_z = (1,) + (0,) * model.dim
+    unfit = [gen.name for gen in model.generators if unit_z not in gen.sections
+             or any(sec[0] for sec in gen.sections if sec != unit_z)]
+    if unfit:
+        raise CapabilityError(f"box kernel for {model.id}: systems {', '.join(unfit)}"
+                              f" are not the section Z and forms in the X_i alone")
     m = geometry.generator_exponents(model, lam)
     leq = height_test(m, B)
     m_float = np.array([float(e) for e in m])
-    # Hmax_G bounds every section value of system G on the slices scanned.
-    h_max = [max(sum(map(abs, sec)) for sec in gen.sections) * max(R, hi - 1)
-             for gen in model.generators]
+    h_max = _section_bounds(model, R, hi)
     if max(h_max) > np.iinfo(np.int64).max:
         raise CapabilityError(
             f"box kernel for {model.id}: section values up to {max(h_max)} leave int64"
@@ -258,21 +289,23 @@ def _box_kernel(
     )
     side = 2 * R + 1
     grid = np.indices((side,) * model.dim, dtype=np.int64).reshape(model.dim, -1).T - R
-    grid_gcd = np.gcd.reduce(grid, axis=1)
-    # Per system: the Z coefficients of its sections as a column and their
-    # X-parts over the grid as rows.
-    linear = [
-        (np.array([[sec[0]] for sec in gen.sections], dtype=np.int64),
-         np.array([sec[1:] for sec in gen.sections], dtype=np.int64) @ grid.T)
-        for gen in model.generators
-    ]
+    grid_gcd = np.gcd.reduce(np.abs(grid), axis=1)
+    # Per system, over the grid: the gcd g_G and the largest of the values
+    # |l(X)| of its sections other than Z.
+    systems = []
+    for gen in model.generators:
+        forms = np.array([sec[1:] for sec in gen.sections if sec != unit_z], dtype=np.int64)
+        values = np.abs(forms.reshape(-1, model.dim) @ grid.T)
+        systems.append((np.gcd.reduce(values, axis=0), values.max(axis=0, initial=0)))
+    numbers = np.arange(max(int(grid_gcd.max()), *(int(g.max()) for g, _ in systems)) + 1,
+                        dtype=np.int64)
     for z in range(lo, hi):
-        hs = np.empty((len(grid), len(linear)), dtype=np.int64)
-        for j, (coef_z, parts) in enumerate(linear):
-            vals = np.abs(parts + coef_z * z)
-            hs[:, j] = vals.max(axis=0) // np.gcd.reduce(vals, axis=0)
+        table = np.gcd(numbers, z)
+        hs = np.empty((len(grid), len(systems)), dtype=np.int64)
+        for j, (g, top) in enumerate(systems):
+            np.floor_divide(np.maximum(top, z), table[g], out=hs[:, j])
         log_h = np.log(hs) @ m_float
-        primitive = np.gcd(grid_gcd, z) == 1
+        primitive = table[grid_gcd] == 1
         keep = primitive & (log_h < log_b - margin)
         ties = np.flatnonzero(primitive & (np.abs(log_h - log_b) <= margin))
         if ties.size:
@@ -310,11 +343,13 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers) -> list[in
 
 # Fiber bounds stay below _T_LIMIT, so every term of the fiber sum fits int64;
 # the block pass takes its rows in chunks of _ROW_CHUNK, and P1's zeta sum its
-# fibers in chunks of _WEIGHT_CHUNK.  The memory limits on the Moebius sum's T
-# and the fiber sum's f_max and G_1 follow (module docstring).
+# fibers in chunks of _WEIGHT_CHUNK, testing its stop every _STOP_STRIDE
+# fibers.  The memory limits on the Moebius sum's T and the fiber sum's f_max
+# and G_1 follow (module docstring).
 _T_LIMIT = 2**30
 _ROW_CHUNK = 2**14
 _WEIGHT_CHUNK = 2**16
+_STOP_STRIDE = 64
 _PN_T_LIMIT = 2**36
 _FIBER_LIMIT = 2**24
 _SEGMENT_LIMIT = 2**27
@@ -401,18 +436,26 @@ def _blp21_blocks(T: np.ndarray, G: np.ndarray, w: np.ndarray, e0: int) -> int:
 
     The rows of fiber F run over q = T_F//(E0+1) down to T_F//G_F; row r of
     all fibers finds its fiber by a searchsorted of r in the cumulative row
-    counts, so a chunk of rows may end inside a fiber.
+    counts, so a chunk of rows may end inside a fiber.  Fiber F = 1 keeps
+    only its first row there: its rows q < T_1//(E0+1) read
+    M(T_1//q) - M(T_1//(q+1)) from mertens_quotients(T_1), so the mu segment
+    runs up to G_2 and that first row's T_1//q alone.
     """
     if not len(T):
         return 0
     q_top = T // (e0 + 1)
     counts = q_top - T // G + 1
+    counts[0] = 1
+    t_1, q_1 = int(T[0]), int(q_top[0])
+    M = mertens_quotients(t_1)
+    m_q = np.array([M[t_1 // q] for q in range(1, q_1 + 1)], dtype=np.int64)
+    qs = np.arange(1, q_1, dtype=np.int64)
+    s = int(w[0]) * _exact_sum(qs * qs * (m_q[:-1] - m_q[1:]))
     ends = np.cumsum(counts)
     # Row r of fiber f has q = q_top[f] - (r - its first row) = q_first[f] - r.
     q_first = q_top + ends - counts
-    mertens = _mertens_lookup(e0, int(G[0]) + 1)
+    mertens = _mertens_lookup(e0, max(int(G[1]) if len(G) > 1 else 0, t_1 // q_1) + 1)
     total = int(ends[-1])
-    s = 0
     for r0 in range(0, total, _ROW_CHUNK):
         r = np.arange(r0, min(r0 + _ROW_CHUNK, total), dtype=np.int64)
         f = np.searchsorted(ends, r, side="right")
@@ -507,12 +550,38 @@ def enumerate_points(model: VarietyModel, lam, B) -> Iterator[RationalPoint]:
 
 def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     """(sum of H(x; lambda)^(-s) over the points with H <= B, their number):
-    the point side of fourier.zeta_truncated along the counting strategy.
+    the point side of fourier.zeta_truncated along the counting strategy,
+    each term x ** (-s) of a Python float x added left to right.
+
     P1 sums its Moebius fibers (w_F points of generator height F,
     _fiber_weights, _WEIGHT_CHUNK fibers at a time, so the memory does not
-    grow with B), BlP2-1 its fibers (_blp21_zeta_partial, counted by
-    count_points), the rest the points of _box_kernel with the generator
-    heights it has computed, in the order of enumerate_points."""
+    grow with B) and stops once no later term can change the float sum.
+    The term of F is t_F = fl(w_F fl(F^-c)), c = lambda_1 s, with
+    w_F <= 4F.  Assume pow within 4 ulp (as the box kernel assumes of log);
+    then t_F <= 4 F^(1-c) (1 + 2^-49), and the bound
+    b_F = 4.004 * F * F^-c, computed in floats, is at least
+    4.004 F^(1-c) (1 - 2^-49).  For c >= 1, F^(1-c) is nonincreasing, so
+    every t_f with f >= F is below b_F.  Once b_F < ulp(partial)/2 (checked
+    every _STOP_STRIDE fibers; partial >= 3 by then, far above any
+    subnormal term), each later partial + t_f rounds to nearest back to
+    partial, so partial never changes again: the sum is bit-identical to
+    the full one.  The count of the fibers in later chunks then comes from
+    count_points.
+
+    BlP2-1 sums its fibers (_blp21_zeta_partial, counted by count_points),
+    the rest the points of _box_kernel with the generator heights it has
+    computed, in the order of enumerate_points.  There H = prod_G h_G^m_G.
+    When every m_G is an integer, H = num/den with num = prod h_G^up_G and
+    den = prod h_G^down_G (up, down the positive and negative parts of m).
+    Each h_G <= max|l| <= Hmax_G (_section_bounds), so num and den are at
+    most prod Hmax_G^up_G and prod Hmax_G^down_G.  When both bounds are
+    below 2^53, every partial product of the slice's int64 products is
+    exact, both products convert to float64 exactly and NumPy's quotient is
+    the correctly rounded num/den, the float Python's int / int gives.
+    Otherwise, and at rational m_G, each row's height is
+    float(prod_G Fraction(h_G) ** m_G): the correctly rounded quotient at
+    integer m_G, a float product at rational ones.
+    """
     vals = geometry.require_interior(model, lam)
     B = as_fraction(B)
     if B < 1:
@@ -525,31 +594,33 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
             w = _fiber_weights(lo, min(lo + _WEIGHT_CHUNK, end + 1))
             count += int(w.sum())
             for f, w_f in enumerate(w.tolist(), start=lo):
+                if (not f % _STOP_STRIDE and c >= 1.0
+                        and 4.004 * f * float(f) ** (-c) < 0.5 * math.ulp(partial)):
+                    return partial, count if lo + _WEIGHT_CHUNK > end else count_points(
+                        model, vals, B)
                 partial += w_f * float(f) ** (-c)
         return partial, count
     if strategy == "fiber":
         return _blp21_zeta_partial(model, vals, s, B, end), count_points(model, vals, B)
-    # H = prod_G h_G^(m_G).  When every m_G is an integer it is the quotient
-    # of two exact integers, and int / int is correctly rounded (as
-    # float(Fraction) is); otherwise it is a float product.  On P^n the
-    # box radius is height_radius(B, lambda_1), the end _outer_range gives.
-    m = geometry.generator_exponents(model, vals)
-    if all(e.denominator == 1 for e in m):
-        up = [max(int(e), 0) for e in m]
-        down = [max(-int(e), 0) for e in m]
-
-        def height(row: list) -> float:
-            return math.prod(map(pow, row, up)) / math.prod(map(pow, row, down))
-    else:
-        def height(row: list) -> float:
-            return float(math.prod(Fraction(g) ** e for g, e in zip(row, m)))
-
+    # On P^n the box radius is height_radius(B, lambda_1), the end
+    # _outer_range gives.
     _check_box_budget(model, B, end, KERNEL_CANDIDATE_BUDGET)
+    m = geometry.generator_exponents(model, vals)
+    up = [max(int(e), 0) for e in m]
+    down = [max(-int(e), 0) for e in m]
+    h_max = _section_bounds(model, end, end + 1)
+    exact = (all(e.denominator == 1 for e in m)
+             and max(math.prod(map(pow, h_max, up)), math.prod(map(pow, h_max, down))) < 2**53)
     partial = 0.0
     n = 0
     for _, _, hs in _box_kernel(model, vals, B, end, 1, end + 1):
-        for row in hs.tolist():
-            partial += height(row) ** (-s)
+        if exact:
+            hts = (np.prod(hs ** up, axis=1) / np.prod(hs ** down, axis=1)).tolist()
+        else:
+            hts = [float(math.prod(Fraction(g) ** e for g, e in zip(row, m)))
+                   for row in hs.tolist()]
+        for h in hts:
+            partial += h ** (-s)
         n += len(hs)
     return partial, n
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -375,6 +377,78 @@ def test_box_kernel_int64_guard():
         next(enumeration._box_kernel(m, lam, Fraction(10), 2**62, 1, 2))
     with pytest.raises(CapabilityError):
         next(enumeration._box_kernel(m, lam, Fraction(10), 1, 1, 2**63))
+
+
+def test_box_kernel_refuses_a_system_without_z(monkeypatch):
+    # The kernel reads the gcd of a system's section values from one gcd
+    # table per slice, which needs the section Z and forms in the X_i alone
+    # in every system: a stand-in whose pencil lacks Z, or has a section
+    # with a Z term, is refused by an exception, not an assert, before any
+    # array is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built")
+
+    m = geometry.load_model("BlP2-2")
+    h, f1, f2 = m.generators
+    lam = geometry.require_interior(m, m.rho)
+    monkeypatch.setattr(np, "indices", refuse)
+    monkeypatch.setattr(np, "array", refuse)
+    for sections in (((0, 1, 0), (1, 1, 0)), ((1, 1, 0), (1, 0, 0))):
+        stand_in = dataclasses.replace(m, generators=(h, f1, f2._replace(sections=sections)))
+        with pytest.raises(CapabilityError, match="F2 are not the section Z"):
+            next(enumeration._box_kernel(stand_in, lam, Fraction(10), 3, 1, 4))
+
+
+def test_box_count_memory_peak():
+    # The kernel holds the X grid, its gcd and per generator system the gcd
+    # g_G and the largest |l| of its sections other than Z, and one slice's
+    # arrays, never the box: 6.18 MB traced for BlP2-2 at B = 10^4 (R = 100)
+    # now, 7.47 MB for the kernel that kept every section's X-part over the
+    # grid (Python 3.11, NumPy 2.4).  NumPy reports its buffers to
+    # tracemalloc, so the peak is deterministic.
+    m = geometry.load_model("BlP2-2")
+    tracemalloc.start()
+    try:
+        assert enumeration.count_points(m, m.rho, 10**4) == 266913
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7_000_000, peak
+
+
+def point_heights(model, lam, B):
+    """H = prod_G Fraction(h_G) ** m_G, from heights.generator_heights, for
+    every point of enumerate_points in its order: an exact Fraction at
+    integer m_G (a Fraction power with a rational exponent gives a float)."""
+    exps = geometry.generator_exponents(model, lam)
+    return [math.prod(Fraction(h) ** e
+                      for h, e in zip(heights.generator_heights(model, pt.coords), exps))
+            for pt in enumeration.enumerate_points(model, lam, B)]
+
+
+@pytest.mark.parametrize("mid, lams, B", [
+    ("BlP2-2", ((3, 2, 2), (5, 2, 2), (Fraction(7, 2), 2, 2)), 100),
+    ("BlP2-3", ((3, 2, 2, 2), (4, 2, 2, 2), (Fraction(7, 2), 2, 2, 2)), 49),
+    ("P2", ((3,), (2,), (Fraction(7, 2),)), 125),
+])
+def test_zeta_partial_matches_point_oracle(mid, lams, B):
+    # zeta_partial's sum is, bit for bit, the left-to-right sum of
+    # float(H)^(-s) over enumerate_points: at rho, at an integer lambda with
+    # a negative generator exponent (m_H = -1 on BlP2-2, -2 on BlP2-3) or a
+    # square height (P2 at 2), and at lambda = 7/2, 2, ....  B is the height
+    # of many points at rho, so the exact tie test decides H = B there.
+    model = geometry.load_model(mid)
+    for lam in lams:
+        for bound in (B, B - Fraction(1, 3)):
+            hts = point_heights(model, lam, bound)
+            for s in (4.5, 7.0):
+                want = 0.0
+                for H in hts:
+                    want += float(H) ** -s
+                assert enumeration.zeta_partial(model, lam, s, bound) == (want, len(hts)), \
+                    (mid, lam, bound, s)
+            if lam == model.rho and bound == B:
+                assert hts.count(B) > 50
 
 
 def test_box_counts_without_loop_scan(monkeypatch):
@@ -828,6 +902,26 @@ def test_p1_zeta_partial_in_chunks_of_fibers():
         tracemalloc.stop()
     assert got == (want, 3 + 4 * sum(phi))
     assert peak <= 5_000_000, peak
+
+
+def test_p1_zeta_partial_stops_when_terms_vanish():
+    # At c = 6 every term past F of about 2000 is below half an ulp of the
+    # partial sum: the sum stops there, bit-identical to the loop over all
+    # T fibers.  The count is the first chunk's weights at T = 10^4, and
+    # comes from count_points at T = 3 * 2^16 + 17.
+    for T in (10**4, 3 * 2**16 + 17):
+        phi = _util.phi_segment(2, T + 1).tolist()
+        want = 3.0
+        for f, ph in enumerate(phi, start=2):
+            want += 4.0 * ph * float(f) ** -6.0
+        assert enumeration.zeta_partial(P1, (1,), 6, T) == (want, 3 + 4 * sum(phi))
+    # At rho, s = 3, B = 10^14 (T = 10^7) the sum is that at B = 10^12.
+    t0 = time.perf_counter()
+    far, _ = fourier.zeta_truncated(P1, P1.rho, 3, 10**14)
+    elapsed = time.perf_counter() - t0
+    near, _ = fourier.zeta_truncated(P1, P1.rho, 3, 10**12)
+    assert far.hex() == near.hex()
+    assert elapsed < 0.5, elapsed
 
 
 def test_blp21_count_lists_mu_only_to_e0(monkeypatch):

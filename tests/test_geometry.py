@@ -214,6 +214,20 @@ def test_family_constructors_keep_the_catalog_invariants():
         assert not slack or (len(slack) == 2 and all(0 <= i < m.rank for i in slack))
 
 
+def test_every_generator_system_holds_the_section_z():
+    # The box kernel reads the gcd of a system's section values at (Z, X),
+    # gcd(Z, gcd of the other sections at X), from one gcd table per
+    # Z-slice: each system is the section Z = (1, 0, ..., 0) and forms in
+    # the X_i alone.
+    members = [geometry.load_model(mid) for mid in geometry.MODEL_IDS] + [
+        geometry._blowup(c) for r in (1, 2, 3) for c in permutations(geometry._PENCILS, r)]
+    for m in members:
+        unit_z = (1,) + (0,) * m.dim
+        for g in m.generators:
+            assert unit_z in g.sections, (m.id, g.name)
+            assert not any(sec[0] for sec in g.sections if sec != unit_z), (m.id, g.name)
+
+
 def test_prime_factors():
     assert prime_factors(1) == ()
     assert prime_factors(-12) == (2, 3)
