@@ -11,18 +11,34 @@ P^n (Moebius strategy).  H(x) = h^{lambda_1} with h = max(Z, |X_i|) on the
 primitive vector, so N(B) = #{primitive (Z, X), Z >= 1, h <= T} with
 T = floor(B^{1/lambda_1}).  Counting by the common divisor d gives
 
-    N = sum_{d <= T} mu(d) * (T//d) * (2*(T//d) + 1)^n.
+    N = sum_{d <= T} mu(d) f(T//d),    f(q) = q (2q + 1)^n.
 
-The d with T//d = q form the block T//(q+1) < d <= T//q, whose mu-sum is
-M(T//q) - M(T//(q+1)) for the Mertens function M, so with q over the at most
-2 sqrt(T) distinct values of T//d
+With s = isqrt(T), every d > s has T//d = q <= T//(s+1), and the d > s
+with T//d = q form the block max(T//(q+1), s) < d <= T//q, whose mu-sum is
+M(T//q) - M(max(T//(q+1), s)) for the Mertens function M (the max matters
+at q = T//(s+1) alone), so
 
-    N = sum_q q * (2q + 1)^n * (M(T//q) - M(T//(q+1))),
+    N = sum_{d <= s} mu(d) f(T//d)
+        + sum_{q <= T//(s+1)} f(q) (M(T//q) - M(max(T//(q+1), s))),
 
-and _util.mertens_quotients gives every M(T//k) in O(T^{2/3}) time, from an
-int64 table of M(v) for v <= T^{2/3} (a traced peak of 200 MB at T = 2^36,
-with the int8 mu segment it sums and the dict of quotients): count_points
-refuses T > 2^36 (a table past 2^24 values) before sieving.
+with mu(d) = M(d) - M(d-1) and M(d) = M(T//(T//d)) for d <= s: every M read
+is an M(T//k), and _util.mertens_quotients(T) gives them all by one lookup
+on an int64 array of k, in O(T^{2/3}) time from an int64 table of M(v) for
+v <= T^{2/3} (a traced peak of 153 MB at T = 2^36, with the int8 mu
+segment it sums): count_points refuses T > 2^36 (a table past 2^24
+values) before sieving.
+
+Each part is summed in int64 (_exact_sum) wherever a term's proved bound is
+below 2^62.  The term of d is at most f(T//d), nonincreasing in d.  A block
+holds at most T//q - T//(q+1) < T/(q(q+1)) + 1 values of d, so its term is
+below f(q) (T/(q(q+1)) + 1) = (2q+1)^n T/(q+1) + f(q), increasing in q.
+Every partial product of a term is at most its bound.  So each part has one
+split point, found by bisection: the d <= min(T//(q_A + 1), s), with q_A the
+largest q with f(q) < 2^62, and the q past the largest whose block bound is
+below 2^62, are summed as Python ints.  The first part reaches them at
+T = 1518500250, 1048576 and 27555 on P1, P2 and P3, the second at
+T = 536890608 on P3 (past 2^36 on P1 and P2), so at the bench T (707106,
+669432 and 562341) only P3's d <= 20 are Python ints.
 
 BlP2-1 (fiber strategy).  Group points by the reduced fiber coordinate
 y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are
@@ -64,8 +80,9 @@ T_F / E0 rows per fiber: 50k rows in all for the 800k pairs at
 lambda = rho, B = 1e11.  The rows are built in
 chunks of 2^14 (a row finds its fiber by a searchsorted in the cumulative
 row counts, so a chunk may end inside a fiber).  Every block end of F = 1
-is a quotient of T_1 = G_1, so its rows below the first read M from
-_util.mertens_quotients(T_1), O(T_1^{2/3}); every other fiber stops at
+is a quotient of T_1 = G_1, so its rows below the first read
+M(T_1//q), q <= T_1//(E0+1), by one lookup of _util.mertens_quotients(T_1)
+on the array of those q, O(T_1^{2/3}); every other fiber stops at
 G_F <= G_2 (about G_1 / 2.8 at lambda = rho).  The rest of M comes from one
 int8 mu_segment over E0 <= e <= max(G_2, T_1//(T_1//(E0+1))), the end of the
 first row of F = 1, each cell of 127 values overwritten by its running sums,
@@ -88,18 +105,21 @@ _exact_sum adds their high and low 32-bit halves apart: under 2^31 * 2^30
 and 2^31 * 2^32, both inside int64.  The weights sum to less than
 2 f_max^2 < 2^62.
 
-Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, the mu
-segment 5 bytes per e in its range, at most [E0, G_1], while it is sieved (an
-int32 product of its small primes, _util) and 1 + 8/127 after, the Mertens
-table of T_1 an int64 M(v) per v <= T_1^{2/3}, and each chunk of rows a few
-int64 arrays of 2^14 entries.  No array runs over the pairs or the rows, or
-over the e <= G_1 in int64, so the sieve sets the peak (1.65 MB traced at
-lambda = rho, B = 1e11 with Python 3.11 and NumPy 2.4; 1.87 MB with the
-segment up to G_1, 2.05 MB for the per-fiber loop over e that the blocks
-replace).  At large f_max or G_1 the per-e passes over the fibers (48 bytes a
-fiber: 474 MB at (1, 1), B = 1e7) or the segment (at most 5 G_1 bytes: 488 MB
-at G_1 = 10^8) set it, so before any table is built the fiber sum refuses
-f_max > 2^24 and G_1 = T_1 > 2^27, about 0.7 GB each.
+Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, and
+building T_F 8 more per fiber for each 32-bit limb of X_F (two at
+lambda = rho, none when m_F = 0); the mu segment takes 5 bytes per e in its
+range, at most [E0, G_1], while it is sieved (an int32 product of its small
+primes, _util) and 1 + 8/127 after; the Mertens table of T_1 an int64 M(v)
+per v <= T_1^{2/3} (per v <= T_1 up to T_1 = 9500), and its lookup 8 bytes
+per q <= T_1//(E0+1); each chunk of rows a few int64 arrays of 2^14
+entries.  No array runs over the pairs or the rows, or over the e <= G_1 in
+int64, so the sieve sets the peak (1.61 MB traced at lambda = rho, B = 1e11
+with Python 3.11 and NumPy 2.4; 1.87 MB with the segment up to G_1, 2.05 MB
+for the per-fiber loop over e that the blocks replace).  At large f_max or
+G_1 the per-e passes over the fibers (48 bytes a fiber: 474 MB at (1, 1),
+B = 1e7) or the segment (at most 5 G_1 bytes: 488 MB at G_1 = 10^8) set it,
+so before any table is built the fiber sum refuses f_max > 2^24 and
+G_1 = T_1 > 2^27, about 0.7 GB each.
 
 BlP2-2 / BlP2-3 (box strategy).  All primitive vectors with
 h_std = max(Z, |X|, |Y|) <= R are scanned and filtered by an exact height
@@ -314,39 +334,151 @@ def _box_kernel(
 
 
 def _pn_count(n: int, T: int) -> int:
-    """The Moebius sum on P^n over the quotient blocks (module docstring)."""
+    """The Moebius sum on P^n: the d <= isqrt(T) one by one, the larger d
+    over the quotient blocks, in int64 below the split points (module
+    docstring)."""
     if T > _PN_T_LIMIT:
         raise CapabilityError(f"Moebius sum on P{n}: T = {T} needs a mu sieve of"
                               f" T^(2/3) values (limit T <= 2^36)")
-    M = mertens_quotients(T)
-    return sum(q * (2 * q + 1) ** n * (M[T // q] - M[T // (q + 1)]) for q in M if q)
+    s = math.isqrt(T)
+    top = T // (s + 1)
+    quot = T // np.arange(1, s + 1, dtype=np.int64)
+    # M(d) = M(T//(T//d)) for d <= s, then M(T//q) for q <= top.
+    m = mertens_quotients(T)(np.concatenate((quot, np.arange(1, top + 1, dtype=np.int64))))
+    mu = np.diff(m[:s], prepend=0)
+    dm = m[s:] - np.append(m[s + 1 :], m[s - 1])
+
+    def f(q):
+        return q * (2 * q + 1) ** n
+
+    # The terms d <= d_1 and q > q_1 may pass 2^62; the rest are int64.
+    d_1 = min(T // (_last_true(lambda q: f(q) < _TERM_LIMIT, T) + 1), s)
+    q_1 = _last_true(lambda q: f(q) * (T + q * (q + 1)) < _TERM_LIMIT * q * (q + 1), top)
+    qs = np.arange(1, q_1 + 1, dtype=np.int64)
+    total = _exact_sum(mu[d_1:] * f(quot[d_1:])) + _exact_sum(f(qs) * dm[:q_1])
+    total += sum(mu_d * f(t) for mu_d, t in zip(mu[:d_1].tolist(), quot[:d_1].tolist()) if mu_d)
+    return total + sum(f(q) * dm_q for q, dm_q in enumerate(dm[q_1:].tolist(), start=q_1 + 1))
 
 
-def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers) -> list[int]:
-    """T_F, the largest M with M^{m_H} F^{m_F} <= B, for each F in fibers.
+def _last_true(ok, hi: int) -> int:
+    """The largest q in [0, hi] with q = 0 or ok(q), for a test ok that holds
+    on an initial run of q >= 1 and fails after it, by bisection."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid - 1)
+    return lo
+
+
+def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers):
+    """T_F, the largest M with M^{m_H} F^{m_F} <= B, for each F in fibers
+    (B >= 1, 1 <= F < 2^31): an int64 array for an int64 array of fibers
+    (every T_F below 2^63), a list of ints for any other sequence.
 
     With d the lcm of the denominators of m_H and m_F, p = m_H d and
     k = m_F d are integers and the bound is M^p <= B^d F^{-k}; as M^p is an
-    integer, that is M^p <= floor(num^d F^{max(-k, 0)} / (den^d F^{max(k, 0)}))
-    for B = num/den, an integer p-th root.
+    integer, that is M^p <= X_F = floor(num^d F^up / (den^d F^down)) for
+    B = num/den, up = max(-k, 0) and down = max(k, 0): an integer p-th root.
+
+    X_F is built exactly on int64 limbs of 32 bits (_fiber_quotients), and
+    every X_F < 2^62 takes the root in NumPy: y = fl(fl(X_F)^fl(1/p)), then
+    M = floor(y), checked and stepped until M^p <= X_F < (M + 1)^p
+    (_root_floor), so the root is exact whatever y is.  One step each way
+    suffices: fl(X_F) = X_F (1 + e_1) and fl(1/p) = (1 + e_2)/p with
+    |e_i| <= 2^-53, so with r = X_F^(1/p) < 2^31 their exact power is
+    r r^(e_2/p) (1 + e_1)^(1/p), within relative 21.5 2^-53 + 2^-53 of r
+    (ln r < 21.5), and pow within 4 ulp (as the box kernel assumes of log)
+    leaves |y - r| < r 2^-47 < 1.  The F with X_F >= 2^62, one mask per
+    call, take the exact root of Python ints.
     """
     m_h, m_f = lam[1], lam[0] - lam[1]
     d = math.lcm(m_h.denominator, m_f.denominator)
     p, k = int(m_h * d), int(m_f * d)
     num, den = B.numerator**d, B.denominator**d
     root = math.isqrt if p == 2 else (lambda top: floor_frac_root(top, p))
-    if k == 0:
-        return [root(num // den)] * len(fibers)
+    F = np.asarray(fibers, dtype=np.int64)
     up, down = max(-k, 0), max(k, 0)
-    return [root(num * F**up // (den * F**down)) for F in fibers]
+    if k == 0:
+        t = root(num // den)
+        bounds = np.full(len(F), t, dtype=np.int64 if t < 2**63 else object)
+    else:
+        x, fits = _fiber_quotients(num, den, up, down, F)
+        bounds = x if p == 1 else _root_floor(x, p)
+        wide = np.flatnonzero(~fits)
+        if len(wide):
+            bounds = bounds.astype(object)
+            bounds[wide] = [root(num * f**up // (den * f**down)) for f in F[wide].tolist()]
+    if isinstance(fibers, np.ndarray):
+        return bounds.astype(np.int64)
+    return bounds.tolist()
+
+
+def _fiber_quotients(num: int, den: int, up: int, down: int, F: np.ndarray) -> tuple:
+    """(X, fits): X_F = floor(num F^up / (den F^down)) for the int64 array F,
+    1 <= F < 2^31, where fits, and fits the mask of the F with X_F < 2^62;
+    num >= den >= 1 and up or down is 0.
+
+    A number is a column of 32-bit limbs per F, most significant first.
+    down > 0: the limbs of floor(num/den) are divided by F down times, by
+    long division (a remainder r < F and a limb make r 2^32 + limb < 2^63),
+    and floor(floor(a/F)/F) = floor(a/F^2).  up > 0: with 2^W >= 2^62 den,
+    W a multiple of 32, the limbs of c = ceil(num 2^W / den) are multiplied
+    by F up times (limb F + carry < 2^63) and the W/32 lowest dropped:
+    G = F^up and X' = floor(G c / 2^W) >= X_F.  If X_F < 2^62, then
+    G <= X_F (num/den >= 1), so G/2^W < 1/den, and with
+    G num/den = X_F + j/den, 0 <= j < den,
+    G c/2^W < G num/den + G/2^W < X_F + (j + 1)/den <= X_F + 1: X' = X_F.
+    So X' < 2^62 exactly when X_F < 2^62.
+    """
+    drop = -(-(62 + den.bit_length()) // 32) if up else 0
+    x = -((-num << (32 * drop)) // den) if up else num // den
+    n = max(-(-x.bit_length() // 32) + up, drop + 2)
+    limbs = np.array([(x >> (32 * i)) & _LIMB_MASK for i in range(n - 1, -1, -1)], dtype=np.int64)
+    limbs = np.repeat(limbs[:, None], len(F), axis=1)
+    for _ in range(up):
+        carry = 0
+        for i in range(n - 1, -1, -1):
+            step = limbs[i] * F + carry
+            limbs[i] = step & _LIMB_MASK
+            carry = step >> 32
+    for _ in range(down):
+        rem = 0
+        for i in range(n):
+            limbs[i], rem = np.divmod((rem << 32) | limbs[i], F)
+    hi, lo = limbs[n - drop - 2], limbs[n - drop - 1]
+    fits = (hi < 2**30) & ~limbs[: n - drop - 2].any(axis=0)
+    return np.where(fits, (hi << 32) | lo, 0), fits
+
+
+def _root_floor(x: np.ndarray, p: int) -> np.ndarray:
+    """floor(x^(1/p)) for an int64 array 0 <= x < 2^62 and p >= 2: the float
+    root, floored, then stepped down while m^p > x and up while
+    (m + 1)^p <= x (_blp21_fiber_bounds proves one step each way is all).
+    m^p <= x is tested without powers: p floor divisions of x by m >= 1
+    leave floor(x / m^p), which is >= 1 exactly then."""
+    def at_most(m):
+        q = x
+        for _ in range(p):
+            q = q // np.maximum(m, 1)
+        return (q >= 1) | (m == 0)
+
+    m = np.floor(x.astype(np.float64) ** (1 / p)).astype(np.int64)
+    while (over := ~at_most(m)).any():
+        m -= over
+    while (under := at_most(m + 1)).any():
+        m += under
+    return m
 
 
 # Fiber bounds stay below _T_LIMIT, so every term of the fiber sum fits int64;
+# the Moebius sum adds its terms below _TERM_LIMIT in int64 (_exact_sum);
 # the block pass takes its rows in chunks of _ROW_CHUNK, and P1's zeta sum its
 # fibers in chunks of _WEIGHT_CHUNK, testing its stop every _STOP_STRIDE
 # fibers.  The memory limits on the Moebius sum's T and the fiber sum's f_max
 # and G_1 follow (module docstring).
 _T_LIMIT = 2**30
+_TERM_LIMIT = 2**62
+_LIMB_MASK = 2**32 - 1
 _ROW_CHUNK = 2**14
 _WEIGHT_CHUNK = 2**16
 _STOP_STRIDE = 64
@@ -384,8 +516,9 @@ def _blp21_count(lam: Sequence[Fraction], B: Fraction, f_max: int) -> int:
             f"fiber sum for BlP2-1 at B={B}: fiber bounds {t_1}..{t_end} over {f_max}"
             f" fibers pass the limits (T_F < 2^30, f_max <= 2^24, G_1 <= 2^27)"
         )
-    T = np.array(_blp21_fiber_bounds(lam, B, range(1, f_max + 1)), dtype=np.int64)
-    G = T // np.arange(1, f_max + 1, dtype=np.int64)
+    fibers = np.arange(1, f_max + 1, dtype=np.int64)
+    T = _blp21_fiber_bounds(lam, B, fibers)
+    G = T // fibers
     w = _fiber_weights(1, f_max + 1)
     # G is nonincreasing, so #{F : G_F > e} <= e first holds at the first
     # index e with G[e] <= e; 1 <= e0 <= G_1.
@@ -447,8 +580,7 @@ def _blp21_blocks(T: np.ndarray, G: np.ndarray, w: np.ndarray, e0: int) -> int:
     counts = q_top - T // G + 1
     counts[0] = 1
     t_1, q_1 = int(T[0]), int(q_top[0])
-    M = mertens_quotients(t_1)
-    m_q = np.array([M[t_1 // q] for q in range(1, q_1 + 1)], dtype=np.int64)
+    m_q = mertens_quotients(t_1)(np.arange(1, q_1 + 1, dtype=np.int64))
     qs = np.arange(1, q_1, dtype=np.int64)
     s = int(w[0]) * _exact_sum(qs * qs * (m_q[:-1] - m_q[1:]))
     ends = np.cumsum(counts)

@@ -567,7 +567,8 @@ def mertens_recursion(T):
 
 def mertens_pass_sizes(T):
     """The number of (k, q) pairs and of (k, j) pairs, kj > K, that
-    mertens_quotients(T) sums in its two chunked passes."""
+    mertens_quotients(T) sums in its two chunked passes when T is past
+    _util._MERTENS_DIRECT (every T at cutoff 0)."""
     L = max(isqrt(T), round(T ** (2 / 3)))
     K = T // (L + 1)
     roots = [(T // k, isqrt(T // k)) for k in range(1, K + 1)]
@@ -575,12 +576,15 @@ def mertens_pass_sizes(T):
             sum(max(v // (r + 1) - max(K // k, 1), 0) for k, (v, r) in enumerate(roots, 1)))
 
 
-def first_past(size, n):
-    """The T found by bisection on [1, 10^8] with size(T - 1) <= n < size(T)."""
-    lo, hi = 1, 10**8
+def first_true(ok):
+    """The least T >= 1 with ok(T), for a test ok that fails on an initial
+    run of T and holds after it: doubling, then bisection."""
+    lo, hi = 0, 1
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if size(mid) <= n else (lo, mid)
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
     return hi
 
 
@@ -600,30 +604,47 @@ def mertens_grid():
     grid |= {n**3 + d for n in (21, 22, 99, 100, 101) for d in (-1, 0, 1)}
     for which in (0, 1):
         for n in (_util._CHUNK, 2 * _util._CHUNK):
-            T = first_past(lambda T: mertens_pass_sizes(T)[which], n)
+            T = first_true(lambda T: mertens_pass_sizes(T)[which] > n)
             grid |= {T - 1, T}
     return sorted(grid)
 
 
-def test_mertens_quotients_match_recursion():
-    for T in mertens_grid():
-        assert mertens_quotients(T) == mertens_recursion(T), T
+def mertens_at_quotients(T):
+    """{v: M(v)} for v = 0 and every quotient v of T (quotients(T)), read from
+    the lookup mertens_quotients(T) at k = T//v, where T//k = v, and at
+    k = T + 1 for v = 0."""
+    vs = sorted(quotients(T))
+    k = np.array([T // v if v else T + 1 for v in vs], dtype=np.int64)
+    assert (T // k).tolist() == vs
+    return dict(zip(vs, mertens_quotients(T)(k).tolist()))
+
+
+def test_mertens_quotients_match_recursion(monkeypatch):
+    # At the default cutoff the T <= _MERTENS_DIRECT take the direct table;
+    # at cutoff 0 every K of the grid, 0 to 41, runs its levels.
+    grid = mertens_grid()
+    want = {T: mertens_recursion(T) for T in grid}
+    for direct in (_util._MERTENS_DIRECT, 0):
+        monkeypatch.setattr(_util, "_MERTENS_DIRECT", direct)
+        for T in grid:
+            assert mertens_at_quotients(T) == want[T], (direct, T)
 
 
 def test_mertens_quotients_match_recursion_in_small_chunks(monkeypatch):
     # Chunks of 1, 3 and 100 pairs end inside rows, at row ends and past
-    # empty rows of the (k, j) pass.
+    # empty rows of the (k, j) pass; cutoff 0, so every T runs the passes.
     Ts = [*range(0, 300, 7), 4096, 20000, 64000, 69003]
     want = {T: mertens_recursion(T) for T in Ts}
+    monkeypatch.setattr(_util, "_MERTENS_DIRECT", 0)
     for chunk in (1, 3, 100):
         monkeypatch.setattr(_util, "_CHUNK", chunk)
         for T in Ts:
-            assert mertens_quotients(T) == want[T], (chunk, T)
+            assert mertens_at_quotients(T) == want[T], (chunk, T)
 
 
 @pytest.fixture(scope="module")
 def mertens_1e8():
-    return mertens_quotients(10**8)
+    return mertens_at_quotients(10**8)
 
 
 def test_mertens_quotients_match_recursion_at_1e8(mertens_1e8):
@@ -631,30 +652,52 @@ def test_mertens_quotients_match_recursion_at_1e8(mertens_1e8):
 
 
 def test_mertens_quotients_memory_peak():
-    # The table is int64, the ragged passes go _CHUNK pairs at a time and the
-    # dict holds the quotients only: the traced peak at T = 10^8 is 3.9 MB
-    # (6.5 MB for the Python-int recursion it replaced; Python 3.11, NumPy
-    # 2.4).  NumPy reports its buffers to tracemalloc.
+    # The table is int64 and the ragged passes go _CHUNK pairs at a time;
+    # with a lookup at every k <= isqrt(T) the traced peak at T = 10^8 is
+    # 2.7 MB (3.9 MB when a dict of the quotients came back, 6.5 MB for the
+    # Python-int recursion; Python 3.11, NumPy 2.4).  NumPy reports its
+    # buffers to tracemalloc.
+    T = 10**8
     tracemalloc.start()
     try:
-        mertens_quotients(10**8)
+        mertens_quotients(T)(np.arange(1, isqrt(T) + 1, dtype=np.int64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 6_500_000, peak
 
 
-def test_mertens_quotients_match_sieve():
-    prefix = list(accumulate(mu_sieve(5000)))
-    for T in range(5001):
-        M = mertens_quotients(T)
-        assert set(M) == quotients(T), T
-        assert all(m == prefix[v] for v, m in M.items()), T
+def test_mertens_quotients_match_sieve(monkeypatch):
+    # Every k from 1 to T + 1, so every quotient and every k of its block,
+    # from the direct table and (cutoff 0) from the passes.
+    prefix = np.array(list(accumulate(mu_sieve(5000))))
+    for direct in (_util._MERTENS_DIRECT, 0):
+        monkeypatch.setattr(_util, "_MERTENS_DIRECT", direct)
+        for T in range(5001):
+            k = np.arange(1, T + 2, dtype=np.int64)
+            assert (mertens_quotients(T)(k) == prefix[T // k]).all(), (direct, T)
+
+
+def test_mertens_quotients_direct_below_cutoff(monkeypatch):
+    # Up to the cutoff the table is the mu segment's running sums alone:
+    # no ragged pass runs.  One past it, the passes do run.
+    def refuse(*args):
+        raise AssertionError("_ragged_sums called")
+
+    monkeypatch.setattr(_util, "_ragged_sums", refuse)
+    prefix = np.array(list(accumulate(mu_sieve(_util._MERTENS_DIRECT))))
+    for T in range(_util._MERTENS_DIRECT + 1):
+        lookup = mertens_quotients(T)
+    k = np.arange(1, T + 2, dtype=np.int64)
+    assert (lookup(k) == prefix[T // k]).all()
+    with pytest.raises(AssertionError, match="_ragged_sums"):
+        mertens_quotients(_util._MERTENS_DIRECT + 1)
 
 
 def test_mertens_quotients_oeis_a084237(mertens_1e8):
     want = (-1, 1, 2, -23, -48, 212, 1037)
-    assert tuple(mertens_quotients(10**k)[10**k] for k in range(1, 8)) == want
+    one = np.ones(1, dtype=np.int64)
+    assert tuple(int(mertens_quotients(10**k)(one)[0]) for k in range(1, 8)) == want
     assert mertens_1e8[10**8] == 1928
 
 
@@ -740,6 +783,49 @@ def test_pn_count_starts_no_pool(monkeypatch):
         enumeration.count_points(b2, b2.rho, 400, workers=2)
 
 
+def pn_split_points(n, limit):
+    """The least T whose Moebius sum has a term with bound at least limit:
+    in the d <= isqrt(T) part (d = 1, bound f(T)), and in the block part
+    (q = T//(isqrt(T) + 1), bound f(q) (T/(q(q+1)) + 1)); f(q) = q (2q+1)^n."""
+    def f(q):
+        return q * (2 * q + 1) ** n
+
+    def block(T):
+        q = T // (isqrt(T) + 1)
+        return q > 0 and f(q) * (T + q * (q + 1)) >= limit * q * (q + 1)
+
+    return first_true(lambda T: f(T) >= limit), first_true(block)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pn_count_at_int64_split_points(monkeypatch, n):
+    # Just below and at each T where a first term leaves the int64 sum, at
+    # the real limit 2^62 (P2's and P3's d = 1 split, at T = 1048576 and
+    # 27555) and at lowered limits, wherever the direct loop can reach it.
+    mu = mu_sieve(1_100_000)
+    for limit in (2**62, 2**36, 2**30, 2**24, 2**20):
+        monkeypatch.setattr(enumeration, "_TERM_LIMIT", limit)
+        for split in pn_split_points(n, limit):
+            if split <= 1_100_000:
+                for T in (split - 1, split):
+                    assert enumeration._pn_count(n, T) == pn_direct(n, T, mu), (limit, T)
+
+
+def test_pn_count_all_python_terms(monkeypatch):
+    # A limit of 1 sends every term to the Python-int branch; the counts
+    # stay those of the int64 sums.  The large T are past the real split
+    # points: P1's and P3's first terms d <= isqrt(T), and P3's last blocks
+    # from T = 536890608 on, take Python ints there.
+    cases = [(n, T) for n in (1, 2, 3) for T in (*range(1, 400), 4096, 65537, 10**6)]
+    cases += [(1, 2 * 10**9), (2, 10**10), (3, 2**33)]
+    want = [enumeration._pn_count(n, T) for n, T in cases]
+    monkeypatch.setattr(enumeration, "_TERM_LIMIT", 1)
+    assert [enumeration._pn_count(n, T) for n, T in cases] == want
+    for mid, B, want_b in BENCH_PN:
+        m = geometry.load_model(mid)
+        assert enumeration.count_points(m, m.rho, B) == want_b
+
+
 def blp21_fiber_bound_fractions(lam, B, F):
     """T_F by Fraction powers at every exponent: the oracle of the integer
     path of enumeration._blp21_fiber_bound."""
@@ -762,6 +848,49 @@ def test_blp21_fiber_bound_integer_path():
             B = as_fraction(B)
             assert enumeration._blp21_fiber_bounds(vals, B, range(1, 2001)) == \
                 [blp21_fiber_bound_fractions(vals, B, F) for F in range(1, 2001)], (lam, B)
+
+
+def test_blp21_fiber_bounds_past_int64():
+    # p >= 3 at (5, 4) (p = 4), (2, 5) (p = 5) and (1/3, 1) (p = 3), m_F < 0
+    # at (2, 5), (1/3, 1) and (1, 2), p = 1 at (2, 1): each B puts the seam
+    # where X_F passes 2^62 near F = 1000, so the F on one side take the
+    # int64 roots and those on the other the Python roots.  The int64-array
+    # form gives the same bounds.
+    fibers = range(1, 2001)
+    cases = (((5, 4), 1000 * 2**62), ((2, 5), 2**62 // 10**9), ((1, 3), 2**62 // 10**3),
+             ((Fraction(1, 3), 1), 16000), ((1, 2), 2**62 // 1000),
+             ((2, 1), 1000 * 2**62 + 1), ((2, 1), Fraction(1000 * 2**62, 7)))
+    for lam, B in cases:
+        vals = geometry.require_interior(BLP21, lam)
+        B = as_fraction(B)
+        want = [blp21_fiber_bound_fractions(vals, B, F) for F in fibers]
+        assert enumeration._blp21_fiber_bounds(vals, B, fibers) == want, (lam, B)
+        if max(want) < 2**63:
+            got = enumeration._blp21_fiber_bounds(vals, B, np.arange(1, 2001, dtype=np.int64))
+            assert got.dtype == np.int64 and got.tolist() == want, (lam, B)
+
+
+def test_fiber_quotients_at_the_int64_seam():
+    # X_F = floor(num F^up / (den F^down)) on 32-bit limbs against Python
+    # ints, with one to four limbs of num/den, up or down from 1 to 3, and
+    # the F where X_F passes 2^62 inside 1..2000: the mask is X_F < 2^62.
+    F = np.arange(1, 2001, dtype=np.int64)
+    cases = ((1000 * 2**62 + 12345, 1, 0, 1), (2**62 * 10**6 * 7**20 + 5, 7**20, 0, 2),
+             (2**62 * 3**40 // 10**9, 3**40, 3, 0), (2**62 // 1000, 1, 1, 0),
+             (46 * 10**40 + 1, 10**29 + 7, 2, 0), (3 * 2**62 * 10**9 + 11, 3, 0, 3))
+    for num, den, up, down in cases:
+        x, fits = enumeration._fiber_quotients(num, den, up, down, F)
+        want = [num * f**up // (den * f**down) for f in range(1, 2001)]
+        assert fits.tolist() == [w < 2**62 for w in want], (num, den, up, down)
+        assert x[fits].tolist() == [w for w in want if w < 2**62], (num, den, up, down)
+        assert 0 < fits.sum() < len(F), (num, den, up, down)
+    # At F = 2000, G = F^3 and num G = -1 mod den: G num/den is an integer
+    # less 1/den, and G den > 2^64, so the rounding up of num/den must sit
+    # below 1/(G den).
+    den = 2**33 + 1
+    num = 1000 * den + (-pow(2000**3, -1, den)) % den
+    x, fits = enumeration._fiber_quotients(num, den, 3, 0, F)
+    assert fits.all() and x.tolist() == [num * f**3 // den for f in range(1, 2001)]
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +953,30 @@ def test_blp21_count_bench_pins():
         assert enumeration.count_points(BLP21, lam, B) == want
 
 
+def test_mertens_lookup_called_once_per_count(monkeypatch):
+    # The Moebius sum and the fiber blocks each read the Mertens table by
+    # one lookup call on an array, never once per quotient.
+    calls = []
+
+    def counted(T, quotients=mertens_quotients):
+        lookup = quotients(T)
+
+        def read(k):
+            calls.append(len(k))
+            return lookup(k)
+
+        return read
+
+    monkeypatch.setattr(enumeration, "mertens_quotients", counted)
+    pn = [(geometry.load_model(mid), B, want) for mid, B, want in BENCH_PN]
+    cases = [(m, m.rho, B, want) for m, B, want in pn]
+    cases += [(BLP21, lam, B, want) for lam, B, want in BENCH_BLP21]
+    for m, lam, B, want in cases:
+        calls.clear()
+        assert enumeration.count_points(m, lam, B) == want
+        assert len(calls) == 1 and calls[0] > 1, (m.id, lam, calls)
+
+
 def blp21_edge_on_e0(lam, B):
     """Whether some fiber past E0, with more than one quotient block of T_F,
     has its first block start right after E0 with no cut; E0 found by its
@@ -859,7 +1012,7 @@ def test_blp21_at_hyperplane_class_counts_p2(B):
 
 def test_blp21_count_memory_peak():
     # The fiber path holds the mu segment and chunks of block rows, never an
-    # array over all the rows: its traced peak stays under 2.0 MB (1.87 MB
+    # array over all the rows: its traced peak stays under 2.0 MB (1.62 MB
     # now; 2.05 MB for the per-fiber loop it replaced, Python 3.11, NumPy
     # 2.4).  NumPy reports its buffers to tracemalloc, so the peak is
     # deterministic.
