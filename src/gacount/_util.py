@@ -168,10 +168,8 @@ def primes_upto(n: int) -> list[int]:
 
 
 # mu_segment compares prod(k) with k, and _ragged_sums adds its terms, in
-# chunks of _CHUNK values.  mertens_quotients(T) sieves to L = T itself up to
-# T = _MERTENS_DIRECT (its docstring).
+# chunks of _CHUNK values.
 _CHUNK = 2**14
-_MERTENS_DIRECT = 9500
 
 
 def mu_segment(a: int, b: int) -> np.ndarray:
@@ -260,21 +258,13 @@ def mertens_quotients(T: int):
     big[k] when k <= K and small[T//k] otherwise (T//k <= L exactly when
     k > K); no per-quotient Python runs.
 
-    Small T: up to T = _MERTENS_DIRECT = 9500, L = T, so K = 0 and neither
-    ragged pass nor any level runs: the table is the mu segment's running
-    sums.  9500 is the measured crossover of the two ways (2-core VM,
-    Python 3.11, NumPy 2.4, the minimum of 60 calls each, interleaved):
-    both take 0.13 ms at T = 9500, the direct table 0.10 ms against 0.12 ms
-    at T = 6000 and 0.16 ms against 0.13 ms at T = 12000.
-
     Cost: under 2 sqrt(v) terms per v, so sum_{k <= K} 2 sqrt(T/k) <=
     4 sqrt(T K) <= 4 T/sqrt(L) over the large v, plus O(L) for the sieve;
     L = T^{2/3} makes both O(T^{2/3}), in O(L) memory (Deleglise & Rivat,
     "Computing the summation of the Moebius function", 1996).  The traced
     peak at T = 10^8, with a lookup of every k <= isqrt(T), is 2.7 MB
     (Python 3.11, NumPy 2.4): the int64 table of L + 1 = 215444 values and
-    the _CHUNK pairs of a pass (3.9 MB when a dict of the quotients came
-    back).
+    the _CHUNK pairs of a pass.
 
     The int64 sums are exact up to T = 2^36, the largest T count_points
     passes.  |M(q)| <= q and d_q = v//q is nonincreasing, so the q-sum is
@@ -290,44 +280,41 @@ def mertens_quotients(T: int):
     n + 1 - sqrt(v) > 1/(2n + 2) >= (n + 1) 2^-53 is more than half the
     float spacing below n + 1.
     """
-    L = T if T <= _MERTENS_DIRECT else max(isqrt(T), round(T ** (2 / 3)))
+    L = max(isqrt(T), round(T ** (2 / 3)))
     small = np.concatenate(([0], mu_segment(1, L + 1)), dtype=np.int64)
     np.cumsum(small, out=small)  # small[v] = M(v), summed in place
     K = T // (L + 1)
+    k = np.arange(1, K + 1, dtype=np.int64)
+    v = T // k
+    r = np.sqrt(v).astype(np.int64)  # isqrt(v), as v < 2^52
+
+    def q_term(i, q):
+        vi = v[i]
+        return (vi // q - vi // (q + 1)) * small[q]
+
+    def j_term(i, j):
+        return small[v[i] // j]
+
+    j0 = np.maximum(K // k, 1) + 1  # the j >= j0 have kj > K
     big = np.zeros(K + 1, dtype=np.int64)  # big[k] = M(T//k)
-    if K:
-        k = np.arange(1, K + 1, dtype=np.int64)
-        v = T // k
-        r = np.sqrt(v).astype(np.int64)  # isqrt(v), as v < 2^52
-
-        def q_term(i, q):
-            vi = v[i]
-            return (vi // q - vi // (q + 1)) * small[q]
-
-        def j_term(i, j):
-            return small[v[i] // j]
-
-        j0 = np.maximum(K // k, 1) + 1  # the j >= j0 have kj > K
-        big[1:] = 1 - _ragged_sums(1, r + 1, q_term) - _ragged_sums(j0, v // (r + 1) + 1, j_term)
-        # The multiples kj <= K, j >= 2, of each k <= K//2, row after row.
-        half = k[: K // 2]
-        counts = K // half - 1
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        m = np.repeat(half, counts) * (np.arange(counts.sum()) - np.repeat(starts - 2, counts))
-        hi = K // 2
-        while hi:
-            lo = hi // 2
-            first = starts[lo:hi]
-            rows = big[m[first[0] : ends[hi - 1]]]
-            big[lo + 1 : hi + 1] -= np.add.reduceat(rows, first - first[0])
-            hi = lo
+    big[1:] = 1 - _ragged_sums(1, r + 1, q_term) - _ragged_sums(j0, v // (r + 1) + 1, j_term)
+    # The multiples kj <= K, j >= 2, of each k <= K//2, row after row.
+    half = k[: K // 2]
+    counts = K // half - 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    m = np.repeat(half, counts) * (np.arange(counts.sum()) - np.repeat(starts - 2, counts))
+    hi = K // 2
+    while hi:
+        lo = hi // 2
+        first = starts[lo:hi]
+        big[lo + 1 : hi + 1] -= np.add.reduceat(big[m[first[0] : ends[hi - 1]]], first - first[0])
+        hi = lo
 
     def lookup(k: np.ndarray) -> np.ndarray:
         m = small[np.minimum(T // k, L)]
-        if K:
-            top = k <= K
-            m[top] = big[k[top]]
+        top = k <= K
+        m[top] = big[k[top]]
         return m
 
     return lookup

@@ -106,12 +106,11 @@ and 2^31 * 2^32, both inside int64.  The weights sum to less than
 2 f_max^2 < 2^62.
 
 Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, and
-building T_F 8 more per fiber for each 32-bit limb of X_F (two at
-lambda = rho, none when m_F = 0); the mu segment takes 5 bytes per e in its
-range, at most [E0, G_1], while it is sieved (an int32 product of its small
-primes, _util) and 1 + 8/127 after; the Mertens table of T_1 an int64 M(v)
-per v <= T_1^{2/3} (per v <= T_1 up to T_1 = 9500), and its lookup 8 bytes
-per q <= T_1//(E0+1); each chunk of rows a few int64 arrays of 2^14
+the float estimate of T_F two float64 arrays more while it is built; the
+mu segment takes 5 bytes per e in its range, at most [E0, G_1], while it is
+sieved (an int32 product of its small primes, _util) and 1 + 8/127 after;
+the Mertens table of T_1 an int64 M(v) per v <= T_1^{2/3}, and its lookup
+8 bytes per q <= T_1//(E0+1); each chunk of rows a few int64 arrays of 2^14
 entries.  No array runs over the pairs or the rows, or over the e <= G_1 in
 int64, so the sieve sets the peak (1.61 MB traced at lambda = rho, B = 1e11
 with Python 3.11 and NumPy 2.4; 1.87 MB with the segment up to G_1, 2.05 MB
@@ -371,103 +370,62 @@ def _last_true(ok, hi: int) -> int:
 
 
 def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers):
-    """T_F, the largest M with M^{m_H} F^{m_F} <= B, for each F in fibers
-    (B >= 1, 1 <= F < 2^31): an int64 array for an int64 array of fibers
-    (every T_F below 2^63), a list of ints for any other sequence.
+    """T_F, the largest M with M^{m_H} F^{m_F} <= B, for each F in fibers:
+    a list of ints for any sequence of fibers, and an int64 array for an
+    int64 array of fibers whose T_F are all in [1, 2^30) (_blp21_count's
+    guard).
 
     With d the lcm of the denominators of m_H and m_F, p = m_H d and
     k = m_F d are integers and the bound is M^p <= B^d F^{-k}; as M^p is an
-    integer, that is M^p <= X_F = floor(num^d F^up / (den^d F^down)) for
-    B = num/den, up = max(-k, 0) and down = max(k, 0): an integer p-th root.
+    integer, that is M^p <= floor(num^d F^{max(-k, 0)} / (den^d F^{max(k, 0)}))
+    for B = num/den, an integer p-th root.
 
-    X_F is built exactly on int64 limbs of 32 bits (_fiber_quotients), and
-    every X_F < 2^62 takes the root in NumPy: y = fl(fl(X_F)^fl(1/p)), then
-    M = floor(y), checked and stepped until M^p <= X_F < (M + 1)^p
-    (_root_floor), so the root is exact whatever y is.  One step each way
-    suffices: fl(X_F) = X_F (1 + e_1) and fl(1/p) = (1 + e_2)/p with
-    |e_i| <= 2^-53, so with r = X_F^(1/p) < 2^31 their exact power is
-    r r^(e_2/p) (1 + e_1)^(1/p), within relative 21.5 2^-53 + 2^-53 of r
-    (ln r < 21.5), and pow within 4 ulp (as the box kernel assumes of log)
-    leaves |y - r| < r 2^-47 < 1.  The F with X_F >= 2^62, one mask per
-    call, take the exact root of Python ints.
+    On an array the root is a float estimate: y = exp(z) with
+    z = fl(log B) fl(1/m_H) - fl(m_F/m_H) log F, for r = (B / F^{m_F})^{1/m_H}
+    and T_F = floor(r).  Let u = 2^-53 and assume np.log, math.log and
+    np.exp within 4 ulp (ulp(y) <= 2u|y|), as the box kernel does.  log B =
+    log(num) - log(den) is off by at most 20u A, A = 1 + log num + log den
+    (box kernel); log F by 8u log F; the two rounded ratios, the products
+    and the difference add 2u to each product and u|z|, with
+    |z| <= 22 as 1 <= r < 2^30.  So z is within
+    22u A/m_H + 10u |m_F/m_H| log f + 22u of log r, f the largest fiber,
+    and y/r - 1 is below 1.01 times that plus 8.1u: below
+    32u C, C = 1 + A/m_H + |m_F/m_H| log f.  The margin is
+    delta = 2^-44 C, 16 times that bound, so r lies inside
+    [y (1 - delta), y (1 + delta)] with room for the rounding of its ends:
+    where both ends have one floor, it is T_F.  The F where they differ, y
+    within about y delta of an integer (every F whose r is an integer among
+    them), take the exact root of Python ints.
     """
     m_h, m_f = lam[1], lam[0] - lam[1]
     d = math.lcm(m_h.denominator, m_f.denominator)
     p, k = int(m_h * d), int(m_f * d)
     num, den = B.numerator**d, B.denominator**d
     root = math.isqrt if p == 2 else (lambda top: floor_frac_root(top, p))
-    F = np.asarray(fibers, dtype=np.int64)
     up, down = max(-k, 0), max(k, 0)
+
+    def exact(F):
+        return root(num * F**up // (den * F**down))
+
+    if not isinstance(fibers, np.ndarray):
+        if k == 0:
+            return [root(num // den)] * len(fibers)
+        return [exact(F) for F in fibers]
     if k == 0:
-        t = root(num // den)
-        bounds = np.full(len(F), t, dtype=np.int64 if t < 2**63 else object)
-    else:
-        x, fits = _fiber_quotients(num, den, up, down, F)
-        bounds = x if p == 1 else _root_floor(x, p)
-        wide = np.flatnonzero(~fits)
-        if len(wide):
-            bounds = bounds.astype(object)
-            bounds[wide] = [root(num * f**up // (den * f**down)) for f in F[wide].tolist()]
-    if isinstance(fibers, np.ndarray):
-        return bounds.astype(np.int64)
-    return bounds.tolist()
-
-
-def _fiber_quotients(num: int, den: int, up: int, down: int, F: np.ndarray) -> tuple:
-    """(X, fits): X_F = floor(num F^up / (den F^down)) for the int64 array F,
-    1 <= F < 2^31, where fits, and fits the mask of the F with X_F < 2^62;
-    num >= den >= 1 and up or down is 0.
-
-    A number is a column of 32-bit limbs per F, most significant first.
-    down > 0: the limbs of floor(num/den) are divided by F down times, by
-    long division (a remainder r < F and a limb make r 2^32 + limb < 2^63),
-    and floor(floor(a/F)/F) = floor(a/F^2).  up > 0: with 2^W >= 2^62 den,
-    W a multiple of 32, the limbs of c = ceil(num 2^W / den) are multiplied
-    by F up times (limb F + carry < 2^63) and the W/32 lowest dropped:
-    G = F^up and X' = floor(G c / 2^W) >= X_F.  If X_F < 2^62, then
-    G <= X_F (num/den >= 1), so G/2^W < 1/den, and with
-    G num/den = X_F + j/den, 0 <= j < den,
-    G c/2^W < G num/den + G/2^W < X_F + (j + 1)/den <= X_F + 1: X' = X_F.
-    So X' < 2^62 exactly when X_F < 2^62.
-    """
-    drop = -(-(62 + den.bit_length()) // 32) if up else 0
-    x = -((-num << (32 * drop)) // den) if up else num // den
-    n = max(-(-x.bit_length() // 32) + up, drop + 2)
-    limbs = np.array([(x >> (32 * i)) & _LIMB_MASK for i in range(n - 1, -1, -1)], dtype=np.int64)
-    limbs = np.repeat(limbs[:, None], len(F), axis=1)
-    for _ in range(up):
-        carry = 0
-        for i in range(n - 1, -1, -1):
-            step = limbs[i] * F + carry
-            limbs[i] = step & _LIMB_MASK
-            carry = step >> 32
-    for _ in range(down):
-        rem = 0
-        for i in range(n):
-            limbs[i], rem = np.divmod((rem << 32) | limbs[i], F)
-    hi, lo = limbs[n - drop - 2], limbs[n - drop - 1]
-    fits = (hi < 2**30) & ~limbs[: n - drop - 2].any(axis=0)
-    return np.where(fits, (hi << 32) | lo, 0), fits
-
-
-def _root_floor(x: np.ndarray, p: int) -> np.ndarray:
-    """floor(x^(1/p)) for an int64 array 0 <= x < 2^62 and p >= 2: the float
-    root, floored, then stepped down while m^p > x and up while
-    (m + 1)^p <= x (_blp21_fiber_bounds proves one step each way is all).
-    m^p <= x is tested without powers: p floor divisions of x by m >= 1
-    leave floor(x / m^p), which is >= 1 exactly then."""
-    def at_most(m):
-        q = x
-        for _ in range(p):
-            q = q // np.maximum(m, 1)
-        return (q >= 1) | (m == 0)
-
-    m = np.floor(x.astype(np.float64) ** (1 / p)).astype(np.int64)
-    while (over := ~at_most(m)).any():
-        m -= over
-    while (under := at_most(m + 1)).any():
-        m += under
-    return m
+        return np.full(len(fibers), root(num // den), dtype=np.int64)
+    log_b = math.log(B.numerator) - math.log(B.denominator)
+    y = np.log(fibers.astype(np.float64))
+    y *= -float(m_f / m_h)
+    y += log_b * float(1 / m_h)
+    np.exp(y, out=y)
+    a = 1 + math.log(B.numerator) + math.log(B.denominator)
+    delta = 2.0**-44 * float(1 + a / m_h + abs(m_f / m_h) * math.log(int(fibers.max())))
+    hi = np.floor(y * (1 + delta))
+    bounds = hi.astype(np.int64)
+    y *= 1 - delta
+    near = np.flatnonzero(np.floor(y, out=y) != hi)
+    bounds[near] = [exact(F) for F in fibers[near].tolist()]
+    return bounds
 
 
 # Fiber bounds stay below _T_LIMIT, so every term of the fiber sum fits int64;
@@ -478,7 +436,6 @@ def _root_floor(x: np.ndarray, p: int) -> np.ndarray:
 # and G_1 follow (module docstring).
 _T_LIMIT = 2**30
 _TERM_LIMIT = 2**62
-_LIMB_MASK = 2**32 - 1
 _ROW_CHUNK = 2**14
 _WEIGHT_CHUNK = 2**16
 _STOP_STRIDE = 64

@@ -567,8 +567,7 @@ def mertens_recursion(T):
 
 def mertens_pass_sizes(T):
     """The number of (k, q) pairs and of (k, j) pairs, kj > K, that
-    mertens_quotients(T) sums in its two chunked passes when T is past
-    _util._MERTENS_DIRECT (every T at cutoff 0)."""
+    mertens_quotients(T) sums in its two chunked passes."""
     L = max(isqrt(T), round(T ** (2 / 3)))
     K = T // (L + 1)
     roots = [(T // k, isqrt(T // k)) for k in range(1, K + 1)]
@@ -619,23 +618,16 @@ def mertens_at_quotients(T):
     return dict(zip(vs, mertens_quotients(T)(k).tolist()))
 
 
-def test_mertens_quotients_match_recursion(monkeypatch):
-    # At the default cutoff the T <= _MERTENS_DIRECT take the direct table;
-    # at cutoff 0 every K of the grid, 0 to 41, runs its levels.
-    grid = mertens_grid()
-    want = {T: mertens_recursion(T) for T in grid}
-    for direct in (_util._MERTENS_DIRECT, 0):
-        monkeypatch.setattr(_util, "_MERTENS_DIRECT", direct)
-        for T in grid:
-            assert mertens_at_quotients(T) == want[T], (direct, T)
+def test_mertens_quotients_match_recursion():
+    for T in mertens_grid():
+        assert mertens_at_quotients(T) == mertens_recursion(T), T
 
 
 def test_mertens_quotients_match_recursion_in_small_chunks(monkeypatch):
     # Chunks of 1, 3 and 100 pairs end inside rows, at row ends and past
-    # empty rows of the (k, j) pass; cutoff 0, so every T runs the passes.
+    # empty rows of the (k, j) pass.
     Ts = [*range(0, 300, 7), 4096, 20000, 64000, 69003]
     want = {T: mertens_recursion(T) for T in Ts}
-    monkeypatch.setattr(_util, "_MERTENS_DIRECT", 0)
     for chunk in (1, 3, 100):
         monkeypatch.setattr(_util, "_CHUNK", chunk)
         for T in Ts:
@@ -667,31 +659,12 @@ def test_mertens_quotients_memory_peak():
     assert peak <= 6_500_000, peak
 
 
-def test_mertens_quotients_match_sieve(monkeypatch):
-    # Every k from 1 to T + 1, so every quotient and every k of its block,
-    # from the direct table and (cutoff 0) from the passes.
+def test_mertens_quotients_match_sieve():
+    # Every k from 1 to T + 1, so every quotient and every k of its block.
     prefix = np.array(list(accumulate(mu_sieve(5000))))
-    for direct in (_util._MERTENS_DIRECT, 0):
-        monkeypatch.setattr(_util, "_MERTENS_DIRECT", direct)
-        for T in range(5001):
-            k = np.arange(1, T + 2, dtype=np.int64)
-            assert (mertens_quotients(T)(k) == prefix[T // k]).all(), (direct, T)
-
-
-def test_mertens_quotients_direct_below_cutoff(monkeypatch):
-    # Up to the cutoff the table is the mu segment's running sums alone:
-    # no ragged pass runs.  One past it, the passes do run.
-    def refuse(*args):
-        raise AssertionError("_ragged_sums called")
-
-    monkeypatch.setattr(_util, "_ragged_sums", refuse)
-    prefix = np.array(list(accumulate(mu_sieve(_util._MERTENS_DIRECT))))
-    for T in range(_util._MERTENS_DIRECT + 1):
-        lookup = mertens_quotients(T)
-    k = np.arange(1, T + 2, dtype=np.int64)
-    assert (lookup(k) == prefix[T // k]).all()
-    with pytest.raises(AssertionError, match="_ragged_sums"):
-        mertens_quotients(_util._MERTENS_DIRECT + 1)
+    for T in range(5001):
+        k = np.arange(1, T + 2, dtype=np.int64)
+        assert (mertens_quotients(T)(k) == prefix[T // k]).all(), T
 
 
 def test_mertens_quotients_oeis_a084237(mertens_1e8):
@@ -850,47 +823,41 @@ def test_blp21_fiber_bound_integer_path():
                 [blp21_fiber_bound_fractions(vals, B, F) for F in range(1, 2001)], (lam, B)
 
 
-def test_blp21_fiber_bounds_past_int64():
-    # p >= 3 at (5, 4) (p = 4), (2, 5) (p = 5) and (1/3, 1) (p = 3), m_F < 0
-    # at (2, 5), (1/3, 1) and (1, 2), p = 1 at (2, 1): each B puts the seam
-    # where X_F passes 2^62 near F = 1000, so the F on one side take the
-    # int64 roots and those on the other the Python roots.  The int64-array
-    # form gives the same bounds.
-    fibers = range(1, 2001)
-    cases = (((5, 4), 1000 * 2**62), ((2, 5), 2**62 // 10**9), ((1, 3), 2**62 // 10**3),
-             ((Fraction(1, 3), 1), 16000), ((1, 2), 2**62 // 1000),
-             ((2, 1), 1000 * 2**62 + 1), ((2, 1), Fraction(1000 * 2**62, 7)))
+def test_blp21_fiber_bounds_float_estimate():
+    # The int64-array form against the Fraction oracle: p >= 3 at (5, 4)
+    # (p = 4), (11, 10) (p = 10), (2, 5) (p = 3) and (1/3, 1) (p = 3),
+    # m_F < 0 at (2, 5), (1/3, 1) and (1, 2), p = 1 at (2, 1).  At (5, 4)
+    # and (11, 10), B^d F^{-k} is far past int64.  At (2, 1), T_F = B//F is
+    # B/F exactly at each of the divisors F of B; at rho, B = 1e11, the
+    # plain floor of the float estimate is off at one F.  Every T_F is
+    # below 2^30, as _blp21_count's guard makes it.
+    cases = (((5, 4), 2**100), ((11, 10), 2**220), ((2, 5), 10**20), ((1, 3), 10**11),
+             ((Fraction(1, 3), 1), 16000), ((1, 2), Fraction(10**15, 7)),
+             ((2, 1), 720720 * 1000), ((2, 1), Fraction(10**9 + 1, 3)), (BLP21.rho, 10**11))
+    fibers = range(1, 3001)
     for lam, B in cases:
         vals = geometry.require_interior(BLP21, lam)
         B = as_fraction(B)
         want = [blp21_fiber_bound_fractions(vals, B, F) for F in fibers]
-        assert enumeration._blp21_fiber_bounds(vals, B, fibers) == want, (lam, B)
-        if max(want) < 2**63:
-            got = enumeration._blp21_fiber_bounds(vals, B, np.arange(1, 2001, dtype=np.int64))
-            assert got.dtype == np.int64 and got.tolist() == want, (lam, B)
+        assert 1 <= min(want) and max(want) < 2**30, (lam, B)
+        got = enumeration._blp21_fiber_bounds(vals, B, np.arange(1, 3001, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want, (lam, B)
 
 
-def test_fiber_quotients_at_the_int64_seam():
-    # X_F = floor(num F^up / (den F^down)) on 32-bit limbs against Python
-    # ints, with one to four limbs of num/den, up or down from 1 to 3, and
-    # the F where X_F passes 2^62 inside 1..2000: the mask is X_F < 2^62.
-    F = np.arange(1, 2001, dtype=np.int64)
-    cases = ((1000 * 2**62 + 12345, 1, 0, 1), (2**62 * 10**6 * 7**20 + 5, 7**20, 0, 2),
-             (2**62 * 3**40 // 10**9, 3**40, 3, 0), (2**62 // 1000, 1, 1, 0),
-             (46 * 10**40 + 1, 10**29 + 7, 2, 0), (3 * 2**62 * 10**9 + 11, 3, 0, 3))
-    for num, den, up, down in cases:
-        x, fits = enumeration._fiber_quotients(num, den, up, down, F)
-        want = [num * f**up // (den * f**down) for f in range(1, 2001)]
-        assert fits.tolist() == [w < 2**62 for w in want], (num, den, up, down)
-        assert x[fits].tolist() == [w for w in want if w < 2**62], (num, den, up, down)
-        assert 0 < fits.sum() < len(F), (num, den, up, down)
-    # At F = 2000, G = F^3 and num G = -1 mod den: G num/den is an integer
-    # less 1/den, and G den > 2^64, so the rounding up of num/den must sit
-    # below 1/(G den).
-    den = 2**33 + 1
-    num = 1000 * den + (-pow(2000**3, -1, den)) % den
-    x, fits = enumeration._fiber_quotients(num, den, 3, 0, F)
-    assert fits.all() and x.tolist() == [num * f**3 // den for f in range(1, 2001)]
+def test_blp21_fiber_bounds_memory_peak():
+    # The float estimate holds two float64 arrays beside the int64 bounds
+    # whatever the exponent p: 25 bytes a fiber traced at p = 2, 10 and 100
+    # (Python 3.11, NumPy 2.4).
+    fibers = np.arange(1, 2**18 + 1, dtype=np.int64)
+    for lam, B in ((BLP21.rho, 2**54), ((11, 10), 2**220), ((101, 100), 2**1818)):
+        vals = geometry.require_interior(BLP21, lam)
+        tracemalloc.start()
+        try:
+            enumeration._blp21_fiber_bounds(vals, as_fraction(B), fibers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * len(fibers), (lam, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,6 +1073,16 @@ def test_blp21_int64_guard_before_tables(monkeypatch):
     monkeypatch.setattr(enumeration, "_blp21_fiber_bounds", ends_only)
     with pytest.raises(CapabilityError, match="2\\^30"):
         enumeration.count_points(BLP21, (1, 1), 2**32)
+
+
+def test_blp21_guard_past_int64_fibers():
+    # f_max = 2^63 at lambda = (1, 1) and f_max = 2^32 at rho, B = 2^96:
+    # the end probe takes Python ints, so both are refused with their exact
+    # bounds (T_1 = 2^63 and 2^48, T_{f_max} = 2^63 and 2^32).
+    for lam, B, bounds in (((1, 1), 2**63, f"{2**63}..{2**63}"),
+                           (BLP21.rho, 2**96, f"{2**48}..{2**32}")):
+        with pytest.raises(CapabilityError, match=f"bounds {bounds} over"):
+            enumeration.count_points(BLP21, lam, B)
 
 
 class _Reached(Exception):
