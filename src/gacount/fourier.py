@@ -54,7 +54,9 @@ This module provides several independent routes to these quantities:
   batch kernel _pn_characters.  The blow-ups use Riemann zeta acceleration
   of the polar local factors, brute-force values at small and support
   primes, and closed forms at the remaining good primes up to a cutoff;
-  brute primes enter only there (and at the trivial character on P2/P3).
+  brute primes enter only there.  The trivial character (on P2/P3 too) is
+  exact at every prime at integer exponents, one polynomial in 1/p at the
+  good primes.
 
 * zeta_truncated / poisson_check: the two sides of the spectral identity,
   sum over points of bounded height versus sum over characters, each with a
@@ -957,16 +959,22 @@ def global_fourier(model: VarietyModel, a, s,
     characters at once.  At a = 0 the product is zeta(beta)/zeta(sigma).  A
     non-integral a has Tate factor 0 at a prime dividing a denominator, so
     the value is 0 with bound 1e-14.  P1 takes the kernel at every a, P2 and
-    P3 at a != 0; their trivial character still takes the generic assembly
-    below, whose completion removes each A0 pole twice (ROADMAP).
+    P3 at a != 0; their trivial character takes the generic assembly below.
 
-    Generic assembly (the blow-ups): brute force at 2, 3 and at the support
-    primes of a, closed forms at the remaining good primes up to p_max.  The
-    polar parts (1 - p^(-beta_alpha))^(-1) for alpha with d_alpha(a) = 0 are
-    peeled from every computed factor and resummed through the Riemann zeta
-    function, which removes the slow part of the tail; the remaining tail of
-    regularized factors is bounded by an empirically validated constant
-    times p_max^(1-e)/(e-1).
+    Generic assembly (the blow-ups, and P2 and P3 at a = 0).  At a = 0 with
+    every beta_alpha an integer each finite factor is exact:
+    tamagawa.exact_local_density at 2 and 3, and at the good primes up to
+    p_max the integer polynomial g_beta(1/p) of
+    tamagawa.regularized_factor_poly (the stratum sum times the peel
+    below), in the Horner pass tamagawa_number shares.  Brute force runs
+    only otherwise: at 2, 3 and the support primes of a, with the float
+    stratum sum (non-integer beta) or closed forms (twisted a) at the
+    remaining good primes.  The polar parts (1 - p^(-beta_alpha))^(-1) for
+    alpha with d_alpha(a) = 0 are peeled from every computed factor and
+    resummed through the Riemann zeta function, which removes the slow part
+    of the tail; the remaining tail of regularized factors is bounded by an
+    empirically validated constant times p_max^(1-e)/(e-1).  That
+    completion still removes each A0 pole twice (ROADMAP).
 
     Args:
         model: catalog model (limited by arch_fourier support).
@@ -999,17 +1007,7 @@ def global_fourier(model: VarietyModel, a, s,
     zeta_factors = tuple((name, beta_by_name[name]) for name in a0_names)
 
     arch = arch_fourier(model, a, s)
-    eps_star = min(float(b) for b in beta)
     small = sorted(geometry.SMALL_PRIMES | set(_support_primes(a)))
-
-    def brute_depth(p: int) -> int:
-        want = int(math.ceil(30.0 * math.log(2.0)
-                             / (eps_star * math.log(p)))) + 1
-        cap = suggested_depth(model, p)
-        return max(3, min(want, max(cap, 3)))
-
-    brute = {p: brute_padic_fourier(model, p, a, s, depth=brute_depth(p))
-             for p in small}
 
     # Generic path: peel the A0 poles from every computed factor, then
     # restore exactly through zeta.  With phi_p = Hhat_p prod_{A0}(1-p^(-b))
@@ -1029,19 +1027,36 @@ def global_fourier(model: VarietyModel, a, s,
 
     finite = 1.0 + 0.0j
     rel_err = 0.0
-    for p in small:
-        finite *= brute[p].value * peel(p)
-        rel_err += brute[p].error_bound / max(
-            abs(brute[p].value) - brute[p].error_bound, 1e-30)
-    strata = tamagawa._denef_strata(model, s) if trivial else None
-    for p in goods:
-        if trivial:
-            main = complex(float(tamagawa._denef_sum(model, p, strata)))
-            et = 0.0
-        else:
-            main, et = closed_form_good_prime(model, p, a, s)
-        finite *= main * peel(p)
-        rel_err += et / max(abs(main) - et, 1e-30)
+    if trivial and all(b.denominator == 1 for b in beta):
+        # Every finite factor is exact: the stratum sum at 2 and 3, and
+        # phi_p = g_beta(1/p) at the good primes.
+        for p in small:
+            finite *= float(tamagawa.exact_local_density(model, p, s)) * peel(p)
+        g = tamagawa.regularized_factor_poly(model, [int(b) for b in beta])
+        finite = tamagawa._good_prime_product(g, goods, finite)
+    else:
+        eps_star = min(float(b) for b in beta)
+
+        def brute_depth(p: int) -> int:
+            want = int(math.ceil(30.0 * math.log(2.0)
+                                 / (eps_star * math.log(p)))) + 1
+            cap = suggested_depth(model, p)
+            return max(3, min(want, max(cap, 3)))
+
+        for p in small:
+            brute = brute_padic_fourier(model, p, a, s, depth=brute_depth(p))
+            finite *= brute.value * peel(p)
+            rel_err += brute.error_bound / max(
+                abs(brute.value) - brute.error_bound, 1e-30)
+        strata = tamagawa._denef_strata(model, s) if trivial else None
+        for p in goods:
+            if trivial:
+                main = complex(float(tamagawa._denef_sum(model, p, strata)))
+                et = 0.0
+            else:
+                main, et = closed_form_good_prime(model, p, a, s)
+            finite *= main * peel(p)
+            rel_err += et / max(abs(main) - et, 1e-30)
     for _name, b in zeta_factors:
         part = zeta(float(b))
         for p in computed:

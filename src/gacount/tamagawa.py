@@ -20,7 +20,9 @@ Writing u = 1/p, the regularized good factor is the polynomial
 
     g(u) = (sum_A #D_A^o as a polynomial in p) * u^n * (1 - u)^rank,
 
-which this module peels into zeta factors: exponents e_k are chosen so that
+the case beta = (1, ..., 1) of regularized_factor_poly's g_beta (which
+fourier.global_fourier reads at the trivial character).  This module
+peels g into zeta factors: exponents e_k are chosen so that
 g(u) = prod_k (1 - u^k)^{e_k} * (1 + h(u)) with h(u) = O(u^6).  For P^n the
 peel is exact with g = 1 - u^{n+1} (the product telescopes to 1/zeta(n+1)),
 for BlP2-1 it is (1 - u^2)^2, and for BlP2-2/3 the residual h is an explicit
@@ -374,15 +376,47 @@ def _series_log(a: Sequence[int], order: int) -> list:
     return out
 
 
-def regularized_factor_poly(model: VarietyModel) -> list:
-    """Integer g(u) with g(1/p) = (#X(F_p)/p^n) * (1 - 1/p)^rank at good p."""
+def regularized_factor_poly(model: VarietyModel, beta: Sequence[int]) -> list:
+    """Integer g_beta(u) with g_beta(1/p) = Hhat_p(s) * prod_alpha (1 - p^{-beta_alpha})
+    at every good prime p, for integer exponents beta_alpha = 1 + s_alpha -
+    rho_alpha >= 1 in component order; at beta = (1, ..., 1) it is
+    (#X(F_p)/p^n) * (1 - 1/p)^rank.
+
+    With u = 1/p, the stratum term #D_S^o(F_p) p^{-n} of denef_local_factor
+    is rev(poly_S)(u) (the point count as a polynomial in p, times u^n), and
+    (p - 1)/(p^b - 1) * (1 - p^{-b}) = u^{b-1} (1 - u), so
+
+        g_beta(u) = sum_S rev(poly_S)(u) prod_{alpha in S} u^{beta_alpha - 1} (1 - u)
+                                         prod_{alpha not in S} (1 - u^{beta_alpha}),
+
+    each binomial one _mul_binomial pass.  Every term has degree
+    n + sum beta, so the terms add coefficient by coefficient.
+    """
     n = model.dim
-    total = [0] * (n + 1)
-    for poly in model.stratum_polys.values():
-        for k, c in enumerate(poly):
-            total[k] += c
-    g = list(reversed(total))  # * u^n turns p^k into u^{n-k}
-    return _mul_binomial(g, 1, model.rank)
+    terms = []
+    for subset, poly in model.stratum_polys.items():
+        inside = [b for name, b in zip(model.components, beta) if name in subset]
+        rev = [0] * (n + 1 - len(poly)) + list(reversed(poly))
+        term = _mul_binomial([0] * (sum(inside) - len(inside)) + rev, 1, len(inside))
+        for name, b in zip(model.components, beta):
+            if name not in subset:
+                term = _mul_binomial(term, b, 1)
+        terms.append(term)
+    return [sum(c) for c in zip(*terms)]
+
+
+def _good_prime_product(g: Sequence[int], primes: Sequence[int], start):
+    """start * prod_p g(1/p) over the primes in the order given, from one
+    NumPy float64 Horner pass over all of them: u = 1.0 / p, then a multiply
+    and an add ufunc per coefficient, the same IEEE operations (no fused
+    multiply-add) as a scalar loop per prime.  math.prod multiplies the
+    values into start left to right, as that loop would, so the result is
+    the float (or complex) of the per-prime loop."""
+    u = 1.0 / np.array(primes, dtype=np.float64)
+    acc = np.zeros_like(u)
+    for c in reversed([float(c) for c in g]):
+        acc = acc * u + c
+    return math.prod(acc.tolist(), start=start)
 
 
 def _peel_data(model: VarietyModel):
@@ -412,7 +446,7 @@ def _peel_data(model: VarietyModel):
         CapabilityError: g is not 1 + O(u^2), a peel exponent is not an
             integer, or the peel leaves terms of order <= PEEL_ORDER.
     """
-    g = regularized_factor_poly(model)
+    g = regularized_factor_poly(model, (1,) * model.rank)
     K = PEEL_ORDER
     c = _series_log(g, K)
     if c[1] != 0:
@@ -479,12 +513,10 @@ def tamagawa_number(
     which FLOAT_ASSEMBLY_EPS covers.
 
     The good-prime factors g(1/p), 5 <= p <= p_max, come from one NumPy
-    float64 Horner pass over all primes: u = 1.0 / p, then a multiply and
-    an add ufunc per coefficient, the same IEEE operations (no fused
-    multiply-add) as a scalar loop per prime.  math.prod multiplies them
-    into the product left to right, in ascending p, as that loop would.
-    Each completion body is a math.prod over Python's float pow, which
-    NumPy's power need not match to the last bit.  So every field is the
+    float64 Horner pass over all primes in ascending order
+    (_good_prime_product, which global_fourier shares), with the floats of
+    a scalar loop per prime.  Each completion body is a math.prod over
+    Python's float pow, which NumPy's power need not match to the last bit.  So every field is the
     float the per-prime loops give.  The peel (_peel_data) is computed once
     per call and not cached; its C_h feeds the tail bound.
 
@@ -506,13 +538,9 @@ def tamagawa_number(
     for p in sorted(geometry.SMALL_PRIMES):
         reg = (1 - Fraction(1, p)) ** model.rank
         partial *= float(exact_local_density(model, p, model.rho) * reg)
-    g = [float(c) for c in regularized_factor_poly(model)]
     primes = [p for p in primes_upto(p_max) if p >= 5]
-    u = 1.0 / np.array(primes, dtype=np.float64)
-    acc = np.zeros_like(u)
-    for c in reversed(g):
-        acc = acc * u + c
-    partial = math.prod(acc.tolist(), start=partial)
+    partial = _good_prime_product(regularized_factor_poly(model, (1,) * model.rank),
+                                  primes, partial)
     peeled, c_h = _peel_data(model)
     completion = 1.0
     for k, ek in peeled:

@@ -261,15 +261,76 @@ def test_closed_form_trivial_character_dispatch(model):
 
 
 def test_global_fourier_trivial_character_checks_s_once(monkeypatch):
-    # At a = 0 the good-prime loop runs the s-only step of the stratum sum
-    # once, then the per-p step at each of its primes.
+    # At a = 0 and a non-integer beta (here 3/2) the good-prime loop runs
+    # the s-only step of the stratum sum once, then the per-p step at each
+    # of its primes.
     calls = []
     real = tamagawa._denef_strata
     monkeypatch.setattr(tamagawa, "_denef_strata",
                         lambda *args: calls.append(args) or real(*args))
     p2 = geometry.load_model("P2")
-    fourier.global_fourier(p2, (0, 0), (4,), p_max=200)
+    fourier.global_fourier(p2, (0, 0), (Fraction(7, 2),), p_max=200)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mid,s", [("P2", (4,)), ("P3", (5,)),
+                                   ("BlP2-1", (6, 4)), ("BlP2-1", (5, 3))])
+def test_global_fourier_trivial_character_exact_at_integer_beta(monkeypatch, mid, s):
+    # At a = 0 and integer beta no brute integral and no per-prime stratum
+    # sum runs: 2 and 3 are exact_local_density, the good primes g_beta.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a = 0 at integer beta must take the exact factors")
+
+    monkeypatch.setattr(fourier, "brute_padic_fourier", refuse)
+    monkeypatch.setattr(tamagawa, "_denef_sum", refuse)
+    model = geometry.load_model(mid)
+    out = fourier.global_fourier(model, (0,) * model.dim, s, p_max=200)
+    assert out.value.real > 0 and out.value.imag == 0
+    assert [name for name, _ in out.zeta_factors] == list(model.components)
+
+
+def trivial_character_oracle(model, s, p_max):
+    """global_fourier at a = 0 by the slow route: brute force at 2 and 3 at
+    the depths of its brute path, denef_local_factor at each good prime,
+    and the same completion and tail.  (value, bound)."""
+    a = (0,) * model.dim
+    _, s, beta = fourier._checked_s(model, a, s)
+    arch = fourier.arch_fourier(model, a, s)
+    eps = min(float(b) for b in beta)
+
+    def peel(p):
+        return math.prod(1.0 - float(p) ** -float(b) for b in beta)
+
+    finite, rel = 1.0, 0.0
+    for p in (2, 3):
+        want = math.ceil(30.0 * math.log(2.0) / (eps * math.log(p))) + 1
+        depth = max(3, min(want, max(fourier.suggested_depth(model, p), 3)))
+        brute = fourier.brute_padic_fourier(model, p, a, s, depth=depth)
+        finite *= brute.value.real * peel(p)
+        rel += brute.error_bound / (abs(brute.value) - brute.error_bound)
+    for p in primes_upto(p_max)[2:]:
+        finite *= float(tamagawa.denef_local_factor(model, p, s)) * peel(p)
+    for b in beta:
+        finite *= zeta(float(b)) * math.prod(1.0 - float(p) ** -float(b)
+                                             for p in primes_upto(p_max))
+    betas = [float(b) for b in beta]
+    e = fourier._global_tail_exponent(betas, betas)
+    tail = math.expm1(fourier._GLOBAL_TAIL_K * model.rank * p_max ** (1.0 - e) / (e - 1.0))
+    value = arch.value.real * finite
+    bound = (abs(value) * (rel + tail) + arch.error_bound * abs(finite)
+             + 1e-14 * max(1.0, abs(value)))
+    return value, bound
+
+
+@pytest.mark.parametrize("mid,s", [("P2", (4,)), ("P3", (5,)), ("BlP2-1", (6, 4))])
+def test_global_fourier_trivial_character_vs_brute_oracle(mid, s):
+    # The exact factors land inside the interval of the path they replace,
+    # and their bound is no wider.
+    model = geometry.load_model(mid)
+    out = fourier.global_fourier(model, (0,) * model.dim, s, p_max=200)
+    value, bound = trivial_character_oracle(model, s, 200)
+    assert abs(out.value - value) <= bound
+    assert out.error_bound <= bound
 
 
 @pytest.mark.parametrize("a", [(1, 0, 0), (1, 1, 1)])

@@ -272,3 +272,27 @@ def test_one_function_owns_the_fiber_weights():
                      and "phi_segment" in (name for node in ast.walk(fn)
                                            for name in _used_names(node)))
     assert readers == ["_fiber_weights"]
+
+
+def _functions(module: str) -> dict:
+    """name -> FunctionDef node of every function defined in a module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+
+def test_one_horner_pass_over_the_good_primes():
+    # The NumPy Horner pass over all good primes is written once, in
+    # tamagawa._good_prime_product; tau and the trivial character of the
+    # adelic transform both call it.
+    hits = [(path.stem, i) for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if "acc * u + c" in line]
+    assert len(hits) == 1, hits
+    module, line = hits[0]
+    helper = _functions("tamagawa")["_good_prime_product"]
+    assert module == "tamagawa" and helper.lineno <= line <= helper.end_lineno
+    for module, name in (("tamagawa", "tamagawa_number"), ("fourier", "global_fourier")):
+        calls = [node for node in ast.walk(_functions(module)[name])
+                 if isinstance(node, ast.Call)
+                 and _used_names(node.func) == ["_good_prime_product"]]
+        assert len(calls) == 1, name

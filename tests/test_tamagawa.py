@@ -402,9 +402,37 @@ def peel_oracle(model, peeled):
 def test_peel_data_matches_factor_by_factor_oracle(model):
     peeled, _, c_h = PEEL_PINS[model.id]
     g, want = peel_oracle(model, peeled)
-    assert tamagawa.regularized_factor_poly(model) == g
+    assert tamagawa.regularized_factor_poly(model, (1,) * model.rank) == g
     assert tamagawa._peel_data(model) == (peeled, want)
     assert want == c_h
+
+
+# g at beta = (1, ..., 1), the polynomial tamagawa_number evaluates.
+FACTOR_POLY_PINS = {
+    "P1": [1, 0, -1],
+    "P2": [1, 0, 0, -1],
+    "P3": [1, 0, 0, 0, -1],
+    "BlP2-1": [1, 0, -2, 0, 1],
+    "BlP2-2": [1, 0, -5, 5, 0, -1],
+    "BlP2-3": [1, 0, -9, 16, -9, 0, 1],
+}
+MIXED_BETA = {"BlP2-1": (3, 1), "BlP2-2": (1, 3, 2), "BlP2-3": (2, 1, 3, 1)}
+
+
+def test_regularized_factor_poly_is_the_exact_density(model):
+    # g_beta(1/p) is the untruncated local density at s = rho - 1 + beta
+    # times prod_alpha (1 - p^-beta_alpha), exactly, at every good p < 200.
+    assert tamagawa.regularized_factor_poly(model, (1,) * model.rank) == \
+        FACTOR_POLY_PINS[model.id]
+    betas = [(1,) * model.rank, tuple(int(r) + 1 for r in model.rho)]
+    betas += [MIXED_BETA[model.id]] if model.id in MIXED_BETA else []
+    for beta in betas:
+        s = tuple(b - 1 + r for b, r in zip(beta, model.rho))
+        g = tamagawa.regularized_factor_poly(model, beta)
+        for p in primes_upto(199)[2:]:
+            want = tamagawa.exact_local_density(model, p, s) * math.prod(
+                1 - Fraction(1, p**b) for b in beta)
+            assert sum(c * Fraction(1, p) ** k for k, c in enumerate(g)) == want, (beta, p)
 
 
 @pytest.mark.parametrize("k, m", [(1, 0), (1, 1), (1, 4), (2, 7), (5, 144)])
@@ -593,7 +621,7 @@ def tamagawa_oracle(model, p_max):
     for p in (2, 3):
         reg = (1 - Fraction(1, p)) ** model.rank
         partial *= float(tamagawa.exact_local_density(model, p, model.rho) * reg)
-    g = [float(c) for c in tamagawa.regularized_factor_poly(model)]
+    g = [float(c) for c in tamagawa.regularized_factor_poly(model, (1,) * model.rank)]
     primes = [p for p in primes_upto(p_max) if p >= 5]
     for p in primes:
         u = 1.0 / p
@@ -660,7 +688,7 @@ def test_good_prime_factor_shape(model):
     # The integer polynomial the Euler product evaluates is the regularized
     # closed-form factor.
     f = _regularized_factor(model, 101)
-    g = tamagawa.regularized_factor_poly(model)
+    g = tamagawa.regularized_factor_poly(model, (1,) * model.rank)
     assert sum(c * Fraction(1, 101) ** k for k, c in enumerate(g)) == f
     # Regularized factors approach 1 like 1/p^2.
     assert abs(f - 1) <= Fraction(2, 101 * 101) * (1 + model.rank)
