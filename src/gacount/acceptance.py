@@ -383,8 +383,7 @@ def a9() -> AcceptanceResult:
 
 def a10() -> AcceptanceResult:
     """Enumeration soundness: the standard-box oracle equals count_points
-    exactly for every model at B <= 200, and parallel counts are identical
-    across 1, 2, and 8 workers."""
+    exactly for every model at B <= 200."""
     t0 = time.perf_counter()
     problems = []
     n_checked = 0
@@ -396,17 +395,8 @@ def a10() -> AcceptanceResult:
             n_checked += 1
             if box != fast:
                 problems.append(f"{mid} B={B}: box {box} != count {fast}")
-        counts = [
-            enumeration.count_points(model, model.rho, 200, workers=w)
-            for w in (1, 2, 8)
-        ]
-        if len(set(counts)) != 1:
-            problems.append(f"{mid}: worker counts differ {counts}")
     ok = not problems
-    head = "; ".join(problems[:3]) if problems else (
-        f"{n_checked} box-vs-count equalities and worker invariance"
-        " across 1/2/8 processes"
-    )
+    head = "; ".join(problems[:3]) if problems else f"{n_checked} box-vs-count equalities"
     return _result("A10", t0, ok, head)
 
 

@@ -56,15 +56,19 @@ def _parse_lambda(text: str) -> tuple:
 
 
 def _parse_bound(text: str) -> Fraction:
-    """Parse a height bound; integers stay exact, otherwise float notation."""
+    """Parse a height bound; integers stay exact, otherwise float notation.
+    A bound past the float range is refused: the ladder spaces its rungs in
+    floats and the reports print it as one."""
     try:
-        return Fraction(int(text))
+        B = Fraction(int(text))
     except ValueError:
-        pass
+        B = None
     try:
-        return as_fraction(float(text))
+        B = as_fraction(float(text)) if B is None else B
+        float(B)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"cannot parse bound {text!r}: {exc}") from None
+    return B
 
 
 def _parse_primes(text: str) -> list:
@@ -212,6 +216,8 @@ def _count_ladder(args, bmin: Optional[str], bmax: str) -> tuple:
     --lambda (default rho), the ladder's bounds (bmin defaults to
     min(bmax, max(10, ceil(bmax^(1/3))))), a(lambda), b(lambda) and the
     counts along --ladder rungs."""
+    if args.threads < 1:
+        raise ValueError("threads must be >= 1")
     model = geometry.load_model(args.model)
     lam = _parse_lambda(args.lam) if args.lam else model.rho
     bmax = _parse_bound(bmax)
@@ -221,7 +227,7 @@ def _count_ladder(args, bmin: Optional[str], bmax: str) -> tuple:
         bmax, Fraction(max(10, math.ceil(float(bmax) ** (1.0 / 3.0))))
     )
     bounds = _ladder_bounds(bmin, bmax, args.ladder)
-    ladder = enumeration.count_ladder(model, lam, bounds, workers=args.threads)
+    ladder = enumeration.count_ladder(model, lam, bounds)
     a = geometry.a_exponent(model, lam)
     b = len(geometry.b_set(model, lam))
     return model, lam, bmin, bmax, a, b, ladder
@@ -344,6 +350,8 @@ def _cmd_verify_denef(args) -> _Outcome:
 def _cmd_verify_charsum(args) -> _Outcome:
     from . import acceptance  # imported here, as in all-acceptance
 
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, not {args.tol}")
     primes = _parse_primes(args.p)
     n_cases, worst = acceptance.charsum_cases(primes, args.nmax, args.dmax,
                                               args.force_direct)
@@ -436,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bmin", help="bottom rung (default: max(10, B^(1/3)))")
     p.add_argument("--ladder", type=int, default=8, metavar="K",
                    help="number of rungs (default 8)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; counts run in one process")
     p.add_argument("--out", metavar="PATH", help="write the ladder as CSV")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_count)
@@ -448,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bmin", default="1e3")
     p.add_argument("--bmax", default="1e6")
     p.add_argument("--ladder", type=int, default=7, metavar="K")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; counts run in one process")
     p.add_argument("--pmax", type=int, default=10_000,
                    help="Euler product cutoff for the prediction")
     p.add_argument("--no-predict", action="store_true",

@@ -150,7 +150,7 @@ compares L = sum_G m_G log h_G with log B.  Let u = 2^-53 and assume np.log
 and math.log are within 4 ulp (ulp(y) <= 2u|y|).  Rounding h_G to float
 moves log h_G by at most 1.01u; the log adds 8u log h_G, rounding m_G and the
 product 2u |m_G log h_G| and the sum over k <= 4 systems k u sum|m_G log h_G|.
-With h_G <= Hmax_G = max_l sum|coefficients of l| * max(R, Z), at most
+With h_G <= Hmax_G = max_l sum|coefficients of l| * R (|X_i|, Z <= R), at most
 15u sum_G |m_G| (1 + log Hmax_G).  log B = log(num) - log(den) is off by at
 most 20u (1 + log num + log den).  The kernel takes the margin
 
@@ -179,11 +179,7 @@ code with the kernel but the generator heights and that test.  On P^n and BlP2-1
 H_alpha >= 1 as well, so the same box with radius B^{1/lambda_min} is sound
 there, and the tests hold the Moebius and fiber strategies against it.
 
-Counts are exact integers, deterministic, and independent of the worker
-partitioning: a parallel run splits the box strategy's outer loop into Z
-ranges and adds the integer partial sums.  The Moebius and fiber strategies
-run as one task (the fiber rows pile up at small F, which no split
-into equal F ranges balances).
+Every strategy runs in the calling process and returns an exact integer.
 """
 
 from __future__ import annotations
@@ -240,15 +236,15 @@ def _check_box_budget(model: VarietyModel, B: Fraction, R: int, budget: int) -> 
 
 
 def _box_scan(
-    model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int, lo: int, hi: int
+    model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int
 ) -> Iterator[tuple]:
-    """Primitive (Z, X1, ..., Xn) with H <= B, |X_i| <= R and lo <= Z < hi,
+    """Primitive (Z, X1, ..., Xn) with H <= B, |X_i| <= R and 1 <= Z <= R,
     Z ascending, then the X_i lexicographically: one exact height test
     (_util.height_test, prepared once per call) per primitive candidate.
     The oracle of _box_kernel."""
     leq = height_test(geometry.generator_exponents(model, lam), B)
     side = range(-R, R + 1)
-    for z in range(lo, hi):
+    for z in range(1, R + 1):
         for xs in product(side, repeat=model.dim):
             coords = (z,) + xs
             if math.gcd(*coords) == 1 and leq(heights.generator_heights(model, coords)):
@@ -260,19 +256,18 @@ def _box_scan(
 _LOG_MARGIN = 2.0**-40
 
 
-def _section_bounds(model: VarietyModel, R: int, hi: int) -> list[int]:
-    """Hmax_G = max_l sum|coefficients of l| * max(R, hi - 1) per system G,
-    which bounds every section value |l(Z, X)| with |X_i| <= R, 1 <= Z < hi."""
-    return [max(sum(map(abs, sec)) for sec in gen.sections) * max(R, hi - 1)
-            for gen in model.generators]
+def _section_bounds(model: VarietyModel, R: int) -> list[int]:
+    """Hmax_G = max_l sum|coefficients of l| * R per system G, which bounds
+    every section value |l(Z, X)| with |X_i| <= R, 1 <= Z <= R."""
+    return [max(sum(map(abs, sec)) for sec in gen.sections) * R for gen in model.generators]
 
 
 def _box_kernel(
-    model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int, lo: int, hi: int
+    model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int
 ) -> Iterator[tuple]:
     """The points of _box_scan, one Z-slice at a time.
 
-    Yields (z, xs, hs) for z = lo, ..., hi - 1: xs is the int64 array (k, n)
+    Yields (z, xs, hs) for z = 1, ..., R: xs is the int64 array (k, n)
     of the X_i of the slice's k points with H <= B, in lexicographic order,
     and hs the int64 array (k, number of generator systems) of their
     generator heights h_G.  The (2R+1)^n grid of the X_i, its gcd and, per
@@ -295,7 +290,7 @@ def _box_kernel(
     m = geometry.generator_exponents(model, lam)
     leq = height_test(m, B)
     m_float = np.array([float(e) for e in m])
-    h_max = _section_bounds(model, R, hi)
+    h_max = _section_bounds(model, R)
     if max(h_max) > np.iinfo(np.int64).max:
         raise CapabilityError(
             f"box kernel for {model.id}: section values up to {max(h_max)} leave int64"
@@ -318,7 +313,7 @@ def _box_kernel(
         systems.append((np.gcd.reduce(values, axis=0), values.max(axis=0, initial=0)))
     numbers = np.arange(max(int(grid_gcd.max()), *(int(g.max()) for g, _ in systems)) + 1,
                         dtype=np.int64)
-    for z in range(lo, hi):
+    for z in range(1, R + 1):
         table = np.gcd(numbers, z)
         hs = np.empty((len(grid), len(systems)), dtype=np.int64)
         for j, (g, top) in enumerate(systems):
@@ -556,12 +551,6 @@ def _blp21_blocks(T: np.ndarray, G: np.ndarray, w: np.ndarray, e0: int) -> int:
     return s
 
 
-def _partial_count(task) -> int:
-    """Box-scan count over Z in [lo, hi), top level for worker processes."""
-    model, lam, B, end, lo, hi = task
-    return sum(len(xs) for _, xs, _ in _box_kernel(model, lam, B, end, lo, hi))
-
-
 def _outer_range(model: VarietyModel, lam, B: Fraction) -> tuple:
     """(strategy, outer loop end) for the model's counting strategy, which is
     its kind: "pn" (Moebius), "fiber" or "box"."""
@@ -570,16 +559,13 @@ def _outer_range(model: VarietyModel, lam, B: Fraction) -> tuple:
     return model.kind, height_radius(B, lam[0])
 
 
-def count_points(model: VarietyModel, lam, B, workers: int = 1) -> int:
+def count_points(model: VarietyModel, lam, B) -> int:
     """Exact number of affine rational points with H(x; lambda) <= B.
 
     Args:
         model: catalog entry.
         lam: interior Picard vector (all coordinates positive rationals).
         B: height bound; values below 1 return 0 by convention.
-        workers: number of processes for the box scan (BlP2-2/3); the
-            result is identical for any value.  The Moebius (P^n) and fiber
-            (BlP2-1) strategies ignore it and never start a pool.
 
     Returns:
         The exact count as a Python int.
@@ -590,8 +576,6 @@ def count_points(model: VarietyModel, lam, B, workers: int = 1) -> int:
             (T <= 2^36 on P^n; T_F < 2^30, f_max <= 2^24, G_1 <= 2^27 on BlP2-1).
     """
     vals = geometry.require_interior(model, lam)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     B = as_fraction(B)
     if B < 1:
         return 0
@@ -604,20 +588,7 @@ def count_points(model: VarietyModel, lam, B, workers: int = 1) -> int:
         return _pn_count(model.dim, end)
     if strategy == "fiber":
         return _blp21_count(vals, B, end)
-    n_chunks = min(end, max(1, 4 * workers)) if workers > 1 else 1
-    step = -(-end // n_chunks)
-    tasks = [
-        (model, tuple(vals), B, end, lo, min(lo + step, end + 1))
-        for lo in range(1, end + 1, step)
-    ]
-    if workers == 1 or len(tasks) == 1:
-        return sum(_partial_count(t) for t in tasks)
-    # Imported here: concurrent.futures.process loads multiprocessing, which
-    # no other path of a gacount process needs.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_partial_count, tasks))
+    return sum(len(xs) for _, xs, _ in _box_kernel(model, vals, B, end))
 
 
 def enumerate_points(model: VarietyModel, lam, B) -> Iterator[RationalPoint]:
@@ -633,7 +604,7 @@ def enumerate_points(model: VarietyModel, lam, B) -> Iterator[RationalPoint]:
         return
     R = _box_radius(model, vals, B)
     _check_box_budget(model, B, R, DEFAULT_CANDIDATE_BUDGET)
-    for coords in _box_scan(model, vals, B, R, 1, R + 1):
+    for coords in _box_scan(model, vals, B, R):
         yield RationalPoint(coords)
 
 
@@ -697,12 +668,12 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     m = geometry.generator_exponents(model, vals)
     up = [max(int(e), 0) for e in m]
     down = [max(-int(e), 0) for e in m]
-    h_max = _section_bounds(model, end, end + 1)
+    h_max = _section_bounds(model, end)
     exact = (all(e.denominator == 1 for e in m)
              and max(math.prod(map(pow, h_max, up)), math.prod(map(pow, h_max, down))) < 2**53)
     partial = 0.0
     n = 0
-    for _, _, hs in _box_kernel(model, vals, B, end, 1, end + 1):
+    for _, _, hs in _box_kernel(model, vals, B, end):
         if exact:
             hts = (np.prod(hs ** up, axis=1) / np.prod(hs ** down, axis=1)).tolist()
         else:
@@ -759,7 +730,7 @@ class CountLadder:
     elapsed_ms: tuple = ()
 
 
-def count_ladder(model: VarietyModel, lam, B_list, workers: int = 1) -> CountLadder:
+def count_ladder(model: VarietyModel, lam, B_list) -> CountLadder:
     """Run count_points over an ascending ladder of bounds, each rung on its
     own (its cost is dominated by the top rung)."""
     vals = geometry.require_interior(model, lam)
@@ -770,7 +741,7 @@ def count_ladder(model: VarietyModel, lam, B_list, workers: int = 1) -> CountLad
     elapsed = []
     for b in Bs:
         t0 = time.perf_counter()
-        n = count_points(model, vals, b, workers=workers)
+        n = count_points(model, vals, b)
         elapsed.append(1000.0 * (time.perf_counter() - t0))
         rows.append((b, n))
     for (_, n1), (_, n2) in zip(rows, rows[1:]):

@@ -62,6 +62,9 @@ PEEL_ORDER = 5
 # Flat allowance (relative to the archimedean density) for assembling the
 # product in floats; the true roundoff is ~1e-13 relative for any P_max.
 FLOAT_ASSEMBLY_EPS = 1e-12
+# The prime sieve and lists of tamagawa_number trace 59 MB at p_max = 10^7
+# (Python 3.11) and grow linearly: the limit keeps a call near 0.6 GB.
+P_MAX_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -522,17 +525,23 @@ def tamagawa_number(
 
     Args:
         model: catalog entry.
-        p_max: truncation point, at least 100; factors above it enter only
-            through the peeled zeta completion.
+        p_max: truncation point, from 100 to P_MAX_LIMIT; factors above it
+            enter only through the peeled zeta completion.
         small_depth: accepted for compatibility and ignored; the factors at
             p = 2, 3 are exact (exact_local_density).
 
     Returns:
         EulerProductResult; the tamagawa field approximates tau with
         |error| <= tail_bound (small_prime_error is always 0.0).
+
+    Raises:
+        CapabilityError: if p_max passes P_MAX_LIMIT (memory), before the sieve.
     """
     if p_max < 100:
         raise ValueError("p_max must be at least 100")
+    if p_max > P_MAX_LIMIT:
+        raise CapabilityError(f"p_max = {p_max} needs a prime sieve past the limit"
+                              " p_max <= 10^8 (memory)")
     arch = archimedean_density(model)
     partial = 1.0
     for p in sorted(geometry.SMALL_PRIMES):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gacount import cli, enumeration, geometry
+from gacount import cli, enumeration, geometry, tamagawa
 from gacount import __version__
 
 P1 = geometry.load_model("P1")
@@ -64,15 +64,23 @@ def test_count_custom_lambda(capsys):
     assert int(last.split(",")[1]) == enumeration.count_points(b1, (3, 2), 500)
 
 
-def test_count_threads_match(capsys):
+def test_count_threads_match(capsys, tmp_path):
+    # --threads is accepted, checked and reported; every count runs in one
+    # process, so the rows are those of the default run.
+    report_path = tmp_path / "count.json"
     code1, out1, _ = run(capsys, "count", "--model", "P2", "--bound", "200",
                          "--ladder", "3")
     code2, out2, _ = run(capsys, "count", "--model", "P2", "--bound", "200",
-                         "--ladder", "3", "--threads", "4")
+                         "--ladder", "3", "--threads", "4", "--json", str(report_path))
     assert code1 == code2 == 0
     rows1 = [l.split(",")[:2] for l in out1.splitlines() if l and l[0].isdigit()]
     rows2 = [l.split(",")[:2] for l in out2.splitlines() if l and l[0].isdigit()]
     assert rows1 == rows2
+    assert json.loads(report_path.read_text())["parameters"]["threads"] == 4
+    code, _, err = run(capsys, "count", "--model", "P2", "--bound", "200",
+                       "--threads", "0")
+    assert code == 2
+    assert "usage error" in err
 
 
 def test_count_p1_at_1e16(capsys, tmp_path):
@@ -102,6 +110,19 @@ def test_count_bound_below_one_is_usage_error(capsys, bound):
     code, _, err = run(capsys, "count", "--model", "P1", "--bound", bound)
     assert code == 2
     assert "ladder bounds must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--model", "P1", "--bound", "1" + "0" * 400),
+    ("count", "--model", "P1", "--bound", "1e400"),
+    ("fit", "--model", "P1", "--bmax", "1" + "0" * 400, "--no-predict"),
+])
+def test_bound_past_float_range_is_usage_error(capsys, argv):
+    # The ladder spaces its rungs in floats, so a bound needs one: exit 2,
+    # not a traceback.
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,6 +237,17 @@ def test_constant_out_payload(capsys, tmp_path):
     assert abs(payload["predicted_constant"] - payload["tamagawa"] / 3.0) < 1e-12
 
 
+def test_constant_pmax_past_limit_is_capability_error(capsys, monkeypatch):
+    # Refused before the prime sieve, whose memory grows linearly in p_max.
+    def refuse(*args):
+        raise AssertionError("primes sieved")
+
+    monkeypatch.setattr(tamagawa, "primes_upto", refuse)
+    code, _, err = run(capsys, "constant", "--model", "P1", "--pmax", "100000000000")
+    assert code == 3
+    assert "capability error" in err and "10^8" in err
+
+
 def test_verify_denef_pass(capsys):
     code, out, _ = run(capsys, "verify-denef", "--model", "P2", "--p", "5,7")
     assert code == 0
@@ -270,6 +302,16 @@ def test_verify_charsum_empty_grid_is_usage_error(capsys, flag, value):
     code, out, err = run(capsys, "verify-charsum", flag, value)
     assert code == 2
     assert "PASS" not in out
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_charsum_bad_tol_is_usage_error(capsys, tol):
+    # A tolerance that no difference can meet, or that any difference meets,
+    # is no verification: exit 2, not a FAIL or a PASS.
+    code, out, err = run(capsys, "verify-charsum", "--tol", tol)
+    assert code == 2
+    assert "FAIL" not in out
     assert "usage error" in err
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import time
@@ -81,12 +80,6 @@ def test_monotone_in_bound(model):
         prev = n
 
 
-def test_worker_determinism(model):
-    counts = {enumeration.count_points(model, model.rho, 120, workers=w)
-              for w in (1, 2, 4)}
-    assert len(counts) == 1
-
-
 def test_candidate_budget_guard():
     # B = 10^9 needs R (2R + 1)^2 ~ 1.3e14 candidates (R = 31622), over
     # both module budgets; the guard raises before any slice is scanned.
@@ -95,12 +88,6 @@ def test_candidate_budget_guard():
         enumeration.count_points(m, m.rho, 10**9)
     with pytest.raises(CapabilityError):
         list(enumeration.enumerate_points(m, m.rho, 10**9))
-
-
-@pytest.mark.parametrize("B", [Fraction(1, 2), 1, 100])
-def test_workers_checked_before_early_returns(model, B):
-    with pytest.raises(ValueError):
-        enumeration.count_points(model, model.rho, B, workers=0)
 
 
 @pytest.mark.parametrize("B", [Fraction(1, 2), 1, 7, 60])
@@ -142,7 +129,7 @@ def test_count_ladder_rejects_decreasing_counts(monkeypatch):
     # under python -O.
     m = geometry.load_model("P1")
     monkeypatch.setattr(enumeration, "count_points",
-                        lambda model, lam, B, workers=1: 1000 - int(B))
+                        lambda model, lam, B: 1000 - int(B))
     with pytest.raises(CapabilityError):
         enumeration.count_ladder(m, m.rho, [10, 100])
 
@@ -235,12 +222,11 @@ def test_enumerate_points_heights_filter(model):
 
 def test_renamed_model_same_results(model):
     # Every point-side decision comes from catalog data, so a model renamed
-    # with dataclasses.replace keeps its strategy, box slack and workers.
+    # with dataclasses.replace keeps its strategy and box slack.
     renamed = dataclasses.replace(model, id="renamed")
     B = 30
-    want = enumeration.count_points(model, model.rho, B)
-    for w in (1, 2):
-        assert enumeration.count_points(renamed, renamed.rho, B, workers=w) == want
+    assert enumeration.count_points(renamed, renamed.rho, B) == \
+        enumeration.count_points(model, model.rho, B)
     assert list(enumeration.enumerate_points(renamed, renamed.rho, B)) == \
         list(enumeration.enumerate_points(model, model.rho, B))
     assert fourier.zeta_truncated(renamed, renamed.rho, 4.0, B) == \
@@ -261,26 +247,25 @@ def test_enumerate_points_lexicographic(model):
     assert all(a < b for a, b in zip(coords, coords[1:]))
 
 
-def _kernel_points(model, lam, B, R, lo, hi):
+def _kernel_points(model, lam, B, R):
     """(points, generator heights) of _box_kernel as tuples, in its order."""
     points, hts = [], []
-    for z, xs, hs in enumeration._box_kernel(model, lam, B, R, lo, hi):
+    for z, xs, hs in enumeration._box_kernel(model, lam, B, R):
         points += [(z, *x) for x in xs.tolist()]
         hts += [tuple(h) for h in hs.tolist()]
     return points, hts
 
 
-def _assert_kernel_is_scan(model, lam, B, ranges=None):
+def _assert_kernel_is_scan(model, lam, B):
     # The loop _box_scan decides each primitive candidate by height_test; the
     # kernel must return its points, in its order, with their heights.
     lam = geometry.require_interior(model, lam)
     B = Fraction(B)
     R = enumeration._box_radius(model, lam, B)
-    for lo, hi in ranges or [(1, R + 1)]:
-        want = list(enumeration._box_scan(model, lam, B, R, lo, hi))
-        points, hts = _kernel_points(model, lam, B, R, lo, hi)
-        assert points == want, (model.id, lam, B, lo, hi)
-        assert hts == [heights.generator_heights(model, c) for c in want]
+    want = list(enumeration._box_scan(model, lam, B, R))
+    points, hts = _kernel_points(model, lam, B, R)
+    assert points == want, (model.id, lam, B)
+    assert hts == [heights.generator_heights(model, c) for c in want]
 
 
 @pytest.mark.parametrize("B", [1, 7, 30, 60, 200])
@@ -299,16 +284,6 @@ def test_box_kernel_matches_scan_nonanticanonical():
         m = geometry.load_model(mid)
         lam = (Fraction(7, 2),) + (Fraction(2),) * (m.rank - 1)
         _assert_kernel_is_scan(m, lam, 60)
-
-
-def test_box_kernel_split_ranges():
-    # Worker chunks [lo, hi), including one past the box radius, give the
-    # scan's points of the same range, so their concatenation is the box.
-    m = geometry.load_model("BlP2-2")
-    ranges = [(1, 4), (4, 5), (5, 11), (11, 15), (15, 18)]
-    _assert_kernel_is_scan(m, m.rho, 200, ranges)
-    m3 = geometry.load_model("BlP2-3")
-    _assert_kernel_is_scan(m3, m3.rho, 60, [(1, 2), (2, 7), (7, 12)])
 
 
 @pytest.fixture
@@ -344,7 +319,7 @@ def test_box_kernel_margin_adversarial(exact_calls):
         exps = geometry.generator_exponents(m, lam)
         R = enumeration._box_radius(m, lam, Fraction(60))
         found = {}
-        for coords in enumeration._box_scan(m, lam, Fraction(60), R, 1, R + 1):
+        for coords in enumeration._box_scan(m, lam, Fraction(60), R):
             hs = heights.generator_heights(m, coords)
             value = 1.0
             for h, e in zip(hs, exps):
@@ -374,9 +349,7 @@ def test_box_kernel_int64_guard():
     m = geometry.load_model("BlP2-3")
     lam = geometry.require_interior(m, m.rho)
     with pytest.raises(CapabilityError):
-        next(enumeration._box_kernel(m, lam, Fraction(10), 2**62, 1, 2))
-    with pytest.raises(CapabilityError):
-        next(enumeration._box_kernel(m, lam, Fraction(10), 1, 1, 2**63))
+        next(enumeration._box_kernel(m, lam, Fraction(10), 2**62))
 
 
 def test_box_kernel_refuses_a_system_without_z(monkeypatch):
@@ -396,7 +369,7 @@ def test_box_kernel_refuses_a_system_without_z(monkeypatch):
     for sections in (((0, 1, 0), (1, 1, 0)), ((1, 1, 0), (1, 0, 0))):
         stand_in = dataclasses.replace(m, generators=(h, f1, f2._replace(sections=sections)))
         with pytest.raises(CapabilityError, match="F2 are not the section Z"):
-            next(enumeration._box_kernel(stand_in, lam, Fraction(10), 3, 1, 4))
+            next(enumeration._box_kernel(stand_in, lam, Fraction(10), 3))
 
 
 def test_box_count_memory_peak():
@@ -465,8 +438,7 @@ def test_box_counts_without_loop_scan(monkeypatch):
     monkeypatch.setattr(enumeration, "_box_scan", refuse)
     for mid, B in (("BlP2-2", 100), ("BlP2-3", 58)):
         m = geometry.load_model(mid)
-        for w in (1, 2):
-            assert enumeration.count_points(m, m.rho, B, workers=w) == want[mid][0]
+        assert enumeration.count_points(m, m.rho, B) == want[mid][0]
         assert fourier.zeta_truncated(m, m.rho, 4, B) == want[mid][1]
 
 
@@ -738,24 +710,6 @@ def test_pn_count_is_sublinear(monkeypatch):
         assert enumeration.count_points(m, m.rho, B) == want
 
 
-def test_pn_count_starts_no_pool(monkeypatch):
-    # count_points imports ProcessPoolExecutor from concurrent.futures when
-    # it starts a pool, so the patch is read at call time.  The Moebius
-    # (P2) and fiber (BlP2-1) strategies each run as one task.
-    cases = [(geometry.load_model(mid), B) for mid, B in (("P2", 10**6), ("BlP2-1", 10**8))]
-    want = [enumeration.count_points(m, m.rho, B) for m, B in cases]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("process pool started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    assert [enumeration.count_points(m, m.rho, B, workers=2) for m, B in cases] == want
-    # The box scan does start one, through the patched name.
-    b2 = geometry.load_model("BlP2-2")
-    with pytest.raises(AssertionError, match="process pool started"):
-        enumeration.count_points(b2, b2.rho, 400, workers=2)
-
-
 def pn_split_points(n, limit):
     """The least T whose Moebius sum has a term with bound at least limit:
     in the d <= isqrt(T) part (d = 1, bound f(T)), and in the block part
@@ -908,9 +862,7 @@ def test_blp21_count_matches_direct_loop(lam):
             want = BLP21_DIRECT_PINS[exact]
         else:
             want = blp21_direct(vals, exact)
-        for workers in (1, 2):
-            assert enumeration.count_points(BLP21, lam, B, workers=workers) == want, \
-                (lam, B, workers)
+        assert enumeration.count_points(BLP21, lam, B) == want, (lam, B)
 
 
 def test_blp21_count_bench_pins():

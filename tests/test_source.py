@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import os
 import pathlib
@@ -15,6 +16,7 @@ from collections import Counter
 import pytest
 
 import gacount
+from gacount import enumeration
 
 SRC = pathlib.Path(gacount.__file__).parent
 # geometry, cli and acceptance turn model names into models; these modules
@@ -25,6 +27,8 @@ NAME_LOOKUP = re.compile(r"load_model\(|\[model\.id\]|model\.id\s*[!=]=")
 SCIPY_IMPORT = re.compile(r"^(import scipy|from scipy)\b")
 # mpmath at any level: the package evaluates zeta itself (_util.zeta).
 MPMATH_IMPORT = re.compile(r"^\s*(import mpmath|from mpmath)\b")
+# A process pool by any route: every count runs in the calling process.
+POOL_NAME = re.compile(r"concurrent\.futures|ProcessPoolExecutor|multiprocessing")
 
 
 @pytest.mark.parametrize("module", COMPUTATIONAL)
@@ -83,6 +87,16 @@ def test_no_mpmath_import():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if MPMATH_IMPORT.match(line)]
     assert hits == []
+
+
+def test_no_process_pool():
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if POOL_NAME.search(line)]
+    assert hits == []
+    for fn in (enumeration.count_points, enumeration.count_ladder):
+        assert "workers" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_no_assert_statements():
@@ -195,8 +209,8 @@ def test_cold_start_loads_no_scipy():
     # A fresh interpreter runs what the count, constant and spectral
     # commands run on P^n and the blow-ups' point side: no SciPy module is
     # loaded until BlP2-1's twisted archimedean transform needs QUADPACK.
-    # Nor is mpmath (zeta is _util.zeta), the process pool behind
-    # count_points(workers > 1), or the acceptance suite.
+    # Nor is mpmath (zeta is _util.zeta), multiprocessing, or the acceptance
+    # suite.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                           capture_output=True, text=True, timeout=120,
