@@ -26,7 +26,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import enumeration, fourier, geometry, heights, tamagawa
-from ._util import prime_factors, primes_upto, zeta
+from ._util import CapabilityError, prime_factors, primes_upto, zeta
+
+# Most cases charsum_cases runs: the default grid of verify-charsum has 15968.
+CHARSUM_CASE_LIMIT = 2**22
 
 
 @dataclass(frozen=True)
@@ -177,22 +180,26 @@ def charsum_cases(primes: Sequence[int], nmax: int, dmax: int,
                   force_direct: bool = False) -> tuple:
     """(cases, worst |character_sum - charsum_trichotomy|) over p in primes,
     1 <= n <= nmax, 0 <= d <= min(dmax, p - 1) and every unit u mod p^n.
-    nmax < 1 or dmax < 0 leaves no case to check, and raises ValueError."""
+    nmax < 1 or dmax < 0 leaves no case to check, and raises ValueError;
+    more than CHARSUM_CASE_LIMIT cases raise CapabilityError, before any
+    case runs."""
     if nmax < 1 or dmax < 0:
         raise ValueError(f"need nmax >= 1 and dmax >= 0, got nmax = {nmax},"
                          f" dmax = {dmax}: no case to check")
-    n_cases = 0
+    planned = sum((p**n - p ** (n - 1)) * (min(dmax, p - 1) + 1)
+                  for p in primes for n in range(1, nmax + 1))
+    if planned > CHARSUM_CASE_LIMIT:
+        raise CapabilityError(f"{planned} character-sum cases, past the limit"
+                              f" {CHARSUM_CASE_LIMIT}")
     worst = 0.0
     for p in primes:
         for n in range(1, nmax + 1):
-            units = [u for u in range(1, p**n) if u % p]
             for d in range(min(dmax, p - 1) + 1):
-                for u in units:
+                for u in filter(lambda u: u % p, range(1, p**n)):
                     got = fourier.character_sum(p, u, n, d, force_direct=force_direct)
                     want = complex(fourier.charsum_trichotomy(p, u, n, d))
                     worst = max(worst, abs(got - want))
-                    n_cases += 1
-    return n_cases, worst
+    return planned, worst
 
 
 def a5() -> AcceptanceResult:

@@ -72,22 +72,22 @@ def _parse_bound(text: str) -> Fraction:
 
 
 def _parse_primes(text: str) -> list:
-    """Parse "5,7,11" as listed primes or "5..31" as all primes in a range."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        ps = [p for p in primes_upto(hi) if p >= lo]
+    """Parse "5,7,11" as listed primes or "5..31" as all primes in a range.
+    A number past tamagawa.P_MAX_LIMIT is refused before any sieve or
+    primality test."""
+    lo, ranged, hi = text.strip().partition("..")
+    values = [int(lo), int(hi)] if ranged else [int(v) for v in lo.split(",")]
+    if max(values) > tamagawa.P_MAX_LIMIT:
+        raise ValueError(f"primes must not pass {tamagawa.P_MAX_LIMIT}, got {max(values)}")
+    if ranged:
+        ps = [p for p in primes_upto(values[1]) if p >= values[0]]
         if not ps:
-            raise ValueError(f"no primes in [{lo}, {hi}]")
+            raise ValueError(f"no primes in [{values[0]}, {values[1]}]")
         return ps
-    ps = []
-    for part in text.split(","):
-        v = int(part)
+    for v in values:
         if not is_prime(v):
             raise ValueError(f"{v} is not prime")
-        ps.append(v)
-    return ps
+    return values
 
 
 def _ladder_bounds(bmin, bmax, rungs: int) -> list:

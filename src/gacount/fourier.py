@@ -51,12 +51,12 @@ This module provides several independent routes to these quantities:
 * global_fourier: assembles the adelic product.  P^n is exact at every
   finite place: zeta(sigma)^(-1) times exact factors at the primes dividing
   the character index, for a whole array of characters at once in the NumPy
-  batch kernel _pn_characters.  The blow-ups use Riemann zeta acceleration
-  of the polar local factors, brute-force values at small and support
-  primes, and closed forms at the remaining good primes up to a cutoff;
-  brute primes enter only there.  The trivial character (on P2/P3 too) is
-  exact at every prime at integer exponents, one polynomial in 1/p at the
-  good primes.
+  batch kernel _pn_characters.  Twisted characters on the blow-ups use
+  Riemann zeta acceleration of the polar local factors, brute-force values
+  at small and support primes, and closed forms at the remaining good
+  primes up to a cutoff; brute primes enter only there.  The trivial
+  character (on P2/P3 too) is exact at every prime, one polynomial in 1/p
+  at the good primes when its exponents are integers.
 
 * zeta_truncated / poisson_check: the two sides of the spectral identity,
   sum over points of bounded height versus sum over characters, each with a
@@ -107,6 +107,10 @@ CHARACTER_SUM_DIRECT_LIMIT = 8_000_000
 # rho_alpha), so tail <= C * sum_{i > m} (i + 1) p^(-eps i).  C counts the independent
 # degenerating directions (the pencils meeting the boundary).
 _BRUTE_TAIL_CONSTANT = (1.0, 2.0, 2.0, 3.0)
+
+# Largest depth * p^n that brute_padic_fourier accepts: its depth-first
+# stack holds at most that many cubes (one tuple each, about 250 B traced).
+BRUTE_STACK_LIMIT = 2**22
 
 # Relative float-roundoff allowance per accumulated cube.
 _ROUNDOFF_PER_BOX = 2.0e-16
@@ -308,8 +312,9 @@ def brute_padic_fourier(model: VarietyModel, p: int, a, s,
         a: character index, rational vector of length model.dim.
         s: Picard vector with 1 + s_alpha - rho_alpha > 0 (convergence).
         depth: truncation exponent m >= 1 with p^(m n) < 2^1024, so that
-            the scale p^(m n) is a float; CapabilityError past it, before
-            anything is allocated.
+            the scale p^(m n) is a float, and m p^n <= BRUTE_STACK_LIMIT,
+            which bounds the cube stack; CapabilityError past either,
+            before anything is allocated.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -319,6 +324,10 @@ def brute_padic_fourier(model: VarietyModel, p: int, a, s,
     if depth * model.dim >= 1024 or p ** (depth * model.dim) >= 2**1024:
         raise CapabilityError(f"brute force at p = {p}, depth {depth}: the scale"
                               f" {p}^{depth * model.dim} is not below 2^1024, a float")
+    if depth * p**model.dim > BRUTE_STACK_LIMIT:
+        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the cube stack"
+                              f" may hold depth * p^{model.dim} cubes, past the limit"
+                              f" {BRUTE_STACK_LIMIT} (memory)")
     a, s, beta = _checked(model, a, s)
     eps_star = min(float(b) for b in beta)
 
@@ -961,19 +970,19 @@ def global_fourier(model: VarietyModel, a, s,
     the value is 0 with bound 1e-14.  P1 takes the kernel at every a, P2 and
     P3 at a != 0; their trivial character takes the generic assembly below.
 
-    Generic assembly (the blow-ups, and P2 and P3 at a = 0).  At a = 0 with
-    every beta_alpha an integer each finite factor is exact:
-    tamagawa.exact_local_density at 2 and 3, and at the good primes up to
-    p_max the integer polynomial g_beta(1/p) of
+    Generic assembly (the blow-ups, and P2 and P3 at a = 0).  At a = 0 each
+    finite factor is exact, tamagawa.exact_local_density at every prime up
+    to p_max; with every beta_alpha an integer it runs at 2 and 3 only, and
+    the good primes take the integer polynomial g_beta(1/p) of
     tamagawa.regularized_factor_poly (the stratum sum times the peel
-    below), in the Horner pass tamagawa_number shares.  Brute force runs
-    only otherwise: at 2, 3 and the support primes of a, with the float
-    stratum sum (non-integer beta) or closed forms (twisted a) at the
-    remaining good primes.  The polar parts (1 - p^(-beta_alpha))^(-1) for
-    alpha with d_alpha(a) = 0 are peeled from every computed factor and
-    resummed through the Riemann zeta function, which removes the slow part
-    of the tail; the remaining tail of regularized factors is bounded by an
-    empirically validated constant times p_max^(1-e)/(e-1).  That
+    below) in the Horner pass tamagawa_number shares.  Brute force runs
+    only at a twisted a: at 2, 3 and the support primes of a, with closed
+    forms at the remaining good primes.  The polar parts
+    (1 - p^(-beta_alpha))^(-1) for alpha with d_alpha(a) = 0 are peeled
+    from every computed factor and resummed through the Riemann zeta
+    function, which removes the slow part of the tail; the remaining tail
+    of regularized factors is bounded by an empirically validated constant
+    times p_max^(1-e)/(e-1).  That
     completion still removes each A0 pole twice (ROADMAP).
 
     Args:
@@ -982,12 +991,19 @@ def global_fourier(model: VarietyModel, a, s,
         s: real Picard vector in the convergence domain of the global product
             (all 1 + s_alpha - rho_alpha > 0; s_alpha > rho_alpha for the
             trivial character, which has a pole at the boundary).
-        p_max: cutoff for closed-form good-prime factors (generic assembly).
+        p_max: cutoff for computed good-prime factors (generic assembly),
+            an int from 1 to tamagawa.P_MAX_LIMIT: ValueError below,
+            CapabilityError (memory) above, before the sieve.
 
     Returns:
         GlobalFourierValue with the value, a combined error bound, and the
         (component, beta) pairs whose zeta factors were used.
     """
+    if not isinstance(p_max, numbers.Integral) or p_max < 1:
+        raise ValueError(f"p_max must be an integer >= 1, not {p_max!r}")
+    if p_max > tamagawa.P_MAX_LIMIT:
+        raise CapabilityError(f"p_max = {p_max} needs a prime sieve past the limit"
+                              f" p_max <= {tamagawa.P_MAX_LIMIT} (memory)")
     a, s, beta = _checked_s(model, a, s)
     trivial = not any(a)
     if model.kind == "pn" and (model.dim == 1 or not trivial):
@@ -1027,34 +1043,26 @@ def global_fourier(model: VarietyModel, a, s,
 
     finite = 1.0 + 0.0j
     rel_err = 0.0
-    if trivial and all(b.denominator == 1 for b in beta):
-        # Every finite factor is exact: the stratum sum at 2 and 3, and
-        # phi_p = g_beta(1/p) at the good primes.
-        for p in small:
+    if trivial:
+        # Every finite factor is exact: the untruncated density, and at
+        # integer beta phi_p = g_beta(1/p) at the good primes.
+        integer = all(b.denominator == 1 for b in beta)
+        for p in small if integer else computed:
             finite *= float(tamagawa.exact_local_density(model, p, s)) * peel(p)
-        g = tamagawa.regularized_factor_poly(model, [int(b) for b in beta])
-        finite = tamagawa._good_prime_product(g, goods, finite)
+        if integer:
+            g = tamagawa.regularized_factor_poly(model, [int(b) for b in beta])
+            finite = tamagawa._good_prime_product(g, goods, finite)
     else:
         eps_star = min(float(b) for b in beta)
-
-        def brute_depth(p: int) -> int:
-            want = int(math.ceil(30.0 * math.log(2.0)
-                                 / (eps_star * math.log(p)))) + 1
-            cap = suggested_depth(model, p)
-            return max(3, min(want, max(cap, 3)))
-
         for p in small:
-            brute = brute_padic_fourier(model, p, a, s, depth=brute_depth(p))
+            want = math.ceil(30.0 * math.log(2.0) / (eps_star * math.log(p))) + 1
+            depth = max(3, min(want, suggested_depth(model, p)))
+            brute = brute_padic_fourier(model, p, a, s, depth=depth)
             finite *= brute.value * peel(p)
             rel_err += brute.error_bound / max(
                 abs(brute.value) - brute.error_bound, 1e-30)
-        strata = tamagawa._denef_strata(model, s) if trivial else None
         for p in goods:
-            if trivial:
-                main = complex(float(tamagawa._denef_sum(model, p, strata)))
-                et = 0.0
-            else:
-                main, et = closed_form_good_prime(model, p, a, s)
+            main, et = closed_form_good_prime(model, p, a, s)
             finite *= main * peel(p)
             rel_err += et / max(abs(main) - et, 1e-30)
     for _name, b in zeta_factors:

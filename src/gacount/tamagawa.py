@@ -120,11 +120,8 @@ def archimedean_density(model: VarietyModel) -> float:
 
 
 def denef_local_factor(model: VarietyModel, p: int, s) -> Union[Fraction, float]:
-    """Closed-form local factor of the height transform at a good prime.
-
-    The composition of _denef_strata (the checks and exponents that depend
-    on s alone) and _denef_sum (the stratum sum at one p); a loop over
-    primes at one s calls the first once and the second per prime.
+    """Closed-form local factor of the height transform at a good prime:
+    Denef's stratum sum of the module docstring.
 
     Args:
         model: catalog entry.
@@ -135,39 +132,20 @@ def denef_local_factor(model: VarietyModel, p: int, s) -> Union[Fraction, float]
         The stratum sum as an exact Fraction when every exponent
         1 + s_alpha - rho_alpha is an integer, else a float.
     """
-    return _denef_sum(model, p, _denef_strata(model, s))
-
-
-def _denef_strata(model: VarietyModel, s) -> tuple:
-    """The s-only step of denef_local_factor: (exact, strata), where strata
-    pairs each stratum subset with the exponents 1 + s_alpha - rho_alpha of
-    its components in component order, as ints when every exponent is an
-    integer (exact) and as floats otherwise."""
     _, exps = geometry.convergence_beta(model, s)
     exact = all(e.denominator == 1 for e in exps)
-    cast = int if exact else float
-    strata = tuple(
-        (subset, tuple(cast(e) for name, e in zip(model.components, exps)
-                       if name in subset))
-        for subset in model.stratum_polys
-    )
-    return exact, strata
-
-
-def _denef_sum(model: VarietyModel, p: int, denef_strata: tuple) -> Union[Fraction, float]:
-    """The per-p step of denef_local_factor, on the output of _denef_strata."""
-    exact, strata = denef_strata
-    n = model.dim
+    exps = [int(e) if exact else float(e) for e in exps]
     total = Fraction(0) if exact else 0.0
-    for subset, exps in strata:
+    for subset in model.stratum_polys:
         count = geometry.stratum_count(model, subset, p)  # validates p
         term = Fraction(count) if exact else float(count)
-        for e in exps:
-            term *= _pole_factor(p, e)
+        for name, e in zip(model.components, exps):
+            if name in subset:
+                term *= _pole_factor(p, e)
         total += term
     if exact:
-        return total / Fraction(p) ** n
-    return total / float(p) ** n
+        return total / Fraction(p) ** model.dim
+    return total / float(p) ** model.dim
 
 
 def _pole_factor(p: int, e: Union[int, float]) -> Union[Fraction, float]:
@@ -304,7 +282,9 @@ def exact_local_density(model: VarietyModel, p: int, s,
         [k >= 0] (1 + sum_{i=1}^{k} (p^{in} - p^{(i-1)n}) p^{-iM}
                   - p^{kn} p^{-(k+1)M}).
     The sum is finite (_tate_shell_sum), so it is a Fraction for integer M
-    and a float sum otherwise.  On a model with cones the integrand is not
+    and a float sum otherwise.  Nor does the trivial character's derivation
+    use integrality: when some m_G is not an integer the same geometric
+    series are summed in floats.  On a model with cones the integrand is not
     constant on the shells and a twisted a raises CapabilityError
     (_tate_factor, which fourier's P^n kernel reads too).
 
@@ -312,33 +292,36 @@ def exact_local_density(model: VarietyModel, p: int, s,
         model: a VarietyModel (catalog or not).
         p: any prime, 2 and 3 included.
         s: Picard vector whose exponents 1 + s_alpha - rho_alpha are
-            positive, and integers unless a is twisted.
+            positive.
         a: character index (geometry.character_index).
+
+    Returns:
+        A Fraction when every exponent the sum reads (M, or m_G) is an
+        integer, else a float.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    svec, exps = geometry.convergence_beta(model, s)
+    svec, _ = geometry.convergence_beta(model, s)
     n = model.dim
     a = () if a is None else geometry.character_index(model, a)
-    twisted = any(a)
-    if not twisted and any(e.denominator != 1 for e in exps):
-        raise ValueError(f"need integer exponents 1 + s - rho, got {exps}")
     exps_g = geometry.generator_exponents(model, svec)
     linear, cone_ranks = _system_data(model, p)
     total_m = sum((exps_g[i] for i in linear), Fraction(0))
-    if twisted:
+    if any(a):
         k = min(vp_fraction(x, p) for x in a if x)
         num, den = _tate_factor(model, p, k, total_m)
         return Fraction(num, den) if total_m.denominator == 1 else num
-    total_m = int(total_m)
-    P = Fraction(p)
+    exact = all(exps_g[i].denominator == 1 for i in linear)
+    cast = int if exact else float
+    P = Fraction(p) if exact else float(p)
+    total_m = cast(total_m)
     decay = P ** (n - total_m)  # p^{-a}
     if decay >= 1:
         raise ValueError("the local integral diverges at this s")
     outside = p**n - 1 - sum(p ** (n - r) - 1 for _, r in cone_ranks)
     total = 1 + outside * decay / (P**n * (1 - decay))
     for i, r in cone_ranks:
-        m = int(exps_g[i])
+        m = cast(exps_g[i])
         q = P**r
         A = P ** (n - total_m + m)
         ratio = A / q

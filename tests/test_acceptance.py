@@ -8,6 +8,7 @@ import time
 import pytest
 
 from gacount import acceptance, enumeration, geometry, tamagawa
+from gacount._util import CapabilityError
 
 
 def test_a1_p1_constant():
@@ -100,3 +101,19 @@ def test_result_applies_the_budget():
     assert not acceptance._result("A0", t0, False, "d", budget_s=60.0).passed
     late = acceptance._result("A0", t0 - 61.0, True, "d")
     assert late.passed and late.detail == "d" and late.elapsed_s >= 61.0
+
+
+def test_charsum_cases_counts_before_it_runs(monkeypatch):
+    # The case count is summed in closed form; a grid past
+    # CHARSUM_CASE_LIMIT is refused before any character sum runs.
+    n_cases, worst = acceptance.charsum_cases((5, 7), 2, 5)
+    assert n_cases == sum(1 for p in (5, 7) for n in (1, 2) for d in range(min(5, p - 1) + 1)
+                          for u in range(1, p**n) if u % p)
+    assert worst <= 1e-9
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(acceptance.fourier, "character_sum", refuse)
+    with pytest.raises(CapabilityError, match="past the limit"):
+        acceptance.charsum_cases((1009,), 3, 3)

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gacount
 from gacount import cli, enumeration, geometry, tamagawa
 from gacount import __version__
 
@@ -283,6 +289,37 @@ def test_verify_denef_depth_past_float_range_is_capability_error(capsys, depth):
                          "--depth", depth)
     assert code == 3
     assert "capability error" in err and "not below 2^1024" in err
+
+
+def run_capped(*argv):
+    """The command line in a fresh interpreter under a 1 GiB address-space
+    cap, one BLAS thread and a 30 s timeout: a guard that stops working
+    fails fast with a MemoryError, and cannot exhaust the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(gacount.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "gacount.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # depth * p^n past fourier.BRUTE_STACK_LIMIT: refused before the cubes.
+    (("verify-denef", "--model", "P2", "--p", "10007"), 3),
+    (("verify-denef", "--model", "P1", "--p", "1398107"), 3),
+    # Past acceptance.CHARSUM_CASE_LIMIT: refused before the first case.
+    (("verify-charsum", "--p", "1009", "--nmax", "3"), 3),
+    # Past tamagawa.P_MAX_LIMIT: refused before the sieve or a primality test.
+    (("verify-denef", "--model", "P1", "--p", "1000000007"), 2),
+    (("verify-denef", "--model", "P1", "--p", "5..10000000000"), 2),
+    (("verify-charsum", "--p", "1000000000000000000000007"), 2),
+])
+def test_memory_guards_refuse_before_allocating(argv, code):
+    proc = run_capped(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ("capability error" if code == 3 else "usage error") in proc.stderr
 
 
 def test_verify_charsum_pass_and_fail(capsys):

@@ -199,6 +199,21 @@ def test_brute_domain_errors(model):
         fourier.brute_padic_fourier(model, 5, zero, tiny, depth=3)
 
 
+@pytest.mark.parametrize("mid,p,depth", [("P2", 10007, 3), ("P1", 1398107, 3),
+                                         ("BlP2-1", 1201, 3)])
+def test_brute_refuses_past_the_stack_limit(monkeypatch, mid, p, depth):
+    # depth * p^n past BRUTE_STACK_LIMIT is refused before the p^n children
+    # of a cube are built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("cube children built")
+
+    monkeypatch.setattr(fourier, "_iter_product", refuse)
+    model = geometry.load_model(mid)
+    assert depth * p**model.dim > fourier.BRUTE_STACK_LIMIT
+    with pytest.raises(CapabilityError, match="cube stack"):
+        fourier.brute_padic_fourier(model, p, (0,) * model.dim, model.rho, depth=depth)
+
+
 # The six transforms whose s passes geometry.convergence_beta, at p = 5;
 # denef_local_factor takes no character index.
 TRANSFORMS = {
@@ -260,19 +275,6 @@ def test_closed_form_trivial_character_dispatch(model):
         fourier.closed_form_good_prime(model, 11, (0,) * model.dim, s)
 
 
-def test_global_fourier_trivial_character_checks_s_once(monkeypatch):
-    # At a = 0 and a non-integer beta (here 3/2) the good-prime loop runs
-    # the s-only step of the stratum sum once, then the per-p step at each
-    # of its primes.
-    calls = []
-    real = tamagawa._denef_strata
-    monkeypatch.setattr(tamagawa, "_denef_strata",
-                        lambda *args: calls.append(args) or real(*args))
-    p2 = geometry.load_model("P2")
-    fourier.global_fourier(p2, (0, 0), (Fraction(7, 2),), p_max=200)
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("mid,s", [("P2", (4,)), ("P3", (5,)),
                                    ("BlP2-1", (6, 4)), ("BlP2-1", (5, 3))])
 def test_global_fourier_trivial_character_exact_at_integer_beta(monkeypatch, mid, s):
@@ -282,11 +284,31 @@ def test_global_fourier_trivial_character_exact_at_integer_beta(monkeypatch, mid
         raise AssertionError("a = 0 at integer beta must take the exact factors")
 
     monkeypatch.setattr(fourier, "brute_padic_fourier", refuse)
-    monkeypatch.setattr(tamagawa, "_denef_sum", refuse)
+    monkeypatch.setattr(tamagawa, "denef_local_factor", refuse)
     model = geometry.load_model(mid)
     out = fourier.global_fourier(model, (0,) * model.dim, s, p_max=200)
     assert out.value.real > 0 and out.value.imag == 0
     assert [name for name, _ in out.zeta_factors] == list(model.components)
+
+
+HALF = Fraction(1, 2)
+HALF_INTEGRAL_S = [("P2", (7 * HALF,)), ("P3", (9 * HALF,)),
+                   ("BlP2-1", (11 * HALF, 7 * HALF)), ("BlP2-1", (9 * HALF, 5 * HALF))]
+
+
+@pytest.mark.parametrize("mid,s", HALF_INTEGRAL_S)
+def test_global_fourier_trivial_character_runs_no_brute_integral(monkeypatch, mid, s):
+    # At a = 0 and non-integer beta every computed factor is
+    # exact_local_density: no cube refinement, no two-term closed form.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a = 0 must take the exact factors")
+
+    for name in ("brute_padic_fourier", "closed_form_good_prime"):
+        monkeypatch.setattr(fourier, name, refuse)
+    model = geometry.load_model(mid)
+    out = fourier.global_fourier(model, (0,) * model.dim, s)
+    assert out.value.real > 0 and out.value.imag == 0
+    assert out.error_bound < 1e-3 * out.value.real
 
 
 def trivial_character_oracle(model, s, p_max):
@@ -322,7 +344,8 @@ def trivial_character_oracle(model, s, p_max):
     return value, bound
 
 
-@pytest.mark.parametrize("mid,s", [("P2", (4,)), ("P3", (5,)), ("BlP2-1", (6, 4))])
+@pytest.mark.parametrize("mid,s", [("P2", (4,)), ("P3", (5,)), ("BlP2-1", (6, 4))]
+                         + HALF_INTEGRAL_S[:3])
 def test_global_fourier_trivial_character_vs_brute_oracle(mid, s):
     # The exact factors land inside the interval of the path they replace,
     # and their bound is no wider.
@@ -798,6 +821,25 @@ def test_global_fourier_p2_trivial_value():
     with mpmath.workdps(30):
         target = float(8 * mpmath.zeta(2) / mpmath.zeta(4))
     assert abs(out.value.real - target) <= out.error_bound
+
+
+def test_global_fourier_pmax_range(monkeypatch):
+    # p_max = 1 computes no good prime and still bounds the tail; p_max < 1
+    # (which gave a negative bound, or ZeroDivisionError) and a non-integer
+    # raise ValueError, and p_max past P_MAX_LIMIT CapabilityError, all
+    # before the sieve.
+    b1 = geometry.load_model("BlP2-1")
+    assert fourier.global_fourier(b1, (0, 0), (6, 4), p_max=1).error_bound > 0
+
+    def refuse(*args):
+        raise AssertionError("primes sieved")
+
+    monkeypatch.setattr(fourier, "primes_upto", refuse)
+    for p_max in (-5, 0, 2.5):
+        with pytest.raises(ValueError, match="p_max"):
+            fourier.global_fourier(b1, (0, 0), (6, 4), p_max=p_max)
+    with pytest.raises(CapabilityError, match="p_max"):
+        fourier.global_fourier(b1, (0, 0), (6, 4), p_max=tamagawa.P_MAX_LIMIT + 1)
 
 
 def test_global_fourier_trivial_needs_interior():

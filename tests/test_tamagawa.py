@@ -48,8 +48,8 @@ def test_denef_local_factor_domain_errors(model):
 
 
 def denef_oracle(model, p, s):
-    """The stratum sum of denef_local_factor in one pass, s checked at each p:
-    the oracle of its split into _denef_strata and _denef_sum."""
+    """The stratum sum of denef_local_factor written out in one pass, with
+    its own convergence check: the oracle of denef_local_factor."""
     svec = geometry.coerce_picard(model, s)
     exps = [1 + sv - Fraction(r) for sv, r in zip(svec, model.rho)]
     if any(e <= 0 for e in exps):
@@ -77,30 +77,25 @@ GOOD_PRIMES_199 = primes_upto(199)[2:]
 @pytest.mark.parametrize("shift", [0, 1, 2])
 def test_denef_split_matches_oracle(model, shift):
     s = tuple(r + shift for r in model.rho)
-    strata = tamagawa._denef_strata(model, s)
     for p in GOOD_PRIMES_199:
         want = denef_oracle(model, p, s)
-        got = tamagawa._denef_sum(model, p, strata)
+        got = tamagawa.denef_local_factor(model, p, s)
         assert type(got) is Fraction and got == want, p
-        assert tamagawa.denef_local_factor(model, p, s) == want, p
 
 
 def test_denef_split_float_branch_matches_oracle(model):
     # Half-integral exponents: the same floats, to the last bit.
     s = tuple(Fraction(2 * r + 1, 2) for r in model.rho)
-    strata = tamagawa._denef_strata(model, s)
     for p in GOOD_PRIMES_199:
         want = denef_oracle(model, p, s)
         assert type(want) is float
-        assert tamagawa._denef_sum(model, p, strata).hex() == want.hex(), p
         assert tamagawa.denef_local_factor(model, p, s).hex() == want.hex(), p
 
 
 def test_denef_sum_validates_each_prime(model):
-    strata = tamagawa._denef_strata(model, model.rho)
     for p in (2, 3, 9, 25):
         with pytest.raises(ValueError):
-            tamagawa._denef_sum(model, p, strata)
+            tamagawa.denef_local_factor(model, p, model.rho)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 29])
@@ -203,9 +198,27 @@ def test_exact_local_density_system_checks_cached_and_raised_every_call():
 
 def test_exact_local_density_domain_errors():
     b1 = geometry.load_model("BlP2-1")
-    for p, s in ((4, b1.rho), (2, (2, 2)), (2, (Fraction(7, 2), 2))):
+    for p, s in ((4, b1.rho), (2, (2, 2))):
         with pytest.raises(ValueError):
             tamagawa.exact_local_density(b1, p, s)
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)])
+def test_exact_local_density_real_exponents(model, shift):
+    # Non-integer exponents sum the same geometric series in floats: within
+    # 4 ulp of the float stratum sum at the good primes, and inside the
+    # brute bound at 2 and 3.
+    s = tuple(r + shift for r in model.rho)
+    for p in GOOD_PRIMES_199:
+        got = tamagawa.exact_local_density(model, p, s)
+        want = tamagawa.denef_local_factor(model, p, s)
+        assert type(got) is float and type(want) is float
+        assert abs(got - want) <= 4 * math.ulp(want), p
+    for p, depth in ((2, 10), (3, 6)):
+        depth = 20 if model.kind == "pn" else depth
+        brute = fourier.brute_padic_fourier(model, p, (0,) * model.dim, s, depth=depth)
+        got = tamagawa.exact_local_density(model, p, s)
+        assert abs(brute.value - got) <= brute.error_bound, p
 
 
 def _twisted_indices(p: int, n: int) -> list:
@@ -259,16 +272,16 @@ def test_exact_twisted_factor_pins():
 
 def test_exact_twisted_factor_float_branch():
     # A non-integer sigma gives a float finite sum, still inside the brute
-    # bound; the trivial character keeps its integer-exponent requirement.
+    # bound; so does the trivial character, (1 - 5^-sigma)/(1 - 5^-beta).
     p1 = geometry.load_model("P1")
     s = (Fraction(7, 2),)
-    for a in ((1,), (5,), (50,)):
+    for a in ((1,), (5,), (50,), (0,)):
         val = tamagawa.exact_local_density(p1, 5, s, a)
         assert isinstance(val, float)
         brute = fourier.brute_padic_fourier(p1, 5, a, s, depth=16)
         assert abs(brute.value - val) <= brute.error_bound
-    with pytest.raises(ValueError):
-        tamagawa.exact_local_density(p1, 5, s, (0,))
+    want = (1 - 5.0**-3.5) / (1 - 5.0**-2.5)
+    assert abs(val - want) <= 4 * math.ulp(want)
 
 
 def tate_shell_fraction(p, k, n, M):
