@@ -182,15 +182,17 @@ def charsum_cases(primes: Sequence[int], nmax: int, dmax: int,
     1 <= n <= nmax, 0 <= d <= min(dmax, p - 1) and every unit u mod p^n.
     nmax < 1 or dmax < 0 leaves no case to check, and raises ValueError;
     more than CHARSUM_CASE_LIMIT cases raise CapabilityError, before any
-    case runs."""
+    case runs, at the first (p, n) that takes the running count past it."""
     if nmax < 1 or dmax < 0:
         raise ValueError(f"need nmax >= 1 and dmax >= 0, got nmax = {nmax},"
                          f" dmax = {dmax}: no case to check")
-    planned = sum((p**n - p ** (n - 1)) * (min(dmax, p - 1) + 1)
-                  for p in primes for n in range(1, nmax + 1))
-    if planned > CHARSUM_CASE_LIMIT:
-        raise CapabilityError(f"{planned} character-sum cases, past the limit"
-                              f" {CHARSUM_CASE_LIMIT}")
+    planned = 0
+    for p in primes:
+        for n in range(1, nmax + 1):
+            planned += (p**n - p ** (n - 1)) * (min(dmax, p - 1) + 1)
+            if planned > CHARSUM_CASE_LIMIT:
+                raise CapabilityError(f"the character-sum cases up to p = {p}, n = {n}"
+                                      f" are past the limit {CHARSUM_CASE_LIMIT}")
     worst = 0.0
     for p in primes:
         for n in range(1, nmax + 1):

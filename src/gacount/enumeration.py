@@ -48,8 +48,8 @@ which P1's zeta sum reads too).  On a fixed fiber the primitive vector is
 generator heights are h_F = F and h_H = max(g*F, |X|), so with m_H = lambda_E
 and m_F = lambda_D - lambda_E the height bound becomes max(g*F, |X|) <= T_F
 where T_F is the largest integer M with M^{m_H} * F^{m_F} <= B (an exact
-integer root, _blp21_fiber_bounds).  Writing G_F = T_F // F, the fiber
-contributes
+integer root, _blp21_fiber_bound, or in bulk _blp21_fiber_bounds).  Writing
+G_F = T_F // F, the fiber contributes
 
     w_F * sum_{e <= G_F} mu(e) * (G_F//e) * (2*(T_F//e) + 1)
         = w_F * (1 + 2 * sum_{e <= G_F} mu(e) * (G_F//e) * (T_F//e)),
@@ -167,11 +167,11 @@ value, leaves int64.  count_points' box strategy counts the kernel's points.
 The point side of the height zeta function lives here too: zeta_partial
 sums H(x)^(-s) over the points with H <= B along the same strategies (the
 Moebius fibers on P1, 2^16 at a time so that its memory does not grow with
-B, until no later term can change the float sum; the fibers on BlP2-1; the
-box kernel's points otherwise, each slice's heights H = num/den from its
-generator heights as int64 products when they provably stay below 2^53)
-and returns the number of points summed; fourier.zeta_truncated adds the
-tail estimate.
+B, until no later term can change the float sum; on BlP2-1 the fibers of
+the table _blp21_fibers builds for the count too; the box kernel's points
+otherwise, each slice's heights H = num/den from its generator heights as
+int64 products when they provably stay below 2^53) and counts the points
+summed in the same pass; fourier.zeta_truncated adds the tail estimate.
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
 which decides each primitive candidate by the exact test alone and shares no
@@ -364,18 +364,26 @@ def _last_true(ok, hi: int) -> int:
     return lo
 
 
-def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers):
-    """T_F, the largest M with M^{m_H} F^{m_F} <= B, for each F in fibers:
-    a list of ints for any sequence of fibers, and an int64 array for an
-    int64 array of fibers whose T_F are all in [1, 2^30) (_blp21_count's
-    guard).
+def _blp21_fiber_bound(lam: Sequence[Fraction], B: Fraction, F: int) -> int:
+    """T_F, the largest M with M^{m_H} F^{m_F} <= B, as an exact integer root.
 
     With d the lcm of the denominators of m_H and m_F, p = m_H d and
     k = m_F d are integers and the bound is M^p <= B^d F^{-k}; as M^p is an
     integer, that is M^p <= floor(num^d F^{max(-k, 0)} / (den^d F^{max(k, 0)}))
     for B = num/den, an integer p-th root.
+    """
+    m_h, m_f = lam[1], lam[0] - lam[1]
+    d = math.lcm(m_h.denominator, m_f.denominator)
+    p, k = int(m_h * d), int(m_f * d)
+    top = B.numerator**d * F ** max(-k, 0) // (B.denominator**d * F ** max(k, 0))
+    return math.isqrt(top) if p == 2 else floor_frac_root(top, p)
 
-    On an array the root is a float estimate: y = exp(z) with
+
+def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers: np.ndarray) -> np.ndarray:
+    """T_F (_blp21_fiber_bound) for an int64 array of fibers whose T_F are
+    all in [1, 2^30) (_blp21_fibers' guard), as an int64 array.
+
+    The root is a float estimate: y = exp(z) with
     z = fl(log B) fl(1/m_H) - fl(m_F/m_H) log F, for r = (B / F^{m_F})^{1/m_H}
     and T_F = floor(r).  Let u = 2^-53 and assume np.log, math.log and
     np.exp within 4 ulp (ulp(y) <= 2u|y|), as the box kernel does.  log B =
@@ -390,24 +398,11 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers):
     [y (1 - delta), y (1 + delta)] with room for the rounding of its ends:
     where both ends have one floor, it is T_F.  The F where they differ, y
     within about y delta of an integer (every F whose r is an integer among
-    them), take the exact root of Python ints.
+    them), take the exact root _blp21_fiber_bound.
     """
     m_h, m_f = lam[1], lam[0] - lam[1]
-    d = math.lcm(m_h.denominator, m_f.denominator)
-    p, k = int(m_h * d), int(m_f * d)
-    num, den = B.numerator**d, B.denominator**d
-    root = math.isqrt if p == 2 else (lambda top: floor_frac_root(top, p))
-    up, down = max(-k, 0), max(k, 0)
-
-    def exact(F):
-        return root(num * F**up // (den * F**down))
-
-    if not isinstance(fibers, np.ndarray):
-        if k == 0:
-            return [root(num // den)] * len(fibers)
-        return [exact(F) for F in fibers]
-    if k == 0:
-        return np.full(len(fibers), root(num // den), dtype=np.int64)
+    if m_f == 0:
+        return np.full(len(fibers), _blp21_fiber_bound(lam, B, 1), dtype=np.int64)
     log_b = math.log(B.numerator) - math.log(B.denominator)
     y = np.log(fibers.astype(np.float64))
     y *= -float(m_f / m_h)
@@ -419,7 +414,7 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers):
     bounds = hi.astype(np.int64)
     y *= 1 - delta
     near = np.flatnonzero(np.floor(y, out=y) != hi)
-    bounds[near] = [exact(F) for F in fibers[near].tolist()]
+    bounds[near] = [_blp21_fiber_bound(lam, B, F) for F in fibers[near].tolist()]
     return bounds
 
 
@@ -455,14 +450,16 @@ def _exact_sum(terms: np.ndarray) -> int:
     return (int((terms >> 32).sum()) << 32) + int((terms & 0xFFFFFFFF).sum())
 
 
-def _blp21_count(lam: Sequence[Fraction], B: Fraction, f_max: int) -> int:
-    """The fiber sum over the fibers F <= f_max, split at E0 (module docstring).
+def _blp21_fibers(lam: Sequence[Fraction], B: Fraction, f_max: int) -> tuple:
+    """The fiber table (T, G, w) of the fibers F = 1, ..., f_max: int64
+    arrays of T_F, G_F = T_F // F and w_F (module docstring), which the
+    count and the zeta sum both read.
 
     Raises:
         CapabilityError: if a fiber bound T_F reaches 2^30 (int64), f_max
             passes 2^24 or G_1 = T_1 passes 2^27 (memory).
     """
-    t_1, t_end = _blp21_fiber_bounds(lam, B, (1, f_max))
+    t_1, t_end = _blp21_fiber_bound(lam, B, 1), _blp21_fiber_bound(lam, B, f_max)
     if max(t_1, t_end) >= _T_LIMIT or f_max > _FIBER_LIMIT or t_1 > _SEGMENT_LIMIT:
         raise CapabilityError(
             f"fiber sum for BlP2-1 at B={B}: fiber bounds {t_1}..{t_end} over {f_max}"
@@ -470,14 +467,18 @@ def _blp21_count(lam: Sequence[Fraction], B: Fraction, f_max: int) -> int:
         )
     fibers = np.arange(1, f_max + 1, dtype=np.int64)
     T = _blp21_fiber_bounds(lam, B, fibers)
-    G = T // fibers
-    w = _fiber_weights(1, f_max + 1)
+    return T, T // fibers, _fiber_weights(1, f_max + 1)
+
+
+def _blp21_count(T: np.ndarray, G: np.ndarray, w: np.ndarray) -> int:
+    """The fiber sum over the fiber table of _blp21_fibers, split at E0
+    (module docstring)."""
     # G is nonincreasing, so #{F : G_F > e} <= e first holds at the first
     # index e with G[e] <= e; 1 <= e0 <= G_1.
-    drops = np.flatnonzero(G <= np.arange(f_max))
-    e0 = int(drops[0]) if len(drops) else f_max
+    drops = np.flatnonzero(G <= np.arange(len(G)))
+    e0 = int(drops[0]) if len(drops) else len(G)
     # prefix[e - 1] = #{F : G_F >= e} for e = 1, ..., e0 + 1.
-    prefix = (f_max - np.searchsorted(G[::-1], np.arange(1, e0 + 2))).tolist()
+    prefix = (len(G) - np.searchsorted(G[::-1], np.arange(1, e0 + 2))).tolist()
     s = 0
     for e, mu_e in enumerate(mu_sieve(e0)[1:], start=1):
         if mu_e:
@@ -587,7 +588,7 @@ def count_points(model: VarietyModel, lam, B) -> int:
     if strategy == "pn":
         return _pn_count(model.dim, end)
     if strategy == "fiber":
-        return _blp21_count(vals, B, end)
+        return _blp21_count(*_blp21_fibers(vals, B, end))
     return sum(len(xs) for _, xs, _ in _box_kernel(model, vals, B, end))
 
 
@@ -625,11 +626,12 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     every _STOP_STRIDE fibers; partial >= 3 by then, far above any
     subnormal term), each later partial + t_f rounds to nearest back to
     partial, so partial never changes again: the sum is bit-identical to
-    the full one.  The count of the fibers in later chunks then comes from
-    count_points.
+    the full one.  The count is then that of the fibers summed, short of
+    N(B) by points whose terms cannot change the float.
 
-    BlP2-1 sums its fibers (_blp21_zeta_partial, counted by count_points),
-    the rest the points of _box_kernel with the generator heights it has
+    BlP2-1 sums and counts the fibers of one table (_blp21_fibers, which
+    refuses B past count_points' limits before the sum starts), the rest
+    the points of _box_kernel with the generator heights it has
     computed, in the order of enumerate_points.  There H = prod_G h_G^m_G.
     When every m_G is an integer, H = num/den with num = prod h_G^up_G and
     den = prod h_G^down_G (up, down the positive and negative parts of m).
@@ -656,12 +658,12 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
             for f, w_f in enumerate(w.tolist(), start=lo):
                 if (not f % _STOP_STRIDE and c >= 1.0
                         and 4.004 * f * float(f) ** (-c) < 0.5 * math.ulp(partial)):
-                    return partial, count if lo + _WEIGHT_CHUNK > end else count_points(
-                        model, vals, B)
+                    return partial, count - int(w[f - lo :].sum())
                 partial += w_f * float(f) ** (-c)
         return partial, count
     if strategy == "fiber":
-        return _blp21_zeta_partial(model, vals, s, B, end), count_points(model, vals, B)
+        T, G, w = _blp21_fibers(vals, B, end)
+        return _blp21_zeta_partial(vals, s, T, w), _blp21_count(T, G, w)
     # On P^n the box radius is height_radius(B, lambda_1), the end
     # _outer_range gives.
     _check_box_budget(model, B, end, KERNEL_CANDIDATE_BUDGET)
@@ -685,22 +687,20 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     return partial, n
 
 
-def _blp21_zeta_partial(model: VarietyModel, lam, s: float, B: Fraction, f_max: int) -> float:
-    """The point sum of zeta_partial on BlP2-1, fiber by fiber.
+def _blp21_zeta_partial(lam, s: float, T: np.ndarray, w: np.ndarray) -> float:
+    """The point sum of zeta_partial on BlP2-1 over the fibers of T and w.
 
     Points are grouped by the reduced fiber coordinate y = q/f with
-    F = max(|q|, f) <= f_max (w_F of them, _fiber_weights) and
+    F = max(|q|, f) <= len(T) (w_F of them, _blp21_fibers) and
     within a fiber by (g, X) with g >= 1, gcd(g, X) = 1; the generator
     heights are h_F = F and h_H = max(g F, |X|), so each point contributes
     max(g F, |X|)^(-m_H s) F^(-m_F s).
     """
-    m_h, m_f = geometry.generator_exponents(model, lam)
+    m_h, m_f = lam[1], lam[0] - lam[1]
     c_h = float(m_h) * s
     c_f = float(m_f) * s
-    weights = _fiber_weights(1, f_max + 1).tolist()
     total = 0.0
-    t_caps = _blp21_fiber_bounds(lam, B, range(1, f_max + 1))
-    for F, (t_cap, weight) in enumerate(zip(t_caps, weights), start=1):
+    for F, (t_cap, weight) in enumerate(zip(T.tolist(), w.tolist()), start=1):
         inner = 0.0
         for g in range(1, t_cap // F + 1):
             base = g * F

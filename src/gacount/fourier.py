@@ -111,6 +111,11 @@ _BRUTE_TAIL_CONSTANT = (1.0, 2.0, 2.0, 3.0)
 # Largest depth * p^n that brute_padic_fourier accepts: its depth-first
 # stack holds at most that many cubes (one tuple each, about 250 B traced).
 BRUTE_STACK_LIMIT = 2**22
+# Most cubes brute_padic_fourier may visit, by the bound _brute_cube_bound
+# (8-11 us a cube, 2-core VM, so under a minute): the heaviest catalog call,
+# BlP2-3 at p = 3, depth 11, has a bound of 2391571, visits 2391274 cubes
+# and takes 20-27 s.
+BRUTE_CUBE_LIMIT = 2**22
 
 # Relative float-roundoff allowance per accumulated cube.
 _ROUNDOFF_PER_BOX = 2.0e-16
@@ -283,6 +288,52 @@ def _brute_tail_bound(model: VarietyModel, p: int, depth: int,
     return _BRUTE_TAIL_CONSTANT[n_centers] * tail
 
 
+def _brute_cube_bound(model: VarietyModel, p: int, depth: int) -> int:
+    """An upper bound on the cubes brute_padic_fourier visits at depth m:
+
+        V = 1 + p^n sum_{j < m} sum_G p^{j (n - r_G)},
+
+    with r_G the rank over F_p of the linear parts (e_1, ..., e_n) of the
+    sections of G that are not constant.
+
+    A cube c + p^j Z_p^n is split, its p^n children then visited, only when
+    j < m and some system G has v_p(S(c)) >= j for each of those sections:
+    S(c) = e_0 p^m + sum_i e_i c_i = 0 mod p^j, and as j < m that reads
+    E_G c = 0 mod p^j, with E_G the matrix of the linear parts.  Some r_G
+    rows and r_G columns of E_G form a minor that p does not divide, so for
+    each choice of the other n - r_G coordinates of c mod p^j the r_G chosen
+    ones solve a system invertible mod p^j: at most p^{j (n - r_G)} of the
+    p^{jn} cubes of level j are split for G.  The root is the one cube of
+    level 0, and every other visited cube is a child of a split cube one
+    level up.  On P^n (r_H = n) V = 1 + m p^n; on BlP2-1 the pencil's
+    r_F = 1 gives V = 1 + p^2 (m + (p^m - 1)/(p - 1)), against 524285
+    cubes visited at p = 2, depth 17.
+    """
+    n = model.dim
+    ranks = [tamagawa._rank_mod_p([sec[1:] for sec in gen.sections if any(sec[1:])], p)
+             for gen in model.generators]
+    return 1 + p**n * sum(p ** (j * (n - r)) for j in range(depth) for r in ranks)
+
+
+def _check_brute_limits(model: VarietyModel, p: int, depth: int) -> None:
+    """Raise CapabilityError unless brute_padic_fourier at (p, depth) keeps
+    its scale p^(depth n) a float, its cube stack within BRUTE_STACK_LIMIT
+    and the cubes it visits (_brute_cube_bound) within BRUTE_CUBE_LIMIT."""
+    # p^(depth n) >= 2^depth n, so the first test spares the power.
+    if depth * model.dim >= 1024 or p ** (depth * model.dim) >= 2**1024:
+        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the scale"
+                              f" {p}^{depth * model.dim} is not below 2^1024, a float")
+    if depth * p**model.dim > BRUTE_STACK_LIMIT:
+        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the cube stack"
+                              f" may hold depth * p^{model.dim} cubes, past the limit"
+                              f" {BRUTE_STACK_LIMIT} (memory)")
+    cubes = _brute_cube_bound(model, p, depth)
+    if cubes > BRUTE_CUBE_LIMIT:
+        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the refinement"
+                              f" may visit {cubes} cubes, past the limit"
+                              f" {BRUTE_CUBE_LIMIT} (time)")
+
+
 def brute_padic_fourier(model: VarietyModel, p: int, a, s,
                         depth: int = 3) -> LocalFourierValue:
     """Local Fourier transform truncated to |x|_p <= p^depth, evaluated
@@ -312,22 +363,16 @@ def brute_padic_fourier(model: VarietyModel, p: int, a, s,
         a: character index, rational vector of length model.dim.
         s: Picard vector with 1 + s_alpha - rho_alpha > 0 (convergence).
         depth: truncation exponent m >= 1 with p^(m n) < 2^1024, so that
-            the scale p^(m n) is a float, and m p^n <= BRUTE_STACK_LIMIT,
-            which bounds the cube stack; CapabilityError past either,
-            before anything is allocated.
+            the scale p^(m n) is a float, m p^n <= BRUTE_STACK_LIMIT,
+            which bounds the cube stack, and _brute_cube_bound <=
+            BRUTE_CUBE_LIMIT, which bounds the cubes visited;
+            CapabilityError past any of them, before anything is allocated.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if depth < 1:
         raise ValueError("depth must be a positive integer")
-    # p^(depth n) >= 2^depth n, so the first test spares the power.
-    if depth * model.dim >= 1024 or p ** (depth * model.dim) >= 2**1024:
-        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the scale"
-                              f" {p}^{depth * model.dim} is not below 2^1024, a float")
-    if depth * p**model.dim > BRUTE_STACK_LIMIT:
-        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the cube stack"
-                              f" may hold depth * p^{model.dim} cubes, past the limit"
-                              f" {BRUTE_STACK_LIMIT} (memory)")
+    _check_brute_limits(model, p, depth)
     a, s, beta = _checked(model, a, s)
     eps_star = min(float(b) for b in beta)
 
@@ -1022,8 +1067,17 @@ def global_fourier(model: VarietyModel, a, s,
     a0_beta = [beta_by_name[name] for name in a0_names]
     zeta_factors = tuple((name, beta_by_name[name]) for name in a0_names)
 
-    arch = arch_fourier(model, a, s)
     small = sorted(geometry.SMALL_PRIMES | set(_support_primes(a)))
+    # A twisted character takes brute integrals at the small primes, each
+    # checked against the refinement's limits before any of them runs.
+    depths = {}
+    if not trivial:
+        eps_star = min(float(b) for b in beta)
+        for p in small:
+            want = math.ceil(30.0 * math.log(2.0) / (eps_star * math.log(p))) + 1
+            depths[p] = max(3, min(want, suggested_depth(model, p)))
+            _check_brute_limits(model, p, depths[p])
+    arch = arch_fourier(model, a, s)
 
     # Generic path: peel the A0 poles from every computed factor, then
     # restore exactly through zeta.  With phi_p = Hhat_p prod_{A0}(1-p^(-b))
@@ -1053,11 +1107,8 @@ def global_fourier(model: VarietyModel, a, s,
             g = tamagawa.regularized_factor_poly(model, [int(b) for b in beta])
             finite = tamagawa._good_prime_product(g, goods, finite)
     else:
-        eps_star = min(float(b) for b in beta)
         for p in small:
-            want = math.ceil(30.0 * math.log(2.0) / (eps_star * math.log(p))) + 1
-            depth = max(3, min(want, suggested_depth(model, p)))
-            brute = brute_padic_fourier(model, p, a, s, depth=depth)
+            brute = brute_padic_fourier(model, p, a, s, depth=depths[p])
             finite *= brute.value * peel(p)
             rel_err += brute.error_bound / max(
                 abs(brute.value) - brute.error_bound, 1e-30)

@@ -314,12 +314,32 @@ def run_capped(*argv):
     (("verify-denef", "--model", "P1", "--p", "1000000007"), 2),
     (("verify-denef", "--model", "P1", "--p", "5..10000000000"), 2),
     (("verify-charsum", "--p", "1000000000000000000000007"), 2),
+    # Past fourier.BRUTE_CUBE_LIMIT, though under the stack limit: refused
+    # before the first cube (the refinement would run for hours).
+    (("verify-denef", "--model", "BlP2-1", "--p", "5", "--depth", "12"), 3),
+    # Past acceptance.CHARSUM_CASE_LIMIT at n = 9 of 4000: refused at once.
+    (("verify-charsum", "--nmax", "4000"), 3),
 ])
 def test_memory_guards_refuse_before_allocating(argv, code):
     proc = run_capped(*argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert ("capability error" if code == 3 else "usage error") in proc.stderr
+    # No message prints a number past Python's int-to-string digit limit.
+    assert "4300 digits" not in proc.stderr
+
+
+def test_zeta_check_past_the_count_limit(tmp_path):
+    # P1's zeta sum stops once no later term can change it and counts the
+    # points it summed: B = 1e40 (T = 1e20, past the Moebius count's 2^36)
+    # gives the lhs of B = 1e20.
+    lhs = []
+    for bcut in ("1e20", "1e40"):
+        report = tmp_path / f"{bcut}.json"
+        proc = run_capped("zeta-check", "--s", "3", "--bcut", bcut, "--json", str(report))
+        assert proc.returncode == 0, proc.stderr
+        lhs.append(json.loads(report.read_text())["results"]["lhs"])
+    assert lhs[0] == lhs[1]
 
 
 def test_verify_charsum_pass_and_fail(capsys):

@@ -773,7 +773,7 @@ def test_blp21_fiber_bound_integer_path():
         vals = geometry.require_interior(m, lam)
         for B in (10**4, 10**11, 100.3, Fraction(10**9 + 7, 3)):
             B = as_fraction(B)
-            assert enumeration._blp21_fiber_bounds(vals, B, range(1, 2001)) == \
+            assert [enumeration._blp21_fiber_bound(vals, B, F) for F in range(1, 2001)] == \
                 [blp21_fiber_bound_fractions(vals, B, F) for F in range(1, 2001)], (lam, B)
 
 
@@ -870,6 +870,37 @@ def test_blp21_count_bench_pins():
         vals = geometry.require_interior(BLP21, lam)
         assert blp21_direct(vals, Fraction(B)) == want
         assert enumeration.count_points(BLP21, lam, B) == want
+
+
+# BlP2-1's zeta sums (lambda, s, B, the sum's float.hex, the points summed)
+# and counts (lambda, B, N; the bench's two are BENCH_BLP21) as the separate
+# passes for the sum and the count gave them, before both read the one fiber
+# table of _blp21_fibers.
+BLP21_ZETA_PINS = (
+    (BLP21.rho, 2, 300, "0x1.5aacd83e48cf2p+3", 2441),
+    (BLP21.rho, 3.5, 2 * 10**4, "0x1.23e716b9de796p+3", 248361),
+    (BLP21.rho, 4, 10**5, "0x1.21cc083ccf477p+3", 1377497),
+    ((Fraction(7, 2), 2), 3, 2 * 10**4, "0x1.27e1dc18a4243p+3", 137161),
+    ((1, 1), 5, 300, "0x1.578bc35e5163dp+3", 90085673),
+)
+BLP21_COUNT_PINS = (((2, 3), 10**9, 70412036250809), ((Fraction(7, 2), 2), 10**8, 785001281))
+
+
+def test_blp21_zeta_and_count_pins():
+    for lam, s, B, want, n in BLP21_ZETA_PINS:
+        got, count = enumeration.zeta_partial(BLP21, lam, s, B)
+        assert (got.hex(), count) == (want, n), (lam, s, B)
+    for lam, B, want in BLP21_COUNT_PINS:
+        assert enumeration.count_points(BLP21, lam, B) == want, (lam, B)
+
+
+def test_blp21_zeta_refused_with_the_count():
+    # The zeta sum reads the fiber table the count reads, so it is refused
+    # by the count's guard (G_1 = 316227766 > 2^27) before its loop starts.
+    t0 = time.perf_counter()
+    with pytest.raises(CapabilityError, match="G_1 <= 2\\^27"):
+        fourier.zeta_truncated(BLP21, BLP21.rho, 2, 10**17)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_mertens_lookup_called_once_per_count(monkeypatch):
@@ -979,14 +1010,19 @@ def test_p1_zeta_partial_in_chunks_of_fibers():
 def test_p1_zeta_partial_stops_when_terms_vanish():
     # At c = 6 every term past F of about 2000 is below half an ulp of the
     # partial sum: the sum stops there, bit-identical to the loop over all
-    # T fibers.  The count is the first chunk's weights at T = 10^4, and
-    # comes from count_points at T = 3 * 2^16 + 17.
+    # T fibers.  The count is that of the points summed: the weights of the
+    # fibers before the first F, a multiple of _STOP_STRIDE, whose bound
+    # 4.004 F^(1-c) is below half an ulp of the partial sum.
     for T in (10**4, 3 * 2**16 + 17):
         phi = _util.phi_segment(2, T + 1).tolist()
-        want = 3.0
+        want, stop = 3.0, None
         for f, ph in enumerate(phi, start=2):
+            if (stop is None and not f % enumeration._STOP_STRIDE
+                    and 4.004 * f * float(f) ** -6.0 < 0.5 * math.ulp(want)):
+                stop = f
             want += 4.0 * ph * float(f) ** -6.0
-        assert enumeration.zeta_partial(P1, (1,), 6, T) == (want, 3 + 4 * sum(phi))
+        assert stop < 2100
+        assert enumeration.zeta_partial(P1, (1,), 6, T) == (want, 3 + 4 * sum(phi[: stop - 2]))
     # At rho, s = 3, B = 10^14 (T = 10^7) the sum is that at B = 10^12.
     t0 = time.perf_counter()
     far, _ = fourier.zeta_truncated(P1, P1.rho, 3, 10**14)

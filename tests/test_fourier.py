@@ -214,6 +214,66 @@ def test_brute_refuses_past_the_stack_limit(monkeypatch, mid, p, depth):
         fourier.brute_padic_fourier(model, p, (0,) * model.dim, model.rho, depth=depth)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_brute_cube_bound_covers_the_split_cubes(model, p):
+    # A cube of level j < depth is split when some system's non-constant
+    # sections all vanish mod p^j at its corner: counted here over every
+    # corner, the visited cubes 1 + p^n sum_j (split at level j) stay within
+    # _brute_cube_bound, with equality on P^n.
+    n = model.dim
+    forms = [[sec[1:] for sec in gen.sections if any(sec[1:])] for gen in model.generators]
+    for depth in (1, 2, 3):
+        visited = 1
+        for j in range(depth):
+            split = sum(any(all(sum(e * c for e, c in zip(form, corner)) % p**j == 0
+                                for form in system) for system in forms)
+                        for corner in itertools.product(range(p**j), repeat=n))
+            visited += p**n * split
+        bound = fourier._brute_cube_bound(model, p, depth)
+        assert visited <= bound, (depth, visited, bound)
+        if model.kind == "pn":
+            assert bound == visited == 1 + depth * p**n
+
+
+@pytest.mark.parametrize("mid,p,depth,a", [("BlP2-1", 5, 12, (0, 0)),
+                                           ("BlP2-1", 47, 3, (47, 0)),
+                                           ("BlP2-3", 3, 12, (0, 0))])
+def test_brute_refuses_past_the_cube_limit(monkeypatch, mid, p, depth, a):
+    # Past BRUTE_CUBE_LIMIT cubes: refused before the first cube, though
+    # the stack guard lets these through.
+    def refuse(*args, **kwargs):
+        raise AssertionError("cube children built")
+
+    monkeypatch.setattr(fourier, "_iter_product", refuse)
+    model = geometry.load_model(mid)
+    assert depth * p**model.dim <= fourier.BRUTE_STACK_LIMIT
+    with pytest.raises(CapabilityError, match="may visit .* cubes"):
+        fourier.brute_padic_fourier(model, p, a, model.rho, depth=depth)
+
+
+def test_global_fourier_refuses_a_large_support_prime(monkeypatch):
+    # The support prime 1009 needs about 1009^4 cubes at depth 3: refused
+    # at once, before the archimedean factor or any brute integral runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor was computed")
+
+    for name in ("arch_fourier", "brute_padic_fourier"):
+        monkeypatch.setattr(fourier, name, refuse)
+    b1 = geometry.load_model("BlP2-1")
+    with pytest.raises(CapabilityError, match="p = 1009, depth 3: the refinement"):
+        fourier.global_fourier(b1, (1009, 0), (6, 4))
+
+
+def test_every_catalog_brute_call_is_under_the_cube_limit():
+    # The heaviest calls global_fourier, A5, A7 and verify-denef make: the
+    # suggested depths at p = 2, 3 and depth 3 at the A5/A7 primes.
+    for mid in geometry.MODEL_IDS:
+        model = geometry.load_model(mid)
+        for p in (2, 3, 5, 7, 11):
+            depth = max(3, fourier.suggested_depth(model, p))
+            assert fourier._brute_cube_bound(model, p, depth) <= fourier.BRUTE_CUBE_LIMIT
+
+
 # The six transforms whose s passes geometry.convergence_beta, at p = 5;
 # denef_local_factor takes no character index.
 TRANSFORMS = {
@@ -617,6 +677,48 @@ def test_global_fourier_p1_twisted_vs_local_product():
     for p in primes_upto(50):
         prod *= fourier.brute_padic_fourier(p1, p, (3,), (4,), depth=12).value.real
     assert abs(out.value.real - prod) <= out.error_bound + 1e-6
+
+
+# global_fourier's (real, imag, bound) as float.hex: P2 at s = rho + 1 over
+# a in [0, 3]^2, p_max = 1000 (the bench's grid), and BlP2-1 at s = (6, 4),
+# p_max = 200.
+GLOBAL_P2_PINS = {
+    (0, 0): ("0x1.d91dd5881b3bbp+2", "0x0.0p+0", "0x1.f01961b414626p-17"),
+    (0, 1): ("0x1.13dcfe19fbbffp-2", "0x0.0p+0", "0x1.d6456acf1abf4p-46"),
+    (0, 2): ("0x1.ae2779d8ac229p-4", "0x0.0p+0", "0x1.9a3fd19df5b32p-46"),
+    (0, 3): ("0x1.678413847ff07p-5", "0x0.0p+0", "0x1.5628165ae020cp-46"),
+    (1, 0): ("0x1.13dcfe19fbbffp-2", "0x0.0p+0", "0x1.d6456acf1abf4p-46"),
+    (1, 1): ("0x1.581f94ad56822p-5", "0x0.0p+0", "0x1.a47324bd2da7cp-47"),
+    (1, 2): ("0x1.60962370b0c25p-8", "0x0.0p+0", "0x1.9594ac1ba525dp-47"),
+    (1, 3): ("0x1.29b253a441cdep-10", "0x0.0p+0", "0x1.8bcc9b1095993p-47"),
+    (2, 0): ("0x1.ae2779d8ac229p-4", "0x0.0p+0", "0x1.9a3fd19df5b32p-46"),
+    (2, 1): ("0x1.60962370b0c25p-8", "0x0.0p+0", "0x1.9594ac1ba525dp-47"),
+    (2, 2): ("0x1.d10a5fa5ebd8bp-7", "0x0.0p+0", "0x1.804f6bb3b9034p-47"),
+    (2, 3): ("0x1.0afcf1db30836p-9", "0x0.0p+0", "0x1.79ce6aeee1357p-47"),
+    (3, 0): ("0x1.678413847ff07p-5", "0x0.0p+0", "0x1.5628165ae020cp-46"),
+    (3, 1): ("0x1.29b253a441cdep-10", "0x0.0p+0", "0x1.8bcc9b1095993p-47"),
+    (3, 2): ("0x1.0afcf1db30836p-9", "0x0.0p+0", "0x1.79ce6aeee1357p-47"),
+    (3, 3): ("0x1.75882d0abe22cp-8", "0x0.0p+0", "0x1.731a040f5c46ap-47"),
+}
+GLOBAL_BLP21_PINS = {
+    (0, 0): ("0x1.7c2cea40d0d38p+2", "0x0.0p+0", "0x1.09c30f64b262dp-19"),
+    (1, 0): ("0x1.1168f1036dd0cp-2", "0x1.0f86bea90675bp-60", "0x1.8523e84f371cep-14"),
+    (0, 1): ("0x1.54ba00da9b837p-2", "0x1.0b9b464d14e7ep-60", "0x1.3561b770c2e7ep-11"),
+    (1, 2): ("0x1.12096430282b1p-7", "0x1.a0c14f1a34879p-65", "0x1.41a3c3dae5bf9p-17"),
+    (0, 3): ("0x1.f2832ac9563a4p-5", "0x1.1a74a81f8a221p-62", "0x1.c4b00c4a357c6p-14"),
+    (5, 3): ("0x1.615957a17eb06p-12", "0x1.22337be0c3c5ap-69", "0x1.0bef13a96e981p-16"),
+}
+
+
+def test_global_fourier_pins():
+    p2 = geometry.load_model("P2")
+    b1 = geometry.load_model("BlP2-1")
+    for model, s, p_max, pins in ((p2, (4,), 1000, GLOBAL_P2_PINS),
+                                  (b1, (6, 4), 200, GLOBAL_BLP21_PINS)):
+        for a, want in pins.items():
+            out = fourier.global_fourier(model, a, s, p_max=p_max)
+            got = (out.value.real.hex(), out.value.imag.hex(), out.error_bound.hex())
+            assert got == want, (model.id, a)
 
 
 def test_global_fourier_pole_structure():

@@ -288,6 +288,23 @@ def test_one_function_owns_the_fiber_weights():
     assert readers == ["_fiber_weights"]
 
 
+def test_zeta_partial_counts_in_its_own_pass():
+    # zeta_partial counts the points of the pass that sums them and never
+    # calls count_points; BlP2-1's count and zeta sum read the one fiber
+    # table of enumeration._blp21_fibers, the only reader of the float
+    # fiber bounds.
+    def names(fn) -> set:
+        return {name for node in ast.walk(fn) for name in _used_names(node)}
+
+    assert "count_points" not in names(_functions("enumeration")["zeta_partial"])
+    readers = sorted(f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+                     for fn in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and fn.name != "_blp21_fiber_bounds"
+                     and "_blp21_fiber_bounds" in names(fn))
+    assert readers == ["enumeration._blp21_fibers"]
+
+
 def _functions(module: str) -> dict:
     """name -> FunctionDef node of every function defined in a module."""
     tree = ast.parse((SRC / f"{module}.py").read_text())

@@ -666,6 +666,21 @@ def test_tamagawa_number_matches_scalar_oracle(model, p_max):
     assert hexed[0] == hexed[1]
 
 
+# tau = tamagawa_number(model).tamagawa at the default p_max, as float.hex.
+TAU_PINS = {
+    "P1": "0x1.37423899a155dp+1",
+    "P2": "0x1.3f73d285cdaebp+3",
+    "P3": "0x1.d90e7450223f5p+4",
+    "BlP2-1": "0x1.7a71f6a681b63p+2",
+    "BlP2-2": "0x1.6c73c3f345d06p+1",
+    "BlP2-3": "0x1.28c8b744b5718p+0",
+}
+
+
+def test_tamagawa_number_pins(model):
+    assert tamagawa.tamagawa_number(model).tamagawa.hex() == TAU_PINS[model.id]
+
+
 def test_tamagawa_number_exact_small_primes(model, monkeypatch):
     # p = 2, 3 never reach the cube refinement, and at the default p_max
     # the whole error budget is the Euler tail.
