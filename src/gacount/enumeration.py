@@ -1,11 +1,12 @@
 """Exact bounded-height enumeration and asymptotic fits.
 
 count_points(model, lambda, B) returns the exact number of affine rational
-points with H(x; lambda) <= B.  Three strategies cover the catalog, each
+points with H(x; lambda) <= B.  Four strategies cover the catalog, each
 provably complete on its models.  The strategy is the model's kind, which
 the catalog derives from each entry's data and never from its name (geometry
 module docstring): "pn" takes the Moebius strategy, "fiber" the fiber
-strategy and "box" the box scan (_outer_range).
+strategy, "torsor" the torsor strategy and "box" the box scan
+(_outer_range).
 
 P^n (Moebius strategy).  H(x) = h^{lambda_1} with h = max(Z, |X_i|) on the
 primitive vector, so N(B) = #{primitive (Z, X), Z >= 1, h <= T} with
@@ -120,7 +121,7 @@ B = 1e7) or the segment (at most 5 G_1 bytes: 488 MB at G_1 = 10^8) set it,
 so before any table is built the fiber sum refuses f_max > 2^24 and
 G_1 = T_1 > 2^27, about 0.7 GB each.
 
-BlP2-2 / BlP2-3 (box strategy).  All primitive vectors with
+BlP2-3 (box strategy), and BlP2-2's zeta sum.  All primitive vectors with
 h_std = max(Z, |X|, |Y|) <= R are scanned and filtered by an exact height
 comparison.  Completeness of the box: the component heights multiply to
 prod_alpha H_alpha = h_std (the boundary classes sum to the hyperplane
@@ -164,20 +165,117 @@ powers of B are computed once, so a tie costs integer powers alone.  The
 kernel raises CapabilityError if some Hmax_G, which bounds every section
 value, leaves int64.  count_points' box strategy counts the kernel's points.
 
+BlP2-2 (torsor strategy).  BlP2-2 is P^2 blown up at (1 : 0 : 0) and
+(0 : 1 : 0), a toric surface, so its points are the integral points of its
+universal torsor (Salberger, "Tamagawa measures on universal torsors and
+points of bounded height on Fano varieties", Asterisque 251, 1998).  For a
+primitive (Z, X, Y) with Z >= 1 put g1 = gcd(Y, Z) and g2 = gcd(X, Z).  A
+common divisor of g1 and g2 divides Z, X and Y, so gcd(g1, g2) = 1 and
+
+    Z = g1 g2 k,  X = g2 x,  Y = g1 y,  gcd(x, g1 k) = gcd(y, g2 k) = 1
+
+(gcd(X, Z) = g2 gcd(x, g1 k)).  Conversely every g1, g2, k >= 1 and x, y
+with gcd(g1, g2) = gcd(x, g1 k) = gcd(y, g2 k) = 1 give a primitive vector
+(gcd(Z, X, Y) = gcd(g2, g1 y) = 1) whose two gcds are g1 and g2: the torsor
+coordinates of a point are unique.  The generator heights are
+
+    h_H = max(g1 g2 k, g2 |x|, g1 |y|),  h_1 = max(|y|, g2 k),  h_2 = max(|x|, g1 k),
+
+h_1 from the pencil {Y, Z} and h_2 from {X, Z}.  Swapping X and Y swaps the
+two pencils, so N(B) is symmetric in their exponents, and the count gives
+the smaller one to Y: m_1 <= m_2.  Then e_x = m_H + m_2, e_y = m_H + m_1
+and e_D = m_H + m_1 + m_2 are the Picard coordinates lambda_E of the two
+exceptional curves and lambda_D, all positive.  With u = |x| / (g1 k) and
+v = |y| / (g2 k),
+
+    H = g1^{e_x} g2^{e_y} k^{e_D} S(u, v),
+    S = max(1, u, v)^{m_H} max(1, v)^{m_1} max(1, u)^{m_2}.
+
+S = 1 for u, v <= 1, and for u > 1 its least value over v is
+u^{min(e_x, e_D)}: v <= 1 gives u^{e_x}, 1 < v <= u gives
+u^{e_x} v^{m_1} >= u^{min(e_x, e_D)}, v > u gives v^{e_y} u^{m_2} > u^{e_D}.
+So a triple (g1, g2, k) holds points only if g1^{e_x} g2^{e_y} k^{e_D} <= B
+(k <= B^{1/e_D}, then g2, then g1), and its |x| stop at
+g1 k (B / (g1^{e_x} g2^{e_y} k^{e_D}))^{1/min(e_x, e_D)}.
+
+A row (g1, g2, k, s) stands for the x with max(|x|, g1 k) = s >= g1 k, whose
+heights do not depend on the sign of x or, on the plateau s = g1 k, on x at
+all: the row s = g1 k has weight #{|x| <= g1 k : gcd(x, g1 k) = 1}
+= 2 phi(g1 k) + [g1 k = 1], a row s > g1 k weight 2 if gcd(s, g1 k) = 1
+and 0 otherwise.  With t = |y|, t1 = g2 k and t2 = g2 s / g1 >= t1, the
+heights are (max(g2 s, g1 t), max(t, t1), s), so H is
+
+    the H of the heights (g2 s, t1, s), a constant,   for t <= t1,
+    (g2 s)^{m_H} s^{m_2} t^{m_1}                        for t1 < t <= t2,
+    g1^{m_H} s^{m_2} t^{e_y}                            for t > t2:
+
+h_H cannot grow while h_1 is flat, as g1 t > g2 s >= g1 g2 k gives t > t1.
+H is continuous in real t >= 0 and nonincreasing before t2 when m_1 <= 0,
+nondecreasing when m_1 >= 0, and increasing after t2 (e_y > 0), whatever
+the sign of m_H: the t with H <= B form one band t_lo <= |y| <= t_hi, from
+the first nonempty piece of [0, t1], [t1 + 1, floor(t2)] and
+[floor(t2) + 1, oo) to the last (_torsor_bands).  The y of the band prime
+to g2 k number sum_{e | g2 k} mu(e) (c(t_hi, e) - c(t_lo - 1, e)), with
+c(t, e) = 2 (t//e) + 1 the multiples of e in [-t, t] for t >= 0 and 0 for
+t < 0; as sum_{e | n} mu(e) = [n = 1], a row adds its weight times
+
+    2 sum_{e | g2 k} mu(e) (t_hi//e - (t_lo - 1)//e) - [g2 k = 1 and t_lo = 0],
+
+the e from one table of the squarefree divisors of the n up to the largest
+g1 k and g2 k (_squarefree_divisors), which also gives each plateau weight
+as sum_{e | g1 k} mu(e) (2 (g1 k)//e + 1).
+
+Every band end is exact.  At all integers g1, g2, k, s >= 1, t >= 0 the
+heights above have H_alpha >= 1 (h_H / h_1 >= g1, h_H / h_2 >= g2 and
+h_1 h_2 >= each term of h_H), so H >= h_H^{lambda_min} and H <= B forces
+g1 g2 k, g2 s, g1 t <= R, the box radius above: the enumeration caps k, g2,
+g1 and s there, every height whose log is taken is at most R, and no band
+changes when its roots are clipped to [0, R] (floors) or [1, R + 1]
+(ceilings).  A band end is the floor (ceiling, for the decreasing piece at
+m_1 < 0) of the root r of c t^e = B on its piece, t ranging over [0, R],
+estimated as y = exp((log B - log c) / e).  By the error terms of the box
+kernel above, log B - log c is within 21u C of its value,
+C = 1 + log num + log den + (|m_H| + |m_1| + |m_2|)(1 + log R), and at most
+C in size; the division by fl(e), the rounded exact exponent, adds 2u |z|
+to z = (log B - log c)/e, and exp 8u, so y / r - 1 is below
+24u (1 + C/|e|).  The margin
+delta = 2^-40 (1 + C/|e|) is 300 times that, so r lies in
+[y (1 - delta), y (1 + delta)]; where the floors (ceilings) of the two ends
+differ, the exact test _util.height_test at the piece's heights bisects
+between them.  The constant piece compares its log H with log B within
+2^-40 C, as the kernel does, and the exact test decides inside.  The
+enumeration ends are float roots raised by the relative margin
+2^-30 (1 + C/e): upper bounds, which at worst add empty rows.
+
+The sums are exact in int64, as the count refuses R >= 2^30.  A weight
+is at most 2 g1 k + 1 <= 2R + 1 and |t_hi//e - (t_lo - 1)//e| <= R + 1, so
+a term is below (2R + 1)(R + 1) < 2^62; the rows come in chunks of 2^14
+(found by a searchsorted in the cumulative row counts of the triples, as
+in _blp21_blocks), each with at most 64 squarefree divisors (g2 k <= 2^18
+has at most six prime factors), so _exact_sum adds fewer than 2^31 terms.
+Before any row is built the count refuses more than 2^18 triples, g1 k or
+g2 k past 2^18 (the triples take a few int64 arrays each, the divisor table
+about 0.6 n ln n entries for n up to the largest g1 k and g2 k) and more
+than 2^27 planned rows (time).  At rho the plan has about 1.1 B rows:
+B = 10^6 takes 0.24 s, 10^7 1.9 s and 10^8 21 s with a peak RSS of 51 MB
+(2-core VM); 1.5 10^8 is refused by its rows, 10^9 by its triples.
+
 The point side of the height zeta function lives here too: zeta_partial
 sums H(x)^(-s) over the points with H <= B along the same strategies (the
 Moebius fibers on P1, 2^16 at a time so that its memory does not grow with
 B, until no later term can change the float sum; on BlP2-1 the fibers of
 the table _blp21_fibers builds for the count too; the box kernel's points
-otherwise, each slice's heights H = num/den from its generator heights as
-int64 products when they provably stay below 2^53) and counts the points
-summed in the same pass; fourier.zeta_truncated adds the tail estimate.
+on BlP2-2 and BlP2-3, each slice's heights H = num/den from its generator
+heights as int64 products when they provably stay below 2^53) and counts
+the points summed in the same pass; fourier.zeta_truncated adds the tail
+estimate.
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
 which decides each primitive candidate by the exact test alone and shares no
 code with the kernel but the generator heights and that test.  On P^n and BlP2-1 every
 H_alpha >= 1 as well, so the same box with radius B^{1/lambda_min} is sound
-there, and the tests hold the Moebius and fiber strategies against it.
+there, and the tests hold the Moebius, fiber and torsor strategies against
+it.
 
 Every strategy runs in the calling process and returns an exact integer.
 """
@@ -432,6 +530,8 @@ _STOP_STRIDE = 64
 _PN_T_LIMIT = 2**36
 _FIBER_LIMIT = 2**24
 _SEGMENT_LIMIT = 2**27
+# BlP2-1's zeta sum refuses more than _ZETA_STEP_LIMIT steps of its loop.
+_ZETA_STEP_LIMIT = 2**25
 
 
 def _fiber_weights(lo: int, hi: int) -> np.ndarray:
@@ -552,11 +652,190 @@ def _blp21_blocks(T: np.ndarray, G: np.ndarray, w: np.ndarray, e0: int) -> int:
     return s
 
 
+# The torsor count refuses more than _TORSOR_ROW_LIMIT planned rows (time), and
+# past _TORSOR_TABLE_LIMIT entries its tables (memory): the triples
+# (g1, g2, k), and the divisor table up to the largest g1 k and g2 k.
+_TORSOR_ROW_LIMIT = 2**27
+_TORSOR_TABLE_LIMIT = 2**18
+
+
+def _ragged(counts: np.ndarray) -> tuple:
+    """(owner, offset) of the entries of rows with counts c_r >= 0, laid
+    out row after row: the row of each entry and its offset 0..c_r - 1."""
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return owner, np.arange(total, dtype=np.int64) - (ends - counts)[owner]
+
+
+def _squarefree_divisors(n_max: int) -> tuple:
+    """(start, divs, mu): the squarefree divisors of n = 1, ..., n_max are
+    divs[start[n - 1]:start[n]], ascending, and mu is mu(1..n_max) (int8)."""
+    mu = mu_segment(1, n_max + 1)
+    d = np.flatnonzero(mu) + 1
+    owner, offset = _ragged(n_max // d)
+    n = d[owner] * (offset + 1)
+    order = np.argsort(n, kind="stable")
+    start = np.cumsum(np.bincount(n, minlength=n_max + 1))
+    return start, d[owner[order]], mu
+
+
+def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int) -> int:
+    """N(B) on BlP2-2: the Moebius sums over the y-bands of the torsor rows
+    (g1, g2, k, s), in int64 chunks (module docstring); R is the box radius.
+
+    Raises:
+        CapabilityError: if R reaches 2^30 (int64), the triples (g1, g2, k)
+            or the largest g1 k or g2 k pass 2^18 (memory), or the planned
+            rows pass 2^27 (time); all before any row is built.
+    """
+    m = geometry.generator_exponents(model, lam)
+    m = (m[0], min(m[1:]), max(m[1:]))
+    e_d = sum(m)
+    # The exponents m_H, m_1, m_2, e_x, e_y, e_D and min(e_x, e_D) as floats.
+    f_h, f_1, f_2, e_x, e_y, f_d = map(float, m + (m[0] + m[2], m[0] + m[1], e_d))
+    e_s = min(e_x, f_d)
+    log_num, log_den = math.log(B.numerator), math.log(B.denominator)
+    log_b = log_num - log_den
+    scale = 1.0 + log_num + log_den + (abs(f_h) + abs(f_1) + abs(f_2)) * (1.0 + math.log(R))
+
+    def refuse(what: str) -> CapabilityError:
+        return CapabilityError(f"torsor count for {model.id} at B={B}: {what}")
+
+    def upper(log_rhs, e: float, cap) -> np.ndarray:
+        # At least floor(exp(log_rhs)^(1/e)), at most cap: the float root
+        # with the relative margin 2^-30 (1 + scale/e).
+        y = np.exp(log_rhs / e) * (1.0 + 2.0**-30 * (1.0 + scale / e))
+        return np.floor(np.minimum(y, cap)).astype(np.int64)
+
+    if R >= _T_LIMIT:
+        raise refuse(f"box radius {R} would take int64 terms past 2^62 (limit R < 2^30)")
+    many_triples = "more than 2^18 triples (g1, g2, k)"
+    K = min(height_radius(B, e_d), R)
+    if K > _TORSOR_TABLE_LIMIT:
+        raise refuse(many_triples)
+    k = np.arange(1, K + 1, dtype=np.int64)
+    n_g2 = upper(log_b - f_d * np.log(k), e_y, R // k)
+    if n_g2.sum() > _TORSOR_TABLE_LIMIT:
+        raise refuse(many_triples)
+    pair, g2 = _ragged(n_g2)
+    k, g2 = k[pair], g2 + 1
+    log_pair = log_b - e_y * np.log(g2) - f_d * np.log(k)
+    n_g1 = upper(log_pair, e_x, R // (g2 * k))
+    if n_g1.sum() > _TORSOR_TABLE_LIMIT:
+        raise refuse(many_triples)
+    triple, g1 = _ragged(n_g1)
+    g1 += 1
+    keep = np.gcd(g1, g2[triple]) == 1
+    g1, triple = g1[keep], triple[keep]
+    g2, k, log_pair = g2[triple], k[triple], log_pair[triple]
+    a, n = g1 * k, g2 * k
+    if max(a.max(), n.max()) > _TORSOR_TABLE_LIMIT:
+        raise refuse("g1 k or g2 k past 2^18")
+    # The rows s = g1 k, ..., last: past last, H > B at every y.
+    last = upper(e_s * np.log(a) + log_pair - e_x * np.log(g1), e_s, R // g2)
+    counts = np.maximum(last - a + 1, 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total > _TORSOR_ROW_LIMIT:
+        raise refuse("more than 2^27 planned rows (g1, g2, k, |x|)")
+    start, divs, mu = _squarefree_divisors(int(max(a.max(), n.max())))
+    # The plateau weights sum_{e | g1 k} mu(e) (2 (g1 k)//e + 1).
+    lo = start[a - 1]
+    size = start[a] - lo
+    tri, offset = _ragged(size)
+    e = divs[lo[tri] + offset]
+    plateau = np.add.reduceat(mu[e - 1] * (2 * (a[tri] // e) + 1), np.cumsum(size) - size)
+    bands = _torsor_bands(height_test(m, B), (f_h, f_1, f_2, e_y), log_b, scale, R)
+    out = 0
+    for r0 in range(0, total, _ROW_CHUNK):
+        r = np.arange(r0, min(r0 + _ROW_CHUNK, total), dtype=np.int64)
+        f = np.searchsorted(ends, r, side="right")
+        s = a[f] + r - (ends - counts)[f]
+        w = np.where(s == a[f], plateau[f], 2 * (np.gcd(s, a[f]) == 1))
+        live = np.flatnonzero(w)
+        f, s, w = f[live], s[live], w[live]
+        t_lo, t_hi = bands(g1[f], g2[f], k[f], s)
+        live = np.flatnonzero(t_lo <= t_hi)
+        f, w, t_lo, t_hi = f[live], w[live], t_lo[live], t_hi[live]
+        # Each row adds w (2 sum_{e | g2 k} mu(e) (t_hi//e - (t_lo - 1)//e)
+        # - [g2 k = 1 and t_lo = 0]).
+        lo = start[n[f] - 1]
+        row, offset = _ragged(start[n[f]] - lo)
+        e = divs[lo[row] + offset]
+        terms = w[row] * mu[e - 1] * (t_hi[row] // e - (t_lo[row] - 1) // e)
+        out += 2 * _exact_sum(terms) - int(w[(n[f] == 1) & (t_lo == 0)].sum())
+    return out
+
+
+def _torsor_bands(leq, m: tuple, log_b: float, scale: float, R: int):
+    """The function (g1, g2, k, s) -> (t_lo, t_hi) on int64 arrays of torsor
+    rows: the band t_lo <= |y| <= t_hi where H <= B (empty if t_lo > t_hi),
+    from its three pieces (module docstring).  leq is the exact height test
+    of the generator heights, m the floats of (m_H, m_1, m_2, m_H + m_1),
+    scale that of the float margins, R the box radius."""
+    m_h, m_1, m_2, e_y = m
+    margin = 2.0**-40 * scale
+
+    def root(log_c, e: float, heights, ceil: bool = False) -> np.ndarray:
+        # The floor of the root r of c t^e = B clipped to [0, R] (e > 0),
+        # or with ceil its ceiling clipped to [1, R + 1] (e < 0).  r lies
+        # in y (1 -+ delta); where the two ends round apart, the exact test
+        # at heights(i, t) bisects between them.
+        y = np.exp((log_b - log_c) / e)
+        delta = 2.0**-40 * (1.0 + scale / abs(e))
+        rnd, low, high = (np.ceil, 1, R + 1) if ceil else (np.floor, 0, R)
+        out, top = (rnd(np.clip(y * (1.0 + d), low, high)).astype(np.int64)
+                    for d in (-delta, delta))
+        for i in np.flatnonzero(out != top).tolist():
+            lo, hi = int(out[i]), int(top[i])
+            while lo < hi:
+                if ceil:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if leq(heights(i, mid)) else (mid + 1, hi)
+                else:
+                    mid = (lo + hi + 1) // 2
+                    lo, hi = (mid, hi) if leq(heights(i, mid)) else (lo, mid - 1)
+            out[i] = lo
+        return out
+
+    def bands(g1, g2, k, s) -> tuple:
+        x, t1 = g2 * s, g2 * k
+        t2 = x // g1
+        log_s, log_x = np.log(s), np.log(x)
+        # 0 <= t <= t1: H is that of the heights (g2 s, g2 k, s).
+        log_h = m_h * log_x + m_1 * np.log(t1) + m_2 * log_s
+        a_ok = log_h < log_b - margin
+        for i in np.flatnonzero(np.abs(log_h - log_b) <= margin).tolist():
+            a_ok[i] = leq((int(x[i]), int(t1[i]), int(s[i])))
+        # t > t2: the heights (g1 t, t, s), H = g1^m_H s^m_2 t^(m_H + m_1).
+        c_hi = root(m_h * np.log(g1) + m_2 * log_s, e_y,
+                    lambda i, t: (int(g1[i]) * t, t, int(s[i])))
+        # t1 < t <= t2: the heights (g2 s, t, s), H = (g2 s)^m_H s^m_2 t^m_1.
+        b_lo, b_hi = t1 + 1, t2
+        if m_1:
+            b_c = root(m_h * log_x + m_2 * log_s, m_1,
+                       lambda i, t: (int(x[i]), t, int(s[i])), ceil=m_1 < 0)
+            if m_1 > 0:
+                b_hi = np.minimum(t2, b_c)
+            else:
+                b_lo = np.maximum(b_lo, b_c)
+        else:
+            b_hi = np.where(a_ok, t2, t1)
+        b_ok = b_lo <= b_hi
+        t_lo = np.where(a_ok, 0, np.where(b_ok, b_lo, t2 + 1))
+        t_hi = np.where(t2 < c_hi, c_hi, np.where(b_ok, b_hi, np.where(a_ok, t1, -1)))
+        return t_lo, t_hi
+
+    return bands
+
+
 def _outer_range(model: VarietyModel, lam, B: Fraction) -> tuple:
     """(strategy, outer loop end) for the model's counting strategy, which is
-    its kind: "pn" (Moebius), "fiber" or "box"."""
-    if model.kind == "box":
-        return "box", _box_radius(model, lam, B)
+    its kind: "pn" (Moebius) and "fiber" up to their own ends, "box" and
+    "torsor" up to the box radius."""
+    if model.kind in ("box", "torsor"):
+        return model.kind, _box_radius(model, lam, B)
     return model.kind, height_radius(B, lam[0])
 
 
@@ -573,8 +852,10 @@ def count_points(model: VarietyModel, lam, B) -> int:
 
     Raises:
         CapabilityError: if a box scan would exceed KERNEL_CANDIDATE_BUDGET,
-            or the Moebius or fiber sum would pass its int64 or memory limits
-            (T <= 2^36 on P^n; T_F < 2^30, f_max <= 2^24, G_1 <= 2^27 on BlP2-1).
+            or the Moebius, fiber or torsor sum would pass its int64, memory
+            or time limits (T <= 2^36 on P^n; T_F < 2^30, f_max <= 2^24,
+            G_1 <= 2^27 on BlP2-1; R < 2^30, 2^18 triples, g1 k and
+            g2 k <= 2^18, 2^27 rows on BlP2-2).
     """
     vals = geometry.require_interior(model, lam)
     B = as_fraction(B)
@@ -589,6 +870,8 @@ def count_points(model: VarietyModel, lam, B) -> int:
         return _pn_count(model.dim, end)
     if strategy == "fiber":
         return _blp21_count(*_blp21_fibers(vals, B, end))
+    if strategy == "torsor":
+        return _torsor_count(model, vals, B, end)
     return sum(len(xs) for _, xs, _ in _box_kernel(model, vals, B, end))
 
 
@@ -663,7 +946,7 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
         return partial, count
     if strategy == "fiber":
         T, G, w = _blp21_fibers(vals, B, end)
-        return _blp21_zeta_partial(vals, s, T, w), _blp21_count(T, G, w)
+        return _blp21_zeta_partial(vals, s, T, G, w), _blp21_count(T, G, w)
     # On P^n the box radius is height_radius(B, lambda_1), the end
     # _outer_range gives.
     _check_box_budget(model, B, end, KERNEL_CANDIDATE_BUDGET)
@@ -687,22 +970,29 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     return partial, n
 
 
-def _blp21_zeta_partial(lam, s: float, T: np.ndarray, w: np.ndarray) -> float:
-    """The point sum of zeta_partial on BlP2-1 over the fibers of T and w.
+def _blp21_zeta_partial(lam, s: float, T: np.ndarray, G: np.ndarray, w: np.ndarray) -> float:
+    """The point sum of zeta_partial on BlP2-1 over the fiber table (T, G, w).
 
     Points are grouped by the reduced fiber coordinate y = q/f with
     F = max(|q|, f) <= len(T) (w_F of them, _blp21_fibers) and
     within a fiber by (g, X) with g >= 1, gcd(g, X) = 1; the generator
     heights are h_F = F and h_H = max(g F, |X|), so each point contributes
-    max(g F, |X|)^(-m_H s) F^(-m_F s).
+    max(g F, |X|)^(-m_H s) F^(-m_F s).  The loop takes 1 + T_F - g F steps
+    for each g <= G_F of fiber F, at most sum_F G_F T_F in all.
+
+    Raises:
+        CapabilityError: if sum_F G_F T_F passes 2^25, before the loop.
     """
+    if _exact_sum(G * T) > _ZETA_STEP_LIMIT:
+        raise CapabilityError("zeta sum for BlP2-1: its loop over the points (g, X) would"
+                              " take more than 2^25 steps; lower B")
     m_h, m_f = lam[1], lam[0] - lam[1]
     c_h = float(m_h) * s
     c_f = float(m_f) * s
     total = 0.0
-    for F, (t_cap, weight) in enumerate(zip(T.tolist(), w.tolist()), start=1):
+    for F, (t_cap, g_cap, weight) in enumerate(zip(T.tolist(), G.tolist(), w.tolist()), start=1):
         inner = 0.0
-        for g in range(1, t_cap // F + 1):
+        for g in range(1, g_cap + 1):
             base = g * F
             # (e, mu(e)) over the squarefree divisors e of g.
             divs = [(1, 1)]

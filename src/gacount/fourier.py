@@ -75,6 +75,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -831,6 +832,11 @@ def _arch_quad_2d(model: VarietyModel, a: tuple, s) -> LocalFourierValue:
     realized by Z or Y there), so the inner integral is exact plus an
     oscillatory-weighted power tail; inner(y) is likewise constant for
     |y| <= 1.  The bound is four times QUADPACK's error estimates.
+
+    Raises:
+        CapabilityError: if QUADPACK warns (an IntegrationWarning: divergent
+            or slowly convergent, roundoff, subdivision limit) in the inner
+            or the outer integral, as its estimate would enter the bound.
     """
     # Imported here, so that no other path pays for importing SciPy.
     from scipy import integrate as _integrate
@@ -858,14 +864,21 @@ def _arch_quad_2d(model: VarietyModel, a: tuple, s) -> LocalFourierValue:
         return 2.0 * (head + tail)
 
     w2 = TWO_PI * a2
-    flat = inner(0.0)
-    if a2 == 0.0:
-        head_y = flat
-        tail_y, e_outer = _integrate.quad(inner, 1.0, np.inf, limit=400)
-    else:
-        head_y = flat * math.sin(w2) / w2
-        tail_y, e_outer = _integrate.quad(inner, 1.0, np.inf,
-                                          weight="cos", wvar=w2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _integrate.IntegrationWarning)
+        try:
+            flat = inner(0.0)
+            if a2 == 0.0:
+                head_y = flat
+                tail_y, e_outer = _integrate.quad(inner, 1.0, np.inf, limit=400)
+            else:
+                head_y = flat * math.sin(w2) / w2
+                tail_y, e_outer = _integrate.quad(inner, 1.0, np.inf,
+                                                  weight="cos", wvar=w2)
+        except _integrate.IntegrationWarning as warned:
+            raise CapabilityError(f"archimedean transform of {model.id} at a ="
+                                  f" ({', '.join(map(str, a))}): QUADPACK warned: {warned}"
+                                  ) from None
     value = 2.0 * (head_y + tail_y)
     bound = 4.0 * (e_outer + err_acc[0]) + 1e-10
     return LocalFourierValue(complex(value), bound, "quadrature")
@@ -887,7 +900,8 @@ def arch_fourier(model: VarietyModel, a, s) -> LocalFourierValue:
     used is added.  Of the blow-ups only BlP2-1 is supported: a four-cell
     closed form at the trivial character and nested 2-D QUADPACK
     quadrature otherwise (_arch_quad_2d), whose bound is four times
-    QUADPACK's error estimate, an estimate and not a proved bound.  BlP2-2
+    QUADPACK's error estimate, an estimate and not a proved bound, refused
+    (CapabilityError) where QUADPACK warns.  BlP2-2
     and BlP2-3 raise CapabilityError.
 
     Args:

@@ -8,8 +8,10 @@ G_a^n over Q:
                      line at infinity.
 
 Every module that branches on the family reads VarietyModel.kind: "pn" for
-projective n-space, "fiber" for the plane blown up at (1 : 0 : 0) alone and
-"box" for the plane blown up at two or three of the centers below.  The kind
+projective n-space, "fiber" for the plane blown up at (1 : 0 : 0) alone,
+"torsor" for the plane blown up at (1 : 0 : 0) and (0 : 1 : 0), in either
+order (toric, counted on its universal torsor), and "box" for the plane
+blown up at any other two or three of the centers below.  The kind
 is derived once per entry from its data, never from its name: it is the
 family whose constructor (_projective_space(n), or _blowup for the entry's
 centers) builds exactly the entry's dim, components, rho, generator systems,
@@ -104,14 +106,17 @@ class VarietyModel:
 
     @cached_property
     def kind(self) -> str:
-        """The catalog family of the entry (module docstring): "pn", "fiber"
-        or "box", derived once from its data; ValueError if it has none."""
+        """The catalog family of the entry (module docstring): "pn", "fiber",
+        "torsor" or "box", derived once from its data; ValueError if it has
+        none."""
         r = len(self.centers)
         family = None
         if r == 0:
             kind, family = "pn", _projective_space(self.dim)
         elif len(set(self.centers) & set(_PENCILS)) == r and (r > 1 or (1, 0) in self.centers):
-            kind, family = "box" if r > 1 else "fiber", _blowup(self.centers)
+            family = _blowup(self.centers)
+            kind = ("fiber" if r == 1 else
+                    "torsor" if set(self.centers) == {(1, 0), (0, 1)} else "box")
         if family is None or any(getattr(self, f) != getattr(family, f) for f in _FAMILY_DATA):
             raise ValueError(f"{self.id}: its data are those of no catalog family")
         return kind

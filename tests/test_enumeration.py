@@ -13,7 +13,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from gacount import _util, enumeration, fourier, geometry, heights
+from gacount import _util, enumeration, fourier, geometry, heights, tamagawa
 from gacount._util import CapabilityError, as_fraction, mertens_quotients, mu_sieve
 from conftest import global_height, random_point
 
@@ -339,7 +339,9 @@ def test_box_kernel_margin_adversarial(exact_calls):
 def test_box_kernel_exact_checks_are_few(exact_calls):
     # Only the candidates inside the float margin reach the exact test.
     m = geometry.load_model("BlP2-2")
-    assert enumeration.count_points(m, m.rho, 400) == 6681
+    lam = geometry.require_interior(m, m.rho)
+    R = enumeration._box_radius(m, lam, Fraction(400))
+    assert sum(len(xs) for _, xs, _ in enumeration._box_kernel(m, lam, Fraction(400), R)) == 6681
     assert 0 < exact_calls[0] < 1000
 
 
@@ -380,9 +382,12 @@ def test_box_count_memory_peak():
     # grid (Python 3.11, NumPy 2.4).  NumPy reports its buffers to
     # tracemalloc, so the peak is deterministic.
     m = geometry.load_model("BlP2-2")
+    lam = geometry.require_interior(m, m.rho)
+    B = Fraction(10**4)
+    R = enumeration._box_radius(m, lam, B)
     tracemalloc.start()
     try:
-        assert enumeration.count_points(m, m.rho, 10**4) == 266913
+        assert sum(len(xs) for _, xs, _ in enumeration._box_kernel(m, lam, B, R)) == 266913
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -425,8 +430,9 @@ def test_zeta_partial_matches_point_oracle(mid, lams, B):
 
 
 def test_box_counts_without_loop_scan(monkeypatch):
-    # count_points and zeta_truncated run the kernel; the loop scan is only
-    # the oracle behind enumerate_points.
+    # zeta_truncated and BlP2-3's count_points run the kernel, BlP2-2's
+    # count_points the torsor sum; the loop scan is only the oracle behind
+    # enumerate_points.
     def refuse(*args, **kwargs):
         raise AssertionError("loop scan called")
 
@@ -440,6 +446,112 @@ def test_box_counts_without_loop_scan(monkeypatch):
         m = geometry.load_model(mid)
         assert enumeration.count_points(m, m.rho, B) == want[mid][0]
         assert fourier.zeta_truncated(m, m.rho, 4, B) == want[mid][1]
+
+
+# ---------------------------------------------------------------------------
+# The torsor strategy on BlP2-2.
+
+BLP22 = geometry.load_model("BlP2-2")
+# The lambda grid of the torsor count: rho, m_H = -1 at (5, 2, 2), m_F1 = -1
+# at (2, 3, 1) (its mirror (2, 1, 3) swaps the pencils), rational lambda.
+TORSOR_LAMS = ((3, 2, 2), (5, 2, 2), (3, 1, 1), (2, 3, 1), (2, 1, 3), (Fraction(7, 2), 2, 2))
+# The box kernel's counts at rho.
+TORSOR_PINS = ((400, 6681), (10**4, 266913), (4 * 10**4, 1275201))
+
+
+def test_torsor_kind_and_pins():
+    assert BLP22.kind == "torsor"
+    for B, want in TORSOR_PINS:
+        assert enumeration.count_points(BLP22, BLP22.rho, B) == want, B
+
+
+def test_torsor_count_matches_oracle(exact_calls):
+    # Bounds at heights that occur, the most frequent one among them (dense
+    # ties H = B), and 1e-15 relative above and below each: the float roots
+    # cannot tell these apart, so the exact test decides them.  The oracle
+    # is the exact test on the points of one loop scan up to 2 B0, B0 small
+    # enough for the scan (lambda_min = 1 takes a box of radius 2 B0).
+    eps = Fraction(1, 10**15)
+    for lam in TORSOR_LAMS:
+        lam = geometry.require_interior(BLP22, lam)
+        exps = geometry.generator_exponents(BLP22, lam)
+        b0 = 100 if min(lam) == 2 else 8
+        hts = [heights.generator_heights(BLP22, pt.coords)
+               for pt in enumeration.enumerate_points(BLP22, lam, 2 * b0)]
+        found = {}
+        for hs in hts:
+            value = math.prod(h ** float(e) for h, e in zip(hs, exps))
+            if value <= b0:
+                found[value] = found.get(value, 0) + 1
+        common = max(found, key=found.get)
+        assert found[common] >= 4
+        for h in sorted(found)[:: max(1, len(found) // 6)] + [common]:
+            h = Fraction(h)
+            for B in (h, h * (1 - eps), h * (1 + eps)):
+                leq = _util.height_test(exps, B)
+                want = sum(1 for hs in hts if leq(hs)) if B >= 1 else 0
+                assert enumeration.count_points(BLP22, lam, B) == want, (lam, B)
+    assert exact_calls[0] > 0
+
+
+def test_torsor_kind_at_either_center_order():
+    # The centers (0, 1), (1, 0) list the pencils the other way round; the
+    # count is symmetric in them.
+    swapped = geometry._validate(geometry._blowup(((0, 1), (1, 0))))
+    assert swapped.kind == "torsor"
+    for lam in ((3, 2, 2), (2, 3, 1), (2, 1, 3)):
+        for B in (7, 16):
+            box = sum(1 for _ in enumeration.enumerate_points(swapped, lam, B))
+            assert enumeration.count_points(swapped, lam, B) == box, (lam, B)
+
+
+def test_torsor_count_runs_no_box_code(monkeypatch):
+    # count_points on BlP2-2 counts on the torsor; the box kernel is left to
+    # zeta_partial and BlP2-3, the loop scan to enumerate_points.
+    def refuse(*args, **kwargs):
+        raise AssertionError("box code called")
+
+    want = {(lam, B): enumeration.count_points(BLP22, lam, B)
+            for lam in TORSOR_LAMS for B in (1, 10, 60)}
+    monkeypatch.setattr(enumeration, "_box_kernel", refuse)
+    monkeypatch.setattr(enumeration, "_box_scan", refuse)
+    for (lam, B), n in want.items():
+        assert enumeration.count_points(BLP22, lam, B) == n
+
+
+def test_torsor_guards_before_any_row(monkeypatch):
+    # 1.5e8 plans about 1.65e8 rows at rho, past 2^27; 1e9 has more than 2^18
+    # triples (g1, g2, k); lambda = 1/10 makes the box radius 10^10, past
+    # the int64 limit R < 2^30.  Each is refused at once, before the divisor
+    # table or any row, and the message names the limit.
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(enumeration, "_squarefree_divisors", refuse)
+    tenth = (Fraction(1, 10),) * 3
+    for lam, B, limit in ((BLP22.rho, 15 * 10**7, "2\\^27 planned rows"),
+                          (BLP22.rho, 10**9, "2\\^18 triples"),
+                          (tenth, 10, "R < 2\\^30")):
+        t0 = time.perf_counter()
+        with pytest.raises(CapabilityError, match=limit):
+            enumeration.count_points(BLP22, lam, B)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_torsor_asymptotic_estimate():
+    # An estimate, not a proof: the degree-2 lead of N(B) / B in log B over
+    # 1e3 .. 3e6 reads 0.10787, 9.1 % under the predicted
+    # c tau / 2! = 0.1186368; windows that start at 1e4 read 11 to 18 %
+    # over it.  The 25 % tolerance holds the count to the paper's
+    # B (log B)^2 law.
+    ladder = enumeration.count_ladder(BLP22, BLP22.rho,
+                                      [k * 10**j for j in range(3, 7) for k in (1, 3)])
+    # N(1e6) and N(3e6), past the box kernel's reach.
+    assert ladder.rows[-2:] == ((10**6, 46098481), (3 * 10**6, 154338345))
+    coeffs, _ = enumeration.fit_leading(ladder, 1, 3)
+    predicted = tamagawa.predicted_constant(BLP22)
+    assert predicted == pytest.approx(0.1186368, rel=1e-6)
+    assert abs(coeffs[-1] / predicted - 1) < 0.25, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +1012,16 @@ def test_blp21_zeta_refused_with_the_count():
     t0 = time.perf_counter()
     with pytest.raises(CapabilityError, match="G_1 <= 2\\^27"):
         fourier.zeta_truncated(BLP21, BLP21.rho, 2, 10**17)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_blp21_zeta_loop_refused_past_its_step_limit():
+    # At rho, B = 1e10 the fiber table passes the count's guard, but the
+    # zeta loop would take sum_F G_F T_F ~ 1.6e10 steps (about 40 minutes):
+    # refused before the loop, by a message that names the limit.
+    t0 = time.perf_counter()
+    with pytest.raises(CapabilityError, match="more than 2\\^25 steps"):
+        fourier.zeta_truncated(BLP21, BLP21.rho, 2, 10**10)
     assert time.perf_counter() - t0 < 1.0
 
 

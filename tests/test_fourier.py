@@ -516,6 +516,18 @@ def test_arch_fourier_capability_limits():
         fourier.arch_fourier(p1, (0,), (1,))
 
 
+def test_arch_fourier_refuses_where_quadpack_warns():
+    # At a = (1000, 0), s = (6, 4) the outer integral of BlP2-1's nested
+    # quadrature makes QUADPACK warn "probably divergent, or slowly
+    # convergent" with an estimate ten times the value; that estimate may
+    # not enter a bound, from arch_fourier or from global_fourier.
+    b1 = geometry.load_model("BlP2-1")
+    for transform in (fourier.arch_fourier, fourier.global_fourier):
+        with pytest.raises(CapabilityError, match="QUADPACK warned: The integral is probably"):
+            transform(b1, (1000, 0), (6, 4))
+    assert fourier.arch_fourier(b1, (1, 2), (6, 4)).error_bound < 1e-5
+
+
 def test_arch_fourier_p3_at_rho():
     # sigma 2^n / (sigma - n) at sigma = rho = 4 is the archimedean density.
     p3 = geometry.load_model("P3")

@@ -267,7 +267,7 @@ def test_box_slack_catalog():
 def test_catalog_kinds():
     kinds = {mid: geometry.load_model(mid).kind for mid in geometry.MODEL_IDS}
     assert kinds == {"P1": "pn", "P2": "pn", "P3": "pn", "BlP2-1": "fiber",
-                     "BlP2-2": "box", "BlP2-3": "box"}
+                     "BlP2-2": "torsor", "BlP2-3": "box"}
 
 
 def test_kind_is_derived_once_and_survives_renaming(monkeypatch):
@@ -285,8 +285,9 @@ def test_kind_is_derived_once_and_survives_renaming(monkeypatch):
 
 
 def test_box_kind_at_any_two_catalog_centers():
-    # Two or three of the catalog centers make a box, in any choice; one
-    # center other than (1, 0) matches no family.
+    # Two or three of the catalog centers make a box, in any choice but the
+    # pair (1, 0), (0, 1) of the torsor kind; one center other than (1, 0)
+    # matches no family.
     for centers in (((0, 1), (1, 1)), ((1, 1), (1, 0)), ((1, 1), (0, 1), (1, 0))):
         assert geometry._validate(geometry._blowup(centers)).kind == "box"
     with pytest.raises(ValueError, match="no catalog family"):
