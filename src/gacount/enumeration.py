@@ -135,35 +135,48 @@ h_std^{lambda_min} <= B * 2^{|lambda_D - lambda_E3|}.  The catalog records
 that pair of components as VarietyModel.box_slack.  The scan is guarded by a
 candidate budget since its cost is ~ R^3.
 
-The box kernel.  _box_kernel decides a whole Z-slice of the box at once in
-NumPy int64.  Every generator system G of the catalog is the section
-Z = (1, 0, ..., 0) and linear forms l in the X_i alone (the kernel raises
-CapabilityError on any other system), so the gcd of G's section values at
-(z, X) is gcd(z, g_G(X)), with g_G the gcd of the |l(X)|: |l_i(X)| itself
-on a pencil {l_i, Z}, the gcd of the X_i on H.  g_G and the largest |l(X)|
-of each system are taken once over the (2R+1)^n grid of the X_i, with the
-gcd of the grid (8 (2R+1)^n bytes each, two per system and one for the
-grid).  Each slice computes one table t = gcd(0..max g, z), at most 2R + 1
-entries on the catalog (|X - Y| <= 2R), and reads
-h_G = max(z, max|l(X)|) // t[g_G] and the primitivity mask t[gcd(X)] == 1
-by gathers: no gcd per candidate.  A float filter then
-compares L = sum_G m_G log h_G with log B.  Let u = 2^-53 and assume np.log
-and math.log are within 4 ulp (ulp(y) <= 2u|y|).  Rounding h_G to float
-moves log h_G by at most 1.01u; the log adds 8u log h_G, rounding m_G and the
-product 2u |m_G log h_G| and the sum over k <= 4 systems k u sum|m_G log h_G|.
-With h_G <= Hmax_G = max_l sum|coefficients of l| * R (|X_i|, Z <= R), at most
-15u sum_G |m_G| (1 + log Hmax_G).  log B = log(num) - log(den) is off by at
-most 20u (1 + log num + log den).  The kernel takes the margin
+The box kernel.  _box_kernel decides the box in NumPy int64 and float64, a
+block of whole Z-slices per pass: as many slices as hold _SLICE_BLOCK = 2^14
+candidates, at least one.  Every generator system G of the catalog is the
+section Z = (1, 0, ..., 0) and linear forms l in the X_i alone (the kernel
+raises CapabilityError on any other system), so the gcd of G's section
+values at (z, X) is gcd(z, g_G(X)), with g_G the gcd of the |l(X)|:
+|l_i(X)| itself on a pencil {l_i, Z}, the gcd of the X_i on H.  g_G and
+top_G, the largest |l(X)| of each system, are taken once over the (2R+1)^n
+grid of the X_i, with the gcd of the grid (8 (2R+1)^n bytes each, two per
+system and one for the grid), and so is a table logs[v] = log v for
+1 <= v <= max_G Hmax_G (Hmax_G below).  Each block computes one table
+t = gcd(0..max g, z) per slice z in one np.gcd call, at most 2R + 1 entries
+a slice on the catalog (|X - Y| <= 2R).  t[g_G] divides z and every l(X),
+hence max(top_G, z), so h_G = max(top_G, z) / t[g_G] exactly, and the block
+reads the primitivity mask t[gcd(X)] == 1 and
+
+    L = sum_{m_G != 0} m_G (logs[max(top_G, z)] - logs[t[g_G]])
+
+by gathers alone: no candidate pays a gcd, a division or a log.  Let
+u = 2^-53 and assume np.log and math.log are within 4 ulp (ulp(y) <= 2u|y|).
+Both arguments are integers at most Hmax_G = max_l sum|coefficients of l| * R
+(|X_i|, Z <= R), far below 2^53 since the table is in memory, so each
+converts to float exactly and its log is off by at most 8u log Hmax_G; the
+difference, between 0 and log Hmax_G, then by 17.01u log Hmax_G with its
+rounding.  Rounding m_G and the product adds 2.01u |m_G| log Hmax_G, and the
+sum over k <= 4 systems k u sum|m_G| log Hmax_G, at most
+24u sum_G |m_G| (1 + log Hmax_G) in all.  log B = log(num) - log(den) is off
+by at most 20u (1 + log num + log den), and rounding log B -+ delta by
+u (log num + log den + delta).  The kernel takes the margin
 
     delta = 2^-40 (1 + log num + log den + sum_G |m_G| (1 + log Hmax_G)),
 
-more than 200 times the sum of the two errors: a candidate with
+more than 300 times the sum of these errors: a candidate with
 L < log B - delta has H < B, one with L > log B + delta has H > B, and every
 candidate in between, every tie H = B among them, is decided exactly by
 _util.height_test, prepared once per call: its scale, integer exponents and
 powers of B are computed once, so a tie costs integer powers alone.  The
-kernel raises CapabilityError if some Hmax_G, which bounds every section
-value, leaves int64.  count_points' box strategy counts the kernel's points.
+integer heights max(top_G, z) // t[g_G] are formed only for the primitive
+rows with L <= log B + delta: the ties, which the exact test reads, and the
+rows kept.  The kernel raises CapabilityError if some Hmax_G, which bounds
+every section value, leaves int64.  count_points' box strategy counts the
+kernel's points.
 
 BlP2-2 (torsor strategy).  BlP2-2 is P^2 blown up at (1 : 0 : 0) and
 (0 : 1 : 0), a toric surface, so its points are the integral points of its
@@ -265,7 +278,7 @@ sums H(x)^(-s) over the points with H <= B along the same strategies (the
 Moebius fibers on P1, 2^16 at a time so that its memory does not grow with
 B, until no later term can change the float sum; on BlP2-1 the fibers of
 the table _blp21_fibers builds for the count too; the box kernel's points
-on BlP2-2 and BlP2-3, each slice's heights H = num/den from its generator
+on BlP2-2 and BlP2-3, each block's heights H = num/den from its generator
 heights as int64 products when they provably stay below 2^53) and counts
 the points summed in the same pass; fourier.zeta_truncated adds the tail
 estimate.
@@ -298,7 +311,7 @@ from .geometry import VarietyModel
 from .heights import RationalPoint
 
 # Box candidate budgets: the loop oracle enumerate_points, and the NumPy kernel
-# of count_points and zeta_partial (3.2e7 candidates take 3.3 s, 2-core VM).
+# of count_points and zeta_partial (3.2e7 candidates take 1.1-1.5 s, 2-core VM).
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
 KERNEL_CANDIDATE_BUDGET = 50_000_000
 
@@ -352,6 +365,9 @@ def _box_scan(
 # Scale of the band around log B inside which _box_kernel decides candidates
 # exactly (module docstring, "The box kernel").
 _LOG_MARGIN = 2.0**-40
+# Candidates one NumPy pass of _box_kernel decides: as many whole Z-slices as
+# fit, at least one.
+_SLICE_BLOCK = 2**14
 
 
 def _section_bounds(model: VarietyModel, R: int) -> list[int]:
@@ -363,16 +379,19 @@ def _section_bounds(model: VarietyModel, R: int) -> list[int]:
 def _box_kernel(
     model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: int
 ) -> Iterator[tuple]:
-    """The points of _box_scan, one Z-slice at a time.
+    """The points of _box_scan, a block of whole Z-slices at a time.
 
-    Yields (z, xs, hs) for z = 1, ..., R: xs is the int64 array (k, n)
-    of the X_i of the slice's k points with H <= B, in lexicographic order,
-    and hs the int64 array (k, number of generator systems) of their
-    generator heights h_G.  The (2R+1)^n grid of the X_i, its gcd and, per
-    system, the gcd g_G and the largest |value| of its sections other than Z
-    are built once; each slice then reads its gcds from one table
-    t = gcd(0..max g, z) and holds a fixed number of arrays of (2R+1)^n
-    int64 or float64 values (8 (2R+1)^n bytes each), never the whole box.
+    Yields (zs, xs, hs) per block of slices, in _box_scan's order: zs is
+    the int64 array (k,) of the Z of the block's k points with H <= B, xs
+    the int64 array (k, n) of their X_i and hs the int64 array
+    (k, number of generator systems) of their generator heights h_G.  The
+    (2R+1)^n grid of the X_i, its gcd and, per system, the gcd g_G and the
+    largest |value| of its sections other than Z are built once (8 (2R+1)^n
+    bytes each), and so is the log table (8 max Hmax_G bytes).  A block of
+    b slices, b = max(1, _SLICE_BLOCK // (2R+1)^n), holds its gcd tables and
+    a fixed number of float64 and bool arrays of its b (2R+1)^n candidates,
+    and int64 arrays of its rows with L <= log B + delta alone (module
+    docstring), never the whole box.
 
     Raises:
         CapabilityError: if a system is not the section Z = (1, 0, ..., 0)
@@ -402,6 +421,8 @@ def _box_kernel(
     side = 2 * R + 1
     grid = np.indices((side,) * model.dim, dtype=np.int64).reshape(model.dim, -1).T - R
     grid_gcd = np.gcd.reduce(np.abs(grid), axis=1)
+    # logs[v] = log v for v <= max Hmax_G; logs[0] = 0 is never read.
+    logs = np.log(np.maximum(np.arange(max(h_max) + 1), 1))
     # Per system, over the grid: the gcd g_G and the largest of the values
     # |l(X)| of its sections other than Z.
     systems = []
@@ -411,18 +432,30 @@ def _box_kernel(
         systems.append((np.gcd.reduce(values, axis=0), values.max(axis=0, initial=0)))
     numbers = np.arange(max(int(grid_gcd.max()), *(int(g.max()) for g, _ in systems)) + 1,
                         dtype=np.int64)
-    for z in range(1, R + 1):
-        table = np.gcd(numbers, z)
-        hs = np.empty((len(grid), len(systems)), dtype=np.int64)
-        for j, (g, top) in enumerate(systems):
-            np.floor_divide(np.maximum(top, z), table[g], out=hs[:, j])
-        log_h = np.log(hs) @ m_float
-        primitive = table[grid_gcd] == 1
-        keep = primitive & (log_h < log_b - margin)
-        ties = np.flatnonzero(primitive & (np.abs(log_h - log_b) <= margin))
+    rows = max(1, _SLICE_BLOCK // len(grid))
+    for z0 in range(1, R + 1, rows):
+        zs = np.arange(z0, min(z0 + rows, R + 1), dtype=np.int64)
+        table = np.gcd(numbers, zs[:, None])
+        log_table = logs[table]
+        log_h = np.zeros((len(zs), len(grid)))
+        for (g, top), e in zip(systems, m_float):
+            if e:
+                term = np.take(logs, np.maximum(top, zs[:, None]))
+                term -= np.take(log_table, g, axis=1)
+                term *= e
+                log_h += term
+        # The rows not above the band, then their exact heights; the rows in
+        # the band are decided by leq.
+        kept = np.flatnonzero(np.take(table == 1, grid_gcd, axis=1) & (log_h <= log_b + margin))
+        row, col = np.divmod(kept, len(grid))
+        hs = np.stack([np.maximum(top[col], zs[row]) // table[row, g[col]]
+                       for g, top in systems], axis=1)
+        ties = np.flatnonzero(log_h.ravel()[kept] >= log_b - margin)
         if ties.size:
-            keep[ties] = [leq(row) for row in hs[ties].tolist()]
-        yield z, grid[keep], hs[keep]
+            ok = np.ones(len(kept), dtype=bool)
+            ok[ties] = [leq(h) for h in hs[ties].tolist()]
+            row, col, hs = row[ok], col[ok], hs[ok]
+        yield zs[row], grid[col], hs
 
 
 def _pn_count(n: int, T: int) -> int:
@@ -920,7 +953,7 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     den = prod h_G^down_G (up, down the positive and negative parts of m).
     Each h_G <= max|l| <= Hmax_G (_section_bounds), so num and den are at
     most prod Hmax_G^up_G and prod Hmax_G^down_G.  When both bounds are
-    below 2^53, every partial product of the slice's int64 products is
+    below 2^53, every partial product of the block's int64 products is
     exact, both products convert to float64 exactly and NumPy's quotient is
     the correctly rounded num/den, the float Python's int / int gives.
     Otherwise, and at rational m_G, each row's height is

@@ -250,8 +250,8 @@ def test_enumerate_points_lexicographic(model):
 def _kernel_points(model, lam, B, R):
     """(points, generator heights) of _box_kernel as tuples, in its order."""
     points, hts = [], []
-    for z, xs, hs in enumeration._box_kernel(model, lam, B, R):
-        points += [(z, *x) for x in xs.tolist()]
+    for zs, xs, hs in enumeration._box_kernel(model, lam, B, R):
+        points += [(z, *x) for z, x in zip(zs.tolist(), xs.tolist())]
         hts += [tuple(h) for h in hs.tolist()]
     return points, hts
 
@@ -336,6 +336,58 @@ def test_box_kernel_margin_adversarial(exact_calls):
     assert exact_calls[0] > 0
 
 
+def test_box_kernel_block_seams(monkeypatch):
+    # One Z-slice per NumPy pass and the whole box in one pass: the kernel
+    # returns _box_scan's points in its order with their heights, and the
+    # counts and zeta sums read from it do not change.  The bounds are 60,
+    # the most frequent height up to 60 (dense ties H = B) and 1e-15
+    # relative above and below it; lambda = 7/2, 2, ... keeps the exact tie
+    # test at rational exponents covered.
+    eps = Fraction(1, 10**15)
+    cases = []
+    for mid in ("BlP2-2", "BlP2-3", "P2"):
+        m = geometry.load_model(mid)
+        for lam in (m.rho, (Fraction(7, 2),) + (Fraction(2),) * (m.rank - 1)):
+            lam = geometry.require_interior(m, lam)
+            exps = geometry.generator_exponents(m, lam)
+            R = enumeration._box_radius(m, lam, Fraction(60))
+            found = {}
+            for coords in enumeration._box_scan(m, lam, Fraction(60), R):
+                value = math.prod(h ** float(e)
+                                  for h, e in zip(heights.generator_heights(m, coords), exps))
+                found[value] = found.get(value, 0) + 1
+            common = Fraction(max(found, key=found.get))
+            cases += [(m, lam, B) for B in (Fraction(60), common, common * (1 - eps),
+                                            common * (1 + eps)) if B >= 1]
+    scans = [list(enumeration._box_scan(m, lam, B, enumeration._box_radius(m, lam, B)))
+             for m, lam, B in cases]
+    results = {}
+    for block in (1, 2**30):
+        monkeypatch.setattr(enumeration, "_SLICE_BLOCK", block)
+        results[block] = []
+        for (m, lam, B), want in zip(cases, scans):
+            R = enumeration._box_radius(m, lam, B)
+            points, hts = _kernel_points(m, lam, B, R)
+            assert points == want, (m.id, lam, B, block)
+            assert hts == [heights.generator_heights(m, c) for c in want]
+            results[block].append((enumeration.count_points(m, lam, B),
+                                   enumeration.zeta_partial(m, lam, 4.5, B)))
+        m, lam, B = cases[0]
+        R = enumeration._box_radius(m, lam, B)
+        assert len(list(enumeration._box_kernel(m, lam, B, R))) == (R if block == 1 else 1)
+    assert results[1] == results[2**30]
+
+
+def test_box_kernel_pins_past_the_loop_scan():
+    # BlP2-3 at rho where the loop scan is too slow to be the oracle (about
+    # 17 s at B = 2000): counts and a zeta sum of the kernel that decided
+    # one Z-slice per NumPy pass.
+    m = geometry.load_model("BlP2-3")
+    assert enumeration.count_points(m, m.rho, 2000) == 72463
+    assert enumeration.count_points(m, m.rho, 8000) == 378895
+    assert fourier.zeta_truncated(m, m.rho, 4, 2000)[0].hex() == "0x1.de44c4fd83efcp+2"
+
+
 def test_box_kernel_exact_checks_are_few(exact_calls):
     # Only the candidates inside the float margin reach the exact test.
     m = geometry.load_model("BlP2-2")
@@ -376,11 +428,14 @@ def test_box_kernel_refuses_a_system_without_z(monkeypatch):
 
 def test_box_count_memory_peak():
     # The kernel holds the X grid, its gcd and per generator system the gcd
-    # g_G and the largest |l| of its sections other than Z, and one slice's
-    # arrays, never the box: 6.18 MB traced for BlP2-2 at B = 10^4 (R = 100)
-    # now, 7.47 MB for the kernel that kept every section's X-part over the
-    # grid (Python 3.11, NumPy 2.4).  NumPy reports its buffers to
-    # tracemalloc, so the peak is deterministic.
+    # g_G and the largest |l| of its sections other than Z, and one block's
+    # arrays, never the box: at R = 100 a block is one Z-slice of 201^2
+    # candidates, whose float log sum and log terms are 8 bytes each, and
+    # the exact heights only of the rows it keeps.  4.98 MB traced for
+    # BlP2-2 at B = 10^4 now, 6.18 MB for the kernel that formed every
+    # candidate's heights and logs, 7.47 MB for the one that kept every
+    # section's X-part over the grid (Python 3.11, NumPy 2.4).  NumPy
+    # reports its buffers to tracemalloc, so the peak is deterministic.
     m = geometry.load_model("BlP2-2")
     lam = geometry.require_interior(m, m.rho)
     B = Fraction(10**4)
