@@ -6,7 +6,8 @@ place and unit-tested: rational coercion, p-adic valuations, integer roots of
 rational bounds, exact comparison of monomials in integer heights against a
 rational bound, the one primality test and the one factorizer of the
 package, Moebius/Euler-phi/prime sieves, the Mertens table, and the Riemann
-zeta function on the reals above 1, correctly rounded.
+zeta function on the reals above 1, correctly rounded.  refuse_past is the
+one refusal of planned work past a limit, last_true the one bisection.
 
 Moebius and Euler phi values come from NumPy segment sieves,
 mu_segment(a, b) and phi_segment(a, b) for a <= k < b: slices over the
@@ -31,6 +32,26 @@ import numpy as np
 
 class CapabilityError(RuntimeError):
     """An operation outside the implemented scope (maps to CLI exit code 3)."""
+
+
+def refuse_past(what: str, planned: int, limit: int, resource: str) -> None:
+    """Raise CapabilityError "<what> passes the limit <limit> (<resource>)"
+    when planned > limit, the limit shown as 2^k or 10^k where it is one; the
+    planned number may pass Python's int-to-string limit and is never shown."""
+    if planned > limit:
+        k, text = limit.bit_length() - 1, str(limit)
+        powers = {1 << k: f"2^{k}", 10 ** (len(text) - 1): f"10^{len(text) - 1}"}
+        raise CapabilityError(f"{what} passes the limit {powers.get(limit, text)} ({resource})")
+
+
+def last_true(ok, hi: int) -> int:
+    """The largest q in [0, hi] with q = 0 or ok(q), for a test ok that holds
+    on an initial run of q >= 1 and fails after it, by bisection."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid - 1)
+    return lo
 
 
 def as_fraction(x) -> Fraction:
@@ -116,15 +137,7 @@ def floor_frac_root(bound: Fraction, exponent: int) -> int:
     num, den = bound.numerator, bound.denominator
     if exponent == 1:
         return num // den
-    hi = 1 << (num.bit_length() // exponent + 2)
-    lo = 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**exponent * den <= num:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return last_true(lambda m: m**exponent * den <= num, 1 << (num.bit_length() // exponent + 2))
 
 
 def height_test(exponents, bound: Fraction):

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import enumeration, fourier, geometry, heights, tamagawa
-from ._util import CapabilityError, prime_factors, primes_upto, zeta
+from ._util import prime_factors, primes_upto, refuse_past, zeta
 
 # Most cases charsum_cases runs: the default grid of verify-charsum has 15968.
 CHARSUM_CASE_LIMIT = 2**22
@@ -190,9 +190,8 @@ def charsum_cases(primes: Sequence[int], nmax: int, dmax: int,
     for p in primes:
         for n in range(1, nmax + 1):
             planned += (p**n - p ** (n - 1)) * (min(dmax, p - 1) + 1)
-            if planned > CHARSUM_CASE_LIMIT:
-                raise CapabilityError(f"the character-sum cases up to p = {p}, n = {n}"
-                                      f" are past the limit {CHARSUM_CASE_LIMIT}")
+            refuse_past(f"the number of character-sum cases up to p = {p}, n = {n}", planned,
+                        CHARSUM_CASE_LIMIT, "time")
     worst = 0.0
     for p in primes:
         for n in range(1, nmax + 1):

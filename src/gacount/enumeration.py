@@ -305,8 +305,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, heights
-from ._util import (CapabilityError, as_fraction, floor_frac_root, height_test, mertens_quotients,
-                    mu_segment, mu_sieve, phi_segment, prime_factors)
+from ._util import (CapabilityError, as_fraction, floor_frac_root, height_test, last_true,
+                    mertens_quotients, mu_segment, mu_sieve, phi_segment, prime_factors,
+                    refuse_past)
 from .geometry import VarietyModel
 from .heights import RationalPoint
 
@@ -337,13 +338,9 @@ def _box_radius(model: VarietyModel, lam: Sequence[Fraction], B: Fraction) -> in
     return height_radius(B * Fraction(2) ** _ceil_fraction(slack), min(lam))
 
 
-def _check_box_budget(model: VarietyModel, B: Fraction, R: int, budget: int) -> None:
-    n_candidates = R * (2 * R + 1) ** model.dim
-    if n_candidates > budget:
-        raise CapabilityError(
-            f"box scan for {model.id} at B={B} needs {n_candidates} candidates"
-            f" (budget {budget}); lower B"
-        )
+def _check_box_budget(model: VarietyModel, R: int, budget: int) -> None:
+    refuse_past(f"box scan of {model.id}: the number of candidates R (2R + 1)^{model.dim}",
+                R * (2 * R + 1) ** model.dim, budget, "time")
 
 
 def _box_scan(
@@ -408,10 +405,8 @@ def _box_kernel(
     leq = height_test(m, B)
     m_float = np.array([float(e) for e in m])
     h_max = _section_bounds(model, R)
-    if max(h_max) > np.iinfo(np.int64).max:
-        raise CapabilityError(
-            f"box kernel for {model.id}: section values up to {max(h_max)} leave int64"
-        )
+    refuse_past(f"box kernel of {model.id}: the largest section value", max(h_max),
+                np.iinfo(np.int64).max, "int64")
     log_num, log_den = math.log(B.numerator), math.log(B.denominator)
     log_b = log_num - log_den
     margin = _LOG_MARGIN * (
@@ -462,9 +457,7 @@ def _pn_count(n: int, T: int) -> int:
     """The Moebius sum on P^n: the d <= isqrt(T) one by one, the larger d
     over the quotient blocks, in int64 below the split points (module
     docstring)."""
-    if T > _PN_T_LIMIT:
-        raise CapabilityError(f"Moebius sum on P{n}: T = {T} needs a mu sieve of"
-                              f" T^(2/3) values (limit T <= 2^36)")
+    refuse_past(f"Moebius sum on P{n}: T", T, _PN_T_LIMIT, "memory")
     s = math.isqrt(T)
     top = T // (s + 1)
     quot = T // np.arange(1, s + 1, dtype=np.int64)
@@ -477,22 +470,12 @@ def _pn_count(n: int, T: int) -> int:
         return q * (2 * q + 1) ** n
 
     # The terms d <= d_1 and q > q_1 may pass 2^62; the rest are int64.
-    d_1 = min(T // (_last_true(lambda q: f(q) < _TERM_LIMIT, T) + 1), s)
-    q_1 = _last_true(lambda q: f(q) * (T + q * (q + 1)) < _TERM_LIMIT * q * (q + 1), top)
+    d_1 = min(T // (last_true(lambda q: f(q) < _TERM_LIMIT, T) + 1), s)
+    q_1 = last_true(lambda q: f(q) * (T + q * (q + 1)) < _TERM_LIMIT * q * (q + 1), top)
     qs = np.arange(1, q_1 + 1, dtype=np.int64)
     total = _exact_sum(mu[d_1:] * f(quot[d_1:])) + _exact_sum(f(qs) * dm[:q_1])
     total += sum(mu_d * f(t) for mu_d, t in zip(mu[:d_1].tolist(), quot[:d_1].tolist()) if mu_d)
     return total + sum(f(q) * dm_q for q, dm_q in enumerate(dm[q_1:].tolist(), start=q_1 + 1))
-
-
-def _last_true(ok, hi: int) -> int:
-    """The largest q in [0, hi] with q = 0 or ok(q), for a test ok that holds
-    on an initial run of q >= 1 and fails after it, by bisection."""
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if ok(mid) else (lo, mid - 1)
-    return lo
 
 
 def _blp21_fiber_bound(lam: Sequence[Fraction], B: Fraction, F: int) -> int:
@@ -563,7 +546,8 @@ _STOP_STRIDE = 64
 _PN_T_LIMIT = 2**36
 _FIBER_LIMIT = 2**24
 _SEGMENT_LIMIT = 2**27
-# BlP2-1's zeta sum refuses more than _ZETA_STEP_LIMIT steps of its loop.
+# The zeta sums of P1 and BlP2-1 refuse more than _ZETA_STEP_LIMIT planned
+# steps of their loops.
 _ZETA_STEP_LIMIT = 2**25
 
 
@@ -590,14 +574,13 @@ def _blp21_fibers(lam: Sequence[Fraction], B: Fraction, f_max: int) -> tuple:
 
     Raises:
         CapabilityError: if a fiber bound T_F reaches 2^30 (int64), f_max
-            passes 2^24 or G_1 = T_1 passes 2^27 (memory).
+            passes 2^24 or G_1 = T_1 passes 2^27 (memory), before any table.
     """
-    t_1, t_end = _blp21_fiber_bound(lam, B, 1), _blp21_fiber_bound(lam, B, f_max)
-    if max(t_1, t_end) >= _T_LIMIT or f_max > _FIBER_LIMIT or t_1 > _SEGMENT_LIMIT:
-        raise CapabilityError(
-            f"fiber sum for BlP2-1 at B={B}: fiber bounds {t_1}..{t_end} over {f_max}"
-            f" fibers pass the limits (T_F < 2^30, f_max <= 2^24, G_1 <= 2^27)"
-        )
+    t_1 = _blp21_fiber_bound(lam, B, 1)
+    refuse_past("fiber sum on BlP2-1: the largest fiber bound T_F + 1",
+                max(t_1, _blp21_fiber_bound(lam, B, f_max)) + 1, _T_LIMIT, "int64")
+    refuse_past("fiber sum on BlP2-1: the number of fibers f_max", f_max, _FIBER_LIMIT, "memory")
+    refuse_past("fiber sum on BlP2-1: G_1", t_1, _SEGMENT_LIMIT, "memory")
     fibers = np.arange(1, f_max + 1, dtype=np.int64)
     T = _blp21_fiber_bounds(lam, B, fibers)
     return T, T // fibers, _fiber_weights(1, f_max + 1)
@@ -718,9 +701,9 @@ def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: 
     (g1, g2, k, s), in int64 chunks (module docstring); R is the box radius.
 
     Raises:
-        CapabilityError: if R reaches 2^30 (int64), the triples (g1, g2, k)
-            or the largest g1 k or g2 k pass 2^18 (memory), or the planned
-            rows pass 2^27 (time); all before any row is built.
+        CapabilityError: if R reaches 2^30 (int64), the k, pairs (g2, k),
+            triples (g1, g2, k) or the largest g1 k or g2 k pass 2^18
+            (memory), or the planned rows 2^27 (time); all before any row.
     """
     m = geometry.generator_exponents(model, lam)
     m = (m[0], min(m[1:]), max(m[1:]))
@@ -732,46 +715,39 @@ def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: 
     log_b = log_num - log_den
     scale = 1.0 + log_num + log_den + (abs(f_h) + abs(f_1) + abs(f_2)) * (1.0 + math.log(R))
 
-    def refuse(what: str) -> CapabilityError:
-        return CapabilityError(f"torsor count for {model.id} at B={B}: {what}")
-
     def upper(log_rhs, e: float, cap) -> np.ndarray:
         # At least floor(exp(log_rhs)^(1/e)), at most cap: the float root
         # with the relative margin 2^-30 (1 + scale/e).
         y = np.exp(log_rhs / e) * (1.0 + 2.0**-30 * (1.0 + scale / e))
         return np.floor(np.minimum(y, cap)).astype(np.int64)
 
-    if R >= _T_LIMIT:
-        raise refuse(f"box radius {R} would take int64 terms past 2^62 (limit R < 2^30)")
-    many_triples = "more than 2^18 triples (g1, g2, k)"
+    on = f"torsor count on {model.id}:"
+    refuse_past(f"{on} the box radius R + 1", R + 1, _T_LIMIT, "int64")
     K = min(height_radius(B, e_d), R)
-    if K > _TORSOR_TABLE_LIMIT:
-        raise refuse(many_triples)
+    refuse_past(f"{on} the number of k", K, _TORSOR_TABLE_LIMIT, "memory")
     k = np.arange(1, K + 1, dtype=np.int64)
     n_g2 = upper(log_b - f_d * np.log(k), e_y, R // k)
-    if n_g2.sum() > _TORSOR_TABLE_LIMIT:
-        raise refuse(many_triples)
+    refuse_past(f"{on} the number of pairs (g2, k)", n_g2.sum(), _TORSOR_TABLE_LIMIT, "memory")
     pair, g2 = _ragged(n_g2)
     k, g2 = k[pair], g2 + 1
     log_pair = log_b - e_y * np.log(g2) - f_d * np.log(k)
     n_g1 = upper(log_pair, e_x, R // (g2 * k))
-    if n_g1.sum() > _TORSOR_TABLE_LIMIT:
-        raise refuse(many_triples)
+    refuse_past(f"{on} the number of triples (g1, g2, k)", n_g1.sum(), _TORSOR_TABLE_LIMIT,
+                "memory")
     triple, g1 = _ragged(n_g1)
     g1 += 1
     keep = np.gcd(g1, g2[triple]) == 1
     g1, triple = g1[keep], triple[keep]
     g2, k, log_pair = g2[triple], k[triple], log_pair[triple]
     a, n = g1 * k, g2 * k
-    if max(a.max(), n.max()) > _TORSOR_TABLE_LIMIT:
-        raise refuse("g1 k or g2 k past 2^18")
+    refuse_past(f"{on} the largest g1 k and g2 k", max(a.max(), n.max()), _TORSOR_TABLE_LIMIT,
+                "memory")
     # The rows s = g1 k, ..., last: past last, H > B at every y.
     last = upper(e_s * np.log(a) + log_pair - e_x * np.log(g1), e_s, R // g2)
     counts = np.maximum(last - a + 1, 0)
     ends = np.cumsum(counts)
     total = int(ends[-1])
-    if total > _TORSOR_ROW_LIMIT:
-        raise refuse("more than 2^27 planned rows (g1, g2, k, |x|)")
+    refuse_past(f"{on} the number of rows (g1, g2, k, |x|)", total, _TORSOR_ROW_LIMIT, "time")
     start, divs, mu = _squarefree_divisors(int(max(a.max(), n.max())))
     # The plateau weights sum_{e | g1 k} mu(e) (2 (g1 k)//e + 1).
     lo = start[a - 1]
@@ -821,15 +797,11 @@ def _torsor_bands(leq, m: tuple, log_b: float, scale: float, R: int):
         out, top = (rnd(np.clip(y * (1.0 + d), low, high)).astype(np.int64)
                     for d in (-delta, delta))
         for i in np.flatnonzero(out != top).tolist():
-            lo, hi = int(out[i]), int(top[i])
-            while lo < hi:
-                if ceil:
-                    mid = (lo + hi) // 2
-                    lo, hi = (lo, mid) if leq(heights(i, mid)) else (mid + 1, hi)
-                else:
-                    mid = (lo + hi + 1) // 2
-                    lo, hi = (mid, hi) if leq(heights(i, mid)) else (lo, mid - 1)
-            out[i] = lo
+            lo, span = int(out[i]), int(top[i] - out[i])
+            if ceil:  # the smallest t with H <= B, past the q failing heights
+                out[i] = lo + last_true(lambda q: not leq(heights(i, lo + q - 1)), span)
+            else:  # the largest t with H <= B
+                out[i] = lo + last_true(lambda q: leq(heights(i, lo + q)), span)
         return out
 
     def bands(g1, g2, k, s) -> tuple:
@@ -886,9 +858,7 @@ def count_points(model: VarietyModel, lam, B) -> int:
     Raises:
         CapabilityError: if a box scan would exceed KERNEL_CANDIDATE_BUDGET,
             or the Moebius, fiber or torsor sum would pass its int64, memory
-            or time limits (T <= 2^36 on P^n; T_F < 2^30, f_max <= 2^24,
-            G_1 <= 2^27 on BlP2-1; R < 2^30, 2^18 triples, g1 k and
-            g2 k <= 2^18, 2^27 rows on BlP2-2).
+            or time limits (README, "Limits"), before the work starts.
     """
     vals = geometry.require_interior(model, lam)
     B = as_fraction(B)
@@ -896,7 +866,7 @@ def count_points(model: VarietyModel, lam, B) -> int:
         return 0
     strategy, end = _outer_range(model, vals, B)
     if strategy == "box":
-        _check_box_budget(model, B, end, KERNEL_CANDIDATE_BUDGET)
+        _check_box_budget(model, end, KERNEL_CANDIDATE_BUDGET)
     if end < 1:
         return 0
     if strategy == "pn":
@@ -920,7 +890,7 @@ def enumerate_points(model: VarietyModel, lam, B) -> Iterator[RationalPoint]:
     if B < 1:
         return
     R = _box_radius(model, vals, B)
-    _check_box_budget(model, B, R, DEFAULT_CANDIDATE_BUDGET)
+    _check_box_budget(model, R, DEFAULT_CANDIDATE_BUDGET)
     for coords in _box_scan(model, vals, B, R):
         yield RationalPoint(coords)
 
@@ -943,7 +913,11 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     subnormal term), each later partial + t_f rounds to nearest back to
     partial, so partial never changes again: the sum is bit-identical to
     the full one.  The count is then that of the fibers summed, short of
-    N(B) by points whose terms cannot change the float.
+    N(B) by points whose terms cannot change the float.  As partial >= 3
+    from F = 1 on, ulp(partial)/2 >= 2^-52 > 4.004 F^(1-c) once F passes
+    (4.004 * 2^52)^(1/(c-1)) (c > 1): the loop plans its fibers up to the
+    next multiple of _STOP_STRIDE, or f_max if smaller, and refuses more
+    than _ZETA_STEP_LIMIT before it starts.
 
     BlP2-1 sums and counts the fibers of one table (_blp21_fibers, which
     refuses B past count_points' limits before the sum starts), the rest
@@ -967,6 +941,11 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     strategy, end = _outer_range(model, vals, B)
     if strategy == "pn" and model.dim == 1:
         c = float(vals[0]) * s
+        # 2^1000 stands for any larger root, and for no stop at all (c <= 1).
+        log_root = min(math.log2(4.004 * 2.0**52) / (c - 1.0) if c > 1.0 else 1000.0, 1000.0)
+        planned = min(end, (int(2.0**log_root) // _STOP_STRIDE + 1) * _STOP_STRIDE)
+        refuse_past("zeta sum on P1: the number of fibers of its loop", planned, _ZETA_STEP_LIMIT,
+                    "time")
         partial, count = 0.0, 0
         for lo in range(1, end + 1, _WEIGHT_CHUNK):
             w = _fiber_weights(lo, min(lo + _WEIGHT_CHUNK, end + 1))
@@ -982,7 +961,7 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
         return _blp21_zeta_partial(vals, s, T, G, w), _blp21_count(T, G, w)
     # On P^n the box radius is height_radius(B, lambda_1), the end
     # _outer_range gives.
-    _check_box_budget(model, B, end, KERNEL_CANDIDATE_BUDGET)
+    _check_box_budget(model, end, KERNEL_CANDIDATE_BUDGET)
     m = geometry.generator_exponents(model, vals)
     up = [max(int(e), 0) for e in m]
     down = [max(-int(e), 0) for e in m]
@@ -1016,9 +995,8 @@ def _blp21_zeta_partial(lam, s: float, T: np.ndarray, G: np.ndarray, w: np.ndarr
     Raises:
         CapabilityError: if sum_F G_F T_F passes 2^25, before the loop.
     """
-    if _exact_sum(G * T) > _ZETA_STEP_LIMIT:
-        raise CapabilityError("zeta sum for BlP2-1: its loop over the points (g, X) would"
-                              " take more than 2^25 steps; lower B")
+    refuse_past("zeta sum on BlP2-1: the number of steps of its loop over (g, X)",
+                _exact_sum(G * T), _ZETA_STEP_LIMIT, "time")
     m_h, m_f = lam[1], lam[0] - lam[1]
     c_h = float(m_h) * s
     c_f = float(m_f) * s

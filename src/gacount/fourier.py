@@ -75,6 +75,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -89,6 +90,7 @@ from ._util import (
     is_prime,
     prime_factors,
     primes_upto,
+    refuse_past,
     vp,
     vp_fraction,
     zeta,
@@ -176,10 +178,7 @@ def _character_sum_direct(p: int, u: int, n: int, d: int) -> complex:
     """
     K = n * d
     M = p ** K
-    if M > CHARACTER_SUM_DIRECT_LIMIT:
-        raise CapabilityError(
-            f"direct character sum with modulus {M} exceeds the budget"
-        )
+    refuse_past(f"direct character sum: the modulus p^{K}", M, CHARACTER_SUM_DIRECT_LIMIT, "time")
     total = 0.0 + 0.0j
     chunk = 1 << 20
     w = 2.0 * math.pi / M
@@ -320,19 +319,14 @@ def _check_brute_limits(model: VarietyModel, p: int, depth: int) -> None:
     """Raise CapabilityError unless brute_padic_fourier at (p, depth) keeps
     its scale p^(depth n) a float, its cube stack within BRUTE_STACK_LIMIT
     and the cubes it visits (_brute_cube_bound) within BRUTE_CUBE_LIMIT."""
-    # p^(depth n) >= 2^depth n, so the first test spares the power.
-    if depth * model.dim >= 1024 or p ** (depth * model.dim) >= 2**1024:
-        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the scale"
-                              f" {p}^{depth * model.dim} is not below 2^1024, a float")
-    if depth * p**model.dim > BRUTE_STACK_LIMIT:
-        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the cube stack"
-                              f" may hold depth * p^{model.dim} cubes, past the limit"
-                              f" {BRUTE_STACK_LIMIT} (memory)")
-    cubes = _brute_cube_bound(model, p, depth)
-    if cubes > BRUTE_CUBE_LIMIT:
-        raise CapabilityError(f"brute force at p = {p}, depth {depth}: the refinement"
-                              f" may visit {cubes} cubes, past the limit"
-                              f" {BRUTE_CUBE_LIMIT} (time)")
+    at, k = f"brute force at p = {p}, depth {depth}:", depth * model.dim
+    # p^k >= 2^k, so past k = 1024 the scale is refused without forming p^k.
+    refuse_past(f"{at} the scale p^{k} + 1", p**k + 1 if k < 1024 else 2**1024 + 1, 2**1024,
+                "float")
+    refuse_past(f"{at} the cube stack depth * p^{model.dim}", depth * p**model.dim,
+                BRUTE_STACK_LIMIT, "memory")
+    refuse_past(f"{at} the number of cubes the refinement visits",
+                _brute_cube_bound(model, p, depth), BRUTE_CUBE_LIMIT, "time")
 
 
 def brute_padic_fourier(model: VarietyModel, p: int, a, s,
@@ -1051,8 +1045,9 @@ def global_fourier(model: VarietyModel, a, s,
             (all 1 + s_alpha - rho_alpha > 0; s_alpha > rho_alpha for the
             trivial character, which has a pole at the boundary).
         p_max: cutoff for computed good-prime factors (generic assembly),
-            an int from 1 to tamagawa.P_MAX_LIMIT: ValueError below,
-            CapabilityError (memory) above, before the sieve.
+            an int >= 1 (ValueError otherwise); the generic assembly
+            refuses p_max past tamagawa.P_MAX_LIMIT (memory) before any
+            factor or sieve (tamagawa.good_primes).
 
     Returns:
         GlobalFourierValue with the value, a combined error bound, and the
@@ -1060,9 +1055,6 @@ def global_fourier(model: VarietyModel, a, s,
     """
     if not isinstance(p_max, numbers.Integral) or p_max < 1:
         raise ValueError(f"p_max must be an integer >= 1, not {p_max!r}")
-    if p_max > tamagawa.P_MAX_LIMIT:
-        raise CapabilityError(f"p_max = {p_max} needs a prime sieve past the limit"
-                              f" p_max <= {tamagawa.P_MAX_LIMIT} (memory)")
     a, s, beta = _checked_s(model, a, s)
     trivial = not any(a)
     if model.kind == "pn" and (model.dim == 1 or not trivial):
@@ -1072,7 +1064,7 @@ def global_fourier(model: VarietyModel, a, s,
         value, bound, _ = _pn_characters(model, s[0], [[int(x) for x in a]])
         zeta_factors = tuple(zip(model.components, beta)) if trivial else ()
         return GlobalFourierValue(complex(value[0]), float(bound[0]), zeta_factors)
-
+    primes = tamagawa.good_primes(p_max)
     if trivial:
         a0_names = list(model.components)
     else:
@@ -1100,7 +1092,7 @@ def global_fourier(model: VarietyModel, a, s,
     #       prod_{p computed} (1 - p^(-b))],
     # which replaces every uncomputed local factor by its polar part; the
     # regularized remainder over p > p_max is bounded below.
-    goods = [p for p in primes_upto(p_max) if p >= 5 and p not in small]
+    goods = [p for p in primes if p not in small]
     computed = sorted(set(small) | set(goods))
 
     def peel(p: int) -> float:
@@ -1193,7 +1185,8 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     if model.kind == "pn" and model.dim == 1:
         c = float(lam[0]) * s
         f_max = enumeration.height_radius(b_cut, lam[0])
-        return partial, 4.0 * float(f_max) ** (2.0 - c) / (c - 2.0)
+        # F^(2 - c) decreases in F: past the floats the largest float bounds it.
+        return partial, 4.0 * float(min(f_max, sys.float_info.max)) ** (2.0 - c) / (c - 2.0)
 
     # Tail from the leading term of the counting function, its constant read
     # off the count of the points just summed.
@@ -1226,8 +1219,27 @@ def _upper_gamma(b: int, x: float) -> float:
         return float(math.factorial(b - 1) * (-x).exp() * total)
 
 
-# poisson_check hands _pn_characters at most this many characters per call.
+# poisson_check hands _pn_characters at most this many characters per call, and
+# refuses more than _CHARACTER_LIMIT (12 us a character, 2-core VM: 50 s).
 _CHARACTER_CHUNK = 2**14
+_CHARACTER_LIMIT = 2**22
+
+
+def _character_side(model: VarietyModel, sigma: Fraction, a_cut: int) -> tuple:
+    """(Hhat(psi_0) + 2 sum_{a=1}^{a_cut} Re Hhat(psi_a), its error bound, the
+    finite part K of Hhat(psi_0)) on P1 at s_D = sigma, in chunks of characters."""
+    refuse_past("poisson check: the number of characters a = 0..a_cut", a_cut + 1,
+                _CHARACTER_LIMIT, "time")
+    for lo in range(0, a_cut + 1, _CHARACTER_CHUNK):
+        values, bounds, arch = (x.tolist() for x in _pn_characters(model, sigma, np.arange(
+            lo, min(lo + _CHARACTER_CHUNK, a_cut + 1), dtype=np.int64)[:, None]))
+        if lo == 0:
+            rhs, err = values.pop(0), bounds.pop(0)
+            finite_k = abs(rhs) / max(arch[0], 1e-30)
+        for value, bound in zip(values, bounds):
+            rhs += 2.0 * value
+            err += 2.0 * bound
+    return rhs, err, finite_k
 
 
 def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
@@ -1247,7 +1259,8 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
     once, and the batch kernel _pn_characters evaluates a = 0..a_cut
     _CHARACTER_CHUNK at a time (about 1.3 KB a character while a chunk is
     evaluated), row by row the floats of global_fourier at each a; the two
-    sums are taken left to right across the chunks.  P^n is exact at every
+    sums are taken left to right across the chunks (_character_side, which
+    refuses more than _CHARACTER_LIMIT characters).  P^n is exact at every
     finite place, so p_max is ignored.
 
     Args:
@@ -1275,15 +1288,7 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
 
     _, s_pic, _ = _checked_s(model, (0,), [as_fraction(s) * l for l in lam])
     sigma = float(s_pic[0])
-    for lo in range(0, a_cut + 1, _CHARACTER_CHUNK):
-        values, bounds, arch = (x.tolist() for x in _pn_characters(model, s_pic[0], np.arange(
-            lo, min(lo + _CHARACTER_CHUNK, a_cut + 1), dtype=np.int64)[:, None]))
-        if lo == 0:
-            rhs, err = values.pop(0), bounds.pop(0)
-            finite_k = abs(rhs) / max(arch[0], 1e-30)
-        for value, bound in zip(values, bounds):
-            rhs += 2.0 * value
-            err += 2.0 * bound
+    rhs, err, finite_k = _character_side(model, s_pic[0], a_cut)
 
     if a_cut > 0:
         a_tail = 2.0 * finite_k * sigma / (math.pi ** 2 * a_cut)

@@ -55,7 +55,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import geometry
-from ._util import CapabilityError, is_prime, primes_upto, vp_fraction, zeta
+from ._util import CapabilityError, is_prime, primes_upto, refuse_past, vp_fraction, zeta
 from .geometry import VarietyModel
 
 PEEL_ORDER = 5
@@ -473,6 +473,13 @@ def _peel_data(model: VarietyModel):
     return tuple(sorted(e.items())), c_num / den_at_u5
 
 
+def good_primes(p_max: int) -> list:
+    """The primes 5 <= p <= p_max, ascending: the one prime sieve of the Euler
+    products, which refuses p_max past P_MAX_LIMIT (memory) before it runs."""
+    refuse_past("p_max", p_max, P_MAX_LIMIT, "memory")
+    return [p for p in primes_upto(p_max) if p >= 5]
+
+
 def _euler_tail_bound(c_h: Fraction, p_max: int) -> float:
     """Bound |prod_{p > p_max} (1 + h_p) - 1| via sum |h_p| <= C_h/(5 P^5),
     for C_h the residual constant of _peel_data."""
@@ -522,15 +529,12 @@ def tamagawa_number(
     """
     if p_max < 100:
         raise ValueError("p_max must be at least 100")
-    if p_max > P_MAX_LIMIT:
-        raise CapabilityError(f"p_max = {p_max} needs a prime sieve past the limit"
-                              " p_max <= 10^8 (memory)")
+    primes = good_primes(p_max)
     arch = archimedean_density(model)
     partial = 1.0
     for p in sorted(geometry.SMALL_PRIMES):
         reg = (1 - Fraction(1, p)) ** model.rank
         partial *= float(exact_local_density(model, p, model.rho) * reg)
-    primes = [p for p in primes_upto(p_max) if p >= 5]
     partial = _good_prime_product(regularized_factor_poly(model, (1,) * model.rank),
                                   primes, partial)
     peeled, c_h = _peel_data(model)

@@ -115,5 +115,5 @@ def test_charsum_cases_counts_before_it_runs(monkeypatch):
         raise AssertionError("a case ran")
 
     monkeypatch.setattr(acceptance.fourier, "character_sum", refuse)
-    with pytest.raises(CapabilityError, match="past the limit"):
+    with pytest.raises(CapabilityError, match="cases .* passes the limit 2\\^22"):
         acceptance.charsum_cases((1009,), 3, 3)

@@ -288,7 +288,7 @@ def test_verify_denef_depth_past_float_range_is_capability_error(capsys, depth):
     code, out, err = run(capsys, "verify-denef", "--model", "P1", "--p", "5",
                          "--depth", depth)
     assert code == 3
-    assert "capability error" in err and "not below 2^1024" in err
+    assert "capability error" in err and "passes the limit 2^1024" in err
 
 
 def run_capped(*argv):
@@ -319,6 +319,22 @@ def run_capped(*argv):
     (("verify-denef", "--model", "BlP2-1", "--p", "5", "--depth", "12"), 3),
     # Past acceptance.CHARSUM_CASE_LIMIT at n = 9 of 4000: refused at once.
     (("verify-charsum", "--nmax", "4000"), 3),
+    # T, the fiber bounds, the box radius and the box candidates of B = 1e300
+    # at lambda = 1/100 are numbers of about 30000 digits, which no message
+    # prints.
+    (("count", "--model", "P2", "--lambda", "1/100", "--bound", "1e300", "--ladder", "1"), 3),
+    (("count", "--model", "BlP2-1", "--lambda", "1/100,1/100", "--bound", "1e300",
+      "--ladder", "1"), 3),
+    (("count", "--model", "BlP2-2", "--lambda", "1/100,1/100,1/100", "--bound", "1e300",
+      "--ladder", "1"), 3),
+    (("count", "--model", "BlP2-3", "--lambda", "1/100,1/100,1/100,1/100", "--bound", "1e300",
+      "--ladder", "1"), 3),
+    # P1's zeta loop past 2^25 planned fibers: 6.9e10 at s = 1.25 (about 11
+    # hours), 1.3e8 at lambda s = 3.
+    (("zeta-check", "--model", "P1", "--s", "1.25", "--bcut", "1e30"), 3),
+    (("zeta-check", "--model", "P1", "--lambda", "1/100", "--s", "300", "--bcut", "1e300"), 3),
+    # Past fourier._CHARACTER_LIMIT characters (about 3 hours).
+    (("zeta-check", "--model", "P1", "--s", "3", "--bcut", "1e4", "--acut", "1000000000"), 3),
 ])
 def test_memory_guards_refuse_before_allocating(argv, code):
     proc = run_capped(*argv)
@@ -340,6 +356,17 @@ def test_zeta_check_past_the_count_limit(tmp_path):
         assert proc.returncode == 0, proc.stderr
         lhs.append(json.loads(report.read_text())["results"]["lhs"])
     assert lhs[0] == lhs[1]
+
+
+def test_zeta_check_tail_past_float_range():
+    # f_max = 10^30000: the tail bound is taken at the largest float, which
+    # bounds it (an OverflowError traceback before), and the check ends
+    # with its verdict.
+    proc = run_capped("zeta-check", "--model", "P1", "--lambda", "1/100", "--s", "600",
+                      "--bcut", "1e300")
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[-1] in ("PASS", "FAIL")
 
 
 def test_verify_charsum_pass_and_fail(capsys):

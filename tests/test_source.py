@@ -327,3 +327,43 @@ def test_one_horner_pass_over_the_good_primes():
                  if isinstance(node, ast.Call)
                  and _used_names(node.func) == ["_good_prime_product"]]
         assert len(calls) == 1, name
+
+
+# A limit constant of the package: its name ends in _LIMIT or _BUDGET.
+LIMIT_NAME = re.compile(r"_(LIMIT|BUDGET)$")
+
+
+def test_limit_refusals_come_from_refuse_past():
+    # Every refusal of planned work past a limit is _util.refuse_past, with
+    # its one message shape: no other function both reads a limit constant
+    # and builds a CapabilityError of its own.
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {name for node in ast.walk(fn) for name in _used_names(node)}
+            raises = any(isinstance(node, ast.Call) and _used_names(node.func) == ["CapabilityError"]
+                         for node in ast.walk(fn))
+            if raises and any(LIMIT_NAME.search(name) for name in names):
+                hits.append(f"{path.stem}.{fn.name}")
+    assert hits == []
+
+
+def _is_midpoint(node) -> bool:
+    """A bisection midpoint: (a sum) // 2."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+
+def test_one_bisection_loop():
+    # Integer roots, the int64 split points of the Moebius sum and the
+    # torsor's exact band ends all bisect through _util.last_true.
+    loops = [(path.stem, loop.lineno) for path in sorted(SRC.glob("*.py"))
+             for loop in ast.walk(ast.parse(path.read_text()))
+             if isinstance(loop, ast.While) and any(map(_is_midpoint, ast.walk(loop)))]
+    assert len(loops) == 1, loops
+    module, line = loops[0]
+    helper = _functions("_util")["last_true"]
+    assert module == "_util" and helper.lineno <= line <= helper.end_lineno
