@@ -55,15 +55,16 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import geometry
-from ._util import CapabilityError, is_prime, primes_upto, refuse_past, vp_fraction, zeta
+from ._util import CapabilityError, is_prime, prime_sieve, refuse_past, vp_fraction, zeta
 from .geometry import VarietyModel
 
 PEEL_ORDER = 5
 # Flat allowance (relative to the archimedean density) for assembling the
 # product in floats; the true roundoff is ~1e-13 relative for any P_max.
 FLOAT_ASSEMBLY_EPS = 1e-12
-# The prime sieve and lists of tamagawa_number trace 59 MB at p_max = 10^7
-# (Python 3.11) and grow linearly: the limit keeps a call near 0.6 GB.
+# At p_max = 10^7 tamagawa_number traces 46 MB and the generic assembly of
+# fourier.global_fourier 67 MB (Python 3.11, NumPy 2.4), linear in p_max
+# (README, Limits): the limit keeps a call near 0.7 GB.
 P_MAX_LIMIT = 10**8
 
 
@@ -173,27 +174,29 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
+def _has_forms(gen) -> bool:
+    """Whether a generator system has a section with a linear part."""
+    return any(any(sec[1:]) for sec in gen.sections)
+
+
 @lru_cache(maxsize=1024)
 def _system_data(model: VarietyModel, p: int) -> tuple:
     """The checks of exact_local_density that depend on (model, p) alone.
 
-    Returns (linear, cone_ranks): the indices of the generator systems with
-    linear forms, and (index, r_G) for those among them whose forms have
-    rank r_G < n mod p (V_G != 0).  Raises CapabilityError when a system
-    has no p-unit constant section, when a cone's forms are dependent mod
-    p, or when two cones vanish together at a residue; the cache keeps no
-    exception, so every call raises again.
+    Returns the cone ranks ((index, r_G), ...) of the generator systems
+    whose linear forms have rank r_G < n mod p (V_G != 0).  Raises
+    CapabilityError when a system has no p-unit constant section, when a
+    cone's forms are dependent mod p, or when two cones vanish together at
+    a residue; the cache keeps no exception, so every call raises again.
     """
     n = model.dim
-    linear = []
     cones = []  # (index, name, linear forms, r_G) for systems with V_G != 0
     for i, gen in enumerate(model.generators):
         if not any(sec[0] % p and not any(sec[1:]) for sec in gen.sections):
             raise CapabilityError(f"{gen.name} has no p-unit constant section at {p}")
-        forms = [sec[1:] for sec in gen.sections if any(sec[1:])]
-        if not forms:
+        if not _has_forms(gen):
             continue  # the maximum is identically 1
-        linear.append(i)
+        forms = [sec[1:] for sec in gen.sections if any(sec[1:])]
         r = _rank_mod_p(forms, p)
         if r == n:
             continue
@@ -206,7 +209,7 @@ def _system_data(model: VarietyModel, p: int) -> tuple:
                 raise CapabilityError(
                     f"{name} and {other} vanish together at a residue mod {p}"
                 )
-    return tuple(linear), tuple((i, r) for i, _, _, r in cones)
+    return tuple((i, r) for i, _, _, r in cones)
 
 
 def _tate_shell_sum(p: int, k: int, n: int, M: Fraction) -> tuple:
@@ -224,13 +227,29 @@ def _tate_shell_sum(p: int, k: int, n: int, M: Fraction) -> tuple:
     return total, p**e
 
 
-def _tate_factor(model: VarietyModel, p: int, k: int, M: Fraction) -> tuple:
-    """_tate_shell_sum(p, k, model.dim, M) after the check it needs: a model
-    without valuation cones at p (exact_local_density), else CapabilityError."""
-    if _system_data(model, p)[1]:
-        raise CapabilityError(f"{model.id}: twisted transforms need a model without"
-                              f" valuation cones at {p}")
-    return _tate_shell_sum(p, k, model.dim, M)
+def _tate_factor(model: VarietyModel, pairs: Sequence[tuple], M: Fraction) -> list:
+    """[_tate_shell_sum(p, k, model.dim, M) for (p, k) in pairs] after the
+    check they need: a model without valuation cones at every p of the pairs
+    (exact_local_density), else CapabilityError.
+
+    On kind "pn" the one check is the kind itself, which covers every prime:
+    the kind rule (geometry.VarietyModel.kind) fixes the data to those of
+    _projective_space(n), so the one generator system is {Z, X_1, ..., X_n}.
+    Its section Z has constant term 1, a p-unit at every p, and its linear
+    forms X_1, ..., X_n are the unit vectors of Z^n, of rank n mod every p,
+    so V_G = 0 and _system_data(model, p) finds no cone at any p.  Any other
+    model, a hand-built one included, is checked at each distinct p.
+    """
+    try:
+        pn = model.kind == "pn"
+    except ValueError:  # a hand-built model has no kind
+        pn = False
+    if not pn:
+        for p in sorted({p for p, _ in pairs}):
+            if _system_data(model, p):
+                raise CapabilityError(f"{model.id}: twisted transforms need a model"
+                                      f" without valuation cones at {p}")
+    return [_tate_shell_sum(p, k, model.dim, M) for p, k in pairs]
 
 
 def exact_local_density(model: VarietyModel, p: int, s,
@@ -301,17 +320,33 @@ def exact_local_density(model: VarietyModel, p: int, s,
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    svec, _ = geometry.convergence_beta(model, s)
-    n = model.dim
+    setup = _density_setup(model, s)
     a = () if a is None else geometry.character_index(model, a)
+    return _local_density(model, p, setup, a)
+
+
+def _density_setup(model: VarietyModel, s) -> tuple:
+    """The part of exact_local_density that depends on (model, s) alone,
+    prepared once for every prime a caller takes: (m, M, exact) with m the
+    generator exponents m_G (after the domain check of
+    geometry.convergence_beta), M = sum_G m_G over the systems with linear
+    forms, and exact whether each of those m_G is an integer."""
+    svec, _ = geometry.convergence_beta(model, s)
     exps_g = geometry.generator_exponents(model, svec)
-    linear, cone_ranks = _system_data(model, p)
-    total_m = sum((exps_g[i] for i in linear), Fraction(0))
+    linear = [m for m, gen in zip(exps_g, model.generators) if _has_forms(gen)]
+    return exps_g, sum(linear, Fraction(0)), all(m.denominator == 1 for m in linear)
+
+
+def _local_density(model: VarietyModel, p: int, setup: tuple, a: tuple = ()):
+    """exact_local_density at a prime p, from the _density_setup of its s
+    and a character index a that geometry.character_index has coerced."""
+    exps_g, total_m, exact = setup
+    n = model.dim
     if any(a):
         k = min(vp_fraction(x, p) for x in a if x)
-        num, den = _tate_factor(model, p, k, total_m)
+        [(num, den)] = _tate_factor(model, [(p, k)], total_m)
         return Fraction(num, den) if total_m.denominator == 1 else num
-    exact = all(exps_g[i].denominator == 1 for i in linear)
+    cone_ranks = _system_data(model, p)
     cast = int if exact else float
     P = Fraction(p) if exact else float(p)
     total_m = cast(total_m)
@@ -391,22 +426,25 @@ def regularized_factor_poly(model: VarietyModel, beta: Sequence[int]) -> list:
     return [sum(c) for c in zip(*terms)]
 
 
-def _good_prime_product(g: Sequence[int], primes: Sequence[int], start):
-    """start * prod_p g(1/p) over the primes in the order given, from one
-    NumPy float64 Horner pass over all of them: u = 1.0 / p, then a multiply
+def _good_prime_product(g: Sequence[int], primes, start):
+    """start * prod_p g(1/p) over the primes in the order given (a sequence
+    or an array of ints or floats), from one NumPy float64 Horner pass over
+    all of them: u = 1.0 / p, then a multiply
     and an add ufunc per coefficient, the same IEEE operations (no fused
     multiply-add) as a scalar loop per prime.  math.prod multiplies the
     values into start left to right, as that loop would, so the result is
     the float (or complex) of the per-prime loop."""
-    u = 1.0 / np.array(primes, dtype=np.float64)
+    u = 1.0 / np.asarray(primes, dtype=np.float64)
     acc = np.zeros_like(u)
     for c in reversed([float(c) for c in g]):
         acc = acc * u + c
     return math.prod(acc.tolist(), start=start)
 
 
-def _peel_data(model: VarietyModel):
-    """Zeta-peel exponents and the rigorous residual constant for a model.
+def _peel_data(model: VarietyModel, g: Optional[Sequence[int]] = None):
+    """Zeta-peel exponents and the rigorous residual constant for a model,
+    whose regularized factor g (regularized_factor_poly at beta = (1, ...,
+    1)) a caller that has it already may pass.
 
     Returns (peeled, C_h) with peeled = ((k, e_k), ...) such that
     g(u) = prod (1 - u^k)^{e_k} (1 + h(u)), h(u) = O(u^{PEEL_ORDER+1}), and
@@ -425,14 +463,15 @@ def _peel_data(model: VarietyModel):
     1/den(u) <= 1/den(1/5) there, since every factor 1 - u^k of den
     decreases in u.
 
-    Nothing is cached: tamagawa_number computes the peel once per call and
-    passes C_h on to _euler_tail_bound.
+    Nothing is cached: tamagawa_number computes the peel once per call,
+    from the g of its Horner pass, and passes C_h on to _euler_tail_bound.
 
     Raises:
         CapabilityError: g is not 1 + O(u^2), a peel exponent is not an
             integer, or the peel leaves terms of order <= PEEL_ORDER.
     """
-    g = regularized_factor_poly(model, (1,) * model.rank)
+    if g is None:
+        g = regularized_factor_poly(model, (1,) * model.rank)
     K = PEEL_ORDER
     c = _series_log(g, K)
     if c[1] != 0:
@@ -473,11 +512,22 @@ def _peel_data(model: VarietyModel):
     return tuple(sorted(e.items())), c_num / den_at_u5
 
 
-def good_primes(p_max: int) -> list:
-    """The primes 5 <= p <= p_max, ascending: the one prime sieve of the Euler
-    products, which refuses p_max past P_MAX_LIMIT (memory) before it runs."""
+def good_primes(p_max: int) -> np.ndarray:
+    """The primes 5 <= p <= p_max, ascending, as an integer array (a view of
+    _util.prime_sieve's): the one prime sieve of the Euler products, which
+    refuses p_max past P_MAX_LIMIT (memory) before it allocates.  A caller
+    that does exact arithmetic on p takes .tolist(), Python ints."""
     refuse_past("p_max", p_max, P_MAX_LIMIT, "memory")
-    return [p for p in primes_upto(p_max) if p >= 5]
+    return prime_sieve(p_max)[2:]  # past 2 and 3, when p_max reaches them
+
+
+def _completion_body(b: float, primes) -> float:
+    """zeta(b) * prod_p (1 - p^(-b)) over the primes given, ascending, ints
+    or floats: one zeta completion of tamagawa_number and of
+    fourier.global_fourier.  Each factor is Python's float pow (NumPy's
+    power need not match it to the last bit), and math.prod multiplies them
+    left to right from zeta(b), the floats of a loop over the primes."""
+    return math.prod([1.0 - p ** -b for p in primes], start=zeta(b))
 
 
 def _euler_tail_bound(c_h: Fraction, p_max: int) -> float:
@@ -505,13 +555,16 @@ def tamagawa_number(
     proves, so its error is float assembly like the rest of the product,
     which FLOAT_ASSEMBLY_EPS covers.
 
-    The good-prime factors g(1/p), 5 <= p <= p_max, come from one NumPy
-    float64 Horner pass over all primes in ascending order
-    (_good_prime_product, which global_fourier shares), with the floats of
-    a scalar loop per prime.  Each completion body is a math.prod over
-    Python's float pow, which NumPy's power need not match to the last bit.  So every field is the
-    float the per-prime loops give.  The peel (_peel_data) is computed once
-    per call and not cached; its C_h feeds the tail bound.
+    What does not depend on the prime is done once per call: one sieve,
+    whose float64 array feeds one NumPy Horner pass over the good primes
+    in ascending order (_good_prime_product, shared with global_fourier)
+    and one list of float primes that every peeled k shares; one g for the
+    Horner pass and the peel (_peel_data, whose C_h feeds the tail bound);
+    one _density_setup of rho for p = 2 and 3.  The Horner pass gives the
+    floats of a scalar loop per prime, and each completion body
+    (_completion_body) keeps Python's float pow per prime, which NumPy's
+    power need not match to the last bit, so every field is the float the
+    per-prime loops give.
 
     Args:
         model: catalog entry.
@@ -529,20 +582,20 @@ def tamagawa_number(
     """
     if p_max < 100:
         raise ValueError("p_max must be at least 100")
-    primes = good_primes(p_max)
+    primes = good_primes(p_max).astype(np.float64)  # exact: p < 2^53
     arch = archimedean_density(model)
+    setup = _density_setup(model, model.rho)
     partial = 1.0
     for p in sorted(geometry.SMALL_PRIMES):
         reg = (1 - Fraction(1, p)) ** model.rank
-        partial *= float(exact_local_density(model, p, model.rho) * reg)
-    partial = _good_prime_product(regularized_factor_poly(model, (1,) * model.rank),
-                                  primes, partial)
-    peeled, c_h = _peel_data(model)
+        partial *= float(_local_density(model, p, setup) * reg)
+    g = regularized_factor_poly(model, (1,) * model.rank)
+    partial = _good_prime_product(g, primes, partial)
+    peeled, c_h = _peel_data(model, g)
+    floats = [2.0, 3.0, *primes.tolist()]
     completion = 1.0
     for k, ek in peeled:
-        body = math.prod([1.0 - float(p) ** (-k) for p in (2, 3, *primes)],
-                         start=zeta(k))
-        completion *= body ** (-ek)
+        completion *= _completion_body(float(k), floats) ** (-ek)
     tam = arch * partial * completion
     tail = abs(tam) * _euler_tail_bound(c_h, p_max) + FLOAT_ASSEMBLY_EPS * arch
     return EulerProductResult(

@@ -248,7 +248,7 @@ def test_constant_pmax_past_limit_is_capability_error(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("primes sieved")
 
-    monkeypatch.setattr(tamagawa, "primes_upto", refuse)
+    monkeypatch.setattr(tamagawa, "prime_sieve", refuse)
     code, _, err = run(capsys, "constant", "--model", "P1", "--pmax", "100000000000")
     assert code == 3
     assert "capability error" in err and "10^8" in err

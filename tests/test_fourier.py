@@ -855,6 +855,83 @@ def test_pn_kernel_batch_matches_one_row(mid, radius):
         assert (one.value, one.error_bound) == (value, bound), a
 
 
+def pn_characters_oracle(model, sigma, rows):
+    """_pn_characters row by row, with one tamagawa._tate_factor call per
+    support prime, as the kernel made before it took all (p, k) at once."""
+    rows = np.asarray(rows, dtype=np.int64)
+    arch, arch_err = fourier._arch_projective(model.dim, sigma, rows)
+    sig = float(sigma)
+    values, bounds = [], []
+    for row, arch_v, err in zip(rows.tolist(), arch.tolist(), arch_err.tolist()):
+        finite = 1.0 / zeta(sig)
+        g = math.gcd(*row)
+        if g == 0:
+            finite *= zeta(float(1 + sigma - model.rho[0]))
+        for p in primes_upto(g):
+            if g % p == 0:
+                [(num, den)] = tamagawa._tate_factor(model, [(p, vp_fraction(g, p))], sigma)
+                finite *= num / den / (1.0 - float(p) ** (-sig))
+        values.append(arch_v * finite)
+        bounds.append(err * abs(finite) + 1e-14 * max(1.0, abs(values[-1])))
+    return values, bounds
+
+
+@pytest.mark.parametrize("mid, sigma, radius", [
+    ("P1", 4, 5000), ("P1", 10, 5000), ("P1", Fraction(7, 2), 5000),
+    ("P2", 4, 12), ("P2", Fraction(7, 2), 12), ("P3", 5, 4), ("P3", Fraction(9, 2), 4)])
+def test_pn_characters_match_per_prime_tate_oracle(mid, sigma, radius):
+    # The kernel's one _tate_factor call per batch gives, bit for bit, the
+    # per-prime factors; P1 takes a = 0..radius, P2 and P3 a grid of
+    # nonzero indices with repeated gcds.
+    model = geometry.load_model(mid)
+    if model.dim == 1:
+        rows = [(a,) for a in range(radius + 1)]
+    else:
+        rows = [a for a in itertools.product(range(-radius, radius + 1), repeat=model.dim)
+                if any(a)]
+    values, bounds, _ = fourier._pn_characters(model, Fraction(sigma), np.array(rows))
+    want_values, want_bounds = pn_characters_oracle(model, Fraction(sigma), rows)
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v in want_values]
+    assert [b.hex() for b in bounds.tolist()] == [b.hex() for b in want_bounds]
+
+
+def test_pn_kernel_checks_no_cone_per_prime(monkeypatch):
+    # On kind "pn" one cone check, the kind, covers every prime: at most one
+    # _system_data call per kernel call, though a = 0..1000 has 168 support
+    # primes.
+    calls = []
+    inner = tamagawa._system_data
+    monkeypatch.setattr(tamagawa, "_system_data",
+                        lambda model, p: calls.append(p) or inner(model, p))
+    p1, p2 = geometry.load_model("P1"), geometry.load_model("P2")
+    fourier._pn_characters(p1, Fraction(5), np.arange(1001)[:, None])
+    assert len(calls) <= 1
+    calls.clear()
+    fourier.global_fourier(p2, (6, 10), (4,))
+    assert len(calls) <= 1
+    calls.clear()
+    assert fourier.poisson_check(p1, p1.rho, 5, 10**3, 1000)["pass"]
+    assert len(calls) <= 1
+
+
+def test_global_fourier_fractional_beta_prepares_s_once(monkeypatch):
+    # At a = 0 and a non-integer beta every computed prime takes
+    # exact_local_density's per-prime part; the s-only part runs once per
+    # call, so the convergence_beta calls (global_fourier's own check, the
+    # archimedean factor's and the density setup) do not grow with p_max.
+    p2 = geometry.load_model("P2")
+    calls = []
+    inner = geometry.convergence_beta
+    monkeypatch.setattr(geometry, "convergence_beta",
+                        lambda model, s: calls.append(s) or inner(model, s))
+    seen = []
+    for p_max in (200, 2000):
+        calls.clear()
+        fourier.global_fourier(p2, (0, 0), (Fraction(7, 2),), p_max=p_max)
+        seen.append(len(calls))
+    assert seen[0] == seen[1] <= 3
+
+
 def test_poisson_check_checks_s_outside_character_loop(monkeypatch):
     # coerce_picard runs as often at a_cut = 200 as at a_cut = 10, and the
     # per-call pieces never run: s is checked once per spectral sum.
@@ -948,7 +1025,7 @@ def test_global_fourier_pmax_range(monkeypatch):
     def refuse(*args):
         raise AssertionError("primes sieved")
 
-    monkeypatch.setattr(tamagawa, "primes_upto", refuse)
+    monkeypatch.setattr(tamagawa, "prime_sieve", refuse)
     for p_max in (-5, 0, 2.5):
         with pytest.raises(ValueError, match="p_max"):
             fourier.global_fourier(b1, (0, 0), (6, 4), p_max=p_max)

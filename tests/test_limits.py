@@ -113,10 +113,10 @@ LIMITS = [
                  (acceptance.fourier, "character_sum"), "cases .* 2\\^22 \\(time",
                  id="CHARSUM_CASE_LIMIT"),
     pytest.param(lambda p_max: tamagawa.tamagawa_number(P1, p_max=p_max), 10**8, 10**8 + 1,
-                 (tamagawa, "primes_upto"), "p_max passes the limit 10\\^8 \\(memory",
+                 (tamagawa, "prime_sieve"), "p_max passes the limit 10\\^8 \\(memory",
                  id="P_MAX_LIMIT-tamagawa_number"),
     pytest.param(lambda p_max: fourier.global_fourier(BLP21, (0, 0), (6, 4), p_max=p_max),
-                 10**8, 10**8 + 1, (tamagawa, "primes_upto"),
+                 10**8, 10**8 + 1, (tamagawa, "prime_sieve"),
                  "p_max passes the limit 10\\^8 \\(memory", id="P_MAX_LIMIT-global_fourier"),
 ]
 

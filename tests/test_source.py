@@ -329,6 +329,16 @@ def test_one_horner_pass_over_the_good_primes():
         assert len(calls) == 1, name
 
 
+def test_one_zeta_completion_body():
+    # zeta(b) prod_p (1 - p^(-b)) is tamagawa._completion_body, which tau and
+    # the generic assembly of the adelic transform both call.
+    for module, name in (("tamagawa", "tamagawa_number"), ("fourier", "global_fourier")):
+        calls = [node for node in ast.walk(_functions(module)[name])
+                 if isinstance(node, ast.Call)
+                 and _used_names(node.func) == ["_completion_body"]]
+        assert len(calls) == 1, name
+
+
 # A limit constant of the package: its name ends in _LIMIT or _BUDGET.
 LIMIT_NAME = re.compile(r"_(LIMIT|BUDGET)$")
 

@@ -196,6 +196,70 @@ def test_exact_local_density_system_checks_cached_and_raised_every_call():
     assert first[1] == 1 + Fraction(24, 5**5) - Fraction(25, 5**10)
 
 
+def test_twisted_density_cone_check(monkeypatch):
+    # Every blow-up has valuation cones at every prime, so a twisted index
+    # raises the cone error; a hand-built model has no kind and is checked at
+    # each prime (_system_data), cone-free like P2 whose sections it permutes,
+    # or with a cone like the blow-up it varies.
+    for mid in ("BlP2-1", "BlP2-2", "BlP2-3"):
+        b = geometry.load_model(mid)
+        for p in (2, 5, 7):
+            with pytest.raises(CapabilityError, match="valuation cones"):
+                tamagawa.exact_local_density(b, p, tuple(r + 1 for r in b.rho), (1, 0))
+    p2 = geometry.load_model("P2")
+    h = p2.generators[0]
+    permuted = dataclasses.replace(p2, id="P2-permuted", generators=(
+        geometry.GeneratorSystem(h.name, h.sections[::-1]),))
+    with pytest.raises(ValueError, match="no catalog family"):
+        permuted.kind
+    checked = []
+    inner = tamagawa._system_data
+    monkeypatch.setattr(tamagawa, "_system_data",
+                        lambda model, p: checked.append(p) or inner(model, p))
+    for p, a in ((5, (5, 0)), (7, (1, 3)), (3, (9, 0))):
+        assert tamagawa.exact_local_density(permuted, p, (4,), a) == \
+            tamagawa.exact_local_density(p2, p, (4,), a)
+    assert checked == [5, 7, 3]
+    variant = _blp22_with(((0, 1, 0), (1, 0, 0)), ((1, 0), (1, 1)))
+    with pytest.raises(CapabilityError, match="valuation cones"):
+        tamagawa.exact_local_density(variant, 5, tuple(r + 1 for r in variant.rho), (1, 0))
+
+
+def test_tamagawa_number_prepares_once(model, monkeypatch):
+    # g is built once and shared by the Horner pass and the peel, and the s
+    # checks of the exact factors at 2 and 3 run once: one call each of
+    # regularized_factor_poly and convergence_beta per tamagawa_number.
+    calls = {"regularized_factor_poly": 0, "convergence_beta": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(tamagawa, "regularized_factor_poly")
+    counted(geometry, "convergence_beta")
+    want = TAU_PINS[model.id]
+    for _ in range(2):
+        assert tamagawa.tamagawa_number(model).tamagawa.hex() == want
+    assert calls == {"regularized_factor_poly": 2, "convergence_beta": 2}
+
+
+@pytest.mark.parametrize("b", [2, 3.5, 7])
+def test_completion_body_is_the_per_prime_loop(b):
+    # One owner of zeta(b) prod_p (1 - p^(-b)): ints or floats, the floats
+    # of the loop that multiplies from zeta(b) in ascending order.
+    primes = primes_upto(10**4)
+    want = zeta(float(b))
+    for p in primes:
+        want *= 1.0 - float(p) ** (-float(b))
+    for given in (primes, [float(p) for p in primes]):
+        assert tamagawa._completion_body(float(b), given).hex() == want.hex()
+
+
 def test_exact_local_density_domain_errors():
     b1 = geometry.load_model("BlP2-1")
     for p, s in ((4, b1.rho), (2, (2, 2))):
@@ -417,6 +481,7 @@ def test_peel_data_matches_factor_by_factor_oracle(model):
     g, want = peel_oracle(model, peeled)
     assert tamagawa.regularized_factor_poly(model, (1,) * model.rank) == g
     assert tamagawa._peel_data(model) == (peeled, want)
+    assert tamagawa._peel_data(model, g) == (peeled, want)
     assert want == c_h
 
 

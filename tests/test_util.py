@@ -1,12 +1,14 @@
 """The in-package Riemann zeta function against mpmath, and the prime sieve
-against trial division."""
+against trial division and the byte sieve it replaced."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 import mpmath
+import numpy as np
 import pytest
 
 from gacount import _util
@@ -61,3 +63,34 @@ def test_primes_upto_prime_counts(k, count):
     primes = _util.primes_upto(10**k)
     assert len(primes) == count
     assert primes == sorted(set(primes))
+
+
+def bytearray_primes(n: int) -> list:
+    """All primes <= n by the Eratosthenes byte sieve that _util.primes_upto
+    used before its NumPy sieve: the oracle of the new one."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes((n - i * i) // i + 1)
+    return list(compress(range(n + 1), sieve))
+
+
+@pytest.mark.parametrize("ns", [range(-1, 3001), [10**4, 10**5, 10**6]],
+                         ids=["every n <= 3000", "powers of ten"])
+def test_primes_upto_matches_bytearray_sieve(ns):
+    for n in ns:
+        got = _util.primes_upto(n)
+        assert got == bytearray_primes(n), n
+        # Python ints: a NumPy int64 would wrap in exact powers p ** e.
+        assert all(type(p) is int for p in got), n
+        array = _util.prime_sieve(n)
+        assert array.dtype == np.intp and array.tolist() == got, n
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_primes_upto_small_n(n):
+    assert _util.primes_upto(n) == ([2] if n == 2 else [])
+    assert _util.prime_sieve(n).dtype == np.intp
