@@ -5,9 +5,8 @@ silently corrupt counts when done in floating point, so they are kept in one
 place and unit-tested: rational coercion, p-adic valuations, integer roots of
 rational bounds, exact comparison of monomials in integer heights against a
 rational bound, the one primality test and the one factorizer of the
-package, Moebius/Euler-phi/prime sieves (one prime sieve, _prime_bytes,
-read as an index array by prime_sieve and as a list of ints by
-primes_upto), the Mertens table, and the Riemann
+package, Moebius/Euler-phi/prime sieves (one prime sieve, prime_sieve,
+whose list of Python ints is primes_upto), the Mertens table, and the Riemann
 zeta function on the reals above 1, correctly rounded.  refuse_past is the
 one refusal of planned work past a limit, last_true the one bisection.
 
@@ -26,7 +25,6 @@ import numbers
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from math import isqrt, lcm
 
 import numpy as np
@@ -170,11 +168,16 @@ def height_test(exponents, bound: Fraction):
     return leq
 
 
-def _prime_bytes(n: int) -> bytearray:
-    """Eratosthenes over 0..n, n >= 2: byte k is 1 exactly when k is prime.
-    The even numbers past 2, then the odd multiples of each odd prime
-    p <= sqrt(n) from p^2, are struck by one slice assignment each from one
-    buffer of zero bytes.  Memory: n + 1 bytes, and n//2 + 1 of zeros."""
+def prime_sieve(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as an array of NumPy's index type (int64
+    on 64-bit platforms), by Eratosthenes over 0..n: a bytearray whose even
+    numbers past 2, then the odd multiples of each odd prime p <= sqrt(n)
+    from p^2, are struck by one slice assignment each from one buffer of
+    zero bytes, read in place by NumPy's nonzero.  Memory: n + 1 bytes, and
+    n//2 + 1 of zeros.  (Striking a NumPy bool array is as fast, but its
+    first use in a process faults in 64 KB more of NumPy's library.)"""
+    if n < 2:
+        return np.zeros(0, dtype=np.intp)
     sieve = bytearray([1]) * (n + 1)
     zeros = memoryview(bytes(n // 2 + 1))
     sieve[:2] = zeros[:2]
@@ -182,25 +185,13 @@ def _prime_bytes(n: int) -> bytearray:
     for p in range(3, isqrt(n) + 1, 2):
         if sieve[p]:
             sieve[p * p :: 2 * p] = zeros[: (n - p * p) // (2 * p) + 1]
-    return sieve
-
-
-def prime_sieve(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as an array of NumPy's index type (int64
-    on 64-bit platforms), read off _prime_bytes in place: the sieve of the
-    Euler products.  (Striking a NumPy bool array is as fast, but its
-    first use in a process faults in 64 KB more of NumPy's library.)"""
-    if n < 2:
-        return np.zeros(0, dtype=np.intp)
-    return np.frombuffer(_prime_bytes(n), dtype=bool).nonzero()[0]
+    return np.frombuffer(sieve, dtype=bool).nonzero()[0]
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending, as Python ints (never NumPy integers,
-    which would wrap silently in exact powers p ** e), read off _prime_bytes
-    by itertools.compress: at the n of its callers, a few hundred at most,
-    that costs less than prime_sieve's NumPy calls."""
-    return list(compress(range(n + 1), _prime_bytes(n))) if n >= 2 else []
+    """prime_sieve(n) as a list of Python ints (never NumPy integers, which
+    would wrap silently in exact powers p ** e)."""
+    return prime_sieve(n).tolist()
 
 
 # mu_segment compares prod(k) with k, and _ragged_sums adds its terms, in

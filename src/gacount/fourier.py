@@ -971,12 +971,11 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
     """(values, error_bounds, arch values) of global_fourier on P^n, float
     arrays, at the integral characters a in the rows of an (N, n) int64
     array and a sigma = s_D1 that _checked_s has passed (the formula is in
-    global_fourier).  Tate_p enters at k = v_p(gcd a): as in
-    _util.phi_segment the primes p <= sqrt(max gcd) are divided out of the
-    gcds in turn, and what is left is 1 or one larger prime (k = 1).  The
-    distinct (p, k) of the call go to tamagawa._tate_factor at once, whose
-    one cone check covers every prime on P^n; each row then takes its
-    factors p ascending, the larger prime last.
+    global_fourier).  Tate_p (tamagawa._tate_factor, whose cone check on
+    P^n is the kind, one lookup for every prime) enters at k = v_p(gcd a),
+    p ascending: as in _util.phi_segment the primes p <= sqrt(max gcd) are
+    divided out of the gcds in turn, and what is left is 1 or one larger
+    prime (k = 1).
     """
     n = model.dim
     rows = np.asarray(rows, dtype=np.int64)
@@ -987,27 +986,22 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
     if not g.all():
         finite[g == 0] *= zeta(float(1 + sigma - model.rho[0]))
 
+    def tate(p: int, k: int) -> float:
+        num, den = tamagawa._tate_factor(model, p, k, sigma)
+        return num / den / (1.0 - float(p) ** (-sig))
+
     rest = np.maximum(g, 1)
-    hits = []  # (rows, k - 1, offset of (p, 1) in pairs), p ascending
-    pairs = []
     for p in primes_upto(math.isqrt(int(rest.max(initial=1)))):
         hit = (rest % p == 0).nonzero()[0]
         k = np.zeros(hit.size, dtype=np.int64)
         while (divides := rest[hit] % p == 0).any():
             k += divides
             rest[hit] //= np.where(divides, p, 1)
-        if hit.size:
-            hits.append((hit, k - 1, len(pairs)))
-            pairs += [(p, kk) for kk in range(1, int(k.max()) + 1)]
+        finite[hit] *= np.array([tate(p, kk) for kk in range(1, k.max(initial=0) + 1)])[k - 1]
     big = (rest > 1).nonzero()[0]
     if big.size:
         primes = sorted(set(rest[big].tolist()))
-        hits.append((big, np.searchsorted(primes, rest[big]), len(pairs)))
-        pairs += [(q, 1) for q in primes]
-    tate = np.array([num / den / (1.0 - float(p) ** (-sig)) for (p, _), (num, den)
-                     in zip(pairs, tamagawa._tate_factor(model, pairs, sigma))])
-    for hit, index, offset in hits:
-        finite[hit] *= tate[offset + index]
+        finite[big] *= np.array([tate(q, 1) for q in primes])[np.searchsorted(primes, rest[big])]
     value = arch * finite
     bound = arch_err * np.abs(finite) + 1e-14 * np.maximum(1.0, np.abs(value))
     return value, bound, arch

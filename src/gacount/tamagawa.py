@@ -227,29 +227,26 @@ def _tate_shell_sum(p: int, k: int, n: int, M: Fraction) -> tuple:
     return total, p**e
 
 
-def _tate_factor(model: VarietyModel, pairs: Sequence[tuple], M: Fraction) -> list:
-    """[_tate_shell_sum(p, k, model.dim, M) for (p, k) in pairs] after the
-    check they need: a model without valuation cones at every p of the pairs
-    (exact_local_density), else CapabilityError.
+def _tate_factor(model: VarietyModel, p: int, k: int, M: Fraction) -> tuple:
+    """_tate_shell_sum(p, k, model.dim, M) after the check it needs: a model
+    without valuation cones at p (exact_local_density), else CapabilityError.
 
-    On kind "pn" the one check is the kind itself, which covers every prime:
-    the kind rule (geometry.VarietyModel.kind) fixes the data to those of
+    On kind "pn" the check is the kind itself, which covers every prime: the
+    kind rule (geometry.VarietyModel.kind) fixes the data to those of
     _projective_space(n), so the one generator system is {Z, X_1, ..., X_n}.
     Its section Z has constant term 1, a p-unit at every p, and its linear
     forms X_1, ..., X_n are the unit vectors of Z^n, of rank n mod every p,
     so V_G = 0 and _system_data(model, p) finds no cone at any p.  Any other
-    model, a hand-built one included, is checked at each distinct p.
+    model, a hand-built one included, is checked at p.
     """
     try:
         pn = model.kind == "pn"
     except ValueError:  # a hand-built model has no kind
         pn = False
-    if not pn:
-        for p in sorted({p for p, _ in pairs}):
-            if _system_data(model, p):
-                raise CapabilityError(f"{model.id}: twisted transforms need a model"
-                                      f" without valuation cones at {p}")
-    return [_tate_shell_sum(p, k, model.dim, M) for p, k in pairs]
+    if not pn and _system_data(model, p):
+        raise CapabilityError(f"{model.id}: twisted transforms need a model without"
+                              f" valuation cones at {p}")
+    return _tate_shell_sum(p, k, model.dim, M)
 
 
 def exact_local_density(model: VarietyModel, p: int, s,
@@ -344,7 +341,7 @@ def _local_density(model: VarietyModel, p: int, setup: tuple, a: tuple = ()):
     n = model.dim
     if any(a):
         k = min(vp_fraction(x, p) for x in a if x)
-        [(num, den)] = _tate_factor(model, [(p, k)], total_m)
+        num, den = _tate_factor(model, p, k, total_m)
         return Fraction(num, den) if total_m.denominator == 1 else num
     cone_ranks = _system_data(model, p)
     cast = int if exact else float

@@ -857,7 +857,7 @@ def test_pn_kernel_batch_matches_one_row(mid, radius):
 
 def pn_characters_oracle(model, sigma, rows):
     """_pn_characters row by row, with one tamagawa._tate_factor call per
-    support prime, as the kernel made before it took all (p, k) at once."""
+    support prime of each row, the gcd factored by trial division."""
     rows = np.asarray(rows, dtype=np.int64)
     arch, arch_err = fourier._arch_projective(model.dim, sigma, rows)
     sig = float(sigma)
@@ -869,7 +869,7 @@ def pn_characters_oracle(model, sigma, rows):
             finite *= zeta(float(1 + sigma - model.rho[0]))
         for p in primes_upto(g):
             if g % p == 0:
-                [(num, den)] = tamagawa._tate_factor(model, [(p, vp_fraction(g, p))], sigma)
+                num, den = tamagawa._tate_factor(model, p, vp_fraction(g, p), sigma)
                 finite *= num / den / (1.0 - float(p) ** (-sig))
         values.append(arch_v * finite)
         bounds.append(err * abs(finite) + 1e-14 * max(1.0, abs(values[-1])))
@@ -880,9 +880,9 @@ def pn_characters_oracle(model, sigma, rows):
     ("P1", 4, 5000), ("P1", 10, 5000), ("P1", Fraction(7, 2), 5000),
     ("P2", 4, 12), ("P2", Fraction(7, 2), 12), ("P3", 5, 4), ("P3", Fraction(9, 2), 4)])
 def test_pn_characters_match_per_prime_tate_oracle(mid, sigma, radius):
-    # The kernel's one _tate_factor call per batch gives, bit for bit, the
-    # per-prime factors; P1 takes a = 0..radius, P2 and P3 a grid of
-    # nonzero indices with repeated gcds.
+    # The kernel, which factors all the gcds of a batch at once, gives bit
+    # for bit the factors of a row-by-row loop; P1 takes a = 0..radius, P2
+    # and P3 a grid of nonzero indices with repeated gcds.
     model = geometry.load_model(mid)
     if model.dim == 1:
         rows = [(a,) for a in range(radius + 1)]
