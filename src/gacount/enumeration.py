@@ -41,6 +41,36 @@ T = 1518500250, 1048576 and 27555 on P1, P2 and P3, the second at
 T = 536890608 on P3 (past 2^36 on P1 and P2), so at the bench T (707106,
 669432 and 562341) only P3's d <= 20 are Python ints.
 
+The float root.  BlP2-1's fiber bounds and BlP2-2's torsor ends are the
+floor of the root r of c t^e = B in t > 0, for arrays of c > 0 and one
+exponent e != 0 (its ceiling for the decreasing t -> c t^e, e < 0), and
+_float_root takes them all from y = exp(log_rhs / e), log_rhs = log B
+- log c.  Lemma.  Let log_rhs be the float64 value of log num - log den
+(B = num/den, math.log of the Python ints) minus sum_j fl(m_j) log a_j
+(np.log of the int64 a_j, exact as float64) for log c = sum_j m_j log a_j,
+with positive integers a_j < 2^53 and rationals m_j, added in any order
+with at most eight roundings of a sum; let
+S = log num + log den + sum_j |m_j| log a_j and C >= (1 + S)/4 with
+C/|e| <= 2^40.  Let u = 2^-53 and assume math.log, np.log and np.exp
+within 4 ulp (ulp(x) <= 2u|x|).  Then with delta = 2^-40 (1 + C/|e|) the
+floats fl(y fl(1 - delta)) and fl(y fl(1 + delta)) bracket r.  Proof.  An
+integer n converts to a float within relative u, which moves its log by at
+most u, and the log adds 8u log n; a term fl(m_j) log a_j is off by
+8u |m_j| log a_j from np.log, u from rounding m_j and u from the product,
+10.01u |m_j| log a_j in all.  Every partial sum is at most 1.01 (1 + S) in
+size, so the roundings of the sums add at most 8.1u (1 + S), and log_rhs
+is within 10.1u + 18.2u S < 19u (1 + S) <= 76u C of log(B/c), and at most
+4.04 C in size.  Dividing by fl(e) and rounding the quotient add
+2.01u |log_rhs / e| <= 8.2u C/|e|, so z = fl(log_rhs / fl(e)) is within
+84.2u C/|e| <= 84.2 * 2^-13 of log r = log(B/c)/e, and y = fl(exp(z))
+within relative 8u of exp(z): |y/r - 1| < 85.2u C/|e| + 8.1u
+< 100u (1 + C/|e|).  delta is 81 times that, and the roundings of
+1 -+ delta and of the products add 2u each.  So where the floors
+(ceilings) of the two ends agree they are those of r, and where they
+differ the prepared exact test _util.height_test bisects between them
+(_util.last_true); the root clipped to [0, cap] ([1, cap + 1] for e < 0)
+is as exact, and the upper end alone, so clipped, is an upper bound.
+
 BlP2-1 (fiber strategy).  Group points by the reduced fiber coordinate
 y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are
 w_F = 3 fibers with F = 1 and w_F = 4*phi(F) with F >= 2 (_fiber_weights,
@@ -48,8 +78,8 @@ which P1's zeta sum reads too).  On a fixed fiber the primitive vector is
 (g*f, X, g*q) with g >= 1, gcd(g, X) = 1; the
 generator heights are h_F = F and h_H = max(g*F, |X|), so with m_H = lambda_E
 and m_F = lambda_D - lambda_E the height bound becomes max(g*F, |X|) <= T_F
-where T_F is the largest integer M with M^{m_H} * F^{m_F} <= B (an exact
-integer root, _blp21_fiber_bound, or in bulk _blp21_fiber_bounds).  Writing
+where T_F is the largest integer M with M^{m_H} * F^{m_F} <= B (the float
+root above, _blp21_fiber_bounds; T_F = T_1 at m_F = 0).  Writing
 G_F = T_F // F, the fiber contributes
 
     w_F * sum_{e <= G_F} mu(e) * (G_F//e) * (2*(T_F//e) + 1)
@@ -89,13 +119,15 @@ int8 mu_segment over E0 <= e <= max(G_2, T_1//(T_1//(E0+1))), the end of the
 first row of F = 1, each cell of 127 values overwritten by its running sums,
 which int8 holds, with an int64 sum before each cell (_mertens_lookup).
 
-The sums are exact in int64.  By the monotonicity of T_F the one check
-max(T_1, T_{f_max}) < 2^30, made before any table is built, bounds every
-T_F (CapabilityError past it), and w_F <= 4F.  A term of the per-e passes
-is |w_F mu(e) (G_F//e) (T_F//e)| <= 4F (T_F / F) T_F = 4 T_F^2 < 2^62.  A
-block of q holds at most T_F//q - T_F//(q+1) <= T_F / (q (q+1)) + 1 values
-of e, which bounds its mu-sum, so its term is below
-4F q (q/F) (T_F / q^2 + 1) = 4 (T_F + q^2): at most 8 T_F when
+The sums are exact in int64.  Every T_F is at most max(G_1, f_max) <= 2^27
+under the memory guards below: when m_F >= 0, T_F <= T_1 = G_1; when
+m_F < 0, T_F <= T_{f_max} <= f_max, as M^{m_H} <= B f_max^{-m_F}
+< (f_max + 1)^{lambda_D} f_max^{m_H - lambda_D} < (f_max + 1)^{m_H}
+(lambda_D < m_H) gives M < f_max + 1.  And w_F <= 4F.  A term of the
+per-e passes is |w_F mu(e) (G_F//e) (T_F//e)| <= 4F (T_F / F) T_F
+= 4 T_F^2 < 2^62.  A block of q holds at most T_F//q - T_F//(q+1)
+<= T_F / (q (q+1)) + 1 values of e, which bounds its mu-sum, so its term is
+below 4F q (q/F) (T_F / q^2 + 1) = 4 (T_F + q^2): at most 8 T_F when
 q^2 <= T_F, and in any case below 4 T_F + T_F^2 < 2^62, since
 q <= T_F / (E0 + 1) <= T_F / 2 (E0 >= 1).  Each partial product is at most
 its term.  The rows of F = 1 read from the Mertens table are these terms
@@ -244,21 +276,14 @@ h_1 h_2 >= each term of h_H), so H >= h_H^{lambda_min} and H <= B forces
 g1 g2 k, g2 s, g1 t <= R, the box radius above: the enumeration caps k, g2,
 g1 and s there, every height whose log is taken is at most R, and no band
 changes when its roots are clipped to [0, R] (floors) or [1, R + 1]
-(ceilings).  A band end is the floor (ceiling, for the decreasing piece at
-m_1 < 0) of the root r of c t^e = B on its piece, t ranging over [0, R],
-estimated as y = exp((log B - log c) / e).  By the error terms of the box
-kernel above, log B - log c is within 21u C of its value,
-C = 1 + log num + log den + (|m_H| + |m_1| + |m_2|)(1 + log R), and at most
-C in size; the division by fl(e), the rounded exact exponent, adds 2u |z|
-to z = (log B - log c)/e, and exp 8u, so y / r - 1 is below
-24u (1 + C/|e|).  The margin
-delta = 2^-40 (1 + C/|e|) is 300 times that, so r lies in
-[y (1 - delta), y (1 + delta)]; where the floors (ceilings) of the two ends
-differ, the exact test _util.height_test at the piece's heights bisects
-between them.  The constant piece compares its log H with log B within
-2^-40 C, as the kernel does, and the exact test decides inside.  The
-enumeration ends are float roots raised by the relative margin
-2^-30 (1 + C/e): upper bounds, which at worst add empty rows.
+(ceilings).  A band end is the float root (above) of c t^e = B on its
+piece, with C = 1 + log num + log den + (|m_H| + |m_1| + |m_2|)(1 + log R):
+every log_rhs of the count sums log B and at most four terms m log a with
+a <= R and the |m| adding up to at most 4 (|m_H| + |m_1| + |m_2|), so
+1 + S <= 4C.  The constant piece compares its log H, within 19u C of its
+value as in the lemma's proof, with log B within 2^-40 C, and the exact
+test decides inside.  The ends of the enumeration of k, g2, g1 and s are
+the float root's upper ends: upper bounds, which at worst add empty rows.
 
 The sums are exact in int64, as the count refuses R >= 2^30.  A weight
 is at most 2 g1 k + 1 <= 2R + 1 and |t_hi//e - (t_lo - 1)//e| <= R + 1, so
@@ -359,8 +384,9 @@ def _box_scan(
                 yield coords
 
 
-# Scale of the band around log B inside which _box_kernel decides candidates
-# exactly (module docstring, "The box kernel").
+# Scale of the float margins: of the band around log B inside which
+# _box_kernel and the torsor's constant piece decide exactly, and of the
+# bracket of _float_root (module docstring, "The box kernel", "The float root").
 _LOG_MARGIN = 2.0**-40
 # Candidates one NumPy pass of _box_kernel decides: as many whole Z-slices as
 # fit, at least one.
@@ -478,66 +504,63 @@ def _pn_count(n: int, T: int) -> int:
     return total + sum(f(q) * dm_q for q, dm_q in enumerate(dm[q_1:].tolist(), start=q_1 + 1))
 
 
-def _blp21_fiber_bound(lam: Sequence[Fraction], B: Fraction, F: int) -> int:
-    """T_F, the largest M with M^{m_H} F^{m_F} <= B, as an exact integer root.
+def _float_root(log_rhs: np.ndarray, e: float, scale: float, cap, fits=None) -> np.ndarray:
+    """The root of c t^e = B for an array of c (module docstring, "The float
+    root"), as an int64 array: the largest integer t in [0, cap] with
+    c t^e <= B when e > 0, the smallest in [1, cap + 1] when e < 0.
 
-    With d the lcm of the denominators of m_H and m_F, p = m_H d and
-    k = m_F d are integers and the bound is M^p <= B^d F^{-k}; as M^p is an
-    integer, that is M^p <= floor(num^d F^{max(-k, 0)} / (den^d F^{max(k, 0)}))
-    for B = num/den, an integer p-th root.
+    log_rhs is the float64 array of log B - log c, which the root
+    overwrites, scale the lemma's C and cap a number or an array.  fits(i, t)
+    is the exact test c_i t^e <= B; without it the result is the upper end
+    of the bracket, an upper bound.
     """
-    m_h, m_f = lam[1], lam[0] - lam[1]
-    d = math.lcm(m_h.denominator, m_f.denominator)
-    p, k = int(m_h * d), int(m_f * d)
-    top = B.numerator**d * F ** max(-k, 0) // (B.denominator**d * F ** max(k, 0))
-    return math.isqrt(top) if p == 2 else floor_frac_root(top, p)
+    y = np.divide(log_rhs, e, out=log_rhs)
+    np.exp(y, out=y)
+    delta = _LOG_MARGIN * (1.0 + scale / abs(e))
+    rnd, low, high = (np.floor, 0, cap) if e > 0 else (np.ceil, 1, cap + 1)
+    top = y * (1.0 + delta)
+    rnd(np.clip(top, low, high, out=top), out=top)
+    ends = top.astype(np.int64)
+    if fits is None:
+        return ends
+    y *= 1.0 - delta
+    rnd(np.clip(y, low, high, out=y), out=y)
+    for i in np.flatnonzero(y != top).tolist():
+        lo, span = int(y[i]), int(top[i] - y[i])
+        if e > 0:  # the largest t with c t^e <= B
+            ends[i] = lo + last_true(lambda q: fits(i, lo + q), span)
+        else:  # the smallest t with c t^e <= B, past the q failing t
+            ends[i] = lo + last_true(lambda q: not fits(i, lo + q - 1), span)
+    return ends
 
 
 def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers: np.ndarray) -> np.ndarray:
-    """T_F (_blp21_fiber_bound) for an int64 array of fibers whose T_F are
-    all in [1, 2^30) (_blp21_fibers' guard), as an int64 array.
-
-    The root is a float estimate: y = exp(z) with
-    z = fl(log B) fl(1/m_H) - fl(m_F/m_H) log F, for r = (B / F^{m_F})^{1/m_H}
-    and T_F = floor(r).  Let u = 2^-53 and assume np.log, math.log and
-    np.exp within 4 ulp (ulp(y) <= 2u|y|), as the box kernel does.  log B =
-    log(num) - log(den) is off by at most 20u A, A = 1 + log num + log den
-    (box kernel); log F by 8u log F; the two rounded ratios, the products
-    and the difference add 2u to each product and u|z|, with
-    |z| <= 22 as 1 <= r < 2^30.  So z is within
-    22u A/m_H + 10u |m_F/m_H| log f + 22u of log r, f the largest fiber,
-    and y/r - 1 is below 1.01 times that plus 8.1u: below
-    32u C, C = 1 + A/m_H + |m_F/m_H| log f.  The margin is
-    delta = 2^-44 C, 16 times that bound, so r lies inside
-    [y (1 - delta), y (1 + delta)] with room for the rounding of its ends:
-    where both ends have one floor, it is T_F.  The F where they differ, y
-    within about y delta of an integer (every F whose r is an integer among
-    them), take the exact root _blp21_fiber_bound.
+    """T_F, the largest M with M^{m_H} F^{m_F} <= B, for an int64 array of
+    fibers whose T_F are below 2^62, as an int64 array: the float root
+    (module docstring) with C = 1 + log num + log den + |m_F| (1 + log f), f
+    the largest fiber, and the exact test at the heights (M, F).  At m_F = 0
+    every T_F is T_1 = height_radius(B, m_H).  Beside the bounds it holds the
+    root's float64 arrays, the one of log_rhs built here in place.
     """
     m_h, m_f = lam[1], lam[0] - lam[1]
     if m_f == 0:
-        return np.full(len(fibers), _blp21_fiber_bound(lam, B, 1), dtype=np.int64)
-    log_b = math.log(B.numerator) - math.log(B.denominator)
-    y = np.log(fibers.astype(np.float64))
-    y *= -float(m_f / m_h)
-    y += log_b * float(1 / m_h)
-    np.exp(y, out=y)
-    a = 1 + math.log(B.numerator) + math.log(B.denominator)
-    delta = 2.0**-44 * float(1 + a / m_h + abs(m_f / m_h) * math.log(int(fibers.max())))
-    hi = np.floor(y * (1 + delta))
-    bounds = hi.astype(np.int64)
-    y *= 1 - delta
-    near = np.flatnonzero(np.floor(y, out=y) != hi)
-    bounds[near] = [_blp21_fiber_bound(lam, B, F) for F in fibers[near].tolist()]
-    return bounds
+        return np.full(len(fibers), height_radius(B, m_h), dtype=np.int64)
+    log_num, log_den = math.log(B.numerator), math.log(B.denominator)
+    log_rhs = fibers.astype(np.float64)
+    np.log(log_rhs, out=log_rhs)
+    log_rhs *= -float(m_f)
+    log_rhs += log_num - log_den
+    scale = 1.0 + log_num + log_den + abs(float(m_f)) * (1.0 + math.log(int(fibers.max())))
+    leq = height_test((m_h, m_f), B)
+    return _float_root(log_rhs, float(m_h), scale, np.inf, lambda i, t: leq((t, int(fibers[i]))))
 
 
-# Fiber bounds stay below _T_LIMIT, so every term of the fiber sum fits int64;
-# the Moebius sum adds its terms below _TERM_LIMIT in int64 (_exact_sum);
-# the block pass takes its rows in chunks of _ROW_CHUNK, and P1's zeta sum its
-# fibers in chunks of _WEIGHT_CHUNK, testing its stop every _STOP_STRIDE
-# fibers.  The memory limits on the Moebius sum's T and the fiber sum's f_max
-# and G_1 follow (module docstring).
+# The torsor count's box radius stays below _T_LIMIT, so every term of its sum
+# fits int64; the Moebius sum adds its terms below _TERM_LIMIT in int64
+# (_exact_sum); the block pass takes its rows in chunks of _ROW_CHUNK, and
+# P1's zeta sum its fibers in chunks of _WEIGHT_CHUNK, testing its stop every
+# _STOP_STRIDE fibers.  The memory limits on the Moebius sum's T and the fiber
+# sum's f_max and G_1 follow (module docstring).
 _T_LIMIT = 2**30
 _TERM_LIMIT = 2**62
 _ROW_CHUNK = 2**14
@@ -573,14 +596,12 @@ def _blp21_fibers(lam: Sequence[Fraction], B: Fraction, f_max: int) -> tuple:
     count and the zeta sum both read.
 
     Raises:
-        CapabilityError: if a fiber bound T_F reaches 2^30 (int64), f_max
-            passes 2^24 or G_1 = T_1 passes 2^27 (memory), before any table.
+        CapabilityError: if f_max passes 2^24 or G_1 = T_1 passes 2^27
+            (memory), before any table.  Under both every T_F is at most
+            2^27, inside int64 (module docstring).
     """
-    t_1 = _blp21_fiber_bound(lam, B, 1)
-    refuse_past("fiber sum on BlP2-1: the largest fiber bound T_F + 1",
-                max(t_1, _blp21_fiber_bound(lam, B, f_max)) + 1, _T_LIMIT, "int64")
     refuse_past("fiber sum on BlP2-1: the number of fibers f_max", f_max, _FIBER_LIMIT, "memory")
-    refuse_past("fiber sum on BlP2-1: G_1", t_1, _SEGMENT_LIMIT, "memory")
+    refuse_past("fiber sum on BlP2-1: G_1", height_radius(B, lam[1]), _SEGMENT_LIMIT, "memory")
     fibers = np.arange(1, f_max + 1, dtype=np.int64)
     T = _blp21_fiber_bounds(lam, B, fibers)
     return T, T // fibers, _fiber_weights(1, f_max + 1)
@@ -714,24 +735,17 @@ def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: 
     log_num, log_den = math.log(B.numerator), math.log(B.denominator)
     log_b = log_num - log_den
     scale = 1.0 + log_num + log_den + (abs(f_h) + abs(f_1) + abs(f_2)) * (1.0 + math.log(R))
-
-    def upper(log_rhs, e: float, cap) -> np.ndarray:
-        # At least floor(exp(log_rhs)^(1/e)), at most cap: the float root
-        # with the relative margin 2^-30 (1 + scale/e).
-        y = np.exp(log_rhs / e) * (1.0 + 2.0**-30 * (1.0 + scale / e))
-        return np.floor(np.minimum(y, cap)).astype(np.int64)
-
     on = f"torsor count on {model.id}:"
     refuse_past(f"{on} the box radius R + 1", R + 1, _T_LIMIT, "int64")
     K = min(height_radius(B, e_d), R)
     refuse_past(f"{on} the number of k", K, _TORSOR_TABLE_LIMIT, "memory")
     k = np.arange(1, K + 1, dtype=np.int64)
-    n_g2 = upper(log_b - f_d * np.log(k), e_y, R // k)
+    n_g2 = _float_root(log_b - f_d * np.log(k), e_y, scale, R // k)
     refuse_past(f"{on} the number of pairs (g2, k)", n_g2.sum(), _TORSOR_TABLE_LIMIT, "memory")
     pair, g2 = _ragged(n_g2)
     k, g2 = k[pair], g2 + 1
     log_pair = log_b - e_y * np.log(g2) - f_d * np.log(k)
-    n_g1 = upper(log_pair, e_x, R // (g2 * k))
+    n_g1 = _float_root(log_pair.copy(), e_x, scale, R // (g2 * k))
     refuse_past(f"{on} the number of triples (g1, g2, k)", n_g1.sum(), _TORSOR_TABLE_LIMIT,
                 "memory")
     triple, g1 = _ragged(n_g1)
@@ -743,7 +757,7 @@ def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: 
     refuse_past(f"{on} the largest g1 k and g2 k", max(a.max(), n.max()), _TORSOR_TABLE_LIMIT,
                 "memory")
     # The rows s = g1 k, ..., last: past last, H > B at every y.
-    last = upper(e_s * np.log(a) + log_pair - e_x * np.log(g1), e_s, R // g2)
+    last = _float_root(e_s * np.log(a) + log_pair - e_x * np.log(g1), e_s, scale, R // g2)
     counts = np.maximum(last - a + 1, 0)
     ends = np.cumsum(counts)
     total = int(ends[-1])
@@ -784,25 +798,7 @@ def _torsor_bands(leq, m: tuple, log_b: float, scale: float, R: int):
     of the generator heights, m the floats of (m_H, m_1, m_2, m_H + m_1),
     scale that of the float margins, R the box radius."""
     m_h, m_1, m_2, e_y = m
-    margin = 2.0**-40 * scale
-
-    def root(log_c, e: float, heights, ceil: bool = False) -> np.ndarray:
-        # The floor of the root r of c t^e = B clipped to [0, R] (e > 0),
-        # or with ceil its ceiling clipped to [1, R + 1] (e < 0).  r lies
-        # in y (1 -+ delta); where the two ends round apart, the exact test
-        # at heights(i, t) bisects between them.
-        y = np.exp((log_b - log_c) / e)
-        delta = 2.0**-40 * (1.0 + scale / abs(e))
-        rnd, low, high = (np.ceil, 1, R + 1) if ceil else (np.floor, 0, R)
-        out, top = (rnd(np.clip(y * (1.0 + d), low, high)).astype(np.int64)
-                    for d in (-delta, delta))
-        for i in np.flatnonzero(out != top).tolist():
-            lo, span = int(out[i]), int(top[i] - out[i])
-            if ceil:  # the smallest t with H <= B, past the q failing heights
-                out[i] = lo + last_true(lambda q: not leq(heights(i, lo + q - 1)), span)
-            else:  # the largest t with H <= B
-                out[i] = lo + last_true(lambda q: leq(heights(i, lo + q)), span)
-        return out
+    margin = _LOG_MARGIN * scale
 
     def bands(g1, g2, k, s) -> tuple:
         x, t1 = g2 * s, g2 * k
@@ -814,13 +810,13 @@ def _torsor_bands(leq, m: tuple, log_b: float, scale: float, R: int):
         for i in np.flatnonzero(np.abs(log_h - log_b) <= margin).tolist():
             a_ok[i] = leq((int(x[i]), int(t1[i]), int(s[i])))
         # t > t2: the heights (g1 t, t, s), H = g1^m_H s^m_2 t^(m_H + m_1).
-        c_hi = root(m_h * np.log(g1) + m_2 * log_s, e_y,
-                    lambda i, t: (int(g1[i]) * t, t, int(s[i])))
+        c_hi = _float_root(log_b - (m_h * np.log(g1) + m_2 * log_s), e_y, scale, R,
+                           lambda i, t: leq((int(g1[i]) * t, t, int(s[i]))))
         # t1 < t <= t2: the heights (g2 s, t, s), H = (g2 s)^m_H s^m_2 t^m_1.
         b_lo, b_hi = t1 + 1, t2
         if m_1:
-            b_c = root(m_h * log_x + m_2 * log_s, m_1,
-                       lambda i, t: (int(x[i]), t, int(s[i])), ceil=m_1 < 0)
+            b_c = _float_root(log_b - (m_h * log_x + m_2 * log_s), m_1, scale, R,
+                              lambda i, t: leq((int(x[i]), t, int(s[i]))))
             if m_1 > 0:
                 b_hi = np.minimum(t2, b_c)
             else:

@@ -380,20 +380,6 @@ def _mul_binomial(a: Sequence[int], k: int, m: int) -> list:
     return out
 
 
-def _series_log(a: Sequence[int], order: int) -> list:
-    """Coefficients 1..order of log of a power series with a[0] = 1."""
-    out = [Fraction(0)] * (order + 1)
-    for m in range(1, order + 1):
-        am = a[m] if m < len(a) else 0
-        s = sum(
-            (j * out[j] * (a[m - j] if m - j < len(a) else 0)
-             for j in range(1, m)),
-            Fraction(0),
-        )
-        out[m] = am - s / m
-    return out
-
-
 def regularized_factor_poly(model: VarietyModel, beta: Sequence[int]) -> list:
     """Integer g_beta(u) with g_beta(1/p) = Hhat_p(s) * prod_alpha (1 - p^{-beta_alpha})
     at every good prime p, for integer exponents beta_alpha = 1 + s_alpha -
@@ -445,8 +431,11 @@ def _peel_data(model: VarietyModel, g: Optional[Sequence[int]] = None):
 
     Returns (peeled, C_h) with peeled = ((k, e_k), ...) such that
     g(u) = prod (1 - u^k)^{e_k} (1 + h(u)), h(u) = O(u^{PEEL_ORDER+1}), and
-    |h(u)| <= C_h * u^{PEEL_ORDER+1} for 0 < u <= 1/5.  Only the log series
-    and C_h are rational; the polynomials stay in integers.
+    |h(u)| <= C_h * u^{PEEL_ORDER+1} for 0 < u <= 1/5.  Only C_h is
+    rational.  The e_k are integers from integers: with g(0) = 1 the
+    coefficients c_n of u g'/g are integers (Newton's recurrence), and
+    log g = -sum_k e_k sum_m u^{km}/m + O(u^{K+1}) gives
+    sum_{k | n} k e_k = -c_n.
 
     h = resid / den with num = g prod_{e_k < 0} (1 - u^k)^{-e_k}, den =
     prod_{e_k > 0} (1 - u^k)^{e_k} and resid = num - den.  Each power
@@ -470,20 +459,21 @@ def _peel_data(model: VarietyModel, g: Optional[Sequence[int]] = None):
     if g is None:
         g = regularized_factor_poly(model, (1,) * model.rank)
     K = PEEL_ORDER
-    c = _series_log(g, K)
+    gs = list(g[: K + 1]) + [0] * (K + 1 - len(g))
+    # c_n, the coefficients of u g'/g: n g_n = sum_{j <= n} c_j g_{n-j}.
+    c = [0] * (K + 1)
+    for n in range(1, K + 1):
+        c[n] = n * gs[n] - sum(c[j] * gs[n - j] for j in range(1, n))
     if c[1] != 0:
         raise CapabilityError(f"{model.id}: regularized factor is not 1 + O(u^2)")
+    # sum_{k | n} k e_k = -c_n, the e_k for k >= 2 (e_1 = -c_1 = 0).
     e: dict = {}
     for k in range(2, K + 1):
-        tot = c[k]
-        for d in range(2, k):
-            if k % d == 0 and d in e:
-                tot += e[d] * Fraction(d, k)
-        ek = -tot
-        if ek.denominator != 1:
+        ek, rest = divmod(-c[k] - sum(d * e_d for d, e_d in e.items() if k % d == 0), k)
+        if rest:
             raise CapabilityError(f"{model.id}: non-integer peel exponent at k={k}")
         if ek != 0:
-            e[k] = int(ek)
+            e[k] = ek
     num = list(g)
     den = [1]
     for k, ek in e.items():

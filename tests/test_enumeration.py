@@ -289,8 +289,8 @@ def test_box_kernel_matches_scan_nonanticanonical():
 @pytest.fixture
 def exact_calls(monkeypatch):
     """A one-cell list counting the exact height tests that enumeration
-    prepares with height_test: the kernel's fallbacks and the loop scan's
-    tests."""
+    prepares with height_test: the kernel's fallbacks, the float root's
+    bisections and the loop scan's tests."""
     calls = [0]
     prepare = enumeration.height_test
 
@@ -921,8 +921,8 @@ def test_pn_count_all_python_terms(monkeypatch):
 
 
 def blp21_fiber_bound_fractions(lam, B, F):
-    """T_F by Fraction powers at every exponent: the oracle of the integer
-    path of enumeration._blp21_fiber_bound."""
+    """T_F by Fraction powers at every exponent: the oracle of
+    enumeration._blp21_fiber_bounds."""
     m_h = lam[1]
     m_f = lam[0] - lam[1]
     rhs = B * Fraction(F) ** (-m_f) if m_f.denominator == 1 else None
@@ -934,35 +934,40 @@ def blp21_fiber_bound_fractions(lam, B, F):
     return enumeration.height_radius(rhs, m_h)
 
 
-def test_blp21_fiber_bound_integer_path():
-    m = geometry.load_model("BlP2-1")
-    for lam in (m.rho, (1, 1), (2, 3), (Fraction(7, 2), 2), (Fraction(5, 2), Fraction(3, 2))):
-        vals = geometry.require_interior(m, lam)
-        for B in (10**4, 10**11, 100.3, Fraction(10**9 + 7, 3)):
-            B = as_fraction(B)
-            assert [enumeration._blp21_fiber_bound(vals, B, F) for F in range(1, 2001)] == \
-                [blp21_fiber_bound_fractions(vals, B, F) for F in range(1, 2001)], (lam, B)
-
-
 def test_blp21_fiber_bounds_float_estimate():
-    # The int64-array form against the Fraction oracle: p >= 3 at (5, 4)
-    # (p = 4), (11, 10) (p = 10), (2, 5) (p = 3) and (1/3, 1) (p = 3),
-    # m_F < 0 at (2, 5), (1/3, 1) and (1, 2), p = 1 at (2, 1).  At (5, 4)
-    # and (11, 10), B^d F^{-k} is far past int64.  At (2, 1), T_F = B//F is
-    # B/F exactly at each of the divisors F of B; at rho, B = 1e11, the
-    # plain floor of the float estimate is off at one F.  Every T_F is
-    # below 2^30, as _blp21_count's guard makes it.
-    cases = (((5, 4), 2**100), ((11, 10), 2**220), ((2, 5), 10**20), ((1, 3), 10**11),
-             ((Fraction(1, 3), 1), 16000), ((1, 2), Fraction(10**15, 7)),
-             ((2, 1), 720720 * 1000), ((2, 1), Fraction(10**9 + 1, 3)), (BLP21.rho, 10**11))
-    fibers = range(1, 3001)
-    for lam, B in cases:
+    # The float root against the Fraction oracle on 3000 fibers: the
+    # exponent m_H = p >= 3 at (5, 4) (p = 4), (11, 10) (p = 10), (2, 5)
+    # (p = 3) and (1/3, 1) (p = 3), m_F < 0 at (2, 5), (1/3, 1) and (1, 2),
+    # p = 1 at (2, 1).  At (5, 4) and (11, 10), B^d F^{-k} is far past
+    # int64.  At (2, 1), T_F = B//F is B/F exactly at each of the divisors F
+    # of B; at rho, B = 1e11, the plain floor of the float estimate is off
+    # at one F.  Then a grid of lambda and B on 2000 fibers: rational m_H
+    # and m_F, m_F = 0 at (1, 1) (T_F = B = 10^11 there) and T_F = 0 past
+    # f_max at (7/2, 2).
+    cases = [(lam, B, 3000) for lam, B in (
+        ((5, 4), 2**100), ((11, 10), 2**220), ((2, 5), 10**20), ((1, 3), 10**11),
+        ((Fraction(1, 3), 1), 16000), ((1, 2), Fraction(10**15, 7)),
+        ((2, 1), 720720 * 1000), ((2, 1), Fraction(10**9 + 1, 3)), (BLP21.rho, 10**11))]
+    cases += [(lam, B, 2000)
+              for lam in (BLP21.rho, (1, 1), (2, 3), (Fraction(7, 2), 2),
+                          (Fraction(5, 2), Fraction(3, 2)))
+              for B in (10**4, 10**11, 100.3, Fraction(10**9 + 7, 3))]
+    for lam, B, n in cases:
         vals = geometry.require_interior(BLP21, lam)
         B = as_fraction(B)
-        want = [blp21_fiber_bound_fractions(vals, B, F) for F in fibers]
-        assert 1 <= min(want) and max(want) < 2**30, (lam, B)
-        got = enumeration._blp21_fiber_bounds(vals, B, np.arange(1, 3001, dtype=np.int64))
+        want = [blp21_fiber_bound_fractions(vals, B, F) for F in range(1, n + 1)]
+        assert max(want) < 2**62, (lam, B)
+        got = enumeration._blp21_fiber_bounds(vals, B, np.arange(1, n + 1, dtype=np.int64))
         assert got.dtype == np.int64 and got.tolist() == want, (lam, B)
+
+
+def test_blp21_fiber_table_at_m_f_zero_makes_no_exact_test(exact_calls):
+    # At lambda = (1, 1) every T_F is T_1, an integer root: the float root
+    # would send each of the 10^4 fibers to the exact bisection.
+    T, _, _ = enumeration._blp21_fibers(geometry.require_interior(BLP21, (1, 1)),
+                                        Fraction(10**4), 10**4)
+    assert T.tolist() == [10**4] * 10**4
+    assert exact_calls[0] == 0
 
 
 def test_blp21_fiber_bounds_memory_peak():
@@ -1223,30 +1228,25 @@ def test_blp21_count_lists_mu_only_to_e0(monkeypatch):
 
 
 def test_blp21_int64_guard_before_tables(monkeypatch):
-    # T_F = 2^32 for every fiber at lambda = (1, 1): refused before any
-    # sieve or fiber table over the 2^32 fibers.
+    # T_F = 2^32 for every fiber at lambda = (1, 1), past int64's reach in
+    # the fiber sum: the 2^32 fibers are refused by the memory guard on
+    # f_max, which bounds every T_F by 2^27 with the guard on G_1, before
+    # any sieve, fiber bound or table.
     def refuse(*args):
         raise AssertionError("fiber table built")
 
-    def ends_only(lam, B, fibers, bounds=enumeration._blp21_fiber_bounds):
-        if len(fibers) > 2:
-            refuse()
-        return bounds(lam, B, fibers)
-
-    for name in ("mu_segment", "phi_segment", "mu_sieve"):
+    for name in ("mu_segment", "phi_segment", "mu_sieve", "_blp21_fiber_bounds"):
         monkeypatch.setattr(enumeration, name, refuse)
-    monkeypatch.setattr(enumeration, "_blp21_fiber_bounds", ends_only)
-    with pytest.raises(CapabilityError, match="T_F \\+ 1 passes the limit 2\\^30"):
+    with pytest.raises(CapabilityError, match="f_max passes the limit 2\\^24"):
         enumeration.count_points(BLP21, (1, 1), 2**32)
 
 
 def test_blp21_guard_past_int64_fibers():
-    # f_max = 2^63 at lambda = (1, 1) and f_max = 2^32 at rho, B = 2^96:
-    # the end probe takes Python ints, so both are refused by the int64
-    # limit on the fiber bounds (T_1 = 2^63 and 2^48, T_{f_max} = 2^63 and
-    # 2^32).
+    # f_max = 2^63 at lambda = (1, 1) and f_max = 2^32 at rho, B = 2^96
+    # (T_1 = 2^63 and 2^48): both refused by the guard on f_max, which is
+    # checked first, as Python ints.
     for lam, B in (((1, 1), 2**63), (BLP21.rho, 2**96)):
-        with pytest.raises(CapabilityError, match="T_F \\+ 1 passes the limit 2\\^30"):
+        with pytest.raises(CapabilityError, match="f_max passes the limit 2\\^24"):
             enumeration.count_points(BLP21, lam, B)
 
 

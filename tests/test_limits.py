@@ -48,7 +48,6 @@ def _count(model, lam):
 
 
 TENTH_OF_D = (Fraction(10), Fraction(1), Fraction(1))  # BlP2-2: k <= B^(1/10), R = B
-BIG = 2**62
 
 LIMITS = [
     # enumeration: the box scans.
@@ -65,10 +64,6 @@ LIMITS = [
                  (enumeration, "mertens_quotients"), "T passes the limit 2\\^36", id="_PN_T_LIMIT-P1"),
     pytest.param(_count(P3, P3.rho), (2**36) ** 4, (2**36 + 1) ** 4,
                  (enumeration, "mertens_quotients"), "T passes the limit 2\\^36", id="_PN_T_LIMIT-P3"),
-    pytest.param(_with(_count(BLP21, (1, 1)), (enumeration, "_FIBER_LIMIT", BIG),
-                       (enumeration, "_SEGMENT_LIMIT", BIG)),
-                 2**30 - 1, 2**30, (np, "arange"), "T_F \\+ 1 passes the limit 2\\^30",
-                 id="_T_LIMIT-fiber"),
     pytest.param(_count(BLP21, (1, 1)), 2**24, 2**24 + 1, (np, "arange"),
                  "f_max passes the limit 2\\^24", id="_FIBER_LIMIT"),
     pytest.param(_count(BLP21, BLP21.rho), 2**54, (2**27 + 1) ** 2, (np, "arange"),

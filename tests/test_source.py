@@ -305,6 +305,17 @@ def test_zeta_partial_counts_in_its_own_pass():
     assert readers == ["enumeration._blp21_fibers"]
 
 
+def test_one_float_root_in_enumeration():
+    # BlP2-1's fiber bounds and BlP2-2's band and enumeration ends are all
+    # the float root of c t^e = B with one margin proof: exactly one
+    # function of enumeration calls np.exp, enumeration._float_root.
+    callers = sorted(fn.name for fn in _functions("enumeration").values()
+                     for node in ast.walk(fn)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "exp" and _used_names(node.func.value) == ["np"])
+    assert callers == ["_float_root"]
+
+
 def _functions(module: str) -> dict:
     """name -> FunctionDef node of every function defined in a module."""
     tree = ast.parse((SRC / f"{module}.py").read_text())
