@@ -301,7 +301,8 @@ B = 10^6 takes 0.24 s, 10^7 1.9 s and 10^8 21 s with a peak RSS of 51 MB
 The point side of the height zeta function lives here too: zeta_partial
 sums H(x)^(-s) over the points with H <= B along the same strategies (the
 Moebius fibers on P1, 2^16 at a time so that its memory does not grow with
-B, until no later term can change the float sum; on BlP2-1 the fibers of
+B, until the tail past the fiber is below the float bound of the sum, which
+math.fsum keeps at a few units of 2^-53; on BlP2-1 the fibers of
 the table _blp21_fibers builds for the count too; the box kernel's points
 on BlP2-2 and BlP2-3, each block's heights H = num/den from its generator
 heights as int64 products when they provably stay below 2^53) and counts
@@ -323,7 +324,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -558,14 +559,13 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers: np.ndarray
 # The torsor count's box radius stays below _T_LIMIT, so every term of its sum
 # fits int64; the Moebius sum adds its terms below _TERM_LIMIT in int64
 # (_exact_sum); the block pass takes its rows in chunks of _ROW_CHUNK, and
-# P1's zeta sum its fibers in chunks of _WEIGHT_CHUNK, testing its stop every
-# _STOP_STRIDE fibers.  The memory limits on the Moebius sum's T and the fiber
-# sum's f_max and G_1 follow (module docstring).
+# P1's zeta sum its fibers in chunks of _WEIGHT_CHUNK.  The memory limits on
+# the Moebius sum's T and the fiber sum's f_max and G_1 follow (module
+# docstring).
 _T_LIMIT = 2**30
 _TERM_LIMIT = 2**62
 _ROW_CHUNK = 2**14
 _WEIGHT_CHUNK = 2**16
-_STOP_STRIDE = 64
 _PN_T_LIMIT = 2**36
 _FIBER_LIMIT = 2**24
 _SEGMENT_LIMIT = 2**27
@@ -891,29 +891,36 @@ def enumerate_points(model: VarietyModel, lam, B) -> Iterator[RationalPoint]:
         yield RationalPoint(coords)
 
 
+def p1_zeta_stop(c: float, end: int) -> int:
+    """The last fiber of P1's zeta sum at c = lambda_1 s over the fibers
+    1..end (zeta_partial): end for c <= 2, else the smaller of end and about
+    the first F whose tail bound 4 F^(2-c)/(c - 2) (fourier.zeta_truncated)
+    is at most 48 * 2^-53, the float bound of a sum >= 3.  Any stop >= 1 is
+    sound, as the reported tail is taken at it, so a float root serves."""
+    if c <= 2.0:
+        return end
+    log_root = min(math.log2(4.0 / (48.0 * 2.0**-53 * (c - 2.0))) / (c - 2.0), 1000.0)
+    return min(end, max(1, math.ceil(2.0**log_root)))
+
+
 def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     """(sum of H(x; lambda)^(-s) over the points with H <= B, their number):
     the point side of fourier.zeta_truncated along the counting strategy,
-    each term x ** (-s) of a Python float x added left to right.
+    each term x ** (-s) of a Python float x added left to right (on P1 by
+    one math.fsum).
 
-    P1 sums its Moebius fibers (w_F points of generator height F,
-    _fiber_weights, _WEIGHT_CHUNK fibers at a time, so the memory does not
-    grow with B) and stops once no later term can change the float sum.
-    The term of F is t_F = fl(w_F fl(F^-c)), c = lambda_1 s, with
-    w_F <= 4F.  Assume pow within 4 ulp (as the box kernel assumes of log);
-    then t_F <= 4 F^(1-c) (1 + 2^-49), and the bound
-    b_F = 4.004 * F * F^-c, computed in floats, is at least
-    4.004 F^(1-c) (1 - 2^-49).  For c >= 1, F^(1-c) is nonincreasing, so
-    every t_f with f >= F is below b_F.  Once b_F < ulp(partial)/2 (checked
-    every _STOP_STRIDE fibers; partial >= 3 by then, far above any
-    subnormal term), each later partial + t_f rounds to nearest back to
-    partial, so partial never changes again: the sum is bit-identical to
-    the full one.  The count is then that of the fibers summed, short of
-    N(B) by points whose terms cannot change the float.  As partial >= 3
-    from F = 1 on, ulp(partial)/2 >= 2^-52 > 4.004 F^(1-c) once F passes
-    (4.004 * 2^52)^(1/(c-1)) (c > 1): the loop plans its fibers up to the
-    next multiple of _STOP_STRIDE, or f_max if smaller, and refuses more
-    than _ZETA_STEP_LIMIT before it starts.
+    P1 sums its Moebius fibers F = 1..p1_zeta_stop(c, f_max), c = lambda_1
+    s: w_F points of generator height F (_fiber_weights, _WEIGHT_CHUNK
+    fibers at a time, so the memory does not grow with B), each term
+    t_F = fl(w_F fl(F^-c)) computed by NumPy and all of them added by one
+    math.fsum, which rounds their exact sum once.  With r = 2^-53 and pow
+    within 4 ulp (8r; as the box kernel assumes of log), each t_F is within
+    9r(1 + r) t_F of w_F F^-c (w_F < 2^53 is exact), so the float sum S is
+    within r sum t_F + 9r(1 + r) T <= 11 r S of the exact sum T of its
+    fibers' terms; subnormal terms add at most F_end^2 2^-1070 in all
+    (F_end <= 2^25), far below r S (S >= w_1 = 3).  fourier.zeta_truncated reports that bound with the
+    tail.  The count is that of the points summed.  The loop refuses more
+    than _ZETA_STEP_LIMIT fibers before it starts.
 
     BlP2-1 sums and counts the fibers of one table (_blp21_fibers, which
     refuses B past count_points' limits before the sum starts), the rest
@@ -937,21 +944,18 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     strategy, end = _outer_range(model, vals, B)
     if strategy == "pn" and model.dim == 1:
         c = float(vals[0]) * s
-        # 2^1000 stands for any larger root, and for no stop at all (c <= 1).
-        log_root = min(math.log2(4.004 * 2.0**52) / (c - 1.0) if c > 1.0 else 1000.0, 1000.0)
-        planned = min(end, (int(2.0**log_root) // _STOP_STRIDE + 1) * _STOP_STRIDE)
-        refuse_past("zeta sum on P1: the number of fibers of its loop", planned, _ZETA_STEP_LIMIT,
+        end = p1_zeta_stop(c, end)
+        refuse_past("zeta sum on P1: the number of fibers of its loop", end, _ZETA_STEP_LIMIT,
                     "time")
-        partial, count = 0.0, 0
-        for lo in range(1, end + 1, _WEIGHT_CHUNK):
+        counts = []
+
+        def terms(lo: int) -> list:
             w = _fiber_weights(lo, min(lo + _WEIGHT_CHUNK, end + 1))
-            count += int(w.sum())
-            for f, w_f in enumerate(w.tolist(), start=lo):
-                if (not f % _STOP_STRIDE and c >= 1.0
-                        and 4.004 * f * float(f) ** (-c) < 0.5 * math.ulp(partial)):
-                    return partial, count - int(w[f - lo :].sum())
-                partial += w_f * float(f) ** (-c)
-        return partial, count
+            counts.append(int(w.sum()))
+            return (w * np.arange(lo, lo + len(w), dtype=float) ** -c).tolist()
+
+        partial = math.fsum(chain.from_iterable(map(terms, range(1, end + 1, _WEIGHT_CHUNK))))
+        return partial, sum(counts)
     if strategy == "fiber":
         T, G, w = _blp21_fibers(vals, B, end)
         return _blp21_zeta_partial(vals, s, T, G, w), _blp21_count(T, G, w)

@@ -75,7 +75,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -119,6 +118,11 @@ BRUTE_STACK_LIMIT = 2**22
 # BlP2-3 at p = 3, depth 11, has a bound of 2391571, visits 2391274 cubes
 # and takes 20-27 s.
 BRUTE_CUBE_LIMIT = 2**22
+
+# _pn_characters divides the primes up to this bound out of the gcds of its
+# characters (one NumPy pass over the rows each) and refuses a gcd that needs
+# more: one whose part free of them passes 2^40.
+_GCD_PRIME_LIMIT = 2**20
 
 # Relative float-roundoff allowance per accumulated cube.
 _ROUNDOFF_PER_BOX = 2.0e-16
@@ -604,6 +608,13 @@ _GL_HALF = (
 _GL_X = np.array([-float.fromhex(x) for x, _ in _GL_HALF[::-1]]
                  + [float.fromhex(x) for x, _ in _GL_HALF])
 _GL_W = np.array([float.fromhex(w) for _, w in _GL_HALF[::-1] + _GL_HALF])
+# The steps j = 0..K-2 of the tail's ratios (gamma + j)/(wT); the semi-axes A
+# and B of the Bernstein ellipse; the head's bound per unit of sum h M.
+_TAIL_STEPS = np.arange(_IBP_TERMS - 1.0)
+_ELLIPSE_A = 0.5 * (_ELLIPSE_RHO + 1.0 / _ELLIPSE_RHO)
+_ELLIPSE_B = 0.5 * (_ELLIPSE_RHO - 1.0 / _ELLIPSE_RHO)
+_GAUSS_BOUND = 64.0 / (15.0 * (_ELLIPSE_RHO * _ELLIPSE_RHO - 1.0)
+                       * _ELLIPSE_RHO ** (2 * _GL_NODES))
 
 
 def _osc_power_integral(gamma: float, w) -> tuple:
@@ -626,7 +637,10 @@ def _osc_power_integral(gamma: float, w) -> tuple:
     one is at most 2^-53 m_0, or K of them; since
     m_(j+1)/m_j = (gamma + j)/(wT) <= 1/2 for j < K, the bound is at most
     2^(1-K) m_0 = 2^(1-K) T^(-gamma)/w.  Each w is a row of its K products
-    m_(j+1) = m_j (gamma + j)/(wT), masked past its last term.
+    m_(j+1) = m_j (gamma + j)/(wT), zeroed past its last term, and one
+    np.einsum forms the four sums of every row (the two parts, sum m_k and
+    sum (4k + 3) m_k) without a 3-D temporary, in an order fixed per row:
+    each w gets the floats of its one-element call at any batch size.
 
     Head.  When T > 1 (w < 2 (gamma + K)), int_1^T is cut into panels
     [a, b] with b - a <= min(a/2, _PANEL_PHASE/w), geometric ones first and
@@ -667,65 +681,58 @@ def _osc_power_integral(gamma: float, w) -> tuple:
     """
     shape = np.shape(w)
     w = np.asarray(w, dtype=float).ravel()
-    K = _IBP_TERMS
+    N, K = len(w), _IBP_TERMS
     T = np.maximum(1.0, 2.0 * (gamma + K) / w)
     wT = w * T
-    m = np.empty((len(w), K))
+    m = np.empty((N, K))
     m[:, 0] = T ** -gamma / w
-    np.divide(gamma + np.arange(K - 1.0), wT[:, None], out=m[:, 1:])
+    np.divide(gamma + _TAIL_STEPS, wT[:, None], out=m[:, 1:])
     np.multiply.accumulate(m, axis=1, out=m)
+    # Each ratio is below 1, so the terms after the last one taken are those
+    # after a done one.
     done = m <= _ROUND * m[:, :1]
     done[:, -1] = True
-    last = done.argmax(axis=1)
-    tail_err = m[np.arange(len(w)), last]
-    m[np.arange(K) > last[:, None]] = 0.0
-    s_im, s_re, sum_m, sum_jm = (m[:, None, :] * _TAIL_WEIGHTS).sum(axis=2).T
+    tail_err = m[np.arange(N), done.argmax(axis=1)]
+    m[:, 1:][done[:, :-1]] = 0.0
+    s_im, s_re, sum_m, sum_jm = np.einsum("nk,jk->jn", m, _TAIL_WEIGHTS)
     cos, sin = np.cos(wT), np.sin(wT)
-    re = sin * s_im - cos * s_re
-    im = -(cos * s_im + sin * s_re)
-    rounding = sum_jm + (wT + 13.0) * sum_m
-    quad_err = np.zeros(len(w))
-    panels = np.zeros(len(w), dtype=np.int64)
+    # Per w: the real and imaginary parts, the rounding weight, then the
+    # head's sum of h M and its number of panels.
+    out = np.zeros((5, N))
+    out[0] = sin * s_im - cos * s_re
+    out[1] = -(cos * s_im + sin * s_re)
+    out[2] = sum_jm + (wT + 13.0) * sum_m
     head = (T > 1.0).nonzero()[0]
     if head.size:
-        # The panels of each distinct w (T is a function of w): widths a/2
-        # up to a = 2 step, then step, so b - a <= min(a/2, step).
-        edges = {}
-        for wh, Th in zip(w[head].tolist(), T[head].tolist()):
-            if wh not in edges:
+        # Each distinct w (T is a function of w) cuts [1, T] into P panels
+        # [a, b], widths a/2 up to a = 2 step, then step, so b - a <=
+        # min(a/2, step); a panel is (h, c, w, 3 gamma + n + 6 + P).
+        index, starts, panels = {}, [], []
+        heads = w[head].tolist()
+        for wh, Th in zip(heads, T[head].tolist()):
+            if wh not in index:
+                index[wh] = len(starts)
+                starts.append(len(panels))
                 step, e = _PANEL_PHASE / wh, [1.0]
                 while e[-1] < Th:
                     e.append(min(Th, 1.5 * e[-1] if e[-1] < 2.0 * step else e[-1] + step))
-                edges[wh] = e
-        order = {wh: i for i, wh in enumerate(edges)}
-        pos = [order[wh] for wh in w[head].tolist()]
-        counts = np.array([len(e) - 1 for e in edges.values()])
-        starts = np.cumsum(counts) - counts
-        lo = np.array([a for e in edges.values() for a in e[:-1]])
-        hi = np.array([b for e in edges.values() for b in e[1:]])
-        h, c = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        wp = np.repeat(list(edges), counts)
+                bias = 3.0 * gamma + _GL_NODES + 6.0 + (len(e) - 1)
+                panels += [(0.5 * (b - a), 0.5 * (b + a), wh, bias) for a, b in zip(e, e[1:])]
+        h, c, wp, bias = np.array(panels).T
         u = c[:, None] + h[:, None] * _GL_X
         amp = u ** -gamma * (h[:, None] * _GL_W)
         phase = wp[:, None] * u
-        # Per node: the real and imaginary parts and the rounding weight
-        # 3 gamma + n + P + 6 + 4wu, times the amplitude.
-        bias = 3.0 * gamma + _GL_NODES + 6.0 + np.repeat(counts, counts)[:, None]
-        per_node = amp * np.stack((np.cos(phase), np.sin(phase), 4.0 * phase + bias))
-        head_re, head_im, head_round = np.add.reduceat(
-            per_node.sum(axis=2), starts, axis=1)[:, pos]
-        re[head] += head_re
-        im[head] += head_im
-        rounding[head] += head_round
-        panels[head] = counts[pos]
-        rho = _ELLIPSE_RHO
-        big, small = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
-        M = (c - big * h) ** -gamma * np.exp(small * wp * h)
-        quad_err[head] = (64.0 / (15.0 * (rho * rho - 1.0) * rho ** (2 * _GL_NODES))
-                          * np.add.reduceat(h * M, starts)[pos])
-    slack = 1.0 + (5.0 * gamma + 4 * K + panels + 40.0) * _ROUND
-    bound = slack * (tail_err + quad_err) + 1.5 * _ROUND * rounding
-    return (re + 1j * im).reshape(shape), bound.reshape(shape)
+        # Per panel: the sums over its nodes of the amplitude times the real
+        # and imaginary parts and the rounding weight 3 gamma + n + P + 6 +
+        # 4wu, then h M, then 1, which reduceat turns into P.
+        per_panel = np.ones((5, len(h)))
+        np.add.reduce(amp * np.array((np.cos(phase), np.sin(phase), 4.0 * phase + bias[:, None])),
+                      axis=2, out=per_panel[:3])
+        per_panel[3] = h * ((c - _ELLIPSE_A * h) ** -gamma * np.exp(_ELLIPSE_B * wp * h))
+        out[:, head] += np.add.reduceat(per_panel, starts, axis=1)[:, [index[wh] for wh in heads]]
+    slack = 1.0 + (5.0 * gamma + 4 * K + out[4] + 40.0) * _ROUND
+    bound = slack * (tail_err + _GAUSS_BOUND * out[3]) + 1.5 * _ROUND * out[2]
+    return (out[0] + 1j * out[1]).reshape(shape), bound.reshape(shape)
 
 
 def _arch_projective(n: int, sigma: Fraction, rows, den: int = 1) -> tuple:
@@ -747,7 +754,8 @@ def _arch_projective(n: int, sigma: Fraction, rows, den: int = 1) -> tuple:
     X_f = int_1^oo u^(-gamma) cos/sin(w u) du = Re/Im I(gamma, w) with
     gamma = sigma + 1 - z > 2 and w = 2 pi f (_osc_power_integral); w = 0
     gives 1/(gamma - 1).  Sign patterns with equal |f| merge, exactly in
-    integers, into the first of them; a sine at f = 0 vanishes.  Rows with
+    integers, into the first of them (only m >= 3 has such: |a + b| =
+    |a - b| needs ab = 0); a sine at f = 0 vanishes.  Rows with
     the same z share gamma and one _osc_power_integral call.
 
     Bound: |scale| sum |c_f| (kernel bound of X_f) plus the rounding of
@@ -762,40 +770,45 @@ def _arch_projective(n: int, sigma: Fraction, rows, den: int = 1) -> tuple:
     second-order terms.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    nonzero = (rows != 0).sum(axis=1)
-    groups = np.bincount(nonzero, minlength=n + 1).tolist()
-    value, bound = np.zeros(len(rows)), np.zeros(len(rows))
-    if groups[0]:
-        value[nonzero == 0] = float(sigma * 2**n / (sigma - n))
+    nonzero = np.add.reduce(rows != 0, axis=1)
+    value, bound = np.zeros((2, len(rows)))
     sig = float(sigma)
-    for m in (m for m in range(1, n + 1) if groups[m]):
+    for m, size in enumerate(np.bincount(nonzero, minlength=n + 1).tolist()):
+        if not size:
+            continue
         idx = (nonzero == m).nonzero()[0]
+        if m == 0:
+            value[idx] = float(sigma * 2**n / (sigma - n))
+            continue
         z = n - m
         freqs = np.abs(rows[idx])
-        freqs = freqs[freqs != 0].reshape(-1, m)  # row order is kept
+        if z:
+            freqs = freqs[freqs != 0].reshape(-1, m)  # row order is kept
         signs = np.array(list(_iter_product((1, -1), repeat=m - 1)),
                          dtype=np.int64).reshape(2 ** (m - 1), m - 1)
         f = freqs[:, :1] + freqs[:, 1:] @ signs.T
-        c = signs.prod(axis=1) * (np.sign(f) if m % 2 else np.ones_like(f))
+        c = np.multiply.reduce(signs, axis=1) * (np.sign(f) if m % 2 else np.ones_like(f))
         f = np.abs(f)
-        # Merge each pattern into the first one with the same |f|.
-        first = (f[:, :, None] == f[:, None, :]).argmax(axis=2)
-        c = (c[:, None, :] * (first[:, None, :] == np.arange(len(signs))[:, None])).sum(axis=2)
+        if m > 2:
+            # Merge each pattern into the first one with the same |f|.
+            first = (f[:, :, None] == f[:, None, :]).argmax(axis=2)
+            c = np.add.reduce(
+                c[:, None, :] * (first[:, None, :] == np.arange(len(signs))[:, None]), axis=2)
         gamma = sig + 1.0 - z
         scale = (sig * 2.0**z * (-1) ** (m // 2) * 2.0 ** (1 - m)
-                 / (math.pi * (freqs / den)).prod(axis=1))
-        x, err = np.zeros(f.shape), np.zeros(f.shape)
+                 / np.multiply.reduce(math.pi * (freqs / den), axis=1))
+        x, err = np.zeros((2,) + f.shape)
         x[f == 0] = (m % 2 == 0) / (gamma - 1.0)  # the cosine's X_0; a sine's is 0
         live = (c != 0) & (f != 0)
         val, err[live] = _osc_power_integral(gamma, TWO_PI * (f[live] / den))
         x[live] = val.real if m % 2 == 0 else val.imag
         abs_c, abs_scale = np.abs(c), np.abs(scale)
-        value[idx] = scale * (c * x).sum(axis=1)
+        value[idx] = scale * np.add.reduce(c * x, axis=1)
         per_term = (6.0 + (3.0 * gamma + 2 * z) / (gamma - 1.0) ** 2
-                    + ((c != 0).sum(axis=1) + 2) / (gamma - 1.0))
-        rounding = 2.0 * _ROUND * (abs_scale * abs_c.sum(axis=1) * per_term
+                    + (np.add.reduce(c != 0, axis=1) + 2) / (gamma - 1.0))
+        rounding = 2.0 * _ROUND * (abs_scale * np.add.reduce(abs_c, axis=1) * per_term
                                    + (4 * m + 2) * np.abs(value[idx]))
-        bound[idx] = abs_scale * (abs_c * err).sum(axis=1) + rounding
+        bound[idx] = abs_scale * np.add.reduce(abs_c * err, axis=1) + rounding
     return value, bound
 
 
@@ -973,9 +986,14 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
     array and a sigma = s_D1 that _checked_s has passed (the formula is in
     global_fourier).  Tate_p (tamagawa._tate_factor, whose cone check on
     P^n is the kind, one lookup for every prime) enters at k = v_p(gcd a),
-    p ascending: as in _util.phi_segment the primes p <= sqrt(max gcd) are
-    divided out of the gcds in turn, and what is left is 1 or one larger
-    prime (k = 1).
+    p ascending.  As in _util.phi_segment the primes p <= sqrt(max gcd) are
+    divided out of the gcds in turn, each by one np.gcd with p^K, the
+    largest power of p at most the largest gcd it divides, whose power p^k
+    is looked up in [p, ..., p^K]; what is left is 1 or one larger prime
+    (k = 1).  The primes are sieved in segments, up to 2^10 and then up to
+    _GCD_PRIME_LIMIT, each up to the square root of the largest gcd left,
+    so a gcd of small primes (2^62, say) needs no sieve past its primes;
+    a gcd whose part free of the primes up to 2^20 passes 2^40 is refused.
     """
     n = model.dim
     rows = np.asarray(rows, dtype=np.int64)
@@ -990,14 +1008,26 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
         num, den = tamagawa._tate_factor(model, p, k, sigma)
         return num / den / (1.0 - float(p) ** (-sig))
 
-    rest = np.maximum(g, 1)
-    for p in primes_upto(math.isqrt(int(rest.max(initial=1)))):
-        hit = (rest % p == 0).nonzero()[0]
-        k = np.zeros(hit.size, dtype=np.int64)
-        while (divides := rest[hit] % p == 0).any():
-            k += divides
-            rest[hit] //= np.where(divides, p, 1)
-        finite[hit] *= np.array([tate(p, kk) for kk in range(1, k.max(initial=0) + 1)])[k - 1]
+    # int32 where it holds the gcds: NumPy's division by a scalar p is
+    # faster there, and rest // p * p == rest is the test of p | rest.
+    rest = np.maximum(g, 1).astype(np.int32 if g.max(initial=0) < 2**31 else np.int64)
+    done = 1  # no prime <= done divides rest
+    while (top := math.isqrt(int(rest.max(initial=1)))) > done:
+        hi = min(top, 2**10 * done)
+        refuse_past("P^n characters: the primes to divide out of a gcd", hi, _GCD_PRIME_LIMIT,
+                    "time")
+        for p in (p for p in primes_upto(hi) if p > done):
+            hit = (rest // p * p == rest).nonzero()[0]
+            if hit.size:
+                d = rest[hit]
+                most, powers = int(d.max()), [p]
+                while powers[-1] * p <= most:
+                    powers.append(powers[-1] * p)
+                d = np.gcd(d, powers[-1])
+                k = np.searchsorted(powers, d)  # d = p^(k+1)
+                rest[hit] //= d
+                finite[hit] *= np.array([tate(p, kk) for kk in range(1, int(k.max()) + 2)])[k]
+        done = hi
     big = (rest > 1).nonzero()[0]
     if big.size:
         primes = sorted(set(rest[big].tolist()))
@@ -1149,10 +1179,19 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
 
     The partial sum and the number of points summed are
     enumeration.zeta_partial, which follows the counting strategy.  On P1
-    (the Moebius strategy in dimension 1) the sum is exact in the fiber
-    parametrization (3 points of generator height 1, then 4 phi(F) points of
-    generator height F) and the tail bound 4 F_max^(2 - lambda s) /
-    (lambda s - 2) is rigorous since phi(F) <= F.  Off P1 the tail is an
+    (the Moebius strategy in dimension 1) it runs over the fibers F <= F_end
+    = enumeration.p1_zeta_stop(c, f_max), c = lambda s (3 points of
+    generator height 1, then 4 phi(F) points of generator height F), and the
+    tail is a proved bound on |Z(s) - partial|: the points past F_end add at
+    most 4 F_end^(2-c)/(c - 2), since phi(F) <= F and x^(1-c) decreases,
+    and the float sum errs by at most 11 r partial plus subnormal terms
+    (zeta_partial), r = 2^-53, reported as 16 r partial.  The float
+    tail is within r((c - 2) ln F_end + 11) of its value (the rounding of
+    2 - c moves F^(2-c) by a factor e^(r (c-2) ln F)), under the 2^-40 it
+    is raised by while c - 2 < 10^4 (F_end <= 2^25, and F_end <= 2 root
+    with root^(c-2) = 2^53/(12 (c - 2)) when root >= 1); past that F_end
+    <= 2, where the tail is 4/(c - 2) or below 2^-9990, inside the slack
+    of the 16 r term, which also covers the last addition.  Off P1 the tail is an
     estimate from the leading term of the counting function,
     tail ~ s c integral_B^oo t^(a - s - 1) (log t)^(b-1) dt with
     c = N(B) / (B^a (log B)^(b-1)) and N(B) that count.
@@ -1183,9 +1222,9 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     partial, n_cut = enumeration.zeta_partial(model, lam, s, b_cut)
     if model.kind == "pn" and model.dim == 1:
         c = float(lam[0]) * s
-        f_max = enumeration.height_radius(b_cut, lam[0])
-        # F^(2 - c) decreases in F: past the floats the largest float bounds it.
-        return partial, 4.0 * float(min(f_max, sys.float_info.max)) ** (2.0 - c) / (c - 2.0)
+        f_end = enumeration.p1_zeta_stop(c, enumeration.height_radius(b_cut, lam[0]))
+        return partial, (4.0 * f_end ** (2.0 - c) / (c - 2.0) * (1.0 + 2.0**-40)
+                         + 16.0 * _ROUND * partial)
 
     # Tail from the leading term of the counting function, its constant read
     # off the count of the points just summed.
@@ -1219,7 +1258,8 @@ def _upper_gamma(b: int, x: float) -> float:
 
 
 # poisson_check hands _pn_characters at most this many characters per call, and
-# refuses more than _CHARACTER_LIMIT (12 us a character, 2-core VM: 50 s).
+# refuses more than _CHARACTER_LIMIT (2.8 us a character at a = 0..2^22 - 1,
+# 2-core VM: 12 s).
 _CHARACTER_CHUNK = 2**14
 _CHARACTER_LIMIT = 2**22
 
@@ -1256,7 +1296,7 @@ def poisson_check(model: VarietyModel, lam, s: float, b_cut, a_cut: int,
     Only P1 is supported: the character sum over a_1 = 1..a_cut and its
     tail bound are written for one-dimensional characters.  s is checked
     once, and the batch kernel _pn_characters evaluates a = 0..a_cut
-    _CHARACTER_CHUNK at a time (about 1.3 KB a character while a chunk is
+    _CHARACTER_CHUNK at a time (about 0.6 KB a character while a chunk is
     evaluated), row by row the floats of global_fourier at each a; the two
     sums are taken left to right across the chunks (_character_side, which
     refuses more than _CHARACTER_LIMIT characters).  P^n is exact at every

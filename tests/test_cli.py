@@ -329,11 +329,12 @@ def run_capped(*argv):
       "--ladder", "1"), 3),
     (("count", "--model", "BlP2-3", "--lambda", "1/100,1/100,1/100,1/100", "--bound", "1e300",
       "--ladder", "1"), 3),
-    # P1's zeta loop past 2^25 planned fibers: 6.9e10 at s = 1.25 (about 11
-    # hours), 1.3e8 at lambda s = 3.
+    # P1's zeta loop past 2^25 planned fibers: 10^15 at s = 1.25 (about
+    # 0.1 us a fiber, so years), 7.5e14 at lambda s = 3.
     (("zeta-check", "--model", "P1", "--s", "1.25", "--bcut", "1e30"), 3),
     (("zeta-check", "--model", "P1", "--lambda", "1/100", "--s", "300", "--bcut", "1e300"), 3),
-    # Past fourier._CHARACTER_LIMIT characters (about 3 hours).
+    # Past fourier._CHARACTER_LIMIT characters (hours: 2.8 us a character
+    # up to 2^22, more past it).
     (("zeta-check", "--model", "P1", "--s", "3", "--bcut", "1e4", "--acut", "1000000000"), 3),
 ])
 def test_memory_guards_refuse_before_allocating(argv, code):
@@ -346,9 +347,9 @@ def test_memory_guards_refuse_before_allocating(argv, code):
 
 
 def test_zeta_check_past_the_count_limit(tmp_path):
-    # P1's zeta sum stops once no later term can change it and counts the
-    # points it summed: B = 1e40 (T = 1e20, past the Moebius count's 2^36)
-    # gives the lhs of B = 1e20.
+    # P1's zeta sum stops once the tail past its fiber is below the float
+    # bound of the sum and counts the points it summed: B = 1e40 (T = 1e20,
+    # past the Moebius count's 2^36) gives the lhs of B = 1e20.
     lhs = []
     for bcut in ("1e20", "1e40"):
         report = tmp_path / f"{bcut}.json"
@@ -359,9 +360,9 @@ def test_zeta_check_past_the_count_limit(tmp_path):
 
 
 def test_zeta_check_tail_past_float_range():
-    # f_max = 10^30000: the tail bound is taken at the largest float, which
-    # bounds it (an OverflowError traceback before), and the check ends
-    # with its verdict.
+    # f_max = 10^30000: the tail bound is taken at the fiber where the sum
+    # stopped (an OverflowError traceback once), and the check ends with
+    # its verdict.
     proc = run_capped("zeta-check", "--model", "P1", "--lambda", "1/100", "--s", "600",
                       "--bcut", "1e300")
     assert proc.returncode in (0, 1), proc.stderr

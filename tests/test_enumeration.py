@@ -1168,43 +1168,48 @@ def test_fiber_weights_match_phi():
         assert w.dtype == np.int64 and w.tolist() == want[lo - 1 : hi - 1], (lo, hi)
 
 
+def p1_zeta_terms(c: float, stop: int) -> list:
+    """The terms w_F F^-c of P1's zeta sum for F = 1..stop, from one NumPy
+    pass over all phi(F)."""
+    phi = _util.phi_segment(2, stop + 1)
+    return [3.0] + (4 * phi * np.arange(2, stop + 1, dtype=float) ** -c).tolist()
+
+
 def test_p1_zeta_partial_in_chunks_of_fibers():
     # P1's point sum walks the fibers _WEIGHT_CHUNK at a time: T = 196625
-    # spans four chunks, and the sum equals, bit for bit, the one-pass loop
-    # over all phi(F) it replaced.  Its traced peak is that of one chunk
-    # (3.1 MB now, 9.4 MB for the one pass; Python 3.11, NumPy 2.4).
+    # spans four chunks (c = 2.5 stops at no fiber before T), and the sum is,
+    # bit for bit, math.fsum of the terms of one pass over all phi(F).  Its
+    # traced peak is that of one chunk (3.1 MB now; Python 3.11, NumPy 2.4).
     T = 3 * 2**16 + 17
     c = 2.5
-    phi = _util.phi_segment(2, T + 1).tolist()
-    want = 3.0
-    for f, ph in enumerate(phi, start=2):
-        want += 4.0 * ph * float(f) ** (-c)
+    assert enumeration.p1_zeta_stop(c, T) == T
+    terms = p1_zeta_terms(c, T)
+    want = (math.fsum(terms), 3 + 4 * int(_util.phi_segment(2, T + 1).sum()))
     tracemalloc.start()
     try:
         got = enumeration.zeta_partial(P1, (1,), c, T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == (want, 3 + 4 * sum(phi))
+    assert got == want
     assert peak <= 5_000_000, peak
 
 
-def test_p1_zeta_partial_stops_when_terms_vanish():
-    # At c = 6 every term past F of about 2000 is below half an ulp of the
-    # partial sum: the sum stops there, bit-identical to the loop over all
-    # T fibers.  The count is that of the points summed: the weights of the
-    # fibers before the first F, a multiple of _STOP_STRIDE, whose bound
-    # 4.004 F^(1-c) is below half an ulp of the partial sum.
+def test_p1_zeta_partial_stops_when_the_tail_is_below_its_float_bound():
+    # At c = 6 the tail bound past F, 4 F^-4 / 4, first falls to 48 * 2^-53
+    # (the float bound of a sum >= 3) near F = 3700: the sum stops there,
+    # p1_zeta_stop, and is, bit for bit, math.fsum of the terms up to it;
+    # the count is that of the points summed.
     for T in (10**4, 3 * 2**16 + 17):
-        phi = _util.phi_segment(2, T + 1).tolist()
-        want, stop = 3.0, None
-        for f, ph in enumerate(phi, start=2):
-            if (stop is None and not f % enumeration._STOP_STRIDE
-                    and 4.004 * f * float(f) ** -6.0 < 0.5 * math.ulp(want)):
-                stop = f
-            want += 4.0 * ph * float(f) ** -6.0
-        assert stop < 2100
-        assert enumeration.zeta_partial(P1, (1,), 6, T) == (want, 3 + 4 * sum(phi[: stop - 2]))
+        stop = enumeration.p1_zeta_stop(6.0, T)
+        assert 3000 < stop < 4500
+        assert 4.0 * stop ** -4.0 / 4.0 <= 48 * 2.0**-53 < 4.0 * (stop - 1) ** -4.0 / 4.0
+        want = (math.fsum(p1_zeta_terms(6.0, stop)),
+                3 + 4 * int(_util.phi_segment(2, stop + 1).sum()))
+        assert enumeration.zeta_partial(P1, (1,), 6, T) == want
+    # Below the stop the sum runs to f_max.
+    assert enumeration.p1_zeta_stop(6.0, 1000) == 1000
+    assert enumeration.p1_zeta_stop(2.0, 10**30) == 10**30
     # At rho, s = 3, B = 10^14 (T = 10^7) the sum is that at B = 10^12.
     t0 = time.perf_counter()
     far, _ = fourier.zeta_truncated(P1, P1.rho, 3, 10**14)

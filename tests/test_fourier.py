@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gacount import enumeration, fourier, geometry, heights, tamagawa
-from gacount._util import CapabilityError, primes_upto, vp_fraction, zeta
+from gacount._util import CapabilityError, factorize, primes_upto, vp_fraction, zeta
 from conftest import global_height
 
 
@@ -657,6 +657,23 @@ def test_osc_power_integral_batch_matches_single(gamma):
         assert abs(value - ref) <= bound, (gamma, w)
 
 
+def test_osc_power_integral_rows_match_their_one_row_calls():
+    # The tail's four sums are one einsum, which gives each w the floats of
+    # its own one-element call at every batch size (poisson_check's chunks
+    # rely on it; BLAS's matmul does not): batches of 1, 2, 1001 and 2^14
+    # frequencies over the head and the tail.
+    rng = np.random.default_rng(7)
+    for gamma in (1.5, 5.0, 11.0):
+        ws = np.exp(rng.uniform(math.log(1e-3), math.log(1e5), 2**14))
+        values, bounds = fourier._osc_power_integral(gamma, ws)
+        for size in (1, 2, 1001):
+            v, b = fourier._osc_power_integral(gamma, ws[:size])
+            assert np.array_equal(v, values[:size]) and np.array_equal(b, bounds[:size])
+        for i in itertools.chain(range(1001), range(1001, 2**14, 41)):
+            v, b = fourier._osc_power_integral(gamma, ws[i:i + 1])
+            assert (v[0], b[0]) == (values[i], bounds[i]), (gamma, ws[i])
+
+
 def test_gauss_legendre_rule_correctly_rounded():
     # Against mpmath's own Gauss-Legendre rule (degree 4: 24 nodes) at 120
     # bits, independent of the Newton step behind _GL_HALF.
@@ -855,6 +872,14 @@ def test_pn_kernel_batch_matches_one_row(mid, radius):
         assert (one.value, one.error_bound) == (value, bound), a
 
 
+# gcds at the edge of the kernel's lookup of p^k in [p, ..., p^K] and of its
+# sieve: high prime powers (2^61 and 3^39 near int64's end), a product of
+# the first 15 primes, one larger prime left after the sieve (1000003), and
+# 1031 * 1033, whose square root needs the sieve's second segment.
+EXTREME_GCDS = (2**61, 3**39, 2**30 * 3**18, math.prod(primes_upto(47)), 2**40 * 1000003,
+                1031 * 1033)
+
+
 def pn_characters_oracle(model, sigma, rows):
     """_pn_characters row by row, with one tamagawa._tate_factor call per
     support prime of each row, the gcd factored by trial division."""
@@ -867,10 +892,9 @@ def pn_characters_oracle(model, sigma, rows):
         g = math.gcd(*row)
         if g == 0:
             finite *= zeta(float(1 + sigma - model.rho[0]))
-        for p in primes_upto(g):
-            if g % p == 0:
-                num, den = tamagawa._tate_factor(model, p, vp_fraction(g, p), sigma)
-                finite *= num / den / (1.0 - float(p) ** (-sig))
+        for p, k in (factorize(g).items() if g else ()):
+            num, den = tamagawa._tate_factor(model, p, k, sigma)
+            finite *= num / den / (1.0 - float(p) ** (-sig))
         values.append(arch_v * finite)
         bounds.append(err * abs(finite) + 1e-14 * max(1.0, abs(values[-1])))
     return values, bounds
@@ -882,13 +906,17 @@ def pn_characters_oracle(model, sigma, rows):
 def test_pn_characters_match_per_prime_tate_oracle(mid, sigma, radius):
     # The kernel, which factors all the gcds of a batch at once, gives bit
     # for bit the factors of a row-by-row loop; P1 takes a = 0..radius, P2
-    # and P3 a grid of nonzero indices with repeated gcds.
+    # and P3 a grid of nonzero indices with repeated gcds.  Rows with
+    # EXTREME_GCDS follow, each as (g, 0, ..., 0) and (0, ..., g, -g).
     model = geometry.load_model(mid)
     if model.dim == 1:
         rows = [(a,) for a in range(radius + 1)]
     else:
         rows = [a for a in itertools.product(range(-radius, radius + 1), repeat=model.dim)
                 if any(a)]
+    n = model.dim
+    rows += [(g,) + (0,) * (n - 1) for g in EXTREME_GCDS]
+    rows += [(0,) * (n - 2) + (g, -g) for g in EXTREME_GCDS if n > 1]
     values, bounds, _ = fourier._pn_characters(model, Fraction(sigma), np.array(rows))
     want_values, want_bounds = pn_characters_oracle(model, Fraction(sigma), rows)
     assert [v.hex() for v in values.tolist()] == [v.hex() for v in want_values]
@@ -985,7 +1013,8 @@ def test_poisson_check_batch_matches_one_by_one(s):
 def test_poisson_check_in_chunks_of_characters(monkeypatch):
     # a_cut = 3 * 2^14 + 5 spans four chunks of _CHARACTER_CHUNK; the result
     # equals the one-call result bit for bit, and the traced peak is that of
-    # one chunk (25 MB now, 69 MB in one call; Python 3.11, NumPy 2.4).
+    # one chunk (10.1 MB now, with 30 % over it allowed; 24.5 MB before the
+    # tail's sums built no (N, 4, K) array; Python 3.11, NumPy 2.4).
     p1 = geometry.load_model("P1")
     a_cut = 3 * 2**14 + 5
     tracemalloc.start()
@@ -994,7 +1023,7 @@ def test_poisson_check_in_chunks_of_characters(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 35_000_000, peak
+    assert peak <= 13_000_000, peak
     monkeypatch.setattr(fourier, "_CHARACTER_CHUNK", a_cut + 1)
     assert fourier.poisson_check(p1, (1,), 2.5, 100, a_cut) == chunked
     assert chunked["pass"]
@@ -1130,21 +1159,38 @@ def test_zeta_truncated_limits_and_errors():
     with pytest.raises(ValueError):
         fourier.zeta_truncated(p1, p1.rho, 1.0, 100)
     assert fourier.zeta_truncated(p1, p1.rho, 3.0, Fraction(1, 2)) == (0.0, 0.0)
-    # Far right of the critical line only the three height-one points count.
+    # Far right of the critical line only the three height-one points count:
+    # the tail is the float bound of the sum, 16 * 2^-53 * 3, and the fibers
+    # past the stop add below 1e-100.
     part, tail = fourier.zeta_truncated(p1, p1.rho, 50.0, 1000)
     assert part == 3.0
-    assert tail < 1e-100
+    assert tail - 16 * 2.0**-53 * part < 1e-100
 
 
 def test_p1_zeta_tail_past_float_range():
-    # f_max = 10^30000 is past the floats: the tail 4 F^(2 - c)/(c - 2),
-    # c > 2, is taken at the largest float, which bounds it at every larger
-    # F (an OverflowError before).  The sum stops long before either f_max.
+    # f_max = 10^30000 is past the floats, but the sum stops long before
+    # either f_max, and the tail 4 F^(2 - c)/(c - 2), c > 2, is taken at the
+    # fiber where it stopped (an OverflowError once).
     p1 = geometry.load_model("P1")
     lam = (Fraction(1, 100),)
     part, tail = fourier.zeta_truncated(p1, lam, 600.0, 10**300)
     assert math.isfinite(tail) and tail >= 0
     assert part == fourier.zeta_truncated(p1, lam, 600.0, 10**3)[0]
+
+
+@pytest.mark.parametrize("s, b_cut", [(2, 10**12), (2, 10**14), (1.5, 10**10), (3, 10**12)])
+def test_p1_zeta_truncated_bounds_the_closed_form(s, b_cut):
+    # On P1 at rho the height zeta function is 4 zeta(2s - 1)/zeta(2s) - 1
+    # (w_F = 4 phi(F) points of height F^2, one less at F = 1).  It lies
+    # within the reported tail of the partial sum, which covers the float
+    # sum and the fibers past the stop (at s = 2 the fibers of B = 10^14 once
+    # missed it by 1000 times the tail they reported).
+    p1 = geometry.load_model("P1")
+    part, tail = fourier.zeta_truncated(p1, p1.rho, s, b_cut)
+    with mpmath.workdps(40):
+        c = 2 * mpmath.mpf(s)
+        exact = 4 * mpmath.zeta(c - 1) / mpmath.zeta(c) - 1
+        assert abs(mpmath.mpf(part) - exact) <= tail
 
 
 @pytest.mark.parametrize("mid", ["P1", "BlP2-2"])

@@ -77,11 +77,11 @@ LIMITS = [
                  10661, 10660, (enumeration, "_squarefree_divisors"), "rows .* \\(time",
                  id="_TORSOR_ROW_LIMIT"),
     # enumeration: the zeta loops; P1 plans f_max fibers at s = 0, the stop
-    # rule's fibers at s = 1.581 and 1.579 (2^24.98 and 2^25.02).
+    # rule's fibers at s = 1.97 and 1.969 (2^24.98 and 2^25.01).
     pytest.param(lambda B: enumeration.zeta_partial(P1, P1.rho, 0.0, B), 2**50, (2**25 + 1) ** 2,
                  (enumeration, "_fiber_weights"), "fibers .* 2\\^25 \\(time",
                  id="_ZETA_STEP_LIMIT-P1"),
-    pytest.param(lambda s: enumeration.zeta_partial(P1, P1.rho, s, 10**30), 1.581, 1.579,
+    pytest.param(lambda s: enumeration.zeta_partial(P1, P1.rho, s, 10**30), 1.97, 1.969,
                  (enumeration, "_fiber_weights"), "fibers .* 2\\^25 \\(time",
                  id="_ZETA_STEP_LIMIT-P1-stop"),
     pytest.param(_with(lambda _: enumeration.zeta_partial(BLP21, BLP21.rho, 2.0, 10**4),
@@ -100,6 +100,12 @@ LIMITS = [
                  id="BRUTE_STACK_LIMIT"),
     pytest.param(lambda depth: fourier.brute_padic_fourier(BLP21, 5, (0, 0), BLP21.rho, depth),
                  8, 9, (fourier, "_checked"), "cubes .* 2\\^22 \\(time", id="BRUTE_CUBE_LIMIT"),
+    # A gcd past the primes up to 2^20: 1048573^2 is divided out in the
+    # second segment, 1048583 * 1048589 needs a third.
+    pytest.param(lambda g: fourier._pn_characters(P1, Fraction(4), np.array([[g]])),
+                 1048573**2, 1048583 * 1048589, (tamagawa, "_tate_factor"),
+                 "primes to divide out of a gcd passes the limit 2\\^20 \\(time",
+                 id="_GCD_PRIME_LIMIT"),
     pytest.param(lambda a_cut: fourier.poisson_check(P1, P1.rho, 3.0, 10, a_cut),
                  2**22 - 1, 2**22, (fourier, "_pn_characters"), "characters .* 2\\^22 \\(time",
                  id="_CHARACTER_LIMIT"),
