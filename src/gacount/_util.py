@@ -5,16 +5,19 @@ silently corrupt counts when done in floating point, so they are kept in one
 place and unit-tested: rational coercion, p-adic valuations, integer roots of
 rational bounds, exact comparison of monomials in integer heights against a
 rational bound, the one primality test and the one factorizer of the
-package, Moebius/Euler-phi/prime sieves (one prime sieve, prime_sieve,
+package, Moebius/Jordan-totient/prime sieves (one prime sieve, prime_sieve,
 whose list of Python ints is primes_upto), the Mertens table, and the Riemann
 zeta function on the reals above 1, correctly rounded.  refuse_past is the
 one refusal of planned work past a limit, last_true the one bisection.
 
-Moebius and Euler phi values come from NumPy segment sieves,
-mu_segment(a, b) and phi_segment(a, b) for a <= k < b: slices over the
-primes up to sqrt(b - 1), and the one prime factor above sqrt(b - 1) that k
-can have, read off a product array of the small primes (mu: int8 values and
-an int32 product, 5 bytes per k) or a quotient array (phi).  mu_sieve is the
+Moebius and Jordan totient values come from NumPy segment sieves,
+mu_segment(a, b) and jordan_segment(a, b, k) for a <= m < b: slices over
+the primes p up to sqrt(b - 1), and the one prime factor above sqrt(b - 1)
+that m can have, read off a product array of the small primes (mu: int8
+values and an int32 product, 5 bytes per m) or a quotient array (J_k, with
+p^k in place of p; J_1 is Euler's phi).  jordan_segment is the one totient
+sieve of the package: it gives the P^n fiber weights and the coprime
+counts of BlP2-1's and BlP2-2's plateaus (enumeration).  mu_sieve is the
 list form of mu_segment from 0.
 """
 
@@ -347,26 +350,29 @@ def mertens_quotients(T: int):
     return lookup
 
 
-def phi_segment(a: int, b: int) -> np.ndarray:
-    """Euler phi values phi(a..b-1) as an int64 array (1 <= a <= b).
+def jordan_segment(a: int, b: int, k: int) -> np.ndarray:
+    """Jordan totients J_k(a..b-1) as an int64 array (1 <= a <= b, k >= 1,
+    (b - 1)^k < 2^63): J_k(m) = m^k prod_{p | m} (1 - p^-k), the number of
+    k-tuples mod m whose gcd with m is 1; J_1 is Euler's phi.
 
-    Every prime p <= sqrt(b - 1) takes phi(k) to phi(k) (1 - 1/p) on its
-    multiples and is divided out of the quotient array q(k) = k with all its
-    powers, which leaves q(k) = 1 or the one prime factor of k above
-    sqrt(b - 1), which takes phi(k) to phi(k) (1 - 1/q(k)).
+    Every prime p <= sqrt(b - 1) takes J(m) to J(m) (1 - p^-k) on its
+    multiples, an exact division as p^k still divides J(m) then, and is
+    divided out of the quotient array q(m) = m with all its powers, which
+    leaves q(m) = 1 or the one prime factor of m above sqrt(b - 1), which
+    takes J(m) to J(m) (1 - q(m)^-k).
     """
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
-    phi = np.arange(a, b, dtype=np.int64)
-    quotient = phi.copy()
+    quotient = np.arange(a, b, dtype=np.int64)
+    jordan = quotient**k
     for p in primes_upto(isqrt(b - 1)):
-        phi[-a % p :: p] -= phi[-a % p :: p] // p
+        jordan[-a % p :: p] -= jordan[-a % p :: p] // p**k
         q = p
         while q < b:
             quotient[-a % q :: q] //= p
             q *= p
-    phi -= np.where(quotient > 1, phi // quotient, 0)
-    return phi
+    jordan -= np.where(quotient > 1, jordan // quotient**k, 0)
+    return jordan
 
 
 # B_2, B_4, ..., B_26 as (numerator, denominator): the Euler-Maclaurin

@@ -73,10 +73,10 @@ is as exact, and the upper end alone, so clipped, is an upper bound.
 
 BlP2-1 (fiber strategy).  Group points by the reduced fiber coordinate
 y = q/f, f >= 1, gcd(q, f) = 1, and write F = max(|q|, f).  There are
-w_F = 3 fibers with F = 1 and w_F = 4*phi(F) with F >= 2 (_fiber_weights,
-which P1's zeta sum reads too).  On a fixed fiber the primitive vector is
-(g*f, X, g*q) with g >= 1, gcd(g, X) = 1; the
-generator heights are h_F = F and h_H = max(g*F, |X|), so with m_H = lambda_E
+w_F = 3 fibers with F = 1 and w_F = 4*phi(F) with F >= 2 (_fiber_weights
+at n = 1, the shell counts of P1; "The zeta sums" below).  On a fixed
+fiber the primitive vector is (g*f, X, g*q) with g >= 1, gcd(g, X) = 1;
+the generator heights are h_F = F and h_H = max(g*F, |X|), so with m_H = lambda_E
 and m_F = lambda_D - lambda_E the height bound becomes max(g*F, |X|) <= T_F
 where T_F is the largest integer M with M^{m_H} * F^{m_F} <= B (the float
 root above, _blp21_fiber_bounds; T_F = T_1 at m_F = 0).  Writing
@@ -153,9 +153,9 @@ B = 1e7) or the segment (at most 5 G_1 bytes: 488 MB at G_1 = 10^8) set it,
 so before any table is built the fiber sum refuses f_max > 2^24 and
 G_1 = T_1 > 2^27, about 0.7 GB each.
 
-BlP2-3 (box strategy), and BlP2-2's zeta sum.  All primitive vectors with
-h_std = max(Z, |X|, |Y|) <= R are scanned and filtered by an exact height
-comparison.  Completeness of the box: the component heights multiply to
+BlP2-3 (box strategy), and the zeta sums of BlP2-2 and BlP2-3.  All
+primitive vectors with h_std = max(Z, |X|, |Y|) <= R are scanned and
+filtered by an exact height comparison.  Completeness of the box: the component heights multiply to
 prod_alpha H_alpha = h_std (the boundary classes sum to the hyperplane
 class), so H >= h_std^{lambda_min} * prod_alpha H_alpha^{lambda_alpha -
 lambda_min}.  On BlP2-2 every H_alpha >= 1 (the gcds g_1 = gcd(Y, Z) and
@@ -267,8 +267,8 @@ t < 0; as sum_{e | n} mu(e) = [n = 1], a row adds its weight times
     2 sum_{e | g2 k} mu(e) (t_hi//e - (t_lo - 1)//e) - [g2 k = 1 and t_lo = 0],
 
 the e from one table of the squarefree divisors of the n up to the largest
-g1 k and g2 k (_squarefree_divisors), which also gives each plateau weight
-as sum_{e | g1 k} mu(e) (2 (g1 k)//e + 1).
+g2 k (_squarefree_divisors), and the plateau weights 2 phi(g1 k) + [g1 k = 1]
+from one _util.jordan_segment up to the largest g1 k.
 
 Every band end is exact.  At all integers g1, g2, k, s >= 1, t >= 0 the
 heights above have H_alpha >= 1 (h_H / h_1 >= g1, h_H / h_2 >= g2 and
@@ -293,21 +293,59 @@ in _blp21_blocks), each with at most 64 squarefree divisors (g2 k <= 2^18
 has at most six prime factors), so _exact_sum adds fewer than 2^31 terms.
 Before any row is built the count refuses more than 2^18 triples, g1 k or
 g2 k past 2^18 (the triples take a few int64 arrays each, the divisor table
-about 0.6 n ln n entries for n up to the largest g1 k and g2 k) and more
-than 2^27 planned rows (time).  At rho the plan has about 1.1 B rows:
+about 0.6 n ln n entries for n up to the largest g2 k, the phi sieve a few
+int64 arrays up to the largest g1 k) and more than 2^27 planned rows
+(time).  At rho the plan has about 1.1 B rows:
 B = 10^6 takes 0.24 s, 10^7 1.9 s and 10^8 21 s with a peak RSS of 51 MB
 (2-core VM); 1.5 10^8 is refused by its rows, 10^9 by its triples.
 
-The point side of the height zeta function lives here too: zeta_partial
-sums H(x)^(-s) over the points with H <= B along the same strategies (the
-Moebius fibers on P1, 2^16 at a time so that its memory does not grow with
-B, until the tail past the fiber is below the float bound of the sum, which
-math.fsum keeps at a few units of 2^-53; on BlP2-1 the fibers of
-the table _blp21_fibers builds for the count too; the box kernel's points
-on BlP2-2 and BlP2-3, each block's heights H = num/den from its generator
-heights as int64 products when they provably stay below 2^53) and counts
-the points summed in the same pass; fourier.zeta_truncated adds the tail
-estimate.
+The zeta sums.  The point side of the height zeta function lives here
+too: zeta_partial sums H(x)^(-s) over the points with H <= B along the
+same strategies and counts the points summed in the same pass (on BlP2-1
+the fibers of the table _blp21_fibers builds for the count too; on BlP2-2
+and BlP2-3 the box kernel's points, each block's heights H = num/den from
+its generator heights as int64 products when they provably stay below
+2^53); fourier.zeta_truncated adds the tail.
+
+On P^n the sum runs over the primitive shells.  Of the vectors (Z, X) with
+Z >= 1, c(m) = m (2m+1)^n - (m-1)(2m-1)^n = sum_k c_k m^k have
+max(Z, |X_i|) = m, and each is d times a primitive vector of max m/d for
+exactly one d | m, so by Moebius inversion the primitive shell F holds
+
+    w_n(F) = sum_{d | F} mu(d) c(F/d) = sum_{k >= 1} c_k J_k(F) + c_0 [F = 1]
+
+points (_fiber_weights), all of height F^{lambda_1}, with J_k(F) =
+sum_{d | F} mu(d) (F/d)^k the Jordan totient (_util.jordan_segment) and
+sum_{d | F} mu(d) = [F = 1].  c(m) is 4m - 1 on P1 (w_1 = 3, w_F = 4 phi(F),
+the weights of BlP2-1's fibers), 12m^2 - 4m + 1 on P2 and
+32m^3 - 12m^2 + 8m - 1 on P3.  With c = lambda_1 s the sum takes the terms
+t_F = fl(w_F fl(F^-c)) of the shells F <= F_end (_pn_zeta_stop), computed
+by NumPy _WEIGHT_CHUNK shells at a time, so that its memory does not grow
+with B, and adds them by one math.fsum, which rounds their exact sum once.
+
+The float sum.  Let r = 2^-53 and pow be within 4 ulp (8r, as the box
+kernel assumes of log), and let K_n be the sum of the positive c_k
+(4, 13 and 40 on P1, P2 and P3).  The loop refuses K_n F_end^n > 2^53 before
+it starts, so every w_F <= c(F) <= K_n F^n converts to a float exactly; each
+t_F is then within 9r(1 + r) t_F of w_F F^-c, and the float sum S within
+r sum t_F + 9r(1 + r) T <= 11 r S of the exact sum T of its shells' terms.
+Subnormal terms add at most F_end (2^53 + 1) 2^-1073 < 2^-990 in all
+(F_end <= 2^25), far below r S (S >= w_1 = 3^n).
+
+The tail.  Past F_end, w_F <= K_n F^n and x^(n-c) decreases (c > n + 1),
+so the shells past F_end add at most K_n F_end^(n+1-c)/e, e = c - n - 1,
+and pn_zeta_tail reports that times 1 + 2^-40, plus 16 r S.  The float
+tail is within r(e ln F_end + 11) of its value (the rounding of e moves
+F^-e by a factor e^(r e ln F)), under the 2^-40 it is raised by while
+e < 10^4: F_end <= 2^25, and F_end <= 2 root when root >= 1, where
+root^e = K_n 2^53/(16 3^n e) < 2^53/e (K_n <= 3^(n+1), the sum of the
+absolute coefficients of m(2m+1)^n and (m-1)(2m-1)^n), so
+e ln F_end < min(17.4 e, e ln 2 + 37 - ln e) < 7000.  Past that
+F_end <= 2, where the tail is K_n/e or below K_n 2^-10000, inside the
+slack of the 16 r term (5 r S >= 5 r 3^n), which also covers the last
+addition.  F_end is about the first F whose tail bound is at most
+16 3^n r, the float bound of a sum >= 3^n, past which no shell can move
+the reported bound much; any stop is sound, as the tail is taken at it.
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
 which decides each primitive candidate by the exact test alone and shares no
@@ -331,9 +369,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, heights
-from ._util import (CapabilityError, as_fraction, floor_frac_root, height_test, last_true,
-                    mertens_quotients, mu_segment, mu_sieve, phi_segment, prime_factors,
-                    refuse_past)
+from ._util import (CapabilityError, as_fraction, floor_frac_root, height_test, jordan_segment,
+                    last_true, mertens_quotients, mu_segment, mu_sieve, refuse_past)
 from .geometry import VarietyModel
 from .heights import RationalPoint
 
@@ -364,7 +401,7 @@ def _box_radius(model: VarietyModel, lam: Sequence[Fraction], B: Fraction) -> in
     return height_radius(B * Fraction(2) ** _ceil_fraction(slack), min(lam))
 
 
-def _check_box_budget(model: VarietyModel, R: int, budget: int) -> None:
+def _check_box_budget(model: VarietyModel, R: int, budget: int = KERNEL_CANDIDATE_BUDGET) -> None:
     refuse_past(f"box scan of {model.id}: the number of candidates R (2R + 1)^{model.dim}",
                 R * (2 * R + 1) ** model.dim, budget, "time")
 
@@ -418,10 +455,12 @@ def _box_kernel(
     docstring), never the whole box.
 
     Raises:
-        CapabilityError: if a system is not the section Z = (1, 0, ..., 0)
+        CapabilityError: if the box holds more than KERNEL_CANDIDATE_BUDGET
+            candidates (time), a system is not the section Z = (1, 0, ..., 0)
             and forms in the X_i alone, or a section value could leave int64
-            (Hmax_G in the module docstring); both before any array is built.
+            (Hmax_G in the module docstring); all before any array is built.
     """
+    _check_box_budget(model, R)
     unit_z = (1,) + (0,) * model.dim
     unfit = [gen.name for gen in model.generators if unit_z not in gen.sections
              or any(sec[0] for sec in gen.sections if sec != unit_z)]
@@ -559,7 +598,7 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers: np.ndarray
 # The torsor count's box radius stays below _T_LIMIT, so every term of its sum
 # fits int64; the Moebius sum adds its terms below _TERM_LIMIT in int64
 # (_exact_sum); the block pass takes its rows in chunks of _ROW_CHUNK, and
-# P1's zeta sum its fibers in chunks of _WEIGHT_CHUNK.  The memory limits on
+# the P^n zeta sum its shells in chunks of _WEIGHT_CHUNK.  The memory limits on
 # the Moebius sum's T and the fiber sum's f_max and G_1 follow (module
 # docstring).
 _T_LIMIT = 2**30
@@ -569,18 +608,30 @@ _WEIGHT_CHUNK = 2**16
 _PN_T_LIMIT = 2**36
 _FIBER_LIMIT = 2**24
 _SEGMENT_LIMIT = 2**27
-# The zeta sums of P1 and BlP2-1 refuse more than _ZETA_STEP_LIMIT planned
+# The zeta sums of P^n and BlP2-1 refuse more than _ZETA_STEP_LIMIT planned
 # steps of their loops.
 _ZETA_STEP_LIMIT = 2**25
 
 
-def _fiber_weights(lo: int, hi: int) -> np.ndarray:
-    """The int64 fiber weights w_F for 1 <= lo <= F < hi: w_1 = 3 and
-    w_F = 4 phi(F) for F >= 2, the number of reduced fibers q/f with
-    max(|q|, f) = F (module docstring)."""
-    w = 4 * phi_segment(lo, hi)
+def _shell_coefficients(n: int) -> list:
+    """c_0, ..., c_n of c(m) = m (2m+1)^n - (m-1)(2m-1)^n = sum_k c_k m^k,
+    the number of (Z, X) in Z^{n+1} with Z >= 1 and max(Z, |X_i|) = m."""
+    up = [math.comb(n, j) << j for j in range(n + 1)]  # (2m+1)^n
+    down = [u if (n - j) % 2 == 0 else -u for j, u in enumerate(up)]  # (2m-1)^n
+    return [down[0]] + [down[k] + up[k - 1] - down[k - 1] for k in range(1, n + 1)]
+
+
+def _fiber_weights(n: int, lo: int, hi: int) -> np.ndarray:
+    """The int64 primitive shell counts w_n(F) for 1 <= lo <= F < hi: the
+    number of primitive (Z, X) in Z^{n+1} with Z >= 1 and max(Z, |X_i|) = F,
+    sum_{k >= 1} c_k J_k(F) + c_0 [F = 1] (module docstring).  At n = 1,
+    w_1 = 3 and w_F = 4 phi(F), the reduced fibers q/f with max(|q|, f) = F.
+    Exact in int64 while 3^(n+1) (hi - 1)^n < 2^63 (3^(n+1) bounds the sum
+    of the |c_k|), which the guards of its callers keep."""
+    coeffs = _shell_coefficients(n)
+    w = sum(c * jordan_segment(lo, hi, k) for k, c in enumerate(coeffs) if k and c)
     if lo == 1 < hi:
-        w[0] = 3
+        w[0] += coeffs[0]
     return w
 
 
@@ -604,7 +655,7 @@ def _blp21_fibers(lam: Sequence[Fraction], B: Fraction, f_max: int) -> tuple:
     refuse_past("fiber sum on BlP2-1: G_1", height_radius(B, lam[1]), _SEGMENT_LIMIT, "memory")
     fibers = np.arange(1, f_max + 1, dtype=np.int64)
     T = _blp21_fiber_bounds(lam, B, fibers)
-    return T, T // fibers, _fiber_weights(1, f_max + 1)
+    return T, T // fibers, _fiber_weights(1, 1, f_max + 1)
 
 
 def _blp21_count(T: np.ndarray, G: np.ndarray, w: np.ndarray) -> int:
@@ -762,13 +813,9 @@ def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: 
     ends = np.cumsum(counts)
     total = int(ends[-1])
     refuse_past(f"{on} the number of rows (g1, g2, k, |x|)", total, _TORSOR_ROW_LIMIT, "time")
-    start, divs, mu = _squarefree_divisors(int(max(a.max(), n.max())))
-    # The plateau weights sum_{e | g1 k} mu(e) (2 (g1 k)//e + 1).
-    lo = start[a - 1]
-    size = start[a] - lo
-    tri, offset = _ragged(size)
-    e = divs[lo[tri] + offset]
-    plateau = np.add.reduceat(mu[e - 1] * (2 * (a[tri] // e) + 1), np.cumsum(size) - size)
+    start, divs, mu = _squarefree_divisors(int(n.max()))
+    # The plateau weights #{|x| <= g1 k : gcd(x, g1 k) = 1} = 2 phi(g1 k) + [g1 k = 1].
+    plateau = 2 * jordan_segment(1, int(a.max()) + 1, 1)[a - 1] + (a == 1)
     bands = _torsor_bands(height_test(m, B), (f_h, f_1, f_2, e_y), log_b, scale, R)
     out = 0
     for r0 in range(0, total, _ROW_CHUNK):
@@ -861,8 +908,6 @@ def count_points(model: VarietyModel, lam, B) -> int:
     if B < 1:
         return 0
     strategy, end = _outer_range(model, vals, B)
-    if strategy == "box":
-        _check_box_budget(model, end, KERNEL_CANDIDATE_BUDGET)
     if end < 1:
         return 0
     if strategy == "pn":
@@ -891,41 +936,54 @@ def enumerate_points(model: VarietyModel, lam, B) -> Iterator[RationalPoint]:
         yield RationalPoint(coords)
 
 
-def p1_zeta_stop(c: float, end: int) -> int:
-    """The last fiber of P1's zeta sum at c = lambda_1 s over the fibers
-    1..end (zeta_partial): end for c <= 2, else the smaller of end and about
-    the first F whose tail bound 4 F^(2-c)/(c - 2) (fourier.zeta_truncated)
-    is at most 48 * 2^-53, the float bound of a sum >= 3.  Any stop >= 1 is
-    sound, as the reported tail is taken at it, so a float root serves."""
-    if c <= 2.0:
-        return end
-    log_root = min(math.log2(4.0 / (48.0 * 2.0**-53 * (c - 2.0))) / (c - 2.0), 1000.0)
-    return min(end, max(1, math.ceil(2.0**log_root)))
+def _pn_zeta_stop(n: int, c: float, end: int) -> tuple:
+    """(F_end, K_n): the last shell of the P^n zeta sum at c = lambda_1 s
+    over the shells 1..end, and K_n, the sum of the positive c_k.  F_end is
+    end for c <= n + 1, else the smaller of end and about the first F whose
+    tail bound K_n F^(n+1-c)/(c - n - 1) is at most 16 3^n 2^-53, the float
+    bound of a sum >= w_1 = 3^n (module docstring).  Any stop >= 1 is sound,
+    as the reported tail is taken at it, so a float root serves."""
+    K = sum(max(c_k, 0) for c_k in _shell_coefficients(n))
+    e = c - (n + 1)
+    if e <= 0.0:
+        return end, K
+    log_root = min(math.log2(K / (16.0 * 3**n * 2.0**-53 * e)) / e, 1000.0)
+    return min(end, max(1, math.ceil(2.0**log_root))), K
+
+
+def pn_zeta_tail(model: VarietyModel, lam, s: float, B, partial: float) -> float:
+    """The proved bound on |Z(s) - partial| for the sum partial that
+    zeta_partial returns on P^n at s with lambda_1 s > n + 1:
+    K_n F_end^(n+1-c)/(c - n - 1) (1 + 2^-40) for the shells past its stop
+    F_end and 16 2^-53 partial for its float sum, c = lambda_1 s (module
+    docstring, "The zeta sums"); lam is an interior class, as
+    geometry.require_interior gives it.  Where the float c rounds to
+    n + 1 or below although lambda_1 s > n + 1, the bound is inf."""
+    n, c = model.dim, float(lam[0]) * s
+    f_end, K = _pn_zeta_stop(n, c, height_radius(as_fraction(B), lam[0]))
+    e = c - (n + 1)
+    return (K * f_end ** -e / e * (1.0 + 2.0**-40) + 16.0 * 2.0**-53 * partial
+            if e > 0 else math.inf)
 
 
 def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     """(sum of H(x; lambda)^(-s) over the points with H <= B, their number):
-    the point side of fourier.zeta_truncated along the counting strategy,
-    each term x ** (-s) of a Python float x added left to right (on P1 by
-    one math.fsum).
+    the point side of fourier.zeta_truncated along the counting strategy.
 
-    P1 sums its Moebius fibers F = 1..p1_zeta_stop(c, f_max), c = lambda_1
-    s: w_F points of generator height F (_fiber_weights, _WEIGHT_CHUNK
-    fibers at a time, so the memory does not grow with B), each term
-    t_F = fl(w_F fl(F^-c)) computed by NumPy and all of them added by one
-    math.fsum, which rounds their exact sum once.  With r = 2^-53 and pow
-    within 4 ulp (8r; as the box kernel assumes of log), each t_F is within
-    9r(1 + r) t_F of w_F F^-c (w_F < 2^53 is exact), so the float sum S is
-    within r sum t_F + 9r(1 + r) T <= 11 r S of the exact sum T of its
-    fibers' terms; subnormal terms add at most F_end^2 2^-1070 in all
-    (F_end <= 2^25), far below r S (S >= w_1 = 3).  fourier.zeta_truncated reports that bound with the
-    tail.  The count is that of the points summed.  The loop refuses more
-    than _ZETA_STEP_LIMIT fibers before it starts.
+    P^n sums its primitive shells F = 1..F_end, F_end from _pn_zeta_stop at
+    c = lambda_1 s: w_n(F) points of height F^lambda_1 (_fiber_weights,
+    _WEIGHT_CHUNK shells at a time, so the memory does not grow with B),
+    each term fl(w_F fl(F^-c)) computed by NumPy and all of them added by
+    one math.fsum, within 11 2^-53 of the sum (module docstring, "The zeta
+    sums").  The count is that of the points summed.  The loop refuses
+    more than _ZETA_STEP_LIMIT shells, and a weight bound K_n F_end^n past
+    2^53, before it starts.
 
     BlP2-1 sums and counts the fibers of one table (_blp21_fibers, which
     refuses B past count_points' limits before the sum starts), the rest
     the points of _box_kernel with the generator heights it has
-    computed, in the order of enumerate_points.  There H = prod_G h_G^m_G.
+    computed, in the order of enumerate_points, each term x ** (-s) of a
+    Python float x added left to right.  There H = prod_G h_G^m_G.
     When every m_G is an integer, H = num/den with num = prod h_G^up_G and
     den = prod h_G^down_G (up, down the positive and negative parts of m).
     Each h_G <= max|l| <= Hmax_G (_section_bounds), so num and den are at
@@ -942,16 +1000,17 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     if B < 1:
         return 0.0, 0
     strategy, end = _outer_range(model, vals, B)
-    if strategy == "pn" and model.dim == 1:
-        c = float(vals[0]) * s
-        end = p1_zeta_stop(c, end)
-        refuse_past("zeta sum on P1: the number of fibers of its loop", end, _ZETA_STEP_LIMIT,
-                    "time")
+    if strategy == "pn":
+        n, c = model.dim, float(vals[0]) * s
+        end, K = _pn_zeta_stop(n, c, end)
+        on = f"zeta sum on {model.id}:"
+        refuse_past(f"{on} the number of fibers of its loop", end, _ZETA_STEP_LIMIT, "time")
+        refuse_past(f"{on} the weight bound K_n F_end^n", K * end**n, 2**53, "float")
         counts = []
 
         def terms(lo: int) -> list:
-            w = _fiber_weights(lo, min(lo + _WEIGHT_CHUNK, end + 1))
-            counts.append(int(w.sum()))
+            w = _fiber_weights(n, lo, min(lo + _WEIGHT_CHUNK, end + 1))
+            counts.append(_exact_sum(w))
             return (w * np.arange(lo, lo + len(w), dtype=float) ** -c).tolist()
 
         partial = math.fsum(chain.from_iterable(map(terms, range(1, end + 1, _WEIGHT_CHUNK))))
@@ -959,9 +1018,6 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     if strategy == "fiber":
         T, G, w = _blp21_fibers(vals, B, end)
         return _blp21_zeta_partial(vals, s, T, G, w), _blp21_count(T, G, w)
-    # On P^n the box radius is height_radius(B, lambda_1), the end
-    # _outer_range gives.
-    _check_box_budget(model, end, KERNEL_CANDIDATE_BUDGET)
     m = geometry.generator_exponents(model, vals)
     up = [max(int(e), 0) for e in m]
     down = [max(-int(e), 0) for e in m]
@@ -997,6 +1053,7 @@ def _blp21_zeta_partial(lam, s: float, T: np.ndarray, G: np.ndarray, w: np.ndarr
     """
     refuse_past("zeta sum on BlP2-1: the number of steps of its loop over (g, X)",
                 _exact_sum(G * T), _ZETA_STEP_LIMIT, "time")
+    phi = [0, *jordan_segment(1, int(G[0]) + 1, 1).tolist()]
     m_h, m_f = lam[1], lam[0] - lam[1]
     c_h = float(m_h) * s
     c_f = float(m_f) * s
@@ -1005,14 +1062,9 @@ def _blp21_zeta_partial(lam, s: float, T: np.ndarray, G: np.ndarray, w: np.ndarr
         inner = 0.0
         for g in range(1, g_cap + 1):
             base = g * F
-            # (e, mu(e)) over the squarefree divisors e of g.
-            divs = [(1, 1)]
-            for q in prime_factors(g):
-                divs += [(e * q, -mu) for e, mu in divs]
-            # The plateau |X| <= g F, where h_H = g F: its #{X : gcd(X, g)
-            # = 1} is sum_{e | g} mu(e) (2 (gF // e) + 1).
-            inner += sum(mu * (2 * (base // e) + 1) for e, mu in divs) * \
-                float(base) ** (-c_h)
+            # The plateau |X| <= g F, where h_H = g F: gF is a multiple of
+            # g, so #{X : gcd(X, g) = 1} = 2 F phi(g) + [g = 1].
+            inner += (2 * F * phi[g] + (g == 1)) * float(base) ** (-c_h)
             # The wings g F < |X| <= T_F, where h_H = |X|.
             for x in range(base + 1, t_cap + 1):
                 if math.gcd(x, g) == 1:

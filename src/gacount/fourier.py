@@ -60,8 +60,9 @@ This module provides several independent routes to these quantities:
 
 * zeta_truncated / poisson_check: the two sides of the spectral identity,
   sum over points of bounded height versus sum over characters, each with a
-  tail term (off P1 the point side's is an estimate read off the count of
-  the points summed); used as an end-to-end check of every formula above.
+  tail term (on P^n the point side's is a proved bound, off P^n an estimate
+  read off the count of the points summed); used as an end-to-end check of
+  every formula above.
   The point-side sum itself is enumeration.zeta_partial, which follows the
   counting strategies; this module adds only the tail.
 
@@ -986,7 +987,7 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
     array and a sigma = s_D1 that _checked_s has passed (the formula is in
     global_fourier).  Tate_p (tamagawa._tate_factor, whose cone check on
     P^n is the kind, one lookup for every prime) enters at k = v_p(gcd a),
-    p ascending.  As in _util.phi_segment the primes p <= sqrt(max gcd) are
+    p ascending.  As in _util.jordan_segment the primes p <= sqrt(max gcd) are
     divided out of the gcds in turn, each by one np.gcd with p^K, the
     largest power of p at most the largest gcd it divides, whose power p^k
     is looked up in [p, ..., p^K]; what is left is 1 or one larger prime
@@ -1178,21 +1179,11 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
     together with a tail estimate for the discarded points.
 
     The partial sum and the number of points summed are
-    enumeration.zeta_partial, which follows the counting strategy.  On P1
-    (the Moebius strategy in dimension 1) it runs over the fibers F <= F_end
-    = enumeration.p1_zeta_stop(c, f_max), c = lambda s (3 points of
-    generator height 1, then 4 phi(F) points of generator height F), and the
-    tail is a proved bound on |Z(s) - partial|: the points past F_end add at
-    most 4 F_end^(2-c)/(c - 2), since phi(F) <= F and x^(1-c) decreases,
-    and the float sum errs by at most 11 r partial plus subnormal terms
-    (zeta_partial), r = 2^-53, reported as 16 r partial.  The float
-    tail is within r((c - 2) ln F_end + 11) of its value (the rounding of
-    2 - c moves F^(2-c) by a factor e^(r (c-2) ln F)), under the 2^-40 it
-    is raised by while c - 2 < 10^4 (F_end <= 2^25, and F_end <= 2 root
-    with root^(c-2) = 2^53/(12 (c - 2)) when root >= 1); past that F_end
-    <= 2, where the tail is 4/(c - 2) or below 2^-9990, inside the slack
-    of the 16 r term, which also covers the last addition.  Off P1 the tail is an
-    estimate from the leading term of the counting function,
+    enumeration.zeta_partial, which follows the counting strategy.  On
+    P^n it runs over the primitive shells of the Moebius strategy, and the
+    tail is enumeration.pn_zeta_tail, a proved bound on |Z(s) - partial|
+    for the shells past the stop and the float sum both.  Off P^n the
+    tail is an estimate from the leading term of the counting function,
     tail ~ s c integral_B^oo t^(a - s - 1) (log t)^(b-1) dt with
     c = N(B) / (B^a (log B)^(b-1)) and N(B) that count.
 
@@ -1220,11 +1211,8 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         return 0.0, 0.0
 
     partial, n_cut = enumeration.zeta_partial(model, lam, s, b_cut)
-    if model.kind == "pn" and model.dim == 1:
-        c = float(lam[0]) * s
-        f_end = enumeration.p1_zeta_stop(c, enumeration.height_radius(b_cut, lam[0]))
-        return partial, (4.0 * f_end ** (2.0 - c) / (c - 2.0) * (1.0 + 2.0**-40)
-                         + 16.0 * _ROUND * partial)
+    if model.kind == "pn":
+        return partial, enumeration.pn_zeta_tail(model, lam, s, b_cut, partial)
 
     # Tail from the leading term of the counting function, its constant read
     # off the count of the points just summed.

@@ -47,6 +47,7 @@ them serially in ascending order so reported floats are bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -424,10 +425,10 @@ def _good_prime_product(g: Sequence[int], primes, start):
     return math.prod(acc.tolist(), start=start)
 
 
-def _peel_data(model: VarietyModel, g: Optional[Sequence[int]] = None):
-    """Zeta-peel exponents and the rigorous residual constant for a model,
-    whose regularized factor g (regularized_factor_poly at beta = (1, ...,
-    1)) a caller that has it already may pass.
+def _peel_data(model: VarietyModel, g: Sequence[int]):
+    """Zeta-peel exponents and the rigorous residual constant for a model
+    with regularized factor g (regularized_factor_poly at beta = (1, ...,
+    1)).
 
     Returns (peeled, C_h) with peeled = ((k, e_k), ...) such that
     g(u) = prod (1 - u^k)^{e_k} (1 + h(u)), h(u) = O(u^{PEEL_ORDER+1}), and
@@ -456,8 +457,6 @@ def _peel_data(model: VarietyModel, g: Optional[Sequence[int]] = None):
         CapabilityError: g is not 1 + O(u^2), a peel exponent is not an
             integer, or the peel leaves terms of order <= PEEL_ORDER.
     """
-    if g is None:
-        g = regularized_factor_poly(model, (1,) * model.rank)
     K = PEEL_ORDER
     gs = list(g[: K + 1]) + [0] * (K + 1 - len(g))
     # c_n, the coefficients of u g'/g: n g_n = sum_{j <= n} c_j g_{n-j}.
@@ -555,7 +554,8 @@ def tamagawa_number(
 
     Args:
         model: catalog entry.
-        p_max: truncation point, from 100 to P_MAX_LIMIT; factors above it
+        p_max: truncation point, an integer from 100 to P_MAX_LIMIT
+            (ValueError below 100 or if not an integer); factors above it
             enter only through the peeled zeta completion.
         small_depth: accepted for compatibility and ignored; the factors at
             p = 2, 3 are exact (exact_local_density).
@@ -567,8 +567,8 @@ def tamagawa_number(
     Raises:
         CapabilityError: if p_max passes P_MAX_LIMIT (memory), before the sieve.
     """
-    if p_max < 100:
-        raise ValueError("p_max must be at least 100")
+    if not isinstance(p_max, numbers.Integral) or p_max < 100:
+        raise ValueError(f"p_max must be an integer >= 100, not {p_max!r}")
     primes = good_primes(p_max).astype(np.float64)  # exact: p < 2^53
     arch = archimedean_density(model)
     setup = _density_setup(model, model.rho)

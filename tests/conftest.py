@@ -10,7 +10,7 @@ from typing import NamedTuple, Union
 import numpy as np
 import pytest
 
-from gacount import geometry, heights
+from gacount import enumeration, geometry, heights
 from gacount.acceptance import _random_interior as random_interior  # noqa: F401
 from gacount.acceptance import _random_point as random_point  # noqa: F401
 
@@ -62,3 +62,17 @@ def global_height(model, point, lam) -> HeightValue:
     if isinstance(arch, Fraction):
         return HeightValue(arch, fin, arch * fin)
     return HeightValue(arch, fin, arch * float(fin))
+
+
+def pn_shell_sum(model, lam, s: float, B) -> tuple:
+    """(math.fsum of the P^n shell terms w_F F^-c, c = lambda_1 s, over the
+    shells F <= T = floor(B^(1/lambda_1)), the number of points): w_F the
+    points of enumerate_points with max(Z, |X_i|) = F, and every F^-c from
+    one NumPy pass.  zeta_partial gives this sum when it stops at T."""
+    lam = geometry.require_interior(model, lam)
+    T = enumeration.height_radius(Fraction(B), lam[0])
+    w = [0] * T
+    for pt in enumeration.enumerate_points(model, lam, B):
+        w[max(map(abs, pt.coords)) - 1] += 1
+    terms = np.array(w) * np.arange(1, T + 1, dtype=float) ** -(float(lam[0]) * s)
+    return math.fsum(terms.tolist()), sum(w)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 
 from gacount import _util, enumeration, fourier, geometry, heights, tamagawa
 from gacount._util import CapabilityError, as_fraction, mertens_quotients, mu_sieve
-from conftest import global_height, random_point
+from conftest import global_height, pn_shell_sum, random_point
 
 P1 = geometry.load_model("P1")
 
@@ -465,21 +466,31 @@ def point_heights(model, lam, B):
     ("P2", ((3,), (2,), (Fraction(7, 2),)), 125),
 ])
 def test_zeta_partial_matches_point_oracle(mid, lams, B):
-    # zeta_partial's sum is, bit for bit, the left-to-right sum of
-    # float(H)^(-s) over enumerate_points: at rho, at an integer lambda with
-    # a negative generator exponent (m_H = -1 on BlP2-2, -2 on BlP2-3) or a
-    # square height (P2 at 2), and at lambda = 7/2, 2, ....  B is the height
-    # of many points at rho, so the exact tie test decides H = B there.
+    # On the box models zeta_partial's sum is, bit for bit, the left-to-right
+    # sum of float(H)^(-s) over enumerate_points: at rho, at an integer
+    # lambda with a negative generator exponent (m_H = -1 on BlP2-2, -2 on
+    # BlP2-3) or a square height (P2 at 2), and at lambda = 7/2, 2, ....  On
+    # P^n it is, bit for bit, math.fsum of the shell terms w_F F^-c with the
+    # w_F counted off enumerate_points, and within its proved float bound,
+    # 11 2^-53 of the sum, of the points' sum (math.fsum of float(H)^(-s),
+    # each term within (8s + 9) 2^-53 with pow within 4 ulp).  B is the
+    # height of many points at rho, so the exact tie test decides H = B there.
     model = geometry.load_model(mid)
     for lam in lams:
         for bound in (B, B - Fraction(1, 3)):
             hts = point_heights(model, lam, bound)
             for s in (4.5, 7.0):
+                got = enumeration.zeta_partial(model, lam, s, bound)
+                if model.kind == "pn":
+                    assert got == pn_shell_sum(model, lam, s, bound), (lam, bound, s)
+                    want = math.fsum(float(H) ** -s for H in hts)
+                    assert abs(got[0] - want) <= (11 * got[0] + (8 * s + 10) * want) * 2.0**-53
+                    assert got[1] == len(hts)
+                    continue
                 want = 0.0
                 for H in hts:
                     want += float(H) ** -s
-                assert enumeration.zeta_partial(model, lam, s, bound) == (want, len(hts)), \
-                    (mid, lam, bound, s)
+                assert got == (want, len(hts)), (mid, lam, bound, s)
             if lam == model.rho and bound == B:
                 assert hts.count(B) > 50
 
@@ -635,13 +646,14 @@ def mu_loop(n):
     return mu
 
 
-def phi_loop(n):
-    """phi(0..n) by a loop over the multiples of every prime."""
-    phi = list(range(n + 1))
+def phi_loop(n, k=1):
+    """The Jordan totients J_k(0..n) (phi at k = 1) by a loop over the
+    multiples of every prime."""
+    phi = [m**k for m in range(n + 1)]
     for p in range(2, n + 1):
-        if phi[p] == p:
-            for k in range(p, n + 1, p):
-                phi[k] -= phi[k] // p
+        if phi[p] == p**k:
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p**k
     return phi
 
 
@@ -660,10 +672,17 @@ def test_mu_sieve_matches_loop():
 
 
 def test_phi_segment_matches_loop():
-    want = phi_loop(3000)
-    for n in range(3001):
-        assert _util.phi_segment(1, n + 1).tolist() == want[1 : n + 1], n
-    assert _util.phi_segment(1, 10**6 + 1).tolist() == phi_loop(10**6)[1:]
+    # phi = J_1, and J_2 and J_3, on every prefix up to 3000; J_3 up to
+    # 2^21, where (b - 1)^3 nears 2^63, against the factorizer.
+    for k in (1, 2, 3):
+        want = phi_loop(3000, k)
+        for n in range(3001):
+            assert _util.jordan_segment(1, n + 1, k).tolist() == want[1 : n + 1], (k, n)
+    assert _util.jordan_segment(1, 10**6 + 1, 1).tolist() == phi_loop(10**6)[1:]
+    top = range(2**21 - 500, 2**21)
+    want = [math.prod(p**(3 * e) - p**(3 * e - 3) for p, e in _util.factorize(m).items())
+            for m in top]
+    assert _util.jordan_segment(top.start, top.stop, 3).tolist() == want
 
 
 def test_sieve_segments_match_loop():
@@ -671,7 +690,7 @@ def test_sieve_segments_match_loop():
     for a in range(1, 300, 7):
         for b in range(a, 1001, 13):
             assert _util.mu_segment(a, b).tolist() == mu[a:b], (a, b)
-            assert _util.phi_segment(a, b).tolist() == phi[a:b], (a, b)
+            assert _util.jordan_segment(a, b, 1).tolist() == phi[a:b], (a, b)
 
 
 def test_mertens_lookup_matches_running_sums():
@@ -1009,7 +1028,7 @@ def blp21_direct(lam, B):
     f_max = enumeration.height_radius(B, lam[0])
     if f_max < 1:
         return 0
-    phi = [0, *_util.phi_segment(1, f_max + 1).tolist()]
+    phi = [0, *_util.jordan_segment(1, f_max + 1, 1).tolist()]
     rows = []
     for F in range(1, f_max + 1):
         t = blp21_fiber_bound_fractions(lam, B, F)
@@ -1161,17 +1180,51 @@ def test_blp21_count_memory_peak():
 def test_fiber_weights_match_phi():
     # w_1 = 3 and w_F = 4 phi(F), on any segment [lo, hi).
     n = 3000
-    want = [3] + [4 * f for f in _util.phi_segment(2, n + 1).tolist()]
-    assert enumeration._fiber_weights(1, n + 1).tolist() == want
+    want = [3] + [4 * f for f in _util.jordan_segment(2, n + 1, 1).tolist()]
+    assert enumeration._fiber_weights(1, 1, n + 1).tolist() == want
     for lo, hi in ((1, 1), (1, 2), (2, 2), (2, 50), (7, 1000), (1000, n + 1)):
-        w = enumeration._fiber_weights(lo, hi)
+        w = enumeration._fiber_weights(1, lo, hi)
         assert w.dtype == np.int64 and w.tolist() == want[lo - 1 : hi - 1], (lo, hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fiber_weights_count_primitive_shells(n):
+    # w_n(F) is the number of primitive (Z, X) with Z >= 1 and
+    # max(Z, |X_i|) = F, counted by a loop for F <= 8, on any segment.
+    top = 8
+    want = [0] * top
+    for v in itertools.product(range(1, top + 1), *[range(-top, top + 1)] * n):
+        if math.gcd(*v) == 1:
+            want[max(map(abs, v)) - 1] += 1
+    for lo, hi in ((1, top + 1), (1, 2), (2, top + 1), (5, 7)):
+        w = enumeration._fiber_weights(n, lo, hi)
+        assert w.dtype == np.int64 and w.tolist() == want[lo - 1 : hi - 1], (lo, hi)
+
+
+def test_pn_zeta_sums_run_no_box_code(monkeypatch):
+    # zeta_partial on P^n sums its primitive shells and never reaches the box
+    # kernel; P3 at rho, s = 2, B = 10^8 (refused by the box budget once)
+    # takes well under a second.
+    def refuse(*args, **kwargs):
+        raise AssertionError("box kernel called")
+
+    monkeypatch.setattr(enumeration, "_box_kernel", refuse)
+    for mid in ("P1", "P2", "P3"):
+        model = geometry.load_model(mid)
+        for B in (1, 60, 10**6):
+            part, n = enumeration.zeta_partial(model, model.rho, 0.0, B)
+            assert n == enumeration.count_points(model, model.rho, B) == part
+    P3 = geometry.load_model("P3")
+    t0 = time.perf_counter()
+    part, tail = fourier.zeta_truncated(P3, P3.rho, 2, 10**8)
+    assert time.perf_counter() - t0 < 1.0
+    assert 27.9 < part < part + tail < 28
 
 
 def p1_zeta_terms(c: float, stop: int) -> list:
     """The terms w_F F^-c of P1's zeta sum for F = 1..stop, from one NumPy
     pass over all phi(F)."""
-    phi = _util.phi_segment(2, stop + 1)
+    phi = _util.jordan_segment(2, stop + 1, 1)
     return [3.0] + (4 * phi * np.arange(2, stop + 1, dtype=float) ** -c).tolist()
 
 
@@ -1182,9 +1235,9 @@ def test_p1_zeta_partial_in_chunks_of_fibers():
     # traced peak is that of one chunk (3.1 MB now; Python 3.11, NumPy 2.4).
     T = 3 * 2**16 + 17
     c = 2.5
-    assert enumeration.p1_zeta_stop(c, T) == T
+    assert enumeration._pn_zeta_stop(1, c, T) == (T, 4)
     terms = p1_zeta_terms(c, T)
-    want = (math.fsum(terms), 3 + 4 * int(_util.phi_segment(2, T + 1).sum()))
+    want = (math.fsum(terms), 3 + 4 * int(_util.jordan_segment(2, T + 1, 1).sum()))
     tracemalloc.start()
     try:
         got = enumeration.zeta_partial(P1, (1,), c, T)
@@ -1198,18 +1251,18 @@ def test_p1_zeta_partial_in_chunks_of_fibers():
 def test_p1_zeta_partial_stops_when_the_tail_is_below_its_float_bound():
     # At c = 6 the tail bound past F, 4 F^-4 / 4, first falls to 48 * 2^-53
     # (the float bound of a sum >= 3) near F = 3700: the sum stops there,
-    # p1_zeta_stop, and is, bit for bit, math.fsum of the terms up to it;
+    # _pn_zeta_stop, and is, bit for bit, math.fsum of the terms up to it;
     # the count is that of the points summed.
     for T in (10**4, 3 * 2**16 + 17):
-        stop = enumeration.p1_zeta_stop(6.0, T)
+        stop, _ = enumeration._pn_zeta_stop(1, 6.0, T)
         assert 3000 < stop < 4500
         assert 4.0 * stop ** -4.0 / 4.0 <= 48 * 2.0**-53 < 4.0 * (stop - 1) ** -4.0 / 4.0
         want = (math.fsum(p1_zeta_terms(6.0, stop)),
-                3 + 4 * int(_util.phi_segment(2, stop + 1).sum()))
+                3 + 4 * int(_util.jordan_segment(2, stop + 1, 1).sum()))
         assert enumeration.zeta_partial(P1, (1,), 6, T) == want
     # Below the stop the sum runs to f_max.
-    assert enumeration.p1_zeta_stop(6.0, 1000) == 1000
-    assert enumeration.p1_zeta_stop(2.0, 10**30) == 10**30
+    assert enumeration._pn_zeta_stop(1, 6.0, 1000)[0] == 1000
+    assert enumeration._pn_zeta_stop(1, 2.0, 10**30)[0] == 10**30
     # At rho, s = 3, B = 10^14 (T = 10^7) the sum is that at B = 10^12.
     t0 = time.perf_counter()
     far, _ = fourier.zeta_truncated(P1, P1.rho, 3, 10**14)
@@ -1240,7 +1293,7 @@ def test_blp21_int64_guard_before_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError("fiber table built")
 
-    for name in ("mu_segment", "phi_segment", "mu_sieve", "_blp21_fiber_bounds"):
+    for name in ("mu_segment", "jordan_segment", "mu_sieve", "_blp21_fiber_bounds"):
         monkeypatch.setattr(enumeration, name, refuse)
     with pytest.raises(CapabilityError, match="f_max passes the limit 2\\^24"):
         enumeration.count_points(BLP21, (1, 1), 2**32)

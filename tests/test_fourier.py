@@ -13,7 +13,7 @@ import pytest
 
 from gacount import enumeration, fourier, geometry, heights, tamagawa
 from gacount._util import CapabilityError, factorize, primes_upto, vp_fraction, zeta
-from conftest import global_height
+from conftest import global_height, pn_shell_sum
 
 
 def test_character_index_and_support_primes():
@@ -1090,9 +1090,10 @@ def test_zeta_truncated_blp21_fiber_path():
 
 
 def test_zeta_truncated_generic_bracket():
-    p2 = geometry.load_model("P2")
-    p40, t40 = fourier.zeta_truncated(p2, p2.rho, 2.0, 40)
-    p80, t80 = fourier.zeta_truncated(p2, p2.rho, 2.0, 80)
+    # The tail estimate off P^n (P^n reports a proved bound).
+    b2 = geometry.load_model("BlP2-2")
+    p40, t40 = fourier.zeta_truncated(b2, b2.rho, 2.0, 40)
+    p80, t80 = fourier.zeta_truncated(b2, b2.rho, 2.0, 80)
     assert p40 < p80
     assert t40 > t80 > 0
     # The added mass between the cutoffs is inside the earlier tail estimate.
@@ -1134,11 +1135,13 @@ def test_zeta_truncated_fractional_class(mid):
     ("BlP2-2", 4, 100, (9.104472772424202, 2.0224458582674098e-05)),
     ("BlP2-3", 4, 58, (7.472911214645311, 0.0001351230639407696)),
     ("BlP2-1", 2, 300, (10.833599206589927, 0.06375470271349144)),
-    ("P2", 2, 80, (9.653916430898455, 0.08281250000000004)),
+    ("P2", 2, 80, (9.65391643089849, 0.06770833333341206)),
 ])
 def test_zeta_truncated_pins(mid, s, B, want):
     # Exact float equality: at integer classes every height is an exact
-    # Fraction before it is rounded.
+    # Fraction before it is rounded.  P2's sum is math.fsum of its shell
+    # terms and its tail the proved 13 T^-3/3 (1 + 2^-40) + 16 2^-53 partial,
+    # T = 4.
     model = geometry.load_model(mid)
     assert fourier.zeta_truncated(model, model.rho, s, B) == want
 
@@ -1167,6 +1170,19 @@ def test_zeta_truncated_limits_and_errors():
     assert tail - 16 * 2.0**-53 * part < 1e-100
 
 
+@pytest.mark.parametrize("mid, lam", [("P1", Fraction(1, 3)), ("P2", Fraction(5, 11)),
+                                      ("P3", Fraction(2, 7))])
+def test_pn_zeta_tail_where_c_rounds_to_the_abscissa(mid, lam):
+    # s is the float just past a = (n + 1)/lambda, so lambda s > n + 1, but
+    # the float c = float(lambda) s rounds to n + 1: no finite tail is
+    # proved there, and the tail is inf (a ZeroDivisionError once).
+    model = geometry.load_model(mid)
+    s = math.nextafter(float(geometry.a_exponent(model, (lam,))), math.inf)
+    assert float(lam) * s == model.dim + 1
+    part, tail = fourier.zeta_truncated(model, (lam,), s, 10)
+    assert part > 0 and tail == math.inf
+
+
 def test_p1_zeta_tail_past_float_range():
     # f_max = 10^30000 is past the floats, but the sum stops long before
     # either f_max, and the tail 4 F^(2 - c)/(c - 2), c > 2, is taken at the
@@ -1191,6 +1207,37 @@ def test_p1_zeta_truncated_bounds_the_closed_form(s, b_cut):
         c = 2 * mpmath.mpf(s)
         exact = 4 * mpmath.zeta(c - 1) / mpmath.zeta(c) - 1
         assert abs(mpmath.mpf(part) - exact) <= tail
+
+
+# c_0, ..., c_n of c(m) = m (2m+1)^n - (m-1)(2m-1)^n on P2 and P3.
+SHELL_COEFFS = {2: (1, -4, 12), 3: (-1, 8, -12, 32)}
+
+
+@pytest.mark.parametrize("mid", ["P2", "P3"])
+@pytest.mark.parametrize("s", [1.5, 2, 3])
+@pytest.mark.parametrize("b_cut", [10**6, 10**12, 10**16])
+def test_pn_zeta_truncated_brackets_the_closed_form(mid, s, b_cut):
+    # On P^n at rho, with sigma = (n + 1) s, the height zeta function is
+    # sum_k c_k zeta(sigma - k) / zeta(sigma): c(m) vectors (Z, X), Z >= 1,
+    # have max(Z, |X_i|) = m, and each is a primitive one times a unique d.
+    # Taken exactly from the floats of _util.zeta, each correctly rounded
+    # (within 2^-53 relative), the closed form lies in [lo, hi], and the
+    # partial sum is at most hi and the partial sum plus its tail at least lo.
+    model = geometry.load_model(mid)
+    n = model.dim
+    coeffs = SHELL_COEFFS[n]
+    for m in range(1, 20):
+        assert sum(c * m**k for k, c in enumerate(coeffs)) == \
+            m * (2 * m + 1) ** n - (m - 1) * (2 * m - 1) ** n
+    sigma = (n + 1) * s
+    r = Fraction(1, 2**53)
+    z = [Fraction(zeta(sigma - k)) for k in range(n + 1)]
+    lo = sum(c * z_k * (1 - r if c > 0 else 1 + r) for c, z_k in zip(coeffs, z)) / (z[0] * (1 + r))
+    hi = sum(c * z_k * (1 + r if c > 0 else 1 - r) for c, z_k in zip(coeffs, z)) / (z[0] * (1 - r))
+    part, tail = fourier.zeta_truncated(model, model.rho, s, b_cut)
+    assert Fraction(part) <= hi
+    assert lo <= Fraction(part) + Fraction(tail)
+    assert 0 < tail < 0.03
 
 
 @pytest.mark.parametrize("mid", ["P1", "BlP2-2"])
@@ -1274,15 +1321,24 @@ def test_zeta_truncated_heights_from_kernel(monkeypatch):
 def test_zeta_truncated_integer_heights_exact(mid, lam):
     # At integer generator exponents (m_H = -1 on BlP2-2 at (3, 1, 1)) each
     # height is a quotient of two integers, rounded once: the sum equals the
-    # one over the exact Fraction heights, in enumerate_points' order.
+    # one over the exact Fraction heights, in enumerate_points' order.  On
+    # P^n the sum is, bit for bit, math.fsum of the shell terms, within its
+    # proved float bound 11 2^-53 of the points' math.fsum (itself within
+    # (s + 10) 2^-53, with pow within 4 ulp).
     model = geometry.load_model(mid)
     s, B = 4.5, 20
     part, _ = fourier.zeta_truncated(model, lam, s, B)
-    direct = 0.0
     points = list(enumeration.enumerate_points(model, lam, B))
-    for pt in points:
-        direct += float(global_height(model, pt, lam).total) ** -s
-    assert part == direct
+    terms = [float(global_height(model, pt, lam).total) ** -s for pt in points]
+    if model.kind == "pn":
+        assert (part, len(points)) == pn_shell_sum(model, lam, s, B)
+        direct = math.fsum(terms)
+        assert abs(part - direct) <= (11 * part + (s + 10) * direct) * 2.0**-53
+    else:
+        direct = 0.0
+        for term in terms:
+            direct += term
+        assert part == direct
     assert len(points) > 50
 
 

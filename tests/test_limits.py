@@ -48,15 +48,22 @@ def _count(model, lam):
 
 
 TENTH_OF_D = (Fraction(10), Fraction(1), Fraction(1))  # BlP2-2: k <= B^(1/10), R = B
+# BlP2-1's fiber table at rho, B = 10^4, which its zeta loop reads.
+BLP21_RHO = geometry.require_interior(BLP21, BLP21.rho)
+BLP21_TABLE = enumeration._blp21_fibers(BLP21_RHO, Fraction(10**4),
+                                        enumeration.height_radius(Fraction(10**4), BLP21_RHO[0]))
 
 LIMITS = [
     # enumeration: the box scans.
-    pytest.param(_count(BLP23, BLP23.rho), 26681, 26912, (enumeration, "_box_kernel"),
+    pytest.param(_count(BLP23, BLP23.rho), 26681, 26912, (np, "indices"),
                  "candidates .* 50000000 \\(time", id="KERNEL_CANDIDATE_BUDGET"),
     pytest.param(lambda B: next(enumeration.enumerate_points(BLP22, BLP22.rho, B)), 11449, 11664,
                  (enumeration, "_box_scan"), "candidates .* 5000000 \\(time",
                  id="DEFAULT_CANDIDATE_BUDGET"),
-    pytest.param(lambda R: next(enumeration._box_kernel(BLP23, BLP23.rho, Fraction(10), R)),
+    # The kernel's candidate budget binds long before its int64 guard, so
+    # this row lifts the budget.
+    pytest.param(_with(lambda R: next(enumeration._box_kernel(BLP23, BLP23.rho, Fraction(10), R)),
+                       (enumeration, "_check_box_budget", lambda *args: None)),
                  2**62 - 1, 2**62, (np, "indices"), "section value .* \\(int64",
                  id="box-kernel-int64"),
     # enumeration: the Moebius, fiber and torsor sums.
@@ -77,16 +84,21 @@ LIMITS = [
                  10661, 10660, (enumeration, "_squarefree_divisors"), "rows .* \\(time",
                  id="_TORSOR_ROW_LIMIT"),
     # enumeration: the zeta loops; P1 plans f_max fibers at s = 0, the stop
-    # rule's fibers at s = 1.97 and 1.969 (2^24.98 and 2^25.01).
+    # rule's fibers at s = 1.97 and 1.969 (2^24.98 and 2^25.01); P3 at
+    # s = 1.1 sums every shell F <= B^(1/4), whose weights stay below
+    # K_3 F^3 = 40 F^3 <= 2^53 up to F = 60838.
     pytest.param(lambda B: enumeration.zeta_partial(P1, P1.rho, 0.0, B), 2**50, (2**25 + 1) ** 2,
                  (enumeration, "_fiber_weights"), "fibers .* 2\\^25 \\(time",
                  id="_ZETA_STEP_LIMIT-P1"),
     pytest.param(lambda s: enumeration.zeta_partial(P1, P1.rho, s, 10**30), 1.97, 1.969,
                  (enumeration, "_fiber_weights"), "fibers .* 2\\^25 \\(time",
                  id="_ZETA_STEP_LIMIT-P1-stop"),
-    pytest.param(_with(lambda _: enumeration.zeta_partial(BLP21, BLP21.rho, 2.0, 10**4),
+    pytest.param(lambda B: enumeration.zeta_partial(P3, P3.rho, 1.1, B), 60838**4, 60839**4,
+                 (enumeration, "_fiber_weights"), "weight bound .* 2\\^53 \\(float",
+                 id="pn-zeta-weight-bound"),
+    pytest.param(_with(lambda _: enumeration._blp21_zeta_partial(BLP21_RHO, 2.0, *BLP21_TABLE),
                        (enumeration, "_ZETA_STEP_LIMIT", None)),
-                 15600, 15599, (enumeration, "prime_factors"), "steps .* \\(time",
+                 15600, 15599, (enumeration, "jordan_segment"), "steps .* \\(time",
                  id="_ZETA_STEP_LIMIT-BlP2-1"),
     # fourier: character sums, brute force and the Poisson check.
     pytest.param(lambda n: fourier.character_sum(5, 1, n, 1, force_direct=True), 9, 10,

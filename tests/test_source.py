@@ -278,14 +278,18 @@ def test_one_function_owns_the_tate_cone_check():
 
 
 def test_one_function_owns_the_fiber_weights():
-    # w_1 = 3, w_F = 4 phi(F): the fiber count, BlP2-1's zeta sum and P1's
-    # zeta sum read them from enumeration._fiber_weights.
-    tree = ast.parse((SRC / "enumeration.py").read_text())
-    readers = sorted(fn.name for fn in ast.walk(tree)
+    # The shell counts w_n(F) (w_1 = 3, w_F = 4 phi(F) at n = 1): the fiber
+    # count, BlP2-1's zeta sum and the P^n zeta sums read them from
+    # enumeration._fiber_weights.  The one totient sieve,
+    # _util.jordan_segment, has two more readers: the coprime counts of
+    # BlP2-1's zeta plateaus and of BlP2-2's torsor plateaus.
+    readers = sorted(f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+                     for fn in ast.walk(ast.parse(path.read_text()))
                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     and "phi_segment" in (name for node in ast.walk(fn)
-                                           for name in _used_names(node)))
-    assert readers == ["_fiber_weights"]
+                     and "jordan_segment" in (name for node in ast.walk(fn)
+                                              for name in _used_names(node)))
+    assert readers == ["enumeration._blp21_zeta_partial", "enumeration._fiber_weights",
+                       "enumeration._torsor_count"]
 
 
 def test_zeta_partial_counts_in_its_own_pass():

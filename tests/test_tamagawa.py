@@ -8,6 +8,7 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -428,7 +429,8 @@ PEEL_PINS = {
 
 
 def test_peel_data_pins(model):
-    peeled, c_h = tamagawa._peel_data(model)
+    g = tamagawa.regularized_factor_poly(model, (1,) * model.rank)
+    peeled, c_h = tamagawa._peel_data(model, g)
     assert (peeled, float(c_h), c_h) == PEEL_PINS[model.id]
 
 
@@ -480,7 +482,6 @@ def test_peel_data_matches_factor_by_factor_oracle(model):
     peeled, _, c_h = PEEL_PINS[model.id]
     g, want = peel_oracle(model, peeled)
     assert tamagawa.regularized_factor_poly(model, (1,) * model.rank) == g
-    assert tamagawa._peel_data(model) == (peeled, want)
     assert tamagawa._peel_data(model, g) == (peeled, want)
     assert want == c_h
 
@@ -667,6 +668,20 @@ def test_predicted_constant_projective_spaces(mid, n):
     assert abs(got - target) <= 1e-6, mid
 
 
+@pytest.mark.parametrize("p_max", [10000.0, 99, 0, -5, "10000", Fraction(1000), None])
+def test_tamagawa_number_needs_an_integer_p_max(p_max):
+    # A float p_max once failed inside the prime sieve with a TypeError; it
+    # is refused up front, as global_fourier refuses it, with the same kind
+    # of error as p_max below 100.  A NumPy integer is an integer.
+    model = geometry.load_model("P2")
+    with pytest.raises(ValueError, match="p_max must be an integer >= 100"):
+        tamagawa.tamagawa_number(model, p_max=p_max)
+    with pytest.raises(ValueError, match="p_max must be an integer >= 100"):
+        tamagawa.predicted_constant(model, p_max=p_max)
+    assert tamagawa.tamagawa_number(model, p_max=np.int64(1000)) == \
+        tamagawa.tamagawa_number(model, p_max=1000)
+
+
 def test_predicted_constant_reuses_result():
     model = geometry.load_model("P2")
     res = tamagawa.tamagawa_number(model, p_max=500, small_depth=8)
@@ -699,15 +714,15 @@ def tamagawa_oracle(model, p_max):
     for p in (2, 3):
         reg = (1 - Fraction(1, p)) ** model.rank
         partial *= float(tamagawa.exact_local_density(model, p, model.rho) * reg)
-    g = [float(c) for c in tamagawa.regularized_factor_poly(model, (1,) * model.rank)]
+    g = tamagawa.regularized_factor_poly(model, (1,) * model.rank)
     primes = [p for p in primes_upto(p_max) if p >= 5]
     for p in primes:
         u = 1.0 / p
         acc = 0.0
         for c in reversed(g):
-            acc = acc * u + c
+            acc = acc * u + float(c)
         partial *= acc
-    peeled, c_h = tamagawa._peel_data(model)
+    peeled, c_h = tamagawa._peel_data(model, g)
     completion = 1.0
     for k, ek in peeled:
         body = zeta(k)
