@@ -8,7 +8,9 @@ rational bound, the one primality test and the one factorizer of the
 package, Moebius/Jordan-totient/prime sieves (one prime sieve, prime_sieve,
 whose list of Python ints is primes_upto), the Mertens table, and the Riemann
 zeta function on the reals above 1, correctly rounded.  refuse_past is the
-one refusal of planned work past a limit, last_true the one bisection.
+one refusal of planned work past a limit, last_true the one bisection, and
+ragged the one layout of rows of different lengths (the Mertens table,
+BlP2-1's quotient blocks and BlP2-2's torsor rows).
 
 Moebius and Jordan totient values come from NumPy segment sieves,
 mu_segment(a, b) and jordan_segment(a, b, k) for a <= m < b: slices over
@@ -197,7 +199,7 @@ def primes_upto(n: int) -> list[int]:
     return prime_sieve(n).tolist()
 
 
-# mu_segment compares prod(k) with k, and _ragged_sums adds its terms, in
+# mu_segment compares prod(k) with k, and ragged hands out its entries, in
 # chunks of _CHUNK values.
 _CHUNK = 2**14
 
@@ -234,30 +236,48 @@ def mu_sieve(n: int) -> list[int]:
     return [0, *mu_segment(1, n + 1).tolist()]
 
 
+def ragged(counts: np.ndarray, base: np.ndarray | int = 0, whole: bool = False):
+    """The entries of rows r with counts c_r >= 0, row after row, as int64
+    arrays (row, x): x = base_r + the entry's offset 0..c_r - 1 in its row,
+    base a scalar or one value per row.
+
+    Yields per part of _CHUNK entries (read at call time) its (row, x) and
+    the rows r0 <= r < r1 it meets, each but the first starting in it: a
+    part may end inside a row.  whole=True returns (row, x) of all entries.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    shift = starts - base
+    total = int(ends[-1]) if len(ends) else 0
+
+    def part(a: int, b: int) -> tuple:
+        r0, r1 = ends.searchsorted(a, side="right"), starts.searchsorted(b)
+        row = np.repeat(np.arange(r0, r1),
+                        np.minimum(ends[r0:r1], b) - np.maximum(starts[r0:r1], a))
+        return row, np.arange(a, b, dtype=np.int64) - shift[row], r0, r1
+
+    if whole:
+        return part(0, total)[:2]
+    size = _CHUNK
+    return (part(a, min(a + size, total)) for a in range(0, total, size))
+
+
 def _ragged_sums(first: np.ndarray | int, stop: np.ndarray, term) -> np.ndarray:
     """The int64 row sums sum_{first[r] <= x < stop[r]} term(r, x), every r.
 
-    The pairs (r, x) are laid out row after row and handed to term as two
-    int64 arrays, _CHUNK pairs at a time, so a chunk may end inside a row;
-    a row's part of a chunk is the difference of the chunk's running sum
-    at its two ends.
+    The pairs (r, x) come from ragged, a part at a time; a row's share of
+    a part is the difference of the part's running sum at its two ends.
     """
     counts = np.maximum(stop - first, 0)
     ends = np.cumsum(counts)
-    starts = ends - counts
-    shift = starts - first
     sums = np.zeros(len(counts), dtype=np.int64)
-    total = int(ends[-1]) if len(ends) else 0
-    for a in range(0, total, _CHUNK):
-        b = min(a + _CHUNK, total)
-        r0, r1 = ends.searchsorted((a, b - 1), side="right")
-        r1 += 1
-        cut = np.minimum(ends[r0:r1], b)
-        row = np.repeat(np.arange(r0, r1), cut - np.maximum(starts[r0:r1], a))
-        run = np.cumsum(term(row, np.arange(a, b, dtype=np.int64) - shift[row]))
-        part = run[cut - (a + 1)]
+    a = 0  # the first entry of the part
+    for row, x, r0, r1 in ragged(counts, first):
+        run = np.cumsum(term(row, x))
+        part = run[np.minimum(ends[r0:r1] - a, len(run)) - 1]
         sums[r0:r1] += part
         sums[r0 + 1 : r1] -= part[:-1]
+        a += len(run)
     return sums
 
 
@@ -278,13 +298,13 @@ def mertens_quotients(T: int):
     kj <= K and a table entry when kj > K (T//(K+1) <= L), and every
     q <= r <= L is in the table.  The q-sum and the j with kj > K read the
     table alone, so each is one ragged pass over its (k, q) or (k, j) pairs
-    for all k at once (_ragged_sums, _CHUNK pairs at a time).  The j <= K//k
+    for all k at once (_ragged_sums over ragged's parts).  The j <= K//k
     read big[kj] with kj >= 2k, so big is filled one dyadic level of k at a
     time, k in (K//2^(i+1), K//2^i] for i = 0, 1, ...: 2k > K//2^i puts
     every kj of a level in a level already done, and the top level (k >
     K//2) has no such j.  A level is one np.add.reduceat over its rows of
     the multiples kj, fewer than K H(K) in all (30612 at T = 2^36, K = 4095;
-    H the harmonic numbers), which are laid out once.  The lookup reads
+    H the harmonic numbers), which ragged lays out once.  The lookup reads
     big[k] when k <= K and small[T//k] otherwise (T//k <= L exactly when
     k > K); no per-quotient Python runs.
 
@@ -331,9 +351,10 @@ def mertens_quotients(T: int):
     # The multiples kj <= K, j >= 2, of each k <= K//2, row after row.
     half = k[: K // 2]
     counts = K // half - 1
+    row, j = ragged(counts, 2, whole=True)
+    m = half[row] * j
     ends = np.cumsum(counts)
     starts = ends - counts
-    m = np.repeat(half, counts) * (np.arange(counts.sum()) - np.repeat(starts - 2, counts))
     hi = K // 2
     while hi:
         lo = hi // 2

@@ -108,10 +108,9 @@ with M the Mertens function.  q runs from T_F//(E0+1), whose block is cut
 to start after E0, down to T_F//G_F, whose block ends at G_F: G_F = T_F//F
 is itself a quotient of T_F, so T_F//(T_F//G_F) = G_F.  That is about
 T_F / E0 rows per fiber: 50k rows in all for the 800k pairs at
-lambda = rho, B = 1e11.  The rows are built in
-chunks of 2^14 (a row finds its fiber by a searchsorted in the cumulative
-row counts, so a chunk may end inside a fiber).  Every block end of F = 1
-is a quotient of T_1 = G_1, so its rows below the first read
+lambda = rho, B = 1e11, laid out by _util.ragged in parts of 2^14, so a
+part may end inside a fiber.  Every block end of F = 1 is a quotient of
+T_1 = G_1, so its rows below the first read
 M(T_1//q), q <= T_1//(E0+1), by one lookup of _util.mertens_quotients(T_1)
 on the array of those q, O(T_1^{2/3}); every other fiber stops at
 G_F <= G_2 (about G_1 / 2.8 at lambda = rho).  The rest of M comes from one
@@ -287,10 +286,10 @@ the float root's upper ends: upper bounds, which at worst add empty rows.
 
 The sums are exact in int64, as the count refuses R >= 2^30.  A weight
 is at most 2 g1 k + 1 <= 2R + 1 and |t_hi//e - (t_lo - 1)//e| <= R + 1, so
-a term is below (2R + 1)(R + 1) < 2^62; the rows come in chunks of 2^14
-(found by a searchsorted in the cumulative row counts of the triples, as
-in _blp21_blocks), each with at most 64 squarefree divisors (g2 k <= 2^18
-has at most six prime factors), so _exact_sum adds fewer than 2^31 terms.
+a term is below (2R + 1)(R + 1) < 2^62; the rows come in parts of 2^14
+(_util.ragged, as in _blp21_blocks), each row with at most 64 squarefree
+divisors (g2 k <= 2^18 has at most six prime factors), so _exact_sum adds
+fewer than 2^31 terms.
 Before any row is built the count refuses more than 2^18 triples, g1 k or
 g2 k past 2^18 (the triples take a few int64 arrays each, the divisor table
 about 0.6 n ln n entries for n up to the largest g2 k, the phi sieve a few
@@ -370,7 +369,7 @@ import numpy as np
 
 from . import geometry, heights
 from ._util import (CapabilityError, as_fraction, floor_frac_root, height_test, jordan_segment,
-                    last_true, mertens_quotients, mu_segment, mu_sieve, refuse_past)
+                    last_true, mertens_quotients, mu_segment, mu_sieve, ragged, refuse_past)
 from .geometry import VarietyModel
 from .heights import RationalPoint
 
@@ -597,13 +596,11 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers: np.ndarray
 
 # The torsor count's box radius stays below _T_LIMIT, so every term of its sum
 # fits int64; the Moebius sum adds its terms below _TERM_LIMIT in int64
-# (_exact_sum); the block pass takes its rows in chunks of _ROW_CHUNK, and
-# the P^n zeta sum its shells in chunks of _WEIGHT_CHUNK.  The memory limits on
-# the Moebius sum's T and the fiber sum's f_max and G_1 follow (module
-# docstring).
+# (_exact_sum); the P^n zeta sum takes its shells in chunks of _WEIGHT_CHUNK.
+# The memory limits on the Moebius sum's T and the fiber sum's f_max and G_1
+# follow (module docstring).
 _T_LIMIT = 2**30
 _TERM_LIMIT = 2**62
-_ROW_CHUNK = 2**14
 _WEIGHT_CHUNK = 2**16
 _PN_T_LIMIT = 2**36
 _FIBER_LIMIT = 2**24
@@ -708,33 +705,25 @@ def _blp21_blocks(T: np.ndarray, G: np.ndarray, w: np.ndarray, e0: int) -> int:
     w_F sum_{E0 < e <= G_F} mu(e) (G_F//e) (T_F//e), one row per quotient
     block of T_F (module docstring).
 
-    The rows of fiber F run over q = T_F//(E0+1) down to T_F//G_F; row r of
-    all fibers finds its fiber by a searchsorted of r in the cumulative row
-    counts, so a chunk of rows may end inside a fiber.  Fiber F = 1 keeps
-    only its first row there: its rows q < T_1//(E0+1) read
-    M(T_1//q) - M(T_1//(q+1)) from mertens_quotients(T_1), so the mu segment
-    runs up to G_2 and that first row's T_1//q alone.
+    The rows of fiber F run over q = T_F//G_F up to T_F//(E0+1), laid out
+    by _util.ragged.  Fiber F = 1 keeps only its row q = T_1//(E0+1) there:
+    its rows below read M(T_1//q) - M(T_1//(q+1)) from
+    mertens_quotients(T_1), so the mu segment runs up to G_2 and that row's
+    T_1//q alone.
     """
     if not len(T):
         return 0
     q_top = T // (e0 + 1)
-    counts = q_top - T // G + 1
-    counts[0] = 1
+    q_low = T // G
+    q_low[0] = q_top[0]
     t_1, q_1 = int(T[0]), int(q_top[0])
     m_q = mertens_quotients(t_1)(np.arange(1, q_1 + 1, dtype=np.int64))
     qs = np.arange(1, q_1, dtype=np.int64)
     s = int(w[0]) * _exact_sum(qs * qs * (m_q[:-1] - m_q[1:]))
-    ends = np.cumsum(counts)
-    # Row r of fiber f has q = q_top[f] - (r - its first row) = q_first[f] - r.
-    q_first = q_top + ends - counts
     mertens = _mertens_lookup(e0, max(int(G[1]) if len(G) > 1 else 0, t_1 // q_1) + 1)
-    total = int(ends[-1])
-    for r0 in range(0, total, _ROW_CHUNK):
-        r = np.arange(r0, min(r0 + _ROW_CHUNK, total), dtype=np.int64)
-        f = np.searchsorted(ends, r, side="right")
-        q = q_first[f] - r
+    for f, q, _, _ in ragged(q_top - q_low + 1, q_low):
         t = T[f]
-        # The block T_F//(q+1) < e <= T_F//q, the first one cut at E0.
+        # The block T_F//(q+1) < e <= T_F//q, cut at E0 for q = T_F//(E0+1).
         lo = np.maximum(t // (q + 1), e0)
         s += _exact_sum(w[f] * q * (q // (f + 1)) * (mertens(t // q) - mertens(lo)))
     return s
@@ -747,22 +736,13 @@ _TORSOR_ROW_LIMIT = 2**27
 _TORSOR_TABLE_LIMIT = 2**18
 
 
-def _ragged(counts: np.ndarray) -> tuple:
-    """(owner, offset) of the entries of rows with counts c_r >= 0, laid
-    out row after row: the row of each entry and its offset 0..c_r - 1."""
-    ends = np.cumsum(counts)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return owner, np.arange(total, dtype=np.int64) - (ends - counts)[owner]
-
-
 def _squarefree_divisors(n_max: int) -> tuple:
     """(start, divs, mu): the squarefree divisors of n = 1, ..., n_max are
     divs[start[n - 1]:start[n]], ascending, and mu is mu(1..n_max) (int8)."""
     mu = mu_segment(1, n_max + 1)
     d = np.flatnonzero(mu) + 1
-    owner, offset = _ragged(n_max // d)
-    n = d[owner] * (offset + 1)
+    owner, j = ragged(n_max // d, 1, whole=True)
+    n = d[owner] * j
     order = np.argsort(n, kind="stable")
     start = np.cumsum(np.bincount(n, minlength=n_max + 1))
     return start, d[owner[order]], mu
@@ -793,14 +773,13 @@ def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: 
     k = np.arange(1, K + 1, dtype=np.int64)
     n_g2 = _float_root(log_b - f_d * np.log(k), e_y, scale, R // k)
     refuse_past(f"{on} the number of pairs (g2, k)", n_g2.sum(), _TORSOR_TABLE_LIMIT, "memory")
-    pair, g2 = _ragged(n_g2)
-    k, g2 = k[pair], g2 + 1
+    pair, g2 = ragged(n_g2, 1, whole=True)
+    k = k[pair]
     log_pair = log_b - e_y * np.log(g2) - f_d * np.log(k)
     n_g1 = _float_root(log_pair.copy(), e_x, scale, R // (g2 * k))
     refuse_past(f"{on} the number of triples (g1, g2, k)", n_g1.sum(), _TORSOR_TABLE_LIMIT,
                 "memory")
-    triple, g1 = _ragged(n_g1)
-    g1 += 1
+    triple, g1 = ragged(n_g1, 1, whole=True)
     keep = np.gcd(g1, g2[triple]) == 1
     g1, triple = g1[keep], triple[keep]
     g2, k, log_pair = g2[triple], k[triple], log_pair[triple]
@@ -810,18 +789,14 @@ def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: 
     # The rows s = g1 k, ..., last: past last, H > B at every y.
     last = _float_root(e_s * np.log(a) + log_pair - e_x * np.log(g1), e_s, scale, R // g2)
     counts = np.maximum(last - a + 1, 0)
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    refuse_past(f"{on} the number of rows (g1, g2, k, |x|)", total, _TORSOR_ROW_LIMIT, "time")
+    refuse_past(f"{on} the number of rows (g1, g2, k, |x|)", int(counts.sum()), _TORSOR_ROW_LIMIT,
+                "time")
     start, divs, mu = _squarefree_divisors(int(n.max()))
     # The plateau weights #{|x| <= g1 k : gcd(x, g1 k) = 1} = 2 phi(g1 k) + [g1 k = 1].
     plateau = 2 * jordan_segment(1, int(a.max()) + 1, 1)[a - 1] + (a == 1)
     bands = _torsor_bands(height_test(m, B), (f_h, f_1, f_2, e_y), log_b, scale, R)
     out = 0
-    for r0 in range(0, total, _ROW_CHUNK):
-        r = np.arange(r0, min(r0 + _ROW_CHUNK, total), dtype=np.int64)
-        f = np.searchsorted(ends, r, side="right")
-        s = a[f] + r - (ends - counts)[f]
+    for f, s, _, _ in ragged(counts, a):
         w = np.where(s == a[f], plateau[f], 2 * (np.gcd(s, a[f]) == 1))
         live = np.flatnonzero(w)
         f, s, w = f[live], s[live], w[live]
@@ -831,8 +806,8 @@ def _torsor_count(model: VarietyModel, lam: Sequence[Fraction], B: Fraction, R: 
         # Each row adds w (2 sum_{e | g2 k} mu(e) (t_hi//e - (t_lo - 1)//e)
         # - [g2 k = 1 and t_lo = 0]).
         lo = start[n[f] - 1]
-        row, offset = _ragged(start[n[f]] - lo)
-        e = divs[lo[row] + offset]
+        row, i = ragged(start[n[f]] - lo, lo, whole=True)
+        e = divs[i]
         terms = w[row] * mu[e - 1] * (t_hi[row] // e - (t_lo[row] - 1) // e)
         out += 2 * _exact_sum(terms) - int(w[(n[f] == 1) & (t_lo == 0)].sum())
     return out

@@ -56,7 +56,8 @@ This module provides several independent routes to these quantities:
   at small and support primes, and closed forms at the remaining good
   primes up to a cutoff; brute primes enter only there.  The trivial
   character (on P2/P3 too) is exact at every prime, one polynomial in 1/p
-  at the good primes when its exponents are integers.
+  at the good primes when its exponents are integers.  The zeta completion
+  of global_fourier still removes each A0 pole twice (ROADMAP).
 
 * zeta_truncated / poisson_check: the two sides of the spectral identity,
   sum over points of bounded height versus sum over characters, each with a

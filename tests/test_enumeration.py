@@ -1152,6 +1152,22 @@ def test_blp21_blocks_at_their_edges(lam):
             (lam, B)
 
 
+@pytest.mark.parametrize("model, lam, B", [
+    # The blocks past E0 span 39 fibers in 1772 rows at rho, 99 fibers in
+    # 4852 rows at (1, 1); the torsor plans 406, 10661 and 4386 rows.
+    (BLP21, BLP21.rho, 10**8), (BLP21, (1, 1), 10**4),
+    (BLP22, BLP22.rho, 400), (BLP22, BLP22.rho, 10**4), (BLP22, (2, 3, 1), 1000),
+], ids=["BlP2-1-rho", "BlP2-1-(1,1)", "BlP2-2-rho-400", "BlP2-2-rho-1e4", "BlP2-2-(2,3,1)"])
+def test_ragged_readers_in_small_chunks(monkeypatch, model, lam, B):
+    # BlP2-1's quotient blocks and BlP2-2's torsor rows come from
+    # _util.ragged in parts of _util._CHUNK rows: parts of 1, 3 and 100
+    # rows end inside fibers and triples, at their ends and past empty ones.
+    want = enumeration.count_points(model, lam, B)
+    for chunk in (1, 3, 100):
+        monkeypatch.setattr(_util, "_CHUNK", chunk)
+        assert enumeration.count_points(model, lam, B) == want, chunk
+
+
 @pytest.mark.parametrize("B", [1, 2, 7, 100, 1000, 12345, 10**6])
 def test_blp21_at_hyperplane_class_counts_p2(B):
     # At lambda = (1, 1) the height of BlP2-1 is the pull-back of P2's, and

@@ -320,6 +320,20 @@ def test_one_float_root_in_enumeration():
     assert callers == ["_float_root"]
 
 
+def test_one_ragged_layout():
+    # The Mertens table's passes, BlP2-1's quotient blocks and BlP2-2's
+    # torsor rows are all laid out row after row by one function: exactly
+    # one function of the package calls np.repeat, _util.ragged (its part
+    # builder is nested in it).
+    callers = sorted(f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+                     for fn in ast.parse(path.read_text()).body
+                     if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "repeat" and _used_names(node.func.value) == ["np"])
+    assert callers == ["_util.ragged"]
+
+
 def _functions(module: str) -> dict:
     """name -> FunctionDef node of every function defined in a module."""
     tree = ast.parse((SRC / f"{module}.py").read_text())

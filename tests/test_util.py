@@ -94,3 +94,48 @@ def test_primes_upto_matches_bytearray_sieve(ns):
 def test_primes_upto_small_n(n):
     assert _util.primes_upto(n) == ([2] if n == 2 else [])
     assert _util.prime_sieve(n).dtype == np.intp
+
+
+def ragged_loop(counts: list, base) -> list:
+    """The (row, x) of every entry of the rows, by a loop over the rows:
+    x = base_r + the entry's offset in row r."""
+    bases = np.broadcast_to(base, len(counts)).tolist()
+    return [(r, b + i) for r, (c, b) in enumerate(zip(counts, bases)) for i in range(c)]
+
+
+RAGGED_COUNTS = {
+    "no rows": [],
+    "all zero": [0, 0, 0],
+    "zero rows first, in the middle and last": [0, 0, 3, 0, 1, 5, 0, 0, 2, 7, 0, 1, 0, 0],
+    "one row": [11],
+}
+
+
+@pytest.mark.parametrize("counts", RAGGED_COUNTS.values(), ids=RAGGED_COUNTS)
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar base", "per-row base"])
+@pytest.mark.parametrize("size", [1, 3, 7, "total"])
+def test_ragged_parts_match_loop(monkeypatch, counts, per_row, size):
+    base = 10 * np.arange(len(counts), dtype=np.int64) - 4 if per_row else 5
+    want = ragged_loop(counts, base)
+    monkeypatch.setattr(_util, "_CHUNK", max(len(want), 1) if size == "total" else size)
+    got, sizes = [], []
+    for row, x, r0, r1 in _util.ragged(np.array(counts, dtype=np.int64), base):
+        assert row.dtype == x.dtype == np.int64
+        # The rows the part meets, the first and last with an entry in it.
+        assert (r0, r1) == (row[0], row[-1] + 1)
+        got += zip(row.tolist(), x.tolist())
+        sizes.append(len(row))
+    assert got == want
+    chunk = _util._CHUNK
+    assert sizes == [min(chunk, len(want) - a) for a in range(0, len(want), chunk)]
+
+
+@pytest.mark.parametrize("counts", RAGGED_COUNTS.values(), ids=RAGGED_COUNTS)
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar base", "per-row base"])
+def test_ragged_whole_layout_matches_loop(monkeypatch, counts, per_row):
+    # The whole layout is one part whatever _CHUNK is.
+    monkeypatch.setattr(_util, "_CHUNK", 1)
+    base = 10 * np.arange(len(counts), dtype=np.int64) - 4 if per_row else 5
+    row, x = _util.ragged(np.array(counts, dtype=np.int64), base, whole=True)
+    assert row.dtype == x.dtype == np.int64
+    assert list(zip(row.tolist(), x.tolist())) == ragged_loop(counts, base)
