@@ -982,13 +982,15 @@ def _checked_s(model: VarietyModel, a, s) -> tuple:
     return a, s, beta
 
 
-def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
+def _pn_characters(model: VarietyModel, sigma: Fraction, rows, tates=None) -> tuple:
     """(values, error_bounds, arch values) of global_fourier on P^n, float
     arrays, at the integral characters a in the rows of an (N, n) int64
     array and a sigma = s_D1 that _checked_s has passed (the formula is in
     global_fourier).  Tate_p (tamagawa._tate_factor, whose cone check on
     P^n is the kind, one lookup for every prime) enters at k = v_p(gcd a),
-    p ascending.  As in _util.jordan_segment the primes p <= sqrt(max gcd) are
+    p ascending, and is kept in tates under (p, k): a caller that hands
+    several chunks of characters one dict (_character_side) computes each
+    factor once.  As in _util.jordan_segment the primes p <= sqrt(max gcd) are
     divided out of the gcds in turn, each by one np.gcd with p^K, the
     largest power of p at most the largest gcd it divides, whose power p^k
     is looked up in [p, ..., p^K]; what is left is 1 or one larger prime
@@ -1006,9 +1008,13 @@ def _pn_characters(model: VarietyModel, sigma: Fraction, rows) -> tuple:
     if not g.all():
         finite[g == 0] *= zeta(float(1 + sigma - model.rho[0]))
 
+    tates = {} if tates is None else tates
+
     def tate(p: int, k: int) -> float:
-        num, den = tamagawa._tate_factor(model, p, k, sigma)
-        return num / den / (1.0 - float(p) ** (-sig))
+        if (p, k) not in tates:
+            num, den = tamagawa._tate_factor(model, p, k, sigma)
+            tates[p, k] = num / den / (1.0 - float(p) ** (-sig))
+        return tates[p, k]
 
     # int32 where it holds the gcds: NumPy's division by a scalar p is
     # faster there, and rest // p * p == rest is the test of p | rest.
@@ -1255,12 +1261,14 @@ _CHARACTER_LIMIT = 2**22
 
 def _character_side(model: VarietyModel, sigma: Fraction, a_cut: int) -> tuple:
     """(Hhat(psi_0) + 2 sum_{a=1}^{a_cut} Re Hhat(psi_a), its error bound, the
-    finite part K of Hhat(psi_0)) on P1 at s_D = sigma, in chunks of characters."""
+    finite part K of Hhat(psi_0)) on P1 at s_D = sigma, in chunks of characters
+    that share one dict of Tate factors."""
     refuse_past("poisson check: the number of characters a = 0..a_cut", a_cut + 1,
                 _CHARACTER_LIMIT, "time")
+    tates: dict = {}
     for lo in range(0, a_cut + 1, _CHARACTER_CHUNK):
         values, bounds, arch = (x.tolist() for x in _pn_characters(model, sigma, np.arange(
-            lo, min(lo + _CHARACTER_CHUNK, a_cut + 1), dtype=np.int64)[:, None]))
+            lo, min(lo + _CHARACTER_CHUNK, a_cut + 1), dtype=np.int64)[:, None], tates))
         if lo == 0:
             rhs, err = values.pop(0), bounds.pop(0)
             finite_k = abs(rhs) / max(arch[0], 1e-30)

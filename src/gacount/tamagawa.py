@@ -27,10 +27,11 @@ g(u) = prod_k (1 - u^k)^{e_k} * (1 + h(u)) with h(u) = O(u^6).  For P^n the
 peel is exact with g = 1 - u^{n+1} (the product telescopes to 1/zeta(n+1)),
 for BlP2-1 it is (1 - u^2)^2, and for BlP2-2/3 the residual h is an explicit
 rational function with |h(1/p)| <= C_h p^{-6} for p >= 5, where C_h is
-computed rigorously from the coefficients of h's numerator.  The reported
-Euler product multiplies the exact factors for p <= P_max by the
-zeta-completion of the peeled shapes over p > P_max and bounds the omitted
-prod (1 + h_p) by exp(sum |h_p|) - 1 <= exp(C_h P_max^{-5} / 5 * margin) - 1.
+proved from the exact coefficients of h's numerator up to degree _PEEL_CAP
+plus a majorant of those past it (_peel_data).  The reported Euler product
+multiplies the exact factors for p <= P_max by the zeta-completion of the
+peeled shapes over p > P_max and bounds the omitted prod (1 + h_p) by
+exp(sum |h_p|) - 1 <= exp(C_h P_max^{-5} / 5 * margin) - 1.
 
 The primes 2 and 3 enter through exact_local_density, which sums the whole
 untruncated p-adic integral in closed form over valuation cones read off the
@@ -67,6 +68,7 @@ FLOAT_ASSEMBLY_EPS = 1e-12
 # fourier.global_fourier 67 MB (Python 3.11, NumPy 2.4), linear in p_max
 # (README, Limits): the limit keeps a call near 0.7 GB.
 P_MAX_LIMIT = 10**8
+_PEEL_CAP = 64  # _peel_data's passes stop at this degree (its docstring bounds the rest)
 
 
 @dataclass(frozen=True)
@@ -365,18 +367,21 @@ def _local_density(model: VarietyModel, p: int, setup: tuple, a: tuple = ()):
     return total
 
 
-def _mul_binomial(a: Sequence[int], k: int, m: int) -> list:
-    """a(u) * (1 - u^k)^m for an integer polynomial a and m >= 0, in one pass
-    over the m + 1 binomial terms c_j u^{jk}: c_0 = 1 and c_{j+1} =
+def _mul_binomial(a: Sequence[int], k: int, m: int, top: Optional[int] = None) -> list:
+    """a(u) * (1 - u^k)^m mod u^{top+1} (in full when top is None or at least
+    the degree) for an integer polynomial a and m >= 0, in one pass over the
+    binomial terms c_j u^{jk} with jk <= top: c_0 = 1 and c_{j+1} =
     -c_j (m - j)/(j + 1) = (-1)^{j+1} C(m, j+1), an exact integer division.
     The loop over the sparse factor's terms is the outer one, so each term
     adds c_j a into one slice of the output."""
-    width = len(a)
-    out = [0] * (width + k * m)
+    full = len(a) - 1 + k * m
+    top = full if top is None else min(top, full)
+    out = [0] * (top + 1)
     c = 1
-    for j in range(m + 1):
+    for j in range(min(m, top // k) + 1):
         lo = j * k
-        out[lo:lo + width] = [y + c * x for y, x in zip(out[lo:lo + width], a)]
+        hi = min(lo + len(a), top + 1)
+        out[lo:hi] = [y + c * x for y, x in zip(out[lo:hi], a)]
         c = -c * (m - j) // (j + 1)
     return out
 
@@ -439,16 +444,21 @@ def _peel_data(model: VarietyModel, g: Sequence[int]):
     sum_{k | n} k e_k = -c_n.
 
     h = resid / den with num = g prod_{e_k < 0} (1 - u^k)^{-e_k}, den =
-    prod_{e_k > 0} (1 - u^k)^{e_k} and resid = num - den.  Each power
-    (1 - u^k)^{|e_k|} enters num or den as one binomial pass
-    (_mul_binomial; BlP2-3's four powers hold 214 factors 1 - u^k).
-    Integer products are exact in any order, so the polynomials, and with
-    them C_h, do not depend on how they are formed.
-    With top = deg resid, |resid(u)| <= u^{K+1} sum_{m>K} |resid_m|
-    5^{-(m-K-1)} for u <= 1/5, and the sum is the integer
-    sum_{m>K} |resid_m| 5^{top-m} (one Horner pass in 5) over 5^{top-K-1};
-    1/den(u) <= 1/den(1/5) there, since every factor 1 - u^k of den
-    decreases in u.
+    prod_{e_k > 0} (1 - u^k)^{e_k} and resid = num - den.  For u <= 1/5,
+    1/den(u) <= 1/den(1/5) (each factor decreases in u) and |resid(u)| <=
+    u^{K+1} S, S = sum_{m>K} |resid_m| 5^{-(m-K-1)}, so C_h = S / den(1/5).
+    Each (1 - u^k)^{|e_k|} is one _mul_binomial pass cut at top =
+    min(deg, _PEEL_CAP), deg the full degree (774 on BlP2-3, 140 on BlP2-2,
+    below the cap on P^n and BlP2-1); the terms m <= top of S are one
+    Horner pass in 5.  Past the cap, F+ = g+ prod_k (1 + u^k)^{|e_k|}, g+
+    the |g_i|, dominates num and den coefficientwise (the factors each
+    leaves out are >= 0 with constant term 1), so |resid_m| <= 2 [u^m] F+
+    <= 2 F+(1/2) 2^m and the rest of S is at most 2 F+(1/2) 5^{K+1}
+    sum_{m>top} (2/5)^m = 2^{top+2} F+(1/2) / (3 * 5^{top-K-1}).  On
+    BlP2-3, F+(1/2) < 4e5 and S > 800: at _PEEL_CAP = 64 the bound adds
+    under 1e-18 of C_h, and float(C_h) is the full expansion's.  Integer
+    products are exact in any order, so C_h does not depend on how the
+    polynomials are formed.
 
     Nothing is cached: tamagawa_number computes the peel once per call,
     from the g of its Horner pass, and passes C_h on to _euler_tail_bound.
@@ -473,23 +483,28 @@ def _peel_data(model: VarietyModel, g: Sequence[int]):
             raise CapabilityError(f"{model.id}: non-integer peel exponent at k={k}")
         if ek != 0:
             e[k] = ek
-    num = list(g)
+    full = max(len(g) - 1 + sum(-k * ek for k, ek in e.items() if ek < 0),
+               sum(k * ek for k, ek in e.items() if ek > 0))
+    top = min(full, _PEEL_CAP)
+    num = list(g[: top + 1])
     den = [1]
     for k, ek in e.items():
         if ek > 0:
-            den = _mul_binomial(den, k, ek)
+            den = _mul_binomial(den, k, ek, top)
         else:
-            num = _mul_binomial(num, k, -ek)
-    length = max(len(num), len(den))
-    num += [0] * (length - len(num))
-    den += [0] * (length - len(den))
-    resid = [a - b for a, b in zip(num, den)]  # h = resid / den
+            num = _mul_binomial(num, k, -ek, top)
+    num += [0] * (top + 1 - len(num))
+    den += [0] * (top + 1 - len(den))
+    resid = [a - b for a, b in zip(num, den)]  # h = resid / den, mod u^{top+1}
     if any(resid[: K + 1]):
         raise CapabilityError(f"{model.id}: peel left terms of order <= {K}")
-    top = length - 1
     horner = 0
     for v in resid[K + 1:]:
         horner = horner * 5 + abs(v)
+    if full > top:  # F+(1/2) and the majorant of the terms past the cap
+        f_plus = math.prod((Fraction(2**k + 1, 2**k) ** abs(ek) for k, ek in e.items()),
+                           start=sum(Fraction(abs(v), 2**i) for i, v in enumerate(g)))
+        horner += 2 ** (top + 2) * f_plus / 3
     c_num = Fraction(horner, 5 ** max(top - K - 1, 0))
     den_at_u5 = Fraction(1)
     for k, ek in e.items():

@@ -1029,6 +1029,19 @@ def test_poisson_check_in_chunks_of_characters(monkeypatch):
     assert chunked["pass"]
 
 
+def test_poisson_check_computes_each_tate_factor_once(monkeypatch):
+    # The chunks of one poisson_check share their Tate factors: across the
+    # four chunks of a = 0..3 * 2^14 + 5 each (p, k) is one _tate_factor
+    # call (the small primes were redone in every chunk before).
+    calls = []
+    inner = tamagawa._tate_factor
+    monkeypatch.setattr(tamagawa, "_tate_factor",
+                        lambda model, p, k, M: calls.append((p, k)) or inner(model, p, k, M))
+    p1 = geometry.load_model("P1")
+    fourier.poisson_check(p1, (1,), 2.5, 100, 3 * 2**14 + 5)
+    assert len(calls) == len(set(calls)) > 5000
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "generic global_fourier completion removes each A0 pole twice: it "
     "multiplies zeta(b) by prod_{p computed} (1 - p^-b) after peel(p) already "

@@ -368,6 +368,41 @@ def test_one_zeta_completion_body():
         assert len(calls) == 1, name
 
 
+def _is_signed_binomial(node) -> bool:
+    """A signed binomial coefficient of (1 - u^k)^m: the ratio step
+    -c (m - j) // (j + 1), or comb(...) times a power (of -1)."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.FloorDiv):
+        right = node.right
+        return (isinstance(right, ast.BinOp) and isinstance(right.op, ast.Add)
+                and isinstance(right.right, ast.Constant) and right.right.value == 1
+                and any(isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+                        for n in ast.walk(node.left)))
+    sides = (node.left, node.right)
+    return (isinstance(node.op, ast.Mult)
+            and any(isinstance(n, ast.Call) and _used_names(n.func) == ["comb"] for n in sides)
+            and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) for n in sides))
+
+
+def test_one_binomial_expansion():
+    # (1 - u^k)^m is expanded by tamagawa._mul_binomial alone, and every
+    # pass of the zeta peel hands it a degree cap, so no peel expands num
+    # and den in full past _PEEL_CAP.
+    hits = sorted(f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+                  for fn in ast.parse(path.read_text()).body
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(_is_signed_binomial(node) for node in ast.walk(fn)))
+    assert hits == ["tamagawa._mul_binomial"]
+    calls = [node for node in ast.walk(_functions("tamagawa")["_peel_data"])
+             if isinstance(node, ast.Call) and _used_names(node.func) == ["_mul_binomial"]]
+    assert calls
+    for call in calls:
+        cap = call.args[3:] + [kw.value for kw in call.keywords if kw.arg == "top"]
+        assert len(cap) == 1 and not (isinstance(cap[0], ast.Constant)
+                                      and cap[0].value is None), ast.unparse(call)
+
+
 # A limit constant of the package: its name ends in _LIMIT or _BUDGET.
 LIMIT_NAME = re.compile(r"_(LIMIT|BUDGET)$")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -417,7 +418,8 @@ C_H_BLP23 = Fraction(int(
     "4354079989415751511509407332542422871920206178836056276782789103512254140747"
     "21370113"
 ), 2**206 * 3**54 * 5**570 * 13**45)
-# (peeled zeta exponents, float(C_h), C_h), captured from the Fraction peel.
+# (peeled zeta exponents, float(C_h), exact C_h), captured from the full
+# Fraction peel.
 PEEL_PINS = {
     "P1": (((2, 1),), 0.0, 0),
     "P2": (((3, 1),), 0.0, 0),
@@ -428,10 +430,18 @@ PEEL_PINS = {
 }
 
 
+def assert_encloses(c_h, exact):
+    """_peel_data's C_h past the degree cap: a proved upper bound on the
+    exact C_h of the full expansion, above it by at most 2^-50 relative."""
+    assert exact <= c_h <= exact * (1 + Fraction(1, 2**50))
+
+
 def test_peel_data_pins(model):
     g = tamagawa.regularized_factor_poly(model, (1,) * model.rank)
     peeled, c_h = tamagawa._peel_data(model, g)
-    assert (peeled, float(c_h), c_h) == PEEL_PINS[model.id]
+    want_peeled, want_float, exact = PEEL_PINS[model.id]
+    assert (peeled, float(c_h)) == (want_peeled, want_float)
+    assert_encloses(c_h, exact)  # C_h = 0 exactly where the pin is 0
 
 
 def _poly_mul(a, b):
@@ -444,10 +454,9 @@ def _poly_mul(a, b):
     return out
 
 
-def peel_oracle(model, peeled):
-    """(g, C_h) for the peel exponents peeled, with g, num and den built one
-    factor 1 - u^k at a time and C_h's numerator summed term by term: the
-    oracle of the binomial passes and the Horner sum of _peel_data."""
+def factor_oracle(model):
+    """g at beta = (1, ..., 1), from the stratum polynomials one factor
+    1 - u at a time."""
     total = [0] * (model.dim + 1)
     for poly in model.stratum_polys.values():
         for k, c in enumerate(poly):
@@ -455,6 +464,14 @@ def peel_oracle(model, peeled):
     g = list(reversed(total))
     for _ in range(model.rank):
         g = _poly_mul(g, [1, -1])
+    return g
+
+
+def peel_oracle(g, peeled):
+    """The exact C_h for the peel exponents peeled, with num and den
+    expanded in full one factor 1 - u^k at a time and C_h's numerator
+    summed term by term: the oracle of the capped binomial passes, the
+    Horner sum and the majorant tail of _peel_data."""
     num, den = list(g), [1]
     for k, ek in peeled:
         base = [1] + [0] * (k - 1) + [-1]
@@ -475,15 +492,42 @@ def peel_oracle(model, peeled):
         5 ** max(top - K - 1, 0),
     )
     den_at_u5 = math.prod((1 - Fraction(1, 5**k)) ** ek for k, ek in peeled if ek > 0)
-    return g, c_num / den_at_u5
+    return c_num / den_at_u5
 
 
 def test_peel_data_matches_factor_by_factor_oracle(model):
     peeled, _, c_h = PEEL_PINS[model.id]
-    g, want = peel_oracle(model, peeled)
+    g = factor_oracle(model)
+    want = peel_oracle(g, peeled)
     assert tamagawa.regularized_factor_poly(model, (1,) * model.rank) == g
-    assert tamagawa._peel_data(model, g) == (peeled, want)
+    got_peeled, got = tamagawa._peel_data(model, g)
+    assert got_peeled == peeled
+    assert_encloses(got, want)
     assert want == c_h
+
+
+def test_peel_data_caps_larger_exponents(monkeypatch):
+    # Any integer g = 1 + O(u^2) peels to integer exponents; this one's
+    # (2, 12), (3, -20), (4, 36), (5, -190) expand num to degree 1016 (774
+    # on BlP2-3), yet no pass goes past the cap, and the majorant tail keeps
+    # C_h inside the enclosure of the full expansion.
+    g = [1, 0, -12, 20, 30, -50, 9]
+    degrees = []
+    inner = tamagawa._mul_binomial
+
+    def recorded(*args):
+        out = inner(*args)
+        degrees.append(len(out) - 1)
+        return out
+
+    monkeypatch.setattr(tamagawa, "_mul_binomial", recorded)
+    start = time.perf_counter()
+    peeled, c_h = tamagawa._peel_data(geometry.load_model("BlP2-3"), g)
+    elapsed = time.perf_counter() - start
+    assert peeled == ((2, 12), (3, -20), (4, 36), (5, -190))
+    assert max(degrees) <= tamagawa._PEEL_CAP
+    assert elapsed < 0.1  # about 0.4 ms; the full expansion takes 2 ms
+    assert_encloses(c_h, peel_oracle(g, peeled))
 
 
 # g at beta = (1, ..., 1), the polynomial tamagawa_number evaluates.
@@ -521,6 +565,11 @@ def test_mul_binomial_matches_repeated_products(k, m):
     for _ in range(m):
         want = _poly_mul(want, [1] + [0] * (k - 1) + [-1])
     assert tamagawa._mul_binomial(a, k, m) == want
+    # Cut at degree top: the first top + 1 coefficients, for top below, at
+    # and past the full degree.
+    full = len(want) - 1
+    for top in sorted({0, 1, k, full // 2, full - 1, full, full + 1, full + 7}):
+        assert tamagawa._mul_binomial(a, k, m, top) == want[: top + 1], top
 
 
 def _regularized_factor(model, p):
