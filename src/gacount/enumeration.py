@@ -93,11 +93,15 @@ counted has G_F >= 1), and G_F is nonincreasing in F (m_H, lambda_D > 0):
 for each e the fibers with G_F >= e form a prefix of 1, ..., f_max.  T_F is
 monotone in F, nonincreasing when m_F >= 0 and nondecreasing otherwise.
 
-The pairs (F, e) with e <= G_F are split at E0, the smallest e with
-#{F : G_F > e} <= e; E0 is about B^{1/5} at lambda = rho (G_F ~
-sqrt(B / F^3)) and sqrt(B) at (1, 1).  For e <= E0 one NumPy pass per e
-runs over the prefix of fibers with G_F >= e, with mu from
-_util.mu_sieve(E0).  The e > E0 lie in the at most E0 fibers with
+The central fiber.  Lemma.  F = 1 holds 3 N_P1(T_1) points, N_P1 the
+Moebius sum _pn_count(1, T_1).  Proof.  Its three fibers y = 0, 1, -1 each
+carry the primitive (g, X), g >= 1, with h_F = 1, h_H = max(g, |X|) <= T_1.
+
+The pairs (F, e), F >= 2, with e <= G_F are split at E0, the smallest e with
+#{F >= 2 : G_F > e} <= e (0 when f_max = 1); E0 is about B^{1/5} at
+lambda = rho (G_F ~ sqrt(B / F^3)) and sqrt(B) at (1, 1).  For e <= E0 one
+NumPy pass per e runs over the prefix of fibers F >= 2 with G_F >= e, with
+mu from _util.mu_sieve(E0).  The e > E0 lie in the at most E0 fibers with
 G_F > E0, and there the sum runs over the quotient blocks of T_F
 (_blp21_blocks).  G_F//e = (T_F//e)//F, as both are floor(T_F / (F e)), so
 on the block T_F//(q+1) < e <= T_F//q, where T_F//e = q, the terms add up to
@@ -107,50 +111,45 @@ on the block T_F//(q+1) < e <= T_F//q, where T_F//e = q, the terms add up to
 with M the Mertens function.  q runs from T_F//(E0+1), whose block is cut
 to start after E0, down to T_F//G_F, whose block ends at G_F: G_F = T_F//F
 is itself a quotient of T_F, so T_F//(T_F//G_F) = G_F.  That is about
-T_F / E0 rows per fiber: 50k rows in all for the 800k pairs at
+T_F / E0 rows per fiber: 33k rows in all for the 500k pairs at
 lambda = rho, B = 1e11, laid out by _util.ragged in parts of 2^14, so a
-part may end inside a fiber.  Every block end of F = 1 is a quotient of
-T_1 = G_1, so its rows below the first read
-M(T_1//q), q <= T_1//(E0+1), by one lookup of _util.mertens_quotients(T_1)
-on the array of those q, O(T_1^{2/3}); every other fiber stops at
-G_F <= G_2 (about G_1 / 2.8 at lambda = rho).  The rest of M comes from one
-int8 mu_segment over E0 <= e <= max(G_2, T_1//(T_1//(E0+1))), the end of the
-first row of F = 1, each cell of 127 values overwritten by its running sums,
-which int8 holds, with an int64 sum before each cell (_mertens_lookup).
+part may end inside a fiber.  Every block end lies in [E0, G_2], so M
+comes from one int8 mu_segment over E0 <= e <= G_2, each cell of 127
+values overwritten by its running sums, which int8 holds, with an int64
+sum before each cell (_mertens_lookup).
 
-The sums are exact in int64.  Every T_F is at most max(G_1, f_max) <= 2^27
-under the memory guards below: when m_F >= 0, T_F <= T_1 = G_1; when
-m_F < 0, T_F <= T_{f_max} <= f_max, as M^{m_H} <= B f_max^{-m_F}
-< (f_max + 1)^{lambda_D} f_max^{m_H - lambda_D} < (f_max + 1)^{m_H}
-(lambda_D < m_H) gives M < f_max + 1.  And w_F <= 4F.  A term of the
-per-e passes is |w_F mu(e) (G_F//e) (T_F//e)| <= 4F (T_F / F) T_F
-= 4 T_F^2 < 2^62.  A block of q holds at most T_F//q - T_F//(q+1)
-<= T_F / (q (q+1)) + 1 values of e, which bounds its mu-sum, so its term is
-below 4F q (q/F) (T_F / q^2 + 1) = 4 (T_F + q^2): at most 8 T_F when
-q^2 <= T_F, and in any case below 4 T_F + T_F^2 < 2^62, since
-q <= T_F / (E0 + 1) <= T_F / 2 (E0 >= 1).  Each partial product is at most
-its term.  The rows of F = 1 read from the Mertens table are these terms
-without the factor w_1 = 3, which multiplies their exact sum as a Python
-int.  Every pass has fewer than 2^31 terms (at most 2^14 rows, f_max <=
-T_{f_max} fibers, since G_{f_max} >= 1, or T_1 rows of F = 1), and
-_exact_sum adds their high and low 32-bit halves apart: under 2^31 * 2^30
-and 2^31 * 2^32, both inside int64.  The weights sum to less than
-2 f_max^2 < 2^62.
+The sums are exact in int64.  Every T_F, F >= 2, is at most
+max(T_2, f_max) <= 2^28 + 1 under the memory guards below: when m_F >= 0,
+T_F <= T_2 <= 2 G_2 + 1; when m_F < 0, T_F <= T_{f_max} <= f_max, as
+M^{m_H} <= B f_max^{-m_F} < (f_max + 1)^{lambda_D} f_max^{m_H - lambda_D}
+< (f_max + 1)^{m_H} (lambda_D < m_H) gives M < f_max + 1.  And w_F <= 4F.
+A term of the per-e passes is |w_F mu(e) (G_F//e) (T_F//e)|
+<= 4F (T_F / F) T_F = 4 T_F^2 < 2^62.  A block of q holds at most
+T_F//q - T_F//(q+1) <= T_F / (q (q+1)) + 1 values of e, which bounds its
+mu-sum, so its term is below 4F q (q/F) (T_F / q^2 + 1) = 4 (T_F + q^2):
+at most 8 T_F when q^2 <= T_F, and in any case below 4 T_F + T_F^2 < 2^62,
+since q <= T_F / (E0 + 1) <= T_F / 2 (E0 >= 1 where a fiber F >= 2 is).
+Each partial product is at most its term.  Every pass has fewer than 2^31
+terms (at most 2^14 rows, or f_max <= T_{f_max} fibers, since
+G_{f_max} >= 1), and _exact_sum adds their high and low 32-bit halves
+apart: under 2^31 * 2^30 and 2^31 * 2^32, both inside int64.  The weights
+sum to less than 2 f_max^2 < 2^62.  The central fiber's sum is exact under
+the Moebius sum's own T_1 <= 2^36, and its factor 3 a Python int product.
 
 Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, and
 the float estimate of T_F two float64 arrays more while it is built; the
-mu segment takes 5 bytes per e in its range, at most [E0, G_1], while it is
-sieved (an int32 product of its small primes, _util) and 1 + 8/127 after;
-the Mertens table of T_1 an int64 M(v) per v <= T_1^{2/3}, and its lookup
-8 bytes per q <= T_1//(E0+1); each chunk of rows a few int64 arrays of 2^14
-entries.  No array runs over the pairs or the rows, or over the e <= G_1 in
-int64, so the sieve sets the peak (1.61 MB traced at lambda = rho, B = 1e11
-with Python 3.11 and NumPy 2.4; 1.87 MB with the segment up to G_1, 2.05 MB
-for the per-fiber loop over e that the blocks replace).  At large f_max or
-G_1 the per-e passes over the fibers (48 bytes a fiber: 474 MB at (1, 1),
-B = 1e7) or the segment (at most 5 G_1 bytes: 488 MB at G_1 = 10^8) set it,
-so before any table is built the fiber sum refuses f_max > 2^24 and
-G_1 = T_1 > 2^27, about 0.7 GB each.
+central fiber's Mertens table of T_1 (at most 153 MB at T_1 = 2^36, above)
+is freed, as _pn_count returns, before the mu segment is sieved, so the two
+are never held at once; the segment takes 5 bytes per e in [E0, G_2] while
+it is sieved (an int32 product of its small primes, _util) and 1 + 8/127
+after; each chunk of rows a few int64 arrays of 2^14 entries.  No array
+runs over the pairs or the rows, or over the e <= G_2 in int64, so the
+sieve sets the peak (1.42 MB traced at lambda = rho, B = 1e11 with Python
+3.11 and NumPy 2.4).  At large f_max or G_2 the per-e passes over the
+fibers (48 bytes a fiber: 474 MB at (1, 1), B = 1e7) or the segment (at
+most 5 G_2 bytes: a peak RSS of 582 MB at rho, B = 1e17, G_2 = 111803398)
+set it, so before any table is built the fiber sum refuses f_max > 2^24 and
+G_2 > 2^27, about 0.7 GB each, and T_1 > 2^36, the Moebius sum's limit.
 
 BlP2-3 (box strategy), and the zeta sums of BlP2-2 and BlP2-3.  All
 primitive vectors with h_std = max(Z, |X|, |Y|) <= R are scanned and
@@ -597,8 +596,8 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers: np.ndarray
 # The torsor count's box radius stays below _T_LIMIT, so every term of its sum
 # fits int64; the Moebius sum adds its terms below _TERM_LIMIT in int64
 # (_exact_sum); the P^n zeta sum takes its shells in chunks of _WEIGHT_CHUNK.
-# The memory limits on the Moebius sum's T and the fiber sum's f_max and G_1
-# follow (module docstring).
+# The memory limits on the Moebius sum's T (and BlP2-1's T_1) and the fiber
+# sum's f_max and G_2 follow (module docstring).
 _T_LIMIT = 2**30
 _TERM_LIMIT = 2**62
 _WEIGHT_CHUNK = 2**16
@@ -644,25 +643,32 @@ def _blp21_fibers(lam: Sequence[Fraction], B: Fraction, f_max: int) -> tuple:
     count and the zeta sum both read.
 
     Raises:
-        CapabilityError: if f_max passes 2^24 or G_1 = T_1 passes 2^27
-            (memory), before any table.  Under both every T_F is at most
-            2^27, inside int64 (module docstring).
+        CapabilityError: if f_max passes 2^24, T_1 passes 2^36 (the central
+            fiber's Moebius sum) or G_2 passes 2^27 (the mu segment of the
+            fibers F >= 2), all memory, before any table.  Under them every
+            T_F, F >= 2, is at most max(T_2, f_max) <= 2^28 + 1, inside
+            int64 (module docstring).
     """
     refuse_past("fiber sum on BlP2-1: the number of fibers f_max", f_max, _FIBER_LIMIT, "memory")
-    refuse_past("fiber sum on BlP2-1: G_1", height_radius(B, lam[1]), _SEGMENT_LIMIT, "memory")
+    refuse_past("fiber sum on BlP2-1: T_1", height_radius(B, lam[1]), _PN_T_LIMIT, "memory")
+    t_2 = int(_blp21_fiber_bounds(lam, B, np.array([2], dtype=np.int64))[0])
+    refuse_past("fiber sum on BlP2-1: G_2", t_2 // 2, _SEGMENT_LIMIT, "memory")
     fibers = np.arange(1, f_max + 1, dtype=np.int64)
     T = _blp21_fiber_bounds(lam, B, fibers)
     return T, T // fibers, _fiber_weights(1, 1, f_max + 1)
 
 
 def _blp21_count(T: np.ndarray, G: np.ndarray, w: np.ndarray) -> int:
-    """The fiber sum over the fiber table of _blp21_fibers, split at E0
-    (module docstring)."""
-    # G is nonincreasing, so #{F : G_F > e} <= e first holds at the first
-    # index e with G[e] <= e; 1 <= e0 <= G_1.
+    """The fiber sum over the fiber table of _blp21_fibers: the central
+    fiber F = 1 by P1's Moebius sum, the fibers F >= 2 split at E0 (module
+    docstring)."""
+    central = 3 * _pn_count(1, int(T[0]))
+    T, G, w = T[1:], G[1:], w[1:]
+    # G is nonincreasing, so #{F >= 2 : G_F > e} <= e first holds at the
+    # first index e with G[e] <= e; e0 <= G_2, and e0 = 0 without fibers.
     drops = np.flatnonzero(G <= np.arange(len(G)))
     e0 = int(drops[0]) if len(drops) else len(G)
-    # prefix[e - 1] = #{F : G_F >= e} for e = 1, ..., e0 + 1.
+    # prefix[e - 1] = #{F >= 2 : G_F >= e} for e = 1, ..., e0 + 1.
     prefix = (len(G) - np.searchsorted(G[::-1], np.arange(1, e0 + 2))).tolist()
     s = 0
     for e, mu_e in enumerate(mu_sieve(e0)[1:], start=1):
@@ -670,7 +676,7 @@ def _blp21_count(T: np.ndarray, G: np.ndarray, w: np.ndarray) -> int:
             k = prefix[e - 1]
             s += mu_e * _exact_sum(w[:k] * (G[:k] // e) * (T[:k] // e))
     k = prefix[e0]
-    return int(w.sum()) + 2 * (s + _blp21_blocks(T[:k], G[:k], w[:k], e0))
+    return central + int(w.sum()) + 2 * (s + _blp21_blocks(T[:k], G[:k], w[:k], e0))
 
 
 # _mertens_lookup keeps running sums of mu within cells of _MERTENS_CELL
@@ -701,31 +707,23 @@ def _mertens_lookup(a: int, b: int):
 
 
 def _blp21_blocks(T: np.ndarray, G: np.ndarray, w: np.ndarray, e0: int) -> int:
-    """sum over the fibers F = 1, ..., len(T), each with G_F > E0 = e0, of
-    w_F sum_{E0 < e <= G_F} mu(e) (G_F//e) (T_F//e), one row per quotient
-    block of T_F (module docstring).
+    """sum over the fibers F = 2, ..., len(T) + 1, each with G_F > E0 = e0,
+    of w_F sum_{E0 < e <= G_F} mu(e) (G_F//e) (T_F//e), one row per
+    quotient block of T_F (module docstring).
 
     The rows of fiber F run over q = T_F//G_F up to T_F//(E0+1), laid out
-    by _util.ragged.  Fiber F = 1 keeps only its row q = T_1//(E0+1) there:
-    its rows below read M(T_1//q) - M(T_1//(q+1)) from
-    mertens_quotients(T_1), so the mu segment runs up to G_2 and that row's
-    T_1//q alone.
+    by _util.ragged; they read M from one mu segment over [E0, G_2].
     """
     if not len(T):
         return 0
-    q_top = T // (e0 + 1)
-    q_low = T // G
-    q_low[0] = q_top[0]
-    t_1, q_1 = int(T[0]), int(q_top[0])
-    m_q = mertens_quotients(t_1)(np.arange(1, q_1 + 1, dtype=np.int64))
-    qs = np.arange(1, q_1, dtype=np.int64)
-    s = int(w[0]) * _exact_sum(qs * qs * (m_q[:-1] - m_q[1:]))
-    mertens = _mertens_lookup(e0, max(int(G[1]) if len(G) > 1 else 0, t_1 // q_1) + 1)
+    q_low, q_top = T // G, T // (e0 + 1)
+    mertens = _mertens_lookup(e0, int(G[0]) + 1)
+    s = 0
     for f, q, _, _ in ragged(q_top - q_low + 1, q_low):
         t = T[f]
         # The block T_F//(q+1) < e <= T_F//q, cut at E0 for q = T_F//(E0+1).
         lo = np.maximum(t // (q + 1), e0)
-        s += _exact_sum(w[f] * q * (q // (f + 1)) * (mertens(t // q) - mertens(lo)))
+        s += _exact_sum(w[f] * q * (q // (f + 2)) * (mertens(t // q) - mertens(lo)))
     return s
 
 
@@ -1026,8 +1024,10 @@ def _blp21_zeta_partial(lam, s: float, T: np.ndarray, G: np.ndarray, w: np.ndarr
     Raises:
         CapabilityError: if sum_F G_F T_F passes 2^25, before the loop.
     """
+    # G_1 T_1 = T_1^2 may pass int64 (T_1 <= 2^36); the other G_F T_F stay
+    # below 2^56 (module docstring).
     refuse_past("zeta sum on BlP2-1: the number of steps of its loop over (g, X)",
-                _exact_sum(G * T), _ZETA_STEP_LIMIT, "time")
+                int(G[0]) * int(T[0]) + _exact_sum(G[1:] * T[1:]), _ZETA_STEP_LIMIT, "time")
     phi = [0, *jordan_segment(1, int(G[0]) + 1, 1).tolist()]
     m_h, m_f = lam[1], lam[0] - lam[1]
     c_h = float(m_h) * s

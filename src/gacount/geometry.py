@@ -93,6 +93,7 @@ class VarietyModel:
     generators: tuple[GeneratorSystem, ...]
     pic_to_gen: tuple[tuple[int, ...], ...]
     centers: tuple[tuple[int, int], ...]
+    # Stratum -> #D_A^o(F_p) as a tuple of ascending coefficients in p.
     stratum_polys: dict = field(hash=False)
     # Indices (i, j) of two boundary components whose heights can each dip
     # below 1 while H_i * H_j >= 1; the sound box of the box scan then widens
@@ -129,11 +130,6 @@ class DivisorData(NamedTuple):
     a0: tuple[str, ...]  # components with d_alpha = 0
 
 
-def _poly(*coeffs: int) -> tuple[int, ...]:
-    """Polynomial in p as ascending coefficient tuple."""
-    return tuple(coeffs)
-
-
 def _eval_poly(coeffs: Sequence[int], p: int) -> int:
     return sum(c * p**k for k, c in enumerate(coeffs))
 
@@ -143,8 +139,8 @@ def _projective_space(n: int) -> VarietyModel:
         tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n + 1)
     )
     strata = {
-        frozenset(): _poly(*([0] * n + [1])),           # open orbit: p^n
-        frozenset({"D1"}): _poly(*([1] * n)),           # P^(n-1): 1+p+...+p^(n-1)
+        frozenset(): (0,) * n + (1,),           # open orbit: p^n
+        frozenset({"D1"}): (1,) * n,            # P^(n-1): 1+p+...+p^(n-1)
     }
     return VarietyModel(
         id=f"P{n}",
@@ -180,10 +176,10 @@ def _blowup(centers: tuple) -> VarietyModel:
     e_rows = tuple(
         (1,) + tuple(-1 if j == i else 0 for j in range(r)) for i in range(r)
     )
-    strata = {frozenset(): _poly(0, 0, 1), frozenset({"D1"}): _poly(1 - r, 1)}
+    strata = {frozenset(): (0, 0, 1), frozenset({"D1"}): (1 - r, 1)}
     for i in range(1, r + 1):
-        strata[frozenset({f"E{i}"})] = _poly(0, 1)
-        strata[frozenset({"D1", f"E{i}"})] = _poly(1)
+        strata[frozenset({f"E{i}"})] = (0, 1)
+        strata[frozenset({"D1", f"E{i}"})] = (1,)
     return VarietyModel(
         id=f"BlP2-{r}",
         dim=2,

@@ -101,7 +101,8 @@ def test_count_p1_at_1e16(capsys, tmp_path):
 
 
 def test_count_blp21_at_1e13(capsys, tmp_path):
-    # G_1 = T_1 = 3162277 on BlP2-1 at rho: the fiber sum split at E0.
+    # T_1 = 3162277 on BlP2-1 at rho: the central fiber by P1's Moebius
+    # sum, the fibers F >= 2 split at E0.
     report_path = tmp_path / "count.json"
     code, _, _ = run(capsys, "count", "--model", "BlP2-1", "--bound", "1e13",
                      "--json", str(report_path))
@@ -134,6 +135,8 @@ def test_bound_past_float_range_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("--model", "P1", "--bound", "1e25"),
     ("--model", "BlP2-1", "--lambda", "1,1", "--bound", "1e8"),
+    ("--model", "BlP2-1", "--bound", "2e17"),
+    ("--model", "BlP2-1", "--lambda", "10,1", "--bound", "1e11"),
 ])
 def test_count_past_memory_limit_is_capability_error(capsys, monkeypatch, argv):
     # Refused before the mu sieve or the fiber table is allocated.

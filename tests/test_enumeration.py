@@ -1022,15 +1022,15 @@ BLP21_DIRECT_PINS = {
 BENCH_BLP21 = ((BLP21.rho, 10**11, 2742692922465), ((1, 1), 10**4, 3327909391497))
 
 
-def blp21_direct(lam, B):
-    """The fiber sum by a loop over every e <= G_F in every fiber, with T_F
-    from Fraction powers: the oracle of the split sum."""
+def blp21_direct(lam, B, first=1):
+    """The fiber sum by a loop over every e <= G_F in every fiber F >= first,
+    with T_F from Fraction powers: the oracle of the split sum."""
     f_max = enumeration.height_radius(B, lam[0])
-    if f_max < 1:
+    if f_max < first:
         return 0
     phi = [0, *_util.jordan_segment(1, f_max + 1, 1).tolist()]
     rows = []
-    for F in range(1, f_max + 1):
+    for F in range(first, f_max + 1):
         t = blp21_fiber_bound_fractions(lam, B, F)
         rows.append((F, t, t // F))
     mu = mu_sieve(max(g for _, _, g in rows))
@@ -1054,6 +1054,32 @@ def test_blp21_count_matches_direct_loop(lam):
         else:
             want = blp21_direct(vals, exact)
         assert enumeration.count_points(BLP21, lam, B) == want, (lam, B)
+
+
+def blp21_central_direct(lam, B):
+    """The points of BlP2-1's three central fibers y = 0, 1, -1 (F = 1) by a
+    loop over their (g, X), g >= 1 and gcd(g, X) = 1: the heights are
+    h_H = max(g, |X|) and h_F = 1, so H <= B iff max(g, |X|) <= t, the
+    largest t that the exact height test lets through."""
+    leq = _util.height_test(geometry.generator_exponents(BLP21, lam), B)
+    t = 0
+    while leq((t + 1, 1)):
+        t += 1
+    xs = np.arange(-t, t + 1)
+    return 3 * sum(int((np.gcd(xs, g) == 1).sum()) for g in range(1, t + 1))
+
+
+@pytest.mark.parametrize("lam", BLP21_LAMBDAS[:4], ids=lambda lam: ",".join(map(str, lam)))
+def test_blp21_central_fiber_is_p1(lam):
+    # The central fiber F = 1 holds 3 N_P1(T_1) points, T_1 at lambda_E; the
+    # rest of the count is the fibers F >= 2.  m_F > 0 at rho and (7/2, 2),
+    # = 0 at (1, 1) and < 0 at (2, 3).
+    vals = geometry.require_interior(BLP21, lam)
+    for B in (1, 2, 100, 4999):
+        central = blp21_central_direct(vals, Fraction(B))
+        assert central == 3 * enumeration.count_points(P1, (vals[1],), B), (lam, B)
+        assert (enumeration.count_points(BLP21, lam, B) - central
+                == blp21_direct(vals, Fraction(B), first=2)), (lam, B)
 
 
 def test_blp21_count_bench_pins():
@@ -1086,12 +1112,21 @@ def test_blp21_zeta_and_count_pins():
 
 
 def test_blp21_zeta_refused_with_the_count():
-    # The zeta sum reads the fiber table the count reads, so it is refused
-    # by the count's guard (G_1 = 316227766 > 2^27) before its loop starts.
-    t0 = time.perf_counter()
-    with pytest.raises(CapabilityError, match="G_1 passes the limit 2\\^27"):
-        fourier.zeta_truncated(BLP21, BLP21.rho, 2, 10**17)
-    assert time.perf_counter() - t0 < 1.0
+    # At rho, B = 1e17 the count passes its guards (G_2 = 111803398), and
+    # the zeta sum is refused by its own step guard (sum_F G_F T_F > 2^25)
+    # once the fiber table is built, before its loop.  At 2e17 it reads the
+    # fiber table the count reads, so the count's guard (G_2 > 2^27) refuses
+    # it before any table.  At (40, 1), B = 2^36 the one fiber F = 1 has
+    # G_1 T_1 = 2^72, which int64 would wrap to 0.  Each refusal comes in
+    # under a second.
+    steps = "steps .* passes the limit 2\\^25"
+    for lam, s, B, match in ((BLP21.rho, 2, 10**17, steps),
+                             (BLP21.rho, 2, 2 * 10**17, "G_2 passes the limit 2\\^27"),
+                             ((40, 1), 3, 2**36, steps)):
+        t0 = time.perf_counter()
+        with pytest.raises(CapabilityError, match=match):
+            fourier.zeta_truncated(BLP21, lam, s, B)
+        assert time.perf_counter() - t0 < 1.0, (lam, B)
 
 
 def test_blp21_zeta_loop_refused_past_its_step_limit():
@@ -1129,13 +1164,13 @@ def test_mertens_lookup_called_once_per_count(monkeypatch):
 
 
 def blp21_edge_on_e0(lam, B):
-    """Whether some fiber past E0, with more than one quotient block of T_F,
-    has its first block start right after E0 with no cut; E0 found by its
-    definition (the smallest e with #{F : G_F > e} <= e)."""
+    """Whether some fiber F >= 2 past E0, with more than one quotient block
+    of T_F, has its first block start right after E0 with no cut; E0 found
+    by its definition (the smallest e with #{F >= 2 : G_F > e} <= e)."""
     f_max = enumeration.height_radius(B, lam[0])
-    T = [blp21_fiber_bound_fractions(lam, B, F) for F in range(1, f_max + 1)]
-    G = [t // F for F, t in enumerate(T, start=1)]
-    e0 = next(e for e in range(1, G[0] + 1) if sum(g > e for g in G) <= e)
+    T = [blp21_fiber_bound_fractions(lam, B, F) for F in range(2, f_max + 1)]
+    G = [t // F for F, t in enumerate(T, start=2)]
+    e0 = next(e for e in range(f_max) if sum(g > e for g in G) <= e)
     return any(t // (t // (e0 + 1) + 1) == e0
                for t, g in zip(T, G) if g > e0 and t // (e0 + 1) > t // g)
 
@@ -1153,8 +1188,8 @@ def test_blp21_blocks_at_their_edges(lam):
 
 
 @pytest.mark.parametrize("model, lam, B", [
-    # The blocks past E0 span 39 fibers in 1772 rows at rho, 99 fibers in
-    # 4852 rows at (1, 1); the torsor plans 406, 10661 and 4386 rows.
+    # The blocks past E0 span 38 fibers in 1771 rows at rho, 99 fibers in
+    # 4950 rows at (1, 1); the torsor plans 406, 10661 and 4386 rows.
     (BLP21, BLP21.rho, 10**8), (BLP21, (1, 1), 10**4),
     (BLP22, BLP22.rho, 400), (BLP22, BLP22.rho, 10**4), (BLP22, (2, 3, 1), 1000),
 ], ids=["BlP2-1-rho", "BlP2-1-(1,1)", "BlP2-2-rho-400", "BlP2-2-rho-1e4", "BlP2-2-(2,3,1)"])
@@ -1179,7 +1214,7 @@ def test_blp21_at_hyperplane_class_counts_p2(B):
 
 def test_blp21_count_memory_peak():
     # The fiber path holds the mu segment and chunks of block rows, never an
-    # array over all the rows: its traced peak stays under 2.0 MB (1.62 MB
+    # array over all the rows: its traced peak stays under 2.0 MB (1.42 MB
     # now; 2.05 MB for the per-fiber loop it replaced, Python 3.11, NumPy
     # 2.4).  NumPy reports its buffers to tracemalloc, so the peak is
     # deterministic.
@@ -1289,7 +1324,7 @@ def test_p1_zeta_partial_stops_when_the_tail_is_below_its_float_bound():
 
 
 def test_blp21_count_lists_mu_only_to_e0(monkeypatch):
-    # The list sieve covers e <= E0 (158 here), not G_1 = 316227.
+    # The list sieve covers e <= E0 (157 here), not G_2 = 111803.
     def guarded(n, sieve=mu_sieve):
         if n > 10**5:
             raise AssertionError(f"mu_sieve({n}) on the fiber path")
@@ -1304,8 +1339,8 @@ def test_blp21_count_lists_mu_only_to_e0(monkeypatch):
 def test_blp21_int64_guard_before_tables(monkeypatch):
     # T_F = 2^32 for every fiber at lambda = (1, 1), past int64's reach in
     # the fiber sum: the 2^32 fibers are refused by the memory guard on
-    # f_max, which bounds every T_F by 2^27 with the guard on G_1, before
-    # any sieve, fiber bound or table.
+    # f_max, which bounds every T_F, F >= 2, by 2^28 with the guard on G_2,
+    # before any sieve, fiber bound or table.
     def refuse(*args):
         raise AssertionError("fiber table built")
 

@@ -73,8 +73,11 @@ LIMITS = [
                  (enumeration, "mertens_quotients"), "T passes the limit 2\\^36", id="_PN_T_LIMIT-P3"),
     pytest.param(_count(BLP21, (1, 1)), 2**24, 2**24 + 1, (np, "arange"),
                  "f_max passes the limit 2\\^24", id="_FIBER_LIMIT"),
-    pytest.param(_count(BLP21, BLP21.rho), 2**54, (2**27 + 1) ** 2, (np, "arange"),
-                 "G_1 passes the limit 2\\^27", id="_SEGMENT_LIMIT"),
+    # G_2 = T_2 // 2 with T_2^2 * 2 <= B at rho; T_1 = B at (10, 1).
+    pytest.param(_count(BLP21, BLP21.rho), 2**57, 2 * (2**28 + 2) ** 2, (np, "arange"),
+                 "G_2 passes the limit 2\\^27", id="_SEGMENT_LIMIT"),
+    pytest.param(_count(BLP21, (10, 1)), 2**36, 2**36 + 1, (np, "arange"),
+                 "T_1 passes the limit 2\\^36", id="_PN_T_LIMIT-BlP2-1"),
     pytest.param(_count(BLP22, TENTH_OF_D), 2**30 - 1, 2**30, (np, "arange"),
                  "R \\+ 1 passes the limit 2\\^30", id="_T_LIMIT-torsor"),
     pytest.param(_count(BLP22, BLP22.rho), 2**54, (2**18 + 1) ** 3, (np, "arange"),

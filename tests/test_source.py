@@ -320,6 +320,19 @@ def test_one_float_root_in_enumeration():
     assert callers == ["_float_root"]
 
 
+def test_one_reader_of_each_mertens_table():
+    # BlP2-1's central fiber is P1, counted by P1's Moebius sum: in
+    # enumeration only _pn_count reads the Mertens quotient table, and only
+    # the fiber blocks of F >= 2 read the mu segment's running sums.
+    def readers(name):
+        return sorted(fn.name for fn in _functions("enumeration").values()
+                      if fn.name != name
+                      and name in (n for node in ast.walk(fn) for n in _used_names(node)))
+
+    assert readers("mertens_quotients") == ["_pn_count"]
+    assert readers("_mertens_lookup") == ["_blp21_blocks"]
+
+
 def test_one_ragged_layout():
     # The Mertens table's passes, BlP2-1's quotient blocks and BlP2-2's
     # torsor rows are all laid out row after row by one function: exactly
