@@ -19,8 +19,7 @@ that m can have, read off a product array of the small primes (mu: int8
 values and an int32 product, 5 bytes per m) or a quotient array (J_k, with
 p^k in place of p; J_1 is Euler's phi).  jordan_segment is the one totient
 sieve of the package: it gives the P^n fiber weights and the coprime
-counts of BlP2-1's and BlP2-2's plateaus (enumeration).  mu_sieve is the
-list form of mu_segment from 0.
+counts of BlP2-1's and BlP2-2's plateaus (enumeration).
 """
 
 from __future__ import annotations
@@ -229,11 +228,6 @@ def mu_segment(a: int, b: int) -> np.ndarray:
         k = np.arange(a + i, a + i + len(part), dtype=prod.dtype)
         part *= 1 - 2 * (prod[i : i + _CHUNK] != k).view(np.int8)
     return mu
-
-
-def mu_sieve(n: int) -> list[int]:
-    """Moebius function values mu(0..n) (mu(0) set to 0)."""
-    return [0, *mu_segment(1, n + 1).tolist()]
 
 
 def ragged(counts: np.ndarray, base: np.ndarray | int = 0, whole: bool = False):

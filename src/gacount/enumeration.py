@@ -97,14 +97,16 @@ The central fiber.  Lemma.  F = 1 holds 3 N_P1(T_1) points, N_P1 the
 Moebius sum _pn_count(1, T_1).  Proof.  Its three fibers y = 0, 1, -1 each
 carry the primitive (g, X), g >= 1, with h_F = 1, h_H = max(g, |X|) <= T_1.
 
-The pairs (F, e), F >= 2, with e <= G_F are split at E0, the smallest e with
-#{F >= 2 : G_F > e} <= e (0 when f_max = 1); E0 is about B^{1/5} at
-lambda = rho (G_F ~ sqrt(B / F^3)) and sqrt(B) at (1, 1).  For e <= E0 one
-NumPy pass per e runs over the prefix of fibers F >= 2 with G_F >= e, with
-mu from _util.mu_sieve(E0).  The e > E0 lie in the at most E0 fibers with
-G_F > E0, and there the sum runs over the quotient blocks of T_F
-(_blp21_blocks).  G_F//e = (T_F//e)//F, as both are floor(T_F / (F e)), so
-on the block T_F//(q+1) < e <= T_F//q, where T_F//e = q, the terms add up to
+At f_max = 1 the count is the central fiber's alone.  Otherwise the pairs
+(F, e), F >= 2, with e <= G_F are split at E0, the smallest e with
+#{F >= 2 : G_F > e} <= e, so 1 <= E0 <= G_2; E0 is about B^{1/5} at
+lambda = rho (G_F ~ sqrt(B / F^3)) and sqrt(B) at (1, 1).  Both parts read
+one int8 _util.mu_segment over 1 <= e <= G_2.  For e <= E0 one NumPy pass
+per e runs over the prefix of fibers F >= 2 with G_F >= e, with mu(e) from
+the segment's first E0 values.  The e > E0 lie in the at most E0 fibers
+with G_F > E0, and there the sum runs over the quotient blocks of T_F.
+G_F//e = (T_F//e)//F, as both are floor(T_F / (F e)), so on the block
+T_F//(q+1) < e <= T_F//q, where T_F//e = q, the terms add up to
 
     w_F * q * (q//F) * (M(T_F//q) - M(T_F//(q+1)))
 
@@ -114,9 +116,9 @@ is itself a quotient of T_F, so T_F//(T_F//G_F) = G_F.  That is about
 T_F / E0 rows per fiber: 33k rows in all for the 500k pairs at
 lambda = rho, B = 1e11, laid out by _util.ragged in parts of 2^14, so a
 part may end inside a fiber.  Every block end lies in [E0, G_2], so M
-comes from one int8 mu_segment over E0 <= e <= G_2, each cell of 127
-values overwritten by its running sums, which int8 holds, with an int64
-sum before each cell (_mertens_lookup).
+comes from the same segment: after the per-e passes it is cast to int32 and
+overwritten by its running sums, M(k) at index k - 1, which int32 holds, and
+their differences, as |M(k)| <= k <= G_2 <= 2^27.
 
 The sums are exact in int64.  Every T_F, F >= 2, is at most
 max(T_2, f_max) <= 2^28 + 1 under the memory guards below: when m_F >= 0,
@@ -140,16 +142,18 @@ Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, and
 the float estimate of T_F two float64 arrays more while it is built; the
 central fiber's Mertens table of T_1 (at most 153 MB at T_1 = 2^36, above)
 is freed, as _pn_count returns, before the mu segment is sieved, so the two
-are never held at once; the segment takes 5 bytes per e in [E0, G_2] while
-it is sieved (an int32 product of its small primes, _util) and 1 + 8/127
-after; each chunk of rows a few int64 arrays of 2^14 entries.  No array
-runs over the pairs or the rows, or over the e <= G_2 in int64, so the
-sieve sets the peak (1.42 MB traced at lambda = rho, B = 1e11 with Python
-3.11 and NumPy 2.4).  At large f_max or G_2 the per-e passes over the
-fibers (48 bytes a fiber: 474 MB at (1, 1), B = 1e7) or the segment (at
-most 5 G_2 bytes: a peak RSS of 582 MB at rho, B = 1e17, G_2 = 111803398)
-set it, so before any table is built the fiber sum refuses f_max > 2^24 and
-G_2 > 2^27, about 0.7 GB each, and T_1 > 2^36, the Moebius sum's limit.
+are never held at once; the segment takes 5 bytes per e in [1, G_2] while
+it is sieved (an int32 product of its small primes, _util) and while it is
+cast to its sums (int8 and int32), and 4 bytes after, as the sums are taken
+in place; each chunk of rows a few int64 arrays of 2^14 entries.  No array
+runs over the pairs or the rows, or over the e <= G_2 in int64 (1.66 MB
+traced at lambda = rho, B = 1e11, and 6.43 MB at 1e13, G_2 = 1118033, with
+Python 3.11 and NumPy 2.4).  At large f_max or G_2 the per-e passes over
+the fibers (48 bytes a fiber: 474 MB at (1, 1), B = 1e7) or the segment
+(at most 5 G_2 bytes: a peak RSS of 584 MB at rho, B = 1e17,
+G_2 = 111803398) set the peak, so before any table is built the fiber sum
+refuses f_max > 2^24 and G_2 > 2^27, about 0.7 GB each, and T_1 > 2^36,
+the Moebius sum's limit.
 
 BlP2-3 (box strategy), and the zeta sums of BlP2-2 and BlP2-3.  All
 primitive vectors with h_std = max(Z, |X|, |Y|) <= R are scanned and
@@ -286,9 +290,9 @@ the float root's upper ends: upper bounds, which at worst add empty rows.
 The sums are exact in int64, as the count refuses R >= 2^30.  A weight
 is at most 2 g1 k + 1 <= 2R + 1 and |t_hi//e - (t_lo - 1)//e| <= R + 1, so
 a term is below (2R + 1)(R + 1) < 2^62; the rows come in parts of 2^14
-(_util.ragged, as in _blp21_blocks), each row with at most 64 squarefree
-divisors (g2 k <= 2^18 has at most six prime factors), so _exact_sum adds
-fewer than 2^31 terms.
+(_util.ragged, as BlP2-1's quotient blocks do), each row with at most 64
+squarefree divisors (g2 k <= 2^18 has at most six prime factors), so
+_exact_sum adds fewer than 2^31 terms.
 Before any row is built the count refuses more than 2^18 triples, g1 k or
 g2 k past 2^18 (the triples take a few int64 arrays each, the divisor table
 about 0.6 n ln n entries for n up to the largest g2 k, the phi sieve a few
@@ -368,7 +372,7 @@ import numpy as np
 
 from . import geometry, heights
 from ._util import (CapabilityError, as_fraction, floor_frac_root, height_test, jordan_segment,
-                    last_true, mertens_quotients, mu_segment, mu_sieve, ragged, refuse_past)
+                    last_true, mertens_quotients, mu_segment, ragged, refuse_past)
 from .geometry import VarietyModel
 from .heights import RationalPoint
 
@@ -660,71 +664,42 @@ def _blp21_fibers(lam: Sequence[Fraction], B: Fraction, f_max: int) -> tuple:
 
 def _blp21_count(T: np.ndarray, G: np.ndarray, w: np.ndarray) -> int:
     """The fiber sum over the fiber table of _blp21_fibers: the central
-    fiber F = 1 by P1's Moebius sum, the fibers F >= 2 split at E0 (module
-    docstring)."""
+    fiber F = 1 by P1's Moebius sum, the fibers F >= 2 split at E0, the
+    e > E0 one row per quotient block of T_F, all reading mu and M from one
+    mu segment over [1, G_2] (module docstring)."""
     central = 3 * _pn_count(1, int(T[0]))
+    if len(T) == 1:
+        return central
     T, G, w = T[1:], G[1:], w[1:]
     # G is nonincreasing, so #{F >= 2 : G_F > e} <= e first holds at the
-    # first index e with G[e] <= e; e0 <= G_2, and e0 = 0 without fibers.
+    # first index e with G[e] <= e; 1 <= e0 <= G_2.
     drops = np.flatnonzero(G <= np.arange(len(G)))
     e0 = int(drops[0]) if len(drops) else len(G)
     # prefix[e - 1] = #{F >= 2 : G_F >= e} for e = 1, ..., e0 + 1.
     prefix = (len(G) - np.searchsorted(G[::-1], np.arange(1, e0 + 2))).tolist()
+    mu = mu_segment(1, int(G[0]) + 1)
     s = 0
-    for e, mu_e in enumerate(mu_sieve(e0)[1:], start=1):
+    for e, mu_e in enumerate(mu[:e0].tolist(), start=1):
         if mu_e:
             k = prefix[e - 1]
             s += mu_e * _exact_sum(w[:k] * (G[:k] // e) * (T[:k] // e))
+    # M[k - 1] = M(k): the int32 cast summed in place, never beside a
+    # second cast copy of the segment.
+    M = mu.astype(np.int32)
+    del mu
+    np.cumsum(M, out=M)
+    weights = int(w.sum())
+    # The fibers with G_F > E0, each with its rows q = T_F//G_F, ...,
+    # T_F//(E0+1); every block starts at lo >= E0 >= 1.
     k = prefix[e0]
-    return central + int(w.sum()) + 2 * (s + _blp21_blocks(T[:k], G[:k], w[:k], e0))
-
-
-# _mertens_lookup keeps running sums of mu within cells of _MERTENS_CELL
-# values: at most 127 in absolute value, so int8 holds them.
-_MERTENS_CELL = 127
-
-
-def _mertens_lookup(a: int, b: int):
-    """The function k -> M(k) - M(a - 1) = sum_{a <= j <= k} mu(j), applied
-    to a NumPy array of integers a <= k < b, M the Mertens function.
-
-    The int8 mu_segment from a is cut into cells of 127 values and each cell
-    is overwritten by its own running sums; an int64 array holds the sum
-    before each cell.  That is 1 + 8/127 bytes per k, and a lookup is one
-    add per k.
-    """
-    cells = mu_segment(a, a + -(-(b - a) // _MERTENS_CELL) * _MERTENS_CELL)
-    cells = cells.reshape(-1, _MERTENS_CELL)
-    np.cumsum(cells, axis=1, dtype=np.int8, out=cells)
-    before = np.zeros(len(cells), dtype=np.int64)
-    np.cumsum(cells[:-1, -1], out=before[1:])
-    sums = cells.ravel()
-
-    def mertens(k: np.ndarray) -> np.ndarray:
-        return before[(k - a) // _MERTENS_CELL] + sums[k - a]
-
-    return mertens
-
-
-def _blp21_blocks(T: np.ndarray, G: np.ndarray, w: np.ndarray, e0: int) -> int:
-    """sum over the fibers F = 2, ..., len(T) + 1, each with G_F > E0 = e0,
-    of w_F sum_{E0 < e <= G_F} mu(e) (G_F//e) (T_F//e), one row per
-    quotient block of T_F (module docstring).
-
-    The rows of fiber F run over q = T_F//G_F up to T_F//(E0+1), laid out
-    by _util.ragged; they read M from one mu segment over [E0, G_2].
-    """
-    if not len(T):
-        return 0
-    q_low, q_top = T // G, T // (e0 + 1)
-    mertens = _mertens_lookup(e0, int(G[0]) + 1)
-    s = 0
-    for f, q, _, _ in ragged(q_top - q_low + 1, q_low):
+    T, G, w = T[:k], G[:k], w[:k]
+    q_low = T // G
+    for f, q, _, _ in ragged(T // (e0 + 1) - q_low + 1, q_low):
         t = T[f]
         # The block T_F//(q+1) < e <= T_F//q, cut at E0 for q = T_F//(E0+1).
         lo = np.maximum(t // (q + 1), e0)
-        s += _exact_sum(w[f] * q * (q // (f + 2)) * (mertens(t // q) - mertens(lo)))
-    return s
+        s += _exact_sum(w[f] * q * (q // (f + 2)) * (M[t // q - 1] - M[lo - 1]))
+    return central + weights + 2 * s
 
 
 # The torsor count refuses more than _TORSOR_ROW_LIMIT planned rows (time), and

@@ -143,7 +143,7 @@ def test_count_past_memory_limit_is_capability_error(capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("table allocated")
 
-    for name in ("mertens_quotients", "mu_segment", "jordan_segment", "mu_sieve"):
+    for name in ("mertens_quotients", "mu_segment", "jordan_segment"):
         monkeypatch.setattr(enumeration, name, refuse)
     code, _, err = run(capsys, "count", *argv, "--ladder", "1")
     assert code == 3

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gacount import _util, enumeration, fourier, geometry, heights, tamagawa
-from gacount._util import CapabilityError, as_fraction, mertens_quotients, mu_sieve
+from gacount._util import CapabilityError, as_fraction, mertens_quotients
 from conftest import global_height, pn_shell_sum, random_point
 
 P1 = geometry.load_model("P1")
@@ -657,13 +657,13 @@ def phi_loop(n, k=1):
     return phi
 
 
-def test_mu_sieve_matches_loop():
+def test_mu_segment_matches_loop():
     want = mu_loop(3000)
     for n in range(3001):
-        assert mu_sieve(n) == want[: n + 1], n
-    big = mu_sieve(10**6)
+        assert _util.mu_segment(1, n + 1).tolist() == want[1 : n + 1], n
+    big = _util.mu_segment(1, 10**6 + 1).tolist()
     loop = mu_loop(10**6)
-    assert big == loop
+    assert big == loop[1:]
     assert sum(big) == 212  # M(10^6), OEIS A084237
     # The sign pass runs in chunks of 2^14: segments that start off 1 and
     # span many chunks, one ending just past a chunk edge.
@@ -691,16 +691,6 @@ def test_sieve_segments_match_loop():
         for b in range(a, 1001, 13):
             assert _util.mu_segment(a, b).tolist() == mu[a:b], (a, b)
             assert _util.jordan_segment(a, b, 1).tolist() == phi[a:b], (a, b)
-
-
-def test_mertens_lookup_matches_running_sums():
-    # M(k) - M(a - 1) from the int8 cell sums, at every k, for segments of
-    # length 1, one cell, one cell and one, and many cells with a tail.
-    mu = mu_loop(20000)
-    for a, b in ((1, 2), (5, 132), (5, 133), (158, 20001), (1, 20001)):
-        want = list(accumulate(mu[a:b]))
-        k = np.arange(a, b, dtype=np.int64)
-        assert enumeration._mertens_lookup(a, b)(k).tolist() == want, (a, b)
 
 
 def mertens_recursion(T):
@@ -819,7 +809,7 @@ def test_mertens_quotients_memory_peak():
 
 def test_mertens_quotients_match_sieve():
     # Every k from 1 to T + 1, so every quotient and every k of its block.
-    prefix = np.array(list(accumulate(mu_sieve(5000))))
+    prefix = np.array(list(accumulate(mu_loop(5000))))
     for T in range(5001):
         k = np.arange(1, T + 2, dtype=np.int64)
         assert (mertens_quotients(T)(k) == prefix[T // k]).all(), T
@@ -861,14 +851,14 @@ BENCH_PN = (
 @pytest.mark.parametrize("mid", ["P1", "P2", "P3"])
 def test_pn_count_matches_direct_loop(mid):
     m = geometry.load_model(mid)
-    mu = mu_sieve(2999)
+    mu = mu_loop(2999)
     for T in range(1, 3000):
         assert enumeration.count_points(m, m.rho, T ** m.rho[0]) == \
             pn_direct(m.dim, T, mu), T
 
 
 def test_pn_count_matches_direct_loop_at_bench_bounds():
-    mu = mu_sieve(707106)
+    mu = mu_loop(707106)
     for mid, B, want in BENCH_PN:
         m = geometry.load_model(mid)
         T = enumeration.height_radius(Fraction(B), Fraction(m.rho[0]))
@@ -878,18 +868,12 @@ def test_pn_count_matches_direct_loop_at_bench_bounds():
 
 def test_pn_count_is_sublinear(monkeypatch):
     # No sieve reaching T: the Mertens table sieves to about T^{2/3}.
-    def guarded(n, sieve=mu_sieve):
-        if n > 10**5:
-            raise AssertionError(f"mu_sieve({n}) on the P^n path")
-        return sieve(n)
-
     def guarded_segment(a, b, segment=_util.mu_segment):
         if b - a > 10**5:
             raise AssertionError(f"mu_segment({a}, {b}) on the P^n path")
         return segment(a, b)
 
     for module in (_util, enumeration):
-        monkeypatch.setattr(module, "mu_sieve", guarded)
         monkeypatch.setattr(module, "mu_segment", guarded_segment)
     for mid, B, want in BENCH_PN[::2]:
         m = geometry.load_model(mid)
@@ -915,7 +899,7 @@ def test_pn_count_at_int64_split_points(monkeypatch, n):
     # Just below and at each T where a first term leaves the int64 sum, at
     # the real limit 2^62 (P2's and P3's d = 1 split, at T = 1048576 and
     # 27555) and at lowered limits, wherever the direct loop can reach it.
-    mu = mu_sieve(1_100_000)
+    mu = mu_loop(1_100_000)
     for limit in (2**62, 2**36, 2**30, 2**24, 2**20):
         monkeypatch.setattr(enumeration, "_TERM_LIMIT", limit)
         for split in pn_split_points(n, limit):
@@ -1033,7 +1017,7 @@ def blp21_direct(lam, B, first=1):
     for F in range(first, f_max + 1):
         t = blp21_fiber_bound_fractions(lam, B, F)
         rows.append((F, t, t // F))
-    mu = mu_sieve(max(g for _, _, g in rows))
+    mu = mu_loop(max(g for _, _, g in rows))
     total = 0
     for F, t, g in rows:
         inner = 0
@@ -1139,9 +1123,10 @@ def test_blp21_zeta_loop_refused_past_its_step_limit():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_mertens_lookup_called_once_per_count(monkeypatch):
-    # The Moebius sum and the fiber blocks each read the Mertens table by
-    # one lookup call on an array, never once per quotient.
+def test_mertens_quotients_read_once_per_count(monkeypatch):
+    # The Moebius sum reads the Mertens table by one lookup call on an
+    # array, never once per quotient; on BlP2-1 only the central fiber's
+    # Moebius sum reads it (the fibers F >= 2 sum their own mu segment).
     calls = []
 
     def counted(T, quotients=mertens_quotients):
@@ -1214,7 +1199,7 @@ def test_blp21_at_hyperplane_class_counts_p2(B):
 
 def test_blp21_count_memory_peak():
     # The fiber path holds the mu segment and chunks of block rows, never an
-    # array over all the rows: its traced peak stays under 2.0 MB (1.42 MB
+    # array over all the rows: its traced peak stays under 2.0 MB (1.66 MB
     # now; 2.05 MB for the per-fiber loop it replaced, Python 3.11, NumPy
     # 2.4).  NumPy reports its buffers to tracemalloc, so the peak is
     # deterministic.
@@ -1226,6 +1211,22 @@ def test_blp21_count_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2_000_000, peak
+
+
+def test_blp21_segment_memory_per_e():
+    # At rho, B = 10^13 (G_2 = 1118033) the mu segment sets the peak: 5
+    # bytes per e while it is sieved (int8 mu, int32 product) and while it
+    # is cast to its int32 running sums, which are summed in place: 6.43 MB
+    # traced in all (Python 3.11, NumPy 2.4).  A cast copy of the sums,
+    # np.cumsum(mu, dtype=np.int32), adds 4 bytes per e more (10.8 MB).
+    g_2 = 1118033
+    tracemalloc.start()
+    try:
+        assert enumeration.count_points(BLP21, BLP21.rho, 10**13) == 319663790798793
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * g_2 + 500_000, peak
 
 
 def test_fiber_weights_match_phi():
@@ -1323,17 +1324,25 @@ def test_p1_zeta_partial_stops_when_the_tail_is_below_its_float_bound():
     assert elapsed < 0.5, elapsed
 
 
-def test_blp21_count_lists_mu_only_to_e0(monkeypatch):
-    # The list sieve covers e <= E0 (157 here), not G_2 = 111803.
-    def guarded(n, sieve=mu_sieve):
-        if n > 10**5:
-            raise AssertionError(f"mu_sieve({n}) on the fiber path")
-        return sieve(n)
+def test_blp21_count_sieves_mu_once(monkeypatch):
+    # The fibers F >= 2 read mu and M from one segment over [1, G_2],
+    # G_2 = 111803 at rho, B = 10^11; at B = 1, 2, 7 (f_max = 1) the count
+    # is the central fiber's alone and sieves no segment.
+    calls = []
 
-    for module in (_util, enumeration):
-        monkeypatch.setattr(module, "mu_sieve", guarded)
+    def recorded(a, b, segment=_util.mu_segment):
+        calls.append((a, b))
+        return segment(a, b)
+
+    monkeypatch.setattr(enumeration, "mu_segment", recorded)
     lam, B, want = BENCH_BLP21[0]
     assert enumeration.count_points(BLP21, lam, B) == want
+    assert calls == [(1, 111804)]
+    vals = geometry.require_interior(BLP21, BLP21.rho)
+    for B in (1, 2, 7):
+        calls.clear()
+        assert enumeration.count_points(BLP21, BLP21.rho, B) == blp21_direct(vals, Fraction(B))
+        assert calls == [], B
 
 
 def test_blp21_int64_guard_before_tables(monkeypatch):
@@ -1344,7 +1353,7 @@ def test_blp21_int64_guard_before_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError("fiber table built")
 
-    for name in ("mu_segment", "jordan_segment", "mu_sieve", "_blp21_fiber_bounds"):
+    for name in ("mu_segment", "jordan_segment", "_blp21_fiber_bounds"):
         monkeypatch.setattr(enumeration, name, refuse)
     with pytest.raises(CapabilityError, match="f_max passes the limit 2\\^24"):
         enumeration.count_points(BLP21, (1, 1), 2**32)

@@ -322,15 +322,19 @@ def test_one_float_root_in_enumeration():
 
 def test_one_reader_of_each_mertens_table():
     # BlP2-1's central fiber is P1, counted by P1's Moebius sum: in
-    # enumeration only _pn_count reads the Mertens quotient table, and only
-    # the fiber blocks of F >= 2 read the mu segment's running sums.
-    def readers(name):
-        return sorted(fn.name for fn in _functions("enumeration").values()
+    # enumeration only _pn_count reads the Mertens quotient table.  The
+    # fibers F >= 2 read mu and its running sums from one segment, in
+    # _blp21_count, and the torsor's divisor table is the only other mu
+    # sieve; in _util the segment feeds the Mertens table alone, with no
+    # list form beside it.
+    def readers(module, name):
+        return sorted(fn.name for fn in _functions(module).values()
                       if fn.name != name
                       and name in (n for node in ast.walk(fn) for n in _used_names(node)))
 
-    assert readers("mertens_quotients") == ["_pn_count"]
-    assert readers("_mertens_lookup") == ["_blp21_blocks"]
+    assert readers("enumeration", "mertens_quotients") == ["_pn_count"]
+    assert readers("enumeration", "mu_segment") == ["_blp21_count", "_squarefree_divisors"]
+    assert readers("_util", "mu_segment") == ["mertens_quotients"]
 
 
 def test_one_ragged_layout():
