@@ -94,8 +94,13 @@ for each e the fibers with G_F >= e form a prefix of 1, ..., f_max.  T_F is
 monotone in F, nonincreasing when m_F >= 0 and nondecreasing otherwise.
 
 The central fiber.  Lemma.  F = 1 holds 3 N_P1(T_1) points, N_P1 the
-Moebius sum _pn_count(1, T_1).  Proof.  Its three fibers y = 0, 1, -1 each
-carry the primitive (g, X), g >= 1, with h_F = 1, h_H = max(g, |X|) <= T_1.
+Moebius sum _pn_count(1, T_1), and each point has H = max(g, |X|)^{m_H},
+the height of P1 at lambda_1 = m_H.  Proof.  Its three fibers y = 0, 1, -1
+each carry the primitive (g, X), g >= 1, with h_F = 1, h_H = max(g, |X|)
+<= T_1.  So both BlP2-1 readers take F = 1 from P1 at T_1 =
+height_radius(B, m_H), an integer root: the count from P1's Moebius sum,
+the zeta sum from 3 times P1's shell sum at c = m_H s ("The zeta sums"),
+and the fiber table (_blp21_fibers) holds the fibers F >= 2 alone.
 
 At f_max = 1 the count is the central fiber's alone.  Otherwise the pairs
 (F, e), F >= 2, with e <= G_F are split at E0, the smallest e with
@@ -135,7 +140,9 @@ Each partial product is at most its term.  Every pass has fewer than 2^31
 terms (at most 2^14 rows, or f_max <= T_{f_max} fibers, since
 G_{f_max} >= 1), and _exact_sum adds their high and low 32-bit halves
 apart: under 2^31 * 2^30 and 2^31 * 2^32, both inside int64.  The weights
-sum to less than 2 f_max^2 < 2^62.  The central fiber's sum is exact under
+sum to less than 2 f_max^2 < 2^62, and the zeta sum's steps
+sum_{F >= 2} G_F T_F (below) add f_max terms G_F T_F <= T_F^2 / 2 < 2^56.
+The central fiber's sum is exact under
 the Moebius sum's own T_1 <= 2^36, and its factor 3 a Python int product.
 
 Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, and
@@ -303,16 +310,19 @@ B = 10^6 takes 0.24 s, 10^7 1.9 s and 10^8 21 s with a peak RSS of 51 MB
 
 The zeta sums.  The point side of the height zeta function lives here
 too: zeta_partial sums H(x)^(-s) over the points with H <= B along the
-same strategies and counts the points summed in the same pass (on BlP2-1
-the fibers of the table _blp21_fibers builds for the count too; on BlP2-2
+same strategies and counts the points summed in the same pass (on BlP2-2
 and BlP2-3 the box kernel's points, each block's heights H = num/den from
 its generator heights as int64 products when they provably stay below
-2^53); fourier.zeta_truncated adds the tail.
+2^53); fourier.zeta_truncated adds the tail.  BlP2-1 reads the count's
+table (_blp21_fibers) and returns its exact N(B): its central fiber is
+P1's shell sum (below), its fibers F >= 2 a loop over their (g, X) of at
+most sum_{F >= 2} G_F T_F steps, refused past 2^25 before either loop.
 
-On P^n the sum runs over the primitive shells.  Of the vectors (Z, X) with
-Z >= 1, c(m) = m (2m+1)^n - (m-1)(2m-1)^n = sum_k c_k m^k have
-max(Z, |X_i|) = m, and each is d times a primitive vector of max m/d for
-exactly one d | m, so by Moebius inversion the primitive shell F holds
+On P^n the sum runs over the primitive shells (_shell_zeta).  Of the
+vectors (Z, X) with Z >= 1, c(m) = m (2m+1)^n - (m-1)(2m-1)^n =
+sum_k c_k m^k have max(Z, |X_i|) = m, and each is d times a primitive
+vector of max m/d for exactly one d | m, so by Moebius inversion the
+primitive shell F holds
 
     w_n(F) = sum_{d | F} mu(d) c(F/d) = sum_{k >= 1} c_k J_k(F) + c_0 [F = 1]
 
@@ -348,6 +358,15 @@ slack of the 16 r term (5 r S >= 5 r 3^n), which also covers the last
 addition.  F_end is about the first F whose tail bound is at most
 16 3^n r, the float bound of a sum >= 3^n, past which no shell can move
 the reported bound much; any stop is sound, as the tail is taken at it.
+
+BlP2-1's central fiber.  By its lemma the three central fibers add
+3 sum_{F <= T_1} w_1(F) F^(-c), c = m_H s: 3 times P1's shell sum to T_1,
+whose float is within 11 r of its value, relative (the float sum above).
+s > a(lambda) >= 2/lambda_E (rho_E = 2) gives c > 2 = n + 1, so the stop
+applies: the shells past F_end < T_1 that it drops add at most 3 times
+P1's tail bound at F_end, about 3 * 48 r, no more than 16 r S for the
+central sum S >= 9.  The fibers F >= 2 are summed in Python floats, fiber
+by fiber, with no proved bound.
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
 which decides each primitive candidate by the exact test alone and shares no
@@ -583,6 +602,8 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers: np.ndarray
     the largest fiber, and the exact test at the heights (M, F).  At m_F = 0
     every T_F is T_1 = height_radius(B, m_H).  Beside the bounds it holds the
     root's float64 arrays, the one of log_rhs built here in place.
+    _blp21_fibers hands it the fibers F >= 2 alone: T_1 is the integer root
+    height_radius(B, m_H).
     """
     m_h, m_f = lam[1], lam[0] - lam[1]
     if m_f == 0:
@@ -599,7 +620,8 @@ def _blp21_fiber_bounds(lam: Sequence[Fraction], B: Fraction, fibers: np.ndarray
 
 # The torsor count's box radius stays below _T_LIMIT, so every term of its sum
 # fits int64; the Moebius sum adds its terms below _TERM_LIMIT in int64
-# (_exact_sum); the P^n zeta sum takes its shells in chunks of _WEIGHT_CHUNK.
+# (_exact_sum); the shell zeta sum of P^n and BlP2-1's central fiber takes its
+# shells in chunks of _WEIGHT_CHUNK.
 # The memory limits on the Moebius sum's T (and BlP2-1's T_1) and the fiber
 # sum's f_max and G_2 follow (module docstring).
 _T_LIMIT = 2**30
@@ -642,9 +664,10 @@ def _exact_sum(terms: np.ndarray) -> int:
 
 
 def _blp21_fibers(lam: Sequence[Fraction], B: Fraction, f_max: int) -> tuple:
-    """The fiber table (T, G, w) of the fibers F = 1, ..., f_max: int64
-    arrays of T_F, G_F = T_F // F and w_F (module docstring), which the
-    count and the zeta sum both read.
+    """(t_1, T, G, w): T_1 = height_radius(B, m_H), the central fiber's
+    bound, and the fiber table of the fibers F = 2, ..., f_max, int64
+    arrays of T_F, G_F = T_F // F and w_F = 4 phi(F) (module docstring),
+    empty at f_max = 1; the count and the zeta sum both read them.
 
     Raises:
         CapabilityError: if f_max passes 2^24, T_1 passes 2^36 (the central
@@ -654,23 +677,23 @@ def _blp21_fibers(lam: Sequence[Fraction], B: Fraction, f_max: int) -> tuple:
             int64 (module docstring).
     """
     refuse_past("fiber sum on BlP2-1: the number of fibers f_max", f_max, _FIBER_LIMIT, "memory")
-    refuse_past("fiber sum on BlP2-1: T_1", height_radius(B, lam[1]), _PN_T_LIMIT, "memory")
+    t_1 = height_radius(B, lam[1])
+    refuse_past("fiber sum on BlP2-1: T_1", t_1, _PN_T_LIMIT, "memory")
     t_2 = int(_blp21_fiber_bounds(lam, B, np.array([2], dtype=np.int64))[0])
     refuse_past("fiber sum on BlP2-1: G_2", t_2 // 2, _SEGMENT_LIMIT, "memory")
-    fibers = np.arange(1, f_max + 1, dtype=np.int64)
-    T = _blp21_fiber_bounds(lam, B, fibers)
-    return T, T // fibers, _fiber_weights(1, 1, f_max + 1)
+    fibers = np.arange(2, f_max + 1, dtype=np.int64)
+    T = _blp21_fiber_bounds(lam, B, fibers) if f_max > 1 else fibers
+    return t_1, T, T // fibers, _fiber_weights(1, 2, f_max + 1)
 
 
-def _blp21_count(T: np.ndarray, G: np.ndarray, w: np.ndarray) -> int:
-    """The fiber sum over the fiber table of _blp21_fibers: the central
-    fiber F = 1 by P1's Moebius sum, the fibers F >= 2 split at E0, the
+def _blp21_count(t_1: int, T: np.ndarray, G: np.ndarray, w: np.ndarray) -> int:
+    """N(B) on BlP2-1 from _blp21_fibers: the central fiber F = 1 by P1's
+    Moebius sum to t_1, then the table's fibers F >= 2 split at E0, the
     e > E0 one row per quotient block of T_F, all reading mu and M from one
     mu segment over [1, G_2] (module docstring)."""
-    central = 3 * _pn_count(1, int(T[0]))
-    if len(T) == 1:
+    central = 3 * _pn_count(1, t_1)
+    if not len(T):
         return central
-    T, G, w = T[1:], G[1:], w[1:]
     # G is nonincreasing, so #{F >= 2 : G_F > e} <= e first holds at the
     # first index e with G[e] <= e; 1 <= e0 <= G_2.
     drops = np.flatnonzero(G <= np.arange(len(G)))
@@ -914,21 +937,43 @@ def pn_zeta_tail(model: VarietyModel, lam, s: float, B, partial: float) -> float
             if e > 0 else math.inf)
 
 
+def _shell_zeta(n: int, c: float, end: int, on: str) -> tuple:
+    """(sum of w_n(F) F^-c over the primitive shells F = 1..F_end, the
+    points summed): F_end from _pn_zeta_stop over the shells 1..end, each
+    term fl(w_F fl(F^-c)) computed by NumPy _WEIGHT_CHUNK shells at a time
+    (_fiber_weights, so the memory does not grow with end) and all of them
+    added by one math.fsum, within 11 2^-53 of the sum (module docstring,
+    "The zeta sums").  on names the sum in its refusals.
+
+    Raises:
+        CapabilityError: if F_end passes _ZETA_STEP_LIMIT (time) or the
+            weight bound K_n F_end^n passes 2^53 (float), before the loop.
+    """
+    end, K = _pn_zeta_stop(n, c, end)
+    refuse_past(f"{on} the number of fibers of its loop", end, _ZETA_STEP_LIMIT, "time")
+    refuse_past(f"{on} the weight bound K_n F_end^n", K * end**n, 2**53, "float")
+    counts = []
+
+    def terms(lo: int) -> list:
+        w = _fiber_weights(n, lo, min(lo + _WEIGHT_CHUNK, end + 1))
+        counts.append(_exact_sum(w))
+        return (w * np.arange(lo, lo + len(w), dtype=float) ** -c).tolist()
+
+    partial = math.fsum(chain.from_iterable(map(terms, range(1, end + 1, _WEIGHT_CHUNK))))
+    return partial, sum(counts)
+
+
 def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     """(sum of H(x; lambda)^(-s) over the points with H <= B, their number):
     the point side of fourier.zeta_truncated along the counting strategy.
 
-    P^n sums its primitive shells F = 1..F_end, F_end from _pn_zeta_stop at
-    c = lambda_1 s: w_n(F) points of height F^lambda_1 (_fiber_weights,
-    _WEIGHT_CHUNK shells at a time, so the memory does not grow with B),
-    each term fl(w_F fl(F^-c)) computed by NumPy and all of them added by
-    one math.fsum, within 11 2^-53 of the sum (module docstring, "The zeta
-    sums").  The count is that of the points summed.  The loop refuses
-    more than _ZETA_STEP_LIMIT shells, and a weight bound K_n F_end^n past
-    2^53, before it starts.
+    P^n sums its primitive shells by _shell_zeta at c = lambda_1 s, w_n(F)
+    points of height F^lambda_1 each, and counts the points summed.
 
-    BlP2-1 sums and counts the fibers of one table (_blp21_fibers, which
-    refuses B past count_points' limits before the sum starts), the rest
+    BlP2-1 sums its central fiber as three copies of P1 and its fibers
+    F >= 2 by a loop (_blp21_zeta_partial), and counts N(B) exactly
+    (_blp21_count), both from one table (_blp21_fibers, which refuses B past
+    count_points' limits before the sum starts).  The rest sum and count
     the points of _box_kernel with the generator heights it has
     computed, in the order of enumerate_points, each term x ** (-s) of a
     Python float x added left to right.  There H = prod_G h_G^m_G.
@@ -949,23 +994,10 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
         return 0.0, 0
     strategy, end = _outer_range(model, vals, B)
     if strategy == "pn":
-        n, c = model.dim, float(vals[0]) * s
-        end, K = _pn_zeta_stop(n, c, end)
-        on = f"zeta sum on {model.id}:"
-        refuse_past(f"{on} the number of fibers of its loop", end, _ZETA_STEP_LIMIT, "time")
-        refuse_past(f"{on} the weight bound K_n F_end^n", K * end**n, 2**53, "float")
-        counts = []
-
-        def terms(lo: int) -> list:
-            w = _fiber_weights(n, lo, min(lo + _WEIGHT_CHUNK, end + 1))
-            counts.append(_exact_sum(w))
-            return (w * np.arange(lo, lo + len(w), dtype=float) ** -c).tolist()
-
-        partial = math.fsum(chain.from_iterable(map(terms, range(1, end + 1, _WEIGHT_CHUNK))))
-        return partial, sum(counts)
+        return _shell_zeta(model.dim, float(vals[0]) * s, end, f"zeta sum on {model.id}:")
     if strategy == "fiber":
-        T, G, w = _blp21_fibers(vals, B, end)
-        return _blp21_zeta_partial(vals, s, T, G, w), _blp21_count(T, G, w)
+        table = _blp21_fibers(vals, B, end)
+        return _blp21_zeta_partial(vals, s, *table), _blp21_count(*table)
     m = geometry.generator_exponents(model, vals)
     up = [max(int(e), 0) for e in m]
     down = [max(-int(e), 0) for e in m]
@@ -986,29 +1018,32 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     return partial, n
 
 
-def _blp21_zeta_partial(lam, s: float, T: np.ndarray, G: np.ndarray, w: np.ndarray) -> float:
-    """The point sum of zeta_partial on BlP2-1 over the fiber table (T, G, w).
+def _blp21_zeta_partial(lam, s: float, t_1: int, T, G, w) -> float:
+    """The point sum of zeta_partial on BlP2-1 from the table (t_1, T, G, w)
+    of _blp21_fibers.
 
-    Points are grouped by the reduced fiber coordinate y = q/f with
-    F = max(|q|, f) <= len(T) (w_F of them, _blp21_fibers) and
-    within a fiber by (g, X) with g >= 1, gcd(g, X) = 1; the generator
-    heights are h_F = F and h_H = max(g F, |X|), so each point contributes
-    max(g F, |X|)^(-m_H s) F^(-m_F s).  The loop takes 1 + T_F - g F steps
-    for each g <= G_F of fiber F, at most sum_F G_F T_F in all.
+    The central fiber F = 1 adds 3 times P1's shell sum (_shell_zeta) to
+    t_1 at c = m_H s, with its stop (module docstring, "The central fiber"
+    and "BlP2-1's central fiber").  The other points are grouped by the
+    reduced fiber coordinate y = q/f with F = max(|q|, f) = 2, ..., f_max
+    (w_F of them) and within a fiber by (g, X) with g >= 1, gcd(g, X) = 1;
+    the generator heights are h_F = F and h_H = max(g F, |X|), so each point
+    contributes max(g F, |X|)^(-m_H s) F^(-m_F s).  The loop takes
+    1 + T_F - g F steps for each g <= G_F of fiber F >= 2, at most
+    sum_{F >= 2} G_F T_F in all, and adds the fibers' sums in turn; the
+    central sum, the largest, is added last.
 
     Raises:
-        CapabilityError: if sum_F G_F T_F passes 2^25, before the loop.
+        CapabilityError: if sum_{F >= 2} G_F T_F passes 2^25, or the central
+            shell sum its own limits (_shell_zeta), before either loop.
     """
-    # G_1 T_1 = T_1^2 may pass int64 (T_1 <= 2^36); the other G_F T_F stay
-    # below 2^56 (module docstring).
     refuse_past("zeta sum on BlP2-1: the number of steps of its loop over (g, X)",
-                int(G[0]) * int(T[0]) + _exact_sum(G[1:] * T[1:]), _ZETA_STEP_LIMIT, "time")
-    phi = [0, *jordan_segment(1, int(G[0]) + 1, 1).tolist()]
-    m_h, m_f = lam[1], lam[0] - lam[1]
-    c_h = float(m_h) * s
-    c_f = float(m_f) * s
+                _exact_sum(G * T), _ZETA_STEP_LIMIT, "time")
+    c_h, c_f = float(lam[1]) * s, float(lam[0] - lam[1]) * s
+    central, _ = _shell_zeta(1, c_h, t_1, "zeta sum on BlP2-1's central fiber (P1):")
+    phi = [0, *jordan_segment(1, int(G.max(initial=0)) + 1, 1).tolist()]
     total = 0.0
-    for F, (t_cap, g_cap, weight) in enumerate(zip(T.tolist(), G.tolist(), w.tolist()), start=1):
+    for F, (t_cap, g_cap, weight) in enumerate(zip(T.tolist(), G.tolist(), w.tolist()), start=2):
         inner = 0.0
         for g in range(1, g_cap + 1):
             base = g * F
@@ -1020,7 +1055,7 @@ def _blp21_zeta_partial(lam, s: float, T: np.ndarray, G: np.ndarray, w: np.ndarr
                 if math.gcd(x, g) == 1:
                     inner += 2.0 * float(x) ** (-c_h)
         total += weight * inner * float(F) ** (-c_f)
-    return total
+    return total + 3.0 * central
 
 
 @dataclass(frozen=True)

@@ -1202,7 +1202,9 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         b_cut: height cutoff.
 
     Returns:
-        (partial_sum, tail_estimate).
+        (partial_sum, tail_estimate).  Below b_cut = 1 no point is summed
+        and nothing bounds Z(s) from the sum: (0.0, inf) on every model, as
+        off P^n at b_cut <= 8.
     """
     lam = geometry.require_interior(model, lam)
     a_lam = geometry.a_exponent(model, lam)
@@ -1215,7 +1217,7 @@ def zeta_truncated(model: VarietyModel, lam, s: float, b_cut) -> tuple:
         )
     b_cut = as_fraction(b_cut)
     if b_cut < 1:
-        return 0.0, 0.0
+        return 0.0, math.inf
 
     partial, n_cut = enumeration.zeta_partial(model, lam, s, b_cut)
     if model.kind == "pn":

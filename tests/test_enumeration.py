@@ -966,11 +966,33 @@ def test_blp21_fiber_bounds_float_estimate():
 
 def test_blp21_fiber_table_at_m_f_zero_makes_no_exact_test(exact_calls):
     # At lambda = (1, 1) every T_F is T_1, an integer root: the float root
-    # would send each of the 10^4 fibers to the exact bisection.
-    T, _, _ = enumeration._blp21_fibers(geometry.require_interior(BLP21, (1, 1)),
-                                        Fraction(10**4), 10**4)
-    assert T.tolist() == [10**4] * 10**4
+    # would send each of the 10^4 - 1 fibers F >= 2 to the exact bisection.
+    t_1, T, _, _ = enumeration._blp21_fibers(geometry.require_interior(BLP21, (1, 1)),
+                                             Fraction(10**4), 10**4)
+    assert t_1 == 10**4 and T.tolist() == [10**4] * (10**4 - 1)
     assert exact_calls[0] == 0
+
+
+def test_blp21_fiber_bounds_never_take_the_central_fiber(monkeypatch):
+    # T_1 is the integer root height_radius(B, m_H): the count and the zeta
+    # sum hand the float root the fibers F >= 2 alone, and at f_max = 1
+    # (rho, B < 8) no fiber array but the G_2 guard's [2].
+    handed = []
+
+    def recorded(lam, B, fibers, bounds=enumeration._blp21_fiber_bounds):
+        handed.append(fibers.tolist())
+        return bounds(lam, B, fibers)
+
+    monkeypatch.setattr(enumeration, "_blp21_fiber_bounds", recorded)
+    for lam in (BLP21.rho, (1, 1), (2, 3), (Fraction(7, 2), 2)):
+        for B in (1, 7, 300):
+            handed.clear()
+            enumeration.count_points(BLP21, lam, B)
+            enumeration.zeta_partial(BLP21, lam, 5.0, B)
+            assert handed and all(min(f) >= 2 for f in handed), (lam, B)
+            vals = geometry.require_interior(BLP21, lam)
+            if enumeration.height_radius(Fraction(B), vals[0]) == 1:
+                assert handed == [[2], [2]], (lam, B)
 
 
 def test_blp21_fiber_bounds_memory_peak():
@@ -1073,16 +1095,78 @@ def test_blp21_count_bench_pins():
         assert enumeration.count_points(BLP21, lam, B) == want
 
 
+def blp21_zeta_oracle(lam, s: float, B: Fraction) -> float:
+    """math.fsum of every point's own term H^-s over BlP2-1's points with
+    H <= B, the term of a point with heights (h_H, F) being
+    fl(h_H^(-m_H s)) * fl(F^(-m_F s)).  The points are walked fiber by fiber
+    (F <= f_max, w_F reduced fibers each, T_F from Fraction powers) and
+    within a fiber by (g, X), g >= 1, gcd(g, X) = 1, as multiplicities per
+    (h_H, F); the sum of the terms with their multiplicities is taken
+    exactly and rounded once, the value math.fsum of the list of every
+    point's term gives."""
+    m_h, m_f = lam[1], lam[0] - lam[1]
+    c_h, c_f = float(m_h) * s, float(m_f) * s
+    f_max = enumeration.height_radius(B, lam[0])
+    phi = [0, *_util.jordan_segment(1, max(f_max, enumeration.height_radius(B, m_h)) + 1,
+                                    1).tolist()]
+    total = Fraction(0)
+    for F in range(1, f_max + 1):
+        t = blp21_fiber_bound_fractions(lam, B, F)
+        mult = np.zeros(t + 1, dtype=np.int64)
+        for g in range(1, t // F + 1):
+            # The plateau |X| <= g F, where h_H = g F; the wings |X| > g F.
+            mult[g * F] += 2 * F * phi[g] + (g == 1)
+            xs = np.arange(g * F + 1, t + 1)
+            mult[g * F + 1 :] += 2 * (np.gcd(xs, g) == 1)
+        weight = 3 if F == 1 else 4 * phi[F]
+        f_term = float(F) ** -c_f
+        total += sum(weight * k * Fraction(float(h) ** -c_h * f_term)
+                     for h, k in enumerate(mult.tolist()) if k)
+    return float(total)
+
+
+def test_blp21_zeta_oracle_is_fsum_of_point_terms():
+    # The oracle against math.fsum of the list of every point's term, the
+    # points from the loop box scan: m_F > 0, < 0 and rational.
+    for lam, s, B in ((BLP21.rho, 2.0, 300), ((1, 2), 4.0, 16), ((Fraction(7, 2), 2), 3.0, 200)):
+        vals = geometry.require_interior(BLP21, lam)
+        c_h, c_f = float(vals[1]) * s, float(vals[0] - vals[1]) * s
+        terms = []
+        for pt in enumeration.enumerate_points(BLP21, vals, B):
+            h_h, h_f = heights.generator_heights(BLP21, pt.coords)[:2]
+            terms.append(float(h_h) ** -c_h * float(h_f) ** -c_f)
+        assert blp21_zeta_oracle(vals, s, Fraction(B)) == math.fsum(terms), lam
+
+
+@pytest.mark.parametrize("lam, s", [(BLP21.rho, 2.0), ((1, 1), 5.0), ((Fraction(7, 2), 2), 3.0),
+                                    ((1, 2), 4.0)], ids=["rho", "1,1", "7/2,2", "1,2"])
+def test_blp21_zeta_partial_against_the_point_oracle(lam, s):
+    # The central fiber's shell sum and the loop over the fibers F >= 2
+    # against every point's own term: within 32 ulp.  B < 8 leaves the
+    # central fiber alone at rho (f_max = 1); m_F = 0 at (1, 1), m_F < 0 at
+    # (1, 2).  At B = 2 10^4 the fibers F >= 2 of (1, 1) and (1, 2) plan
+    # about 4 10^9 and 4 10^8 steps: refused before any loop.
+    vals = geometry.require_interior(BLP21, lam)
+    for B in (1, 2, 7, 300, 2 * 10**4):
+        if vals[0] <= 1 and B == 2 * 10**4:
+            with pytest.raises(CapabilityError, match="steps .* passes the limit 2\\^25"):
+                enumeration.zeta_partial(BLP21, lam, s, B)
+            continue
+        got, n = enumeration.zeta_partial(BLP21, lam, s, B)
+        want = blp21_zeta_oracle(vals, s, Fraction(B))
+        assert abs(got - want) <= 32 * math.ulp(want), (lam, B, (got - want) / math.ulp(want))
+        assert n == enumeration.count_points(BLP21, lam, B)
+
+
 # BlP2-1's zeta sums (lambda, s, B, the sum's float.hex, the points summed)
-# and counts (lambda, B, N; the bench's two are BENCH_BLP21) as the separate
-# passes for the sum and the count gave them, before both read the one fiber
-# table of _blp21_fibers.
+# and counts (lambda, B, N; the bench's two are BENCH_BLP21).  The sums take
+# the central fiber from P1's shell sum; their counts are the exact N(B).
 BLP21_ZETA_PINS = (
-    (BLP21.rho, 2, 300, "0x1.5aacd83e48cf2p+3", 2441),
-    (BLP21.rho, 3.5, 2 * 10**4, "0x1.23e716b9de796p+3", 248361),
-    (BLP21.rho, 4, 10**5, "0x1.21cc083ccf477p+3", 1377497),
-    ((Fraction(7, 2), 2), 3, 2 * 10**4, "0x1.27e1dc18a4243p+3", 137161),
-    ((1, 1), 5, 300, "0x1.578bc35e5163dp+3", 90085673),
+    (BLP21.rho, 2, 300, "0x1.5aacd83e48cedp+3", 2441),
+    (BLP21.rho, 3.5, 2 * 10**4, "0x1.23e716b9de782p+3", 248361),
+    (BLP21.rho, 4, 10**5, "0x1.21cc083ccf5b1p+3", 1377497),
+    ((Fraction(7, 2), 2), 3, 2 * 10**4, "0x1.27e1dc18a422bp+3", 137161),
+    ((1, 1), 5, 300, "0x1.578bc35e514d8p+3", 90085673),
 )
 BLP21_COUNT_PINS = (((2, 3), 10**9, 70412036250809), ((Fraction(7, 2), 2), 10**8, 785001281))
 
@@ -1097,16 +1181,17 @@ def test_blp21_zeta_and_count_pins():
 
 def test_blp21_zeta_refused_with_the_count():
     # At rho, B = 1e17 the count passes its guards (G_2 = 111803398), and
-    # the zeta sum is refused by its own step guard (sum_F G_F T_F > 2^25)
-    # once the fiber table is built, before its loop.  At 2e17 it reads the
-    # fiber table the count reads, so the count's guard (G_2 > 2^27) refuses
-    # it before any table.  At (40, 1), B = 2^36 the one fiber F = 1 has
-    # G_1 T_1 = 2^72, which int64 would wrap to 0.  Each refusal comes in
-    # under a second.
-    steps = "steps .* passes the limit 2\\^25"
-    for lam, s, B, match in ((BLP21.rho, 2, 10**17, steps),
-                             (BLP21.rho, 2, 2 * 10**17, "G_2 passes the limit 2\\^27"),
-                             ((40, 1), 3, 2**36, steps)):
+    # the zeta sum is refused by its own step guard (sum_{F >= 2} G_F T_F
+    # > 2^25) once the fiber table is built, before its loop.  At 2e17 it
+    # reads the fiber table the count reads, so the count's guard
+    # (G_2 > 2^27) refuses it before any table.  At (40, 1), B = 2^36 the
+    # central fiber alone holds points (f_max = 1), and its shell sum would
+    # run to F_end = T_1 = 2^36: refused by the shell guard.  Each refusal
+    # comes in under a second.
+    for lam, s, B, match in (
+            (BLP21.rho, 2, 10**17, "steps .* passes the limit 2\\^25"),
+            (BLP21.rho, 2, 2 * 10**17, "G_2 passes the limit 2\\^27"),
+            ((40, 1), 3, 2**36, "central fiber .* fibers of its loop passes the limit 2\\^25")):
         t0 = time.perf_counter()
         with pytest.raises(CapabilityError, match=match):
             fourier.zeta_truncated(BLP21, lam, s, B)
@@ -1115,12 +1200,18 @@ def test_blp21_zeta_refused_with_the_count():
 
 def test_blp21_zeta_loop_refused_past_its_step_limit():
     # At rho, B = 1e10 the fiber table passes the count's guard, but the
-    # zeta loop would take sum_F G_F T_F ~ 1.6e10 steps (about 40 minutes):
-    # refused before the loop, by a message that names the limit.
-    t0 = time.perf_counter()
-    with pytest.raises(CapabilityError, match="steps .* passes the limit 2\\^25"):
-        fourier.zeta_truncated(BLP21, BLP21.rho, 2, 10**10)
-    assert time.perf_counter() - t0 < 1.0
+    # zeta loop over the fibers F >= 2 would take sum G_F T_F = 6.4e9 steps:
+    # refused before the loop, by a message that names the limit.  So is
+    # 6e7 (38402190 steps), while 5e7 (31988283 steps, under 2^25) runs.
+    for B in (10**10, 6 * 10**7):
+        t0 = time.perf_counter()
+        with pytest.raises(CapabilityError, match="steps .* passes the limit 2\\^25"):
+            fourier.zeta_truncated(BLP21, BLP21.rho, 2, B)
+        assert time.perf_counter() - t0 < 1.0, B
+    vals = geometry.require_interior(BLP21, BLP21.rho)
+    B = Fraction(5 * 10**7)
+    _, T, G, _ = enumeration._blp21_fibers(vals, B, enumeration.height_radius(B, vals[0]))
+    assert enumeration._exact_sum(G * T) == 31988283
 
 
 def test_mertens_quotients_read_once_per_count(monkeypatch):

@@ -1147,7 +1147,7 @@ def test_zeta_truncated_fractional_class(mid):
 @pytest.mark.parametrize("mid, s, B, want", [
     ("BlP2-2", 4, 100, (9.104472772424202, 2.0224458582674098e-05)),
     ("BlP2-3", 4, 58, (7.472911214645311, 0.0001351230639407696)),
-    ("BlP2-1", 2, 300, (10.833599206589927, 0.06375470271349144)),
+    ("BlP2-1", 2, 300, (10.833599206589918, 0.06375470271349144)),
     ("P2", 2, 80, (9.65391643089849, 0.06770833333341206)),
 ])
 def test_zeta_truncated_pins(mid, s, B, want):
@@ -1174,7 +1174,9 @@ def test_zeta_truncated_limits_and_errors():
     p1 = geometry.load_model("P1")
     with pytest.raises(ValueError):
         fourier.zeta_truncated(p1, p1.rho, 1.0, 100)
-    assert fourier.zeta_truncated(p1, p1.rho, 3.0, Fraction(1, 2)) == (0.0, 0.0)
+    # Below b_cut = 1 no point is summed, and nothing bounds Z(s): the tail
+    # is inf, not 0 (Z = 4 zeta(5)/zeta(6) - 1 = 3.08 here).
+    assert fourier.zeta_truncated(p1, p1.rho, 3.0, Fraction(1, 2)) == (0.0, math.inf)
     # Far right of the critical line only the three height-one points count:
     # the tail is the float bound of the sum, 16 * 2^-53 * 3, and the fibers
     # past the stop add below 1e-100.
@@ -1284,12 +1286,15 @@ def test_poisson_check_truncated_spectrum_undershoots():
 
 @pytest.mark.parametrize("b_cut", [0.5, 0, -3, Fraction(99, 100)])
 def test_poisson_check_needs_b_cut_at_least_one(b_cut):
-    # No point has height below 1, so the point side would be 0 with a tail
-    # of 0: a refusal, not a failed check.  zeta_truncated keeps its (0, 0).
+    # No point has height below 1, so the point side would be 0 with no
+    # bound on the rest: a refusal, not a failed check.  zeta_truncated
+    # returns the empty sum with an infinite tail on every model.
     p1 = geometry.load_model("P1")
     with pytest.raises(ValueError, match="b_cut"):
         fourier.poisson_check(p1, p1.rho, 3.0, b_cut, 5)
-    assert fourier.zeta_truncated(p1, p1.rho, 3.0, b_cut) == (0.0, 0.0)
+    for mid in ("P1", "BlP2-1", "BlP2-2"):
+        model = geometry.load_model(mid)
+        assert fourier.zeta_truncated(model, model.rho, 3.0, b_cut) == (0.0, math.inf), mid
     assert fourier.poisson_check(p1, p1.rho, 3.0, 1, 5)["lhs"] == 3.0
 
 

@@ -278,9 +278,9 @@ def test_one_function_owns_the_tate_cone_check():
 
 
 def test_one_function_owns_the_fiber_weights():
-    # The shell counts w_n(F) (w_1 = 3, w_F = 4 phi(F) at n = 1): the fiber
-    # count, BlP2-1's zeta sum and the P^n zeta sums read them from
-    # enumeration._fiber_weights.  The one totient sieve,
+    # The shell counts w_n(F) (w_1 = 3, w_F = 4 phi(F) at n = 1): BlP2-1's
+    # fiber table and the shell zeta sum of P^n and BlP2-1's central fiber
+    # read them from enumeration._fiber_weights.  The one totient sieve,
     # _util.jordan_segment, has two more readers: the coprime counts of
     # BlP2-1's zeta plateaus and of BlP2-2's torsor plateaus.
     readers = sorted(f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
@@ -335,6 +335,19 @@ def test_one_reader_of_each_mertens_table():
     assert readers("enumeration", "mertens_quotients") == ["_pn_count"]
     assert readers("enumeration", "mu_segment") == ["_blp21_count", "_squarefree_divisors"]
     assert readers("_util", "mu_segment") == ["mertens_quotients"]
+
+
+def test_one_shell_zeta_sum():
+    # P^n's zeta sum and BlP2-1's central fiber (three copies of P1) sum the
+    # primitive shells by one function with one stop, one pair of guards
+    # and one math.fsum: enumeration._shell_zeta, read by these two alone.
+    readers = sorted(f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+                     for fn in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and fn.name != "_shell_zeta"
+                     and "_shell_zeta" in (name for node in ast.walk(fn)
+                                           for name in _used_names(node)))
+    assert readers == ["enumeration._blp21_zeta_partial", "enumeration.zeta_partial"]
 
 
 def test_one_ragged_layout():
