@@ -140,10 +140,10 @@ Each partial product is at most its term.  Every pass has fewer than 2^31
 terms (at most 2^14 rows, or f_max <= T_{f_max} fibers, since
 G_{f_max} >= 1), and _exact_sum adds their high and low 32-bit halves
 apart: under 2^31 * 2^30 and 2^31 * 2^32, both inside int64.  The weights
-sum to less than 2 f_max^2 < 2^62, and the zeta sum's steps
-sum_{F >= 2} G_F T_F (below) add f_max terms G_F T_F <= T_F^2 / 2 < 2^56.
-The central fiber's sum is exact under
-the Moebius sum's own T_1 <= 2^36, and its factor 3 a Python int product.
+sum to less than 2 f_max^2 < 2^62, and the zeta sum's rows sum_{F >= 2} G_F
+(below) to less than f_max 2^27 < 2^51.  The central fiber's sum is exact
+under the Moebius sum's own T_1 <= 2^36, and its factor 3 a Python int
+product.
 
 Memory: the fiber table (T_F, G_F, w_F) takes 24 bytes per fiber, and
 the float estimate of T_F two float64 arrays more while it is built; the
@@ -315,8 +315,9 @@ and BlP2-3 the box kernel's points, each block's heights H = num/den from
 its generator heights as int64 products when they provably stay below
 2^53); fourier.zeta_truncated adds the tail.  BlP2-1 reads the count's
 table (_blp21_fibers) and returns its exact N(B): its central fiber is
-P1's shell sum (below), its fibers F >= 2 a loop over their (g, X) of at
-most sum_{F >= 2} G_F T_F steps, refused past 2^25 before either loop.
+P1's shell sum (below), its fibers F >= 2 one NumPy pass over the rows
+(F, g), g <= G_F, whose number R = sum_{F >= 2} G_F is refused past 2^25
+before any table.
 
 On P^n the sum runs over the primitive shells (_shell_zeta).  Of the
 vectors (Z, X) with Z >= 1, c(m) = m (2m+1)^n - (m-1)(2m-1)^n =
@@ -365,8 +366,52 @@ whose float is within 11 r of its value, relative (the float sum above).
 s > a(lambda) >= 2/lambda_E (rho_E = 2) gives c > 2 = n + 1, so the stop
 applies: the shells past F_end < T_1 that it drops add at most 3 times
 P1's tail bound at F_end, about 3 * 48 r, no more than 16 r S for the
-central sum S >= 9.  The fibers F >= 2 are summed in Python floats, fiber
-by fiber, with no proved bound.
+central sum S >= 9.
+
+BlP2-1's fibers F >= 2.  On fiber F a point (g, X) has h_H = g F on the
+plateau |X| <= g F, which holds 2 F phi(g) + [g = 1] of them (g F is a
+multiple of g), and h_H = |X| on the wings g F < |X| <= T_F; its term
+carries F^(-c_f), c_f = m_F s.  With N = max_{F >= 2} T_F,
+Q(m) = sum_{m < y <= N} y^-c and M_c(x) = sum_{e <= x} mu(e) e^-c, the
+wings of g, x = e y over the e | g, give
+
+    sum_{gF < x <= T_F, gcd(x, g) = 1} x^-c
+        = sum_{e | g} mu(e) e^-c (Q(gF/e) - Q(T_F//e)),
+
+and summed over g <= G_F, with g = e k in the first sum and the sums
+swapped, fiber F adds w_F F^(-c_f) times
+
+    sum_{g <= G_F} [(2 F phi(g) + [g = 1]) (gF)^-c + 2 Q(gF) M_c(G_F//g)
+                    - 2 mu(g) g^-c (G_F//g) Q(T_F//g)],
+
+a term per row (F, g).  The rows come in _util.ragged parts, mu and phi
+from one segment each over [1, G_2], M_c and Q from one running sum each
+(Q's from its smallest term), and one math.fsum adds the rows' terms and
+3 times the central sum.  N <= 2R + 1 for the R rows: N = T_2 <= 2 G_2 + 1
+when m_F >= 0, and N = T_{f_max} <= f_max <= R + 1 when m_F < 0 (every
+fiber has G_F >= 1).  So the row guard bounds the tables: the pass holds
+Q, M_c, phi and mu, 8 N + 17 G_2 bytes (G_2 <= R), about 1.1 GB at
+R = 2^25, and the phi sieve 16 G_2 bytes while it runs (a peak RSS of
+294 MB and 8-9 s at rho, B = 4.3 10^14, R = 33250159, 2-core VM).
+
+Its float.  Let no operation of the pass overflow or underflow (a sum
+that is subnormal is exact).  Every integer it converts is below 2^53, so
+exact, and a pow within 8r counts as 8 roundings (8r <= gamma_8 =
+8r/(1 - 8r)).  A row's float is then the sum of its exact products p_i,
+each times some 1 + theta_i with |theta_i| <= gamma_D = D r/(1 - D r)
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+D = N + G_2 + 32 covers three pows, the at most N - 1 additions of Q and
+G_2 - 1 of M_c, and the 4 products and 2 additions of a row, its scale
+w_F F^(-c_f) included.  So the rows' floats are within
+gamma_D A < 1.01 D r A of their exact sum, where A is that sum with |mu|
+for mu (in M_c and in the last term), the sum of the |p_i|.  3 times the
+central float is within 28 r S_c of its value S_c (above, and r for the
+product), S_c <= Z' + |Z' - Z| as every term is positive, and math.fsum
+rounds once, so the sum Z' that zeta_partial returns is within
+
+    30 r Z' + 1.01 D r A
+
+of the sum Z of its points' terms h_H^-c F^-c_f (c and c_f the floats).
 
 enumerate_points is the oracle: it yields the points of the loop _box_scan,
 which decides each primitive candidate by the exact test alone and shares no
@@ -383,7 +428,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, starmap
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -631,7 +676,7 @@ _PN_T_LIMIT = 2**36
 _FIBER_LIMIT = 2**24
 _SEGMENT_LIMIT = 2**27
 # The zeta sums of P^n and BlP2-1 refuse more than _ZETA_STEP_LIMIT planned
-# steps of their loops.
+# shells of their shell sums or rows (F, g) of BlP2-1's fibers F >= 2.
 _ZETA_STEP_LIMIT = 2**25
 
 
@@ -971,7 +1016,8 @@ def zeta_partial(model: VarietyModel, lam, s: float, B) -> tuple:
     points of height F^lambda_1 each, and counts the points summed.
 
     BlP2-1 sums its central fiber as three copies of P1 and its fibers
-    F >= 2 by a loop (_blp21_zeta_partial), and counts N(B) exactly
+    F >= 2 by one NumPy pass over the rows (F, g) (_blp21_zeta_partial,
+    within its proved float bound), and counts N(B) exactly
     (_blp21_count), both from one table (_blp21_fibers, which refuses B past
     count_points' limits before the sum starts).  The rest sum and count
     the points of _box_kernel with the generator heights it has
@@ -1024,38 +1070,42 @@ def _blp21_zeta_partial(lam, s: float, t_1: int, T, G, w) -> float:
 
     The central fiber F = 1 adds 3 times P1's shell sum (_shell_zeta) to
     t_1 at c = m_H s, with its stop (module docstring, "The central fiber"
-    and "BlP2-1's central fiber").  The other points are grouped by the
-    reduced fiber coordinate y = q/f with F = max(|q|, f) = 2, ..., f_max
-    (w_F of them) and within a fiber by (g, X) with g >= 1, gcd(g, X) = 1;
-    the generator heights are h_F = F and h_H = max(g F, |X|), so each point
-    contributes max(g F, |X|)^(-m_H s) F^(-m_F s).  The loop takes
-    1 + T_F - g F steps for each g <= G_F of fiber F >= 2, at most
-    sum_{F >= 2} G_F T_F in all, and adds the fibers' sums in turn; the
-    central sum, the largest, is added last.
+    and "BlP2-1's central fiber").  The fibers F >= 2, whose points
+    (g, X), gcd(g, X) = 1, contribute max(g F, |X|)^(-m_H s) F^(-m_F s)
+    each, add one term per row (F, g), g <= G_F, from the running sums Q
+    and M_c ("BlP2-1's fibers F >= 2"), in ragged parts of NumPy arrays,
+    and one math.fsum adds all the terms, within 30 r Z' + 1.01 D r A of
+    the points' sum ("Its float").
 
     Raises:
-        CapabilityError: if sum_{F >= 2} G_F T_F passes 2^25, or the central
-            shell sum its own limits (_shell_zeta), before either loop.
+        CapabilityError: if the rows sum_{F >= 2} G_F pass 2^25 (time), or
+            the central shell sum its own limits (_shell_zeta), before any
+            table or loop.
     """
-    refuse_past("zeta sum on BlP2-1: the number of steps of its loop over (g, X)",
-                _exact_sum(G * T), _ZETA_STEP_LIMIT, "time")
-    c_h, c_f = float(lam[1]) * s, float(lam[0] - lam[1]) * s
-    central, _ = _shell_zeta(1, c_h, t_1, "zeta sum on BlP2-1's central fiber (P1):")
-    phi = [0, *jordan_segment(1, int(G.max(initial=0)) + 1, 1).tolist()]
-    total = 0.0
-    for F, (t_cap, g_cap, weight) in enumerate(zip(T.tolist(), G.tolist(), w.tolist()), start=2):
-        inner = 0.0
-        for g in range(1, g_cap + 1):
-            base = g * F
-            # The plateau |X| <= g F, where h_H = g F: gF is a multiple of
-            # g, so #{X : gcd(X, g) = 1} = 2 F phi(g) + [g = 1].
-            inner += (2 * F * phi[g] + (g == 1)) * float(base) ** (-c_h)
-            # The wings g F < |X| <= T_F, where h_H = |X|.
-            for x in range(base + 1, t_cap + 1):
-                if math.gcd(x, g) == 1:
-                    inner += 2.0 * float(x) ** (-c_h)
-        total += weight * inner * float(F) ** (-c_f)
-    return total + 3.0 * central
+    refuse_past("zeta sum on BlP2-1: the number of rows (F, g) of the fibers F >= 2",
+                int(G.sum()), _ZETA_STEP_LIMIT, "time")
+    c, c_f = float(lam[1]) * s, float(lam[0] - lam[1]) * s
+    central, _ = _shell_zeta(1, c, t_1, "zeta sum on BlP2-1's central fiber (P1):")
+    g_2, n = int(G.max(initial=0)), int(T.max(initial=0))
+    phi, mu = jordan_segment(1, g_2 + 1, 1), mu_segment(1, g_2 + 1)
+    # M[x] = M_c(x) and Q[m] = Q(m), one running sum each; Q's is taken in
+    # place (its table is the largest), from its smallest term y = N down.
+    M = np.arange(g_2 + 1, dtype=np.float64)
+    M[1:] = mu * np.power(M[1:], -c, out=M[1:])
+    np.cumsum(M, out=M)
+    Q = np.arange(n + 1, 0, -1, dtype=np.float64)
+    np.power(Q, -c, out=Q)
+    Q[0] = 0.0
+    Q = np.cumsum(Q, out=Q)[::-1]
+    scale = w * np.arange(2, len(w) + 2, dtype=np.float64) ** -c_f
+
+    def terms(f, g, *_) -> list:
+        F, k = f + 2, G[f] // g
+        plateau = (2 * F * phi[g - 1] + (g == 1)) * (g * F).astype(np.float64) ** -c
+        wings = 2 * Q[g * F] * M[k] - 2 * mu[g - 1] * k * g.astype(np.float64) ** -c * Q[T[f] // g]
+        return (scale[f] * (plateau + wings)).tolist()
+
+    return math.fsum(chain(chain.from_iterable(starmap(terms, ragged(G, 1))), [3.0 * central]))
 
 
 @dataclass(frozen=True)

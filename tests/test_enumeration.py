@@ -1101,28 +1101,33 @@ def blp21_zeta_oracle(lam, s: float, B: Fraction) -> float:
     fl(h_H^(-m_H s)) * fl(F^(-m_F s)).  The points are walked fiber by fiber
     (F <= f_max, w_F reduced fibers each, T_F from Fraction powers) and
     within a fiber by (g, X), g >= 1, gcd(g, X) = 1, as multiplicities per
-    (h_H, F); the sum of the terms with their multiplicities is taken
-    exactly and rounded once, the value math.fsum of the list of every
-    point's term gives."""
+    (h_H, F).  A term x times its multiplicity m < 2^27 is the sum of the
+    exact floats m x_hi and m x_lo, x = x_hi + x_lo split into halves of at
+    most 26 bits (Veltkamp), so one math.fsum of all the halves is the exact
+    sum rounded once, the value math.fsum of the list of every point's term
+    gives."""
     m_h, m_f = lam[1], lam[0] - lam[1]
     c_h, c_f = float(m_h) * s, float(m_f) * s
     f_max = enumeration.height_radius(B, lam[0])
-    phi = [0, *_util.jordan_segment(1, max(f_max, enumeration.height_radius(B, m_h)) + 1,
-                                    1).tolist()]
-    total = Fraction(0)
-    for F in range(1, f_max + 1):
-        t = blp21_fiber_bound_fractions(lam, B, F)
+    bounds = [blp21_fiber_bound_fractions(lam, B, F) for F in range(1, f_max + 1)]
+    phi = [0, *_util.jordan_segment(1, max(f_max, *bounds) + 1, 1).tolist()]
+    powers = np.array([0.0] + [float(h) ** -c_h for h in range(1, max(bounds) + 1)])
+    halves = []
+    for F, t in enumerate(bounds, start=1):
         mult = np.zeros(t + 1, dtype=np.int64)
         for g in range(1, t // F + 1):
             # The plateau |X| <= g F, where h_H = g F; the wings |X| > g F.
             mult[g * F] += 2 * F * phi[g] + (g == 1)
             xs = np.arange(g * F + 1, t + 1)
             mult[g * F + 1 :] += 2 * (np.gcd(xs, g) == 1)
-        weight = 3 if F == 1 else 4 * phi[F]
-        f_term = float(F) ** -c_f
-        total += sum(weight * k * Fraction(float(h) ** -c_h * f_term)
-                     for h, k in enumerate(mult.tolist()) if k)
-    return float(total)
+        mult *= 3 if F == 1 else 4 * phi[F]
+        x = powers[: t + 1] * float(F) ** -c_f
+        # The split and the products are exact away from underflow and overflow.
+        assert mult.max() < 2**27 and 2.0**-900 < x[mult > 0].min() and x.max() < 2.0**900
+        split = x * 134217729.0
+        x_hi = split - (split - x)
+        halves += [mult * x_hi, mult * (x - x_hi)]
+    return math.fsum(itertools.chain.from_iterable(h.tolist() for h in halves))
 
 
 def test_blp21_zeta_oracle_is_fsum_of_point_terms():
@@ -1138,35 +1143,87 @@ def test_blp21_zeta_oracle_is_fsum_of_point_terms():
         assert blp21_zeta_oracle(vals, s, Fraction(B)) == math.fsum(terms), lam
 
 
-@pytest.mark.parametrize("lam, s", [(BLP21.rho, 2.0), ((1, 1), 5.0), ((Fraction(7, 2), 2), 3.0),
-                                    ((1, 2), 4.0)], ids=["rho", "1,1", "7/2,2", "1,2"])
+def blp21_zeta_float_bound(lam, s: float, B: Fraction, got: float) -> float:
+    """The module docstring's bound 30 r Z' + 1.01 D r A ("Its float") on
+    the distance of BlP2-1's zeta sum Z' = got from the sum of its points'
+    terms: D = N + G_2 + 32 and A the rows' sum with |mu| for mu, here in
+    Python floats row by row from the fiber table: a sum of positive terms,
+    each through fewer than 2^20 roundings on this grid (a pow counted as
+    8), so within a relative 2^-32 of A, and raised by 2^-25."""
+    r = 2.0**-53
+    c, c_f = float(lam[1]) * s, float(lam[0] - lam[1]) * s
+    _, T, G, w = enumeration._blp21_fibers(lam, B, enumeration.height_radius(B, lam[0]))
+    n, g_2 = int(T.max(initial=0)), int(G.max(initial=0))
+    q = [0.0] * (n + 1)  # Q(m), from its smallest term
+    for m in range(n - 1, -1, -1):
+        q[m] = q[m + 1] + (m + 1) ** -c
+    mu = _util.mu_segment(1, g_2 + 1).tolist()
+    phi = _util.jordan_segment(1, g_2 + 1, 1).tolist()
+    m_abs = list(accumulate((abs(v) * e ** -c for e, v in enumerate(mu, 1)), initial=0.0))
+    a = 0.0
+    for F, (t, g_cap, w_f) in enumerate(zip(T.tolist(), G.tolist(), w.tolist()), start=2):
+        a += w_f * F ** -c_f * sum((2 * F * phi[g - 1] + (g == 1)) * (g * F) ** -c
+                                   + 2 * q[g * F] * m_abs[g_cap // g]
+                                   + 2 * abs(mu[g - 1]) * g ** -c * (g_cap // g) * q[t // g]
+                                   for g in range(1, g_cap + 1))
+    return 30 * r * got + 1.01 * (n + g_2 + 32) * r * a * (1 + 2.0**-25)
+
+
+# (lambda, s) of the BlP2-1 zeta grid: m_F > 0 at rho, (7/2, 2) and (5, 2),
+# m_F = 0 at (1, 1), m_F < 0 at (1, 2) and (2, 3).
+BLP21_ZETA_GRID = pytest.mark.parametrize(
+    "lam, s", [(BLP21.rho, 2.0), ((1, 1), 5.0), ((Fraction(7, 2), 2), 3.0), ((1, 2), 4.0),
+               ((2, 3), 3.0), ((5, 2), 3.0)],
+    ids=["rho", "1,1", "7/2,2", "1,2", "2,3", "5,2"])
+BLP21_ZETA_BOUNDS = (1, 2, 7, 300, 2000, 2 * 10**4)
+
+
+def blp21_oracle_runs(lam, B) -> bool:
+    """The oracle walks every (g, X): at lambda_D <= 1 ((1, 1) and (1, 2),
+    f_max = B) it takes about a second at B = 2000, so it stops there."""
+    return lam[0] > 1 or B <= 2000
+
+
+@BLP21_ZETA_GRID
 def test_blp21_zeta_partial_against_the_point_oracle(lam, s):
-    # The central fiber's shell sum and the loop over the fibers F >= 2
-    # against every point's own term: within 32 ulp.  B < 8 leaves the
-    # central fiber alone at rho (f_max = 1); m_F = 0 at (1, 1), m_F < 0 at
-    # (1, 2).  At B = 2 10^4 the fibers F >= 2 of (1, 1) and (1, 2) plan
-    # about 4 10^9 and 4 10^8 steps: refused before any loop.
+    # The central fiber's shell sum and the pass over the rows (F, g) of the
+    # fibers F >= 2 against every point's own term: within 32 ulp, and the
+    # count is count_points'.  B < 8 leaves the central fiber alone at rho
+    # (f_max = 1).  At B = 2 10^4, (1, 1) and (1, 2) run 181177 and 32556
+    # rows, while the oracle would walk about 4 10^9 and 4 10^8 (g, X):
+    # there the counts alone are compared.
     vals = geometry.require_interior(BLP21, lam)
-    for B in (1, 2, 7, 300, 2 * 10**4):
-        if vals[0] <= 1 and B == 2 * 10**4:
-            with pytest.raises(CapabilityError, match="steps .* passes the limit 2\\^25"):
-                enumeration.zeta_partial(BLP21, lam, s, B)
-            continue
+    for B in BLP21_ZETA_BOUNDS:
         got, n = enumeration.zeta_partial(BLP21, lam, s, B)
+        assert n == enumeration.count_points(BLP21, lam, B), (lam, B)
+        if blp21_oracle_runs(vals, B):
+            want = blp21_zeta_oracle(vals, s, Fraction(B))
+            assert abs(got - want) <= 32 * math.ulp(want), (lam, B, (got - want) / math.ulp(want))
+
+
+@BLP21_ZETA_GRID
+def test_blp21_zeta_partial_inside_its_proved_float_bound(lam, s):
+    # The oracle is within 18.1 r of the points' sum Z (two pows within
+    # 8 r and a product per term, and one rounding), so |got - oracle| is
+    # at most the docstring's bound on |got - Z| plus that.
+    vals = geometry.require_interior(BLP21, lam)
+    for B in (B for B in BLP21_ZETA_BOUNDS if blp21_oracle_runs(vals, B)):
+        got, _ = enumeration.zeta_partial(BLP21, lam, s, B)
         want = blp21_zeta_oracle(vals, s, Fraction(B))
-        assert abs(got - want) <= 32 * math.ulp(want), (lam, B, (got - want) / math.ulp(want))
-        assert n == enumeration.count_points(BLP21, lam, B)
+        bound = blp21_zeta_float_bound(vals, s, Fraction(B), got)
+        assert abs(got - want) <= bound + 18.1 * 2.0**-53 * want, (lam, B)
 
 
 # BlP2-1's zeta sums (lambda, s, B, the sum's float.hex, the points summed)
 # and counts (lambda, B, N; the bench's two are BENCH_BLP21).  The sums take
-# the central fiber from P1's shell sum; their counts are the exact N(B).
+# the central fiber from P1's shell sum and the fibers F >= 2 from the pass
+# over the rows (F, g); their counts are the exact N(B).
 BLP21_ZETA_PINS = (
     (BLP21.rho, 2, 300, "0x1.5aacd83e48cedp+3", 2441),
     (BLP21.rho, 3.5, 2 * 10**4, "0x1.23e716b9de782p+3", 248361),
     (BLP21.rho, 4, 10**5, "0x1.21cc083ccf5b1p+3", 1377497),
     ((Fraction(7, 2), 2), 3, 2 * 10**4, "0x1.27e1dc18a422bp+3", 137161),
-    ((1, 1), 5, 300, "0x1.578bc35e514d8p+3", 90085673),
+    ((1, 1), 5, 300, "0x1.578bc35e514c7p+3", 90085673),
 )
 BLP21_COUNT_PINS = (((2, 3), 10**9, 70412036250809), ((Fraction(7, 2), 2), 10**8, 785001281))
 
@@ -1181,15 +1238,15 @@ def test_blp21_zeta_and_count_pins():
 
 def test_blp21_zeta_refused_with_the_count():
     # At rho, B = 1e17 the count passes its guards (G_2 = 111803398), and
-    # the zeta sum is refused by its own step guard (sum_{F >= 2} G_F T_F
-    # > 2^25) once the fiber table is built, before its loop.  At 2e17 it
-    # reads the fiber table the count reads, so the count's guard
-    # (G_2 > 2^27) refuses it before any table.  At (40, 1), B = 2^36 the
+    # the zeta sum is refused by its own row guard (sum_{F >= 2} G_F =
+    # 508741827 > 2^25) once the fiber table is built, before its tables.
+    # At 2e17 it reads the fiber table the count reads, so the count's
+    # guard (G_2 > 2^27) refuses it before any table.  At (40, 1), B = 2^36 the
     # central fiber alone holds points (f_max = 1), and its shell sum would
     # run to F_end = T_1 = 2^36: refused by the shell guard.  Each refusal
     # comes in under a second.
     for lam, s, B, match in (
-            (BLP21.rho, 2, 10**17, "steps .* passes the limit 2\\^25"),
+            (BLP21.rho, 2, 10**17, "rows .* passes the limit 2\\^25"),
             (BLP21.rho, 2, 2 * 10**17, "G_2 passes the limit 2\\^27"),
             ((40, 1), 3, 2**36, "central fiber .* fibers of its loop passes the limit 2\\^25")):
         t0 = time.perf_counter()
@@ -1199,19 +1256,25 @@ def test_blp21_zeta_refused_with_the_count():
 
 
 def test_blp21_zeta_loop_refused_past_its_step_limit():
-    # At rho, B = 1e10 the fiber table passes the count's guard, but the
-    # zeta loop over the fibers F >= 2 would take sum G_F T_F = 6.4e9 steps:
-    # refused before the loop, by a message that names the limit.  So is
-    # 6e7 (38402190 steps), while 5e7 (31988283 steps, under 2^25) runs.
-    for B in (10**10, 6 * 10**7):
-        t0 = time.perf_counter()
-        with pytest.raises(CapabilityError, match="steps .* passes the limit 2\\^25"):
-            fourier.zeta_truncated(BLP21, BLP21.rho, 2, B)
-        assert time.perf_counter() - t0 < 1.0, B
+    # At rho the zeta sum's fibers F >= 2 plan sum G_F rows (F, g): 155974
+    # at B = 1e10, which runs in under a second with count_points' count;
+    # 33250159 at 4.3e14, under 2^25 (8-9 s, not run here); 33635325 at
+    # 4.4e14, refused in under a second, once the count's fiber table is
+    # built and before any table of the sum, by a message naming the limit.
     vals = geometry.require_interior(BLP21, BLP21.rho)
-    B = Fraction(5 * 10**7)
-    _, T, G, _ = enumeration._blp21_fibers(vals, B, enumeration.height_radius(B, vals[0]))
-    assert enumeration._exact_sum(G * T) == 31988283
+    for B, rows in ((10**10, 155974), (43 * 10**13, 33250159), (44 * 10**13, 33635325)):
+        B = Fraction(B)
+        _, _, G, _ = enumeration._blp21_fibers(vals, B, enumeration.height_radius(B, vals[0]))
+        assert int(G.sum()) == rows, B
+    t0 = time.perf_counter()
+    fourier.zeta_truncated(BLP21, BLP21.rho, 2, 10**10)
+    assert time.perf_counter() - t0 < 1.0
+    assert enumeration.zeta_partial(BLP21, BLP21.rho, 2, 10**10)[1] == \
+        enumeration.count_points(BLP21, BLP21.rho, 10**10)
+    t0 = time.perf_counter()
+    with pytest.raises(CapabilityError, match="rows .* passes the limit 2\\^25 \\(time"):
+        fourier.zeta_truncated(BLP21, BLP21.rho, 2, 44 * 10**13)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_mertens_quotients_read_once_per_count(monkeypatch):

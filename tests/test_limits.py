@@ -48,12 +48,9 @@ def _count(model, lam):
 
 
 TENTH_OF_D = (Fraction(10), Fraction(1), Fraction(1))  # BlP2-2: k <= B^(1/10), R = B
-# BlP2-1's tables (T_1 and the fibers F >= 2) which its zeta sum reads: at
-# rho, B = 10^4, and at (40, 1), B = 2^25, where f_max = 1 leaves the
-# central fiber alone, with T_1 = B.
-BLP21_RHO = geometry.require_interior(BLP21, BLP21.rho)
-BLP21_TABLE = enumeration._blp21_fibers(BLP21_RHO, Fraction(10**4),
-                                        enumeration.height_radius(Fraction(10**4), BLP21_RHO[0]))
+# BlP2-1's table (T_1 and the fibers F >= 2) which its zeta sum reads at
+# (40, 1), B = 2^25, where f_max = 1 leaves the central fiber alone, with
+# T_1 = B.
 BLP21_CENTRAL = geometry.require_interior(BLP21, (40, 1))
 BLP21_CENTRAL_FIBERS = enumeration._blp21_fibers(BLP21_CENTRAL, Fraction(2**25), 1)[1:]
 
@@ -103,12 +100,12 @@ LIMITS = [
     pytest.param(lambda B: enumeration.zeta_partial(P3, P3.rho, 1.1, B), 60838**4, 60839**4,
                  (enumeration, "_fiber_weights"), "weight bound .* 2\\^53 \\(float",
                  id="pn-zeta-weight-bound"),
-    # BlP2-1 at rho, B = 10^4: the fibers F >= 2 plan sum G_F T_F = 5600
-    # steps, and the central shell sum (T_1 = 100 shells) passes.  At (40, 1),
-    # s = 3 the central shell sum runs to F_end = T_1 (c = 3).
-    pytest.param(_with(lambda _: enumeration._blp21_zeta_partial(BLP21_RHO, 2.0, *BLP21_TABLE),
-                       (enumeration, "_ZETA_STEP_LIMIT", None)),
-                 5600, 5599, (enumeration, "jordan_segment"), "steps .* \\(time",
+    # BlP2-1 at rho, s = 2: the fibers F >= 2 plan sum G_F = 33250159 rows
+    # (F, g) at B = 4.3e14 and 33635325 at 4.4e14 (2^24.99 and 2^25.004),
+    # and the central shell sum comes first.  At (40, 1), s = 3 the central
+    # shell sum runs to F_end = T_1 (c = 3).
+    pytest.param(lambda B: enumeration.zeta_partial(BLP21, BLP21.rho, 2.0, B), 43 * 10**13,
+                 44 * 10**13, (enumeration, "_shell_zeta"), "rows .* 2\\^25 \\(time",
                  id="_ZETA_STEP_LIMIT-BlP2-1"),
     pytest.param(lambda t_1: enumeration._blp21_zeta_partial(BLP21_CENTRAL, 3.0, t_1,
                                                              *BLP21_CENTRAL_FIBERS),

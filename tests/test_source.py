@@ -323,17 +323,19 @@ def test_one_float_root_in_enumeration():
 def test_one_reader_of_each_mertens_table():
     # BlP2-1's central fiber is P1, counted by P1's Moebius sum: in
     # enumeration only _pn_count reads the Mertens quotient table.  The
-    # fibers F >= 2 read mu and its running sums from one segment, in
-    # _blp21_count, and the torsor's divisor table is the only other mu
-    # sieve; in _util the segment feeds the Mertens table alone, with no
-    # list form beside it.
+    # fibers F >= 2 read mu from one segment, in _blp21_count (with its
+    # running sums) and in _blp21_zeta_partial (the rows' mu(g) and M_c),
+    # and the torsor's divisor table is the only other mu sieve; in _util
+    # the segment feeds the Mertens table alone, with no list form beside
+    # it.
     def readers(module, name):
         return sorted(fn.name for fn in _functions(module).values()
                       if fn.name != name
                       and name in (n for node in ast.walk(fn) for n in _used_names(node)))
 
     assert readers("enumeration", "mertens_quotients") == ["_pn_count"]
-    assert readers("enumeration", "mu_segment") == ["_blp21_count", "_squarefree_divisors"]
+    assert readers("enumeration", "mu_segment") == ["_blp21_count", "_blp21_zeta_partial",
+                                                    "_squarefree_divisors"]
     assert readers("_util", "mu_segment") == ["mertens_quotients"]
 
 
@@ -348,6 +350,24 @@ def test_one_shell_zeta_sum():
                      and "_shell_zeta" in (name for node in ast.walk(fn)
                                            for name in _used_names(node)))
     assert readers == ["enumeration._blp21_zeta_partial", "enumeration.zeta_partial"]
+
+
+def test_blp21_zeta_sum_has_no_point_loop():
+    # BlP2-1's fibers F >= 2 are one NumPy pass over the rows (F, g): every
+    # loop of _blp21_zeta_partial (for, while, comprehension, map or
+    # starmap) runs over the parts of _util.ragged, and it takes no gcd.
+    fn = _functions("enumeration")["_blp21_zeta_partial"]
+
+    def over_ragged(node) -> bool:
+        return isinstance(node, ast.Call) and _used_names(node.func) == ["ragged"]
+
+    loops = [node.iter for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))]
+    loops += [node.args[-1] for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and _used_names(node.func) in (["map"], ["starmap"])]
+    assert loops and all(map(over_ragged, loops))
+    assert not any(isinstance(node, ast.While) for node in ast.walk(fn))
+    assert "gcd" not in (name for node in ast.walk(fn) for name in _used_names(node))
 
 
 def test_one_ragged_layout():
