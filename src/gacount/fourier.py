@@ -1130,7 +1130,9 @@ def global_fourier(model: VarietyModel, a, s,
     #   arch * prod_{p computed} phi_p * prod_{A0} [zeta(b) *
     #       prod_{p computed} (1 - p^(-b))],
     # which replaces every uncomputed local factor by its polar part; the
-    # regularized remainder over p > p_max is bounded below.
+    # regularized remainder over p > p_max is bounded below.  The A0
+    # products are one tamagawa._completion_body call on the pairs (b, 1),
+    # a log-sum over the computed primes (its float error is proved there).
     goods = [p for p in primes.tolist() if p not in small]
     computed = sorted(small + goods)  # two ascending runs, no prime in both
 
@@ -1162,8 +1164,7 @@ def global_fourier(model: VarietyModel, a, s,
             main, et = closed_form_good_prime(model, p, a, s)
             finite *= main * peel(p)
             rel_err += et / max(abs(main) - et, 1e-30)
-    for _name, b in zeta_factors:
-        finite *= tamagawa._completion_body(float(b), computed)
+    finite *= tamagawa._completion_body([(b, 1) for _, b in zeta_factors], computed)
     e_phi = _global_tail_exponent([float(b) for b in beta],
                                   [float(b) for b in a0_beta])
     k_phi = _GLOBAL_TAIL_K * model.rank

@@ -62,10 +62,13 @@ from .geometry import VarietyModel
 
 PEEL_ORDER = 5
 # Flat allowance (relative to the archimedean density) for assembling the
-# product in floats; the true roundoff is ~1e-13 relative for any P_max.
+# product in floats: the partial product's math.prod over every prime and
+# the last products.  The zeta completion's proved error (_completion_body)
+# lies inside it up to p_max = 10^5 on every catalog model; it grows like
+# the number of primes and passes it beyond.
 FLOAT_ASSEMBLY_EPS = 1e-12
-# At p_max = 10^7 tamagawa_number traces 46 MB and the generic assembly of
-# fourier.global_fourier 67 MB (Python 3.11, NumPy 2.4), linear in p_max
+# At p_max = 10^7 tamagawa_number traces 37 MB and the generic assembly of
+# fourier.global_fourier 54 MB (Python 3.11, NumPy 2.4), linear in p_max
 # (README, Limits): the limit keeps a call near 0.7 GB.
 P_MAX_LIMIT = 10**8
 _PEEL_CAP = 64  # _peel_data's passes stop at this degree (its docstring bounds the rest)
@@ -522,13 +525,45 @@ def good_primes(p_max: int) -> np.ndarray:
     return prime_sieve(p_max)[2:]  # past 2 and 3, when p_max reaches them
 
 
-def _completion_body(b: float, primes) -> float:
-    """zeta(b) * prod_p (1 - p^(-b)) over the primes given, ascending, ints
-    or floats: one zeta completion of tamagawa_number and of
-    fourier.global_fourier.  Each factor is Python's float pow (NumPy's
-    power need not match it to the last bit), and math.prod multiplies them
-    left to right from zeta(b), the floats of a loop over the primes."""
-    return math.prod([1.0 - p ** -b for p in primes], start=zeta(b))
+def _completion_body(pairs, primes) -> float:
+    """R = prod_b [zeta(b) prod_p (1 - p^(-b))]^(e_b) over the pairs
+    (b, e_b) given (real b > 1 taken as a float, integer e_b) and the n
+    distinct primes given (ints or floats below 2^53, in any order): the
+    zeta completion of tamagawa_number (pairs (k, -e_k)) and of
+    fourier.global_fourier (pairs (b, 1)).  It is exp(S) with
+
+        S = sum_b e_b L_b,  L_b = log zeta(b) + sum_p log1p(-p^(-b)),
+
+    the p-sums one NumPy pass over a (len(pairs), n) array: no factor
+    near 1 is rounded, and no body is raised to e_b.
+
+    Float error.  With r = 2^-53, each float operation is correctly
+    rounded (within r), zeta(b) is correctly rounded (_util.zeta),
+    math.log and math.exp are within one ulp (2r relative), NumPy's power
+    and log1p within four (8r, the accuracy of the vectorised AVX-512
+    routines NumPy may dispatch to), and a sum of t terms, in any order,
+    is within (t - 1) r sum |term|.  Write A_b = log zeta(b) and
+    x = p^(-b) <= 1/2.  The computed x is within 8r x; -log1p(-y) has
+    slope 1/(1 - y) <= 2 near x and is >= y, so the computed term is
+    within (16r + 8r + O(r^2)) |t_p| <= 25r |t_p| of t_p = log1p(-x).
+    The terms share one sign and sum |t_p| < A_b (the Euler product over
+    all primes), so the row sum is within (n + 25) r A_b.  log zeta(b) is
+    within 1.01r + 2.01r A_b, and since 0 <= L_b <= A_b the addition adds
+    r A_b: L_b is within r (2 + (n + 30) A_b).  The products e_b L_b and
+    math.fsum's correctly rounded sum add 2r |e_b| A_b to first order, so
+
+        |S' - S| <= E = r sum_b |e_b| (3 + (n + 33) log zeta(b)),
+
+    and with the last exp, while E <= 5e-4,
+
+        |R' - R| <= R (2r + 1.001 E).
+    """
+    b = np.array([float(x) for x, _ in pairs])
+    t = np.power(np.asarray(primes, dtype=np.float64), -b[:, None])
+    np.log1p(np.negative(t, out=t), out=t)
+    rows = t.sum(axis=1).tolist()
+    return math.exp(math.fsum(e * (math.log(zeta(x)) + s)
+                              for (x, e), s in zip(pairs, rows)))
 
 
 def _euler_tail_bound(c_h: Fraction, p_max: int) -> float:
@@ -552,20 +587,20 @@ def tamagawa_number(
     """Regularized Euler product for tau = arch * prod_p density_p (1-1/p)^rank.
 
     The zeta completion prod_k (zeta(k) prod_{p <= p_max} (1 - p^-k))^(-e_k)
-    takes each zeta(k) as the correctly rounded float that _util.zeta
-    proves, so its error is float assembly like the rest of the product,
-    which FLOAT_ASSEMBLY_EPS covers.
+    is one _completion_body call over every peeled k, whose docstring
+    proves its float error: at most 2.4e-12 relative on BlP2-3 at
+    p_max = 10^4 (n = 1229 primes, peel exponents up to |e_5| = 144),
+    inside FLOAT_ASSEMBLY_EPS.
 
     What does not depend on the prime is done once per call: one sieve,
-    whose float64 array feeds one NumPy Horner pass over the good primes
-    in ascending order (_good_prime_product, shared with global_fourier)
-    and one list of float primes that every peeled k shares; one g for the
-    Horner pass and the peel (_peel_data, whose C_h feeds the tail bound);
-    one _density_setup of rho for p = 2 and 3.  The Horner pass gives the
-    floats of a scalar loop per prime, and each completion body
-    (_completion_body) keeps Python's float pow per prime, which NumPy's
-    power need not match to the last bit, so every field is the float the
-    per-prime loops give.
+    whose float64 array of every prime up to p_max feeds one NumPy Horner
+    pass over the good primes in ascending order (_good_prime_product,
+    shared with global_fourier) and the completion; one g for the Horner
+    pass and the peel (_peel_data, whose C_h feeds the tail bound); one
+    _density_setup of rho for p = 2 and 3.  The Horner pass gives the
+    floats of a scalar loop per prime, so partial_product, like every
+    field but zeta_completion, tamagawa and tail_bound, is the float the
+    per-prime loops give; those three follow the completion's log-sum.
 
     Args:
         model: catalog entry.
@@ -584,7 +619,7 @@ def tamagawa_number(
     """
     if not isinstance(p_max, numbers.Integral) or p_max < 100:
         raise ValueError(f"p_max must be an integer >= 100, not {p_max!r}")
-    primes = good_primes(p_max).astype(np.float64)  # exact: p < 2^53
+    primes = np.concatenate(([2.0, 3.0], good_primes(p_max)))  # float64, exact: p < 2^53
     arch = archimedean_density(model)
     setup = _density_setup(model, model.rho)
     partial = 1.0
@@ -592,12 +627,9 @@ def tamagawa_number(
         reg = (1 - Fraction(1, p)) ** model.rank
         partial *= float(_local_density(model, p, setup) * reg)
     g = regularized_factor_poly(model, (1,) * model.rank)
-    partial = _good_prime_product(g, primes, partial)
+    partial = _good_prime_product(g, primes[2:], partial)
     peeled, c_h = _peel_data(model, g)
-    floats = [2.0, 3.0, *primes.tolist()]
-    completion = 1.0
-    for k, ek in peeled:
-        completion *= _completion_body(float(k), floats) ** (-ek)
+    completion = _completion_body([(k, -ek) for k, ek in peeled], primes)
     tam = arch * partial * completion
     tail = abs(tam) * _euler_tail_bound(c_h, p_max) + FLOAT_ASSEMBLY_EPS * arch
     return EulerProductResult(

@@ -418,6 +418,25 @@ def test_one_zeta_completion_body():
         assert len(calls) == 1, name
 
 
+def test_completion_body_has_no_prime_loop():
+    # The zeta completion is one NumPy pass over a (pairs x primes) array:
+    # every loop of _completion_body (for, comprehension or map) runs over
+    # the pairs (b, e_b), never the primes, it multiplies no math.prod, and
+    # tamagawa_number hands it the prime array without a .tolist().
+    fn = _functions("tamagawa")["_completion_body"]
+    loops = [node.iter for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))]
+    loops += [arg for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and _used_names(node.func) in (["map"], ["starmap"])
+              for arg in node.args[1:]]
+    names = [{name for node in ast.walk(it) for name in _used_names(node)} for it in loops]
+    assert loops and all("pairs" in used and "primes" not in used for used in names)
+    assert "prod" not in {name for node in ast.walk(fn) for name in _used_names(node)}
+    tolist = [node.lineno for node in ast.walk(_functions("tamagawa")["tamagawa_number"])
+              if isinstance(node, ast.Call) and _used_names(node.func) == ["tolist"]]
+    assert tolist == []
+
+
 def _is_signed_binomial(node) -> bool:
     """A signed binomial coefficient of (1 - u^k)^m: the ratio step
     -c (m - j) // (j + 1), or comb(...) times a power (of -1)."""

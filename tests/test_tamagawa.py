@@ -250,16 +250,68 @@ def test_tamagawa_number_prepares_once(model, monkeypatch):
     assert calls == {"regularized_factor_poly": 2, "convergence_beta": 2}
 
 
-@pytest.mark.parametrize("b", [2, 3.5, 7])
-def test_completion_body_is_the_per_prime_loop(b):
-    # One owner of zeta(b) prod_p (1 - p^(-b)): ints or floats, the floats
-    # of the loop that multiplies from zeta(b) in ascending order.
-    primes = primes_upto(10**4)
-    want = zeta(float(b))
-    for p in primes:
-        want *= 1.0 - float(p) ** (-float(b))
-    for given in (primes, [float(p) for p in primes]):
-        assert tamagawa._completion_body(float(b), given).hex() == want.hex()
+def completion_loop(pairs, primes):
+    """The zeta completion by the per-prime loop that _completion_body
+    replaced, its slow-path oracle: each body zeta(b) prod_p (1 - p^(-b))
+    multiplied from zeta(b) in ascending order, then raised to e_b."""
+    out = 1.0
+    for b, e in pairs:
+        body = zeta(float(b))
+        for p in primes:
+            body *= 1.0 - float(p) ** (-float(b))
+        out *= body ** e
+    return out
+
+
+def completion_reference(pairs, primes):
+    """The same product to 50 digits (mpmath), at each b as a float."""
+    with mpmath.workdps(50):
+        out = mpmath.mpf(1)
+        for b, e in pairs:
+            x = mpmath.mpf(float(b))
+            body = mpmath.zeta(x)
+            for p in primes:
+                body *= 1 - mpmath.mpf(p) ** -x
+            out *= body ** e
+        return out
+
+
+def completion_bound(pairs, n):
+    """The relative error of _completion_body over n primes that its
+    docstring proves: 2r + 1.001 E."""
+    r = 2.0**-53
+    E = r * sum(abs(e) * (3 + (n + 33) * math.log(zeta(float(b)))) for b, e in pairs)
+    return 2 * r + 1.001 * E
+
+
+def peel_of(model):
+    """(pairs (k, -e_k) of the zeta completion, C_h) of tamagawa_number."""
+    peeled, c_h = tamagawa._peel_data(
+        model, tamagawa.regularized_factor_poly(model, (1,) * model.rank))
+    return [(k, -ek) for k, ek in peeled], c_h
+
+
+def check_completion(pairs, primes):
+    """_completion_body is within its proved bound of the 50-digit product
+    and no farther from it than the per-prime loop; int and float primes
+    give one float."""
+    got = tamagawa._completion_body(pairs, primes)
+    assert tamagawa._completion_body(pairs, np.array(primes, dtype=np.float64)) == got
+    want = completion_reference(pairs, primes)
+    err = abs(got - want) / want
+    assert err <= completion_bound(pairs, len(primes))
+    assert err <= abs(completion_loop(pairs, primes) - want) / want
+
+
+@pytest.mark.parametrize("p_max", [100, 1009, 10**4])
+def test_completion_body_of_the_peel(model, p_max):
+    check_completion(peel_of(model)[0], primes_upto(p_max))
+
+
+@pytest.mark.parametrize("b", [2, Fraction(7, 2), 7], ids=["2", "3.5", "7"])
+def test_completion_body_of_a_character(b):
+    # As global_fourier calls it: one pair (b, 1) over the computed primes.
+    check_completion([(b, 1)], primes_upto(1000))
 
 
 def test_exact_local_density_domain_errors():
@@ -757,7 +809,7 @@ def test_predicted_constant_at_multiples_of_rho():
 
 def tamagawa_oracle(model, p_max):
     """tamagawa_number from scalar loops, one prime at a time: the oracle of
-    its NumPy Horner pass and its math.prod products."""
+    its NumPy Horner pass, with the zeta completion of completion_loop."""
     arch = tamagawa.archimedean_density(model)
     partial = 1.0
     for p in (2, 3):
@@ -772,12 +824,7 @@ def tamagawa_oracle(model, p_max):
             acc = acc * u + float(c)
         partial *= acc
     peeled, c_h = tamagawa._peel_data(model, g)
-    completion = 1.0
-    for k, ek in peeled:
-        body = zeta(k)
-        for p in (2, 3, *primes):
-            body *= 1.0 - float(p) ** (-k)
-        completion *= body ** (-ek)
+    completion = completion_loop([(k, -ek) for k, ek in peeled], [2, 3, *primes])
     tam = arch * partial * completion
     tail = (abs(tam) * tamagawa._euler_tail_bound(c_h, p_max)
             + tamagawa.FLOAT_ASSEMBLY_EPS * arch)
@@ -789,20 +836,38 @@ def tamagawa_oracle(model, p_max):
 
 @pytest.mark.parametrize("p_max", [100, 1009, 10**4])
 def test_tamagawa_number_matches_scalar_oracle(model, p_max):
-    got = dataclasses.astuple(tamagawa.tamagawa_number(model, p_max=p_max))
-    want = dataclasses.astuple(tamagawa_oracle(model, p_max))
-    hexed = [[v.hex() if isinstance(v, float) else v for v in row] for row in (got, want)]
-    assert hexed[0] == hexed[1]
+    # Every field is the float of the scalar loops but the three that follow
+    # the completion's log-sum, which lie within its proved bound (beta,
+    # plus the roundings of the last products) of a 50-digit reference.
+    got = tamagawa.tamagawa_number(model, p_max=p_max)
+    want = tamagawa_oracle(model, p_max)
+    moved = {"zeta_completion", "tamagawa", "tail_bound"}
+    for field in dataclasses.fields(got):
+        if field.name not in moved:
+            hexed = [v.hex() if isinstance(v, float) else v
+                     for v in (getattr(got, field.name), getattr(want, field.name))]
+            assert hexed[0] == hexed[1], field.name
+    pairs, c_h = peel_of(model)
+    primes = primes_upto(p_max)
+    beta, r = completion_bound(pairs, len(primes)), 2.0**-53
+    with mpmath.workdps(50):
+        completion = completion_reference(pairs, primes)
+        tam = mpmath.mpf(got.arch_density) * got.partial_product * completion
+        tail = (abs(tam) * tamagawa._euler_tail_bound(c_h, p_max)
+                + tamagawa.FLOAT_ASSEMBLY_EPS * got.arch_density)
+        assert abs(got.zeta_completion - completion) <= beta * completion
+        assert abs(got.tamagawa - tam) <= (beta + 3 * r) * abs(tam)
+        assert abs(got.tail_bound - tail) <= (beta + 6 * r) * tail
 
 
 # tau = tamagawa_number(model).tamagawa at the default p_max, as float.hex.
 TAU_PINS = {
-    "P1": "0x1.37423899a155dp+1",
-    "P2": "0x1.3f73d285cdaebp+3",
-    "P3": "0x1.d90e7450223f5p+4",
-    "BlP2-1": "0x1.7a71f6a681b63p+2",
-    "BlP2-2": "0x1.6c73c3f345d06p+1",
-    "BlP2-3": "0x1.28c8b744b5718p+0",
+    "P1": "0x1.37423899a1569p+1",
+    "P2": "0x1.3f73d285cd9a9p+3",
+    "P3": "0x1.d90e745022230p+4",
+    "BlP2-1": "0x1.7a71f6a681b80p+2",
+    "BlP2-2": "0x1.6c73c3f345b96p+1",
+    "BlP2-3": "0x1.28c8b744b4f75p+0",
 }
 
 
